@@ -1,7 +1,7 @@
 // Query API surface of tindserve: the wire-form request type shared by
 // every query endpoint, the single decode→compile path that turns it
-// into an index.QueryOptions, the JSON error envelope, and the handlers
-// themselves. GET /search, /reverse and /topk are one handler
+// into an index.QueryOptions, and the handlers themselves (the JSON
+// error envelope is internal/router's, shared with the /shard RPC). GET /search, /reverse and /topk are one handler
 // parameterized by mode; POST /query/batch decodes a list of the same
 // wire queries and executes them as one index.QueryBatch call so the
 // engine amortizes its matrix sweeps across the whole request.
@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
@@ -21,53 +20,9 @@ import (
 	"tind/internal/history"
 	"tind/internal/index"
 	"tind/internal/obs"
+	"tind/internal/router"
 	"tind/internal/timeline"
 )
-
-// Error codes of the JSON error envelope. Every failure response has
-// the shape {"error": {"code": "...", "message": "..."}}; the code is
-// the machine-readable contract (clients branch on it), the message is
-// for humans and may change freely.
-const (
-	codeInvalidParameter = "invalid_parameter" // malformed or out-of-range request input
-	codeNotReady         = "not_ready"         // index still building or service draining
-	codeSaturated        = "saturated"         // load shed by the concurrency limiter
-	codeDeadlineExceeded = "deadline_exceeded" // query deadline expired mid-flight
-	codeCanceled         = "canceled"          // client went away before completion
-	codeNotImplemented   = "not_implemented"   // endpoint disabled by configuration
-	codeRejected         = "rejected"          // semantically invalid ingest batch
-	codeInternal         = "internal"          // anything else; check the server log
-)
-
-// httpError writes the error envelope with the given status and code.
-func httpError(w http.ResponseWriter, status int, code string, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]interface{}{
-		"error": map[string]string{"code": code, "message": err.Error()},
-	})
-}
-
-// queryError maps a failed index query to its HTTP status and code:
-// deadline expiry is a 504 the client can act on, a disconnected client
-// gets the 499 convention, anything else is a 500.
-func queryError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, index.ErrDeadlineExceeded):
-		httpError(w, http.StatusGatewayTimeout, codeDeadlineExceeded, err)
-	case errors.Is(err, index.ErrCanceled):
-		httpError(w, statusClientClosedRequest, codeCanceled, err)
-	default:
-		httpError(w, http.StatusInternalServerError, codeInternal, err)
-	}
-}
-
-func writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		slog.Error("encoding response", "err", err)
-	}
-}
 
 // rawQuery is the wire form of one query before resolution: attribute
 // references as the client sent them, the mode, and the optional search
@@ -256,13 +211,13 @@ func (s *server) handleQuery(mode string) queryHandler {
 	return func(c *corpus, w http.ResponseWriter, r *http.Request) {
 		raw, err := decodeRawQuery(r)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, codeInvalidParameter, err)
+			router.HTTPError(w, http.StatusBadRequest, router.CodeInvalidParameter, err)
 			return
 		}
 		raw.Mode = mode
 		q, o, err := c.compile(raw)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, codeInvalidParameter, err)
+			router.HTTPError(w, http.StatusBadRequest, router.CodeInvalidParameter, err)
 			return
 		}
 		// Tracing is always on; the tail sampler in the middleware decides
@@ -274,7 +229,7 @@ func (s *server) handleQuery(mode string) queryHandler {
 		noteStats(r, &res.Stats)
 		noteQuery(r, obs.EventQuery, mode, 0)
 		if err != nil && !errors.Is(err, index.ErrPartialResult) {
-			queryError(w, err)
+			router.QueryError(w, err)
 			return
 		}
 		body := c.renderResult(q, o, res)
@@ -286,7 +241,7 @@ func (s *server) handleQuery(mode string) queryHandler {
 			body["partial"] = true
 			body["shards_failed"] = failedShards(res.Stats.PerShard)
 		}
-		writeJSON(w, body)
+		router.WriteJSON(w, body)
 	}
 }
 
@@ -327,15 +282,15 @@ func (s *server) handleBatch(c *corpus, w http.ResponseWriter, r *http.Request) 
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, batchMaxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, codeInvalidParameter, fmt.Errorf("bad request body: %w", err))
+		router.HTTPError(w, http.StatusBadRequest, router.CodeInvalidParameter, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	if len(req.Queries) == 0 {
-		httpError(w, http.StatusBadRequest, codeInvalidParameter, errors.New("empty query batch"))
+		router.HTTPError(w, http.StatusBadRequest, router.CodeInvalidParameter, errors.New("empty query batch"))
 		return
 	}
 	if len(req.Queries) > batchMaxQueries {
-		httpError(w, http.StatusBadRequest, codeInvalidParameter,
+		router.HTTPError(w, http.StatusBadRequest, router.CodeInvalidParameter,
 			fmt.Errorf("batch of %d queries exceeds the limit of %d", len(req.Queries), batchMaxQueries))
 		return
 	}
@@ -344,7 +299,7 @@ func (s *server) handleBatch(c *corpus, w http.ResponseWriter, r *http.Request) 
 	for i, raw := range req.Queries {
 		q, o, err := c.compile(raw)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, codeInvalidParameter, fmt.Errorf("query %d: %w", i, err))
+			router.HTTPError(w, http.StatusBadRequest, router.CodeInvalidParameter, fmt.Errorf("query %d: %w", i, err))
 			return
 		}
 		// Same middleware contract as handleQuery: every entry traces, the
@@ -364,7 +319,7 @@ func (s *server) handleBatch(c *corpus, w http.ResponseWriter, r *http.Request) 
 	elapsed := time.Since(start)
 	*agg = aggregateBatchStats(results, elapsed)
 	if err != nil && !errors.Is(err, index.ErrPartialResult) {
-		queryError(w, err)
+		router.QueryError(w, err)
 		return
 	}
 	bodies := make([]map[string]interface{}, len(results))
@@ -385,32 +340,22 @@ func (s *server) handleBatch(c *corpus, w http.ResponseWriter, r *http.Request) 
 		out["partial"] = true
 		out["shards_failed"] = failedShards(agg.PerShard)
 	}
-	writeJSON(w, out)
+	router.WriteJSON(w, out)
 }
 
 // aggregateBatchStats folds per-entry batch results into one batch-level
 // QueryStats for the slow-query log and the wide event: funnel counts
-// and phase timings sum across entries, traces concatenate in entry
-// order, and the per-shard attribution is taken from the first entry —
+// and phase timings sum across entries and traces concatenate in entry
+// order (QueryStats.Add), and the per-shard attribution is taken from the
+// first entry —
 // sharded batch legs cover the whole regrouped batch, so every entry
 // reports the same PerShard slice.
 func aggregateBatchStats(results []index.Result, elapsed time.Duration) index.QueryStats {
 	agg := index.QueryStats{Elapsed: elapsed}
 	agg.Timings.Total = elapsed
-	for _, res := range results {
-		st := res.Stats
-		agg.InitialCandidates += st.InitialCandidates
-		agg.AfterSlices += st.AfterSlices
-		agg.AfterSubsetCheck += st.AfterSubsetCheck
-		agg.Validated += st.Validated
-		agg.Results += st.Results
-		agg.SlicesUsed += st.SlicesUsed
-		agg.Timings.MTPrune += st.Timings.MTPrune
-		agg.Timings.SlicePrune += st.Timings.SlicePrune
-		agg.Timings.SubsetCheck += st.Timings.SubsetCheck
-		agg.Timings.Validate += st.Timings.Validate
-		agg.Timings.Rank += st.Timings.Rank
-		agg.Trace = append(agg.Trace, st.Trace...)
+	for i := range results {
+		st := &results[i].Stats
+		agg.Add(st)
 		if agg.PerShard == nil && len(st.PerShard) > 0 {
 			agg.PerShard = st.PerShard
 		}
@@ -421,22 +366,22 @@ func aggregateBatchStats(results []index.Result, elapsed time.Duration) index.Qu
 func (s *server) handleExplain(c *corpus, w http.ResponseWriter, r *http.Request) {
 	raw, err := decodeRawQuery(r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, codeInvalidParameter, err)
+		router.HTTPError(w, http.StatusBadRequest, router.CodeInvalidParameter, err)
 		return
 	}
 	lhs, err := c.resolve(raw.LHS)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, codeInvalidParameter, fmt.Errorf("lhs: %w", err))
+		router.HTTPError(w, http.StatusBadRequest, router.CodeInvalidParameter, fmt.Errorf("lhs: %w", err))
 		return
 	}
 	rhs, err := c.resolve(raw.RHS)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, codeInvalidParameter, fmt.Errorf("rhs: %w", err))
+		router.HTTPError(w, http.StatusBadRequest, router.CodeInvalidParameter, fmt.Errorf("rhs: %w", err))
 		return
 	}
 	p, err := c.compileParams(raw)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, codeInvalidParameter, err)
+		router.HTTPError(w, http.StatusBadRequest, router.CodeInvalidParameter, err)
 		return
 	}
 	type violation struct {
@@ -457,7 +402,7 @@ func (s *server) handleExplain(c *corpus, w http.ResponseWriter, r *http.Request
 		})
 		total += v.Weight
 	}
-	writeJSON(w, map[string]interface{}{
+	router.WriteJSON(w, map[string]interface{}{
 		"lhs":             c.attrResult(lhs.ID()),
 		"rhs":             c.attrResult(rhs.ID()),
 		"violations":      out,
@@ -470,7 +415,7 @@ func (s *server) handleExplain(c *corpus, w http.ResponseWriter, r *http.Request
 func (s *server) handleAttr(c *corpus, w http.ResponseWriter, r *http.Request) {
 	h, err := c.resolve(r.URL.Query().Get("attr"))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, codeInvalidParameter, err)
+		router.HTTPError(w, http.StatusBadRequest, router.CodeInvalidParameter, err)
 		return
 	}
 	type version struct {
@@ -485,7 +430,7 @@ func (s *server) handleAttr(c *corpus, w http.ResponseWriter, r *http.Request) {
 			Values: c.ds.Dict().Strings(v.Values),
 		})
 	}
-	writeJSON(w, map[string]interface{}{
+	router.WriteJSON(w, map[string]interface{}{
 		"attr":          c.attrResult(h.ID()),
 		"observed_from": int(h.ObservedFrom()),
 		"observed_to":   int(h.ObservedUntil()),

@@ -41,6 +41,10 @@ func TestMalformedParameters(t *testing.T) {
 		{"/search?attr=0&eps=abc", "eps"},
 		{"/search?attr=0&delta=-3", "delta"},
 		{"/search?attr=0&delta=x", "delta"},
+		// Rejected by the engine, not by compile: index.ErrInvalidOptions
+		// must map to 400 on this surface too (it used to be a 500 here and
+		// a 400 on the shard RPC).
+		{"/search?attr=0&delta=2000000000000", "delta"},
 		{"/reverse?attr=0&eps=nope", "eps"},
 		{"/reverse?attr=99999", "out of range"},
 		{"/topk?attr=0&k=0", "k"},

@@ -150,11 +150,6 @@ func mHTTPSeconds(endpoint string) *obs.Histogram {
 		obs.L("endpoint", endpoint))
 }
 
-// statusClientClosedRequest is nginx's non-standard code for "client
-// went away before we finished"; it keeps abandoned queries apart from
-// real timeouts and server errors in access logs.
-const statusClientClosedRequest = 499
-
 // topKWeight is the limiter weight of /topk requests: the escalating
 // search may re-run the underlying query several times, so one /topk
 // costs about as much as a few plain searches.
@@ -224,7 +219,7 @@ func main() {
 	}
 	logger.Info("listening, index building in background", "addr", ln.Addr().String())
 
-	load := func(rp *replayProgress) (*serving, error) {
+	load := func(rp *replayProgress) (*corpus, error) {
 		return loadServing(corpusConfig{
 			corpus: *corpusF, attrs: *attrs, horizon: *horizon, seed: *seed, shards: *shards,
 			shardServer: *shardServer, shardID: *shardID,
@@ -271,7 +266,7 @@ type config struct {
 // answers health probes from the first moment; a load failure tears the
 // server down. After the drain, the ingester flushes and the WAL closes
 // so acknowledged deltas are applied or at minimum durable.
-func run(ctx context.Context, cfg config, ln net.Listener, load func(rp *replayProgress) (*serving, error)) error {
+func run(ctx context.Context, cfg config, ln net.Listener, load func(rp *replayProgress) (*corpus, error)) error {
 	s := newServer(cfg)
 
 	// Periodic runtime sampling keeps goroutine count, heap watermark and
@@ -306,15 +301,15 @@ func run(ctx context.Context, cfg config, ln net.Listener, load func(rp *replayP
 	}()
 	go func() {
 		start := time.Now()
-		sv, err := load(&s.replay)
+		c, err := load(&s.replay)
 		if err != nil {
 			errCh <- fmt.Errorf("corpus load: %w", err)
 			return
 		}
-		s.install(sv)
-		s.log.Info("ready", "attributes", sv.ds.Len(),
+		s.install(c)
+		s.log.Info("ready", "attributes", c.ds.Len(),
 			"build_time", time.Since(start).Round(time.Millisecond),
-			"ingest", sv.ing != nil)
+			"ingest", c.ing != nil)
 	}()
 
 	select {
@@ -354,13 +349,28 @@ func (s *server) closeServing() error {
 	return err
 }
 
-// queryIndex is the serving contract the handlers need: the monolithic
-// index.Index and the sharded scatter-gather shard.ShardedIndex both
-// satisfy it, so -shards swaps the engine without touching a handler.
+// queryIndex is the serving contract the handlers need. Every engine
+// satisfies it — the monolithic index.Index, the in-process
+// shard.ShardedIndex, one shard.Single (shard-server mode) and the
+// router.Router — so the mode flags swap the engine without touching a
+// handler.
 type queryIndex interface {
 	Query(ctx context.Context, q *history.History, o index.QueryOptions) (index.Result, error)
 	QueryBatch(ctx context.Context, batch []index.BatchQuery, o index.BatchOptions) ([]index.Result, error)
 	Stats() index.BuildStats
+}
+
+// partitioned is what every engine over a hash partition additionally
+// exposes; /stats reports it.
+type partitioned interface{ NumShards() int }
+
+// remote is what an engine whose shards live in other processes
+// additionally exposes: which shards were down as of the last contact,
+// and an active probe. /stats and /readyz report them.
+type remote interface {
+	partitioned
+	Degraded() []int
+	Probe(ctx context.Context) []int
 }
 
 // corpusConfig is everything loadServing needs to assemble the serving
@@ -377,10 +387,10 @@ type corpusConfig struct {
 	shardID     int
 	// router scatter-gathers over remote shard servers: the -router
 	// topology spec, with the per-leg deadline and replica retry budget.
-	router     string
-	legTimeout time.Duration
-	legRetries int
-	wal        string
+	router        string
+	legTimeout    time.Duration
+	legRetries    int
+	wal           string
 	snapshot      string
 	snapshotEvery int
 	maxDirty      int
@@ -389,21 +399,6 @@ type corpusConfig struct {
 	// when slice-pruning coverage falls below it, the engine reslices and
 	// coverage returns to 1 without blocking queries. 0 disables.
 	resliceMinCoverage float64
-}
-
-// serving is the full serving state a load produces: dataset, engine and
-// — with -wal — the write path (ingester + open log).
-type serving struct {
-	ds  *history.Dataset
-	idx queryIndex
-	ing *ingest.Ingester // nil without -wal
-	wal *wal.Log         // nil without -wal; owned by the serving state
-	// shardH is the /shard RPC surface in shard-server mode, mounted by
-	// routes behind the readiness/shedding middleware; nil otherwise.
-	shardH http.Handler
-	// rtr is the scatter-gather engine in router mode — idx points at it
-	// too; the typed field is for degradation probes on /readyz.
-	rtr *router.Router
 }
 
 // replayProgress publishes WAL-replay progress for /readyz while the
@@ -464,7 +459,7 @@ func loadDataset(cc corpusConfig) (*history.Dataset, int64, error) {
 // scatter-gathers over remote shard servers. Both are read-only: live
 // ingestion writes through an engine that owns the whole index, which
 // neither mode has.
-func loadServing(cc corpusConfig, rp *replayProgress) (*serving, error) {
+func loadServing(cc corpusConfig, rp *replayProgress) (*corpus, error) {
 	if cc.shardServer && cc.router != "" {
 		return nil, errors.New("-shard-server and -router are mutually exclusive")
 	}
@@ -509,7 +504,8 @@ func loadServing(cc corpusConfig, rp *replayProgress) (*serving, error) {
 	opt := index.DefaultOptions(ds.Horizon())
 	opt.Reverse = true
 	opt.Seed = cc.seed
-	sv := &serving{ds: ds, wal: log}
+	c := newCorpus(ds, nil)
+	c.wal = log
 	switch {
 	case cc.shardServer:
 		if cc.shards < 1 || cc.shardID < 0 || cc.shardID >= cc.shards {
@@ -521,9 +517,8 @@ func loadServing(cc corpusConfig, rp *replayProgress) (*serving, error) {
 		if err != nil {
 			return nil, err
 		}
-		ss := router.NewShardServer(sg)
-		sv.idx, sv.shardH = ss, ss.Handler()
-		return sv, nil
+		c.idx, c.shardH = sg, router.NewShardServer(sg).Handler()
+		return c, nil
 	case cc.router != "":
 		topo, err := parseRouterSpec(cc.router)
 		if err != nil {
@@ -544,8 +539,8 @@ func loadServing(cc corpusConfig, rp *replayProgress) (*serving, error) {
 			return nil, fmt.Errorf("router: local corpus (%d attributes, horizon %d) does not match the cluster's (%d, %d) — start the router with the same corpus its shard servers serve",
 				ds.Len(), ds.Horizon(), info.Attributes, info.Horizon)
 		}
-		sv.idx, sv.rtr = rt, rt
-		return sv, nil
+		c.idx = rt
+		return c, nil
 	}
 	var eng ingest.Engine
 	if cc.shards > 1 {
@@ -556,14 +551,14 @@ func loadServing(cc corpusConfig, rp *replayProgress) (*serving, error) {
 			closeLog(log)
 			return nil, err
 		}
-		sv.idx, eng = sx, sx
+		c.idx, eng = sx, sx
 	} else {
 		idx, err := index.Build(ds, opt)
 		if err != nil {
 			closeLog(log)
 			return nil, err
 		}
-		sv.idx, eng = idx, idx
+		c.idx, eng = idx, idx
 	}
 
 	if log != nil {
@@ -580,10 +575,10 @@ func loadServing(cc corpusConfig, rp *replayProgress) (*serving, error) {
 				Dir: cc.snapshot, Shards: snapShards, Seed: cc.seed, Every: cc.snapshotEvery,
 			}
 		}
-		sv.ing = ingest.New(eng, ds, log, iopt)
-		sv.ing.Start()
+		c.ing = ingest.New(eng, ds, log, iopt)
+		c.ing.Start()
 	}
-	return sv, nil
+	return c, nil
 }
 
 func closeLog(log *wal.Log) {
@@ -614,24 +609,23 @@ func parseRouterSpec(spec string) ([][]string, error) {
 	return topo, nil
 }
 
-// corpus is the serving state, swapped in atomically once the index
-// build completes. Without live ingestion it is immutable; with -wal the
-// dataset mutates under the ingester's lock, and handlers route dataset
-// reads through view.
+// corpus is the serving state a load produces — dataset, engine and,
+// with -wal, the write path (ingester + open log) — swapped in atomically
+// once the index build completes. Without live ingestion it is immutable;
+// with -wal the dataset mutates under the ingester's lock, and handlers
+// route dataset reads through view.
 type corpus struct {
 	ds  *history.Dataset
 	idx queryIndex
 	ing *ingest.Ingester // nil without -wal
-	wal *wal.Log         // nil without -wal
+	wal *wal.Log         // nil without -wal; owned by the serving state
 	// pagesLower caches the lowercased page title per attribute so
 	// resolve's substring match does not re-lowercase every title on
 	// every request.
 	pagesLower []string
-	// shardH and rtr carry the distributed-mode state through the
-	// atomic corpus swap: the /shard RPC surface (shard-server mode)
-	// and the typed router handle for /readyz probes (router mode).
+	// shardH is the /shard RPC surface in shard-server mode, mounted by
+	// routes behind the readiness/shedding middleware; nil otherwise.
 	shardH http.Handler
-	rtr    *router.Router
 }
 
 // newCorpus derives every cached view (currently the lowercased page
@@ -639,13 +633,12 @@ type corpus struct {
 // the cache here rather than at the install site means a future second
 // caller that swaps the corpus pointer cannot forget to invalidate it:
 // a corpus and its caches are created together or not at all.
-func newCorpus(sv *serving) *corpus {
-	pages := make([]string, sv.ds.Len())
-	for i, h := range sv.ds.Attrs() {
+func newCorpus(ds *history.Dataset, idx queryIndex) *corpus {
+	pages := make([]string, ds.Len())
+	for i, h := range ds.Attrs() {
 		pages[i] = strings.ToLower(h.Meta().Page)
 	}
-	return &corpus{ds: sv.ds, idx: sv.idx, ing: sv.ing, wal: sv.wal, pagesLower: pages,
-		shardH: sv.shardH, rtr: sv.rtr}
+	return &corpus{ds: ds, idx: idx, pagesLower: pages}
 }
 
 // view runs fn with the dataset quiescent. With live ingestion the
@@ -711,8 +704,8 @@ func newServer(cfg config) *server {
 
 // install publishes the serving state, flipping /readyz to 200 and
 // letting query endpoints through.
-func (s *server) install(sv *serving) {
-	s.corpus.Store(newCorpus(sv))
+func (s *server) install(c *corpus) {
+	s.corpus.Store(c)
 }
 
 // queryHandler is an endpoint that needs the corpus; the query
@@ -930,14 +923,14 @@ func (s *server) query(weight int64, h queryHandler) http.Handler {
 			mHTTPShed("not_ready").Inc()
 			mHTTPRequests(endpoint, http.StatusServiceUnavailable).Inc()
 			w.Header().Set("Retry-After", s.retryAfterHint(shedNotReady))
-			httpError(w, http.StatusServiceUnavailable, codeNotReady, errors.New("index still building, retry shortly"))
+			router.HTTPError(w, http.StatusServiceUnavailable, router.CodeNotReady, errors.New("index still building, retry shortly"))
 			return
 		}
 		if !s.limiter.TryAcquire(weight) {
 			mHTTPShed("saturated").Inc()
 			mHTTPRequests(endpoint, http.StatusServiceUnavailable).Inc()
 			w.Header().Set("Retry-After", s.retryAfterHint(shedSaturated))
-			httpError(w, http.StatusServiceUnavailable, codeSaturated, errors.New("server saturated, retry shortly"))
+			router.HTTPError(w, http.StatusServiceUnavailable, router.CodeSaturated, errors.New("server saturated, retry shortly"))
 			return
 		}
 		mHTTPInFlight.Add(float64(weight))
@@ -1005,7 +998,7 @@ func recoverJSON(next http.Handler) http.Handler {
 			}
 			slog.Error("panic serving request", "method", r.Method, "path", r.URL.Path,
 				"panic", rec, "stack", string(debug.Stack()))
-			httpError(w, http.StatusInternalServerError, codeInternal, fmt.Errorf("internal error: %v", rec))
+			router.HTTPError(w, http.StatusInternalServerError, router.CodeInternal, fmt.Errorf("internal error: %v", rec))
 		}()
 		next.ServeHTTP(w, r)
 	})
@@ -1032,7 +1025,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"p99": quantileMillis(0.99),
 		}
 	}
-	writeJSON(w, body)
+	router.WriteJSON(w, body)
 }
 
 // handleReadyz reports serving readiness. Three states: not ready while
@@ -1094,9 +1087,9 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	// of the topology turns unreachable shards into a degraded /readyz,
 	// so an orchestrator health-checking the router sees the cluster's
 	// state, not just the router process's.
-	if c.rtr != nil {
+	if rem, ok := c.idx.(remote); ok {
 		pctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
-		down := c.rtr.Probe(pctx)
+		down := rem.Probe(pctx)
 		cancel()
 		if len(down) > 0 {
 			w.Header().Set("Retry-After", s.retryAfterHint(shedDegraded))
@@ -1104,7 +1097,7 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			json.NewEncoder(w).Encode(map[string]interface{}{
 				"status":      "degraded",
-				"error":       fmt.Sprintf("%d of %d shards unreachable; queries answer partial results", len(down), c.rtr.NumShards()),
+				"error":       fmt.Sprintf("%d of %d shards unreachable; queries answer partial results", len(down), rem.NumShards()),
 				"shards_down": down,
 			})
 			return
@@ -1127,7 +1120,7 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, map[string]interface{}{"status": "ready"})
+	router.WriteJSON(w, map[string]interface{}{"status": "ready"})
 }
 
 // ingestDelta is one history delta in a POST /ingest request body.
@@ -1156,7 +1149,7 @@ const ingestMaxBody = 8 << 20
 // serving index within the staleness bound.
 func (s *server) handleIngest(c *corpus, w http.ResponseWriter, r *http.Request) {
 	if c.ing == nil {
-		httpError(w, http.StatusNotImplemented, codeNotImplemented, errors.New("live ingestion disabled: start with -wal"))
+		router.HTTPError(w, http.StatusNotImplemented, router.CodeNotImplemented, errors.New("live ingestion disabled: start with -wal"))
 		return
 	}
 	var req struct {
@@ -1165,11 +1158,11 @@ func (s *server) handleIngest(c *corpus, w http.ResponseWriter, r *http.Request)
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, ingestMaxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, codeInvalidParameter, fmt.Errorf("bad request body: %w", err))
+		router.HTTPError(w, http.StatusBadRequest, router.CodeInvalidParameter, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	if len(req.Deltas) == 0 {
-		httpError(w, http.StatusBadRequest, codeInvalidParameter, errors.New("empty delta batch"))
+		router.HTTPError(w, http.StatusBadRequest, router.CodeInvalidParameter, errors.New("empty delta batch"))
 		return
 	}
 	recs := make([]wal.Record, len(req.Deltas))
@@ -1189,7 +1182,7 @@ func (s *server) handleIngest(c *corpus, w http.ResponseWriter, r *http.Request)
 		case "extend_horizon":
 			rec.Type = wal.TypeExtendHorizon
 		default:
-			httpError(w, http.StatusBadRequest, codeInvalidParameter, fmt.Errorf("delta %d: unknown op %q", i, d.Op))
+			router.HTTPError(w, http.StatusBadRequest, router.CodeInvalidParameter, fmt.Errorf("delta %d: unknown op %q", i, d.Op))
 			return
 		}
 		recs[i] = rec
@@ -1197,18 +1190,18 @@ func (s *server) handleIngest(c *corpus, w http.ResponseWriter, r *http.Request)
 	if err := c.ing.Submit(recs); err != nil {
 		switch {
 		case errors.Is(err, ingest.ErrRejected):
-			httpError(w, http.StatusBadRequest, codeRejected, err)
+			router.HTTPError(w, http.StatusBadRequest, router.CodeRejected, err)
 		case errors.Is(err, ingest.ErrClosed):
 			w.Header().Set("Retry-After", s.retryAfterHint(shedSaturated))
-			httpError(w, http.StatusServiceUnavailable, codeNotReady, err)
+			router.HTTPError(w, http.StatusServiceUnavailable, router.CodeNotReady, err)
 		default:
 			// WAL append failure: the delta is not durable, surface it loudly.
-			httpError(w, http.StatusInternalServerError, codeInternal, err)
+			router.HTTPError(w, http.StatusInternalServerError, router.CodeInternal, err)
 		}
 		return
 	}
 	st := c.ing.Stats()
-	writeJSON(w, map[string]interface{}{
+	router.WriteJSON(w, map[string]interface{}{
 		"accepted":        len(recs),
 		"durable":         true,
 		"pending_records": st.PendingRecords,
@@ -1272,23 +1265,22 @@ func (s *server) handleStats(c *corpus, w http.ResponseWriter, r *http.Request) 
 			body["reslice"] = resliceBody
 		}
 	})
-	switch e := c.idx.(type) {
-	case *shard.ShardedIndex:
+	if e, ok := c.idx.(partitioned); ok {
 		body["shards"] = e.NumShards()
-	case *router.Router:
+	}
+	if e, ok := c.idx.(remote); ok {
 		down := e.Degraded()
 		if down == nil {
 			down = []int{}
 		}
-		body["shards"] = e.NumShards()
 		body["router"] = map[string]interface{}{"shards_down": down}
-	case *router.ShardServer:
-		body["shards"] = e.Single().Shards()
-		body["shard_id"] = e.Single().ShardID
-		body["owned_attributes"] = len(e.Single().Globals())
+	}
+	if sg, ok := c.idx.(*shard.Single); ok {
+		body["shard_id"] = sg.ShardID
+		body["owned_attributes"] = len(sg.Globals())
 	}
 	if ingestBody != nil {
 		body["ingest"] = ingestBody
 	}
-	writeJSON(w, body)
+	router.WriteJSON(w, body)
 }

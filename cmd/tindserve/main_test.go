@@ -24,7 +24,7 @@ func testServerConfig(t *testing.T, cfg config) (*server, *httptest.Server) {
 		t.Fatal(err)
 	}
 	s := newServer(cfg)
-	s.install(&serving{ds: c.Dataset, idx: idx})
+	s.install(newCorpus(c.Dataset, idx))
 	ts := httptest.NewServer(s.routes())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -69,6 +69,9 @@ func TestSearchDefaultsAndReverse(t *testing.T) {
 	if out["eps"].(float64) != 3 || out["delta"].(float64) != 7 {
 		t.Fatalf("paper defaults expected: %v", out)
 	}
+	// A shift far beyond the horizon is legal (it used to panic the
+	// validation cursor once δ passed 2^30).
+	getJSON(t, ts.URL+"/search?attr=0&delta=1100000000", http.StatusOK)
 	rout := getJSON(t, ts.URL+"/reverse?attr="+url.QueryEscape("List of D0"), http.StatusOK)
 	if rout["results"] == nil {
 		t.Fatal("reverse results missing")

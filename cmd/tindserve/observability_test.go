@@ -214,7 +214,7 @@ func TestSlowQueryLogDisabled(t *testing.T) {
 
 // miniCorpus builds a one-attribute dataset whose only page title is the
 // given string, plus its index.
-func miniCorpus(t *testing.T, page string) *serving {
+func miniCorpus(t *testing.T, page string) *corpus {
 	t.Helper()
 	ds := history.NewDataset(timeline.Time(100))
 	dict := ds.Dict()
@@ -231,7 +231,7 @@ func miniCorpus(t *testing.T, page string) *serving {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &serving{ds: ds, idx: idx}
+	return newCorpus(ds, idx)
 }
 
 // TestResolveCacheFollowsCorpusSwap guards the regression where the

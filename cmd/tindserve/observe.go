@@ -15,6 +15,7 @@ import (
 
 	"tind/internal/index"
 	"tind/internal/obs"
+	"tind/internal/router"
 )
 
 // Tail-sampling defaults: always-on span capture with retention for the
@@ -128,7 +129,7 @@ func sumRequests(s *obs.Snapshot, accept func(code int) bool) float64 {
 // field: empty on success, otherwise a stable operator-facing class.
 func errorClass(status int) string {
 	switch {
-	case status == statusClientClosedRequest:
+	case status == router.StatusClientClosedRequest:
 		return "canceled"
 	case status == http.StatusGatewayTimeout:
 		return "deadline_exceeded"
@@ -217,7 +218,7 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if v := qs.Get("min_duration"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, codeInvalidParameter, fmt.Errorf("bad min_duration %q: %w", v, err))
+			router.HTTPError(w, http.StatusBadRequest, router.CodeInvalidParameter, fmt.Errorf("bad min_duration %q: %w", v, err))
 			return
 		}
 		f.MinDuration = d
@@ -225,7 +226,7 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if v := qs.Get("error"); v != "" {
 		b, err := strconv.ParseBool(v)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, codeInvalidParameter, fmt.Errorf("bad error %q: %w", v, err))
+			router.HTTPError(w, http.StatusBadRequest, router.CodeInvalidParameter, fmt.Errorf("bad error %q: %w", v, err))
 			return
 		}
 		f.ErrorsOnly = b
@@ -233,14 +234,14 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if v := qs.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 || n > eventsMaxLimit {
-			httpError(w, http.StatusBadRequest, codeInvalidParameter,
+			router.HTTPError(w, http.StatusBadRequest, router.CodeInvalidParameter,
 				fmt.Errorf("bad limit %q: want an integer in [1,%d]", v, eventsMaxLimit))
 			return
 		}
 		f.Limit = n
 	}
 	events := obs.Events().Select(f)
-	writeJSON(w, map[string]interface{}{
+	router.WriteJSON(w, map[string]interface{}{
 		"count":  len(events),
 		"events": events,
 	})
@@ -258,7 +259,7 @@ func (s *server) handleSLO(w http.ResponseWriter, r *http.Request) {
 			healthy = false
 		}
 	}
-	writeJSON(w, map[string]interface{}{
+	router.WriteJSON(w, map[string]interface{}{
 		"healthy":    healthy,
 		"objectives": statuses,
 	})

@@ -52,7 +52,7 @@ func TestHealthzBeforeAndAfterReady(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.install(&serving{ds: c.Dataset, idx: idx})
+	s.install(newCorpus(c.Dataset, idx))
 	getJSON(t, ts.URL+"/readyz", http.StatusOK)
 	getJSON(t, ts.URL+"/search?attr=0", http.StatusOK)
 }
@@ -160,7 +160,7 @@ func TestRunDrainsInFlightRequestsOnShutdown(t *testing.T) {
 	runErr := make(chan error, 1)
 	go func() {
 		runErr <- run(ctx, config{drainTimeout: 5 * time.Second}, ln,
-			func(*replayProgress) (*serving, error) { return &serving{ds: ds, idx: idx}, nil })
+			func(*replayProgress) (*corpus, error) { return newCorpus(ds, idx), nil })
 	}()
 
 	base := "http://" + ln.Addr().String()
@@ -222,7 +222,7 @@ func TestRunShutsDownOnSIGTERM(t *testing.T) {
 	runErr := make(chan error, 1)
 	go func() {
 		runErr <- run(ctx, config{drainTimeout: 5 * time.Second}, ln,
-			func(*replayProgress) (*serving, error) { return &serving{ds: ds, idx: idx}, nil })
+			func(*replayProgress) (*corpus, error) { return newCorpus(ds, idx), nil })
 	}()
 	waitReady(t, "http://"+ln.Addr().String())
 
@@ -246,7 +246,7 @@ func TestRunFailsWhenCorpusLoadFails(t *testing.T) {
 	}
 	loadErr := errors.New("corrupt corpus")
 	err = run(context.Background(), config{drainTimeout: time.Second}, ln,
-		func(*replayProgress) (*serving, error) { return nil, loadErr })
+		func(*replayProgress) (*corpus, error) { return nil, loadErr })
 	if err == nil || !errors.Is(err, loadErr) {
 		t.Fatalf("run must surface the load failure, got %v", err)
 	}

@@ -256,9 +256,10 @@ func TestOpenMetricsNegotiation(t *testing.T) {
 	}
 }
 
-// testShardedServer builds a server over a scatter-gather index so shard
-// fault injection is reachable from HTTP tests.
-func testShardedServer(t *testing.T, cfg config, shards int) (*server, string, *shard.ShardedIndex) {
+// testShardedServer builds a server over a scatter-gather index with the
+// fault decorator installed on every leg, so shard fault injection is
+// reachable from HTTP tests.
+func testShardedServer(t *testing.T, cfg config, shards int) (*server, string, []*shard.FaultLeg) {
 	t.Helper()
 	c, err := datagen.Generate(datagen.Config{Seed: 4, Attributes: 80, Horizon: 500, AttrsPerDomain: 20})
 	if err != nil {
@@ -272,11 +273,12 @@ func testShardedServer(t *testing.T, cfg config, shards int) (*server, string, *
 	if err != nil {
 		t.Fatal(err)
 	}
+	faults := shard.InjectFaults(sx.Coordinator)
 	s := newServer(cfg)
-	s.install(&serving{ds: c.Dataset, idx: sx})
+	s.install(newCorpus(c.Dataset, sx))
 	ts := httptest.NewServer(s.routes())
 	t.Cleanup(ts.Close)
-	return s, ts.URL, sx
+	return s, ts.URL, faults
 }
 
 // TestEndToEndTraceability is the acceptance walk of the observability
@@ -288,11 +290,10 @@ func testShardedServer(t *testing.T, cfg config, shards int) (*server, string, *
 func TestEndToEndTraceability(t *testing.T) {
 	const straggler = 2
 	delay := 30 * time.Millisecond
-	s, base, sx := testShardedServer(t, config{sloLatency: time.Millisecond}, 4)
+	s, base, faults := testShardedServer(t, config{sloLatency: time.Millisecond}, 4)
 	s.slo.Tick() // burn-rate baseline: deltas start at this sample
 
-	sx.SetShardDelay(straggler, delay)
-	defer sx.SetShardDelay(straggler, 0)
+	faults[straggler].SetDelay(delay)
 
 	body := `{"queries": [
 		{"attr": "0", "eps": 3, "delta": 7},

@@ -29,13 +29,18 @@ type Params struct {
 	Weight timeline.WeightFunc
 }
 
+// MaxDelta bounds the temporal shift δ. No timeline comes near it; the
+// bound exists so the window arithmetic t±δ over parameters that arrive
+// from outside the program (HTTP, the shard RPC) cannot overflow.
+const MaxDelta timeline.Time = 1 << 40
+
 // Validate reports whether the parameters are well formed.
 func (p Params) Validate() error {
 	if p.Epsilon < 0 {
 		return fmt.Errorf("core: negative epsilon %g", p.Epsilon)
 	}
-	if p.Delta < 0 {
-		return fmt.Errorf("core: negative delta %d", p.Delta)
+	if p.Delta < 0 || p.Delta > MaxDelta {
+		return fmt.Errorf("core: delta %d outside [0,%d]", p.Delta, MaxDelta)
 	}
 	if p.Weight == nil {
 		return fmt.Errorf("core: nil weight function")

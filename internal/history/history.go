@@ -10,6 +10,7 @@ package history
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"tind/internal/timeline"
@@ -228,7 +229,9 @@ type Cursor struct {
 
 // NewCursor returns a cursor positioned before the first window.
 func NewCursor(h *History) *Cursor {
-	return &Cursor{h: h, ms: values.NewMultiSet(), last: timeline.NewInterval(-1<<30, -1<<30)}
+	// The sentinel sits below every window: t−δ reaches far below zero
+	// for a large δ, and Seek panics on a window before the last one.
+	return &Cursor{h: h, ms: values.NewMultiSet(), last: timeline.NewInterval(math.MinInt, math.MinInt)}
 }
 
 // Seek moves the window to the versions overlapping interval i and returns

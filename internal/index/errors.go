@@ -35,10 +35,12 @@ var ErrInvalidOptions = errors.New("index: invalid options")
 // with a partial marker instead of a 500, degraded but useful.
 var ErrPartialResult = errors.New("index: partial result (one or more shards unavailable)")
 
-// ctxErr translates the context's state into the package's typed errors.
+// CtxErr translates the context's state into the package's typed errors.
 // It returns nil while the context is live, so it doubles as the poll
-// used at every cancellation checkpoint on the query path.
-func ctxErr(ctx context.Context) error {
+// used at every cancellation checkpoint on the query path — and by the
+// scatter-gather layers above, so a call abandoned between shard queries
+// fails with the same typed errors as one abandoned inside them.
+func CtxErr(ctx context.Context) error {
 	switch err := ctx.Err(); {
 	case err == nil:
 		return nil
@@ -61,7 +63,7 @@ func typedErr(ctx context.Context, err error) error {
 	case errors.Is(err, context.Canceled):
 		return fmt.Errorf("%w: %w", ErrCanceled, err)
 	default:
-		if cerr := ctxErr(ctx); cerr != nil {
+		if cerr := CtxErr(ctx); cerr != nil {
 			return cerr
 		}
 		return err

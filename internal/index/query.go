@@ -143,7 +143,10 @@ func (o QueryOptions) validate() error {
 	if o.Mode == ModeTopK && o.K <= 0 {
 		return fmt.Errorf("%w: ModeTopK requires K > 0, got %d", ErrInvalidOptions, o.K)
 	}
-	return o.Params.Validate()
+	if err := o.Params.Validate(); err != nil {
+		return fmt.Errorf("%w: %w", ErrInvalidOptions, err)
+	}
+	return nil
 }
 
 // queryLocked dispatches a validated query; the caller holds the read
@@ -303,7 +306,7 @@ func (r *queryRun) search(ctx context.Context, q *history.History, p core.Params
 	abort := func(err error) (Result, error) {
 		return Result{Stats: st}, err
 	}
-	if err := ctxErr(ctx); err != nil {
+	if err := CtxErr(ctx); err != nil {
 		return abort(err)
 	}
 
@@ -417,7 +420,7 @@ func (r *queryRun) forwardSlicePrune(ctx context.Context, q *history.History, p 
 	// them once rather than per slice.
 	bounds := q.ChangeTimes()
 	for _, ts := range x.ss.slices {
-		if err := ctxErr(ctx); err != nil {
+		if err := CtxErr(ctx); err != nil {
 			return err
 		}
 		st.SlicesUsed++
@@ -444,7 +447,7 @@ func (r *queryRun) reverseSlicePrune(ctx context.Context, q *history.History, p 
 	vio := r.vioMap()
 	used := 0
 	for _, ts := range x.ss.slices {
-		if err := ctxErr(ctx); err != nil {
+		if err := CtxErr(ctx); err != nil {
 			return err
 		}
 		if ts.minVio == nil {
@@ -503,7 +506,7 @@ func (r *queryRun) topK(ctx context.Context, q *history.History, o QueryOptions)
 	}
 	var st QueryStats
 	for {
-		if err := ctxErr(ctx); err != nil {
+		if err := CtxErr(ctx); err != nil {
 			return Result{Stats: st}, err
 		}
 		p := core.Params{Epsilon: eps, Delta: o.Params.Delta, Weight: w}

@@ -43,6 +43,26 @@ type QueryStats struct {
 	PerShard []ShardStat
 }
 
+// Add folds src into st: funnel counts and phase timings sum, traces
+// concatenate. Elapsed, Timings.Total and PerShard are the caller's to
+// set — a gather stamps its own wall clock and leg attribution. It is the
+// one fold behind both the per-shard gather of a scattered query and the
+// per-entry aggregate of a batch.
+func (st *QueryStats) Add(src *QueryStats) {
+	st.InitialCandidates += src.InitialCandidates
+	st.AfterSlices += src.AfterSlices
+	st.AfterSubsetCheck += src.AfterSubsetCheck
+	st.Validated += src.Validated
+	st.Results += src.Results
+	st.SlicesUsed += src.SlicesUsed
+	st.Timings.MTPrune += src.Timings.MTPrune
+	st.Timings.SlicePrune += src.Timings.SlicePrune
+	st.Timings.SubsetCheck += src.Timings.SubsetCheck
+	st.Timings.Validate += src.Timings.Validate
+	st.Timings.Rank += src.Timings.Rank
+	st.Trace = append(st.Trace, src.Trace...)
+}
+
 // ShardStat is one shard's contribution to a sharded query: the scatter
 // leg's wall-clock time plus the shard-local phase timings and funnel
 // counts, so a straggling shard is attributable from a single event.
@@ -133,7 +153,7 @@ func (x *Index) subsetCheck(ctx context.Context, cand *bitmatrix.Vec, keep func(
 	var err error
 	cand.ForEach(func(c int) bool {
 		if n%subsetCheckEvery == 0 {
-			if err = ctxErr(ctx); err != nil {
+			if err = CtxErr(ctx); err != nil {
 				return false
 			}
 		}
@@ -367,7 +387,7 @@ func (x *Index) AllPairsContext(ctx context.Context, p core.Params, workers int)
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if err := ctxErr(ctx); err != nil {
+	if err := CtxErr(ctx); err != nil {
 		return nil, err
 	}
 	start := time.Now()

@@ -11,8 +11,6 @@ var (
 		"Scatter legs by final outcome after replica retries.", obs.L("status", "error"))
 	mLegRetries = reg.Counter("tind_router_leg_retries_total",
 		"Scatter-leg attempts beyond the first, i.e. replica retries.")
-	mPartialResults = reg.Counter("tind_router_partial_results_total",
-		"Queries answered from a subset of shards (ErrPartialResult).")
 	mLegSeconds = reg.Histogram("tind_router_leg_seconds",
 		"Wall time of individual scatter-leg HTTP attempts.", obs.ExpBuckets(0.0001, 4, 12))
 	mShardsDown = reg.Gauge("tind_router_shards_down",

@@ -1,20 +1,14 @@
 package router
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tind/internal/core"
-	"tind/internal/history"
 	"tind/internal/index"
 	"tind/internal/shard"
 )
@@ -37,568 +31,87 @@ type Options struct {
 	Client *http.Client
 }
 
-// replica is one backend of one shard with its in-flight counter, the
-// load signal behind least-loaded replica picking.
-type replica struct {
-	base     string
-	inflight atomic.Int64
-}
-
-// Router is the scatter-gather head of the distributed deployment: it
-// implements the same query contract as the in-process ShardedIndex
-// (Query, QueryBatch, AllPairsContext, Stats) but each scatter leg is an
-// HTTP call to a shard server. The merge is shard.Gather — the exact
-// code the in-process engine runs — with the identity id mapping,
-// because shard servers answer in global ids.
-//
-// Failure semantics per scatter:
-//
-//   - A leg that the request itself caused to fail (invalid_parameter,
-//     or the caller's context ending) is fatal: siblings are canceled
-//     and the typed error is returned, exactly like in-process.
-//   - A leg that its shard caused to fail (unreachable, 5xx, not_ready,
-//     leg deadline) degrades: after bounded retries against the shard's
-//     replicas the leg is marked dead in Stats.PerShard and the gather
-//     proceeds over the healthy legs, returning the partial answer with
-//     index.ErrPartialResult — unless every shard failed, which is a
-//     plain error.
-//
-// The per-shard down state from the last contact (scatter leg or Probe)
-// feeds readiness reporting via Degraded.
+// Router is the scatter-gather head of the distributed deployment: the
+// shard.Coordinator — the same scatter, failure classification and merge
+// the in-process ShardedIndex runs — over HTTP legs to shard servers
+// (see httpLeg for what the transport adds). Query, QueryBatch, Stats
+// and NumShards are the Coordinator's own; the Router itself only
+// validates the topology and reports which shards were down as of the
+// last contact (Degraded, Probe).
 type Router struct {
-	opt      Options
-	client   *http.Client
-	replicas [][]*replica
-	retries  int
-	info     Info // reference topology: Shards, Seed, Attributes, Horizon
-	down     []atomic.Bool
+	*shard.Coordinator
+	legs []*httpLeg
 }
 
 // New validates the topology and returns a ready Router. Every shard
 // must have at least one reachable replica answering /shard/info, and
-// all answers must agree on (shard count, seed, corpus size, horizon) —
-// a mis-deployed topology fails loudly here instead of silently
+// every reachable replica must identify as the shard it is configured as
+// and agree with all others on (shard count, seed, corpus size, horizon)
+// — a mis-deployed topology fails loudly here instead of silently
 // dropping or misrouting results at query time.
 func New(ctx context.Context, opt Options) (*Router, error) {
 	n := len(opt.Shards)
 	if n < 1 {
 		return nil, fmt.Errorf("router: no shards configured")
 	}
-	r := &Router{opt: opt, client: opt.Client, retries: opt.Retries, down: make([]atomic.Bool, n)}
-	if r.client == nil {
-		r.client = &http.Client{}
+	client := opt.Client
+	if client == nil {
+		client = &http.Client{}
 	}
-	if r.retries == 0 {
-		r.retries = 1
-	} else if r.retries < 0 {
-		r.retries = 0
+	retries := opt.Retries
+	if retries == 0 {
+		retries = 1
+	} else if retries < 0 {
+		retries = 0
 	}
-	r.replicas = make([][]*replica, n)
+	r := &Router{legs: make([]*httpLeg, n)}
+	legs := make([]shard.Leg, n)
+	// ref is the topology every replica is held to: shard count as
+	// configured; seed, corpus size and horizon as the first replica
+	// reached states them.
+	var ref *Info
 	for s, urls := range opt.Shards {
 		if len(urls) == 0 {
 			return nil, fmt.Errorf("router: shard %d has no replicas", s)
 		}
+		l := &httpLeg{client: client, retries: retries, legTimeout: opt.LegTimeout}
+		var lastErr error
 		for _, u := range urls {
-			r.replicas[s] = append(r.replicas[s], &replica{base: strings.TrimRight(u, "/")})
+			rep := &replica{base: strings.TrimRight(u, "/")}
+			l.replicas = append(l.replicas, rep)
+			var info Info
+			if lastErr = l.get(ctx, rep, "/shard/info", &info); lastErr != nil {
+				continue
+			}
+			if ref == nil {
+				ref = &Info{Shards: n, Seed: info.Seed, Attributes: info.Attributes, Horizon: info.Horizon}
+			}
+			l.want = *ref
+			l.want.ShardID = s
+			info.Owned = 0 // the one field that legitimately differs per shard
+			if info != l.want {
+				return nil, fmt.Errorf("router: %s identifies as %+v, want %+v", rep.base, info, l.want)
+			}
 		}
+		if l.want == (Info{}) { // set from the first replica that answered
+			return nil, fmt.Errorf("router: shard %d: no replica reachable: %v", s, lastErr)
+		}
+		r.legs[s], legs[s] = l, l
 	}
-	ref := Info{}
-	for s := 0; s < n; s++ {
-		info, base, err := r.shardInfo(ctx, s)
-		if err != nil {
-			return nil, fmt.Errorf("router: shard %d: %w", s, err)
-		}
-		if info.ShardID != s || info.Shards != n {
-			return nil, fmt.Errorf("router: %s identifies as shard %d/%d, configured as shard %d/%d",
-				base, info.ShardID, info.Shards, s, n)
-		}
-		if s == 0 {
-			ref = info
-			continue
-		}
-		if info.Seed != ref.Seed || info.Attributes != ref.Attributes || info.Horizon != ref.Horizon {
-			return nil, fmt.Errorf("router: %s corpus (seed %d, %d attrs, horizon %d) disagrees with shard 0 (seed %d, %d attrs, horizon %d)",
-				base, info.Seed, info.Attributes, info.Horizon, ref.Seed, ref.Attributes, ref.Horizon)
-		}
-	}
-	r.info = ref
+	r.Coordinator = shard.NewCoordinator(legs)
 	return r, nil
 }
 
-// Info returns the validated topology reference.
-func (r *Router) Info() Info { return r.info }
+// Info returns the validated topology reference (as shard 0 states it,
+// less the shard-specific Owned count).
+func (r *Router) Info() Info { return r.legs[0].want }
 
-// NumShards returns N.
-func (r *Router) NumShards() int { return len(r.replicas) }
-
-// shardInfo fetches /shard/info from the first answering replica.
-func (r *Router) shardInfo(ctx context.Context, s int) (Info, string, error) {
-	var lastErr error
-	for _, rep := range r.pick(s) {
-		actx, cancel := r.legContext(ctx)
-		req, err := http.NewRequestWithContext(actx, http.MethodGet, rep.base+"/shard/info", nil)
-		if err != nil {
-			cancel()
-			return Info{}, rep.base, err
-		}
-		resp, err := r.client.Do(req)
-		if err != nil {
-			cancel()
-			lastErr = err
-			continue
-		}
-		var info Info
-		if resp.StatusCode != http.StatusOK {
-			lastErr = fmt.Errorf("%s: %s", rep.base, resp.Status)
-		} else if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-			lastErr = fmt.Errorf("%s: bad info body: %v", rep.base, err)
-		} else {
-			resp.Body.Close()
-			cancel()
-			return info, rep.base, nil
-		}
-		resp.Body.Close()
-		cancel()
-	}
-	return Info{}, "", fmt.Errorf("no replica reachable: %v", lastErr)
-}
-
-// legContext derives the per-attempt context from the caller's.
-func (r *Router) legContext(ctx context.Context) (context.Context, context.CancelFunc) {
-	if r.opt.LegTimeout > 0 {
-		return context.WithTimeout(ctx, r.opt.LegTimeout)
-	}
-	return context.WithCancel(ctx)
-}
-
-// pick returns shard s's replicas ordered by current in-flight load,
-// ties broken by configuration order — the retry loop walks this order
-// so the first attempt goes to the least-loaded replica and retries hit
-// the others before reusing one.
-func (r *Router) pick(s int) []*replica {
-	out := append([]*replica(nil), r.replicas[s]...)
-	sort.SliceStable(out, func(i, j int) bool {
-		return out[i].inflight.Load() < out[j].inflight.Load()
-	})
-	return out
-}
-
-// call runs one scatter leg: POST body to shard s's least-loaded
-// replica, decode the 200 response into out, with bounded retries
-// across replicas on degradable failures. The returned fatal flag
-// distinguishes request-caused failures (invalid parameters, caller
-// cancellation — retrying or degrading cannot help) from shard-caused
-// ones (the leg degrades to a partial result).
-func (r *Router) call(ctx context.Context, s int, path string, body, out interface{}) (err error, fatal bool) {
-	defer func() {
-		if err == nil {
-			mLegsOK.Inc()
-		} else {
-			mLegsError.Inc()
-			err = fmt.Errorf("shard %d: %w", s, err)
-		}
-	}()
-	buf, err := json.Marshal(body)
-	if err != nil {
-		return err, true
-	}
-	order := r.pick(s)
-	attempts := 1 + r.retries
-	var lastErr error
-	for a := 0; a < attempts; a++ {
-		if ctx.Err() != nil {
-			return ctxError(ctx, lastErr), true
-		}
-		if a > 0 {
-			mLegRetries.Inc()
-		}
-		rep := order[a%len(order)]
-		err, fatal := r.attempt(ctx, rep, path, buf, out)
-		if err == nil {
-			return nil, false
-		}
-		if fatal {
-			return err, true
-		}
-		lastErr = fmt.Errorf("%s: %w", rep.base, err)
-	}
-	return lastErr, false
-}
-
-// ctxError maps an ended caller context onto the typed index errors,
-// carrying the last transport error as detail.
-func ctxError(ctx context.Context, last error) error {
-	kind := index.ErrCanceled
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		kind = index.ErrDeadlineExceeded
-	}
-	if last != nil {
-		return fmt.Errorf("%w: %v", kind, last)
-	}
-	return fmt.Errorf("%w: scatter leg abandoned", kind)
-}
-
-// attempt is one HTTP exchange with one replica.
-func (r *Router) attempt(ctx context.Context, rep *replica, path string, body []byte, out interface{}) (error, bool) {
-	actx, cancel := r.legContext(ctx)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, rep.base+path, bytes.NewReader(body))
-	if err != nil {
-		return err, true
-	}
-	req.Header.Set("Content-Type", "application/json")
-	rep.inflight.Add(1)
-	t0 := time.Now()
-	resp, err := r.client.Do(req)
-	rep.inflight.Add(-1)
-	mLegSeconds.ObserveDuration(time.Since(t0))
-	if err != nil {
-		if ctx.Err() != nil {
-			// The caller's context ended, not just this attempt's leg
-			// deadline: the whole scatter is over.
-			return ctxError(ctx, err), true
-		}
-		return err, false // unreachable replica or leg deadline: degradable
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return fmt.Errorf("bad response body: %v", err), false
-		}
-		return nil, false
-	}
-	var we wireError
-	_ = json.NewDecoder(resp.Body).Decode(&we)
-	msg := we.Error.Message
-	if msg == "" {
-		msg = resp.Status
-	}
-	switch we.Error.Code {
-	case codeInvalidParameter:
-		// No replica will ever accept this request.
-		return fmt.Errorf("%w: %s", index.ErrInvalidOptions, msg), true
-	case codeCanceled:
-		if ctx.Err() != nil {
-			return fmt.Errorf("%w: %s", index.ErrCanceled, msg), true
-		}
-	}
-	// not_ready, deadline_exceeded, saturated, internal, anything else:
-	// this replica can't answer right now — retry, then degrade.
-	return fmt.Errorf("%s: %s", resp.Status, msg), false
-}
-
-// identityMap is the gather id mapping of the distributed scatter:
-// shard servers already answer in global ids.
-func identityMap(_ int, id history.AttrID) history.AttrID { return id }
-
-// corpusAttr resolves a query history to its global attribute id. The
-// wire protocol speaks corpus ids only, so the router serves queries
-// for corpus attributes — the whole tindserve surface — but not
-// arbitrary external histories.
-func (r *Router) corpusAttr(q *history.History) (history.AttrID, error) {
-	if q == nil {
-		return 0, fmt.Errorf("%w: nil query history", index.ErrInvalidOptions)
-	}
-	id := q.ID()
-	if id < 0 || int(id) >= r.info.Attributes {
-		return 0, fmt.Errorf("%w: router queries must reference corpus attributes (id %d not in [0,%d))",
-			index.ErrInvalidOptions, id, r.info.Attributes)
-	}
-	return id, nil
-}
-
-// scatter runs fn for every shard under a cancel-on-first-fatal-error
-// child context and returns the per-leg errors, fatality flags and
-// wall times. Degraded legs do not cancel siblings — keeping the
-// healthy legs running is the point of degradation.
-func (r *Router) scatter(ctx context.Context, fn func(ctx context.Context, s int) (error, bool)) (errs []error, fatals []bool, legs []time.Duration) {
-	n := len(r.replicas)
-	errs = make([]error, n)
-	fatals = make([]bool, n)
-	legs = make([]time.Duration, n)
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-	for s := 0; s < n; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			t0 := time.Now()
-			errs[s], fatals[s] = fn(sctx, s)
-			legs[s] = time.Since(t0)
-			if fatals[s] {
-				cancel()
-			}
-		}(s)
-	}
-	wg.Wait()
-	r.noteLegs(errs, fatals)
-	return errs, fatals, legs
-}
-
-// noteLegs updates the per-shard down state from one scatter's
-// outcomes: a degraded leg marks its shard down, a successful leg
-// marks it up, a fatal leg says nothing about the shard.
-func (r *Router) noteLegs(errs []error, fatals []bool) {
-	for s := range errs {
-		if fatals[s] {
-			continue
-		}
-		r.down[s].Store(errs[s] != nil)
-	}
-	r.publishDown()
-}
-
-func (r *Router) publishDown() {
-	down := 0
-	for s := range r.down {
-		if r.down[s].Load() {
-			down++
-		}
-	}
-	mShardsDown.Set(float64(down))
-}
-
-// scatterOutcome turns per-leg outcomes into the scatter's error: nil
-// when clean, the typed root cause when any leg failed fatally, a plain
-// error when every shard is unavailable, and index.ErrPartialResult
-// when some — but not all — legs degraded.
-func (r *Router) scatterOutcome(errs []error, fatals []bool) error {
-	var fatal, canceled, degraded error
-	failed := 0
-	for s := range errs {
-		if errs[s] == nil {
-			continue
-		}
-		failed++
-		switch {
-		case fatals[s] && !errors.Is(errs[s], index.ErrCanceled):
-			if fatal == nil {
-				fatal = errs[s]
-			}
-		case fatals[s]:
-			if canceled == nil {
-				canceled = errs[s]
-			}
-		default:
-			if degraded == nil {
-				degraded = errs[s]
-			}
-		}
-	}
-	switch {
-	case fatal != nil:
-		return fatal
-	case canceled != nil:
-		return canceled
-	case failed == 0:
-		return nil
-	case failed == len(errs):
-		return fmt.Errorf("router: all %d shards unavailable: %v", len(errs), degraded)
-	default:
-		mPartialResults.Inc()
-		return fmt.Errorf("%d/%d shards unavailable (%v): %w", failed, len(errs), degraded, index.ErrPartialResult)
-	}
-}
-
-// Query scatters one query to every shard and gathers with the
-// in-process merge. On partial degradation the result covers the
-// healthy shards, the dead legs are marked in Stats.PerShard, and the
-// error wraps index.ErrPartialResult.
-func (r *Router) Query(ctx context.Context, q *history.History, o index.QueryOptions) (index.Result, error) {
-	start := time.Now()
-	attr, err := r.corpusAttr(q)
-	if err != nil {
-		return index.Result{}, err
-	}
-	wq, err := queryToWire(attr, o)
-	if err != nil {
-		return index.Result{}, err
-	}
-	n := len(r.replicas)
-	results := make([]index.Result, n)
-	errs, fatals, legs := r.scatter(ctx, func(ctx context.Context, s int) (error, bool) {
-		var wr wireResult
-		err, fatal := r.call(ctx, s, "/shard/query", wq, &wr)
-		if err == nil {
-			results[s] = wireToResult(wr)
-		}
-		return err, fatal
-	})
-	elapsed := time.Since(start)
-	err = r.scatterOutcome(errs, fatals)
-	if err != nil && !errors.Is(err, index.ErrPartialResult) {
-		return index.Result{Stats: shard.GatherStats(results, legs, errs, elapsed)}, err
-	}
-	return shard.Gather(o, results, legs, errs, elapsed, identityMap), err
-}
-
-// QueryBatch scatters the whole batch to every shard — each shard
-// resolves ownership per entry and amortizes its matrix sweeps across
-// the full batch, exactly like the in-process ShardedIndex — and
-// gathers per entry. Partial degradation follows Query's contract, with
-// every entry's PerShard marking the dead legs.
-func (r *Router) QueryBatch(ctx context.Context, batch []index.BatchQuery, o index.BatchOptions) ([]index.Result, error) {
-	start := time.Now()
-	if o.Workers < 0 {
-		return nil, fmt.Errorf("%w: negative batch workers %d", index.ErrInvalidOptions, o.Workers)
-	}
-	if len(batch) == 0 {
-		return nil, nil
-	}
-	wb := wireBatch{Queries: make([]wireQuery, len(batch))}
-	for i, bq := range batch {
-		attr := bq.ID
-		if !bq.ByID {
-			g, err := r.corpusAttr(bq.Query)
-			if err != nil {
-				return nil, fmt.Errorf("batch entry %d: %w", i, err)
-			}
-			attr = g
-		} else if attr < 0 || int(attr) >= r.info.Attributes {
-			return nil, fmt.Errorf("%w: batch entry %d: query attribute %d out of range",
-				index.ErrInvalidOptions, i, attr)
-		}
-		wq, err := queryToWire(attr, bq.Options)
-		if err != nil {
-			return nil, fmt.Errorf("batch entry %d: %w", i, err)
-		}
-		wb.Queries[i] = wq
-	}
-	n := len(r.replicas)
-	perShard := make([][]index.Result, n)
-	errs, fatals, legs := r.scatter(ctx, func(ctx context.Context, s int) (error, bool) {
-		var wr wireBatchResult
-		err, fatal := r.call(ctx, s, "/shard/batch", wb, &wr)
-		if err != nil {
-			return err, fatal
-		}
-		if len(wr.Results) != len(batch) {
-			return fmt.Errorf("leg answered %d results for a %d-entry batch", len(wr.Results), len(batch)), false
-		}
-		decoded := make([]index.Result, len(wr.Results))
-		for i, w := range wr.Results {
-			decoded[i] = wireToResult(w)
-		}
-		perShard[s] = decoded
-		return nil, false
-	})
-	elapsed := time.Since(start)
-	results := make([]index.Result, len(batch))
-	leg := make([]index.Result, n)
-	for i := range batch {
-		for s := 0; s < n; s++ {
-			leg[s] = index.Result{}
-			if perShard[s] != nil {
-				leg[s] = perShard[s][i]
-			}
-		}
-		results[i] = shard.Gather(batch[i].Options, leg, legs, errs, elapsed, identityMap)
-	}
-	if err := r.scatterOutcome(errs, fatals); err != nil {
-		return results, err
-	}
-	return results, nil
-}
-
-// AllPairsContext discovers the complete tIND set over the distributed
-// partition by fanning out the same N² (source, target) blocks as the
-// in-process engine — each block an RPC to the target shard. Discovery
-// is all-or-nothing: a block that fails after retries fails the run
-// (the complete-set semantics of §4.2.2 leave no meaningful partial),
-// reporting the root cause over induced cancellations.
+// AllPairsContext is the Coordinator's all-pairs fan-out with every one
+// of the N² blocks in flight at once: a block is an RPC, so the work
+// happens on the shard servers and nothing here is worth rationing.
 func (r *Router) AllPairsContext(ctx context.Context, p core.Params) ([]index.Pair, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	wp, err := paramsToWire(p)
-	if err != nil {
-		return nil, err
-	}
-	n := len(r.replicas)
-	blocks := make([]wirePairs, n*n)
-	errs := make([]error, n*n)
-	bctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-	for s := 0; s < n; s++ {
-		for t := 0; t < n; t++ {
-			wg.Add(1)
-			go func(s, t int) {
-				defer wg.Done()
-				req := wireAllPairs{SourceShard: s, Params: wp}
-				err, _ := r.call(bctx, t, "/shard/allpairs", req, &blocks[s*n+t])
-				if err != nil {
-					errs[s*n+t] = err
-					cancel()
-				}
-			}(s, t)
-		}
-	}
-	wg.Wait()
-	var fallback error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if !errors.Is(err, index.ErrCanceled) {
-			return nil, err
-		}
-		if fallback == nil {
-			fallback = err
-		}
-	}
-	if fallback != nil {
-		return nil, fallback
-	}
-	var pairs []index.Pair
-	for _, b := range blocks {
-		for _, pr := range b.Pairs {
-			pairs = append(pairs, index.Pair{LHS: history.AttrID(pr[0]), RHS: history.AttrID(pr[1])})
-		}
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].LHS != pairs[j].LHS {
-			return pairs[i].LHS < pairs[j].LHS
-		}
-		return pairs[i].RHS < pairs[j].RHS
-	})
-	return pairs, nil
-}
-
-// Stats aggregates the shard servers' build statistics into the
-// monolith shape, best-effort: unreachable shards contribute nothing.
-// Satisfies tindserve's serving contract alongside Query/QueryBatch.
-func (r *Router) Stats() index.BuildStats {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	n := len(r.replicas)
-	per := make([]index.BuildStats, n)
-	var wg sync.WaitGroup
-	for s := 0; s < n; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for _, rep := range r.pick(s) {
-				req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.base+"/shard/stats", nil)
-				if err != nil {
-					return
-				}
-				resp, err := r.client.Do(req)
-				if err != nil {
-					continue
-				}
-				ok := resp.StatusCode == http.StatusOK &&
-					json.NewDecoder(resp.Body).Decode(&per[s]) == nil
-				resp.Body.Close()
-				if ok {
-					return
-				}
-			}
-		}(s)
-	}
-	wg.Wait()
-	return shard.AggregateStats(per)
+	n := len(r.legs)
+	return r.Coordinator.AllPairsContext(ctx, p, n*n)
 }
 
 // Degraded returns the ids of shards considered down as of the last
@@ -606,8 +119,8 @@ func (r *Router) Stats() index.BuildStats {
 // answered its most recent call.
 func (r *Router) Degraded() []int {
 	var out []int
-	for s := range r.down {
-		if r.down[s].Load() {
+	for s, l := range r.legs {
+		if l.down.Load() {
 			out = append(out, s)
 		}
 	}
@@ -620,15 +133,13 @@ func (r *Router) Degraded() []int {
 // waiting for query traffic to trip over it.
 func (r *Router) Probe(ctx context.Context) []int {
 	var wg sync.WaitGroup
-	for s := range r.replicas {
+	for _, l := range r.legs {
 		wg.Add(1)
-		go func(s int) {
+		go func(l *httpLeg) {
 			defer wg.Done()
-			_, _, err := r.shardInfo(ctx, s)
-			r.down[s].Store(err != nil)
-		}(s)
+			l.probe(ctx)
+		}(l)
 	}
 	wg.Wait()
-	r.publishDown()
 	return r.Degraded()
 }

@@ -1,96 +1,32 @@
 package router
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"log/slog"
 	"net/http"
 
-	"tind/internal/history"
 	"tind/internal/index"
 	"tind/internal/shard"
 )
 
-// statusClientClosedRequest is the 499 convention for a client that went
-// away mid-request, mirroring tindserve.
-const statusClientClosedRequest = 499
+// Bounds of the /shard/* RPC bodies, the same two the public
+// /query/batch enforces: a leg request is a control-plane payload, and a
+// router never forwards a larger batch than it accepted itself.
+const (
+	shardMaxBody    = 1 << 20
+	shardMaxQueries = 256
+)
 
-// ShardServer answers one shard's scatter legs over HTTP. It wraps a
-// shard.Single — one slot of the partition built in isolation — and
-// translates between the wire protocol's global AttrIDs and the shard's
-// local index: queries for owned attributes run by local id (so
-// self-exclusion and refresh-swapped clones resolve under the index's
-// own lock), queries for any other corpus attribute run as external
-// histories, and every answer is mapped back to global ids before it
-// crosses the wire.
+// ShardServer is the wire adaptor that puts one shard.Single on the
+// network: it decodes leg requests, calls the Single — which owns the
+// local↔global id mapping and speaks global AttrIDs on both sides — and
+// encodes the answer. It holds no query logic of its own.
 type ShardServer struct {
 	sg *shard.Single
 }
 
 // NewShardServer wraps one built shard.
 func NewShardServer(sg *shard.Single) *ShardServer { return &ShardServer{sg: sg} }
-
-// Single returns the underlying shard, for refresh plumbing and tests.
-func (ss *ShardServer) Single() *shard.Single { return ss.sg }
-
-// Query serves one query against this shard alone, speaking global ids
-// on both sides: owned attributes run by local id (self-exclusion and
-// refresh-swapped clones resolve under the index's own lock), any other
-// corpus attribute runs as an external history. Together with
-// QueryBatch and Stats this satisfies tindserve's serving contract, so
-// a shard-server process answers its regular query endpoints with the
-// shard's contribution — handy for poking one shard directly.
-func (ss *ShardServer) Query(ctx context.Context, q *history.History, o index.QueryOptions) (index.Result, error) {
-	var res index.Result
-	var err error
-	if local, ok := ss.sg.Local(q.ID()); ok {
-		res, err = ss.sg.Index().QueryByID(ctx, local, o)
-	} else {
-		res, err = ss.sg.Index().Query(ctx, q, o)
-	}
-	if err != nil {
-		return index.Result{}, err
-	}
-	return ss.globalize(res), nil
-}
-
-// QueryBatch is Query's batched form: every entry's attribute reference
-// is global, resolved to the shard-local index the same way.
-func (ss *ShardServer) QueryBatch(ctx context.Context, batch []index.BatchQuery, o index.BatchOptions) ([]index.Result, error) {
-	resolved := make([]index.BatchQuery, len(batch))
-	for i, bq := range batch {
-		rb := bq
-		switch {
-		case bq.ByID:
-			if err := ss.checkAttr(int64(bq.ID)); err != nil {
-				return nil, fmt.Errorf("batch entry %d: %w", i, err)
-			}
-			if local, ok := ss.sg.Local(bq.ID); ok {
-				rb.ID = local
-			} else {
-				rb.ByID, rb.ID, rb.Query = false, 0, ss.sg.Dataset().Attr(bq.ID)
-			}
-		case bq.Query != nil:
-			if local, ok := ss.sg.Local(bq.Query.ID()); ok {
-				rb.ByID, rb.ID, rb.Query = true, local, nil
-			}
-		}
-		resolved[i] = rb
-	}
-	results, err := ss.sg.Index().QueryBatch(ctx, resolved, o)
-	if err != nil {
-		return nil, err
-	}
-	for i := range results {
-		results[i] = ss.globalize(results[i])
-	}
-	return results, nil
-}
-
-// Stats returns the shard index's build stats.
-func (ss *ShardServer) Stats() index.BuildStats { return ss.sg.Index().Stats() }
 
 // Handler returns the shard RPC surface:
 //
@@ -112,83 +48,18 @@ func (ss *ShardServer) Handler() http.Handler {
 	return mux
 }
 
-// httpError writes the JSON error envelope, same shape as tindserve's.
-func httpError(w http.ResponseWriter, status int, code string, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	var we wireError
-	we.Error.Code = code
-	we.Error.Message = err.Error()
-	json.NewEncoder(w).Encode(we)
-}
-
-// queryError maps a failed shard query onto the envelope: the typed
-// index errors keep their tindserve status codes so the Router (and any
-// direct client) classifies identically against a shard server and a
-// full tindserve.
-func queryError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, index.ErrInvalidOptions):
-		httpError(w, http.StatusBadRequest, codeInvalidParameter, err)
-	case errors.Is(err, index.ErrDeadlineExceeded):
-		httpError(w, http.StatusGatewayTimeout, codeDeadlineExceeded, err)
-	case errors.Is(err, index.ErrCanceled):
-		httpError(w, statusClientClosedRequest, codeCanceled, err)
-	default:
-		httpError(w, http.StatusInternalServerError, codeInternal, err)
-	}
-}
-
-func writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		slog.Error("encoding shard response", "err", err)
-	}
-}
-
-// decodePost enforces POST and decodes the JSON body into v.
+// decodePost enforces POST and the body bound, and decodes the JSON body
+// into v.
 func decodePost(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, codeInvalidParameter, fmt.Errorf("use POST"))
+		HTTPError(w, http.StatusMethodNotAllowed, CodeInvalidParameter, fmt.Errorf("use POST"))
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		httpError(w, http.StatusBadRequest, codeInvalidParameter, fmt.Errorf("bad request body: %v", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, shardMaxBody)).Decode(v); err != nil {
+		HTTPError(w, http.StatusBadRequest, CodeInvalidParameter, fmt.Errorf("bad request body: %v", err))
 		return false
 	}
 	return true
-}
-
-// checkAttr validates a wire attribute id against the global corpus.
-func (ss *ShardServer) checkAttr(attr int64) error {
-	if attr < 0 || int(attr) >= ss.sg.Dataset().Len() {
-		return fmt.Errorf("%w: attribute %d out of range [0,%d)",
-			index.ErrInvalidOptions, attr, ss.sg.Dataset().Len())
-	}
-	return nil
-}
-
-// run executes one leg query and returns the result with global ids.
-func (ss *ShardServer) run(r *http.Request, wq wireQuery) (index.Result, error) {
-	g, o, err := wireToOptions(wq)
-	if err != nil {
-		return index.Result{}, err
-	}
-	if err := ss.checkAttr(wq.Attr); err != nil {
-		return index.Result{}, err
-	}
-	return ss.Query(r.Context(), ss.sg.Dataset().Attr(g), o)
-}
-
-// globalize maps a result's shard-local ids to global AttrIDs in place.
-func (ss *ShardServer) globalize(res index.Result) index.Result {
-	for i, id := range res.IDs {
-		res.IDs[i] = ss.sg.Global(id)
-	}
-	for i := range res.Ranked {
-		res.Ranked[i].ID = ss.sg.Global(res.Ranked[i].ID)
-	}
-	return res
 }
 
 func (ss *ShardServer) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -196,12 +67,22 @@ func (ss *ShardServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !decodePost(w, r, &wq) {
 		return
 	}
-	res, err := ss.run(r, wq)
+	attr, o, err := wireToOptions(wq)
 	if err != nil {
-		queryError(w, err)
+		QueryError(w, err)
 		return
 	}
-	writeJSON(w, resultToWire(res))
+	q, err := ss.sg.Attr(attr)
+	if err != nil {
+		QueryError(w, err)
+		return
+	}
+	res, err := ss.sg.Query(r.Context(), q, o)
+	if err != nil {
+		QueryError(w, err)
+		return
+	}
+	WriteJSON(w, resultToWire(res))
 }
 
 func (ss *ShardServer) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -209,89 +90,62 @@ func (ss *ShardServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !decodePost(w, r, &wb) {
 		return
 	}
+	if len(wb.Queries) > shardMaxQueries {
+		HTTPError(w, http.StatusBadRequest, CodeInvalidParameter,
+			fmt.Errorf("batch of %d queries exceeds the limit of %d", len(wb.Queries), shardMaxQueries))
+		return
+	}
 	batch := make([]index.BatchQuery, len(wb.Queries))
 	for i, wq := range wb.Queries {
-		g, o, err := wireToOptions(wq)
-		if err == nil {
-			err = ss.checkAttr(wq.Attr)
-		}
+		attr, o, err := wireToOptions(wq)
 		if err != nil {
-			queryError(w, fmt.Errorf("batch entry %d: %w", i, err))
+			QueryError(w, fmt.Errorf("batch entry %d: %w", i, err))
 			return
 		}
-		if local, ok := ss.sg.Local(g); ok {
-			batch[i] = index.BatchQuery{ByID: true, ID: local, Options: o}
-		} else {
-			batch[i] = index.BatchQuery{Query: ss.sg.Dataset().Attr(g), Options: o}
-		}
+		batch[i] = index.BatchQuery{ByID: true, ID: attr, Options: o}
 	}
-	results, err := ss.sg.Index().QueryBatch(r.Context(), batch, index.BatchOptions{})
+	results, err := ss.sg.QueryBatch(r.Context(), batch, index.BatchOptions{})
 	if err != nil {
-		queryError(w, err)
+		QueryError(w, err)
 		return
 	}
 	out := wireBatchResult{Results: make([]wireResult, len(results))}
 	for i, res := range results {
-		out.Results[i] = resultToWire(ss.globalize(res))
+		out.Results[i] = resultToWire(res)
 	}
-	writeJSON(w, out)
+	WriteJSON(w, out)
 }
 
-// handleAllPairs runs one (source, target) block of the distributed
-// all-pairs fan-out: every attribute owned by the request's source shard
-// as a forward query against this shard's partition. Validation is
-// pinned to one worker per the paper's strategy (Section 4.2.2) —
-// block-level parallelism is the Router's N² fan-out.
 func (ss *ShardServer) handleAllPairs(w http.ResponseWriter, r *http.Request) {
 	var wa wireAllPairs
 	if !decodePost(w, r, &wa) {
 		return
 	}
-	if wa.SourceShard < 0 || wa.SourceShard >= ss.sg.Shards() {
-		httpError(w, http.StatusBadRequest, codeInvalidParameter,
-			fmt.Errorf("source shard %d out of range [0,%d)", wa.SourceShard, ss.sg.Shards()))
-		return
-	}
 	p := wireToParams(wa.Params)
 	if err := p.Validate(); err != nil {
-		httpError(w, http.StatusBadRequest, codeInvalidParameter, err)
+		HTTPError(w, http.StatusBadRequest, CodeInvalidParameter, err)
 		return
 	}
-	o := index.QueryOptions{Mode: index.ModeForward, Params: p}
-	seq := ss.sg.Index().WithValidationWorkers(1)
-	ds := ss.sg.Dataset()
-	sources := shard.OwnedGlobals(ds.Len(), ss.sg.Seed(), ss.sg.Shards(), wa.SourceShard)
-	var out wirePairs
-	for _, g := range sources {
-		var res index.Result
-		var err error
-		if local, ok := ss.sg.Local(g); ok {
-			res, err = seq.QueryByID(r.Context(), local, o)
-		} else {
-			res, err = seq.Query(r.Context(), ds.Attr(g), o)
-		}
-		if err != nil {
-			queryError(w, err)
-			return
-		}
-		for _, lid := range res.IDs {
-			out.Pairs = append(out.Pairs, [2]int64{int64(g), int64(ss.sg.Global(lid))})
-		}
+	pairs, err := ss.sg.AllPairsBlock(r.Context(), wa.SourceShard, p)
+	if err != nil {
+		QueryError(w, err)
+		return
 	}
-	writeJSON(w, out)
+	WriteJSON(w, pairsToWire(pairs))
 }
 
 func (ss *ShardServer) handleInfo(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, Info{
+	ds := ss.sg.Dataset()
+	WriteJSON(w, Info{
 		ShardID:    ss.sg.ShardID,
-		Shards:     ss.sg.Shards(),
+		Shards:     ss.sg.NumShards(),
 		Seed:       ss.sg.Seed(),
-		Attributes: ss.sg.Dataset().Len(),
+		Attributes: ds.Len(),
 		Owned:      len(ss.sg.Globals()),
-		Horizon:    int64(ss.sg.Dataset().Horizon()),
+		Horizon:    int64(ds.Horizon()),
 	})
 }
 
 func (ss *ShardServer) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, ss.sg.Index().Stats())
+	WriteJSON(w, ss.sg.Stats())
 }

@@ -1,47 +1,34 @@
-// Package router distributes the tIND query surface across shard
-// servers: each server builds one hash-partition of the corpus
-// (shard.BuildSingle) and answers that shard's scatter leg over
-// JSON-over-HTTP; the Router fans queries out to all N shards and
-// gathers with shard.Gather — the exact merge the in-process
-// ShardedIndex uses — so the differential guarantee (sharded ≡ monolith
-// ≡ oracle) transfers to the distributed deployment by construction.
+// Package router is the network transport of the system's one
+// scatter-gather (shard.Coordinator): each shard server builds one
+// hash-partition of the corpus (shard.BuildSingle) and exposes that
+// shard.Single over JSON-over-HTTP (ShardServer); the Router is a
+// Coordinator whose legs are HTTP clients of those servers. Scatter,
+// failure classification and merge are the exact code the in-process
+// ShardedIndex runs, so the differential guarantee (sharded ≡ monolith ≡
+// oracle) transfers to the distributed deployment by construction.
 //
 // The wire protocol speaks global AttrIDs only. Every shard server
 // loads the full dataset (resolution is cheap; the index over the owned
 // 1/N slice is the expensive part) so any global attribute can be the
-// query of any leg, and results come back already global — the Router's
-// gather maps ids through the identity.
+// query of any leg, and results come back already global.
 //
-// Degradation is the Router's job: per-leg deadlines, bounded retries
-// across a shard's replicas, and a typed partial result
-// (index.ErrPartialResult with the dead legs marked in
-// QueryStats.PerShard) when some — but not all — shards are
-// unreachable.
+// What this package adds to the Coordinator is everything a network
+// makes necessary (see httpLeg) — above all the classification of
+// transport failures as shard.ErrLegUnavailable, which is what turns a
+// dead shard into a typed partial result instead of a failed query.
 package router
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"time"
 
 	"tind/internal/core"
 	"tind/internal/history"
 	"tind/internal/index"
+	"tind/internal/shard"
 	"tind/internal/timeline"
-)
-
-func durationNs(ns int64) time.Duration { return time.Duration(ns) }
-
-// Error codes of the JSON error envelope, the same contract tindserve
-// speaks: {"error": {"code": "...", "message": "..."}}. The Router
-// branches on the code to classify a leg failure as fatal (the request
-// itself is bad — no replica will ever accept it) or degraded (this
-// replica can't answer right now — retry, then serve partial).
-const (
-	codeInvalidParameter = "invalid_parameter"
-	codeNotReady         = "not_ready"
-	codeDeadlineExceeded = "deadline_exceeded"
-	codeCanceled         = "canceled"
-	codeInternal         = "internal"
 )
 
 // wireWeight carries a timeline.Constant weight function. Constant
@@ -140,9 +127,10 @@ type wirePairs struct {
 }
 
 // Info describes a shard server's identity and corpus. The Router
-// verifies Shards/Seed/Attributes agreement across all shards at
-// startup so a mis-deployed topology (wrong seed, wrong shard count,
-// different corpus) fails loudly instead of silently dropping results.
+// verifies that every reachable replica agrees on everything but Owned at
+// startup, so a mis-deployed topology (wrong seed, wrong shard count,
+// different corpus) fails loudly instead of silently dropping results —
+// and holds each leg's answers to it afterwards (checkID).
 type Info struct {
 	ShardID    int   `json:"shard_id"`
 	Shards     int   `json:"shards"`
@@ -152,36 +140,12 @@ type Info struct {
 	Horizon    int64 `json:"horizon"`
 }
 
-// wireError is the JSON error envelope.
-type wireError struct {
-	Error struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	} `json:"error"`
-}
-
-// modeToWire maps an index.Mode to its wire name.
-func modeToWire(m index.Mode) (string, error) {
-	switch m {
-	case index.ModeForward:
-		return "forward", nil
-	case index.ModeReverse:
-		return "reverse", nil
-	case index.ModeTopK:
-		return "topk", nil
-	}
-	return "", fmt.Errorf("%w: unknown mode %v", index.ErrInvalidOptions, m)
-}
-
-// wireToMode is the inverse of modeToWire.
+// wireToMode parses a wire mode name, which is index.Mode's String form.
 func wireToMode(s string) (index.Mode, error) {
-	switch s {
-	case "forward":
-		return index.ModeForward, nil
-	case "reverse":
-		return index.ModeReverse, nil
-	case "topk":
-		return index.ModeTopK, nil
+	for _, m := range []index.Mode{index.ModeForward, index.ModeReverse, index.ModeTopK} {
+		if m.String() == s {
+			return m, nil
+		}
 	}
 	return 0, fmt.Errorf("%w: unknown mode %q", index.ErrInvalidOptions, s)
 }
@@ -212,8 +176,8 @@ func wireToParams(wp wireParams) core.Params {
 
 // queryToWire encodes one compiled query for the scatter.
 func queryToWire(attr history.AttrID, o index.QueryOptions) (wireQuery, error) {
-	mode, err := modeToWire(o.Mode)
-	if err != nil {
+	mode := o.Mode.String()
+	if _, err := wireToMode(mode); err != nil {
 		return wireQuery{}, err
 	}
 	wp, err := paramsToWire(o.Params)
@@ -264,14 +228,14 @@ func wireToStats(ws wireStats) index.QueryStats {
 	st.Validated = ws.Validated
 	st.Results = ws.Results
 	st.SlicesUsed = ws.SlicesUsed
-	st.Elapsed = durationNs(ws.ElapsedNs)
+	st.Elapsed = time.Duration(ws.ElapsedNs)
 	st.Timings = index.Timings{
-		MTPrune:     durationNs(ws.Timings.MTPrune),
-		SlicePrune:  durationNs(ws.Timings.SlicePrune),
-		SubsetCheck: durationNs(ws.Timings.SubsetCheck),
-		Validate:    durationNs(ws.Timings.Validate),
-		Rank:        durationNs(ws.Timings.Rank),
-		Total:       durationNs(ws.Timings.Total),
+		MTPrune:     time.Duration(ws.Timings.MTPrune),
+		SlicePrune:  time.Duration(ws.Timings.SlicePrune),
+		SubsetCheck: time.Duration(ws.Timings.SubsetCheck),
+		Validate:    time.Duration(ws.Timings.Validate),
+		Rank:        time.Duration(ws.Timings.Rank),
+		Total:       time.Duration(ws.Timings.Total),
 	}
 	return st
 }
@@ -294,20 +258,109 @@ func resultToWire(res index.Result) wireResult {
 	return wr
 }
 
-// wireToResult decodes one leg's answer.
-func wireToResult(wr wireResult) index.Result {
+// checkID rejects an attribute id a shard server has no business
+// returning: one outside the corpus (it would index past the router's
+// dataset) or one that shard i.ShardID does not own (it would duplicate
+// or displace another shard's answer in the merge).
+func (i Info) checkID(id int64) error {
+	if id < 0 || id >= int64(i.Attributes) {
+		return fmt.Errorf("attribute id %d outside the corpus [0,%d)", id, i.Attributes)
+	}
+	if owner := history.ShardOf(history.AttrID(id), i.Seed, i.Shards); owner != i.ShardID {
+		return fmt.Errorf("attribute id %d belongs to shard %d, not shard %d", id, owner, i.ShardID)
+	}
+	return nil
+}
+
+// badResponse is the error of a response that arrived but cannot be
+// trusted: the replica that sent it is unavailable as far as this call is
+// concerned.
+func badResponse(err error) error {
+	return fmt.Errorf("%w: bad response: %v", shard.ErrLegUnavailable, err)
+}
+
+// wireToResult decodes one leg's answer from shard want.ShardID, holding
+// every returned id to want.
+func wireToResult(wr wireResult, want Info) (index.Result, error) {
 	res := index.Result{Stats: wireToStats(wr.Stats)}
 	if len(wr.IDs) > 0 {
 		res.IDs = make([]history.AttrID, len(wr.IDs))
 		for i, id := range wr.IDs {
+			if err := want.checkID(id); err != nil {
+				return index.Result{}, badResponse(err)
+			}
 			res.IDs[i] = history.AttrID(id)
 		}
 	}
 	if len(wr.Ranked) > 0 {
 		res.Ranked = make([]index.Ranked, len(wr.Ranked))
 		for i, r := range wr.Ranked {
+			if err := want.checkID(r.ID); err != nil {
+				return index.Result{}, badResponse(err)
+			}
 			res.Ranked[i] = index.Ranked{ID: history.AttrID(r.ID), Violation: r.Violation}
 		}
 	}
-	return res
+	return res, nil
+}
+
+// readResult decodes a /shard/query response body.
+func readResult(body io.Reader, want Info) (index.Result, error) {
+	var wr wireResult
+	if err := json.NewDecoder(body).Decode(&wr); err != nil {
+		return index.Result{}, badResponse(err)
+	}
+	return wireToResult(wr, want)
+}
+
+// readBatchResult decodes a /shard/batch response body, which must
+// answer exactly n entries.
+func readBatchResult(body io.Reader, n int, want Info) ([]index.Result, error) {
+	var wr wireBatchResult
+	if err := json.NewDecoder(body).Decode(&wr); err != nil {
+		return nil, badResponse(err)
+	}
+	if len(wr.Results) != n {
+		return nil, badResponse(fmt.Errorf("%d results for a %d-entry batch", len(wr.Results), n))
+	}
+	results := make([]index.Result, n)
+	for i, w := range wr.Results {
+		var err error
+		if results[i], err = wireToResult(w, want); err != nil {
+			return nil, err
+		}
+	}
+	return results, nil
+}
+
+// readPairs decodes a /shard/allpairs response body for the block
+// (source, want.ShardID): every LHS must be owned by the source shard,
+// every RHS by the answering one.
+func readPairs(body io.Reader, source int, want Info) ([]index.Pair, error) {
+	var wp wirePairs
+	if err := json.NewDecoder(body).Decode(&wp); err != nil {
+		return nil, badResponse(err)
+	}
+	lhs := want
+	lhs.ShardID = source
+	pairs := make([]index.Pair, len(wp.Pairs))
+	for i, pr := range wp.Pairs {
+		if err := lhs.checkID(pr[0]); err != nil {
+			return nil, badResponse(err)
+		}
+		if err := want.checkID(pr[1]); err != nil {
+			return nil, badResponse(err)
+		}
+		pairs[i] = index.Pair{LHS: history.AttrID(pr[0]), RHS: history.AttrID(pr[1])}
+	}
+	return pairs, nil
+}
+
+// pairsToWire encodes one all-pairs block.
+func pairsToWire(pairs []index.Pair) wirePairs {
+	wp := wirePairs{Pairs: make([][2]int64, len(pairs))}
+	for i, pr := range pairs {
+		wp.Pairs[i] = [2]int64{int64(pr.LHS), int64(pr.RHS)}
+	}
+	return wp
 }

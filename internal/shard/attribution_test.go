@@ -71,8 +71,7 @@ func TestShardDelayIdentifiesStraggler(t *testing.T) {
 	sx, ds, p := buildAttributionIndex(t, 4)
 	const straggler = 2
 	const delay = 30 * time.Millisecond
-	sx.SetShardDelay(straggler, delay)
-	defer sx.SetShardDelay(straggler, 0)
+	InjectFaults(sx.Coordinator)[straggler].SetDelay(delay)
 
 	check := func(t *testing.T, ps []index.ShardStat, elapsed time.Duration) {
 		t.Helper()
@@ -116,17 +115,18 @@ func TestShardDelayIdentifiesStraggler(t *testing.T) {
 	}
 }
 
-// TestSetShardDelayBounds exercises the hook's defensive edges.
-func TestSetShardDelayBounds(t *testing.T) {
+// TestFaultLegDelayBounds exercises the hook's defensive edge: a
+// negative delay clears the injection.
+func TestFaultLegDelayBounds(t *testing.T) {
 	sx, ds, p := buildAttributionIndex(t, 2)
-	sx.SetShardDelay(-1, time.Second) // ignored
-	sx.SetShardDelay(99, time.Second) // ignored
-	sx.SetShardDelay(0, -time.Second) // clears
+	leg := InjectFaults(sx.Coordinator)[0]
+	leg.SetDelay(time.Second)
+	leg.SetDelay(-time.Second) // clears
 	start := time.Now()
 	if _, err := sx.Query(context.Background(), ds.Attr(0), index.QueryOptions{Mode: index.ModeForward, Params: p}); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
-		t.Fatalf("query took %v; out-of-range SetShardDelay must not inject", elapsed)
+		t.Fatalf("query took %v; a cleared delay must not inject", elapsed)
 	}
 }

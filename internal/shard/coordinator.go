@@ -1,0 +1,367 @@
+package shard
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"runtime"
+	"sort"
+	"sync"
+	"time"
+
+	"tind/internal/core"
+	"tind/internal/history"
+	"tind/internal/index"
+)
+
+// Leg is one shard of the partition as the Coordinator sees it: the
+// shard's contribution to a query, a batch or an all-pairs block, always
+// in global AttrIDs. There are exactly two transports — *Single in
+// process, and internal/router's HTTP client over the network — plus the
+// FaultLeg decorator the drills wrap around either.
+type Leg interface {
+	Query(ctx context.Context, q *history.History, o index.QueryOptions) (index.Result, error)
+	QueryBatch(ctx context.Context, batch []index.BatchQuery, o index.BatchOptions) ([]index.Result, error)
+	// AllPairsBlock runs every attribute owned by shard source as a
+	// forward query against this leg's shard.
+	AllPairsBlock(ctx context.Context, source int, p core.Params) ([]index.Pair, error)
+	// Stats is best-effort: a leg that cannot answer reports the zero
+	// value.
+	Stats() index.BuildStats
+}
+
+// ErrLegUnavailable marks a leg failure its shard caused — unreachable,
+// overloaded, answering garbage — as opposed to one the request caused.
+// A leg wraps it to say "the other shards' answers are still good": the
+// Coordinator then keeps the siblings running and degrades to a partial
+// result. Only the network transport ever has reason to; an in-process
+// leg cannot be unavailable, so its calls never end partial.
+var ErrLegUnavailable = errors.New("shard: leg unavailable")
+
+// Coordinator is the one scatter-gather of the system: it fans a call out
+// to every leg of the partition, classifies the legs' failures, and
+// merges the answers under the monolith's exact semantics. Because every
+// per-shard answer is exact (the pruning chain is lossless per shard),
+// the gathered answer is exact too; ShardedIndex and router.Router are
+// this type over in-process and HTTP legs respectively, so the
+// differential guarantee (sharded ≡ monolith ≡ oracle) holds for both by
+// construction.
+//
+// Failure taxonomy of one scatter, per leg error:
+//
+//   - wraps ErrLegUnavailable — degradable: siblings keep running, the
+//     leg is marked in Stats.PerShard, and the call returns the healthy
+//     legs' answer with index.ErrPartialResult (or a plain error when
+//     every leg is unavailable — partial means "some shards", never
+//     "none").
+//   - wraps index.ErrCanceled — the caller went away, or collateral of a
+//     sibling's failure; reported only when nothing else failed.
+//   - anything else — fatal root cause (bad request, deadline, engine
+//     fault): siblings are canceled at their next context poll instead of
+//     finishing work nobody will use, and the call returns the typed
+//     error, never a partial result.
+type Coordinator struct {
+	legs []Leg
+}
+
+// NewCoordinator returns a Coordinator over the given legs; legs[s] is
+// shard s.
+func NewCoordinator(legs []Leg) *Coordinator { return &Coordinator{legs: legs} }
+
+// NumShards returns N.
+func (c *Coordinator) NumShards() int { return len(c.legs) }
+
+// scatter runs fn for every leg concurrently under a child of ctx that
+// the first non-degradable failure cancels, and returns the per-leg
+// errors (prefixed with the shard) and wall times. Each Single holds its
+// own RWMutex, so a Refresh touching one shard only blocks the leg
+// running against that shard.
+func (c *Coordinator) scatter(ctx context.Context, fn func(ctx context.Context, s int, leg Leg) error) ([]error, []time.Duration) {
+	errs := make([]error, len(c.legs))
+	times := make([]time.Duration, len(c.legs))
+	sctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var wg sync.WaitGroup
+	for s, leg := range c.legs {
+		wg.Add(1)
+		go func(s int, leg Leg) {
+			defer wg.Done()
+			t0 := time.Now()
+			err := fn(sctx, s, leg)
+			times[s] = time.Since(t0)
+			if err != nil {
+				errs[s] = fmt.Errorf("shard %d: %w", s, err)
+				if !errors.Is(err, ErrLegUnavailable) {
+					cancel()
+				}
+			}
+		}(s, leg)
+	}
+	wg.Wait()
+	return errs, times
+}
+
+// outcome turns the per-leg errors of one scatter into the call's error
+// per the Coordinator's failure taxonomy. Its order of precedence is what
+// keeps an induced sibling cancellation from masking the root cause.
+func outcome(errs []error) error {
+	var fatal, canceled, degraded error
+	failed := 0
+	for _, err := range errs {
+		if err == nil {
+			continue
+		}
+		failed++
+		switch {
+		case errors.Is(err, ErrLegUnavailable):
+			if degraded == nil {
+				degraded = err
+			}
+		case errors.Is(err, index.ErrCanceled):
+			if canceled == nil {
+				canceled = err
+			}
+		default:
+			if fatal == nil {
+				fatal = err
+			}
+		}
+	}
+	switch {
+	case fatal != nil:
+		return fatal
+	case canceled != nil:
+		return canceled
+	case failed == 0:
+		return nil
+	case failed == len(errs):
+		return fmt.Errorf("all %d shards unavailable: %w", len(errs), degraded)
+	default:
+		mPartialResults.Inc()
+		return fmt.Errorf("%d/%d shards unavailable (%v): %w", failed, len(errs), degraded, index.ErrPartialResult)
+	}
+}
+
+// Query serves the index.Index query contract over the partition: scatter
+// the query to every leg, then gather (see gather). On partial
+// degradation the result covers the healthy shards and the error wraps
+// index.ErrPartialResult; on any other failure only the gathered
+// statistics come back, with the failed legs marked in Stats.PerShard.
+func (c *Coordinator) Query(ctx context.Context, q *history.History, o index.QueryOptions) (index.Result, error) {
+	start := time.Now()
+	results := make([]index.Result, len(c.legs))
+	errs, times := c.scatter(ctx, func(ctx context.Context, s int, leg Leg) (err error) {
+		results[s], err = leg.Query(ctx, q, o)
+		return err
+	})
+	elapsed := time.Since(start)
+	err := outcome(errs)
+	if err != nil && !errors.Is(err, index.ErrPartialResult) {
+		return index.Result{Stats: gatherStats(results, times, errs, elapsed)}, err
+	}
+	return gather(o, results, times, errs, elapsed), err
+}
+
+// QueryBatch serves index.Index.QueryBatch over the partition. Every leg
+// receives the whole batch — each shard resolves ownership per entry and
+// amortizes its row-major matrix sweep across the entire call rather than
+// per sub-query — and each entry gathers exactly like a single Query.
+// Results come back in batch order; every entry's Elapsed/Timings.Total
+// is the batch's scatter-gather wall time, and because a leg covers the
+// whole batch every entry reports the same PerShard leg attribution.
+func (c *Coordinator) QueryBatch(ctx context.Context, batch []index.BatchQuery, o index.BatchOptions) ([]index.Result, error) {
+	start := time.Now()
+	if o.Workers < 0 {
+		return nil, fmt.Errorf("%w: negative batch workers %d", index.ErrInvalidOptions, o.Workers)
+	}
+	if len(batch) == 0 {
+		return nil, nil
+	}
+	perLeg := make([][]index.Result, len(c.legs))
+	errs, times := c.scatter(ctx, func(ctx context.Context, s int, leg Leg) (err error) {
+		perLeg[s], err = leg.QueryBatch(ctx, batch, o)
+		return err
+	})
+	elapsed := time.Since(start)
+	results := make([]index.Result, len(batch))
+	entry := make([]index.Result, len(c.legs))
+	for i := range batch {
+		for s := range entry {
+			entry[s] = index.Result{}
+			if i < len(perLeg[s]) {
+				entry[s] = perLeg[s][i]
+			}
+		}
+		results[i] = gather(batch[i].Options, entry, times, errs, elapsed)
+	}
+	return results, outcome(errs)
+}
+
+// AllPairsContext discovers the complete tIND set by fanning out
+// shard-pair blocks: one work unit per (source shard, target shard)
+// combination runs every source attribute as a forward query against the
+// target leg. With N shards that is N² independent blocks — a much
+// finer-grained fan-out than the monolith's per-attribute split — while
+// the validation strategy stays the paper's: per-query validation pinned
+// to one worker, parallelism across queries (Section 4.2.2). workers ≤ 0
+// is clamped to GOMAXPROCS.
+//
+// Discovery is all-or-nothing — the complete-set semantics of §4.2.2
+// leave no meaningful partial — so the first block error of any kind
+// cancels the rest (reaching into running shard queries at their next
+// context poll) and is the one reported: being first, it is the root
+// cause, never an induced cancellation. The emitted pairs are sorted
+// ascending by LHS then RHS, the monolith's order.
+func (c *Coordinator) AllPairsContext(ctx context.Context, p core.Params, workers int) ([]index.Pair, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if err := index.CtxErr(ctx); err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	n := len(c.legs)
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		next     int
+		firstErr error
+		pairs    []index.Pair
+	)
+	for w := 0; w < workers && w < n*n; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				mu.Lock()
+				b := next
+				next++
+				mu.Unlock()
+				if b >= n*n || ctx.Err() != nil {
+					return
+				}
+				source, target := b/n, b%n
+				block, err := c.legs[target].AllPairsBlock(ctx, source, p)
+				mu.Lock()
+				if err != nil && firstErr == nil {
+					firstErr = fmt.Errorf("shard %d: %w", target, err)
+				}
+				pairs = append(pairs, block...)
+				mu.Unlock()
+				if err != nil {
+					cancel()
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	mAllPairsSeconds.ObserveDuration(time.Since(start))
+	if firstErr == nil {
+		// No block failed, so only the caller can have ended ctx — between
+		// blocks, where no query was running to report it.
+		firstErr = index.CtxErr(ctx)
+	}
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	sort.Slice(pairs, func(i, j int) bool {
+		if pairs[i].LHS != pairs[j].LHS {
+			return pairs[i].LHS < pairs[j].LHS
+		}
+		return pairs[i].RHS < pairs[j].RHS
+	})
+	return pairs, nil
+}
+
+// Stats aggregates the legs' build statistics into one monolith-shaped
+// summary via AggregateStats.
+func (c *Coordinator) Stats() index.BuildStats {
+	per := make([]index.BuildStats, len(c.legs))
+	c.scatter(context.Background(), func(_ context.Context, s int, leg Leg) error {
+		per[s] = leg.Stats()
+		return nil
+	})
+	return AggregateStats(per)
+}
+
+// gatherStats folds the per-leg statistics of one scattered query into
+// the monolith-shaped total, with the scatter-gather wall time as Elapsed
+// and Timings.Total, and attributes each leg in PerShard (leg wall time
+// from times, shard-local timings and funnel from the shard's own stats)
+// so stragglers stay visible after the merge. A non-nil errs[s] marks leg
+// s as failed (ShardStat.Err): its partial funnel still folds into the
+// sums — that work really ran — but the marker keeps a dead shard
+// distinguishable from a legitimately fast "0 candidates" leg in
+// attribution, wide events and partial results. The per-mode obs counters
+// are maintained by the shard queries themselves.
+func gatherStats(perLeg []index.Result, times []time.Duration, errs []error, elapsed time.Duration) index.QueryStats {
+	var st index.QueryStats
+	st.PerShard = make([]index.ShardStat, len(perLeg))
+	for s := range perLeg {
+		src := &perLeg[s].Stats
+		st.Add(src)
+		st.PerShard[s] = index.ShardStat{
+			Shard:             s,
+			Elapsed:           times[s],
+			Timings:           src.Timings,
+			InitialCandidates: src.InitialCandidates,
+			Validated:         src.Validated,
+			Results:           src.Results,
+		}
+		if errs[s] != nil {
+			st.PerShard[s].Err = errs[s].Error()
+		}
+	}
+	st.Elapsed = elapsed
+	st.Timings.Total = elapsed
+	return st
+}
+
+// gather merges the per-leg results of one scattered query into the
+// global answer under the monolith's exact semantics:
+//
+//   - ModeForward/ModeReverse: the per-shard result sets are disjoint by
+//     construction (each shard only answers for its own attributes), so
+//     the gathered answer is their union, sorted ascending.
+//   - ModeTopK: each shard ranks its own top K under the same
+//     escalation-budget semantics as the monolith; any global top-K
+//     attribute is necessarily inside its shard's top K, so the K-way
+//     merge by (violation, global id) of the per-shard rankings,
+//     truncated to K, is the exact global ranking.
+//
+// Failed legs carry no results and are marked in Stats.PerShard.
+func gather(o index.QueryOptions, perLeg []index.Result, times []time.Duration, errs []error, elapsed time.Duration) index.Result {
+	res := index.Result{Stats: gatherStats(perLeg, times, errs, elapsed)}
+	if o.Mode == index.ModeTopK {
+		var ranked []index.Ranked
+		for s := range perLeg {
+			ranked = append(ranked, perLeg[s].Ranked...)
+		}
+		sort.Slice(ranked, func(i, j int) bool {
+			if ranked[i].Violation != ranked[j].Violation {
+				return ranked[i].Violation < ranked[j].Violation
+			}
+			return ranked[i].ID < ranked[j].ID
+		})
+		if len(ranked) > o.K {
+			ranked = ranked[:o.K]
+		}
+		res.Ranked = ranked
+		res.Stats.Results = len(ranked)
+		return res
+	}
+	var ids []history.AttrID
+	for s := range perLeg {
+		ids = append(ids, perLeg[s].IDs...)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	res.IDs = ids
+	res.Stats.Results = len(ids)
+	return res
+}

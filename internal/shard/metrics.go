@@ -14,6 +14,11 @@ var (
 	// monolithic discovery runs land in one series.
 	mAllPairsSeconds = reg.Histogram("tind_allpairs_seconds",
 		"Wall time of complete all-pairs discovery runs.", obs.ExpBuckets(0.001, 4, 14))
+	// The series keeps the name it had when only the router had a failure
+	// taxonomy: the Coordinator decides the outcome now, but still only the
+	// network transport can make a call partial.
+	mPartialResults = reg.Counter("tind_router_partial_results_total",
+		"Queries answered from a subset of shards (ErrPartialResult).")
 	// Same idempotent-registration trick for the dirty/coverage gauges:
 	// each shard's Refresh/Reslice publishes shard-local values on these
 	// (last writer wins), so publishCoverage re-publishes the aggregate

@@ -14,13 +14,10 @@ import (
 // is the operational point of sharding the refresh path.
 //
 // Each affected shard's refresh is atomic under its own lock
-// (index.RefreshWith): the shard's dataset horizon is extended, fresh
-// clones of the changed global histories are swapped in over the stale
-// ones, and the shard's matrices refresh — all before any query can
-// observe the shard again. The same soundness rules as the monolith
-// apply: the index weighting must be constant, bits only ever grow, and
-// refreshed attributes stay exempt from slice pruning until a Reslice
-// (or rebuild) of their shard re-covers them.
+// (Single.Refresh). The same soundness rules as the monolith apply: the
+// index weighting must be constant, bits only ever grow, and refreshed
+// attributes stay exempt from slice pruning until a Reslice (or rebuild)
+// of their shard re-covers them.
 //
 // Untouched shards keep their previous weight horizon. Their answers
 // remain exact for queries under the new horizon: forward search is
@@ -33,42 +30,12 @@ import (
 // appends must not run concurrently with queries on the changed
 // attributes' shards.
 func (sx *ShardedIndex) Refresh(changed []history.AttrID, newHorizon timeline.Time) error {
-	sx.globalMu.RLock()
-	got := sx.ds.Horizon()
-	sx.globalMu.RUnlock()
-	if got != newHorizon {
-		return fmt.Errorf("shard: dataset horizon %d does not match newHorizon %d", got, newHorizon)
-	}
-	groups := make(map[int][]history.AttrID)
-	for _, id := range changed {
-		if id < 0 || int(id) >= sx.ds.Len() {
-			return fmt.Errorf("shard: changed attribute %d out of range", id)
-		}
-		s := sx.locals[id].shard
-		groups[s] = append(groups[s], id)
-	}
-	// Deterministic shard order keeps error behavior reproducible.
-	for s := 0; s < len(sx.shards); s++ {
-		group, ok := groups[s]
-		if !ok {
-			continue
-		}
-		err := sx.shards[s].RefreshWith(newHorizon, func(sds *history.Dataset) ([]history.AttrID, error) {
-			if err := sds.ExtendHorizon(newHorizon); err != nil {
-				return nil, err
-			}
-			locals := make([]history.AttrID, 0, len(group))
-			for _, g := range group {
-				local := sx.locals[g].local
-				if err := sds.Replace(local, sx.attr(g).Clone()); err != nil {
-					return nil, err
-				}
-				locals = append(locals, local)
-			}
-			return locals, nil
-		})
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", s, err)
+	// Every shard validates the horizon and the whole changed list before
+	// touching anything, so a bad call fails on shard 0 with the partition
+	// untouched; shard order keeps error behavior reproducible.
+	for _, sg := range sx.singles {
+		if err := sg.Refresh(changed, newHorizon); err != nil {
+			return fmt.Errorf("shard %d: %w", sg.ShardID, err)
 		}
 	}
 	// Each refreshed shard published shard-local gauge values; restore the
@@ -89,9 +56,9 @@ func (sx *ShardedIndex) Refresh(changed []history.AttrID, newHorizon timeline.Ti
 // preserving refresh locality. Callers serialize RefreshWith against
 // other refreshes, exactly as for Refresh.
 func (sx *ShardedIndex) RefreshWith(newHorizon timeline.Time, prepare func(ds *history.Dataset) ([]history.AttrID, error)) error {
-	sx.globalMu.Lock()
-	changed, err := prepare(sx.ds)
-	sx.globalMu.Unlock()
+	sx.g.mu.Lock()
+	changed, err := prepare(sx.g.ds)
+	sx.g.mu.Unlock()
 	if err != nil {
 		return err
 	}

@@ -24,7 +24,8 @@ import (
 func (sx *ShardedIndex) Reslice() (index.ResliceStats, error) {
 	var agg index.ResliceStats
 	attrs, resliced := 0, 0
-	for s, x := range sx.shards {
+	for s, sg := range sx.singles {
+		x := sg.idx
 		attrs += x.Stats().Attributes
 		if x.Stats().DirtyAttributes == 0 {
 			continue

@@ -1,13 +1,16 @@
 // Package shard scales the monolithic index.Index out to N independent
 // shards behind the same query contract. Attributes are hash-partitioned
-// by AttrID (history.ShardOf, deterministic under a fixed seed), each
-// shard is a complete index.Index over its own slice of the corpus, and
-// queries scatter to every shard and gather: forward/reverse result sets
-// union, top-k rankings k-way merge, all-pairs discovery fans out
-// shard-pair blocks. Because every per-shard answer is exact (the
-// monolith's pruning chain is lossless per shard), the gathered answer
-// is exact too — the differential tests in this package assert
-// ShardedIndex ≡ oracle ≡ single-shard Index for every mode.
+// by AttrID (history.ShardOf, deterministic under a fixed seed) and each
+// shard is a Single: a complete index.Index over its own slice of the
+// corpus that speaks global AttrIDs. The Coordinator is the system's one
+// scatter-gather over a set of Legs: queries scatter to every leg and
+// gather — forward/reverse result sets union, top-k rankings k-way merge,
+// all-pairs discovery fans out shard-pair blocks. Because every per-shard
+// answer is exact (the monolith's pruning chain is lossless per shard),
+// the gathered answer is exact too — the differential tests in this
+// package assert ShardedIndex ≡ oracle ≡ single-shard Index for every
+// mode. ShardedIndex is the Coordinator over in-process Singles;
+// internal/router's Router is the same Coordinator over HTTP legs.
 //
 // The payoff over one monolith is operational: Refresh becomes
 // shard-local (only the shards owning changed attributes take their
@@ -17,17 +20,12 @@
 package shard
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tind/internal/history"
 	"tind/internal/index"
-	"tind/internal/timeline"
 )
 
 // Options configures a sharded build.
@@ -62,183 +60,56 @@ func PartitionOptions(mono index.Options, shards int) index.Options {
 	return mono
 }
 
-// localRef locates one global attribute inside the partition.
-type localRef struct {
-	shard int
-	local history.AttrID
-}
-
 // ShardedIndex serves the index.Index query contract over N hash
-// partitions of one dataset. Immutable after Build except through
-// Refresh, which locks only the shards owning changed attributes.
+// partitions of one dataset: the Coordinator over N in-process *Single
+// legs. Immutable after Build except through Refresh, which locks only
+// the shards owning changed attributes.
 type ShardedIndex struct {
-	opt Options
-	ds  *history.Dataset // the global dataset, ids 0..n-1
-
-	// globalMu guards the global dataset's mutable surface — attribute
-	// table entries and the horizon — against resolution reads.
-	// RefreshWith (the live-ingestion path) swaps updated history clones
-	// into ds under the write half; localQuery, attr and external
-	// resolvers synchronize on the read half. The histories themselves
-	// are immutable once published, so the lock pins only the pointer
-	// swap, never a query's traversal of version data.
-	globalMu sync.RWMutex
-
-	shards   []*index.Index
-	datasets []*history.Dataset // per-shard datasets of history clones
-	globals  [][]history.AttrID // per shard: global ids in local order (ascending)
-	locals   []localRef         // per global id: owning shard + local id
-
-	// delays holds per-shard injected scatter-leg latency (nanoseconds),
-	// the fault hook behind SetShardDelay. Zero everywhere in production.
-	delays []atomic.Int64
-	// faults holds per-shard injected leg errors (SetShardError), the
-	// fault hook behind the cancellation and partial-result drills. Nil
-	// everywhere in production.
-	faults []atomic.Pointer[error]
+	*Coordinator
+	opt     Options
+	g       *global   // the global dataset, ids 0..n-1, shared with every single
+	singles []*Single // singles[s] is the Coordinator's leg s
 
 	buildElapsed time.Duration
 }
 
-// SetShardDelay injects d of artificial latency into every scatter leg
-// hitting shard s — a fault hook for straggler drills and the
-// observability tests, which use it to verify that per-shard attribution
-// (QueryStats.PerShard, /debug/events) singles out a slow shard. A zero
-// or negative d clears the fault. Safe to call concurrently with queries.
-func (sx *ShardedIndex) SetShardDelay(s int, d time.Duration) {
-	if s < 0 || s >= len(sx.delays) {
-		return
-	}
-	if d < 0 {
-		d = 0
-	}
-	sx.delays[s].Store(int64(d))
-}
-
-// SetShardError injects err into every scatter leg hitting shard s —
-// the leg fails immediately after its injected delay, without running
-// the shard query. A nil err clears the fault. Together with
-// SetShardDelay this is the drill kit for the scatter's failure paths:
-// the cancellation regression test forces one shard to error while
-// another is slow, and the router tests knock shards out the same way.
-// Safe to call concurrently with queries.
-func (sx *ShardedIndex) SetShardError(s int, err error) {
-	if s < 0 || s >= len(sx.faults) {
-		return
-	}
-	if err == nil {
-		sx.faults[s].Store(nil)
-		return
-	}
-	sx.faults[s].Store(&err)
-}
-
-// injectedError returns the shard's configured fault error, if any.
-func (sx *ShardedIndex) injectedError(s int) error {
-	if p := sx.faults[s].Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// injectDelay sleeps the shard's configured fault latency, if any.
-// Called at the top of each scatter leg so the delay lands inside the
-// leg's measured wall time, exactly like a genuinely slow shard. The
-// sleep honours ctx: a canceled scatter interrupts the injected
-// straggler just like the real query path polls its context, so the
-// cancellation drills measure the scatter's reaction time, not the
-// injected latency.
-func (sx *ShardedIndex) injectDelay(ctx context.Context, s int) {
-	d := sx.delays[s].Load()
-	if d <= 0 {
-		return
-	}
-	t := time.NewTimer(time.Duration(d))
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
-}
-
 // Build partitions ds into opt.Shards independent indexes and builds
-// them concurrently. The dataset's histories are cloned into per-shard
-// datasets (sharing version data and the value dictionary) because
-// dataset registration assigns ids in place — one History pointer cannot
-// carry a global and a shard-local id at once.
+// them concurrently.
 func Build(ds *history.Dataset, opt Options) (*ShardedIndex, error) {
 	start := time.Now()
 	if opt.Shards < 1 {
 		return nil, fmt.Errorf("%w: shard count %d < 1", index.ErrInvalidOptions, opt.Shards)
 	}
-	n := ds.Len()
-	sx := &ShardedIndex{
-		opt:      opt,
-		ds:       ds,
-		shards:   make([]*index.Index, opt.Shards),
-		datasets: make([]*history.Dataset, opt.Shards),
-		globals:  make([][]history.AttrID, opt.Shards),
-		locals:   make([]localRef, n),
-		delays:   make([]atomic.Int64, opt.Shards),
-		faults:   make([]atomic.Pointer[error], opt.Shards),
-	}
-	for g := 0; g < n; g++ {
-		s := history.ShardOf(history.AttrID(g), opt.Seed, opt.Shards)
-		sx.locals[g] = localRef{shard: s, local: history.AttrID(len(sx.globals[s]))}
-		sx.globals[s] = append(sx.globals[s], history.AttrID(g))
-	}
-	for s := 0; s < opt.Shards; s++ {
-		sds, err := deriveShardDataset(ds, sx.globals[s])
+	sx := &ShardedIndex{opt: opt, g: &global{ds: ds}, singles: make([]*Single, opt.Shards)}
+	legs := make([]Leg, opt.Shards)
+	for s := range sx.singles {
+		sg, err := carve(sx.g, opt, s, OwnedGlobals(ds.Len(), opt.Seed, opt.Shards, s))
 		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", s, err)
+			return nil, err
 		}
-		sx.datasets[s] = sds
+		sx.singles[s], legs[s] = sg, sg
 	}
+	sx.Coordinator = NewCoordinator(legs)
 
 	var wg sync.WaitGroup
 	errs := make([]error, opt.Shards)
-	for s := 0; s < opt.Shards; s++ {
+	for s, sg := range sx.singles {
 		wg.Add(1)
-		go func(s int) {
+		go func(s int, sg *Single) {
 			defer wg.Done()
-			sx.shards[s], errs[s] = index.Build(sx.datasets[s], shardIndexOptions(opt, s))
-		}(s)
+			errs[s] = sg.build()
+		}(s, sg)
 	}
 	wg.Wait()
-	for s, err := range errs {
+	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", s, err)
+			return nil, err
 		}
 	}
 	sx.buildElapsed = time.Since(start)
 	mShardCount.Set(float64(opt.Shards))
 	mShardBuildSeconds.ObserveDuration(sx.buildElapsed)
 	return sx, nil
-}
-
-// shardIndexOptions derives shard s's index configuration: the seed is
-// perturbed by the shard number so slice selection differs across
-// shards; everything else applies verbatim. Build and BuildSingle share
-// it so a shard built alone (shard-server deployment) is bit-for-bit
-// the shard a ShardedIndex would have built in-process.
-func shardIndexOptions(opt Options, s int) index.Options {
-	iopt := opt.Index
-	iopt.Seed += int64(s)
-	return iopt
-}
-
-// deriveShardDataset clones the given global attributes into a dataset
-// of their own (sharing version data and the value dictionary), in the
-// given — ascending global id — order, so local ids are the position of
-// each global id in globals.
-func deriveShardDataset(ds *history.Dataset, globals []history.AttrID) (*history.Dataset, error) {
-	sds := ds.Derive(ds.Horizon())
-	for _, g := range globals {
-		if _, err := sds.Add(ds.Attr(g).Clone()); err != nil {
-			return nil, err
-		}
-	}
-	return sds, nil
 }
 
 // OwnedGlobals returns the global attribute ids that shard s owns under
@@ -257,190 +128,22 @@ func OwnedGlobals(n int, seed int64, shards, s int) []history.AttrID {
 	return out
 }
 
-// Single is one shard of the partition built in isolation: the shard's
-// complete index over its own dataset of clones, plus the global-id
-// table that maps its local answers back to corpus ids. It is the
-// engine behind the shard-server deployment (internal/router), built by
-// BuildSingle with exactly the per-shard configuration Build uses, so a
-// process serving one shard answers identically to the same shard
-// inside an in-process ShardedIndex.
-type Single struct {
-	// ShardID and Shards identify the slot: this is shard ShardID of a
-	// Shards-way partition under Opt.Seed.
-	ShardID int
-
-	opt     Options
-	ds      *history.Dataset // the full global dataset (for external queries)
-	sds     *history.Dataset // the shard's own dataset of clones
-	idx     *index.Index
-	globals []history.AttrID // local id -> global id, ascending
-}
-
-// BuildSingle builds shard s of the opt.Shards-way partition of ds,
-// alone. The full dataset stays referenced — a scatter leg for an
-// attribute another shard owns queries with that attribute's history,
-// so the shard server needs every history even though it indexes only
-// its own — but the index (the expensive part: matrices, Bloom filters,
-// slices) covers only the owned 1/N slice of the corpus.
-func BuildSingle(ds *history.Dataset, opt Options, s int) (*Single, error) {
-	if opt.Shards < 1 {
-		return nil, fmt.Errorf("%w: shard count %d < 1", index.ErrInvalidOptions, opt.Shards)
-	}
-	if s < 0 || s >= opt.Shards {
-		return nil, fmt.Errorf("%w: shard id %d out of range [0,%d)", index.ErrInvalidOptions, s, opt.Shards)
-	}
-	globals := OwnedGlobals(ds.Len(), opt.Seed, opt.Shards, s)
-	sds, err := deriveShardDataset(ds, globals)
-	if err != nil {
-		return nil, fmt.Errorf("shard %d: %w", s, err)
-	}
-	idx, err := index.Build(sds, shardIndexOptions(opt, s))
-	if err != nil {
-		return nil, fmt.Errorf("shard %d: %w", s, err)
-	}
-	return &Single{ShardID: s, opt: opt, ds: ds, sds: sds, idx: idx, globals: globals}, nil
-}
-
-// Index returns the shard's index.
-func (sg *Single) Index() *index.Index { return sg.idx }
-
-// Shards returns N, the partition width this shard is one slot of.
-func (sg *Single) Shards() int { return sg.opt.Shards }
-
-// Seed returns the partition seed driving the ShardOf assignment.
-func (sg *Single) Seed() int64 { return sg.opt.Seed }
-
-// Dataset returns the full global dataset the shard was carved from.
-func (sg *Single) Dataset() *history.Dataset { return sg.ds }
-
-// Globals returns the owned global ids in local order (ascending).
-func (sg *Single) Globals() []history.AttrID { return sg.globals }
-
-// Global maps a shard-local id to its global id.
-func (sg *Single) Global(local history.AttrID) history.AttrID { return sg.globals[local] }
-
-// Local maps a global id to the shard-local id, reporting whether this
-// shard owns it.
-func (sg *Single) Local(g history.AttrID) (history.AttrID, bool) {
-	if g < 0 || int(g) >= sg.ds.Len() {
-		return 0, false
-	}
-	if history.ShardOf(g, sg.opt.Seed, sg.opt.Shards) != sg.ShardID {
-		return 0, false
-	}
-	lo, hi := 0, len(sg.globals)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if sg.globals[mid] < g {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return history.AttrID(lo), true
-}
-
-// Refresh incorporates appended history data for the given global
-// attributes into this shard, mirroring ShardedIndex.Refresh for the
-// single-shard deployment: the caller has already applied the appends to
-// the global dataset and extended its horizon; ids this shard does not
-// own only extend the shard's weight horizon. Serialized by the caller
-// against other refreshes.
-func (sg *Single) Refresh(changed []history.AttrID, newHorizon timeline.Time) error {
-	if got := sg.ds.Horizon(); got != newHorizon {
-		return fmt.Errorf("shard: dataset horizon %d does not match newHorizon %d", got, newHorizon)
-	}
-	var owned []history.AttrID
-	for _, g := range changed {
-		if g < 0 || int(g) >= sg.ds.Len() {
-			return fmt.Errorf("shard: changed attribute %d out of range", g)
-		}
-		if _, ok := sg.Local(g); ok {
-			owned = append(owned, g)
-		}
-	}
-	if len(owned) == 0 {
-		// No owned attribute changed: like an untouched shard of a
-		// ShardedIndex, keep the previous weight horizon — answers stay
-		// exact under the new horizon (DESIGN.md §9).
-		return nil
-	}
-	return sg.idx.RefreshWith(newHorizon, func(sds *history.Dataset) ([]history.AttrID, error) {
-		if err := sds.ExtendHorizon(newHorizon); err != nil {
-			return nil, err
-		}
-		locals := make([]history.AttrID, 0, len(owned))
-		for _, g := range owned {
-			local, _ := sg.Local(g)
-			if err := sds.Replace(local, sg.ds.Attr(g).Clone()); err != nil {
-				return nil, err
-			}
-			locals = append(locals, local)
-		}
-		return locals, nil
-	})
-}
-
-// NumShards returns N.
-func (sx *ShardedIndex) NumShards() int { return len(sx.shards) }
-
 // Dataset returns the global dataset the partition was built over.
-func (sx *ShardedIndex) Dataset() *history.Dataset { return sx.ds }
+func (sx *ShardedIndex) Dataset() *history.Dataset { return sx.g.ds }
 
 // Shard returns the s-th shard's index — read-only access for tests and
 // diagnostics.
-func (sx *ShardedIndex) Shard(s int) *index.Index { return sx.shards[s] }
+func (sx *ShardedIndex) Shard(s int) *index.Index { return sx.singles[s].idx }
 
 // ShardOwner returns the shard owning the given global attribute.
-func (sx *ShardedIndex) ShardOwner(id history.AttrID) int { return sx.locals[id].shard }
-
-// localQuery reports whether shard s owns q (an attribute of the global
-// dataset) and under which local id. The owning shard's leg must query
-// by local id (index.QueryByID) so the shard resolves its own — possibly
-// refresh-swapped — clone under its read lock and self-exclusion still
-// fires; every other shard queries with q itself, whose global pointer
-// matches nothing in that shard's dataset.
-//
-// Besides pointer identity, a history carrying a valid global id whose
-// provenance matches the current table entry also counts as "the
-// dataset's own attribute": under live ingestion the entry is swapped
-// for an updated clone (RefreshWith), and a caller that resolved q just
-// before the swap must still hit the by-local-id path — the owning
-// shard then answers from its freshest clone and self-exclusion keeps
-// firing.
-func (sx *ShardedIndex) localQuery(s int, q *history.History) (history.AttrID, bool) {
-	id := q.ID()
-	if id >= 0 && int(id) < sx.ds.Len() {
-		sx.globalMu.RLock()
-		cur := sx.ds.Attr(id)
-		sx.globalMu.RUnlock()
-		if cur == q || cur.Meta() == q.Meta() {
-			if ref := sx.locals[id]; ref.shard == s {
-				return ref.local, true
-			}
-		}
-	}
-	return 0, false
+func (sx *ShardedIndex) ShardOwner(id history.AttrID) int {
+	return history.ShardOf(id, sx.opt.Seed, sx.opt.Shards)
 }
 
-// attr resolves the current history of a global attribute under the
-// resolution lock; the returned history is immutable.
-func (sx *ShardedIndex) attr(g history.AttrID) *history.History {
-	sx.globalMu.RLock()
-	defer sx.globalMu.RUnlock()
-	return sx.ds.Attr(g)
-}
-
-// Stats aggregates the per-shard build statistics into one monolith-
-// shaped summary: counts, memory and phase times sum; slice spans, fill
-// ratios and pruning powers concatenate in shard order; dirty-attribute
-// accounting sums with coverage recomputed over the global corpus.
+// Stats is the Coordinator's aggregate with the shard-parallel build
+// wall time as Elapsed.
 func (sx *ShardedIndex) Stats() index.BuildStats {
-	per := make([]index.BuildStats, len(sx.shards))
-	for s, x := range sx.shards {
-		per[s] = x.Stats()
-	}
-	agg := AggregateStats(per)
+	agg := sx.Coordinator.Stats()
 	agg.Elapsed = sx.buildElapsed
 	return agg
 }
@@ -452,8 +155,7 @@ func (sx *ShardedIndex) Stats() index.BuildStats {
 // accounting sums with coverage recomputed over the global corpus.
 // Elapsed is the caller's to set — build wall time is a deployment
 // property (shard-parallel in-process, independent per shard server),
-// not an aggregate. Shared by ShardedIndex.Stats and the distributed
-// router's stats endpoint.
+// not an aggregate.
 func AggregateStats(per []index.BuildStats) index.BuildStats {
 	var agg index.BuildStats
 	for _, st := range per {
@@ -471,15 +173,12 @@ func AggregateStats(per []index.BuildStats) index.BuildStats {
 		if st.LastReslice.After(agg.LastReslice) {
 			agg.LastReslice = st.LastReslice
 		}
+		agg.MTFillRatio += st.MTFillRatio
+		agg.MRFillRatio += st.MRFillRatio
 	}
 	if len(per) > 0 {
-		var mt, mr float64
-		for _, st := range per {
-			mt += st.MTFillRatio
-			mr += st.MRFillRatio
-		}
-		agg.MTFillRatio = mt / float64(len(per))
-		agg.MRFillRatio = mr / float64(len(per))
+		agg.MTFillRatio /= float64(len(per))
+		agg.MRFillRatio /= float64(len(per))
 	}
 	agg.SlicePruningCoverage = 1
 	if agg.Attributes > 0 {
@@ -495,50 +194,16 @@ func AggregateStats(per []index.BuildStats) index.BuildStats {
 // reslice of one shard would leave the gauges reporting another shard's
 // state instead of moving the global coverage.
 func (sx *ShardedIndex) publishCoverage() {
-	dirty, attrs := 0, 0
-	for _, x := range sx.shards {
-		st := x.Stats()
-		dirty += st.DirtyAttributes
-		attrs += st.Attributes
-	}
-	coverage := 1.0
-	if attrs > 0 {
-		coverage = 1 - float64(dirty)/float64(attrs)
-	}
-	mIndexDirtyAttributes.Set(float64(dirty))
-	mIndexSliceCoverage.Set(coverage)
+	agg := AggregateStats(sx.ShardStats())
+	mIndexDirtyAttributes.Set(float64(agg.DirtyAttributes))
+	mIndexSliceCoverage.Set(agg.SlicePruningCoverage)
 }
 
 // ShardStats returns the unaggregated per-shard build statistics.
 func (sx *ShardedIndex) ShardStats() []index.BuildStats {
-	out := make([]index.BuildStats, len(sx.shards))
-	for s, x := range sx.shards {
-		out[s] = x.Stats()
+	out := make([]index.BuildStats, len(sx.singles))
+	for s, sg := range sx.singles {
+		out[s] = sg.Stats()
 	}
 	return out
-}
-
-// sortPairs orders discovered pairs ascending by LHS then RHS, the
-// monolith's emission order.
-func sortPairs(pairs []index.Pair) {
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].LHS != pairs[j].LHS {
-			return pairs[i].LHS < pairs[j].LHS
-		}
-		return pairs[i].RHS < pairs[j].RHS
-	})
-}
-
-// ctxDone mirrors the index package's cancellation poll, mapped to the
-// same typed errors, for the scatter loops that run outside any shard
-// query.
-func ctxDone(ctx context.Context) error {
-	switch err := ctx.Err(); {
-	case err == nil:
-		return nil
-	case errors.Is(err, context.DeadlineExceeded):
-		return fmt.Errorf("%w: %w", index.ErrDeadlineExceeded, err)
-	default:
-		return fmt.Errorf("%w: %w", index.ErrCanceled, err)
-	}
 }
