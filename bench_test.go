@@ -6,6 +6,7 @@
 package tind_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -256,7 +257,7 @@ func BenchmarkAllPairs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := idx.AllPairs(p, 0); err != nil {
+		if _, err := idx.AllPairsContext(context.Background(), p, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

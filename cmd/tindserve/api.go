@@ -222,8 +222,8 @@ func (s *server) handleQuery(mode string) queryHandler {
 		}
 		// Tracing is always on; the tail sampler in the middleware decides
 		// after completion whether the spans are retained in the wide
-		// event, so slow or errored queries keep their trace even when no
-		// slow-query threshold was configured.
+		// event, so slow or errored queries keep their trace without any
+		// threshold having been configured.
 		o.Trace = true
 		res, err := c.idx.Query(r.Context(), q, o)
 		noteStats(r, &res.Stats)
@@ -309,8 +309,8 @@ func (s *server) handleBatch(c *corpus, w http.ResponseWriter, r *http.Request) 
 		queries[i] = q
 	}
 	// The aggregate is noted before execution so even an errored or
-	// timed-out batch reaches the slow-query log and the event ring with
-	// whatever the engine accumulated (stats stay zero if it never ran).
+	// timed-out batch reaches the event ring with whatever the engine
+	// accumulated (stats stay zero if it never ran).
 	agg := &index.QueryStats{}
 	noteStats(r, agg)
 	noteQuery(r, obs.EventBatch, "batch", len(batch))
@@ -344,12 +344,11 @@ func (s *server) handleBatch(c *corpus, w http.ResponseWriter, r *http.Request) 
 }
 
 // aggregateBatchStats folds per-entry batch results into one batch-level
-// QueryStats for the slow-query log and the wide event: funnel counts
-// and phase timings sum across entries and traces concatenate in entry
-// order (QueryStats.Add), and the per-shard attribution is taken from the
-// first entry —
-// sharded batch legs cover the whole regrouped batch, so every entry
-// reports the same PerShard slice.
+// QueryStats for the wide event: funnel counts and phase timings sum
+// across entries and traces concatenate in entry order (QueryStats.Add),
+// and the per-shard attribution is taken from the first entry — sharded
+// batch legs cover the whole regrouped batch, so every entry reports the
+// same PerShard slice.
 func aggregateBatchStats(results []index.Result, elapsed time.Duration) index.QueryStats {
 	agg := index.QueryStats{Elapsed: elapsed}
 	agg.Timings.Total = elapsed

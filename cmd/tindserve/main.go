@@ -73,16 +73,15 @@
 // (phase timings, per-shard attribution, candidate funnel, error class)
 // into a ring served at /debug/events; tracing is always on and a tail
 // sampler retains the spans of errored queries and the slowest ~5%, so
-// the trace of a tail-latency incident exists even when no slow-query
-// threshold was configured. Declarative SLOs (query latency vs
+// the trace of a tail-latency incident exists without any threshold
+// having been configured. Declarative SLOs (query latency vs
 // -slo-latency-threshold, 5xx ratio, ingest staleness vs -max-staleness)
 // are evaluated into multi-window burn-rate gauges
 // (tind_slo_burn_rate{slo,window}) served at /slo; with
 // -slo-burn-degrade a sustained burn flips /readyz to degraded. Logs are
 // structured (log/slog); every admitted query gets an ID, echoed in the
-// X-Query-ID response header, and queries slower than
-// -slow-query-threshold are logged with that ID and their per-phase
-// trace. -pprof opt-in exposes the standard /debug/pprof endpoints.
+// X-Query-ID response header and carried by its wide event and latency
+// exemplar. -pprof opt-in exposes the standard /debug/pprof endpoints.
 package main
 
 import (
@@ -129,10 +128,8 @@ var (
 		return obs.Default().Counter("tind_http_shed_total",
 			"Requests shed with 503, by reason.", obs.L("reason", reason))
 	}
-	mSlowQueries = obs.Default().Counter("tind_http_slow_queries_total",
-		"Queries that exceeded -slow-query-threshold.")
 	// mQuerySeconds aggregates admitted query latency across endpoints;
-	// /healthz and the slow-query log derive their p50/p95/p99 from it.
+	// /healthz derives its p50/p95/p99 from it.
 	mQuerySeconds = obs.Default().Histogram("tind_http_query_seconds",
 		"Wall time of admitted query requests, all endpoints combined.",
 		obs.LatencyBuckets)
@@ -177,7 +174,6 @@ func main() {
 		queryTimeout = flag.Duration("query-timeout", 10*time.Second, "per-request query deadline (0 = none)")
 		maxInFlight  = flag.Int64("max-in-flight", 0, "concurrent query weight admitted before shedding with 503 (0 = 4×GOMAXPROCS)")
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "grace period for in-flight requests on SIGINT/SIGTERM")
-		slowQuery    = flag.Duration("slow-query-threshold", time.Second, "log queries slower than this with their phase breakdown (0 = disabled)")
 		pprofF       = flag.Bool("pprof", false, "expose /debug/pprof endpoints (off by default: profiling leaks internals)")
 		walF         = flag.String("wal", "", "write-ahead log path: enables POST /ingest and startup WAL replay")
 		snapshotF    = flag.String("snapshot", "", "snapshot container directory: loaded (over -corpus) at startup, written periodically by the ingest loop")
@@ -196,7 +192,6 @@ func main() {
 		queryTimeout:   *queryTimeout,
 		maxInFlight:    *maxInFlight,
 		drainTimeout:   *drainTimeout,
-		slowQuery:      *slowQuery,
 		pprof:          *pprofF,
 		maxStaleness:   *maxStale,
 		sloLatency:     *sloLatency,
@@ -209,6 +204,22 @@ func main() {
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	slog.SetDefault(logger)
 
+	cc := corpusConfig{
+		corpus: *corpusF, attrs: *attrs, horizon: *horizon, seed: *seed, shards: *shards,
+		shardServer: *shardServer, shardID: *shardID,
+		router: *routerF, legTimeout: *legTimeout, legRetries: *legRetries,
+		wal: *walF, snapshot: *snapshotF, snapshotEvery: *snapEvery,
+		maxDirty: *maxDirty, maxDirtyAge: *maxDirtyAge,
+		resliceMinCoverage: *resliceCov,
+	}
+	// Contradictory modes exit here, before the port is bound: a process
+	// that answers /healthz while its load fails in the background looks
+	// alive to whatever started it.
+	if err := cc.validateModes(); err != nil {
+		logger.Error("flags", "err", err)
+		os.Exit(1)
+	}
+
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -219,16 +230,7 @@ func main() {
 	}
 	logger.Info("listening, index building in background", "addr", ln.Addr().String())
 
-	load := func(rp *replayProgress) (*corpus, error) {
-		return loadServing(corpusConfig{
-			corpus: *corpusF, attrs: *attrs, horizon: *horizon, seed: *seed, shards: *shards,
-			shardServer: *shardServer, shardID: *shardID,
-			router: *routerF, legTimeout: *legTimeout, legRetries: *legRetries,
-			wal: *walF, snapshot: *snapshotF, snapshotEvery: *snapEvery,
-			maxDirty: *maxDirty, maxDirtyAge: *maxDirtyAge,
-			resliceMinCoverage: *resliceCov,
-		}, rp)
-	}
+	load := func(rp *replayProgress) (*corpus, error) { return loadServing(cc, rp) }
 	if err := run(ctx, cfg, ln, load); err != nil {
 		logger.Error("serve", "err", err)
 		os.Exit(1)
@@ -241,7 +243,6 @@ type config struct {
 	queryTimeout time.Duration
 	maxInFlight  int64
 	drainTimeout time.Duration
-	slowQuery    time.Duration
 	pprof        bool
 	// maxStaleness flips /readyz to degraded when the oldest acknowledged
 	// but unapplied delta is older than this; 0 disables the check.
@@ -307,7 +308,7 @@ func run(ctx context.Context, cfg config, ln net.Listener, load func(rp *replayP
 			return
 		}
 		s.install(c)
-		s.log.Info("ready", "attributes", c.ds.Len(),
+		slog.Info("ready", "attributes", c.ds.Len(),
 			"build_time", time.Since(start).Round(time.Millisecond),
 			"ingest", c.ing != nil)
 	}()
@@ -320,7 +321,7 @@ func run(ctx context.Context, cfg config, ln net.Listener, load func(rp *replayP
 	case <-ctx.Done():
 	}
 
-	s.log.Info("shutdown requested, draining", "grace", cfg.drainTimeout)
+	slog.Info("shutdown requested, draining", "grace", cfg.drainTimeout)
 	drainCtx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
 	defer cancel()
 	err := httpSrv.Shutdown(drainCtx)
@@ -401,6 +402,21 @@ type corpusConfig struct {
 	resliceMinCoverage float64
 }
 
+// validateModes rejects contradictory serving modes. It needs nothing
+// but the flags, so main calls it before binding the port; loadServing
+// calls it again for callers that assemble a corpusConfig themselves.
+func (cc corpusConfig) validateModes() error {
+	switch {
+	case cc.shardServer && cc.router != "":
+		return errors.New("-shard-server and -router are mutually exclusive")
+	case (cc.shardServer || cc.router != "") && cc.wal != "":
+		return errors.New("-wal live ingestion requires a full local engine; shard-server and router modes are read-only")
+	case cc.shardServer && (cc.shards < 1 || cc.shardID < 0 || cc.shardID >= cc.shards):
+		return fmt.Errorf("-shard-id %d out of range [0,%d)", cc.shardID, cc.shards)
+	}
+	return nil
+}
+
 // replayProgress publishes WAL-replay progress for /readyz while the
 // corpus loads: total records to replay, records done, and the start
 // time for a rate estimate.
@@ -460,11 +476,8 @@ func loadDataset(cc corpusConfig) (*history.Dataset, int64, error) {
 // ingestion writes through an engine that owns the whole index, which
 // neither mode has.
 func loadServing(cc corpusConfig, rp *replayProgress) (*corpus, error) {
-	if cc.shardServer && cc.router != "" {
-		return nil, errors.New("-shard-server and -router are mutually exclusive")
-	}
-	if (cc.shardServer || cc.router != "") && cc.wal != "" {
-		return nil, errors.New("-wal live ingestion requires a full local engine; shard-server and router modes are read-only")
+	if err := cc.validateModes(); err != nil {
+		return nil, err
 	}
 	ds, walOffset, err := loadDataset(cc)
 	if err != nil {
@@ -508,9 +521,6 @@ func loadServing(cc corpusConfig, rp *replayProgress) (*corpus, error) {
 	c.wal = log
 	switch {
 	case cc.shardServer:
-		if cc.shards < 1 || cc.shardID < 0 || cc.shardID >= cc.shards {
-			return nil, fmt.Errorf("-shard-id %d out of range [0,%d)", cc.shardID, cc.shards)
-		}
 		sg, err := shard.BuildSingle(ds, shard.Options{
 			Shards: cc.shards, Seed: cc.seed, Index: shard.PartitionOptions(opt, cc.shards),
 		}, cc.shardID)
@@ -657,13 +667,9 @@ type server struct {
 	corpus       atomic.Pointer[corpus]
 	limiter      *sem.Weighted
 	queryTimeout time.Duration
-	slowQuery    time.Duration
 	pprof        bool
-	// log receives the structured service log (slow queries, lifecycle);
-	// tests substitute a handler writing to a capture buffer.
-	log *slog.Logger
 	// queryID numbers admitted query requests; the ID is returned in the
-	// X-Query-ID response header and attached to the slow-query log so a
+	// X-Query-ID response header and attached to the wide event so a
 	// client-reported request can be matched to its trace.
 	queryID atomic.Uint64
 	// replay publishes WAL-replay progress for /readyz while the corpus
@@ -691,14 +697,12 @@ func newServer(cfg config) *server {
 	return &server{
 		limiter:        sem.New(capacity),
 		queryTimeout:   cfg.queryTimeout,
-		slowQuery:      cfg.slowQuery,
 		pprof:          cfg.pprof,
 		maxStaleness:   cfg.maxStaleness,
 		sampler:        obs.NewTailSampler(tailSamplePercentile, tailSampleWindow),
 		slo:            newSLOEngine(cfg),
 		sloBurnDegrade: cfg.sloBurnDegrade,
 		shardRPC:       cfg.shardRPC,
-		log:            slog.Default(),
 	}
 }
 
@@ -796,7 +800,7 @@ func handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // statusRecorder captures the status code a handler writes so the query
-// middleware can label its metrics and the slow-query log with it.
+// middleware can label its metrics and the wide event with it.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
@@ -808,8 +812,7 @@ func (w *statusRecorder) WriteHeader(code int) {
 }
 
 // queryNote carries per-query diagnostics from a handler back to the
-// query middleware, which owns the slow-query log and the wide-event
-// record.
+// query middleware, which owns the wide-event record.
 type queryNote struct {
 	stats *index.QueryStats
 	// kind and mode classify the wide event (obs.EventQuery with
@@ -822,10 +825,9 @@ type queryNote struct {
 
 type noteKey struct{}
 
-// noteStats records the query stats of the request for the slow-query
-// log and the wide event. Handlers that run an index query call it; the
-// others stay silent, a slow request logs without a phase breakdown and
-// no event is recorded.
+// noteStats records the query stats of the request for the wide event.
+// Handlers that run an index query call it; for the others no event is
+// recorded.
 func noteStats(r *http.Request, st *index.QueryStats) {
 	if n, ok := r.Context().Value(noteKey{}).(*queryNote); ok {
 		n.stats = st
@@ -840,26 +842,6 @@ func noteQuery(r *http.Request, kind, mode string, batch int) {
 		n.mode = mode
 		n.batch = batch
 	}
-}
-
-// traceSummary renders the per-phase breakdown of a slow query for the
-// log: the Timings aggregate plus the ordered trace spans if the query
-// ran with tracing enabled.
-func traceSummary(st *index.QueryStats) string {
-	t := st.Timings
-	s := fmt.Sprintf("phases[mt_prune=%v slice_prune=%v subset_check=%v validate=%v rank=%v] candidates=%d validated=%d results=%d",
-		t.MTPrune.Round(time.Microsecond), t.SlicePrune.Round(time.Microsecond),
-		t.SubsetCheck.Round(time.Microsecond), t.Validate.Round(time.Microsecond),
-		t.Rank.Round(time.Microsecond),
-		st.InitialCandidates, st.Validated, st.Results)
-	if len(st.Trace) > 0 {
-		spans := make([]string, len(st.Trace))
-		for i, sp := range st.Trace {
-			spans[i] = sp.String()
-		}
-		s += " trace[" + strings.Join(spans, " ") + "]"
-	}
-	return s
 }
 
 // Shed reasons for retryAfterHint: why a request is being turned away.
@@ -913,8 +895,8 @@ func (s *server) retryAfterHint(reason string) string {
 // the per-request deadline. Not-ready and saturated both shed with 503 +
 // Retry-After rather than queueing: the client retrying in a second is
 // cheaper than a goroutine parked on a semaphore. Admitted requests are
-// timed and counted per endpoint and status; those slower than the
-// slow-query threshold are logged with their phase breakdown.
+// timed and counted per endpoint and status, and those that ran an index
+// query record one wide event.
 func (s *server) query(weight int64, h queryHandler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		endpoint := r.URL.Path
@@ -959,26 +941,6 @@ func (s *server) query(weight int64, h queryHandler) http.Handler {
 		mQuerySeconds.ObserveExemplar(elapsed.Seconds(), obs.L("query_id", strconv.FormatUint(qid, 10)))
 		if note.stats != nil {
 			s.recordQueryEvent(note, qid, endpoint, sr.status, elapsed)
-		}
-		if s.slowQuery > 0 && elapsed >= s.slowQuery {
-			mSlowQueries.Inc()
-			attrs := []any{
-				"qid", qid,
-				"method", r.Method,
-				"url", r.URL.RequestURI(),
-				"status", sr.status,
-				"elapsed", elapsed.Round(time.Microsecond),
-				"threshold", s.slowQuery,
-				// Process-lifetime latency estimates put this one query in
-				// context: a slow query near p99 is the tail behaving as
-				// measured, one far beyond it is an outlier worth a look.
-				"p95_ms", quantileMillis(0.95),
-				"p99_ms", quantileMillis(0.99),
-			}
-			if note.stats != nil {
-				attrs = append(attrs, "trace", traceSummary(note.stats))
-			}
-			s.log.Warn("slow query", attrs...)
 		}
 	})
 }

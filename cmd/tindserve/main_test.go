@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"tind/internal/datagen"
@@ -153,5 +155,47 @@ func TestErrorResponses(t *testing.T) {
 		if code, _ := errEnvelope(t, out); code != "invalid_parameter" {
 			t.Errorf("%s: code %q, want invalid_parameter", path, code)
 		}
+	}
+}
+
+// TestValidateModes pins the mode rules main checks before binding the
+// port. loadServing must refuse the same configurations with the same
+// message before it touches the corpus — the -corpus path here does not
+// exist, so a load that read first would fail on the file instead.
+func TestValidateModes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cc   corpusConfig
+		want string // substring of the error; "" = accepted
+	}{
+		{"monolith", corpusConfig{shards: 1}, ""},
+		{"monolith with wal", corpusConfig{shards: 1, wal: "w.log"}, ""},
+		{"sharded with wal", corpusConfig{shards: 4, wal: "w.log"}, ""},
+		{"shard-id ignored without shard-server", corpusConfig{shards: 1, shardID: 7}, ""},
+		{"shard server", corpusConfig{shards: 2, shardServer: true, shardID: 1}, ""},
+		{"router", corpusConfig{shards: 1, router: "http://a;http://b"}, ""},
+		{"shard server and router", corpusConfig{shards: 2, shardServer: true, router: "http://a"}, "mutually exclusive"},
+		{"shard server with wal", corpusConfig{shards: 2, shardServer: true, wal: "w.log"}, "read-only"},
+		{"router with wal", corpusConfig{shards: 1, router: "http://a", wal: "w.log"}, "read-only"},
+		{"shard-id negative", corpusConfig{shards: 2, shardServer: true, shardID: -1}, "-shard-id -1 out of range [0,2)"},
+		{"shard-id equals shards", corpusConfig{shards: 2, shardServer: true, shardID: 2}, "-shard-id 2 out of range [0,2)"},
+		{"shard server without shards", corpusConfig{shards: 0, shardServer: true}, "-shard-id 0 out of range [0,0)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.cc.validateModes()
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("rejected: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("validateModes error %v, want it to contain %q", err, tc.want)
+			}
+			tc.cc.corpus = filepath.Join(t.TempDir(), "missing.tind")
+			if _, lerr := loadServing(tc.cc, nil); lerr == nil || lerr.Error() != err.Error() {
+				t.Fatalf("loadServing error %v, want %v", lerr, err)
+			}
+		})
 	}
 }

@@ -2,17 +2,13 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"io"
-	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"tind/internal/history"
 	"tind/internal/index"
@@ -20,35 +16,6 @@ import (
 	"tind/internal/timeline"
 	"tind/internal/values"
 )
-
-// logCapture is a goroutine-safe sink for the server's slog output.
-type logCapture struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (c *logCapture) Write(p []byte) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.buf.Write(p)
-}
-
-func (c *logCapture) lines() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := strings.TrimSpace(c.buf.String())
-	if s == "" {
-		return nil
-	}
-	return strings.Split(s, "\n")
-}
-
-// captureLog points the server's structured log at a buffer.
-func captureLog(s *server) *logCapture {
-	c := &logCapture{}
-	s.log = slog.New(slog.NewTextHandler(c, nil))
-	return c
-}
 
 // sampleLine matches one Prometheus text-format sample:
 // name{optional labels} value.
@@ -164,51 +131,6 @@ func TestPprofGating(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pprof with -pprof: status %d, want 200", resp.StatusCode)
-	}
-}
-
-func TestSlowQueryLog(t *testing.T) {
-	// Threshold of 1ns: every query is slow, so one request must produce
-	// one log line carrying the per-phase breakdown.
-	s, ts := testServerConfig(t, config{slowQuery: time.Nanosecond})
-	cap := captureLog(s)
-
-	resp, err := http.Get(ts.URL + "/search?attr=0&eps=3&delta=7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	qid := resp.Header.Get("X-Query-ID")
-	if qid == "" {
-		t.Fatal("response missing X-Query-ID header")
-	}
-
-	lines := cap.lines()
-	if len(lines) != 1 {
-		t.Fatalf("slow-query log lines: %d, want 1: %q", len(lines), lines)
-	}
-	line := lines[0]
-	for _, want := range []string{
-		`msg="slow query"`, "qid=" + qid, "method=GET", "/search",
-		"status=200", "p95_ms=", "p99_ms=",
-		"phases[", "mt_prune=", "validate=", "trace[",
-	} {
-		if !strings.Contains(line, want) {
-			t.Errorf("slow-query line missing %q: %s", want, line)
-		}
-	}
-}
-
-func TestSlowQueryLogDisabled(t *testing.T) {
-	s, ts := testServerConfig(t, config{}) // threshold 0 = disabled
-	cap := captureLog(s)
-	getJSON(t, ts.URL+"/search?attr=0", http.StatusOK)
-	if lines := cap.lines(); len(lines) != 0 {
-		t.Fatalf("disabled slow-query log still logged: %q", lines)
 	}
 }
 

@@ -66,42 +66,68 @@ func getEvents(t *testing.T, base, query string) []eventJSON {
 	return out.Events
 }
 
-// TestBatchSlowQueryLog guards the regression where POST /query/batch
-// bypassed the slow-query middleware contract: handleBatch never noted
-// its stats, so a slow batch logged without a phase breakdown or trace.
-func TestBatchSlowQueryLog(t *testing.T) {
-	s, ts := testServerConfig(t, config{slowQuery: time.Nanosecond})
-	cap := captureLog(s)
-
+// TestBatchWideEvent guards the regression where POST /query/batch
+// bypassed the query middleware contract: handleBatch never noted its
+// stats, so a batch left no phase breakdown or trace behind. The batch
+// must record one wide event carrying the aggregate stats and the
+// per-entry traces — also when it fails.
+func TestBatchWideEvent(t *testing.T) {
 	body := `{"queries": [
 		{"attr": "0", "eps": 3, "delta": 7},
 		{"attr": "1", "mode": "reverse", "eps": 3}
 	]}`
-	resp, err := http.Post(ts.URL+"/query/batch", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	qid := resp.Header.Get("X-Query-ID")
-	if qid == "" {
-		t.Fatal("batch response missing X-Query-ID header")
+	// post runs the batch and returns its wide event (the ring is
+	// process-wide and newest first; query IDs restart per server).
+	post := func(cfg config, wantStatus int) eventJSON {
+		t.Helper()
+		_, ts := testServerConfig(t, cfg)
+		resp, err := http.Post(ts.URL+"/query/batch", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != wantStatus {
+			t.Fatalf("status %d, want %d", resp.StatusCode, wantStatus)
+		}
+		qid, err := strconv.ParseUint(resp.Header.Get("X-Query-ID"), 10, 64)
+		if err != nil {
+			t.Fatalf("bad X-Query-ID %q: %v", resp.Header.Get("X-Query-ID"), err)
+		}
+		for _, e := range getEvents(t, ts.URL, "?kind=batch") {
+			if e.QueryID == qid && e.Endpoint == "/query/batch" {
+				if e.Status != wantStatus || e.BatchSize != 2 {
+					t.Errorf("event status=%d batch_size=%d, want %d and 2", e.Status, e.BatchSize, wantStatus)
+				}
+				return e
+			}
+		}
+		t.Fatalf("no batch event with query_id %d", qid)
+		return eventJSON{}
 	}
 
-	lines := cap.lines()
-	if len(lines) != 1 {
-		t.Fatalf("slow-query log lines: %d, want 1: %q", len(lines), lines)
-	}
-	for _, want := range []string{
-		`msg="slow query"`, "qid=" + qid, "method=POST", "/query/batch",
-		"status=200", "phases[", "mt_prune=", "validate=", "trace[",
-	} {
-		if !strings.Contains(lines[0], want) {
-			t.Errorf("batch slow-query line missing %q: %s", want, lines[0])
+	ev := post(config{}, http.StatusOK)
+	for _, phase := range []string{"mt_prune", "validate"} {
+		if _, ok := ev.Phases[phase]; !ok {
+			t.Errorf("batch event phases %v missing %q", ev.Phases, phase)
 		}
+	}
+	// Fresh server: the tail sampler is in warmup and keeps every trace;
+	// both entries contribute their spans.
+	var probes int
+	for _, sp := range ev.Trace {
+		if sp.Name == "mt_prune" {
+			probes++
+		}
+	}
+	if probes != 2 {
+		t.Errorf("batch event trace has %d mt_prune spans, want one per entry: %+v", probes, ev.Trace)
+	}
+
+	// The error path: a batch that times out still reaches the ring.
+	ev = post(config{queryTimeout: time.Nanosecond}, http.StatusGatewayTimeout)
+	if ev.ErrorClass != "deadline_exceeded" {
+		t.Errorf("timed-out batch event error_class = %q, want deadline_exceeded", ev.ErrorClass)
 	}
 }
 

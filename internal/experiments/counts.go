@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -65,7 +66,7 @@ func AllPairs(cfg Config, w io.Writer) error {
 		return err
 	}
 	buildTime := time.Since(start)
-	pairs, err := idx.AllPairs(p, cfg.Workers)
+	pairs, err := idx.AllPairsContext(context.Background(), p, cfg.Workers)
 	if err != nil {
 		return err
 	}

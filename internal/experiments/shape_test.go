@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"tind/internal/bloom"
@@ -76,7 +77,7 @@ func TestShapeAllPairsOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, err := idx.AllPairs(p, 4)
+	pairs, err := idx.AllPairsContext(context.Background(), p, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,11 +43,10 @@ type BatchOptions struct {
 	Workers int
 }
 
-// queryPool recycles the per-query scratch of batched execution:
-// dataset-width candidate vectors and per-worker arenas. It is held by
-// pointer on Index so the shallow copies WithValidationWorkers takes
-// share one pool, and its methods tolerate a nil receiver (an Index
-// assembled without Build simply runs unpooled).
+// queryPool recycles the scratch every query runs on: dataset-width
+// candidate vectors, per-goroutine arenas and the batch probe's filters.
+// Build creates it, and Index holds it by pointer so the shallow copies
+// WithValidationWorkers takes share one pool.
 type queryPool struct {
 	vecs    sync.Pool // *bitmatrix.Vec, dataset-width
 	arenas  sync.Pool // *arena
@@ -61,16 +60,14 @@ func newQueryPool() *queryPool { return &queryPool{} }
 // width (never expected: the attribute count is fixed after Build) are
 // dropped rather than resized.
 func (p *queryPool) getVec(n int) *bitmatrix.Vec {
-	if p != nil {
-		if v, _ := p.vecs.Get().(*bitmatrix.Vec); v != nil && v.Len() == n {
-			return v
-		}
+	if v, _ := p.vecs.Get().(*bitmatrix.Vec); v != nil && v.Len() == n {
+		return v
 	}
 	return bitmatrix.NewVec(n)
 }
 
 func (p *queryPool) putVec(v *bitmatrix.Vec) {
-	if p != nil && v != nil {
+	if v != nil {
 		p.vecs.Put(v)
 	}
 }
@@ -79,26 +76,18 @@ func (p *queryPool) putVec(v *bitmatrix.Vec) {
 // ones; filters of a stale shape (only possible across option changes,
 // which rebuild the index) are dropped.
 func (p *queryPool) getFilter(bp bloom.Params) *bloom.Filter {
-	if p != nil {
-		if f, _ := p.filters.Get().(*bloom.Filter); f != nil && f.Params() == bp {
-			f.Reset()
-			return f
-		}
+	if f, _ := p.filters.Get().(*bloom.Filter); f != nil && f.Params() == bp {
+		f.Reset()
+		return f
 	}
 	return bloom.New(bp)
 }
 
-func (p *queryPool) putFilter(f *bloom.Filter) {
-	if p != nil && f != nil {
-		p.filters.Put(f)
-	}
-}
+func (p *queryPool) putFilter(f *bloom.Filter) { p.filters.Put(f) }
 
 func (p *queryPool) getArena(n int, bp bloom.Params) *arena {
-	if p != nil {
-		if a, _ := p.arenas.Get().(*arena); a != nil && a.n == n && a.bp == bp {
-			return a
-		}
+	if a, _ := p.arenas.Get().(*arena); a != nil && a.n == n && a.bp == bp {
+		return a
 	}
 	return &arena{
 		n:      n,
@@ -111,18 +100,14 @@ func (p *queryPool) getArena(n int, bp bloom.Params) *arena {
 	}
 }
 
-func (p *queryPool) putArena(a *arena) {
-	if p != nil && a != nil {
-		p.arenas.Put(a)
-	}
-}
+func (p *queryPool) putArena(a *arena) { p.arenas.Put(a) }
 
-// arena is the reusable scratch of one worker executing batched
-// sub-queries. Ownership rule: everything in the arena is strictly
-// query-internal — nothing reachable from a returned Result may alias
-// arena (or pooled-vector) memory, so results stay deeply independent
-// of each other and of later pool reuse. The pooling-safety tests pin
-// this.
+// arena is the reusable scratch of one goroutine executing queries — a
+// Query call or one QueryBatch worker. Ownership rule: everything in the
+// arena is strictly query-internal — nothing reachable from a returned
+// Result may alias arena (or pooled-vector) memory, so results stay
+// deeply independent of each other and of later pool reuse. The
+// pooling-safety tests pin this.
 type arena struct {
 	n      int          // dataset width the vectors were sized for
 	bp     bloom.Params // filter shape
@@ -145,9 +130,9 @@ type arena struct {
 	// sliced sets out of it has fully completed, which holds because
 	// batchProbe returns it to this arena only when QueryBatch ends.
 	reqStore []values.Value
-	// run is the reusable queryRun of this arena's worker: one sub-query
+	// run is the reusable queryRun of this arena's goroutine: one query
 	// executes at a time per arena, and nothing in a Result references
-	// the run, so each entry may overwrite it in place.
+	// the run, so each query may overwrite it in place.
 	run queryRun
 }
 
@@ -206,7 +191,7 @@ func (x *Index) QueryBatch(ctx context.Context, batch []BatchQuery, o BatchOptio
 	// so it must not return to the pool before every entry has run; the
 	// single-worker path doubles it as the worker's arena.
 	par := x.pool.getArena(n, x.opt.Bloom)
-	pres, preReqs, preShares := x.batchProbe(batch, qs, par)
+	pres := x.batchProbe(batch, qs, par)
 
 	results := make([]Result, len(batch))
 	errs := make([]error, len(batch))
@@ -217,7 +202,10 @@ func (x *Index) QueryBatch(ctx context.Context, batch []BatchQuery, o BatchOptio
 	if workers > len(batch) {
 		workers = len(batch)
 	}
-	seqValidation := workers > 1
+	valWorkers := 0
+	if workers > 1 {
+		valWorkers = 1
+	}
 
 	var next int64 = -1
 	run := func(ar *arena) {
@@ -226,8 +214,7 @@ func (x *Index) QueryBatch(ctx context.Context, batch []BatchQuery, o BatchOptio
 			if i >= len(batch) {
 				return
 			}
-			results[i], errs[i] = x.runBatchEntry(ctx, qs[i], batch[i].Options, ar,
-				pres[i], preReqs[i], preShares[i], seqValidation)
+			results[i], errs[i] = x.runEntry(ctx, qs[i], batch[i].Options, ar, pres[i], valWorkers)
 		}
 	}
 	if workers <= 1 {
@@ -261,11 +248,9 @@ func (x *Index) QueryBatch(ctx context.Context, batch []BatchQuery, o BatchOptio
 // and matrix-ineligible ones (DisableRequiredValues, reverse ε beyond
 // the index ε) are left to generate their own candidates inside search,
 // exactly like the single-query path.
-func (x *Index) batchProbe(batch []BatchQuery, qs []*history.History, par *arena) (pres []*bitmatrix.Vec, preReqs []values.Set, preShares []time.Duration) {
+func (x *Index) batchProbe(batch []BatchQuery, qs []*history.History, par *arena) []probed {
 	n := x.ds.Len()
-	pres = make([]*bitmatrix.Vec, len(batch))
-	preReqs = make([]values.Set, len(batch))
-	preShares = make([]time.Duration, len(batch))
+	pres := make([]probed, len(batch))
 
 	start := time.Now()
 	var fwdFilters, revFilters []*bloom.Filter
@@ -289,10 +274,10 @@ func (x *Index) batchProbe(batch []BatchQuery, qs []*history.History, par *arena
 			req, par.vbuf = core.RequiredValuesScratch(qs[i], qo.Params.Epsilon, qo.Params.Weight, par.occ, par.vbuf)
 			off := len(reqStore)
 			reqStore = append(reqStore, req...)
-			preReqs[i] = values.Set(reqStore[off:len(reqStore):len(reqStore)])
+			pres[i].req = values.Set(reqStore[off:len(reqStore):len(reqStore)])
 			out := x.pool.getVec(n)
 			out.Fill()
-			pres[i] = out
+			pres[i].cand = out
 			f := x.pool.getFilter(x.opt.Bloom)
 			f.AddSet(req)
 			fwdFilters = append(fwdFilters, f)
@@ -300,7 +285,7 @@ func (x *Index) batchProbe(batch []BatchQuery, qs []*history.History, par *arena
 		case qo.Mode == ModeReverse && x.mR != nil && qo.Params.Epsilon <= x.opt.Params.Epsilon:
 			out := x.pool.getVec(n)
 			out.Fill()
-			pres[i] = out
+			pres[i].cand = out
 			f := x.pool.getFilter(x.opt.Bloom)
 			f.AddSet(qs[i].AllValues())
 			revFilters = append(revFilters, f)
@@ -329,30 +314,24 @@ func (x *Index) batchProbe(batch []BatchQuery, qs []*history.History, par *arena
 	if k := len(fwdOuts) + len(revOuts); k > 0 {
 		share := time.Since(start) / time.Duration(k)
 		for i := range pres {
-			if pres[i] != nil {
-				preShares[i] = share
+			if pres[i].cand != nil {
+				pres[i].share = share
 			}
 		}
 	}
-	return pres, preReqs, preShares
+	return pres
 }
 
-// runBatchEntry executes one sub-query with the worker's arena. The
-// caller holds the index read lock; pre (when non-nil) transfers
-// ownership of a pooled, batch-probed candidate vector to the run, which
-// releases it back to the pool on every exit path.
-func (x *Index) runBatchEntry(ctx context.Context, q *history.History, o QueryOptions, ar *arena,
-	pre *bitmatrix.Vec, preReq values.Set, preShare time.Duration, seqValidation bool) (Result, error) {
+// runEntry executes one validated query — a Query call or one QueryBatch
+// entry — on the executing goroutine's arena; it is the one place a mode
+// is dispatched. The caller holds the index read lock; pre.cand (when
+// non-nil) transfers ownership of a pooled, batch-probed candidate vector
+// to the run, which releases it back to the pool on every exit path.
+func (x *Index) runEntry(ctx context.Context, q *history.History, o QueryOptions, ar *arena,
+	pre probed, valWorkers int) (Result, error) {
 	qm[o.Mode].queries.Inc()
 	r := &ar.run
-	*r = queryRun{
-		x: x, mode: o.Mode, start: time.Now(),
-		ar: ar, pool: x.pool,
-		pre: pre, preReq: preReq, preShare: preShare,
-	}
-	if seqValidation {
-		r.valWorkers = 1
-	}
+	*r = queryRun{x: x, mode: o.Mode, start: time.Now(), ar: ar, pre: pre, valWorkers: valWorkers}
 	if o.Trace {
 		r.tr = obs.NewTrace()
 	}

@@ -3,6 +3,7 @@ package index
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -47,18 +48,12 @@ func mixedBatch(ds *history.Dataset, p core.Params) []BatchQuery {
 // identical to issuing the same sub-query through Query/QueryByID.
 func checkBatchMatchesSequential(t *testing.T, x *Index, batch []BatchQuery, got []Result) {
 	t.Helper()
-	ctx := context.Background()
+	wants, err := runSingles(context.Background(), x, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, bq := range batch {
-		var want Result
-		var err error
-		if bq.ByID {
-			want, err = x.QueryByID(ctx, bq.ID, bq.Options)
-		} else {
-			want, err = x.Query(ctx, bq.Query, bq.Options)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := wants[i]
 		if !idsEqual(got[i].IDs, want.IDs) {
 			t.Fatalf("entry %d (mode %v): batch IDs %v, sequential %v", i, bq.Options.Mode, got[i].IDs, want.IDs)
 		}
@@ -135,9 +130,9 @@ func TestQueryBatchValidation(t *testing.T) {
 		t.Fatalf("empty batch: got (%v, %v), want (nil, nil)", res, err)
 	}
 	bad := [][]BatchQuery{
-		{{Options: QueryOptions{Mode: ModeForward, Params: p}}},                          // nil query
-		{{Query: ds.Attr(0), Options: QueryOptions{Mode: Mode(9), Params: p}}},           // unknown mode
-		{{Query: ds.Attr(0), Options: QueryOptions{Mode: ModeTopK, Params: p}}},          // K = 0
+		{{Options: QueryOptions{Mode: ModeForward, Params: p}}},                                     // nil query
+		{{Query: ds.Attr(0), Options: QueryOptions{Mode: Mode(9), Params: p}}},                      // unknown mode
+		{{Query: ds.Attr(0), Options: QueryOptions{Mode: ModeTopK, Params: p}}},                     // K = 0
 		{{ByID: true, ID: history.AttrID(99), Options: QueryOptions{Mode: ModeForward, Params: p}}}, // out of range
 	}
 	for i, batch := range bad {
@@ -200,71 +195,124 @@ func TestQueryErrorTimingsPopulated(t *testing.T) {
 	}
 }
 
+// runSingles issues every batch entry on its own, through Query or
+// QueryByID — the same pooled path, one arena per call.
+func runSingles(ctx context.Context, x *Index, batch []BatchQuery) ([]Result, error) {
+	out := make([]Result, len(batch))
+	for i, bq := range batch {
+		var err error
+		if bq.ByID {
+			out[i], err = x.QueryByID(ctx, bq.ID, bq.Options)
+		} else {
+			out[i], err = x.Query(ctx, bq.Query, bq.Options)
+		}
+		if err != nil {
+			return out, fmt.Errorf("entry %d: %w", i, err)
+		}
+	}
+	return out, nil
+}
+
 // TestQueryBatchDeepIndependence is the pooling-safety test: mutating
 // one returned Result must never alias another result or show up in a
-// later batch's answers drawn from the recycled pool.
+// later run's answers drawn from the recycled pool, and a later run must
+// never write through an earlier Result. It covers both entry points
+// (QueryBatch, and Query/QueryByID per entry — mixedBatch has top-k and
+// ByID entries) and both validation branches: sequential, whose
+// accumulator is arena memory, and parallel, which only reads the arena.
 func TestQueryBatchDeepIndependence(t *testing.T) {
-	ds, x := queryTestIndex(t, 26, 40)
+	ds := randDataset(rand.New(rand.NewSource(26)), 40, 200)
 	p := core.DefaultDays(ds.Horizon())
 	ctx := context.Background()
 	batch := mixedBatch(ds, p)
-
-	first, err := x.QueryBatch(ctx, batch, BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
+	runners := []struct {
+		name string
+		run  func(x *Index) ([]Result, error)
+	}{
+		{"QueryBatch", func(x *Index) ([]Result, error) { return x.QueryBatch(ctx, batch, BatchOptions{}) }},
+		{"Query", func(x *Index) ([]Result, error) { return runSingles(ctx, x, batch) }},
 	}
-	// Deep-copy the answers, then scribble over every returned slice.
-	type copied struct {
-		ids    []history.AttrID
-		ranked []Ranked
-	}
-	saved := make([]copied, len(first))
-	for i := range first {
-		saved[i].ids = append([]history.AttrID(nil), first[i].IDs...)
-		saved[i].ranked = append([]Ranked(nil), first[i].Ranked...)
-	}
-	for i := range first {
-		for j := range first[i].IDs {
-			first[i].IDs[j] = -7
-		}
-		for j := range first[i].Ranked {
-			first[i].Ranked[j] = Ranked{ID: -7, Violation: -1}
-		}
-	}
-	// A fresh batch on the recycled pool must be untouched by the scribble.
-	second, err := x.QueryBatch(ctx, batch, BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range second {
-		if !idsEqual(second[i].IDs, saved[i].ids) {
-			t.Fatalf("entry %d: recycled-pool batch IDs %v, want %v", i, second[i].IDs, saved[i].ids)
-		}
-		if len(second[i].Ranked) != len(saved[i].ranked) {
-			t.Fatalf("entry %d: recycled-pool ranked length changed", i)
-		}
-		for j := range saved[i].ranked {
-			if second[i].Ranked[j] != saved[i].ranked[j] {
-				t.Fatalf("entry %d rank %d: recycled-pool %+v, want %+v", i, j, second[i].Ranked[j], saved[i].ranked[j])
-			}
+	for _, valWorkers := range []int{1, 4} {
+		opt := DefaultOptions(ds.Horizon())
+		opt.Reverse = true
+		opt.ValidationWorkers = valWorkers
+		x := buildTestIndex(t, ds, opt)
+		for _, rn := range runners {
+			t.Run(fmt.Sprintf("%s/validation-workers=%d", rn.name, valWorkers), func(t *testing.T) {
+				first, err := rn.run(x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Deep-copy the answers, then scribble over every returned slice.
+				type copied struct {
+					ids    []history.AttrID
+					ranked []Ranked
+				}
+				saved := make([]copied, len(first))
+				for i := range first {
+					saved[i].ids = append([]history.AttrID(nil), first[i].IDs...)
+					saved[i].ranked = append([]Ranked(nil), first[i].Ranked...)
+				}
+				scribble := Ranked{ID: -7, Violation: -1}
+				for i := range first {
+					for j := range first[i].IDs {
+						first[i].IDs[j] = scribble.ID
+					}
+					for j := range first[i].Ranked {
+						first[i].Ranked[j] = scribble
+					}
+				}
+				// A fresh run on the recycled pool must be untouched by the scribble.
+				second, err := rn.run(x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range second {
+					if !idsEqual(second[i].IDs, saved[i].ids) {
+						t.Fatalf("entry %d: recycled-pool IDs %v, want %v", i, second[i].IDs, saved[i].ids)
+					}
+					if len(second[i].Ranked) != len(saved[i].ranked) {
+						t.Fatalf("entry %d: recycled-pool ranked length changed", i)
+					}
+					for j := range saved[i].ranked {
+						if second[i].Ranked[j] != saved[i].ranked[j] {
+							t.Fatalf("entry %d rank %d: recycled-pool %+v, want %+v", i, j, second[i].Ranked[j], saved[i].ranked[j])
+						}
+					}
+					// ...and must not have written through the first run's slices.
+					for j, id := range first[i].IDs {
+						if id != scribble.ID {
+							t.Fatalf("entry %d id %d: a later run wrote %d into an earlier Result", i, j, id)
+						}
+					}
+					for j, rk := range first[i].Ranked {
+						if rk != scribble {
+							t.Fatalf("entry %d rank %d: a later run wrote %+v into an earlier Result", i, j, rk)
+						}
+					}
+				}
+			})
 		}
 	}
 }
 
-// TestQueryBatchConcurrentRefresh is the -race hammer: QueryBatch runs
-// with deliberately interleaved Refresh (a pure index-state rewrite) and
-// results must stay exact once the dust settles.
+// TestQueryBatchConcurrentRefresh is the -race hammer: QueryBatch and
+// per-entry Query/QueryByID (with parallel validation, whose workers
+// share the run's arena work list) run with deliberately interleaved
+// Refresh (a pure index-state rewrite) and results must stay exact once
+// the dust settles.
 func TestQueryBatchConcurrentRefresh(t *testing.T) {
 	r := rand.New(rand.NewSource(27))
 	horizon := timeline.Time(60)
 	ds := randDataset(r, 12, horizon)
 	p := core.Params{Epsilon: 2, Delta: 2, Weight: timeline.Uniform(horizon)}
 	idx := buildTestIndex(t, ds, Options{
-		Bloom:   bloom.Params{M: 256, K: 2},
-		Slices:  4,
-		Params:  p,
-		Reverse: true,
-		Seed:    27,
+		Bloom:             bloom.Params{M: 256, K: 2},
+		Slices:            4,
+		Params:            p,
+		Reverse:           true,
+		Seed:              27,
+		ValidationWorkers: 4,
 	})
 
 	allIDs := make([]history.AttrID, ds.Len())
@@ -275,13 +323,22 @@ func TestQueryBatchConcurrentRefresh(t *testing.T) {
 
 	const batchers = 3
 	var wg sync.WaitGroup
-	errs := make(chan error, batchers+1)
+	errs := make(chan error, 2*batchers+1)
 	for g := 0; g < batchers; g++ {
-		wg.Add(1)
+		wg.Add(2)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 15; i++ {
 				if _, err := idx.QueryBatch(context.Background(), batch, BatchOptions{}); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 15; i++ {
+				if _, err := runSingles(context.Background(), idx, batch); err != nil {
 					errs <- err
 					return
 				}
@@ -308,6 +365,10 @@ func TestQueryBatchConcurrentRefresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	single, err := runSingles(context.Background(), idx, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, bq := range batch {
 		if bq.Options.Mode != ModeForward {
 			continue
@@ -316,8 +377,10 @@ func TestQueryBatchConcurrentRefresh(t *testing.T) {
 		if bq.ByID {
 			q = ds.Attr(bq.ID)
 		}
-		if want := bruteSearch(ds, q, bq.Options.Params); !idsEqual(got[i].IDs, want) {
-			t.Fatalf("after concurrent refreshes, entry %d: got %v, want %v", i, got[i].IDs, want)
+		want := bruteSearch(ds, q, bq.Options.Params)
+		if !idsEqual(got[i].IDs, want) || !idsEqual(single[i].IDs, want) {
+			t.Fatalf("after concurrent refreshes, entry %d: batch %v, single %v, want %v",
+				i, got[i].IDs, single[i].IDs, want)
 		}
 	}
 }

@@ -33,7 +33,7 @@ func TestSearchContextAlreadyCanceled(t *testing.T) {
 	cancel()
 
 	start := time.Now()
-	res, err := idx.SearchContext(ctx, ds.Attr(0), core.DefaultDays(ds.Horizon()))
+	res, err := idx.Query(ctx, ds.Attr(0), QueryOptions{Mode: ModeForward, Params: core.DefaultDays(ds.Horizon())})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
@@ -56,7 +56,7 @@ func TestReverseContextAlreadyCanceled(t *testing.T) {
 	idx, ds := cancelTestIndex(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := idx.ReverseContext(ctx, ds.Attr(0), core.DefaultDays(ds.Horizon()))
+	_, err := idx.Query(ctx, ds.Attr(0), QueryOptions{Mode: ModeReverse, Params: core.DefaultDays(ds.Horizon())})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
@@ -66,7 +66,7 @@ func TestSearchContextExpiredDeadline(t *testing.T) {
 	idx, ds := cancelTestIndex(t)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, err := idx.SearchContext(ctx, ds.Attr(0), core.DefaultDays(ds.Horizon()))
+	_, err := idx.Query(ctx, ds.Attr(0), QueryOptions{Mode: ModeForward, Params: core.DefaultDays(ds.Horizon())})
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("want ErrDeadlineExceeded, got %v", err)
 	}
@@ -96,7 +96,7 @@ func TestTopKContextAlreadyCanceled(t *testing.T) {
 	idx, ds := cancelTestIndex(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := idx.TopKContext(ctx, ds.Attr(0), 7, timeline.Uniform(ds.Horizon()), 5); !errors.Is(err, ErrCanceled) {
+	if _, err := idx.Query(ctx, ds.Attr(0), QueryOptions{Mode: ModeTopK, Params: core.Params{Delta: 7, Weight: timeline.Uniform(ds.Horizon())}, K: 5}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
 }
@@ -115,7 +115,7 @@ func TestSearchContextMidFlightCancellation(t *testing.T) {
 	// Run searches until the cancellation lands mid-flight or we run out
 	// of queries; either way every returned error must be typed.
 	for i := 0; i < ds.Len(); i++ {
-		_, err := idx.SearchContext(ctx, ds.Attr(history.AttrID(i)), p)
+		_, err := idx.Query(ctx, ds.Attr(history.AttrID(i)), QueryOptions{Mode: ModeForward, Params: p})
 		if err == nil {
 			continue
 		}
@@ -137,7 +137,7 @@ func TestSearchContextBackgroundMatchesSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctxed, err := idx.SearchContext(context.Background(), q, p)
+	ctxed, err := idx.Query(context.Background(), q, QueryOptions{Mode: ModeForward, Params: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestAllPairsClampsNonPositiveWorkers(t *testing.T) {
 	// not spawn zero workers and silently discover nothing.
 	idx, ds := cancelTestIndex(t)
 	p := core.DefaultDays(ds.Horizon())
-	want, err := idx.AllPairs(p, 2)
+	want, err := idx.AllPairsContext(context.Background(), p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestAllPairsClampsNonPositiveWorkers(t *testing.T) {
 		t.Fatal("test corpus must contain tINDs")
 	}
 	for _, workers := range []int{0, -1, -100} {
-		got, err := idx.AllPairs(p, workers)
+		got, err := idx.AllPairsContext(context.Background(), p, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"testing"
 
 	"tind/internal/bloom"
@@ -33,7 +34,7 @@ func TestEmptyDataset(t *testing.T) {
 	if err != nil || len(rres.IDs) != 0 {
 		t.Fatalf("empty dataset reverse: %v, %v", rres.IDs, err)
 	}
-	pairs, err := idx.AllPairs(core.DefaultDays(10), 2)
+	pairs, err := idx.AllPairsContext(context.Background(), core.DefaultDays(10), 2)
 	if err != nil || len(pairs) != 0 {
 		t.Fatalf("empty dataset all-pairs: %v, %v", pairs, err)
 	}
@@ -108,7 +109,7 @@ func TestQueryInvalidParams(t *testing.T) {
 	if _, err := idx.Reverse(h, bad); err == nil {
 		t.Error("negative ε must be rejected in reverse")
 	}
-	if _, err := idx.AllPairs(bad, 1); err == nil {
+	if _, err := idx.AllPairsContext(context.Background(), bad, 1); err == nil {
 		t.Error("negative ε must be rejected in all-pairs")
 	}
 }

@@ -174,10 +174,9 @@ type Index struct {
 	// resliceMu serializes Reslice passes against each other; queries and
 	// Refresh never take it.
 	resliceMu *sync.Mutex
-	// pool recycles batched-query scratch (candidate vectors, arenas).
-	// A pointer so the shallow copies WithValidationWorkers takes share
-	// one pool; nil (an Index assembled without Build) degrades to
-	// unpooled allocation.
+	// pool recycles the scratch every query runs on (candidate vectors,
+	// arenas). A pointer so the shallow copies WithValidationWorkers takes
+	// share one pool.
 	pool *queryPool
 }
 

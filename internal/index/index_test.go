@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -325,7 +326,7 @@ func TestAllPairsMatchesPerQuerySearch(t *testing.T) {
 		Bloom: bloom.Params{M: 256, K: 2}, Slices: 4, Params: core.DefaultDays(horizon), Seed: 7,
 	})
 	p := core.Params{Epsilon: 3, Delta: 2, Weight: timeline.Uniform(horizon)}
-	pairs, err := idx.AllPairs(p, 4)
+	pairs, err := idx.AllPairsContext(context.Background(), p, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,8 +80,8 @@ type TraceSpan = obs.Span
 
 // Query is the context-first entry point for all single-query modes:
 // forward search, reverse search and top-k ranking, selected by
-// QueryOptions.Mode. It subsumes the deprecated
-// Search/Reverse/TopK(Context) pairs, which remain as thin wrappers.
+// QueryOptions.Mode. It runs the same pooled pipeline as one QueryBatch
+// entry, minus the amortized matrix probe.
 //
 // The context is polled between pruning stages, between candidate
 // batches of the subset pre-check and inside exact validation; once it
@@ -98,7 +98,15 @@ func (x *Index) Query(ctx context.Context, q *history.History, o QueryOptions) (
 	// interleave with a running query. Queries among themselves share.
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	return x.queryLocked(ctx, q, o)
+	return x.runOne(ctx, q, o)
+}
+
+// runOne executes a validated query on an arena of its own; the caller
+// holds the read lock.
+func (x *Index) runOne(ctx context.Context, q *history.History, o QueryOptions) (Result, error) {
+	ar := x.pool.getArena(x.ds.Len(), x.opt.Bloom)
+	defer x.pool.putArena(ar)
+	return x.runEntry(ctx, q, o, ar, probed{}, 0)
 }
 
 // errResult stamps the Timings contract onto an otherwise empty Result:
@@ -132,7 +140,7 @@ func (x *Index) QueryByID(ctx context.Context, id history.AttrID, o QueryOptions
 	if id < 0 || int(id) >= x.ds.Len() {
 		return errResult(start), fmt.Errorf("%w: query attribute %d out of range", ErrInvalidOptions, id)
 	}
-	return x.queryLocked(ctx, x.ds.Attr(id), o)
+	return x.runOne(ctx, x.ds.Attr(id), o)
 }
 
 // validate rejects malformed query options with ErrInvalidOptions.
@@ -149,100 +157,65 @@ func (o QueryOptions) validate() error {
 	return nil
 }
 
-// queryLocked dispatches a validated query; the caller holds the read
-// lock.
-func (x *Index) queryLocked(ctx context.Context, q *history.History, o QueryOptions) (Result, error) {
-	qm[o.Mode].queries.Inc()
-
-	r := &queryRun{x: x, mode: o.Mode, start: time.Now()}
-	if o.Trace {
-		r.tr = obs.NewTrace()
-	}
-	var (
-		res Result
-		err error
-	)
-	switch o.Mode {
-	case ModeForward:
-		res, err = r.search(ctx, q, o.Params, false)
-	case ModeReverse:
-		res, err = r.search(ctx, q, o.Params, true)
-	case ModeTopK:
-		res, err = r.topK(ctx, q, o)
-	}
-	r.finish(&res.Stats, err)
-	return res, err
-}
-
-// queryRun carries the cross-phase state of one Query call: the clock,
-// the optional trace, and the mode's metrics. Under batched execution it
-// additionally carries the worker's arena, the shared pool, and — for
-// matrix-eligible entries — the batch-probed phase-1 candidate set.
+// queryRun carries the cross-phase state of one query — a Query call or
+// one QueryBatch entry: the clock, the optional trace, the mode's metrics,
+// the scratch arena of the goroutine executing it and, for a
+// matrix-eligible batch entry, the batch-probed phase-1 candidate set.
 type queryRun struct {
 	x     *Index
 	mode  Mode
 	start time.Time
 	tr    *obs.Trace
 
-	// ar is the executing worker's scratch arena; nil outside QueryBatch,
-	// in which case every helper falls back to fresh allocation.
+	// ar is the run's scratch arena, owned by the executing goroutine for
+	// the duration of the run; nothing in it may be reachable from the
+	// returned Result.
 	ar *arena
-	// pool recycles candidate vectors; nil outside QueryBatch. search
-	// returns every pooled candidate vector it owns on all exit paths.
-	pool *queryPool
-	// pre transfers ownership of the batch-probed candidate set (with
-	// preReq the forward required values it was probed for, and preShare
-	// this entry's share of the amortized sweep time). search consumes
-	// it on its first pass and nils it out.
-	pre      *bitmatrix.Vec
-	preReq   values.Set
-	preShare time.Duration
+	// pre transfers ownership of the batch-probed candidate set. search
+	// consumes it on its first pass and returns every pooled candidate
+	// vector it owns to x.pool on all exit paths.
+	pre probed
 	// valWorkers overrides Options.ValidationWorkers when positive;
 	// QueryBatch pins it to 1 while parallelizing across sub-queries.
 	valWorkers int
 }
 
-// newCand returns a dataset-width candidate vector with unspecified
-// contents, pooled under batched execution.
-func (r *queryRun) newCand() *bitmatrix.Vec {
-	if r.pool != nil {
-		return r.pool.getVec(r.x.ds.Len())
-	}
-	return bitmatrix.NewVec(r.x.ds.Len())
+// probed is one batch entry's part of the amortized phase-1 sweep: the
+// candidate set (nil when the entry probes for itself), the forward
+// required values it was probed for, and the entry's share of the sweep
+// time.
+type probed struct {
+	cand  *bitmatrix.Vec
+	req   values.Set
+	share time.Duration
 }
 
-// filterFor builds a Bloom filter over the set, reusing the arena's
-// filter when available. The returned filter is only valid until the
-// next filterFor call on the same run.
+// newCand returns a pooled dataset-width candidate vector with
+// unspecified contents.
+func (r *queryRun) newCand() *bitmatrix.Vec { return r.x.pool.getVec(r.x.ds.Len()) }
+
+// filterFor rebuilds the arena's Bloom filter over the set. The returned
+// filter is only valid until the next filterFor call on the same run.
 func (r *queryRun) filterFor(s values.Set) *bloom.Filter {
-	if r.ar != nil {
-		r.ar.filter.Reset()
-		r.ar.filter.AddSet(s)
-		return r.ar.filter
-	}
-	return bloom.FromSet(r.x.opt.Bloom, s)
+	r.ar.filter.Reset()
+	r.ar.filter.AddSet(s)
+	return r.ar.filter
 }
 
-// vioMap returns an empty violation accumulator, reusing the arena's.
+// vioMap returns the arena's violation accumulator, emptied.
 func (r *queryRun) vioMap() map[int]float64 {
-	if r.ar != nil {
-		clear(r.ar.vio)
-		return r.ar.vio
-	}
-	return make(map[int]float64)
+	clear(r.ar.vio)
+	return r.ar.vio
 }
 
-// requiredValues computes R_{ε,w}(q), using the arena's scratch under
-// batched execution. The returned set then aliases the arena and is only
-// valid until the next requiredValues call on the same run — callers keep
-// it strictly within the current sub-query and never hand it to a Result.
+// requiredValues computes R_{ε,w}(q) into the arena's scratch. The
+// returned set aliases the arena and is only valid until the next
+// requiredValues call on the same run — callers keep it strictly within
+// the current query and never hand it to a Result.
 func (r *queryRun) requiredValues(q *history.History, epsilon float64, w timeline.WeightFunc) values.Set {
-	if r.ar != nil {
-		var s values.Set
-		s, r.ar.vbuf = core.RequiredValuesScratch(q, epsilon, w, r.ar.occ, r.ar.vbuf)
-		return s
-	}
-	return core.RequiredValues(q, epsilon, w)
+	var s values.Set
+	s, r.ar.vbuf = core.RequiredValuesScratch(q, epsilon, w, r.ar.occ, r.ar.vbuf)
+	return s
 }
 
 // phase times one pipeline phase: end() records the elapsed time into
@@ -293,15 +266,13 @@ func (r *queryRun) search(ctx context.Context, q *history.History, p core.Params
 	x := r.x
 	var st QueryStats
 	var cand *bitmatrix.Vec
-	// Pooled candidate vectors go back to the pool on every exit path —
+	// Candidate vectors go back to the pool on every exit path —
 	// including aborts and the unconsumed batch-probed set of an entry
 	// that never reached phase 1.
 	defer func() {
-		if r.pool != nil {
-			r.pool.putVec(cand)
-			r.pool.putVec(r.pre)
-			r.pre = nil
-		}
+		x.pool.putVec(cand)
+		x.pool.putVec(r.pre.cand)
+		r.pre = probed{}
 	}()
 	abort := func(err error) (Result, error) {
 		return Result{Stats: st}, err
@@ -317,36 +288,24 @@ func (r *queryRun) search(ctx context.Context, q *history.History, p core.Params
 	// row-major sweep to this phase.
 	endPhase := r.phase(phaseMTPrune, &st.Timings.MTPrune)
 	var req values.Set // forward only: required values, reused by the subset check
-	if r.pre != nil {
-		cand, req = r.pre, r.preReq
-		r.pre, r.preReq = nil, nil
-		st.Timings.MTPrune += r.preShare
+	if r.pre.cand != nil {
+		cand, req = r.pre.cand, r.pre.req
+		st.Timings.MTPrune += r.pre.share
+		r.pre = probed{}
 	} else if reverse {
+		cand = r.newCand()
 		if x.mR != nil && p.Epsilon <= x.opt.Params.Epsilon {
-			qf := r.filterFor(q.AllValues())
-			cand = r.newCand()
-			if r.ar != nil {
-				r.ar.bits = x.mR.SubsetsInto(qf, nil, cand, r.ar.bits)
-			} else {
-				x.mR.SubsetsInto(qf, nil, cand, nil)
-			}
+			r.ar.bits = x.mR.SubsetsInto(r.filterFor(q.AllValues()), nil, cand, r.ar.bits)
 		} else {
-			cand = r.newCand()
 			cand.Fill()
 		}
 	} else {
 		req = r.requiredValues(q, p.Epsilon, p.Weight)
+		cand = r.newCand()
 		if x.opt.DisableRequiredValues {
-			cand = r.newCand()
 			cand.Fill()
 		} else {
-			qf := r.filterFor(req)
-			cand = r.newCand()
-			if r.ar != nil {
-				r.ar.bits = x.mT.SupersetsInto(qf, nil, cand, r.ar.bits)
-			} else {
-				x.mT.SupersetsInto(qf, nil, cand, nil)
-			}
+			r.ar.bits = x.mT.SupersetsInto(r.filterFor(req), nil, cand, r.ar.bits)
 		}
 	}
 	x.excludeSelf(q, cand)
@@ -459,13 +418,8 @@ func (r *queryRun) reverseSlicePrune(ctx context.Context, q *history.History, p 
 		used++
 		st.SlicesUsed++
 		qWin := q.Union(ts.iv.Expand(2 * x.opt.Params.Delta))
-		var violators *bitmatrix.Vec
-		if ar := r.ar; ar != nil {
-			ar.bits = ts.matrix.ViolatorsInto(r.filterFor(qWin), cand, ar.probe, ar.bits)
-			violators = ar.probe
-		} else {
-			violators = ts.matrix.Violators(bloom.FromSet(x.opt.Bloom, qWin), cand)
-		}
+		violators := r.ar.probe
+		r.ar.bits = ts.matrix.ViolatorsInto(r.filterFor(qWin), cand, violators, r.ar.bits)
 		if x.ss.dirty != nil {
 			violators.AndNot(x.ss.dirty)
 		}

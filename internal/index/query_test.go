@@ -65,8 +65,8 @@ func TestQueryModeDispatch(t *testing.T) {
 }
 
 // goldenStats is the QueryStats subset that must be bit-identical
-// between a deprecated wrapper and the Query call it forwards to
-// (everything except wall-clock times and the trace).
+// between a batch entry and the single Query it stands for (everything
+// except wall-clock times and the trace).
 type goldenStats struct {
 	initial, afterSlices, afterSubset, validated, results, slices int
 }
@@ -74,48 +74,6 @@ type goldenStats struct {
 func golden(st QueryStats) goldenStats {
 	return goldenStats{st.InitialCandidates, st.AfterSlices, st.AfterSubsetCheck,
 		st.Validated, st.Results, st.SlicesUsed}
-}
-
-func TestDeprecatedWrappersMatchQuery(t *testing.T) {
-	ds, x := queryTestIndex(t, 12, 40)
-	p := core.DefaultDays(ds.Horizon())
-	ctx := context.Background()
-	for i := 0; i < ds.Len(); i += 5 {
-		q := ds.Attr(history.AttrID(i))
-
-		oldFwd, err1 := x.Search(q, p)
-		newFwd, err2 := x.Query(ctx, q, QueryOptions{Mode: ModeForward, Params: p})
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		if !idsEqual(oldFwd.IDs, newFwd.IDs) || golden(oldFwd.Stats) != golden(newFwd.Stats) {
-			t.Fatalf("attr %d: Search wrapper deviates from Query: %+v vs %+v",
-				i, golden(oldFwd.Stats), golden(newFwd.Stats))
-		}
-
-		oldRev, err1 := x.Reverse(q, p)
-		newRev, err2 := x.Query(ctx, q, QueryOptions{Mode: ModeReverse, Params: p})
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		if !idsEqual(oldRev.IDs, newRev.IDs) || golden(oldRev.Stats) != golden(newRev.Stats) {
-			t.Fatalf("attr %d: Reverse wrapper deviates from Query", i)
-		}
-
-		oldTop, err1 := x.TopK(q, p.Delta, p.Weight, 4)
-		newTop, err2 := x.Query(ctx, q, QueryOptions{Mode: ModeTopK, Params: core.Params{Delta: p.Delta, Weight: p.Weight}, K: 4})
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		if len(oldTop) != len(newTop.Ranked) {
-			t.Fatalf("attr %d: TopK wrapper returned %d, Query %d", i, len(oldTop), len(newTop.Ranked))
-		}
-		for j := range oldTop {
-			if oldTop[j] != newTop.Ranked[j] {
-				t.Fatalf("attr %d rank %d: %+v vs %+v", i, j, oldTop[j], newTop.Ranked[j])
-			}
-		}
-	}
 }
 
 func TestQueryTimingsAlwaysPopulated(t *testing.T) {

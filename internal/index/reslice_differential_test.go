@@ -181,12 +181,12 @@ func TestResliceMatchesRebuildAndOracle(t *testing.T) {
 			}
 
 			k := 1 + r.Intn(4)
-			topGot, err := idx.TopK(q, 2, timeline.Uniform(newHorizon), k)
+			topGot, err := topK(idx, q, 2, timeline.Uniform(newHorizon), k)
 			if err != nil {
 				t.Log(err)
 				return false
 			}
-			topWant, err := rebuilt.TopK(q, 2, timeline.Uniform(newHorizon), k)
+			topWant, err := topK(rebuilt, q, 2, timeline.Uniform(newHorizon), k)
 			if err != nil {
 				t.Log(err)
 				return false

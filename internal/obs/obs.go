@@ -331,7 +331,13 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 
 // WritePrometheus renders every registered metric in the Prometheus text
 // exposition format, families in registration order.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+func (r *Registry) WritePrometheus(w io.Writer) error { return r.render(w, false) }
+
+// render writes every registered metric in one of the two text dialects.
+// OpenMetrics differs from Prometheus 0.0.4 in three places: TYPE comes
+// before HELP, counter metadata drops the `_total` suffix the samples
+// keep, and bucket lines carry their exemplar before a closing `# EOF`.
+func (r *Registry) render(w io.Writer, openMetrics bool) error {
 	r.mu.Lock()
 	// Snapshot the family list; metric values are read atomically below.
 	names := append([]string(nil), r.names...)
@@ -343,10 +349,20 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 	bw := bufio.NewWriter(w)
 	for _, f := range fams {
-		if f.help != "" {
-			fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
+		metaName, sampleName := f.name, f.name
+		if openMetrics && f.kind == kindCounter {
+			metaName = strings.TrimSuffix(f.name, "_total")
+			sampleName = metaName + "_total"
 		}
-		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
+		if openMetrics {
+			fmt.Fprintf(bw, "# TYPE %s %s\n", metaName, f.kind)
+		}
+		if f.help != "" {
+			fmt.Fprintf(bw, "# HELP %s %s\n", metaName, escapeHelp(f.help))
+		}
+		if !openMetrics {
+			fmt.Fprintf(bw, "# TYPE %s %s\n", metaName, f.kind)
+		}
 		r.mu.Lock()
 		keys := append([]string(nil), f.order...)
 		metrics := make([]interface{}, len(keys))
@@ -357,19 +373,34 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		for i, key := range keys {
 			switch m := metrics[i].(type) {
 			case *Counter:
-				writeSample(bw, f.name, key, "", float64(m.Value()))
+				writeSample(bw, sampleName, key, float64(m.Value()))
 			case *Gauge:
-				writeSample(bw, f.name, key, "", m.Value())
+				writeSample(bw, sampleName, key, m.Value())
 			case *Histogram:
+				// One snapshot feeds every bucket line and _count. Observe
+				// bumps its bucket before the total, so a separate Count()
+				// read under concurrent observation could put +Inf below
+				// the last finite bucket or apart from _count — invalid in
+				// both dialects.
 				cum := m.BucketCounts()
-				for bi, bound := range m.bounds {
-					writeSample(bw, f.name+"_bucket", joinLabels(key, `le="`+formatFloat(bound)+`"`), "", float64(cum[bi]))
+				var ex []*Exemplar
+				if openMetrics {
+					ex = m.Exemplars()
 				}
-				writeSample(bw, f.name+"_bucket", joinLabels(key, `le="+Inf"`), "", float64(m.Count()))
-				writeSample(bw, f.name+"_sum", key, "", m.Sum())
-				writeSample(bw, f.name+"_count", key, "", float64(m.Count()))
+				for bi, c := range cum {
+					le := "+Inf"
+					if bi < len(m.bounds) {
+						le = formatFloat(m.bounds[bi])
+					}
+					writeBucketSample(bw, f.name, joinLabels(key, `le="`+le+`"`), float64(c), bucketExemplar(ex, bi))
+				}
+				writeSample(bw, f.name+"_sum", key, m.Sum())
+				writeSample(bw, f.name+"_count", key, float64(cum[len(cum)-1]))
 			}
 		}
+	}
+	if openMetrics {
+		bw.WriteString("# EOF\n")
 	}
 	return bw.Flush()
 }
@@ -381,9 +412,8 @@ func joinLabels(a, b string) string {
 	return a + "," + b
 }
 
-func writeSample(w *bufio.Writer, name, labels, suffix string, v float64) {
+func writeSample(w *bufio.Writer, name, labels string, v float64) {
 	w.WriteString(name)
-	w.WriteString(suffix)
 	if labels != "" {
 		w.WriteByte('{')
 		w.WriteString(labels)

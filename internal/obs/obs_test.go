@@ -177,7 +177,4 @@ func TestTrace(t *testing.T) {
 	if nilTrace.Spans() != nil {
 		t.Fatal("nil trace must have no spans")
 	}
-	if nilTrace.String() != "(no spans)" {
-		t.Fatalf("nil trace string: %q", nilTrace.String())
-	}
 }

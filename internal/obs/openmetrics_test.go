@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"io"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -55,6 +58,76 @@ func TestWriteOpenMetricsFormat(t *testing.T) {
 	if !strings.Contains(out, "tind_test_latency_seconds_sum") || !strings.Contains(out, "tind_test_latency_seconds_count 2\n") {
 		t.Errorf("histogram sum/count missing:\n%s", out)
 	}
+}
+
+// TestRenderConsistentUnderObserve scrapes both dialects while goroutines
+// observe: within every scrape the bucket counts must not decrease along
+// le, and the +Inf bucket must equal _count.
+func TestRenderConsistentUnderObserve(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("tind_test_latency_seconds", "Latency.", []float64{1, 2, 3})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if v := float64(i % 5); g%2 == 0 { // 4 lands in +Inf
+					h.Observe(v)
+				} else {
+					h.ObserveExemplar(v, L("query_id", "q"))
+				}
+			}
+		}(g)
+	}
+	dialects := map[string]func(io.Writer) error{
+		"prometheus": r.WritePrometheus, "openmetrics": r.WriteOpenMetrics,
+	}
+	for scrape := 0; scrape < 300; scrape++ {
+		for name, write := range dialects {
+			var b strings.Builder
+			if err := write(&b); err != nil {
+				t.Fatal(err)
+			}
+			var buckets []float64 // formatFloat renders counts >= 1e6 in exponent form
+			count := -1.0
+			for _, line := range strings.Split(b.String(), "\n") {
+				f := strings.Fields(line)
+				if len(f) < 2 {
+					continue
+				}
+				v, err := strconv.ParseFloat(f[1], 64)
+				switch {
+				case strings.HasPrefix(f[0], "tind_test_latency_seconds_bucket{"):
+					if err != nil {
+						t.Fatalf("%s: bucket line %q: %v", name, line, err)
+					}
+					buckets = append(buckets, v)
+				case f[0] == "tind_test_latency_seconds_count":
+					count = v
+				}
+			}
+			if len(buckets) != 4 {
+				t.Fatalf("%s: want 4 bucket lines, got %d:\n%s", name, len(buckets), b.String())
+			}
+			for i := 1; i < len(buckets); i++ {
+				if buckets[i] < buckets[i-1] {
+					t.Fatalf("%s scrape %d: bucket counts decrease along le: %v", name, scrape, buckets)
+				}
+			}
+			if buckets[3] != count {
+				t.Fatalf("%s scrape %d: +Inf bucket %v != _count %v", name, scrape, buckets[3], count)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 func TestObserveExemplarCountsMatchObserve(t *testing.T) {

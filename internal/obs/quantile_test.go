@@ -10,7 +10,7 @@ import (
 // landed in an empty leading bucket (q=0 with no samples below the
 // first bound) resolved to that bucket's upper edge — a value below
 // anything ever observed — via the 0/0-guard branch, and /healthz p50
-// plus the slow-query p95/p99 could report it.
+// could report it.
 func TestQuantileBucketEdges(t *testing.T) {
 	cases := []struct {
 		name    string

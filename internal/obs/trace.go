@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 )
@@ -63,20 +62,4 @@ func (t *Trace) Spans() []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]Span(nil), t.spans...)
-}
-
-// String renders the whole trace on one line for slow-query logs.
-func (t *Trace) String() string {
-	if t == nil {
-		return "(no spans)"
-	}
-	spans := t.Spans()
-	if len(spans) == 0 {
-		return "(no spans)"
-	}
-	parts := make([]string, len(spans))
-	for i, s := range spans {
-		parts[i] = s.String()
-	}
-	return strings.Join(parts, " | ")
 }

@@ -233,16 +233,16 @@ const (
 	WeightedRandomSlices = index.WeightedRandom
 )
 
-// Query modes: Index.Query(ctx, q, QueryOptions{Mode: ...}) subsumes the
-// deprecated Search/Reverse/TopK method pairs.
+// Query modes: Index.Query(ctx, q, QueryOptions{Mode: ...}) is the one
+// entry point; Index.Search and Index.Reverse are conveniences for it.
 const (
 	ModeForward = index.ModeForward
 	ModeReverse = index.ModeReverse
 	ModeTopK    = index.ModeTopK
 )
 
-// Typed query-abort errors. Context-aware queries (SearchContext,
-// ReverseContext, TopKContext, AllPairsContext on Index) return an error
+// Typed query-abort errors. Context-aware queries (Query, QueryByID,
+// QueryBatch, AllPairsContext on Index) return an error
 // matching ErrQueryCanceled or ErrQueryDeadlineExceeded via errors.Is when
 // the caller's context ends mid-query; the wrapped context.Canceled /
 // context.DeadlineExceeded also still match.

@@ -199,7 +199,7 @@ func TestPublicAPICorpusAndEval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, err := idx.AllPairs(tind.DefaultParams(c.Dataset.Horizon()), 4)
+	pairs, err := idx.AllPairsContext(context.Background(), tind.DefaultParams(c.Dataset.Horizon()), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
