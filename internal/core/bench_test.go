@@ -41,14 +41,48 @@ func benchPair(versions int) (*history.History, *history.History) {
 	return q, a
 }
 
+// foreignColumn builds a 50-version column over a vocabulary of its own
+// (ids from 1<<20), plus the given values of someone else's in every version.
+func foreignColumn(shared ...values.Value) *history.History {
+	b := history.NewBuilder(history.Meta{Page: "foreign"})
+	for v := 0; v < 50; v++ {
+		ids := append([]values.Value{}, shared...)
+		for k := 0; k <= v; k++ {
+			ids = append(ids, values.Value(1<<20+k))
+		}
+		b.Observe(timeline.Time(v*10), values.NewSet(ids...))
+	}
+	a, err := b.Build(500)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
+// BenchmarkHolds times one validation. The versions=N cases are contained
+// pairs, the expensive road through the sweep; unrelated and
+// shares-one-value are what top-k and relaxed queries mostly validate — a
+// right-hand side with nothing, or one stray value, of Q's vocabulary.
 func BenchmarkHolds(b *testing.B) {
+	type pair struct {
+		name string
+		q, a *history.History
+	}
+	var pairs []pair
 	for _, versions := range []int{13, 50, 200} {
 		q, a := benchPair(versions)
-		p := Params{Epsilon: 3, Delta: 7, Weight: timeline.Uniform(q.ObservedUntil())}
-		b.Run(fmt.Sprintf("versions=%d", versions), func(b *testing.B) {
+		pairs = append(pairs, pair{fmt.Sprintf("versions=%d", versions), q, a})
+	}
+	q, _ := benchPair(50)
+	pairs = append(pairs,
+		pair{"unrelated", q, foreignColumn()},
+		pair{"shares-one-value", q, foreignColumn(7)})
+	for _, pr := range pairs {
+		p := Params{Epsilon: 3, Delta: 7, Weight: timeline.Uniform(pr.q.ObservedUntil())}
+		b.Run(pr.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				Holds(q, a, p)
+				Holds(pr.q, pr.a, p)
 			}
 		})
 	}

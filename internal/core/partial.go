@@ -17,8 +17,8 @@ import (
 //
 // The index cannot prune partial candidates with required values (any
 // single value may be part of the tolerated 1−σ gap), so discovery runs
-// through exhaustive validation; the validation itself reuses the
-// interval partitioning of Algorithm 2 and stays fast.
+// through exhaustive validation; the validation itself is the sweep of
+// Algorithm 2 with a tolerance for absent values and stays fast.
 
 // SigmaContained reports whether at least sigma of Q[t]'s values appear
 // in A[[t−δ, t+δ]]. An empty Q[t] is trivially contained. sigma = 1 is
@@ -55,31 +55,7 @@ func ViolationWeightPartial(q, a *history.History, p Params, sigma float64, earl
 	if !(sigma > 0 && sigma <= 1) {
 		return 0, fmt.Errorf("core: sigma must be in (0,1], got %g", sigma)
 	}
-	n := p.Weight.Horizon()
-	bs := boundaries(q, a, p.Delta, n)
-	cursor := history.NewCursor(a)
-	var violation float64
-	for i := 0; i+1 < len(bs); i++ {
-		iv := timeline.NewInterval(bs[i], bs[i+1])
-		qv := q.At(iv.Start)
-		if qv.IsEmpty() {
-			continue
-		}
-		ms := cursor.Seek(iv.Expand(p.Delta))
-		contained := 0
-		for _, v := range qv {
-			if ms.Contains(v) {
-				contained++
-			}
-		}
-		if float64(contained)/float64(qv.Len()) < sigma {
-			violation += p.Weight.Sum(iv)
-			if earlyExit && violation > p.Epsilon {
-				return violation, nil
-			}
-		}
-	}
-	return violation, nil
+	return new(Scratch).violationWeight(nil, q, a, p, sigma, earlyExit)
 }
 
 // HoldsPartialNaive checks the definition timestamp by timestamp; the

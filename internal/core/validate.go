@@ -3,18 +3,18 @@ package core
 import (
 	"context"
 	"slices"
-	"sort"
 
 	"tind/internal/history"
 	"tind/internal/timeline"
 	"tind/internal/values"
 )
 
-// cancelCheckEvery is how many boundary intervals Algorithm 2 validates
-// between cancellation polls. Attribute histories with many change points
-// produce thousands of intervals per candidate pair, so a mid-candidate
-// poll keeps even a single pathological validation interruptible; the
-// poll itself is one atomic load per batch and vanishes in profiles.
+// cancelCheckEvery is how many steps of the sweep — versions of Q and
+// boundary intervals inside them — Algorithm 2 takes between cancellation
+// polls. Attribute histories with many change points produce thousands of
+// intervals per candidate pair, so a mid-candidate poll keeps even a
+// single pathological validation interruptible; the poll itself is one
+// atomic load per batch and vanishes in profiles.
 const cancelCheckEvery = 256
 
 // StaticIND reports whether Q[t] ⊆ A[t] (Definition 3.1).
@@ -34,108 +34,242 @@ func DeltaContained(q, a *history.History, t timeline.Time, delta timeline.Time)
 	return qv.SubsetOf(a.Union(timeline.Window(t, delta)))
 }
 
-// Holds reports whether Q ⊆_{w,ε,δ} A (Definition 3.6), using Algorithm 2:
-// the observation period is partitioned into intervals within which both
-// Q's version and A's δ-window content are constant, so δ-containment is
-// checked once per interval instead of once per timestamp. A sliding
-// window (history.Cursor) over A's versions makes the overall cost linear
-// in the number of change points of Q and A.
+// Holds reports whether Q ⊆_{w,ε,δ} A (Definition 3.6), using Algorithm 2
+// restricted to the vocabulary Q and A share (see Scratch.sweep).
 func Holds(q, a *history.History, p Params) bool {
-	_, ok, _ := violationWeight(nil, q, a, p, true)
+	_, ok, _ := new(Scratch).Check(nil, q, a, p)
 	return ok
-}
-
-// HoldsContext is Holds with a cancellation hook inside the validation
-// loop: every cancelCheckEvery boundary intervals the context is polled,
-// and a done context aborts the candidate with the context's error. The
-// index layer uses it so heavy-tail queries stop burning CPU mid-candidate
-// rather than only between candidates.
-func HoldsContext(ctx context.Context, q, a *history.History, p Params) (bool, error) {
-	_, ok, err := violationWeight(ctx, q, a, p, true)
-	return ok, err
 }
 
 // ViolationWeight returns the total summed weight of timestamps at which
 // Q[t] is not δ-contained in A. The tIND holds iff the result is ≤ ε; the
 // exact weight feeds diagnostics and the evaluation harness.
 func ViolationWeight(q, a *history.History, p Params) float64 {
-	w, _, _ := violationWeight(nil, q, a, p, false)
+	w, _ := new(Scratch).violationWeight(nil, q, a, p, 1, false)
 	return w
 }
 
-// ViolationWeightContext is ViolationWeight with the same periodic
-// cancellation poll as HoldsContext.
-func ViolationWeightContext(ctx context.Context, q, a *history.History, p Params) (float64, error) {
-	w, _, err := violationWeight(ctx, q, a, p, false)
-	return w, err
+// MaxViolation returns the violation weight of Q against an attribute that
+// covers none of its versions, the most any right-hand side can reach. It
+// adds the same terms in the same order as the sweep does for such a pair,
+// so the two agree bit for bit under every weight function.
+func MaxViolation(q *history.History, w timeline.WeightFunc) float64 {
+	var total float64
+	for i := 0; i < q.NumVersions(); i++ {
+		if iv := q.Validity(i).Clamp(w.Horizon()); !iv.IsEmpty() && !q.Version(i).Values.IsEmpty() {
+			total += w.Sum(iv)
+		}
+	}
+	return total
 }
 
-// boundaries assembles and sorts the timestamps at which δ-containment of
-// Q in A may change (lines 1–2 of Algorithm 2): Q's change points and
-// observation end, A's change points shifted by ±δ, the departure of A's
-// last version at obsEnd+δ, and the horizon n.
-func boundaries(q, a *history.History, delta timeline.Time, n timeline.Time) []timeline.Time {
-	ts := make([]timeline.Time, 0, q.NumVersions()+2*a.NumVersions()+4)
-	for _, t := range q.ChangeTimes() {
-		ts = append(ts, t)
-	}
-	ts = append(ts, q.ObservedUntil())
-	for _, t := range a.ChangeTimes() {
-		// A version starting at s is in the δ-window of t for
-		// t ∈ [s−δ, e−1+δ] with e its validity end, so window content
-		// changes at s−δ (version enters) and at s+δ (the previous
-		// version, which ended at s, leaves).
-		ts = append(ts, t-delta, t+delta)
-	}
-	ts = append(ts, a.ObservedUntil()+delta) // last version of A leaves
-	ts = append(ts, 0, n)
-
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-	// Deduplicate and clamp to [0, n].
-	out := ts[:0]
-	for _, t := range ts {
-		if t < 0 || t > n {
-			continue
-		}
-		if len(out) == 0 || out[len(out)-1] != t {
-			out = append(out, t)
-		}
-	}
-	return out
+// Scratch is the working memory of the validation sweep. A goroutine that
+// validates many pairs keeps one and passes it to every call, which then
+// allocates nothing; the zero value is ready to use.
+type Scratch struct {
+	common []values.Value // All(Q) ∩ All(A), ascending
+	counts []int32        // per common value: versions of A in the δ-window holding it
+	qpos   []int32        // the current Q version's values, as positions in common
+	apos   []int32        // an entering or leaving A version's values, likewise
 }
 
-// violationWeight runs Algorithm 2. With earlyExit it stops as soon as the
-// accumulated violation exceeds ε and reports ok=false; otherwise it
-// accumulates the exact total. A non-nil ctx is polled every
-// cancelCheckEvery intervals; once it is done the loop aborts and the
-// context's error is returned.
-func violationWeight(ctx context.Context, q, a *history.History, p Params, earlyExit bool) (weight float64, ok bool, err error) {
-	n := p.Weight.Horizon()
-	bs := boundaries(q, a, p.Delta, n)
-	cursor := history.NewCursor(a)
-	var violation float64
-	for i := 0; i+1 < len(bs); i++ {
-		if ctx != nil && i%cancelCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return violation, false, err
-			}
+// Check runs Algorithm 2 with the early exit: it stops as soon as the
+// accumulated violation exceeds ε and reports ok=false with the weight
+// reached so far. When ok is true the weight is the exact total, so one
+// call both certifies Q ⊆_{w,ε,δ} A and ranks it. A non-nil ctx is polled
+// every cancelCheckEvery steps and aborts the pair with its error.
+func (s *Scratch) Check(ctx context.Context, q, a *history.History, p Params) (weight float64, ok bool, err error) {
+	weight, err = s.violationWeight(ctx, q, a, p, 1, true)
+	return weight, err == nil && weight <= p.Epsilon, err
+}
+
+// violationWeight sums the violated runs of the sweep in time order, one
+// Weight.Sum per run — the one summation order every consumer of a
+// violation weight shares.
+func (s *Scratch) violationWeight(ctx context.Context, q, a *history.History, p Params,
+	sigma float64, earlyExit bool) (weight float64, err error) {
+	err = s.sweep(ctx, q, a, p, sigma, func(run timeline.Interval, _ values.Value) bool {
+		weight += p.Weight.Sum(run)
+		return !(earlyExit && weight > p.Epsilon)
+	})
+	return weight, err
+}
+
+// sweep is Algorithm 2 — interval partitioning plus a sliding window over
+// A's versions — run on the vocabulary the pair shares. It calls yield, in
+// time order, with every maximal run of timestamps inside one version of Q
+// at which less than sigma of Q[t] is δ-contained in A (sigma = 1 is plain
+// δ-containment), together with one value of Q[t] the window lacks when
+// the run begins; yield returning false ends the sweep.
+//
+// A value outside common = All(Q) ∩ All(A) is in no window of A. A version
+// of Q holding more such values than sigma tolerates is therefore violated
+// for its whole validity, and is reported without looking at A at all:
+// against an unrelated attribute the sweep is a loop over Q's versions.
+// Only the other, coverable versions consult the window, and for them the
+// values outside common are decided already, so the window keeps counts
+// for common alone: versions of A are projected onto it as they enter
+// (at Start−δ) and leave (at ValidUntil+δ), both version indices only move
+// forward, and a stretch of uncoverable versions is skipped without ever
+// counting what entered and left meanwhile. The partition is never
+// materialized: inside one version of Q the next boundary is simply the
+// earlier of the next entry and the next departure.
+func (s *Scratch) sweep(ctx context.Context, q, a *history.History, p Params, sigma float64,
+	yield func(run timeline.Interval, missing values.Value) bool) error {
+	n, d, na := p.Weight.Horizon(), p.Delta, a.NumVersions()
+	s.common = values.AppendIntersect(s.common[:0], q.AllValues(), a.AllValues())
+	s.counts = slices.Grow(s.counts[:0], len(s.common))[:len(s.common)]
+	clear(s.counts)
+	lo, hi := 0, 0 // versions [lo, hi) of A are counted in the window
+	poll := poller{ctx: ctx}
+	for i := 0; i < q.NumVersions(); i++ {
+		if err := poll.err(); err != nil {
+			return err
 		}
-		iv := timeline.NewInterval(bs[i], bs[i+1])
-		qv := q.At(iv.Start)
-		if qv.IsEmpty() {
+		qv, iv := q.Version(i).Values, q.Validity(i).Clamp(n)
+		if qv.IsEmpty() || iv.IsEmpty() {
 			continue // unobservable or empty Q is trivially contained
 		}
-		// A[[t−δ, t+δ]] is constant for t ∈ iv; materialize the union
-		// window for the whole interval.
-		win := iv.Expand(p.Delta)
-		if !cursor.Seek(win).ContainsAll(qv) {
-			violation += p.Weight.Sum(iv)
-			if earlyExit && violation > p.Epsilon {
-				return violation, false, nil
+		s.qpos = appendPositions(s.qpos[:0], s.common, qv)
+		slack := allowedMisses(len(qv), sigma) - (len(qv) - len(s.qpos))
+		if slack < 0 {
+			if !yield(iv, firstOutside(qv, s.common, s.qpos)) {
+				return nil
 			}
+			continue
+		}
+		var run timeline.Interval // the violated run still open at t, if any
+		var missing values.Value
+		for t := iv.Start; t < iv.End; {
+			if err := poll.err(); err != nil {
+				return err
+			}
+			// Bring the window to t, then find how long it stays as it is.
+			for ; lo < na && a.ValidUntil(lo)+d <= t; lo++ {
+				if lo < hi {
+					s.count(a.Version(lo).Values, -1)
+				}
+			}
+			hi = max(hi, lo)
+			for ; hi < na && a.Version(hi).Start-d <= t; hi++ {
+				s.count(a.Version(hi).Values, 1)
+			}
+			next := iv.End
+			if hi < na {
+				next = min(next, a.Version(hi).Start-d)
+			}
+			if lo < na {
+				next = min(next, a.ValidUntil(lo)+d)
+			}
+			if at, violated := s.firstMiss(slack); !violated {
+				if !run.IsEmpty() && !yield(run, missing) {
+					return nil
+				}
+				run = timeline.Interval{}
+			} else if run.IsEmpty() {
+				run, missing = timeline.NewInterval(t, next), s.common[at]
+			} else {
+				run.End = next
+			}
+			t = next
+		}
+		if !run.IsEmpty() && !yield(run, missing) {
+			return nil
 		}
 	}
-	return violation, violation <= p.Epsilon, nil
+	return nil
+}
+
+// poller polls a context on the first of every cancelCheckEvery calls, so
+// each pair is interruptible at its start and a long one inside as well.
+type poller struct {
+	ctx   context.Context
+	calls int
+}
+
+func (p *poller) err() error {
+	if p.calls++; p.ctx == nil || p.calls%cancelCheckEvery != 1 {
+		return nil
+	}
+	return p.ctx.Err()
+}
+
+// count adds d to the window count of every common value the version holds.
+func (s *Scratch) count(vs values.Set, d int32) {
+	s.apos = appendPositions(s.apos[:0], s.common, vs)
+	for _, at := range s.apos {
+		s.counts[at] += d
+	}
+}
+
+// firstMiss scans the current Q version's common values in id order and
+// reports the position (in common) of the one absent from the window that
+// exhausts slack, the number of absences still tolerated.
+func (s *Scratch) firstMiss(slack int) (at int32, violated bool) {
+	for _, at := range s.qpos {
+		if s.counts[at] == 0 {
+			if slack == 0 {
+				return at, true
+			}
+			slack--
+		}
+	}
+	return 0, false
+}
+
+// appendPositions appends, ascending, the positions in common of the values
+// common shares with vs, walking the shorter of the two and galloping
+// through the longer.
+func appendPositions(dst []int32, common []values.Value, vs values.Set) []int32 {
+	if len(common) <= len(vs) {
+		for at, v := range common {
+			i := values.Gallop(vs, v)
+			if i == len(vs) {
+				break
+			}
+			if vs[i] == v {
+				dst = append(dst, int32(at))
+				i++
+			}
+			vs = vs[i:]
+		}
+		return dst
+	}
+	at := 0
+	for _, v := range vs {
+		at += values.Gallop(common[at:], v)
+		if at == len(common) {
+			break
+		}
+		if common[at] == v {
+			dst = append(dst, int32(at))
+			at++
+		}
+	}
+	return dst
+}
+
+// allowedMisses returns how many of a version's n values may be absent
+// from the window before less than sigma of them is contained — the
+// per-timestamp test of SigmaContained, solved for the count. It is 0 for
+// sigma = 1.
+func allowedMisses(n int, sigma float64) int {
+	m := 0
+	for m < n && float64(n-m-1)/float64(n) >= sigma {
+		m++
+	}
+	return m
+}
+
+// firstOutside returns the first value of qv, in id order, that is not in
+// common; pos are qv's positions in common.
+func firstOutside(qv values.Set, common []values.Value, pos []int32) values.Value {
+	for i, at := range pos {
+		if common[at] != qv[i] {
+			return qv[i]
+		}
+	}
+	return qv[len(pos)]
 }
 
 // Violation is one maximal interval during which Q is not δ-contained in
@@ -143,8 +277,9 @@ func violationWeight(ctx context.Context, q, a *history.History, p Params, early
 type Violation struct {
 	Interval timeline.Interval
 	Weight   float64
-	// Missing is one example value of Q that A's δ-window lacks during
-	// the interval (the first in id order), for human-readable output.
+	// Missing is one example value of Q that A's δ-window lacks when the
+	// interval begins, for human-readable output: a value A never holds
+	// if Q's version has one, else the first absent one in id order.
 	Missing values.Value
 }
 
@@ -153,38 +288,19 @@ type Violation struct {
 // interactive exploration: the dependency holds under ε iff the weights
 // sum to at most ε.
 func Explain(q, a *history.History, p Params) []Violation {
-	n := p.Weight.Horizon()
-	bs := boundaries(q, a, p.Delta, n)
-	cursor := history.NewCursor(a)
 	var out []Violation
-	for i := 0; i+1 < len(bs); i++ {
-		iv := timeline.NewInterval(bs[i], bs[i+1])
-		qv := q.At(iv.Start)
-		if qv.IsEmpty() {
-			continue
+	// The sweep reports runs per version of Q; a violation that outlives
+	// a change of Q is one interval to the reader.
+	_ = new(Scratch).sweep(nil, q, a, p, 1, func(run timeline.Interval, missing values.Value) bool {
+		w := p.Weight.Sum(run)
+		if len(out) > 0 && out[len(out)-1].Interval.End == run.Start {
+			out[len(out)-1].Interval.End = run.End
+			out[len(out)-1].Weight += w
+		} else {
+			out = append(out, Violation{Interval: run, Weight: w, Missing: missing})
 		}
-		ms := cursor.Seek(iv.Expand(p.Delta))
-		var missing values.Value
-		violated := false
-		for _, v := range qv {
-			if !ms.Contains(v) {
-				violated = true
-				missing = v
-				break
-			}
-		}
-		if !violated {
-			continue
-		}
-		w := p.Weight.Sum(iv)
-		if len(out) > 0 && out[len(out)-1].Interval.End == iv.Start {
-			last := &out[len(out)-1]
-			last.Interval.End = iv.End
-			last.Weight += w
-			continue
-		}
-		out = append(out, Violation{Interval: iv, Weight: w, Missing: missing})
-	}
+		return true
+	})
 	return out
 }
 

@@ -10,7 +10,6 @@ package history
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"tind/internal/timeline"
@@ -137,9 +136,22 @@ func (h *History) versionIndexAt(t timeline.Time) int {
 	if t < h.versions[0].Start || t >= h.end {
 		return -1
 	}
-	// Last version with Start <= t.
-	i := sort.Search(len(h.versions), func(i int) bool { return h.versions[i].Start > t }) - 1
-	return i
+	return h.firstStartAtOrAfter(t+1) - 1 // last version with Start <= t
+}
+
+// firstStartAtOrAfter returns the index of the first version starting at
+// or after t, NumVersions() when there is none.
+func (h *History) firstStartAtOrAfter(t timeline.Time) int {
+	lo, hi := 0, len(h.versions)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if h.versions[m].Start < t {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // At returns the value set A[t]: the values of the version valid at t, or
@@ -163,10 +175,7 @@ func (h *History) versionRange(i timeline.Interval) (lo, hi int) {
 	if i.IsEmpty() {
 		return 0, 0
 	}
-	lo = h.versionIndexAt(i.Start)
-	// First version starting at or after i.End.
-	hi = sort.Search(len(h.versions), func(k int) bool { return h.versions[k].Start >= i.End })
-	return lo, hi
+	return h.versionIndexAt(i.Start), h.firstStartAtOrAfter(i.End)
 }
 
 // Union returns A[I]: the union of all value sets of versions whose
@@ -214,55 +223,4 @@ func (h *History) MedianCardinality() int {
 	}
 	sort.Ints(sizes)
 	return sizes[len(sizes)/2]
-}
-
-// Cursor is a sliding window over the versions of a history. Validation
-// (Algorithm 2) traverses intervals in ascending order; the cursor keeps a
-// multiset of the values of all versions overlapping the current window so
-// that moving the window only pays for versions entering or leaving it.
-type Cursor struct {
-	h      *History
-	lo, hi int // current version index window [lo, hi)
-	ms     *values.MultiSet
-	last   timeline.Interval
-}
-
-// NewCursor returns a cursor positioned before the first window.
-func NewCursor(h *History) *Cursor {
-	// The sentinel sits below every window: t−δ reaches far below zero
-	// for a large δ, and Seek panics on a window before the last one.
-	return &Cursor{h: h, ms: values.NewMultiSet(), last: timeline.NewInterval(math.MinInt, math.MinInt)}
-}
-
-// Seek moves the window to the versions overlapping interval i and returns
-// the multiset of their values. Successive windows must not move backwards
-// (both endpoints non-decreasing); Seek panics otherwise, as a regression
-// guard for the traversal order Algorithm 2 relies on.
-func (c *Cursor) Seek(i timeline.Interval) *values.MultiSet {
-	if i.Start < c.last.Start || i.End < c.last.End {
-		panic(fmt.Sprintf("history: cursor moved backwards from %v to %v", c.last, i))
-	}
-	c.last = i
-	lo, hi := c.h.versionRange(i)
-	if hi == 0 && lo == 0 { // empty range: drain the window
-		for c.lo < c.hi {
-			c.ms.RemoveSet(c.h.versions[c.lo].Values)
-			c.lo++
-		}
-		return c.ms
-	}
-	// Grow the right edge first so values shared between entering and
-	// leaving versions never transiently disappear.
-	if c.lo == c.hi { // previously empty window: reset to new range
-		c.lo, c.hi = lo, lo
-	}
-	for c.hi < hi {
-		c.ms.AddSet(c.h.versions[c.hi].Values)
-		c.hi++
-	}
-	for c.lo < lo {
-		c.ms.RemoveSet(c.h.versions[c.lo].Values)
-		c.lo++
-	}
-	return c.ms
 }

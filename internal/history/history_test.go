@@ -126,53 +126,16 @@ func TestMedianCardinality(t *testing.T) {
 	}
 }
 
-func TestCursorMatchesUnion(t *testing.T) {
-	h := sampleHistory(t)
-	c := NewCursor(h)
-	wins := []timeline.Interval{
-		timeline.NewInterval(0, 1),
-		timeline.NewInterval(0, 3),
-		timeline.NewInterval(2, 6),
-		timeline.NewInterval(5, 8),
-		timeline.NewInterval(7, 11),
-		timeline.NewInterval(10, 14),
-		timeline.NewInterval(13, 15),
-	}
-	for _, w := range wins {
-		ms := c.Seek(w)
-		want := h.Union(w)
-		if !ms.ContainsAll(want) {
-			t.Fatalf("window %v: multiset missing values of %v", w, want)
-		}
-		if ms.Distinct() != want.Len() {
-			t.Fatalf("window %v: distinct=%d want %d", w, ms.Distinct(), want.Len())
-		}
-	}
-}
-
-func TestCursorBackwardsPanics(t *testing.T) {
-	h := sampleHistory(t)
-	c := NewCursor(h)
-	c.Seek(timeline.NewInterval(5, 8))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("backwards seek must panic")
-		}
-	}()
-	c.Seek(timeline.NewInterval(2, 8))
-}
-
-// Property: a cursor sweeping random forward windows always agrees with
-// Union on the distinct-value support.
-func TestCursorProperty(t *testing.T) {
+// Property: the hand-rolled binary searches behind At and Union agree with
+// a linear scan over the versions, at every timestamp and for every window
+// around the observation period.
+func TestVersionLookupProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		b := NewBuilder(Meta{Page: "p"})
 		t0 := timeline.Time(r.Intn(5))
-		nver := 2 + r.Intn(10)
-		for i := 0; i < nver; i++ {
-			n := 1 + r.Intn(6)
-			ids := make([]values.Value, n)
+		for i, nver := 0, 1+r.Intn(10); i < nver; i++ {
+			ids := make([]values.Value, 1+r.Intn(6))
 			for j := range ids {
 				ids[j] = values.Value(r.Intn(12))
 			}
@@ -183,19 +146,27 @@ func TestCursorProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		c := NewCursor(h)
-		s, e := timeline.Time(-2), timeline.Time(0)
-		for i := 0; i < 30; i++ {
-			s += timeline.Time(r.Intn(3))
-			if e < s {
-				e = s
+		for s := timeline.Time(-2); s < h.ObservedUntil()+2; s++ {
+			var at values.Set
+			for k := 0; k < h.NumVersions(); k++ {
+				if h.Validity(k).Contains(s) {
+					at = h.Version(k).Values
+				}
 			}
-			e += timeline.Time(r.Intn(4))
-			w := timeline.NewInterval(s, e)
-			ms := c.Seek(w)
-			want := h.Union(w)
-			if !ms.ContainsAll(want) || ms.Distinct() != want.Len() {
+			if !h.At(s).Equal(at) {
 				return false
+			}
+			for e := s + 1; e < s+7; e++ {
+				w := timeline.NewInterval(s, e)
+				var want values.Set
+				for k := 0; k < h.NumVersions(); k++ {
+					if h.Validity(k).Overlaps(w) {
+						want = want.Union(h.Version(k).Values)
+					}
+				}
+				if !h.Union(w).Equal(want) {
+					return false
+				}
 			}
 		}
 		return true

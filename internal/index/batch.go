@@ -118,7 +118,12 @@ type arena struct {
 	vio    map[int]float64
 	cuts   []timeline.Time
 	todo   []int
-	ids    []history.AttrID
+	// verdicts, hits and scratch serve exact validation: one verdict slot
+	// per candidate, the passing candidates with their weights, and one
+	// sweep scratch per validation worker. A top-k run sorts hits in place.
+	verdicts []float64
+	hits     []Ranked
+	scratch  []*core.Scratch
 	// occ and vbuf are the RequiredValuesScratch accumulator and output
 	// buffer; the set returned from that scratch aliases vbuf, so within
 	// one sub-query it stays valid (nothing else touches vbuf), but it

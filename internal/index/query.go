@@ -1,9 +1,11 @@
 package index
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"time"
 
 	"tind/internal/bitmatrix"
@@ -263,6 +265,22 @@ func (r *queryRun) finish(st *QueryStats, err error) {
 // search implements forward (Algorithm 1) and reverse (Section 4.5) tIND
 // search with per-phase timing. Parameters have been validated by Query.
 func (r *queryRun) search(ctx context.Context, q *history.History, p core.Params, reverse bool) (Result, error) {
+	hits, st, err := r.searchHits(ctx, q, p, reverse)
+	if err != nil || len(hits) == 0 {
+		return Result{Stats: st}, err
+	}
+	ids := make([]history.AttrID, len(hits))
+	for i, h := range hits {
+		ids[i] = h.ID
+	}
+	return Result{IDs: ids, Stats: st}, nil
+}
+
+// searchHits runs the pruning pipeline and the exact validation, and
+// returns the attributes that pass, ascending by id, each with its exact
+// violation weight. The hits live in the run's arena: search copies the
+// ids out, topK ranks them in place and copies the best K.
+func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Params, reverse bool) ([]Ranked, QueryStats, error) {
 	x := r.x
 	var st QueryStats
 	var cand *bitmatrix.Vec
@@ -274,8 +292,8 @@ func (r *queryRun) search(ctx context.Context, q *history.History, p core.Params
 		x.pool.putVec(r.pre.cand)
 		r.pre = probed{}
 	}()
-	abort := func(err error) (Result, error) {
-		return Result{Stats: st}, err
+	abort := func(err error) ([]Ranked, QueryStats, error) {
+		return nil, st, err
 	}
 	if err := CtxErr(ctx); err != nil {
 		return abort(err)
@@ -352,19 +370,19 @@ func (r *queryRun) search(ctx context.Context, q *history.History, p core.Params
 
 	// Phase 4: exact validation (Algorithm 2), in parallel.
 	endPhase = r.phase(phaseValidate, &st.Timings.Validate)
-	check := func(c history.AttrID) (bool, error) {
+	check := func(s *core.Scratch, c history.AttrID) (float64, bool, error) {
 		if reverse {
-			return core.HoldsContext(ctx, x.ds.Attr(c), q, p)
+			return s.Check(ctx, x.ds.Attr(c), q, p)
 		}
-		return core.HoldsContext(ctx, q, x.ds.Attr(c), p)
+		return s.Check(ctx, q, x.ds.Attr(c), p)
 	}
-	ids, err := r.validate(ctx, cand, &st, check)
+	hits, err := r.validate(ctx, cand, &st, check)
 	endPhase.end()
 	if err != nil {
 		return abort(err)
 	}
-	st.Results = len(ids)
-	return Result{IDs: ids, Stats: st}, nil
+	st.Results = len(hits)
+	return hits, st, nil
 }
 
 // forwardSlicePrune runs lines 4-15 of Algorithm 1 over all slices.
@@ -440,17 +458,11 @@ func (r *queryRun) reverseSlicePrune(ctx context.Context, q *history.History, p 
 // topK implements ModeTopK: escalate the violation budget until at least
 // K results fit, then rank them by exact violation weight. Everything
 // the index pruned at budget ε is proven to violate more than ε, so once
-// K results lie at or below ε they are exactly the global top K.
+// K results lie at or below ε they are exactly the global top K. The
+// check that certifies a candidate ≤ ε returns its exact weight, so
+// ranking a round is a sort of what validation returned.
 func (r *queryRun) topK(ctx context.Context, q *history.History, o QueryOptions) (Result, error) {
 	x, k := r.x, o.K
-	w := o.Params.Weight
-	// The terminal budget must admit every attribute, but a violation
-	// weight is summed interval by interval while the total is one closed
-	// form, so an all-violated pair can land a few ULPs above the exact
-	// total under decaying or relative weights. Give the cap the same
-	// relative headroom, or the "complete ranking" comes back short.
-	total := w.Sum(timeline.NewInterval(0, w.Horizon()))
-	total += 1e-9 * (1 + total)
 	eps := o.Params.Epsilon
 	if eps <= 0 {
 		eps = x.opt.Params.Epsilon
@@ -458,51 +470,41 @@ func (r *queryRun) topK(ctx context.Context, q *history.History, o QueryOptions)
 	if eps <= 0 {
 		eps = 1
 	}
+	// No right-hand side violates more than MaxViolation, which is summed
+	// the way the validator sums, so a budget that has reached it excludes
+	// nothing: that round runs unbounded and is the complete ranking.
+	total := core.MaxViolation(q, o.Params.Weight)
 	var st QueryStats
 	for {
 		if err := CtxErr(ctx); err != nil {
 			return Result{Stats: st}, err
 		}
-		p := core.Params{Epsilon: eps, Delta: o.Params.Delta, Weight: w}
-		res, err := r.search(ctx, q, p, false)
-		// Carry the inner stats (and their accumulated timings) so an
-		// abort mid-escalation still reports how far the query got.
-		res.Stats.Timings.Rank = st.Timings.Rank
-		st = res.Stats
-		if err != nil {
+		if eps >= total {
+			eps = math.Inf(1)
+		}
+		p := core.Params{Epsilon: eps, Delta: o.Params.Delta, Weight: o.Params.Weight}
+		// The latest round's stats are the query's: an abort
+		// mid-escalation still reports how far it got.
+		hits, round, err := r.searchHits(ctx, q, p, false)
+		if st = round; err != nil {
 			return Result{Stats: st}, err
 		}
-
-		endRank := r.phase(phaseRank, &st.Timings.Rank)
-		ranked := make([]Ranked, 0, len(res.IDs))
-		for _, id := range res.IDs {
-			// Exact weight for ranking (the search only certifies ≤ ε).
-			v, err := core.ViolationWeightContext(ctx, q, x.ds.Attr(id), p)
-			if err != nil {
-				endRank.end()
-				return Result{Stats: st}, typedErr(ctx, err)
-			}
-			ranked = append(ranked, Ranked{ID: id, Violation: v})
-		}
-		sort.Slice(ranked, func(i, j int) bool {
-			if ranked[i].Violation != ranked[j].Violation {
-				return ranked[i].Violation < ranked[j].Violation
-			}
-			return ranked[i].ID < ranked[j].ID
-		})
-		endRank.end()
-		if len(ranked) >= k {
-			ranked = ranked[:k]
-		} else if eps < total {
+		if len(hits) < k && !math.IsInf(eps, 1) {
 			eps *= 4
-			if eps > total {
-				eps = total
-			}
 			continue
 		}
-		// Either k results fit the budget, or the budget covers every
-		// timestamp and this is the complete ranking (fewer than k
-		// attributes exist).
+		// Either k results fit the budget, or the budget admits everything
+		// and fewer than k attributes exist.
+		endRank := r.phase(phaseRank, &st.Timings.Rank)
+		slices.SortFunc(hits, func(a, b Ranked) int {
+			if c := cmp.Compare(a.Violation, b.Violation); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.ID, b.ID)
+		})
+		hits = hits[:min(k, len(hits))]
+		ranked := append(make([]Ranked, 0, len(hits)), hits...)
+		endRank.end()
 		st.Results = len(ranked)
 		return Result{Ranked: ranked, Stats: st}, nil
 	}

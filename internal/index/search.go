@@ -3,8 +3,9 @@ package index
 import (
 	"context"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tind/internal/bitmatrix"
@@ -223,97 +224,93 @@ func (x *Index) excludeSelf(q *history.History, cand *bitmatrix.Vec) {
 }
 
 // validate runs the exact check over all remaining candidates, in parallel
-// when the index allows it, and returns the ids that pass in ascending
-// order. The check itself may abort (a done context surfacing through
-// core.HoldsContext); the first such error stops all workers at the next
-// candidate boundary and is returned, mapped to the typed query errors.
-// The work list comes from the run's arena — the parallel branch only
-// reads it — and so does the sequential branch's accumulator; the
-// returned ids are always freshly allocated, so a Result never aliases
-// pooled memory.
-func (r *queryRun) validate(ctx context.Context, cand *bitmatrix.Vec, st *QueryStats, check func(history.AttrID) (bool, error)) ([]history.AttrID, error) {
-	x := r.x
-	r.ar.todo = cand.AppendOnes(r.ar.todo[:0])
-	todo := r.ar.todo
+// when the index allows it, and returns those that pass in ascending id
+// order, each with the exact violation weight its check certified. The
+// check itself may abort (a done context surfacing through the sweep's
+// poll); the first such error stops all workers at the next candidate
+// boundary and is returned, mapped to the typed query errors.
+//
+// Workers claim candidates in chunks with one atomic add and write each
+// verdict into the candidate's own slot, so a sub-microsecond check pays
+// for no lock; the slots, the work list, the returned hits and the
+// per-worker sweep scratch all belong to the run's arena.
+func (r *queryRun) validate(ctx context.Context, cand *bitmatrix.Vec, st *QueryStats,
+	check func(*core.Scratch, history.AttrID) (float64, bool, error)) ([]Ranked, error) {
+	ar := r.ar
+	ar.todo = cand.AppendOnes(ar.todo[:0])
+	todo := ar.todo
 	st.Validated = len(todo)
-	workers := x.opt.ValidationWorkers
+	workers := r.x.opt.ValidationWorkers
 	if r.valWorkers > 0 {
 		workers = r.valWorkers
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(todo) {
-		workers = len(todo)
+	workers = max(1, min(workers, len(todo)))
+	for len(ar.scratch) < workers {
+		ar.scratch = append(ar.scratch, new(core.Scratch))
 	}
-	if workers <= 1 {
-		ids := r.ar.ids[:0]
-		for _, c := range todo {
-			ok, err := check(history.AttrID(c))
-			if err != nil {
-				return nil, typedErr(ctx, err)
+	// One slot per candidate: its exact weight, or -1 once refuted.
+	ar.verdicts = slices.Grow(ar.verdicts[:0], len(todo))[:len(todo)]
+	verdicts := ar.verdicts
+
+	chunk := len(todo)/(8*workers) + 1
+	var next atomic.Int64
+	var failed atomic.Bool
+	work := func(s *core.Scratch) error {
+		for {
+			hi := int(next.Add(int64(chunk)))
+			for i := hi - chunk; i < min(hi, len(todo)); i++ {
+				if failed.Load() {
+					return nil
+				}
+				w, ok, err := check(s, history.AttrID(todo[i]))
+				if err != nil {
+					failed.Store(true)
+					return err
+				}
+				if !ok {
+					w = -1
+				}
+				verdicts[i] = w
 			}
-			if ok {
-				ids = append(ids, history.AttrID(c))
+			if hi >= len(todo) {
+				return nil
 			}
 		}
-		r.ar.ids = ids
-		if len(ids) == 0 {
-			return nil, nil
+	}
+	var err error
+	if workers == 1 {
+		err = work(ar.scratch[0])
+	} else {
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				errs[w] = work(ar.scratch[w])
+			}(w)
 		}
-		out := make([]history.AttrID, len(ids))
-		copy(out, ids)
-		return out, nil
-	}
-	var (
-		mu       sync.Mutex // guards ids and firstErr
-		ids      []history.AttrID
-		firstErr error
-		wg       sync.WaitGroup
-		pos      int
-		posMu    sync.Mutex
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				posMu.Lock()
-				i := pos
-				pos++
-				posMu.Unlock()
-				if i >= len(todo) {
-					return
-				}
-				mu.Lock()
-				stop := firstErr != nil
-				mu.Unlock()
-				if stop {
-					return
-				}
-				c := history.AttrID(todo[i])
-				ok, err := check(c)
-				mu.Lock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-				} else if ok {
-					ids = append(ids, c)
-				}
-				mu.Unlock()
-				if err != nil {
-					return
-				}
+		wg.Wait()
+		for _, e := range errs {
+			if err == nil {
+				err = e
 			}
-		}()
+		}
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, typedErr(ctx, firstErr)
+	if err != nil {
+		return nil, typedErr(ctx, err)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids, nil
+	hits := ar.hits[:0]
+	for i, w := range verdicts {
+		if w >= 0 {
+			hits = append(hits, Ranked{ID: history.AttrID(todo[i]), Violation: w})
+		}
+	}
+	ar.hits = hits
+	return hits, nil
 }
 
 // Pair is a discovered temporal inclusion dependency LHS ⊆_{w,ε,δ} RHS.

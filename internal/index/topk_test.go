@@ -2,13 +2,21 @@ package index
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
+	"tind/internal/bitmatrix"
 	"tind/internal/bloom"
 	"tind/internal/core"
+	"tind/internal/datagen"
 	"tind/internal/history"
 	"tind/internal/timeline"
 )
@@ -100,6 +108,175 @@ func TestTopKMoreThanExist(t *testing.T) {
 	for i := 1; i < len(got); i++ {
 		if got[i].Violation < got[i-1].Violation {
 			t.Fatal("ranking not sorted")
+		}
+	}
+}
+
+// weightFamilies returns one function of every weight family over n days.
+func weightFamilies(t *testing.T, n timeline.Time) map[string]timeline.WeightFunc {
+	exp, err := timeline.NewExponentialDecay(n, 0.97)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := make([]float64, n)
+	for i := range table {
+		table[i] = float64(i%5) / 4 // includes zero-weight days
+	}
+	prefix, err := timeline.NewPrefixSum(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]timeline.WeightFunc{
+		"uniform":  timeline.Uniform(n),
+		"relative": timeline.Relative(n),
+		"expdecay": exp,
+		"linear":   timeline.LinearDecay{N: n, W0: 0.1, W1: 1.9},
+		"prefix":   prefix,
+	}
+}
+
+// A ranking asked for more entries than exist must come back complete —
+// |D|−1 entries, every one with its exact weight — under every weight
+// family. The last escalation round has no float headroom to lean on: it
+// is complete because its budget excludes nothing.
+func TestTopKCompleteRankingEveryWeight(t *testing.T) {
+	c, err := datagen.Generate(datagen.Config{Seed: 42, Attributes: 300, Horizon: 800})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := c.Dataset
+	x := buildTestIndex(t, ds, DefaultOptions(ds.Horizon()))
+	for name, w := range weightFamilies(t, ds.Horizon()) {
+		for _, qi := range []history.AttrID{0, 92, 151, 299} {
+			q := ds.Attr(qi)
+			got, err := topK(x, q, 7, w, ds.Len())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != ds.Len()-1 {
+				t.Fatalf("%s, query %d: complete ranking has %d entries, want %d", name, qi, len(got), ds.Len()-1)
+			}
+			p := core.Params{Delta: 7, Weight: w}
+			for i, r := range got {
+				if exact := core.ViolationWeight(q, ds.Attr(r.ID), p); r.Violation != exact {
+					t.Fatalf("%s, query %d: entry %d reports %v, exact %v", name, qi, i, r.Violation, exact)
+				}
+				if i > 0 && (got[i-1].Violation > r.Violation ||
+					got[i-1].Violation == r.Violation && got[i-1].ID >= r.ID) {
+					t.Fatalf("%s, query %d: entries %d and %d out of (violation, id) order", name, qi, i-1, i)
+				}
+			}
+		}
+	}
+}
+
+// The funnel of a top-k query and its ranked body are pinned to what the
+// two-pass implementation (validate, then weigh every survivor again)
+// produced on this corpus: the kernel got cheaper, the work it is asked to
+// do did not move. Each row is a query attribute, the last round's funnel
+// and an FNV-64a of the ranked "id:weight-bits;" list.
+func TestTopKFunnelAndRankingPinned(t *testing.T) {
+	c, err := datagen.Generate(datagen.Config{Seed: 42, Attributes: 300, Horizon: 800})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := c.Dataset
+	p := core.DefaultDays(ds.Horizon())
+	for _, workers := range []int{1, 4} {
+		opt := DefaultOptions(ds.Horizon())
+		opt.ValidationWorkers = workers
+		x := buildTestIndex(t, ds, opt)
+		for _, want := range []struct {
+			q                                        history.AttrID
+			initial, slices, subset, validated, hits int
+			ranked                                   uint64
+		}{
+			{0, 299, 299, 299, 299, 10, 0xfab81a309144d8bf},
+			{23, 299, 299, 299, 299, 10, 0xce3ea517b9ff3058},
+			{46, 299, 299, 299, 299, 10, 0xb542c014477ccaaa},
+			{69, 299, 299, 299, 299, 10, 0x35b29fca9ecbaa4c},
+			{92, 41, 41, 41, 41, 10, 0xf1cb39f01456330b},
+			{115, 299, 299, 299, 299, 10, 0xab5f0f2214b38102},
+			{138, 299, 299, 299, 299, 10, 0x9d861e81e74db488},
+			{161, 299, 299, 299, 299, 10, 0x8d1798875e3b3a8d},
+			{184, 299, 299, 299, 299, 10, 0x8ee718853eb58ce0},
+			{207, 299, 299, 299, 299, 10, 0x3f2ec7f2737fd9ea},
+			{230, 299, 299, 299, 299, 10, 0xafc5cc6b071911ff},
+			{253, 299, 299, 299, 299, 10, 0xa8fe855601d7b37b},
+			{276, 299, 299, 299, 299, 10, 0x5c4f87e5a645d18b},
+			{299, 299, 299, 299, 299, 10, 0x44cf4b42d1b80d25},
+		} {
+			res, err := x.Query(context.Background(), ds.Attr(want.q), QueryOptions{
+				Mode: ModeTopK, Params: core.Params{Delta: p.Delta, Weight: p.Weight}, K: 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			for _, r := range res.Ranked {
+				fmt.Fprintf(h, "%d:%x;", r.ID, math.Float64bits(r.Violation))
+			}
+			st := res.Stats
+			if st.InitialCandidates != want.initial || st.AfterSlices != want.slices ||
+				st.AfterSubsetCheck != want.subset || st.Validated != want.validated ||
+				st.Results != want.hits || h.Sum64() != want.ranked {
+				t.Errorf("workers=%d query %d: funnel %d/%d/%d/%d, %d results, ranked %#x; pinned %+v", workers,
+					want.q, st.InitialCandidates, st.AfterSlices, st.AfterSubsetCheck, st.Validated,
+					st.Results, h.Sum64(), want)
+			}
+		}
+	}
+}
+
+// validate's workers share nothing but two atomics and write disjoint
+// slots: many workers must return what one returns, and the first failing
+// check must stop the rest and surface as the typed error. Run under -race.
+func TestValidateParallelMatchesSequential(t *testing.T) {
+	c, err := datagen.Generate(datagen.Config{Seed: 7, Attributes: 200, Horizon: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := c.Dataset
+	x := buildTestIndex(t, ds, DefaultOptions(ds.Horizon()))
+	ctx := context.Background()
+	p := core.Params{Epsilon: 40, Delta: 7, Weight: timeline.Uniform(ds.Horizon())}
+	q := ds.Attr(3)
+	check := func(s *core.Scratch, c history.AttrID) (float64, bool, error) {
+		return s.Check(ctx, q, ds.Attr(c), p)
+	}
+	run := func(workers int, check func(*core.Scratch, history.AttrID) (float64, bool, error)) ([]Ranked, int, error) {
+		ar := x.pool.getArena(ds.Len(), x.opt.Bloom)
+		defer x.pool.putArena(ar)
+		r := &queryRun{x: x, ar: ar, valWorkers: workers}
+		cand := bitmatrix.NewVec(ds.Len())
+		cand.Fill()
+		var st QueryStats
+		hits, err := r.validate(ctx, cand, &st, check)
+		return append([]Ranked(nil), hits...), st.Validated, err
+	}
+	want, validated, err := run(1, check)
+	if err != nil || validated != ds.Len() || len(want) == 0 || len(want) == ds.Len() {
+		t.Fatalf("sequential: %d hits of %d validated, err %v", len(want), validated, err)
+	}
+	for _, workers := range []int{2, 3, 8, 500} {
+		got, validated, err := run(workers, check)
+		if err != nil || validated != ds.Len() || !slices.Equal(got, want) {
+			t.Fatalf("workers=%d: %d hits of %d validated (err %v), want %d", workers, len(got), validated, err, len(want))
+		}
+	}
+	var calls atomic.Int64
+	failing := func(s *core.Scratch, c history.AttrID) (float64, bool, error) {
+		if calls.Add(1) == 5 {
+			return 0, false, context.Canceled
+		}
+		return check(s, c)
+	}
+	for _, workers := range []int{1, 4} {
+		calls.Store(0)
+		if hits, _, err := run(workers, failing); !errors.Is(err, ErrCanceled) || hits != nil {
+			t.Fatalf("workers=%d: a failing check returned %d hits, err %v", workers, len(hits), err)
+		}
+		if n := calls.Load(); n >= int64(ds.Len()) {
+			t.Fatalf("workers=%d: %d checks ran after one failed; the error must stop the others", workers, n)
 		}
 	}
 }

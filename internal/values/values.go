@@ -10,7 +10,7 @@ package values
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -105,7 +105,7 @@ func NewSet(ids ...Value) Set {
 		return nil
 	}
 	s := append(Set(nil), ids...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	out := s[:1]
 	for _, v := range s[1:] {
 		if v != out[len(out)-1] {
@@ -123,8 +123,8 @@ func (s Set) IsEmpty() bool { return len(s) == 0 }
 
 // Contains reports whether v is in the set (binary search).
 func (s Set) Contains(v Value) bool {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	return i < len(s) && s[i] == v
+	_, ok := slices.BinarySearch(s, v)
+	return ok
 }
 
 // SubsetOf reports whether every element of s is in t, by linear merge.
@@ -188,22 +188,53 @@ func (s Set) Union(t Set) Set {
 }
 
 // Intersect returns the intersection of the two sets as a new Set.
-func (s Set) Intersect(t Set) Set {
-	var out Set
-	i, j := 0, 0
-	for i < len(s) && j < len(t) {
-		switch {
-		case s[i] < t[j]:
+func (s Set) Intersect(t Set) Set { return AppendIntersect(nil, s, t) }
+
+// AppendIntersect appends s ∩ t to dst in ascending order and returns the
+// extended slice. It walks the smaller set and gallops through the larger,
+// so intersecting a small set with a large one costs the small side times
+// a logarithm rather than the sum of both lengths.
+func AppendIntersect(dst []Value, s, t Set) []Value {
+	if len(s) > len(t) {
+		s, t = t, s
+	}
+	for _, v := range s {
+		i := Gallop(t, v)
+		if i == len(t) {
+			break
+		}
+		if t[i] == v {
+			dst = append(dst, v)
 			i++
-		case s[i] > t[j]:
-			j++
-		default:
-			out = append(out, s[i])
-			i++
-			j++
+		}
+		t = t[i:]
+	}
+	return dst
+}
+
+// Gallop returns the first index i with s[i] >= v (len(s) when there is
+// none) by doubling steps from the front and a binary search inside the
+// last step. Merging a short sorted run into a long one through Gallop,
+// re-slicing past each hit, is how the validation sweep projects value
+// sets onto a shared vocabulary.
+func Gallop(s Set, v Value) int {
+	hi := 1
+	for hi <= len(s) && s[hi-1] < v {
+		hi *= 2
+	}
+	lo := hi / 2
+	if hi > len(s) {
+		hi = len(s)
+	}
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s[m] < v {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
-	return out
+	return lo
 }
 
 // Diff returns the elements of s not in t as a new Set.
@@ -221,54 +252,3 @@ func (s Set) Diff(t Set) Set {
 	}
 	return out
 }
-
-// MultiSet is a mutable bag of values with counts, used as the sliding
-// window over attribute versions during tIND validation (Section 4.3): as
-// intervals are traversed in order, versions entering the window Add their
-// values and versions leaving Remove them.
-type MultiSet struct {
-	counts map[Value]int
-}
-
-// NewMultiSet returns an empty multiset.
-func NewMultiSet() *MultiSet { return &MultiSet{counts: make(map[Value]int)} }
-
-// AddSet increments the count of every value in s.
-func (m *MultiSet) AddSet(s Set) {
-	for _, v := range s {
-		m.counts[v]++
-	}
-}
-
-// RemoveSet decrements the count of every value in s. It panics if a value
-// was not present: windows must only remove what they added.
-func (m *MultiSet) RemoveSet(s Set) {
-	for _, v := range s {
-		c := m.counts[v]
-		if c <= 0 {
-			panic(fmt.Sprintf("values: removing value %d not present in multiset", v))
-		}
-		if c == 1 {
-			delete(m.counts, v)
-		} else {
-			m.counts[v] = c - 1
-		}
-	}
-}
-
-// Contains reports whether v has a positive count.
-func (m *MultiSet) Contains(v Value) bool { return m.counts[v] > 0 }
-
-// ContainsAll reports whether every element of s has a positive count,
-// i.e. s ⊆ support(m).
-func (m *MultiSet) ContainsAll(s Set) bool {
-	for _, v := range s {
-		if m.counts[v] <= 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Distinct returns the number of distinct values with positive count.
-func (m *MultiSet) Distinct() int { return len(m.counts) }

@@ -222,42 +222,26 @@ func TestSetAlgebraProperties(t *testing.T) {
 	}
 }
 
-func TestMultiSetWindow(t *testing.T) {
-	m := NewMultiSet()
-	a := NewSet(1, 2, 3)
-	b := NewSet(2, 3, 4)
-	m.AddSet(a)
-	m.AddSet(b)
-	if !m.ContainsAll(NewSet(1, 4)) {
-		t.Fatal("multiset must contain union of added sets")
-	}
-	if m.Distinct() != 4 {
-		t.Fatalf("Distinct = %d, want 4", m.Distinct())
-	}
-	m.RemoveSet(a)
-	if m.Contains(1) {
-		t.Fatal("1 must be gone after removing a")
-	}
-	if !m.ContainsAll(b) {
-		t.Fatal("b must survive removal of a")
-	}
-	m.RemoveSet(b)
-	if m.Distinct() != 0 {
-		t.Fatal("multiset must be empty")
-	}
-}
-
-func TestMultiSetRemovePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("removing absent value must panic")
+// Gallop is the lower bound the validation sweep merges with: it must
+// agree with a linear scan at every position, including past both ends,
+// and AppendIntersect built on it must keep a caller's prefix.
+func TestGallopAndAppendIntersect(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 500; i++ {
+		s := randomSet(r)
+		for v := Value(0); v <= 31; v++ {
+			want := 0
+			for want < len(s) && s[want] < v {
+				want++
+			}
+			if got := Gallop(s, v); got != want {
+				t.Fatalf("Gallop(%v, %d) = %d, want %d", s, v, got, want)
+			}
 		}
-	}()
-	NewMultiSet().RemoveSet(NewSet(1))
-}
-
-func TestMultiSetContainsAllEmpty(t *testing.T) {
-	if !NewMultiSet().ContainsAll(nil) {
-		t.Fatal("empty set is contained in anything")
+		a, b := randomSet(r), randomSet(r)
+		got := AppendIntersect([]Value{99}, a, b)
+		if got[0] != 99 || !Set(got[1:]).Equal(a.Diff(a.Diff(b))) {
+			t.Fatalf("AppendIntersect(%v, %v) = %v", a, b, got)
+		}
 	}
 }
