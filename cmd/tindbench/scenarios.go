@@ -170,6 +170,14 @@ func (b *bench) runSize(n int) ([]Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The fallback regime: a reverse query above the index's ε and δ, which
+	// neither M_R nor the slices may serve, so every attribute is validated.
+	relaxed := core.Params{Epsilon: relaxedEps, Delta: relaxedDelta, Weight: p.Weight}
+	err = add(b.scenario(fmt.Sprintf("query/relaxed/%d", n), int64(nq),
+		runQueries(index.ModeReverse, qids[:nq], index.QueryOptions{Params: relaxed})))
+	if err != nil {
+		return nil, err
+	}
 
 	// Batched execution of the same seeded workload: one QueryBatch call
 	// services the whole query set, so ns/op and — above all — allocs/op
@@ -231,6 +239,11 @@ func (b *bench) runSize(n int) ([]Scenario, error) {
 	}
 	err = add(b.scenario(fmt.Sprintf("shard_query/reverse/%d", n), int64(nq),
 		runShardQueries(index.ModeReverse, qids[:nq], index.QueryOptions{Params: p})))
+	if err != nil {
+		return nil, err
+	}
+	err = add(b.scenario(fmt.Sprintf("shard_query/relaxed/%d", n), int64(nq),
+		runShardQueries(index.ModeReverse, qids[:nq], index.QueryOptions{Params: relaxed})))
 	if err != nil {
 		return nil, err
 	}
@@ -326,6 +339,14 @@ func (b *bench) runSize(n int) ([]Scenario, error) {
 	return out, nil
 }
 
+// relaxedEps and relaxedDelta (days) parameterize the */relaxed scenarios:
+// the relaxed reverse query of the serving benchmark, above the default
+// index parameters in both dimensions.
+const (
+	relaxedEps   = 15
+	relaxedDelta = 30
+)
+
 // ingestRounds is the number of delta batches the refresh_ingest
 // scenario submits per repetition.
 const ingestRounds = 6
@@ -376,6 +397,7 @@ func scenarioNames(cfg benchConfig) []string {
 			fmt.Sprintf("shard_build/%d", n),
 			fmt.Sprintf("query/forward/%d", n),
 			fmt.Sprintf("query/reverse/%d", n),
+			fmt.Sprintf("query/relaxed/%d", n),
 			fmt.Sprintf("query_batch/forward/%d", n),
 			fmt.Sprintf("query_batch/reverse/%d", n),
 		)
@@ -385,6 +407,7 @@ func scenarioNames(cfg benchConfig) []string {
 		names = append(names,
 			fmt.Sprintf("shard_query/forward/%d", n),
 			fmt.Sprintf("shard_query/reverse/%d", n),
+			fmt.Sprintf("shard_query/relaxed/%d", n),
 			fmt.Sprintf("shard_query_batch/forward/%d", n),
 		)
 		if cfg.AllPairsMax > 0 && n <= cfg.AllPairsMax {

@@ -250,8 +250,8 @@ func (x *Index) QueryBatch(ctx context.Context, batch []BatchQuery, o BatchOptio
 // matrix-eligible sub-query: forward entries probe M_T (supersets of
 // their required values), in-budget reverse entries probe M_R (subsets),
 // each via one row-major sweep over the respective matrix. Top-k entries
-// and matrix-ineligible ones (DisableRequiredValues, reverse ε beyond
-// the index ε) are left to generate their own candidates inside search,
+// and matrix-ineligible ones (DisableRequiredValues, a reverse query M_R
+// does not cover) are left to generate their own candidates inside search,
 // exactly like the single-query path.
 func (x *Index) batchProbe(batch []BatchQuery, qs []*history.History, par *arena) []probed {
 	n := x.ds.Len()
@@ -287,7 +287,7 @@ func (x *Index) batchProbe(batch []BatchQuery, qs []*history.History, par *arena
 			f.AddSet(req)
 			fwdFilters = append(fwdFilters, f)
 			fwdOuts = append(fwdOuts, out)
-		case qo.Mode == ModeReverse && x.mR != nil && qo.Params.Epsilon <= x.opt.Params.Epsilon:
+		case qo.Mode == ModeReverse && x.mRCovers(qo.Params):
 			out := x.pool.getVec(n)
 			out.Fill()
 			pres[i].cand = out

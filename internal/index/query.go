@@ -66,13 +66,13 @@ type QueryOptions struct {
 }
 
 // Timings is the per-phase breakdown of a query, mirroring the pruning
-// pipeline of Algorithm 1. Phases that did not run stay zero; Total is
-// always set on return, even for aborted queries.
+// pipeline of Algorithm 1. Phases that did not run stay zero; top-k sums
+// each phase over its rounds. Total is always set, even for aborted queries.
 type Timings struct {
 	Total       time.Duration
 	MTPrune     time.Duration // required-values pruning against M_T (or M_R)
 	SlicePrune  time.Duration // time-slice pruning
-	SubsetCheck time.Duration // exact subset pre-check (line 16)
+	SubsetCheck time.Duration // exact subset pre-check (line 16); forward and top-k only, zero for reverse
 	Validate    time.Duration // Algorithm-2 validation
 	Rank        time.Duration // top-k only: exact violation-weight ranking
 }
@@ -86,10 +86,10 @@ type TraceSpan = obs.Span
 // entry, minus the amortized matrix probe.
 //
 // The context is polled between pruning stages, between candidate
-// batches of the subset pre-check and inside exact validation; once it
-// is done the query returns ErrCanceled or ErrDeadlineExceeded (wrapped)
-// together with the partial statistics gathered so far. Stats.Timings is
-// populated on every return, successful or not.
+// batches of the forward subset pre-check and inside exact validation;
+// once it is done the query returns ErrCanceled or ErrDeadlineExceeded
+// (wrapped) together with the partial statistics gathered so far.
+// Stats.Timings is populated on every return, successful or not.
 func (x *Index) Query(ctx context.Context, q *history.History, o QueryOptions) (Result, error) {
 	start := time.Now()
 	if err := o.validate(); err != nil {
@@ -265,7 +265,8 @@ func (r *queryRun) finish(st *QueryStats, err error) {
 // search implements forward (Algorithm 1) and reverse (Section 4.5) tIND
 // search with per-phase timing. Parameters have been validated by Query.
 func (r *queryRun) search(ctx context.Context, q *history.History, p core.Params, reverse bool) (Result, error) {
-	hits, st, err := r.searchHits(ctx, q, p, reverse)
+	var st QueryStats
+	hits, err := r.searchHits(ctx, q, p, reverse, &st)
 	if err != nil || len(hits) == 0 {
 		return Result{Stats: st}, err
 	}
@@ -279,10 +280,13 @@ func (r *queryRun) search(ctx context.Context, q *history.History, p core.Params
 // searchHits runs the pruning pipeline and the exact validation, and
 // returns the attributes that pass, ascending by id, each with its exact
 // violation weight. The hits live in the run's arena: search copies the
-// ids out, topK ranks them in place and copies the best K.
-func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Params, reverse bool) ([]Ranked, QueryStats, error) {
+// ids out, topK ranks them in place and copies the best K. A phase runs
+// only where it can remove a candidate for less than validating it costs.
+// st's funnel counters are overwritten; its phase timings and SlicesUsed
+// accumulate, so the rounds of a top-k sum.
+func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Params, reverse bool, st *QueryStats) ([]Ranked, error) {
 	x := r.x
-	var st QueryStats
+	*st = QueryStats{Timings: st.Timings, SlicesUsed: st.SlicesUsed}
 	var cand *bitmatrix.Vec
 	// Candidate vectors go back to the pool on every exit path —
 	// including aborts and the unconsumed batch-probed set of an entry
@@ -292,18 +296,15 @@ func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Pa
 		x.pool.putVec(r.pre.cand)
 		r.pre = probed{}
 	}()
-	abort := func(err error) ([]Ranked, QueryStats, error) {
-		return nil, st, err
-	}
 	if err := CtxErr(ctx); err != nil {
-		return abort(err)
+		return nil, err
 	}
 
 	// Phase 1: candidate generation via the required-values matrix —
 	// M_T supersets for forward search (line 2 of Algorithm 1), M_R
-	// subsets for reverse search. A batch-probed entry consumes its
-	// amortized candidate set instead, accounting its share of the
-	// row-major sweep to this phase.
+	// subsets for reverse search, every attribute where neither can
+	// prune. A batch-probed entry consumes its amortized candidate set
+	// instead, accounting its share of the row-major sweep to this phase.
 	endPhase := r.phase(phaseMTPrune, &st.Timings.MTPrune)
 	var req values.Set // forward only: required values, reused by the subset check
 	if r.pre.cand != nil {
@@ -312,7 +313,7 @@ func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Pa
 		r.pre = probed{}
 	} else if reverse {
 		cand = r.newCand()
-		if x.mR != nil && p.Epsilon <= x.opt.Params.Epsilon {
+		if x.mRCovers(p) {
 			r.ar.bits = x.mR.SubsetsInto(r.filterFor(q.AllValues()), nil, cand, r.ar.bits)
 		} else {
 			cand.Fill()
@@ -320,7 +321,7 @@ func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Pa
 	} else {
 		req = r.requiredValues(q, p.Epsilon, p.Weight)
 		cand = r.newCand()
-		if x.opt.DisableRequiredValues {
+		if len(req) == 0 || x.opt.DisableRequiredValues {
 			cand.Fill()
 		} else {
 			r.ar.bits = x.mT.SupersetsInto(r.filterFor(req), nil, cand, r.ar.bits)
@@ -332,40 +333,33 @@ func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Pa
 
 	// Phase 2: time-slice pruning with violation tracking. Only sound
 	// when the query δ does not exceed the index δ (and, for reverse
-	// search, under the index weighting).
+	// search, under the index weighting), and idle under an infinite ε.
 	endPhase = r.phase(phaseSlicePrune, &st.Timings.SlicePrune)
 	var err error
-	if reverse {
-		err = r.reverseSlicePrune(ctx, q, p, cand, &st)
-	} else {
-		err = r.forwardSlicePrune(ctx, q, p, cand, &st)
+	if p.Delta <= x.opt.Params.Delta && !math.IsInf(p.Epsilon, 1) && st.InitialCandidates > 0 {
+		if !reverse {
+			err = r.forwardSlicePrune(ctx, q, p, cand, st)
+		} else if sameWeight(p.Weight, x.opt.Params.Weight) {
+			err = r.reverseSlicePrune(ctx, q, p, cand, st)
+		}
 	}
 	st.AfterSlices = cand.Count()
 	endPhase.end()
 	if err != nil {
-		return abort(err)
+		return nil, err
 	}
 
-	// Phase 3: exact subset pre-check (line 16) discarding Bloom false
-	// positives against the actual value sets.
-	endPhase = r.phase(phaseSubsetCheck, &st.Timings.SubsetCheck)
-	var keep func(history.AttrID) bool
-	if reverse {
-		qAll := q.AllValues()
-		keep = func(c history.AttrID) bool {
-			creq := r.requiredValues(x.ds.Attr(c), p.Epsilon, p.Weight)
-			return creq.SubsetOf(qAll)
-		}
-	} else {
-		keep = func(c history.AttrID) bool {
-			return req.SubsetOf(x.ds.Attr(c).AllValues())
-		}
+	// Phase 3, forward only: exact subset pre-check (line 16) discarding
+	// Bloom false positives against the actual value sets. Reverse, it would
+	// rebuild R_ε(A) per candidate, several times the validation it guards.
+	if !reverse {
+		endPhase = r.phase(phaseSubsetCheck, &st.Timings.SubsetCheck)
+		err = x.subsetCheck(ctx, cand, req)
+		endPhase.end()
 	}
-	err = x.subsetCheck(ctx, cand, keep)
 	st.AfterSubsetCheck = cand.Count()
-	endPhase.end()
 	if err != nil {
-		return abort(err)
+		return nil, err
 	}
 
 	// Phase 4: exact validation (Algorithm 2), in parallel.
@@ -376,27 +370,29 @@ func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Pa
 		}
 		return s.Check(ctx, q, x.ds.Attr(c), p)
 	}
-	hits, err := r.validate(ctx, cand, &st, check)
+	hits, err := r.validate(ctx, cand, st, check)
 	endPhase.end()
 	if err != nil {
-		return abort(err)
+		return nil, err
 	}
 	st.Results = len(hits)
-	return hits, st, nil
+	return hits, nil
+}
+
+// mRCovers reports whether M_R, which holds R_{ε,w}(A) under the index's ε
+// and weight, is a necessary condition under the reverse query's parameters.
+func (x *Index) mRCovers(p core.Params) bool {
+	return x.mR != nil && p.Epsilon <= x.opt.Params.Epsilon && sameWeight(p.Weight, x.opt.Params.Weight)
 }
 
 // forwardSlicePrune runs lines 4-15 of Algorithm 1 over all slices.
 func (r *queryRun) forwardSlicePrune(ctx context.Context, q *history.History, p core.Params,
 	cand *bitmatrix.Vec, st *QueryStats) error {
-	x := r.x
-	if p.Delta > x.opt.Params.Delta || st.InitialCandidates == 0 {
-		return nil
-	}
 	vio := r.vioMap()
 	// The query's version boundaries are the same in every slice; compute
 	// them once rather than per slice.
 	bounds := q.ChangeTimes()
-	for _, ts := range x.ss.slices {
+	for _, ts := range r.x.ss.slices {
 		if err := CtxErr(ctx); err != nil {
 			return err
 		}
@@ -417,10 +413,6 @@ func (r *queryRun) forwardSlicePrune(ctx context.Context, q *history.History, p 
 func (r *queryRun) reverseSlicePrune(ctx context.Context, q *history.History, p core.Params,
 	cand *bitmatrix.Vec, st *QueryStats) error {
 	x := r.x
-	if p.Delta > x.opt.Params.Delta || st.InitialCandidates == 0 ||
-		!sameWeight(p.Weight, x.opt.Params.Weight) {
-		return nil
-	}
 	vio := r.vioMap()
 	used := 0
 	for _, ts := range x.ss.slices {
@@ -460,7 +452,9 @@ func (r *queryRun) reverseSlicePrune(ctx context.Context, q *history.History, p 
 // the index pruned at budget ε is proven to violate more than ε, so once
 // K results lie at or below ε they are exactly the global top K. The
 // check that certifies a candidate ≤ ε returns its exact weight, so
-// ranking a round is a sort of what validation returned.
+// ranking a round is a sort of what validation returned. Phase timings
+// and SlicesUsed sum over the rounds; the funnel is the last round's, so
+// an abort mid-escalation still reports how far it got.
 func (r *queryRun) topK(ctx context.Context, q *history.History, o QueryOptions) (Result, error) {
 	x, k := r.x, o.K
 	eps := o.Params.Epsilon
@@ -479,14 +473,15 @@ func (r *queryRun) topK(ctx context.Context, q *history.History, o QueryOptions)
 		if err := CtxErr(ctx); err != nil {
 			return Result{Stats: st}, err
 		}
-		if eps >= total {
+		// A budget that requires no value admits every attribute; scanning
+		// them all bounded costs what the unbounded, final round costs, so
+		// run that one at once. The ranking is by exact weight either way.
+		if eps >= total || len(r.requiredValues(q, eps, o.Params.Weight)) == 0 {
 			eps = math.Inf(1)
 		}
 		p := core.Params{Epsilon: eps, Delta: o.Params.Delta, Weight: o.Params.Weight}
-		// The latest round's stats are the query's: an abort
-		// mid-escalation still reports how far it got.
-		hits, round, err := r.searchHits(ctx, q, p, false)
-		if st = round; err != nil {
+		hits, err := r.searchHits(ctx, q, p, false, &st)
+		if err != nil {
 			return Result{Stats: st}, err
 		}
 		if len(hits) < k && !math.IsInf(eps, 1) {

@@ -102,26 +102,32 @@ func TestQueryTimingsAlwaysPopulated(t *testing.T) {
 	}
 }
 
+// A trace holds one span per phase that ran, in pipeline order: reverse
+// search has no subset pre-check.
 func TestQueryTraceSpans(t *testing.T) {
 	ds, x := queryTestIndex(t, 14, 30)
 	p := core.DefaultDays(ds.Horizon())
-	res, err := x.Query(context.Background(), ds.Attr(0), QueryOptions{Mode: ModeForward, Params: p, Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{phaseMTPrune, phaseSlicePrune, phaseSubsetCheck, phaseValidate}
-	if len(res.Stats.Trace) != len(want) {
-		t.Fatalf("trace spans: %v", res.Stats.Trace)
-	}
-	for i, sp := range res.Stats.Trace {
-		if sp.Name != want[i] {
-			t.Fatalf("span %d: %q, want %q", i, sp.Name, want[i])
+	for mode, want := range map[Mode][]string{
+		ModeForward: {phaseMTPrune, phaseSlicePrune, phaseSubsetCheck, phaseValidate},
+		ModeReverse: {phaseMTPrune, phaseSlicePrune, phaseValidate},
+	} {
+		res, err := x.Query(context.Background(), ds.Attr(0), QueryOptions{Mode: mode, Params: p, Trace: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if sp.End < sp.Start {
-			t.Fatalf("span %q ends before it starts: %+v", sp.Name, sp)
+		if len(res.Stats.Trace) != len(want) {
+			t.Fatalf("%v: trace spans: %v", mode, res.Stats.Trace)
 		}
-		if i > 0 && sp.Start < res.Stats.Trace[i-1].End {
-			t.Fatalf("span %q overlaps predecessor", sp.Name)
+		for i, sp := range res.Stats.Trace {
+			if sp.Name != want[i] {
+				t.Fatalf("%v: span %d: %q, want %q", mode, i, sp.Name, want[i])
+			}
+			if sp.End < sp.Start {
+				t.Fatalf("%v: span %q ends before it starts: %+v", mode, sp.Name, sp)
+			}
+			if i > 0 && sp.Start < res.Stats.Trace[i-1].End {
+				t.Fatalf("%v: span %q overlaps predecessor", mode, sp.Name)
+			}
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"tind/internal/core"
 	"tind/internal/history"
 	"tind/internal/timeline"
+	"tind/internal/values"
 )
 
 // subsetCheckEvery is how many candidates the exact subset pre-check
@@ -21,12 +22,12 @@ const subsetCheckEvery = 512
 // QueryStats records how a single query was answered, feeding the
 // runtime-distribution experiments and the /metrics exposition.
 type QueryStats struct {
-	InitialCandidates int           // after M_T (or full set when M_T unusable)
+	InitialCandidates int           // after M_T/M_R (or every attribute when the matrix cannot prune)
 	AfterSlices       int           // after time-slice pruning
-	AfterSubsetCheck  int           // after exact subset validation (line 16)
+	AfterSubsetCheck  int           // after the forward subset pre-check (line 16); reverse: AfterSlices
 	Validated         int           // candidates passed to Algorithm 2
 	Results           int           // valid tINDs
-	SlicesUsed        int           // slice indices consulted
+	SlicesUsed        int           // slice indices consulted (top-k: over all rounds)
 	Elapsed           time.Duration // total query time
 	// Timings breaks Elapsed down by pruning phase. Total is populated
 	// (non-zero) on every Query return, successful or aborted.
@@ -114,18 +115,21 @@ func (x *Index) Search(q *history.History, p core.Params) (Result, error) {
 }
 
 // Reverse returns all A ∈ D with A ⊆_{w,ε,δ} Q (Definition 3.8). The index
-// must have been built with Reverse enabled. Results are exact for any
-// query ε ≤ index ε and δ ≤ index δ under the index weight function; a
-// larger ε disables M_R pruning, a larger δ disables slice pruning — both
-// fall back to exhaustive validation and remain exact. It is Query with
-// ModeReverse under context.Background().
+// must have been built with Reverse enabled. Results are exact for any ε,
+// δ and w; M_R prunes only for ε ≤ index ε, the slices only for δ ≤ index
+// δ, both only under the index weight function. Outside those conditions
+// every attribute is validated — a closed-form refutation for an unrelated
+// pair. It is Query with ModeReverse under context.Background().
 func (x *Index) Reverse(q *history.History, p core.Params) (Result, error) {
 	return x.Query(context.Background(), q, QueryOptions{Mode: ModeReverse, Params: p})
 }
 
-// subsetCheck clears every candidate failing the exact check, polling the
-// context every subsetCheckEvery candidates.
-func (x *Index) subsetCheck(ctx context.Context, cand *bitmatrix.Vec, keep func(history.AttrID) bool) error {
+// subsetCheck clears every candidate missing a required value of the
+// query, polling the context every subsetCheckEvery candidates.
+func (x *Index) subsetCheck(ctx context.Context, cand *bitmatrix.Vec, req values.Set) error {
+	if len(req) == 0 {
+		return nil
+	}
 	var n int
 	var err error
 	cand.ForEach(func(c int) bool {
@@ -135,7 +139,7 @@ func (x *Index) subsetCheck(ctx context.Context, cand *bitmatrix.Vec, keep func(
 			}
 		}
 		n++
-		if !keep(history.AttrID(c)) {
+		if !req.SubsetOf(x.ds.Attr(history.AttrID(c)).AllValues()) {
 			cand.Clear(c)
 		}
 		return true

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"tind/internal/bitmatrix"
 	"tind/internal/bloom"
@@ -174,7 +175,11 @@ func TestTopKCompleteRankingEveryWeight(t *testing.T) {
 // two-pass implementation (validate, then weigh every survivor again)
 // produced on this corpus: the kernel got cheaper, the work it is asked to
 // do did not move. Each row is a query attribute, the last round's funnel
-// and an FNV-64a of the ranked "id:weight-bits;" list.
+// and an FNV-64a of the ranked "id:weight-bits;" list. No value moved when
+// a round without required values began to run unbounded at once: for the
+// 13 such queries the deciding round used to be a bounded scan of every
+// attribute, pruned by nothing, whose funnel is the unbounded round's, and
+// Results is the K ranked either way.
 func TestTopKFunnelAndRankingPinned(t *testing.T) {
 	c, err := datagen.Generate(datagen.Config{Seed: 42, Attributes: 300, Horizon: 800})
 	if err != nil {
@@ -278,5 +283,87 @@ func TestValidateParallelMatchesSequential(t *testing.T) {
 		if n := calls.Load(); n >= int64(ds.Len()) {
 			t.Fatalf("workers=%d: %d checks ran after one failed; the error must stop the others", workers, n)
 		}
+	}
+}
+
+// A top-k query pays for a round only where the round can prune: every
+// round but the last has required values and fewer candidates than |D|−1
+// out of M_T, a round without any is the unbounded one and the last, and
+// that one consults no slice. The rounds a query ran are read off its
+// trace — one span set per round — and their work is re-derived from
+// forward queries on the escalation ladder. Phase timings sum over the
+// rounds: no phase is shorter than its spans together, and all phases fit
+// in Total.
+func TestTopKRoundsSumAndPayOnce(t *testing.T) {
+	c, err := datagen.Generate(datagen.Config{Seed: 42, Attributes: 300, Horizon: 800})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := c.Dataset
+	opt := DefaultOptions(ds.Horizon())
+	x := buildTestIndex(t, ds, opt)
+	w, delta := opt.Params.Weight, opt.Params.Delta
+	ctx := context.Background()
+	multi := 0
+	for qi := 0; qi < ds.Len(); qi += 7 {
+		q := ds.Attr(history.AttrID(qi))
+		for _, k := range []int{10, 120} {
+			res, err := x.Query(ctx, q, QueryOptions{Mode: ModeTopK, Params: core.Params{Delta: delta, Weight: w}, K: k, Trace: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := res.Stats
+			spans := map[string]int{}
+			spent := map[string]time.Duration{}
+			for _, sp := range st.Trace {
+				spans[sp.Name]++
+				spent[sp.Name] += sp.Duration()
+			}
+			rounds := spans[phaseValidate]
+			if rounds == 0 || spans[phaseMTPrune] != rounds || spans[phaseSlicePrune] != rounds ||
+				spans[phaseSubsetCheck] != rounds || spans[phaseRank] != 1 {
+				t.Fatalf("query %d k=%d: trace is not one span set per round plus one rank: %v", qi, k, spans)
+			}
+			tm := st.Timings
+			for name, d := range map[string]time.Duration{phaseMTPrune: tm.MTPrune, phaseSlicePrune: tm.SlicePrune,
+				phaseSubsetCheck: tm.SubsetCheck, phaseValidate: tm.Validate, phaseRank: tm.Rank} {
+				if d < spent[name] {
+					t.Fatalf("query %d k=%d: Timings has %v of %s, its %d spans %v", qi, k, d, name, spans[name], spent[name])
+				}
+			}
+			if sum := tm.MTPrune + tm.SlicePrune + tm.SubsetCheck + tm.Validate + tm.Rank; sum > tm.Total {
+				t.Fatalf("query %d k=%d: phases sum to %v, Total %v", qi, k, sum, tm.Total)
+			}
+
+			eps, slicesUsed := opt.Params.Epsilon, 0
+			for i := 0; i < rounds; i++ {
+				if eps >= core.MaxViolation(q, w) || len(core.RequiredValues(q, eps, w)) == 0 {
+					if i != rounds-1 || st.InitialCandidates != ds.Len()-1 {
+						t.Fatalf("query %d k=%d: round %d of %d requires no value at ε=%g and was not the one full scan",
+							qi, k, i+1, rounds, eps)
+					}
+					break
+				}
+				fwd, err := x.Query(ctx, q, QueryOptions{Params: core.Params{Epsilon: eps, Delta: delta, Weight: w}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fwd.Stats.InitialCandidates == ds.Len()-1 {
+					t.Fatalf("query %d k=%d: bounded round %d at ε=%g scanned every attribute", qi, k, i+1, eps)
+				}
+				slicesUsed += fwd.Stats.SlicesUsed
+				eps *= 4
+			}
+			if st.SlicesUsed != slicesUsed {
+				t.Fatalf("query %d k=%d: %d slices consulted over %d rounds, the bounded rounds account for %d",
+					qi, k, st.SlicesUsed, rounds, slicesUsed)
+			}
+			if rounds > 1 {
+				multi++
+			}
+		}
+	}
+	if multi == 0 {
+		t.Fatal("no query escalated: the sums were never exercised")
 	}
 }
