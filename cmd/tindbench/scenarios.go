@@ -181,8 +181,8 @@ func (b *bench) runSize(n int) ([]Scenario, error) {
 
 	// Batched execution of the same seeded workload: one QueryBatch call
 	// services the whole query set, so ns/op and — above all — allocs/op
-	// are directly comparable to the per-query scenarios; the gap is the
-	// batch API's amortization (row-major matrix sweeps, pooled scratch).
+	// are directly comparable to the per-query scenarios; the gap is what
+	// the batch API shares (one lock acquisition, the workers).
 	batchFor := func(mode index.Mode, ids []int, o index.QueryOptions) []index.BatchQuery {
 		batch := make([]index.BatchQuery, len(ids))
 		for i, id := range ids {

@@ -3,8 +3,8 @@
 // into an index.QueryOptions, and the handlers themselves (the JSON
 // error envelope is internal/router's, shared with the /shard RPC). GET /search, /reverse and /topk are one handler
 // parameterized by mode; POST /query/batch decodes a list of the same
-// wire queries and executes them as one index.QueryBatch call so the
-// engine amortizes its matrix sweeps across the whole request.
+// wire queries and executes them as one index.QueryBatch call, so the
+// whole request reads one consistent snapshot of the index.
 package main
 
 import (

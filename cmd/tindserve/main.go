@@ -153,9 +153,9 @@ func mHTTPSeconds(endpoint string) *obs.Histogram {
 const topKWeight = 2
 
 // batchWeight is the limiter weight of /query/batch requests. A batch
-// runs many sub-queries in one call, but the engine's row-major sweeps
-// amortize most of the per-query work, so a batch is charged like a few
-// plain searches rather than per sub-query.
+// runs many sub-queries in one call, but it saves each of them the HTTP
+// round trip that dominates a plain search, so a batch is charged like a
+// few plain searches rather than per sub-query.
 const batchWeight = 4
 
 func main() {

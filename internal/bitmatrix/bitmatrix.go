@@ -2,13 +2,17 @@
 // (Section 4.1): rows are Bloom-filter bit positions, columns are
 // attributes. Candidate search for supersets of a query ANDs the rows at
 // which the query filter has a set bit; candidate search for subsets
-// (reverse direction) ORs the rows at which the query filter has a zero
-// bit and negates the result.
+// (reverse direction) removes the rows at which the query filter has a
+// zero bit. Both run full-width row operations only while more columns
+// survive than a row has words, and finish with one test per surviving
+// column (Matrix.dense).
 package bitmatrix
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 
 	"tind/internal/bloom"
 )
@@ -151,20 +155,30 @@ func (v *Vec) Ones() []int {
 // columns. It is built once and then queried concurrently.
 type Matrix struct {
 	params bloom.Params
-	n      int    // columns (attributes)
-	rows   []*Vec // len = params.M
+	n      int      // columns (attributes)
+	stride int      // words per row
+	words  []uint64 // row-major: row b is words[b*stride : (b+1)*stride]
+	// counts[c] is the number of set bits of column c, maintained by
+	// SetColumn. A column's filter is contained in a query filter iff its
+	// hits in the query's set rows equal its count — the per-column form
+	// of the subset probe, ≈ |set rows| bit tests where the row form
+	// removes every zero row.
+	counts []uint32
 }
 
-// NewMatrix returns an all-zero matrix for n attributes.
+// NewMatrix returns an all-zero matrix for n attributes. Like invalid
+// parameters, a filter size the per-column bit counts cannot hold is a
+// construction bug and panics.
 func NewMatrix(params bloom.Params, n int) *Matrix {
 	if err := params.Validate(); err != nil {
 		panic(err)
 	}
-	m := &Matrix{params: params, n: n, rows: make([]*Vec, params.M)}
-	for i := range m.rows {
-		m.rows[i] = NewVec(n)
+	if uint64(params.M) > math.MaxUint32 {
+		panic(fmt.Sprintf("bitmatrix: filter size %d overflows the per-column bit count", params.M))
 	}
-	return m
+	stride := (n + 63) / 64
+	return &Matrix{params: params, n: n, stride: stride,
+		words: make([]uint64, params.M*stride), counts: make([]uint32, n)}
 }
 
 // Params returns the Bloom parameters all columns were hashed with.
@@ -173,8 +187,12 @@ func (m *Matrix) Params() bloom.Params { return m.params }
 // Columns returns the number of attribute columns.
 func (m *Matrix) Columns() int { return m.n }
 
-// SetColumn writes the attribute's Bloom filter into column col. It must
-// only be called during construction, before any queries run.
+// row returns the words of row b.
+func (m *Matrix) row(b int) []uint64 { return m.words[b*m.stride : (b+1)*m.stride] }
+
+// SetColumn ORs the attribute's Bloom filter into column col, counting
+// only newly set bits, so re-adding a grown filter (index refresh) keeps
+// the column's count exact. It must not run concurrently with queries.
 func (m *Matrix) SetColumn(col int, f *bloom.Filter) {
 	if f.Params() != m.params {
 		panic(fmt.Sprintf("bitmatrix: filter params %v do not match matrix params %v", f.Params(), m.params))
@@ -182,15 +200,22 @@ func (m *Matrix) SetColumn(col int, f *bloom.Filter) {
 	if col < 0 || col >= m.n {
 		panic(fmt.Sprintf("bitmatrix: column %d out of range [0,%d)", col, m.n))
 	}
-	for _, b := range f.SetBits(nil) {
-		m.rows[b].Set(col)
+	at, mask := col>>6, uint64(1)<<(uint(col)&63)
+	for wi, w := range f.Words() {
+		for ; w != 0; w &= w - 1 {
+			p := &m.words[(wi<<6+bits.TrailingZeros64(w))*m.stride+at]
+			if *p&mask == 0 {
+				*p |= mask
+				m.counts[col]++
+			}
+		}
 	}
 }
 
-// MemoryBytes returns the matrix size in bytes (the |D|·m/8 of the paper's
-// index-memory formula).
+// MemoryBytes returns the matrix size in bytes: the |D|·m/8 of the paper's
+// index-memory formula plus the per-column bit counts.
 func (m *Matrix) MemoryBytes() int64 {
-	return int64(m.params.M) * int64((m.n+63)/64) * 8
+	return int64(len(m.words))*8 + int64(len(m.counts))*4
 }
 
 // FillRatio returns the fraction of set bits over the whole matrix — the
@@ -198,12 +223,12 @@ func (m *Matrix) MemoryBytes() int64 {
 // filters are saturated and prune almost nothing; the paper's m sizing
 // (§5.4) trades this against memory.
 func (m *Matrix) FillRatio() float64 {
-	if m.n == 0 || m.params.M == 0 {
+	if m.n == 0 {
 		return 0
 	}
 	total := 0
-	for _, row := range m.rows {
-		total += row.Count()
+	for _, c := range m.counts {
+		total += int(c)
 	}
 	return float64(total) / (float64(m.params.M) * float64(m.n))
 }
@@ -213,22 +238,8 @@ func (m *Matrix) FillRatio() float64 {
 // Algorithm 1. The result is base ∧ (∧ rows with query bit set); base is
 // not modified. A nil base means all columns.
 func (m *Matrix) Supersets(q *bloom.Filter, base *Vec) *Vec {
-	if q.Params() != m.params {
-		panic(fmt.Sprintf("bitmatrix: query params %v do not match matrix params %v", q.Params(), m.params))
-	}
-	var out *Vec
-	if base != nil {
-		out = base.Clone()
-	} else {
-		out = NewVecFull(m.n)
-	}
-	for _, b := range q.SetBits(nil) {
-		out.And(m.rows[b])
-		// Early exit: candidate set already empty.
-		if out.Count() == 0 {
-			return out
-		}
-	}
+	out := NewVec(m.n)
+	m.SupersetsInto(q, base, out, nil)
 	return out
 }
 
@@ -237,30 +248,8 @@ func (m *Matrix) Supersets(q *bloom.Filter, base *Vec) *Vec {
 // must have a zero in every row where the query has a zero, so the result
 // is base ∧ ¬(∨ rows with query bit clear).
 func (m *Matrix) Subsets(q *bloom.Filter, base *Vec) *Vec {
-	if q.Params() != m.params {
-		panic(fmt.Sprintf("bitmatrix: query params %v do not match matrix params %v", q.Params(), m.params))
-	}
-	violated := NewVec(m.n)
-	for _, b := range q.ZeroBits(nil) {
-		violated.Or(m.rows[b])
-	}
-	var out *Vec
-	if base != nil {
-		out = base.Clone()
-	} else {
-		out = NewVecFull(m.n)
-	}
-	out.AndNot(violated)
-	return out
-}
-
-// Violators returns base ∧ ¬Supersets: the columns of base whose filter
-// does NOT contain the query filter. The time-slice pruning of reverse
-// tIND search uses it to find attributes that must be violated in a slice.
-func (m *Matrix) Violators(q *bloom.Filter, base *Vec) *Vec {
-	ok := m.Subsets(q, base)
-	out := base.Clone()
-	out.AndNot(ok)
+	out := NewVec(m.n)
+	m.SubsetsInto(q, base, out, nil)
 	return out
 }
 
@@ -272,61 +261,138 @@ func (m *Matrix) checkQuery(q *bloom.Filter) {
 	}
 }
 
-// SupersetsInto is Supersets writing into a caller-owned vector: out is
-// overwritten with base ∧ (∧ rows at query set bits), or with the full
-// set when base is nil. bits is reused as the set-bit scratch and
-// returned (possibly grown) so pooled query arenas allocate nothing on
-// the steady state.
-func (m *Matrix) SupersetsInto(q *bloom.Filter, base, out *Vec, bits []int) []int {
+// start opens a probe: it overwrites out with base (every column when base
+// is nil) and returns the number of columns in play.
+func (m *Matrix) start(q *bloom.Filter, base, out *Vec) int {
 	m.checkQuery(q)
-	if base != nil {
-		out.CopyFrom(base)
-	} else {
+	if base == nil {
 		out.Fill()
+		return m.n
 	}
-	bits = q.SetBits(bits[:0])
-	for _, b := range bits {
-		out.And(m.rows[b])
-		if out.Count() == 0 {
-			break
+	out.CopyFrom(base)
+	return out.Count()
+}
+
+// dense reports whether a probe should go on with full-width row
+// operations: a row operation scans every word of a row whatever survives,
+// a per-column test touches one word per row it consults, so rows pay
+// while more columns are live than a row has words. BenchmarkProbe
+// (bench_test.go) is the measurement: flat from half to twice that many
+// columns, slower beyond.
+func (m *Matrix) dense(live int) bool { return live > m.stride }
+
+// sweep is the dense phase of a probe: while more than a sparse set of
+// columns is live it folds the next rows into out, four per pass so that
+// out is read, written and counted once for them — intersected as they
+// are (flip 0, supersets) or complemented (flip ^0, subsets: the rows are
+// removed). It returns the rows left for the per-column finish.
+func (m *Matrix) sweep(out *Vec, rows []int, live int, flip uint64) []int {
+	o := out.words
+	for len(rows) > 0 && m.dense(live) {
+		// A short last group repeats its final row, which changes nothing.
+		k := min(4, len(rows))
+		a, b := m.row(rows[0])[:len(o)], m.row(rows[min(1, k-1)])[:len(o)]
+		c, d := m.row(rows[min(2, k-1)])[:len(o)], m.row(rows[k-1])[:len(o)]
+		live = 0
+		for i := range o {
+			x := o[i] & (a[i] ^ flip) & (b[i] ^ flip) & (c[i] ^ flip) & (d[i] ^ flip)
+			o[i] = x
+			live += bits.OnesCount64(x)
+		}
+		rows = rows[k:]
+	}
+	return rows
+}
+
+// keep is the sparse phase of a probe: it clears every column of out whose
+// bit in one of the listed rows is not want, stopping at the first such row.
+func (m *Matrix) keep(out *Vec, rows []int, want bool) {
+	for wi, w := range out.words {
+		for ; w != 0; w &= w - 1 {
+			t := uint(bits.TrailingZeros64(w))
+			for _, b := range rows {
+				if (m.words[b*m.stride+wi]>>t&1 != 0) != want {
+					out.words[wi] &^= 1 << t
+					break
+				}
+			}
 		}
 	}
-	return bits
+}
+
+// SupersetsInto is Supersets writing into a caller-owned vector: out is
+// overwritten with the columns of base (all columns when nil) that have
+// every set bit of q. It ANDs set-bit rows while more than a sparse set
+// survives, then tests each survivor against the remaining rows; a sparse
+// base is per-column from the first bit. buf is reused as the bit-list
+// scratch and returned (possibly grown) so pooled query arenas allocate
+// nothing on the steady state.
+func (m *Matrix) SupersetsInto(q *bloom.Filter, base, out *Vec, buf []int) []int {
+	live := m.start(q, base, out)
+	buf = q.SetBits(buf[:0])
+	m.keep(out, m.sweep(out, buf, live, 0), true)
+	return buf
 }
 
 // SubsetsInto is Subsets writing into a caller-owned vector: out is
-// overwritten with base ∧ ¬(∨ rows at query zero bits) — applied as one
-// AndNot per zero-bit row, which is associative and needs no
-// intermediate union vector — or with the full set minus those rows when
-// base is nil. bits is the reusable zero-bit scratch, returned possibly
-// grown.
-func (m *Matrix) SubsetsInto(q *bloom.Filter, base, out *Vec, bits []int) []int {
-	m.checkQuery(q)
-	if base != nil {
-		out.CopyFrom(base)
-	} else {
-		out.Fill()
+// overwritten with the columns of base (all columns when nil) that have no
+// bit outside q. It removes zero-bit rows while more than a sparse set
+// survives; a survivor is then a subset iff its hits in q's set rows equal
+// its bit count, or — fewer tests when q is more than half full — none of
+// the remaining zero rows holds it. The zero rows are listed only where
+// one of the two needs them. buf is the reusable bit-list scratch, returned
+// possibly grown.
+func (m *Matrix) SubsetsInto(q *bloom.Filter, base, out *Vec, buf []int) []int {
+	live := m.start(q, base, out)
+	buf = q.SetBits(buf[:0])
+	nset := len(buf)
+	nzero := m.params.M - nset
+	if m.dense(live) || nzero <= nset {
+		buf = q.ZeroBits(buf)
 	}
-	bits = q.ZeroBits(bits[:0])
-	for _, b := range bits {
-		out.AndNot(m.rows[b])
+	set, zero := buf[:nset], buf[nset:]
+	if len(zero) > 0 {
+		zero = m.sweep(out, zero, live, ^uint64(0))
+		nzero = len(zero)
 	}
-	return bits
+	switch {
+	case nzero == 0:
+	case nzero <= nset:
+		m.keep(out, zero, false)
+	default:
+		// Row-major over the survivors, so each set row is read once.
+		at := len(buf)
+		buf = out.AppendOnes(buf)
+		cols := buf[at:]
+		buf = slices.Grow(buf, len(cols))[:len(buf)+len(cols)]
+		hits := buf[at+len(cols):]
+		clear(hits)
+		for _, b := range set {
+			row := m.row(b)
+			for j, c := range cols {
+				hits[j] += int(row[c>>6] >> (uint(c) & 63) & 1)
+			}
+		}
+		for j, c := range cols {
+			if hits[j] != int(m.counts[c]) {
+				out.Clear(c)
+			}
+		}
+	}
+	return buf
 }
 
-// ViolatorsInto is Violators writing into a caller-owned vector:
-// out = base ∧ (∨ rows at query zero bits), algebraically identical to
-// base ∧ ¬Subsets(q, base) without the intermediate clone. bits is the
-// reusable zero-bit scratch, returned possibly grown.
-func (m *Matrix) ViolatorsInto(q *bloom.Filter, base, out *Vec, bits []int) []int {
-	m.checkQuery(q)
-	out.Reset()
-	bits = q.ZeroBits(bits[:0])
-	for _, b := range bits {
-		out.Or(m.rows[b])
+// ViolatorsInto overwrites out with the columns of base whose filter is
+// NOT contained in q — base ∧ ¬Subsets(q, base); the time-slice pruning of
+// reverse tIND search uses it to find attributes that must be violated in
+// a slice. out must not alias base. buf is the reusable bit-list scratch,
+// returned possibly grown.
+func (m *Matrix) ViolatorsInto(q *bloom.Filter, base, out *Vec, buf []int) []int {
+	buf = m.SubsetsInto(q, base, out, buf)
+	for i, w := range base.words {
+		out.words[i] = w &^ out.words[i]
 	}
-	out.And(base)
-	return bits
+	return buf
 }
 
 // SupersetsBatch runs the superset probe for many query filters in one
@@ -337,6 +403,9 @@ func (m *Matrix) ViolatorsInto(q *bloom.Filter, base, out *Vec, bits []int) []in
 // counters quantify the amortization: loads is the number of rows
 // visited by at least one query, hits the number of per-query row
 // applications a query-at-a-time execution would have loaded rows for.
+// The sweep shares row loads but not the AND per (row, entry), which is
+// the work, so the index probes per entry instead; only the benchmark's
+// layer probe still calls it.
 func (m *Matrix) SupersetsBatch(qs []*bloom.Filter, outs []*Vec) (loads, hits int) {
 	if len(qs) != len(outs) {
 		panic(fmt.Sprintf("bitmatrix: SupersetsBatch got %d filters for %d outputs", len(qs), len(outs)))
@@ -344,7 +413,8 @@ func (m *Matrix) SupersetsBatch(qs []*bloom.Filter, outs []*Vec) (loads, hits in
 	for _, q := range qs {
 		m.checkQuery(q)
 	}
-	for b, row := range m.rows {
+	for b := 0; b < m.params.M; b++ {
+		row := m.row(b)
 		loaded := false
 		for i, q := range qs {
 			if !q.Bit(b) {
@@ -352,37 +422,9 @@ func (m *Matrix) SupersetsBatch(qs []*bloom.Filter, outs []*Vec) (loads, hits in
 			}
 			loaded = true
 			hits++
-			outs[i].And(row)
-		}
-		if loaded {
-			loads++
-		}
-	}
-	return loads, hits
-}
-
-// SubsetsBatch runs the subset (reverse) probe for many query filters in
-// one row-major sweep: each row is visited once and removed (AndNot) from
-// every batch entry whose filter has that bit clear — associative, so the
-// result equals base ∧ ¬(∨ rows at zero bits) exactly like Subsets.
-// outs[i] must be pre-initialized to the entry's base candidate set.
-// Counter semantics match SupersetsBatch.
-func (m *Matrix) SubsetsBatch(qs []*bloom.Filter, outs []*Vec) (loads, hits int) {
-	if len(qs) != len(outs) {
-		panic(fmt.Sprintf("bitmatrix: SubsetsBatch got %d filters for %d outputs", len(qs), len(outs)))
-	}
-	for _, q := range qs {
-		m.checkQuery(q)
-	}
-	for b, row := range m.rows {
-		loaded := false
-		for i, q := range qs {
-			if q.Bit(b) {
-				continue
+			for j, w := range row {
+				outs[i].words[j] &= w
 			}
-			loaded = true
-			hits++
-			outs[i].AndNot(row)
 		}
 		if loaded {
 			loads++

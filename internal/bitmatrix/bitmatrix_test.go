@@ -171,7 +171,8 @@ func TestViolators(t *testing.T) {
 	base := NewVecFull(3)
 	base.Clear(2) // column 2 not under consideration
 	q := values.NewSet(1, 2, 3)
-	vio := m.Violators(bloom.FromSet(p, q), base)
+	vio := NewVec(3)
+	m.ViolatorsInto(bloom.FromSet(p, q), base, vio, nil)
 	if vio.Get(0) {
 		t.Error("contained attribute flagged as violator")
 	}
@@ -229,12 +230,17 @@ func TestSetColumnValidation(t *testing.T) {
 	mustPanic(t, func() { m.SetColumn(5, bloom.New(p)) })
 	mustPanic(t, func() { m.Supersets(bloom.New(bloom.Params{M: 128, K: 1}), nil) })
 	mustPanic(t, func() { m.Subsets(bloom.New(bloom.Params{M: 128, K: 1}), nil) })
+	// A filter size the per-column bit counts cannot hold is rejected
+	// before anything is allocated.
+	huge := 1 << 16
+	mustPanic(t, func() { NewMatrix(bloom.Params{M: huge << 16, K: 1}, 1) })
 }
 
 func TestMemoryBytes(t *testing.T) {
 	m := NewMatrix(bloom.Params{M: 4096, K: 2}, 1000)
-	// 4096 rows × ceil(1000/64)=16 words × 8 bytes.
-	if got := m.MemoryBytes(); got != 4096*16*8 {
+	// 4096 rows × ceil(1000/64)=16 words × 8 bytes, plus a 4-byte bit
+	// count per column.
+	if got := m.MemoryBytes(); got != 4096*16*8+1000*4 {
 		t.Fatalf("MemoryBytes = %d", got)
 	}
 }

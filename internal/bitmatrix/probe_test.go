@@ -1,0 +1,256 @@
+package bitmatrix
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"tind/internal/bloom"
+	"tind/internal/values"
+)
+
+// The probes are checked against a reference that is not themselves: the
+// per-column Bloom filters the matrix was filled from, compared with
+// Filter.SubsetOf column by column.
+
+// universe is the value range columns and queries draw from; small enough
+// that genuine filter containments occur in both directions.
+const universe = 200
+
+func randomFilter(rng *rand.Rand, p bloom.Params, nValues int) *bloom.Filter {
+	f := bloom.New(p)
+	for v := 0; v < nValues; v++ {
+		f.Add(values.Value(rng.Intn(universe)))
+	}
+	return f
+}
+
+// saturated returns a filter with every bit set.
+func saturated(p bloom.Params) *bloom.Filter {
+	f := bloom.New(p)
+	for v := 0; f.PopCount() < p.M; v++ {
+		f.Add(values.Value(v))
+	}
+	return f
+}
+
+// randomMatrix fills a matrix from random value-set columns and returns it
+// with the filter each column must equal. Every seventh column stays
+// empty, and every fifth is written twice with overlapping filters — the
+// idempotent re-add of an index refresh — whose union is the reference.
+func randomMatrix(rng *rand.Rand, p bloom.Params, n int) (*Matrix, []*bloom.Filter) {
+	m := NewMatrix(p, n)
+	cols := make([]*bloom.Filter, n)
+	for c := range cols {
+		cols[c] = bloom.New(p)
+		if c%7 == 3 {
+			continue
+		}
+		f := randomFilter(rng, p, 1+rng.Intn(12))
+		m.SetColumn(c, f)
+		cols[c].UnionWith(f)
+		if c%5 == 0 {
+			g := f.Clone()
+			g.Add(values.Value(rng.Intn(universe)))
+			m.SetColumn(c, g)
+			m.SetColumn(c, f)
+			cols[c].UnionWith(g)
+		}
+	}
+	return m, cols
+}
+
+// randomQueries covers the probe's query shapes: empty, saturated, sparse
+// (more zero rows than set rows: the bit-count test finishes subsets),
+// dense (fewer zero rows than set rows: the zero-row test does), and
+// filters that genuinely contain or are contained in columns.
+func randomQueries(rng *rand.Rand, p bloom.Params, cols []*bloom.Filter) []*bloom.Filter {
+	qs := []*bloom.Filter{bloom.New(p), saturated(p)}
+	for i := 0; i < 3; i++ {
+		qs = append(qs, randomFilter(rng, p, 1+rng.Intn(3)), randomFilter(rng, p, 1+rng.Intn(8)))
+	}
+	qs = append(qs, randomFilter(rng, p, universe/2), randomFilter(rng, p, 2*universe))
+	for i := 0; i < 3; i++ {
+		qs = append(qs, cols[rng.Intn(len(cols))].Clone())
+		u := cols[rng.Intn(len(cols))].Clone()
+		for j := 0; j < 4; j++ {
+			u.UnionWith(cols[rng.Intn(len(cols))])
+		}
+		qs = append(qs, u)
+	}
+	return qs
+}
+
+// randomBases returns candidate sets on both sides of the point where a
+// probe turns per-column: nil, empty, one column, the sparse limit and its
+// neighbours, dense and full.
+func randomBases(rng *rand.Rand, m *Matrix) []*Vec {
+	n := m.Columns()
+	pick := func(k int) *Vec {
+		v := NewVec(n)
+		for _, c := range rng.Perm(n)[:max(0, min(k, n))] {
+			v.Set(c)
+		}
+		return v
+	}
+	limit := m.stride
+	return []*Vec{nil, NewVec(n), pick(1), pick(limit - 1), pick(limit), pick(limit + 1),
+		pick(n * 2 / 3), NewVecFull(n)}
+}
+
+// checkProbes compares the three kernels with the per-column reference for
+// one query and base. out arrives holding the previous call's bits, so a
+// kernel that fails to overwrite it is caught too.
+func checkProbes(t *testing.T, m *Matrix, cols []*bloom.Filter, q *bloom.Filter, base, out *Vec, buf []int) []int {
+	t.Helper()
+	verify := func(kernel string, want func(c int) bool) {
+		t.Helper()
+		for c := range cols {
+			if w := (base == nil || base.Get(c)) && want(c); out.Get(c) != w {
+				t.Fatalf("%s: column %d of %d (bits %d, query bits %d, base %s) = %v, want %v",
+					kernel, c, len(cols), cols[c].PopCount(), q.PopCount(), describe(base), out.Get(c), w)
+			}
+		}
+		if tail := out.Count() - len(out.AppendOnes(buf[:0])); tail != 0 {
+			t.Fatalf("%s: ghost columns beyond %d", kernel, len(cols))
+		}
+	}
+	buf = m.SupersetsInto(q, base, out, buf)
+	verify("SupersetsInto", func(c int) bool { return q.SubsetOf(cols[c]) })
+	buf = m.SubsetsInto(q, base, out, buf)
+	verify("SubsetsInto", func(c int) bool { return cols[c].SubsetOf(q) })
+	if base != nil {
+		buf = m.ViolatorsInto(q, base, out, buf)
+		verify("ViolatorsInto", func(c int) bool { return !cols[c].SubsetOf(q) })
+	}
+	return buf
+}
+
+func describe(base *Vec) string {
+	if base == nil {
+		return "nil"
+	}
+	return fmt.Sprint(base.Count())
+}
+
+// TestProbesMatchFilterReference is the property test of the probe
+// kernels: column counts on both sides of the dense/sparse switch, every
+// base and query shape, columns without bits and columns written twice.
+func TestProbesMatchFilterReference(t *testing.T) {
+	for _, tc := range []struct {
+		n int
+		p bloom.Params
+	}{
+		{40, bloom.Params{M: 256, K: 2}},
+		{1000, bloom.Params{M: 256, K: 2}},
+		{1000, bloom.Params{M: 1024, K: 3}},
+		{20000, bloom.Params{M: 256, K: 2}},
+	} {
+		t.Run(fmt.Sprintf("n=%d/m=%d", tc.n, tc.p.M), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(tc.n + tc.p.M)))
+			m, cols := randomMatrix(rng, tc.p, tc.n)
+			for c, f := range cols {
+				if int(m.counts[c]) != f.PopCount() {
+					t.Fatalf("column %d: count %d, filter has %d bits", c, m.counts[c], f.PopCount())
+				}
+			}
+			out := NewVecFull(tc.n)
+			var buf []int
+			for _, q := range randomQueries(rng, tc.p, cols) {
+				for _, base := range randomBases(rng, m) {
+					buf = checkProbes(t, m, cols, q, base, out, buf)
+				}
+			}
+		})
+	}
+}
+
+// FuzzProbeEquivalence drives the same comparison from fuzzed shapes: the
+// column count, the size of the base and the density of the query.
+func FuzzProbeEquivalence(f *testing.F) {
+	f.Add(int64(1), uint16(40), uint16(2), uint16(3))
+	f.Add(int64(2), uint16(1000), uint16(33), uint16(1))
+	f.Add(int64(3), uint16(1000), uint16(1000), uint16(400))
+	f.Add(int64(4), uint16(3000), uint16(0), uint16(0))
+	f.Fuzz(func(t *testing.T, seed int64, n, baseSize, queryValues uint16) {
+		if n == 0 {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewSource(seed))
+		p := bloom.Params{M: 64 * (1 + int(seed&3)), K: 1 + int(seed>>2&1)}
+		m, cols := randomMatrix(rng, p, int(n))
+		q := randomFilter(rng, p, int(queryValues))
+		base := NewVec(int(n))
+		for _, c := range rng.Perm(int(n))[:min(int(baseSize), int(n))] {
+			base.Set(c)
+		}
+		out := NewVecFull(int(n))
+		buf := checkProbes(t, m, cols, q, base, out, nil)
+		checkProbes(t, m, cols, q, nil, out, buf)
+	})
+}
+
+// TestBatchSweepsMatchSingle pins the row-major batch sweep to the same
+// per-column reference, and its counters to what they claim to count.
+func TestBatchSweepsMatchSingle(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	p := bloom.Params{M: 256, K: 2}
+	for trial := 0; trial < 20; trial++ {
+		n := 1 + rng.Intn(130)
+		m, cols := randomMatrix(rng, p, n)
+		qs := make([]*bloom.Filter, 1+rng.Intn(9))
+		wantHits := 0
+		for i := range qs {
+			qs[i] = randomFilter(rng, p, 1+rng.Intn(8))
+			wantHits += qs[i].PopCount()
+		}
+		outs := make([]*Vec, len(qs))
+		for i := range outs {
+			outs[i] = NewVecFull(n)
+		}
+		loads, hits := m.SupersetsBatch(qs, outs)
+		if loads == 0 || loads > hits || hits != wantHits {
+			t.Fatalf("trial %d: sweep counters loads=%d hits=%d, want hits=%d", trial, loads, hits, wantHits)
+		}
+		for i, q := range qs {
+			for c := range cols {
+				if want := q.SubsetOf(cols[c]); outs[i].Get(c) != want {
+					t.Fatalf("trial %d query %d column %d: SupersetsBatch = %v, want %v", trial, i, c, !want, want)
+				}
+			}
+		}
+	}
+}
+
+func TestVecScratchHelpers(t *testing.T) {
+	v := NewVec(70)
+	v.Set(3)
+	v.Set(69)
+	if got := v.AppendOnes(nil); len(got) != 2 || got[0] != 3 || got[1] != 69 {
+		t.Fatalf("AppendOnes = %v", got)
+	}
+	buf := make([]int, 0, 4)
+	if got := v.AppendOnes(buf); len(got) != 2 {
+		t.Fatalf("AppendOnes into buf = %v", got)
+	}
+	v.Fill()
+	if v.Count() != 70 {
+		t.Fatalf("Fill: count = %d, want 70", v.Count())
+	}
+	v.Reset()
+	if v.Count() != 0 {
+		t.Fatalf("Reset: count = %d, want 0", v.Count())
+	}
+	o := NewVec(70)
+	o.Set(5)
+	v.CopyFrom(o)
+	if v.Count() != 1 || !v.Get(5) {
+		t.Fatalf("CopyFrom: wrong bits")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("CopyFrom with mismatched lengths did not panic")
+		}
+	}()
+	v.CopyFrom(NewVec(64))
+}

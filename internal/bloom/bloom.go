@@ -152,6 +152,11 @@ func (f *Filter) Bit(i int) bool {
 	return f.words[i>>6]&(1<<(uint(i)&63)) != 0
 }
 
+// Words returns the filter's bits as 64-bit words, bit i at word i/64, for
+// callers that walk the set bits without materializing them; the slice
+// aliases the filter and must not be modified.
+func (f *Filter) Words() []uint64 { return f.words }
+
 // SetBits appends the indices of all set bits to dst. Bit-matrix queries
 // iterate the set bits of the query filter (rows to AND, Section 4.1).
 func (f *Filter) SetBits(dst []int) []int {

@@ -19,8 +19,11 @@ import (
 type Options struct {
 	// Bloom is the shape of all Bloom filters/matrices. The paper's best
 	// settings are m=4096 for search and m=512 for reverse search
-	// (Section 5.4); m=1024..2048 is a good compromise when one index
-	// serves both directions.
+	// (Section 5.4), because its reverse probe visits every zero-bit row.
+	// Here a probe finishes per column once few candidates survive, and
+	// reverse search costs 0.02 ms (median, 4 000 attributes) at m=512,
+	// 0.03 ms at m=4096 and 0.05 ms at m=8192 (EXPERIMENTS.md, Fig. 12),
+	// so one index at m=4096 serves both directions.
 	Bloom bloom.Params
 	// Slices is k, the number of time-slice indices. Best settings per
 	// the paper: 16 for search, 2 for reverse.
@@ -38,7 +41,10 @@ type Options struct {
 	Reverse bool
 	// ReverseSlices caps how many slice indices reverse queries consult.
 	// The paper finds that more than 2 slices slow reverse search down
-	// (Figure 14). 0 means 2.
+	// (Figure 14). Measured here a slice costs a reverse query ≈ 1 µs per
+	// candidate it classifies — the median goes from 0.04 ms at 1–2
+	// slices to 0.06 ms at 16 (EXPERIMENTS.md, Fig. 14) — and the slices
+	// past the second spare no validation worth that. 0 means 2.
 	ReverseSlices int
 	// Seed drives the random slice selection.
 	Seed int64
@@ -206,9 +212,12 @@ type sliceState struct {
 
 // BuildStats reports what Build produced.
 type BuildStats struct {
-	Attributes  int
-	Slices      int
-	SliceSpans  []timeline.Interval
+	Attributes int
+	Slices     int
+	SliceSpans []timeline.Interval
+	// MemoryBytes is what the index holds: every matrix with its
+	// per-column bit counts, and the per-slice minimum violation weights
+	// of a reverse-capable index.
 	MemoryBytes int64
 	Elapsed     time.Duration
 	// Per-matrix fill times: M_T, all slice matrices combined, and M_R.
@@ -472,7 +481,7 @@ func (x *Index) Stats() BuildStats {
 	s.MemoryBytes = x.mT.MemoryBytes()
 	for _, ts := range x.ss.slices {
 		s.SliceSpans = append(s.SliceSpans, ts.iv)
-		s.MemoryBytes += ts.matrix.MemoryBytes()
+		s.MemoryBytes += ts.matrix.MemoryBytes() + int64(len(ts.minVio))*8
 	}
 	if x.mR != nil {
 		s.MemoryBytes += x.mR.MemoryBytes()

@@ -448,9 +448,11 @@ func TestStatsAndMemory(t *testing.T) {
 	if st.Slices != len(st.SliceSpans) {
 		t.Fatal("slice count mismatch")
 	}
-	// (k+1) matrices plus M_R.
-	perMatrix := int64(128 * 8) // 128 rows × 1 word × 8 bytes
-	if want := perMatrix * int64(st.Slices+2); st.MemoryBytes != want {
+	// (k+1) matrices plus M_R, and the reverse minimum violation weights
+	// of every slice.
+	perMatrix := int64(128*8 + 10*4) // 128 rows × 1 word × 8 bytes + 10 column counts
+	perSlice := int64(10 * 8)        // one float64 per attribute
+	if want := perMatrix*int64(st.Slices+2) + perSlice*int64(st.Slices); st.MemoryBytes != want {
 		t.Fatalf("MemoryBytes = %d, want %d", st.MemoryBytes, want)
 	}
 	if st.Elapsed <= 0 {

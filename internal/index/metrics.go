@@ -65,18 +65,11 @@ var (
 		obs.ExpBuckets(0.001, 4, 12))
 	mReslices = reg.Counter("tind_index_reslices_total",
 		"Completed background re-slicing passes.")
-	// Batched-execution instruments. The amortization factor of the
-	// row-major matrix sweeps is row_hits / row_loads: hits counts the
-	// per-query row applications a query-at-a-time execution would have
-	// loaded rows for, loads the rows actually visited.
+	// Batched-execution instruments.
 	mBatchQueries = reg.Counter("tind_query_batches_total",
 		"QueryBatch calls started.")
 	mBatchSize = reg.Histogram("tind_query_batch_size",
 		"Sub-queries per QueryBatch call.", obs.CountBuckets)
-	mBatchRowLoads = reg.Counter("tind_query_batch_matrix_row_loads_total",
-		"Matrix rows visited by batched candidate sweeps.")
-	mBatchRowHits = reg.Counter("tind_query_batch_matrix_row_hits_total",
-		"Per-query row applications serviced by batched candidate sweeps.")
 )
 
 func init() {

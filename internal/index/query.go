@@ -83,7 +83,7 @@ type TraceSpan = obs.Span
 // Query is the context-first entry point for all single-query modes:
 // forward search, reverse search and top-k ranking, selected by
 // QueryOptions.Mode. It runs the same pooled pipeline as one QueryBatch
-// entry, minus the amortized matrix probe.
+// entry.
 //
 // The context is polled between pruning stages, between candidate
 // batches of the forward subset pre-check and inside exact validation;
@@ -108,7 +108,7 @@ func (x *Index) Query(ctx context.Context, q *history.History, o QueryOptions) (
 func (x *Index) runOne(ctx context.Context, q *history.History, o QueryOptions) (Result, error) {
 	ar := x.pool.getArena(x.ds.Len(), x.opt.Bloom)
 	defer x.pool.putArena(ar)
-	return x.runEntry(ctx, q, o, ar, probed{}, 0)
+	return x.runEntry(ctx, q, o, ar, 0)
 }
 
 // errResult stamps the Timings contract onto an otherwise empty Result:
@@ -160,9 +160,8 @@ func (o QueryOptions) validate() error {
 }
 
 // queryRun carries the cross-phase state of one query — a Query call or
-// one QueryBatch entry: the clock, the optional trace, the mode's metrics,
-// the scratch arena of the goroutine executing it and, for a
-// matrix-eligible batch entry, the batch-probed phase-1 candidate set.
+// one QueryBatch entry: the clock, the optional trace, the mode's metrics
+// and the scratch arena of the goroutine executing it.
 type queryRun struct {
 	x     *Index
 	mode  Mode
@@ -173,23 +172,9 @@ type queryRun struct {
 	// the duration of the run; nothing in it may be reachable from the
 	// returned Result.
 	ar *arena
-	// pre transfers ownership of the batch-probed candidate set. search
-	// consumes it on its first pass and returns every pooled candidate
-	// vector it owns to x.pool on all exit paths.
-	pre probed
 	// valWorkers overrides Options.ValidationWorkers when positive;
 	// QueryBatch pins it to 1 while parallelizing across sub-queries.
 	valWorkers int
-}
-
-// probed is one batch entry's part of the amortized phase-1 sweep: the
-// candidate set (nil when the entry probes for itself), the forward
-// required values it was probed for, and the entry's share of the sweep
-// time.
-type probed struct {
-	cand  *bitmatrix.Vec
-	req   values.Set
-	share time.Duration
 }
 
 // newCand returns a pooled dataset-width candidate vector with
@@ -287,32 +272,20 @@ func (r *queryRun) search(ctx context.Context, q *history.History, p core.Params
 func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Params, reverse bool, st *QueryStats) ([]Ranked, error) {
 	x := r.x
 	*st = QueryStats{Timings: st.Timings, SlicesUsed: st.SlicesUsed}
-	var cand *bitmatrix.Vec
-	// Candidate vectors go back to the pool on every exit path —
-	// including aborts and the unconsumed batch-probed set of an entry
-	// that never reached phase 1.
-	defer func() {
-		x.pool.putVec(cand)
-		x.pool.putVec(r.pre.cand)
-		r.pre = probed{}
-	}()
 	if err := CtxErr(ctx); err != nil {
 		return nil, err
 	}
+	// The candidate vector goes back to the pool on every exit path.
+	cand := r.newCand()
+	defer x.pool.putVec(cand)
 
 	// Phase 1: candidate generation via the required-values matrix —
 	// M_T supersets for forward search (line 2 of Algorithm 1), M_R
 	// subsets for reverse search, every attribute where neither can
-	// prune. A batch-probed entry consumes its amortized candidate set
-	// instead, accounting its share of the row-major sweep to this phase.
+	// prune.
 	endPhase := r.phase(phaseMTPrune, &st.Timings.MTPrune)
 	var req values.Set // forward only: required values, reused by the subset check
-	if r.pre.cand != nil {
-		cand, req = r.pre.cand, r.pre.req
-		st.Timings.MTPrune += r.pre.share
-		r.pre = probed{}
-	} else if reverse {
-		cand = r.newCand()
+	if reverse {
 		if x.mRCovers(p) {
 			r.ar.bits = x.mR.SubsetsInto(r.filterFor(q.AllValues()), nil, cand, r.ar.bits)
 		} else {
@@ -320,7 +293,6 @@ func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Pa
 		}
 	} else {
 		req = r.requiredValues(q, p.Epsilon, p.Weight)
-		cand = r.newCand()
 		if len(req) == 0 || x.opt.DisableRequiredValues {
 			cand.Fill()
 		} else {

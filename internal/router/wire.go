@@ -61,9 +61,9 @@ type wireQuery struct {
 }
 
 // wireBatch is one scatter leg of a batched query: the full batch goes
-// to every shard (each shard resolves ownership itself), so the
-// per-shard matrix sweep amortizes across the whole batch exactly like
-// the in-process ShardedIndex.QueryBatch.
+// to every shard (each shard resolves ownership itself) and costs one
+// round trip per shard for the whole batch, exactly like the in-process
+// ShardedIndex.QueryBatch.
 type wireBatch struct {
 	Queries []wireQuery `json:"queries"`
 }

@@ -164,8 +164,8 @@ func (c *Coordinator) Query(ctx context.Context, q *history.History, o index.Que
 
 // QueryBatch serves index.Index.QueryBatch over the partition. Every leg
 // receives the whole batch — each shard resolves ownership per entry and
-// amortizes its row-major matrix sweep across the entire call rather than
-// per sub-query — and each entry gathers exactly like a single Query.
+// runs its entries as one index.QueryBatch, under one lock acquisition —
+// and each entry gathers exactly like a single Query.
 // Results come back in batch order; every entry's Elapsed/Timings.Total
 // is the batch's scatter-gather wall time, and because a leg covers the
 // whole batch every entry reports the same PerShard leg attribution.

@@ -195,8 +195,8 @@ func (sg *Single) Query(ctx context.Context, q *history.History, o index.QueryOp
 }
 
 // QueryBatch is Query's batched form: the whole batch runs as one
-// index.QueryBatch so the shard's row-major matrix sweep amortizes across
-// every entry. ByID entries name global attributes; each entry lands on
+// index.QueryBatch, so every entry reads the same snapshot of the shard.
+// ByID entries name global attributes; each entry lands on
 // the shard by the same ownership rule as a single Query.
 func (sg *Single) QueryBatch(ctx context.Context, batch []index.BatchQuery, o index.BatchOptions) ([]index.Result, error) {
 	local := make([]index.BatchQuery, len(batch))

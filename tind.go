@@ -27,7 +27,7 @@
 //	}
 //
 // Many queries against the same index are cheapest through QueryBatch,
-// which amortizes the matrix probes across the batch and recycles its
+// which runs them on a few workers under one read lock and recycles its
 // scratch memory:
 //
 //	results, _ := idx.QueryBatch(ctx, []tind.BatchQuery{
