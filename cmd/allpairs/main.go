@@ -29,8 +29,8 @@ import (
 	"tind/internal/timeline"
 )
 
-// discoverer is the slice of the query contract this command needs; both
-// the monolithic index.Index and shard.ShardedIndex satisfy it.
+// discoverer is the slice of the query contract this command needs;
+// index.Index, shard.ShardedIndex and router.Router all satisfy it.
 type discoverer interface {
 	AllPairsContext(ctx context.Context, p core.Params, workers int) ([]index.Pair, error)
 	Stats() index.BuildStats

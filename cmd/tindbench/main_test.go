@@ -51,6 +51,12 @@ func TestScenarioNamesMatchRun(t *testing.T) {
 		if !strings.HasPrefix(sc.Name, "datagen/") && len(sc.Obs.Metrics) == 0 {
 			t.Errorf("%s: empty obs diff", sc.Name)
 		}
+		// Reports carry no bucket arrays: the gate never reads them.
+		for _, m := range sc.Obs.Metrics {
+			if m.Buckets != nil {
+				t.Errorf("%s: %s{%s} carries %d buckets", sc.Name, m.Name, m.Labels, len(m.Buckets))
+			}
+		}
 	}
 	// Query scenarios must carry the gated work counters.
 	for _, name := range []string{"query/forward/60", "allpairs/60"} {

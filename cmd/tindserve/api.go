@@ -267,8 +267,9 @@ type batchRequest struct {
 }
 
 // batchMaxQueries bounds a /query/batch request; larger workloads
-// should page, not monopolize the limiter slot.
-const batchMaxQueries = 256
+// should page, not monopolize the limiter slot. It is the shard RPC's
+// entry cap, so a router forwards whatever it accepts in one leg request.
+const batchMaxQueries = index.BlockEntries
 
 // batchMaxBody bounds the /query/batch request body.
 const batchMaxBody = 1 << 20

@@ -751,7 +751,6 @@ func (s *server) routes() http.Handler {
 		// replica, then a typed partial result) rather than a hard error.
 		mux.Handle("POST /shard/query", s.query(1, s.handleShardRPC))
 		mux.Handle("POST /shard/batch", s.query(batchWeight, s.handleShardRPC))
-		mux.Handle("POST /shard/allpairs", s.query(batchWeight, s.handleShardRPC))
 		mux.Handle("GET /shard/info", s.query(1, s.handleShardRPC))
 		mux.Handle("GET /shard/stats", s.query(1, s.handleShardRPC))
 	}

@@ -43,16 +43,18 @@ type BatchOptions struct {
 	Workers int
 }
 
+// BlockEntries is how many forward queries all-pairs discovery hands the
+// batch path at a time, on every tier. The serving tiers cap a batch
+// request (/query/batch, /shard/batch) at the same number, so a discovery
+// block always fits one shard RPC.
+const BlockEntries = 256
+
 // queryPool recycles the scratch every query runs on: dataset-width
-// candidate vectors and per-goroutine arenas. Build creates it, and Index
-// holds it by pointer so the shallow copies WithValidationWorkers takes
-// share one pool.
+// candidate vectors and per-goroutine arenas.
 type queryPool struct {
 	vecs   sync.Pool // *bitmatrix.Vec, dataset-width
 	arenas sync.Pool // *arena
 }
-
-func newQueryPool() *queryPool { return &queryPool{} }
 
 // getVec returns a dataset-width vector with unspecified contents; the
 // caller must Fill, Reset or CopyFrom before reading. Vectors of a stale
@@ -175,43 +177,9 @@ func (x *Index) QueryBatch(ctx context.Context, batch []BatchQuery, o BatchOptio
 
 	results := make([]Result, len(batch))
 	errs := make([]error, len(batch))
-	workers := o.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(batch) {
-		workers = len(batch)
-	}
-	valWorkers := 0
-	if workers > 1 {
-		valWorkers = 1
-	}
-
-	var next atomic.Int64
-	run := func() {
-		ar := x.pool.getArena(n, x.opt.Bloom)
-		defer x.pool.putArena(ar)
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(batch) {
-				return
-			}
-			results[i], errs[i] = x.runEntry(ctx, qs[i], batch[i].Options, ar, valWorkers)
-		}
-	}
-	if workers <= 1 {
-		run()
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				run()
-			}()
-		}
-		wg.Wait()
-	}
+	x.runEntries(len(batch), o.Workers, func(i int, ar *arena, valWorkers int) {
+		results[i], errs[i] = x.runEntry(ctx, qs[i], batch[i].Options, ar, valWorkers)
+	})
 	for i, err := range errs {
 		if err != nil {
 			return results, fmt.Errorf("batch entry %d: %w", i, err)
@@ -220,9 +188,52 @@ func (x *Index) QueryBatch(ctx context.Context, batch []BatchQuery, o BatchOptio
 	return results, nil
 }
 
+// runEntries calls entry(i, …) once for every i in [0, n) on up to workers
+// goroutines (≤ 0 means GOMAXPROCS): the fan-out of QueryBatch and of each
+// all-pairs block. A goroutine owns one pooled arena for all the entries it
+// claims, and claims them with one atomic add. When more than one runs,
+// each entry validates sequentially (valWorkers 1) — parallel across
+// queries, not inside them, the better split per Section 4.2.2; a lone
+// worker leaves validation its GOMAXPROCS default (valWorkers 0). The
+// caller holds the index read lock.
+func (x *Index) runEntries(n, workers int, entry func(i int, ar *arena, valWorkers int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = max(1, min(workers, n))
+	valWorkers := 0
+	if workers > 1 {
+		valWorkers = 1
+	}
+	var st struct {
+		next atomic.Int64
+		wg   sync.WaitGroup
+	}
+	run := func() {
+		defer st.wg.Done()
+		ar := x.pool.getArena(x.ds.Len(), x.opt.Bloom)
+		defer x.pool.putArena(ar)
+		for {
+			i := int(st.next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			entry(i, ar, valWorkers)
+		}
+	}
+	// The calling goroutine is the first worker.
+	st.wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go run()
+	}
+	run()
+	st.wg.Wait()
+}
+
 // runEntry executes one validated query — a Query call or one QueryBatch
 // entry — on the executing goroutine's arena; it is the one place a mode
-// is dispatched. The caller holds the index read lock.
+// is dispatched. valWorkers bounds the goroutines validating its
+// candidates; ≤ 0 means GOMAXPROCS. The caller holds the index read lock.
 func (x *Index) runEntry(ctx context.Context, q *history.History, o QueryOptions, ar *arena,
 	valWorkers int) (Result, error) {
 	qm[o.Mode].queries.Inc()

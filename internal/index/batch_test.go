@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -220,25 +221,35 @@ func runSingles(ctx context.Context, x *Index, batch []BatchQuery) ([]Result, er
 // (QueryBatch, and Query/QueryByID per entry — mixedBatch has top-k and
 // ByID entries) and both validation branches: sequential, whose
 // accumulator is arena memory, and parallel, which only reads the arena.
+// Which branch runs is decided per run, not by an option: a query alone
+// and the entries of a one-worker batch validate on GOMAXPROCS goroutines
+// (pinned here, so the parallel side runs on a 2-core runner too), the
+// entries of a multi-worker batch on one.
 func TestQueryBatchDeepIndependence(t *testing.T) {
 	ds := randDataset(rand.New(rand.NewSource(26)), 40, 200)
 	p := core.DefaultDays(ds.Horizon())
 	ctx := context.Background()
 	batch := mixedBatch(ds, p)
-	runners := []struct {
-		name string
-		run  func(x *Index) ([]Result, error)
-	}{
-		{"QueryBatch", func(x *Index) ([]Result, error) { return x.QueryBatch(ctx, batch, BatchOptions{}) }},
-		{"Query", func(x *Index) ([]Result, error) { return runSingles(ctx, x, batch) }},
-	}
+	opt := DefaultOptions(ds.Horizon())
+	opt.Reverse = true
+	x := buildTestIndex(t, ds, opt)
 	for _, valWorkers := range []int{1, 4} {
-		opt := DefaultOptions(ds.Horizon())
-		opt.Reverse = true
-		opt.ValidationWorkers = valWorkers
-		x := buildTestIndex(t, ds, opt)
+		batchWorkers := 1
+		if valWorkers == 1 {
+			batchWorkers = 4
+		}
+		runners := []struct {
+			name string
+			run  func(x *Index) ([]Result, error)
+		}{
+			{"QueryBatch", func(x *Index) ([]Result, error) {
+				return x.QueryBatch(ctx, batch, BatchOptions{Workers: batchWorkers})
+			}},
+			{"Query", func(x *Index) ([]Result, error) { return runSingles(ctx, x, batch) }},
+		}
 		for _, rn := range runners {
 			t.Run(fmt.Sprintf("%s/validation-workers=%d", rn.name, valWorkers), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(valWorkers))
 				first, err := rn.run(x)
 				if err != nil {
 					t.Fatal(err)
@@ -302,17 +313,17 @@ func TestQueryBatchDeepIndependence(t *testing.T) {
 // Refresh (a pure index-state rewrite) and results must stay exact once
 // the dust settles.
 func TestQueryBatchConcurrentRefresh(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	r := rand.New(rand.NewSource(27))
 	horizon := timeline.Time(60)
 	ds := randDataset(r, 12, horizon)
 	p := core.Params{Epsilon: 2, Delta: 2, Weight: timeline.Uniform(horizon)}
 	idx := buildTestIndex(t, ds, Options{
-		Bloom:             bloom.Params{M: 256, K: 2},
-		Slices:            4,
-		Params:            p,
-		Reverse:           true,
-		Seed:              27,
-		ValidationWorkers: 4,
+		Bloom:   bloom.Params{M: 256, K: 2},
+		Slices:  4,
+		Params:  p,
+		Reverse: true,
+		Seed:    27,
 	})
 
 	allIDs := make([]history.AttrID, ds.Len())

@@ -6,13 +6,12 @@ import (
 	"fmt"
 )
 
-// Typed query-termination errors. The context-aware entry points
-// (SearchContext, ReverseContext, TopKContext, AllPairsContext) return
-// them — wrapped, so both errors.Is(err, ErrCanceled) and
-// errors.Is(err, context.Canceled) hold — when the caller's context ends
-// before the query completes. The accompanying Result carries the
-// statistics accumulated up to the abort point, so callers can still see
-// how far a shed query got.
+// Typed query-termination errors. The query entry points (Query,
+// QueryByID, QueryBatch, AllPairsContext) return them — wrapped, so both
+// errors.Is(err, ErrCanceled) and errors.Is(err, context.Canceled) hold —
+// when the caller's context ends before the query completes. The
+// accompanying Result carries the statistics accumulated up to the abort
+// point, so callers can still see how far a shed query got.
 var (
 	// ErrCanceled reports that the query context was canceled (an
 	// abandoned HTTP client, an operator interrupt, ...).

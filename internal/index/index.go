@@ -53,10 +53,6 @@ type Options struct {
 	// the option exists for the ablation experiment that isolates the
 	// contribution of each pruning stage.
 	DisableRequiredValues bool
-	// ValidationWorkers bounds the goroutines used to validate candidates
-	// of a single query. 0 means GOMAXPROCS. All-pairs discovery sets it
-	// to 1 and parallelizes across queries instead (Section 4.2.2).
-	ValidationWorkers int
 }
 
 // DefaultOptions returns the paper's best configuration for forward tIND
@@ -124,9 +120,6 @@ func (o Options) Validate() error {
 	if o.Strategy != Random && o.Strategy != WeightedRandom {
 		return fmt.Errorf("%w: unknown slice strategy %d", ErrInvalidOptions, int(o.Strategy))
 	}
-	if o.ValidationWorkers < 0 {
-		return fmt.Errorf("%w: negative validation workers %d", ErrInvalidOptions, o.ValidationWorkers)
-	}
 	if o.Params.Weight != nil {
 		if err := o.Params.Validate(); err != nil {
 			return fmt.Errorf("%w: %w", ErrInvalidOptions, err)
@@ -154,9 +147,7 @@ type timeSlice struct {
 // queries for their duration via mu.
 type Index struct {
 	// mu serializes Refresh (writer) against queries and stats readers.
-	// A pointer so the shallow Index copy AllPairsContext takes shares the
-	// lock instead of copying it.
-	mu           *sync.RWMutex
+	mu           sync.RWMutex
 	ds           *history.Dataset
 	opt          Options
 	mT           *bitmatrix.Matrix // columns: Bloom(A[T])
@@ -172,18 +163,13 @@ type Index struct {
 	// index reproduces the build's slice choice exactly.
 	baseHorizon timeline.Time
 	// ss is the slice-pruning state a background Reslice swaps atomically.
-	// A pointer (like mu and pool) so the long-lived shallow copies
-	// WithValidationWorkers hands out observe the swap too — a copy
-	// holding pre-swap fields would prune with cleared dirty bits against
-	// stale matrices, which is unsound.
-	ss *sliceState
+	ss sliceState
 	// resliceMu serializes Reslice passes against each other; queries and
 	// Refresh never take it.
-	resliceMu *sync.Mutex
+	resliceMu sync.Mutex
 	// pool recycles the scratch every query runs on (candidate vectors,
-	// arenas). A pointer so the shallow copies WithValidationWorkers takes
-	// share one pool.
-	pool *queryPool
+	// arenas).
+	pool queryPool
 }
 
 // sliceState bundles the time-slice matrices with the dirty set they are
@@ -260,10 +246,7 @@ func Build(ds *history.Dataset, opt Options) (*Index, error) {
 			ErrInvalidOptions, opt.Params.Weight.Horizon(), ds.Horizon())
 	}
 
-	idx := &Index{
-		mu: &sync.RWMutex{}, ds: ds, opt: opt, pool: newQueryPool(),
-		ss: &sliceState{}, resliceMu: &sync.Mutex{}, baseHorizon: ds.Horizon(),
-	}
+	idx := &Index{ds: ds, opt: opt, baseHorizon: ds.Horizon()}
 	n := ds.Len()
 	attrs := ds.Attrs()
 
@@ -501,19 +484,6 @@ func (x *Index) Stats() BuildStats {
 	s.Reslices = x.ss.reslices
 	s.LastReslice = x.ss.lastReslice
 	return s
-}
-
-// WithValidationWorkers returns a shallow copy of the index that bounds
-// per-query validation to n goroutines, sharing every matrix and the
-// refresh lock with the receiver. All-pairs discovery uses it to pin
-// per-query validation to one worker and parallelize across queries
-// instead; the sharded scatter-gather path reuses it per shard.
-func (x *Index) WithValidationWorkers(n int) *Index {
-	x.mu.RLock()
-	cp := *x
-	x.mu.RUnlock()
-	cp.opt.ValidationWorkers = n
-	return &cp
 }
 
 // Dataset returns the indexed dataset.

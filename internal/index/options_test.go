@@ -20,7 +20,6 @@ func TestOptionsValidate(t *testing.T) {
 		func(o *Options) { o.Slices = -1 },
 		func(o *Options) { o.ReverseSlices = -2 },
 		func(o *Options) { o.Strategy = SliceStrategy(42) },
-		func(o *Options) { o.ValidationWorkers = -1 },
 		func(o *Options) { o.Params = core.Params{Epsilon: -1, Weight: o.Params.Weight} },
 	}
 	for i, mutate := range bad {

@@ -172,8 +172,9 @@ type queryRun struct {
 	// the duration of the run; nothing in it may be reachable from the
 	// returned Result.
 	ar *arena
-	// valWorkers overrides Options.ValidationWorkers when positive;
-	// QueryBatch pins it to 1 while parallelizing across sub-queries.
+	// valWorkers bounds the goroutines validating the run's candidates;
+	// ≤ 0 means GOMAXPROCS. runEntries pins it to 1 while it parallelizes
+	// across queries.
 	valWorkers int
 }
 

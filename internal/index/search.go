@@ -244,10 +244,7 @@ func (r *queryRun) validate(ctx context.Context, cand *bitmatrix.Vec, st *QueryS
 	ar.todo = cand.AppendOnes(ar.todo[:0])
 	todo := ar.todo
 	st.Validated = len(todo)
-	workers := r.x.opt.ValidationWorkers
-	if r.valWorkers > 0 {
-		workers = r.valWorkers
-	}
+	workers := r.valWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -323,12 +320,16 @@ type Pair struct {
 }
 
 // AllPairsContext discovers the complete set of tINDs in the dataset by
-// querying every attribute against the index (Section 3.5). Queries run
-// in parallel; per-query validation is sequential, the superior split per
-// Section 4.2.2. workers ≤ 0 is clamped to GOMAXPROCS. Cancellation
-// propagates through every per-attribute forward query, so an n²-sized
-// discovery run stops within one validation-batch boundary of the context
-// ending and returns the typed ErrCanceled/ErrDeadlineExceeded.
+// querying every attribute against the index (Section 3.5), in ascending
+// order of LHS, then RHS. It is a client of the batch path: the attributes
+// go through runEntries in blocks of BlockEntries forward queries, so
+// queries run in parallel on up to workers goroutines (≤ 0 means
+// GOMAXPROCS) with sequential validation inside each, the superior split
+// per Section 4.2.2. A block holds the read lock like one QueryBatch call
+// does, which is how long a Refresh may wait for a discovery run.
+// Cancellation propagates through every per-attribute forward query, so an
+// n²-sized discovery run stops within one validation-batch boundary of the
+// context ending and returns the typed ErrCanceled/ErrDeadlineExceeded.
 func (x *Index) AllPairsContext(ctx context.Context, p core.Params, workers int) ([]Pair, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -337,55 +338,33 @@ func (x *Index) AllPairsContext(ctx context.Context, p core.Params, workers int)
 		return nil, err
 	}
 	start := time.Now()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// The shallow copy shares the lock pointer, so the per-query RLock in
-	// seq.Query still excludes Refresh.
-	seq := x.WithValidationWorkers(1)
+	defer func() { mAllPairsSeconds.ObserveDuration(time.Since(start)) }()
 
+	o := QueryOptions{Mode: ModeForward, Params: p}
 	n := x.ds.Len()
-	results := make([][]history.AttrID, n)
-	var (
-		wg   sync.WaitGroup
-		next int
-		mu   sync.Mutex
-		err  error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				stop := err != nil
-				mu.Unlock()
-				if i >= n || stop {
-					return
-				}
-				res, e := seq.Query(ctx, x.ds.Attr(history.AttrID(i)),
-					QueryOptions{Mode: ModeForward, Params: p})
-				if e != nil {
-					mu.Lock()
-					if err == nil {
-						err = e
-					}
-					mu.Unlock()
-					return
-				}
-				results[i] = res.IDs
+	ids := make([][]history.AttrID, n)
+	errs := make([]error, min(n, BlockEntries))
+	// entry reads lo, which moves only between blocks, when no worker runs.
+	lo, found := 0, 0
+	entry := func(i int, ar *arena, valWorkers int) {
+		var res Result
+		res, errs[i] = x.runEntry(ctx, x.ds.Attr(history.AttrID(lo+i)), o, ar, valWorkers)
+		ids[lo+i] = res.IDs
+	}
+	for ; lo < n; lo += BlockEntries {
+		block := min(BlockEntries, n-lo)
+		x.mu.RLock()
+		x.runEntries(block, workers, entry)
+		x.mu.RUnlock()
+		for i, err := range errs[:block] {
+			if err != nil {
+				return nil, err
 			}
-		}()
+			found += len(ids[lo+i])
+		}
 	}
-	wg.Wait()
-	mAllPairsSeconds.ObserveDuration(time.Since(start))
-	if err != nil {
-		return nil, err
-	}
-	var pairs []Pair
-	for lhs, rhss := range results {
+	pairs := slices.Grow([]Pair(nil), found)
+	for lhs, rhss := range ids {
 		for _, rhs := range rhss {
 			pairs = append(pairs, Pair{LHS: history.AttrID(lhs), RHS: rhs})
 		}

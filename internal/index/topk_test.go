@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -187,10 +188,11 @@ func TestTopKFunnelAndRankingPinned(t *testing.T) {
 	}
 	ds := c.Dataset
 	p := core.DefaultDays(ds.Horizon())
+	// Both validation branches: a query alone validates on GOMAXPROCS
+	// goroutines, an entry of a multi-worker batch on one.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	x := buildTestIndex(t, ds, DefaultOptions(ds.Horizon()))
 	for _, workers := range []int{1, 4} {
-		opt := DefaultOptions(ds.Horizon())
-		opt.ValidationWorkers = workers
-		x := buildTestIndex(t, ds, opt)
 		for _, want := range []struct {
 			q                                        history.AttrID
 			initial, slices, subset, validated, hits int
@@ -211,8 +213,19 @@ func TestTopKFunnelAndRankingPinned(t *testing.T) {
 			{276, 299, 299, 299, 299, 10, 0x5c4f87e5a645d18b},
 			{299, 299, 299, 299, 299, 10, 0x44cf4b42d1b80d25},
 		} {
-			res, err := x.Query(context.Background(), ds.Attr(want.q), QueryOptions{
-				Mode: ModeTopK, Params: core.Params{Delta: p.Delta, Weight: p.Weight}, K: 10})
+			o := QueryOptions{Mode: ModeTopK, Params: core.Params{Delta: p.Delta, Weight: p.Weight}, K: 10}
+			var res Result
+			if workers == 1 {
+				var batch []Result
+				batch, err = x.QueryBatch(context.Background(),
+					[]BatchQuery{{ByID: true, ID: want.q, Options: o}, {ByID: true, ID: want.q, Options: o}},
+					BatchOptions{Workers: 2})
+				if err == nil {
+					res = batch[0]
+				}
+			} else {
+				res, err = x.Query(context.Background(), ds.Attr(want.q), o)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}

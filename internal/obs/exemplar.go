@@ -26,7 +26,6 @@ type Exemplar struct {
 func (h *Histogram) ObserveExemplar(v float64, labels ...Label) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {

@@ -75,7 +75,6 @@ type Histogram struct {
 	bounds  []float64
 	counts  []atomic.Int64 // len(bounds)+1, non-cumulative per bucket
 	sumBits atomic.Uint64
-	count   atomic.Int64
 	// ex holds the latest exemplar per bucket (len(bounds)+1); nil until
 	// the first ObserveExemplar. See exemplar.go.
 	ex []atomic.Pointer[Exemplar]
@@ -85,7 +84,6 @@ type Histogram struct {
 func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v) // first bound ≥ v
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
@@ -97,8 +95,15 @@ func (h *Histogram) Observe(v float64) {
 // ObserveDuration records a duration in seconds, the Prometheus base unit.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+// Count returns the total number of observations: the sum of the buckets,
+// so no reader can see a count that disagrees with them.
+func (h *Histogram) Count() int64 {
+	var n int64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
@@ -377,11 +382,9 @@ func (r *Registry) render(w io.Writer, openMetrics bool) error {
 			case *Gauge:
 				writeSample(bw, sampleName, key, m.Value())
 			case *Histogram:
-				// One snapshot feeds every bucket line and _count. Observe
-				// bumps its bucket before the total, so a separate Count()
-				// read under concurrent observation could put +Inf below
-				// the last finite bucket or apart from _count — invalid in
-				// both dialects.
+				// One read feeds every bucket line and _count: a separate
+				// Count() under concurrent observation could see more than
+				// the +Inf line did — invalid in both dialects.
 				cum := m.BucketCounts()
 				var ex []*Exemplar
 				if openMetrics {

@@ -91,8 +91,10 @@ func (r *Registry) Snapshot() *Snapshot {
 				p.Value = m.Value()
 			case *Histogram:
 				p.Value = m.Sum()
-				p.Count = m.Count()
+				// One read feeds Count and every bucket: a second one could
+				// see observations the first did not.
 				cum := m.BucketCounts()
+				p.Count = cum[len(cum)-1]
 				for bi, bound := range m.bounds {
 					p.Buckets = append(p.Buckets, Bucket{LE: bound, Count: cum[bi]})
 				}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -158,4 +159,49 @@ func TestHistogramQuantile(t *testing.T) {
 	if !math.IsNaN(Metric{Kind: "counter"}.Quantile(0.5)) {
 		t.Fatal("quantile of a non-histogram must be NaN")
 	}
+}
+
+// TestSnapshotConsistentUnderObserve takes snapshots while goroutines
+// observe one histogram: a snapshot's Count is never below its last finite
+// bucket (every value here lands in a finite bucket, so a Count read apart
+// from the buckets shows up as exactly that), and never decreases.
+func TestSnapshotConsistentUnderObserve(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("h_seconds", "latency", []float64{1, 2, 3})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if v := float64(i % 4); g%2 == 0 {
+					h.Observe(v)
+				} else {
+					h.ObserveExemplar(v, L("query_id", "q"))
+				}
+			}
+		}(g)
+	}
+	var last int64
+	for i := 0; i < 2000; i++ {
+		m, ok := r.Snapshot().Get("h_seconds")
+		if !ok {
+			t.Fatal("histogram missing from the snapshot")
+		}
+		if top := m.Buckets[len(m.Buckets)-1].Count; m.Count < top {
+			t.Fatalf("snapshot %d: count %d below its last bucket %d", i, m.Count, top)
+		}
+		if m.Count < last {
+			t.Fatalf("snapshot %d: count went from %d to %d", i, last, m.Count)
+		}
+		last = m.Count
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -106,7 +106,7 @@ func TestRouterPartialResultOnDeadShard(t *testing.T) {
 	}
 
 	// All-pairs discovery is all-or-nothing: no partial complete set.
-	if _, err := r.AllPairsContext(ctx, p); err == nil || errors.Is(err, index.ErrPartialResult) {
+	if _, err := r.AllPairsContext(ctx, p, 0); err == nil || errors.Is(err, index.ErrPartialResult) {
 		t.Fatalf("all-pairs with a dead shard returned %v, want a plain failure", err)
 	}
 

@@ -267,8 +267,8 @@ func TestRouterMatchesShardedAndOracle(t *testing.T) {
 				}
 			}
 
-			// All-pairs discovery through the N² block fan-out.
-			rpairs, err := r.AllPairsContext(ctx, p)
+			// All-pairs discovery: blocks of forward entries over /shard/batch.
+			rpairs, err := r.AllPairsContext(ctx, p, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

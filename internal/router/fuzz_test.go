@@ -22,16 +22,14 @@ import (
 const (
 	fuzzQueryRequest = iota
 	fuzzBatchRequest
-	fuzzAllPairsRequest
 	fuzzQueryResponse
 	fuzzBatchResponse
-	fuzzPairsResponse
 	fuzzErrorEnvelope
 	fuzzKinds
 )
 
 // FuzzShardWire throws arbitrary bytes at every decoder of the shard RPC
-// — the three request bodies a shard server reads and the four response
+// — the two request bodies a shard server reads and the three response
 // bodies a router reads — and asserts the distrust contract: never a
 // panic; a request is answered 200 with a body the router-side reader
 // accepts, or with a typed envelope; a response decodes to a value that
@@ -48,9 +46,9 @@ func FuzzShardWire(f *testing.F) {
 	}
 	handler := NewShardServer(sg).Handler()
 	want := Info{ShardID: 1, Shards: opt.Shards, Seed: opt.Seed, Attributes: ds.Len(), Horizon: int64(horizon)}
-	const source, batchLen = 0, 2
+	const batchLen = 2
 
-	paths := [...]string{"/shard/query", "/shard/batch", "/shard/allpairs"}
+	paths := [...]string{"/shard/query", "/shard/batch"}
 	post := func(ctx context.Context, kind int, body []byte) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
 		req := httptest.NewRequest(http.MethodPost, paths[kind], bytes.NewReader(body)).WithContext(ctx)
@@ -61,10 +59,6 @@ func FuzzShardWire(f *testing.F) {
 	// Seeds: real requests as the router encodes them, and the real
 	// responses the shard server gives.
 	p := core.DefaultDays(horizon)
-	wp, err := paramsToWire(p)
-	if err != nil {
-		f.Fatal(err)
-	}
 	var queries []wireQuery
 	for _, o := range []index.QueryOptions{
 		{Mode: index.ModeForward, Params: p},
@@ -94,14 +88,16 @@ func FuzzShardWire(f *testing.F) {
 	for _, wq := range queries {
 		seed(fuzzQueryRequest, wq)
 	}
+	// Two forward entries are what an all-pairs block looks like; the
+	// top-k pair puts ranked answers into a batch response.
 	seed(fuzzBatchRequest, wireBatch{Queries: queries[:batchLen]})
-	seed(fuzzAllPairsRequest, wireAllPairs{SourceShard: source, Params: wp})
+	seed(fuzzBatchRequest, wireBatch{Queries: queries[len(queries)-batchLen:]})
 	f.Add(uint8(fuzzErrorEnvelope), []byte(`{"error":{"code":"invalid_parameter","message":"bad k"}}`))
 	f.Add(uint8(fuzzErrorEnvelope), []byte(`{"error":{"code":"not_ready","message":"index still building"}}`))
 	f.Add(uint8(fuzzQueryRequest), []byte(`{"mode":"topk","attr":3,"params":{"eps":1e308,"delta":9223372036854775807,"weight":{"n":-1,"c":-1}},"k":-5}`))
 	// Found by this target: a δ beyond 2^30 walked the validation cursor
 	// below its old start sentinel and panicked.
-	f.Add(uint8(fuzzAllPairsRequest), []byte(`{"params":{"delta":1100000000,"weight":{"n":1}}}`))
+	f.Add(uint8(fuzzQueryRequest), []byte(`{"mode":"forward","attr":0,"params":{"delta":1100000000,"weight":{"n":1}}}`))
 
 	untrusted := func(t *testing.T, err error) {
 		t.Helper()
@@ -118,7 +114,7 @@ func FuzzShardWire(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
 		switch k := int(kind) % fuzzKinds; k {
-		case fuzzQueryRequest, fuzzBatchRequest, fuzzAllPairsRequest:
+		case fuzzQueryRequest, fuzzBatchRequest:
 			// A generous deadline keeps a pathological-but-valid request (a
 			// huge delta, say) from stalling the fuzzer; it answers 504.
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -130,12 +126,6 @@ func FuzzShardWire(f *testing.F) {
 				switch k {
 				case fuzzQueryRequest:
 					_, err = readResult(rec.Body, want)
-				case fuzzAllPairsRequest:
-					var wa wireAllPairs
-					if err := json.NewDecoder(bytes.NewReader(data)).Decode(&wa); err != nil {
-						t.Fatalf("200 for an undecodable request: %v", err)
-					}
-					_, err = readPairs(rec.Body, wa.SourceShard, want)
 				default:
 					var wb wireBatch
 					if err := json.NewDecoder(bytes.NewReader(data)).Decode(&wb); err != nil {
@@ -193,23 +183,6 @@ func FuzzShardWire(f *testing.F) {
 			buf, _ := json.Marshal(out)
 			if again, err := readBatchResult(bytes.NewReader(buf), batchLen, want); err != nil || !reflect.DeepEqual(results, again) {
 				t.Fatalf("batch result does not round-trip: %s (%v)", buf, err)
-			}
-
-		case fuzzPairsResponse:
-			pairs, err := readPairs(bytes.NewReader(data), source, want)
-			if err != nil {
-				untrusted(t, err)
-				return
-			}
-			lhs := want
-			lhs.ShardID = source
-			for _, pr := range pairs {
-				ownedBy(t, lhs, pr.LHS)
-				ownedBy(t, want, pr.RHS)
-			}
-			buf, _ := json.Marshal(pairsToWire(pairs))
-			if again, err := readPairs(bytes.NewReader(buf), source, want); err != nil || !reflect.DeepEqual(pairs, again) {
-				t.Fatalf("pairs do not round-trip: %s (%v)", buf, err)
 			}
 
 		case fuzzErrorEnvelope:

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tind/internal/core"
 	"tind/internal/history"
 	"tind/internal/index"
 	"tind/internal/shard"
@@ -277,19 +276,6 @@ func (l *httpLeg) QueryBatch(ctx context.Context, batch []index.BatchQuery, _ in
 		return err
 	})
 	return results, err
-}
-
-// AllPairsBlock implements shard.Leg over POST /shard/allpairs.
-func (l *httpLeg) AllPairsBlock(ctx context.Context, source int, p core.Params) (pairs []index.Pair, err error) {
-	wp, err := paramsToWire(p)
-	if err != nil {
-		return nil, err
-	}
-	err = l.call(ctx, "/shard/allpairs", wireAllPairs{SourceShard: source, Params: wp}, func(body io.Reader) (err error) {
-		pairs, err = readPairs(body, source, l.want)
-		return err
-	})
-	return pairs, err
 }
 
 // Stats implements shard.Leg over GET /shard/stats, best-effort: the

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"tind/internal/core"
-	"tind/internal/index"
 	"tind/internal/shard"
 )
 
@@ -34,10 +32,10 @@ type Options struct {
 // Router is the scatter-gather head of the distributed deployment: the
 // shard.Coordinator — the same scatter, failure classification and merge
 // the in-process ShardedIndex runs — over HTTP legs to shard servers
-// (see httpLeg for what the transport adds). Query, QueryBatch, Stats
-// and NumShards are the Coordinator's own; the Router itself only
-// validates the topology and reports which shards were down as of the
-// last contact (Degraded, Probe).
+// (see httpLeg for what the transport adds). Query, QueryBatch,
+// AllPairsContext, Stats and NumShards are the Coordinator's own; the
+// Router itself only validates the topology and reports which shards were
+// down as of the last contact (Degraded, Probe).
 type Router struct {
 	*shard.Coordinator
 	legs []*httpLeg
@@ -98,21 +96,13 @@ func New(ctx context.Context, opt Options) (*Router, error) {
 		}
 		r.legs[s], legs[s] = l, l
 	}
-	r.Coordinator = shard.NewCoordinator(legs)
+	r.Coordinator = shard.NewCoordinator(legs, ref.Attributes)
 	return r, nil
 }
 
 // Info returns the validated topology reference (as shard 0 states it,
 // less the shard-specific Owned count).
 func (r *Router) Info() Info { return r.legs[0].want }
-
-// AllPairsContext is the Coordinator's all-pairs fan-out with every one
-// of the N² blocks in flight at once: a block is an RPC, so the work
-// happens on the shard servers and nothing here is worth rationing.
-func (r *Router) AllPairsContext(ctx context.Context, p core.Params) ([]index.Pair, error) {
-	n := len(r.legs)
-	return r.Coordinator.AllPairsContext(ctx, p, n*n)
-}
 
 // Degraded returns the ids of shards considered down as of the last
 // contact (scatter leg or Probe), ascending. Empty means every shard

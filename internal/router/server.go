@@ -11,10 +11,11 @@ import (
 
 // Bounds of the /shard/* RPC bodies, the same two the public
 // /query/batch enforces: a leg request is a control-plane payload, and a
-// router never forwards a larger batch than it accepted itself.
+// router never forwards a larger batch than it accepted itself — nor than
+// one all-pairs block, which is why the entry cap is that constant.
 const (
 	shardMaxBody    = 1 << 20
-	shardMaxQueries = 256
+	shardMaxQueries = index.BlockEntries
 )
 
 // ShardServer is the wire adaptor that puts one shard.Single on the
@@ -30,11 +31,10 @@ func NewShardServer(sg *shard.Single) *ShardServer { return &ShardServer{sg: sg}
 
 // Handler returns the shard RPC surface:
 //
-//	POST /shard/query    — one scatter leg (wireQuery → wireResult)
-//	POST /shard/batch    — one batched leg (wireBatch → wireBatchResult)
-//	POST /shard/allpairs — one (source, target) all-pairs block
-//	GET  /shard/info     — partition identity for topology validation
-//	GET  /shard/stats    — the shard index's BuildStats
+//	POST /shard/query — one scatter leg (wireQuery → wireResult)
+//	POST /shard/batch — one batched leg (wireBatch → wireBatchResult)
+//	GET  /shard/info  — partition identity for topology validation
+//	GET  /shard/stats — the shard index's BuildStats
 //
 // The caller mounts it behind whatever middleware the deployment needs
 // (tindserve adds readiness gating and load shedding).
@@ -42,7 +42,6 @@ func (ss *ShardServer) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/shard/query", ss.handleQuery)
 	mux.HandleFunc("/shard/batch", ss.handleBatch)
-	mux.HandleFunc("/shard/allpairs", ss.handleAllPairs)
 	mux.HandleFunc("/shard/info", ss.handleInfo)
 	mux.HandleFunc("/shard/stats", ss.handleStats)
 	return mux
@@ -114,24 +113,6 @@ func (ss *ShardServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 		out.Results[i] = resultToWire(res)
 	}
 	WriteJSON(w, out)
-}
-
-func (ss *ShardServer) handleAllPairs(w http.ResponseWriter, r *http.Request) {
-	var wa wireAllPairs
-	if !decodePost(w, r, &wa) {
-		return
-	}
-	p := wireToParams(wa.Params)
-	if err := p.Validate(); err != nil {
-		HTTPError(w, http.StatusBadRequest, CodeInvalidParameter, err)
-		return
-	}
-	pairs, err := ss.sg.AllPairsBlock(r.Context(), wa.SourceShard, p)
-	if err != nil {
-		QueryError(w, err)
-		return
-	}
-	WriteJSON(w, pairsToWire(pairs))
 }
 
 func (ss *ShardServer) handleInfo(w http.ResponseWriter, r *http.Request) {

@@ -108,8 +108,7 @@ func TestRouterRejectsIDsAShardCannotOwn(t *testing.T) {
 
 	t.Run("batch and all-pairs", func(t *testing.T) {
 		liar := lyingReplica(t, handlers[1], map[string]interface{}{
-			"/shard/batch":    wireBatchResult{Results: []wireResult{{}}},
-			"/shard/allpairs": wirePairs{Pairs: [][2]int64{{outOfRange, foreign}}},
+			"/shard/batch": wireBatchResult{Results: []wireResult{{}}},
 		})
 		r, err := New(ctx, Options{Shards: [][]string{{honest[0].URL}, {liar.URL}}, LegTimeout: 30 * time.Second})
 		if err != nil {
@@ -119,8 +118,19 @@ func TestRouterRejectsIDsAShardCannotOwn(t *testing.T) {
 		if _, err := r.QueryBatch(ctx, batch, index.BatchOptions{}); !errors.Is(err, index.ErrPartialResult) {
 			t.Fatalf("batch answered with the wrong entry count returned %v, want ErrPartialResult", err)
 		}
-		if _, err := r.AllPairsContext(ctx, p); !errors.Is(err, shard.ErrLegUnavailable) {
-			t.Fatalf("all-pairs with bogus pairs returned %v, want the leg rejected", err)
+
+		// A discovery block is a /shard/batch leg: a reply of the right length
+		// carrying an id shard 1 does not own fails the whole run.
+		block := wireBatchResult{Results: make([]wireResult, ds.Len())}
+		block.Results[3].IDs = []int64{foreign}
+		liar = lyingReplica(t, handlers[1], map[string]interface{}{"/shard/batch": block})
+		r, err = New(ctx, Options{Shards: [][]string{{honest[0].URL}, {liar.URL}}, LegTimeout: 30 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs, err := r.AllPairsContext(ctx, p, 0)
+		if !errors.Is(err, shard.ErrLegUnavailable) || errors.Is(err, index.ErrPartialResult) || pairs != nil {
+			t.Fatalf("all-pairs over a foreign id returned %d pairs, %v; want none and the leg rejected", len(pairs), err)
 		}
 	})
 
@@ -182,7 +192,6 @@ func TestShardRPCBoundsItsBodies(t *testing.T) {
 		{"batch over the entry cap", "/shard/batch", batchOf(shardMaxQueries + 1), http.StatusBadRequest, "exceeds the limit"},
 		{"query body over the byte cap", "/shard/query", huge, http.StatusBadRequest, "too large"},
 		{"batch body over the byte cap", "/shard/batch", huge, http.StatusBadRequest, "too large"},
-		{"allpairs body over the byte cap", "/shard/allpairs", huge, http.StatusBadRequest, "too large"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, err := http.Post(srv.URL+tc.path, "application/json", bytes.NewReader(tc.body))

@@ -68,14 +68,6 @@ type wireBatch struct {
 	Queries []wireQuery `json:"queries"`
 }
 
-// wireAllPairs asks the receiving shard to run one (source, target)
-// block of the all-pairs fan-out: every attribute owned by SourceShard
-// as a forward query against the receiver's partition.
-type wireAllPairs struct {
-	SourceShard int        `json:"source_shard"`
-	Params      wireParams `json:"params"`
-}
-
 // wireTimings is index.Timings in nanoseconds.
 type wireTimings struct {
 	MTPrune     int64 `json:"mt_prune_ns"`
@@ -118,12 +110,6 @@ type wireResult struct {
 // wireBatchResult carries one leg's per-entry answers in batch order.
 type wireBatchResult struct {
 	Results []wireResult `json:"results"`
-}
-
-// wirePairs carries one all-pairs block's discovered (lhs, rhs) global
-// id pairs.
-type wirePairs struct {
-	Pairs [][2]int64 `json:"pairs"`
 }
 
 // Info describes a shard server's identity and corpus. The Router
@@ -331,36 +317,4 @@ func readBatchResult(body io.Reader, n int, want Info) ([]index.Result, error) {
 		}
 	}
 	return results, nil
-}
-
-// readPairs decodes a /shard/allpairs response body for the block
-// (source, want.ShardID): every LHS must be owned by the source shard,
-// every RHS by the answering one.
-func readPairs(body io.Reader, source int, want Info) ([]index.Pair, error) {
-	var wp wirePairs
-	if err := json.NewDecoder(body).Decode(&wp); err != nil {
-		return nil, badResponse(err)
-	}
-	lhs := want
-	lhs.ShardID = source
-	pairs := make([]index.Pair, len(wp.Pairs))
-	for i, pr := range wp.Pairs {
-		if err := lhs.checkID(pr[0]); err != nil {
-			return nil, badResponse(err)
-		}
-		if err := want.checkID(pr[1]); err != nil {
-			return nil, badResponse(err)
-		}
-		pairs[i] = index.Pair{LHS: history.AttrID(pr[0]), RHS: history.AttrID(pr[1])}
-	}
-	return pairs, nil
-}
-
-// pairsToWire encodes one all-pairs block.
-func pairsToWire(pairs []index.Pair) wirePairs {
-	wp := wirePairs{Pairs: make([][2]int64, len(pairs))}
-	for i, pr := range pairs {
-		wp.Pairs[i] = [2]int64{int64(pr.LHS), int64(pr.RHS)}
-	}
-	return wp
 }

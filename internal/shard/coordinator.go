@@ -1,10 +1,11 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -15,16 +16,13 @@ import (
 )
 
 // Leg is one shard of the partition as the Coordinator sees it: the
-// shard's contribution to a query, a batch or an all-pairs block, always
-// in global AttrIDs. There are exactly two transports — *Single in
-// process, and internal/router's HTTP client over the network — plus the
-// FaultLeg decorator the drills wrap around either.
+// shard's contribution to a query or a batch, always in global AttrIDs.
+// There are exactly two transports — *Single in process, and
+// internal/router's HTTP client over the network — plus the FaultLeg
+// decorator the drills wrap around either.
 type Leg interface {
 	Query(ctx context.Context, q *history.History, o index.QueryOptions) (index.Result, error)
 	QueryBatch(ctx context.Context, batch []index.BatchQuery, o index.BatchOptions) ([]index.Result, error)
-	// AllPairsBlock runs every attribute owned by shard source as a
-	// forward query against this leg's shard.
-	AllPairsBlock(ctx context.Context, source int, p core.Params) ([]index.Pair, error)
 	// Stats is best-effort: a leg that cannot answer reports the zero
 	// value.
 	Stats() index.BuildStats
@@ -61,12 +59,15 @@ var ErrLegUnavailable = errors.New("shard: leg unavailable")
 //     finishing work nobody will use, and the call returns the typed
 //     error, never a partial result.
 type Coordinator struct {
-	legs []Leg
+	legs  []Leg
+	attrs int // size of the partitioned corpus: global ids are [0, attrs)
 }
 
 // NewCoordinator returns a Coordinator over the given legs; legs[s] is
-// shard s.
-func NewCoordinator(legs []Leg) *Coordinator { return &Coordinator{legs: legs} }
+// shard s of a corpus of attrs attributes.
+func NewCoordinator(legs []Leg, attrs int) *Coordinator {
+	return &Coordinator{legs: legs, attrs: attrs}
+}
 
 // NumShards returns N.
 func (c *Coordinator) NumShards() int { return len(c.legs) }
@@ -101,44 +102,43 @@ func (c *Coordinator) scatter(ctx context.Context, fn func(ctx context.Context, 
 	return errs, times
 }
 
-// outcome turns the per-leg errors of one scatter into the call's error
-// per the Coordinator's failure taxonomy. Its order of precedence is what
-// keeps an induced sibling cancellation from masking the root cause.
-func outcome(errs []error) error {
-	var fatal, canceled, degraded error
-	failed := 0
+// rootCause picks, among the per-leg errors of one scatter, the one that
+// explains it, and counts the legs that failed. Its order of precedence —
+// fatal, then canceled, then unavailable — is what keeps an induced
+// sibling cancellation from masking the root cause.
+func rootCause(errs []error) (cause error, failed int) {
+	rank := 0
 	for _, err := range errs {
 		if err == nil {
 			continue
 		}
 		failed++
+		r := 3
 		switch {
 		case errors.Is(err, ErrLegUnavailable):
-			if degraded == nil {
-				degraded = err
-			}
+			r = 1
 		case errors.Is(err, index.ErrCanceled):
-			if canceled == nil {
-				canceled = err
-			}
-		default:
-			if fatal == nil {
-				fatal = err
-			}
+			r = 2
+		}
+		if r > rank {
+			cause, rank = err, r
 		}
 	}
+	return cause, failed
+}
+
+// outcome turns the per-leg errors of one scatter into the call's error
+// per the Coordinator's failure taxonomy.
+func outcome(errs []error) error {
+	cause, failed := rootCause(errs)
 	switch {
-	case fatal != nil:
-		return fatal
-	case canceled != nil:
-		return canceled
-	case failed == 0:
-		return nil
+	case cause == nil || !errors.Is(cause, ErrLegUnavailable):
+		return cause
 	case failed == len(errs):
-		return fmt.Errorf("all %d shards unavailable: %w", len(errs), degraded)
+		return fmt.Errorf("all %d shards unavailable: %w", len(errs), cause)
 	default:
 		mPartialResults.Inc()
-		return fmt.Errorf("%d/%d shards unavailable (%v): %w", failed, len(errs), degraded, index.ErrPartialResult)
+		return fmt.Errorf("%d/%d shards unavailable (%v): %w", failed, len(errs), cause, index.ErrPartialResult)
 	}
 }
 
@@ -197,85 +197,57 @@ func (c *Coordinator) QueryBatch(ctx context.Context, batch []index.BatchQuery, 
 	return results, outcome(errs)
 }
 
-// AllPairsContext discovers the complete tIND set by fanning out
-// shard-pair blocks: one work unit per (source shard, target shard)
-// combination runs every source attribute as a forward query against the
-// target leg. With N shards that is N² independent blocks — a much
-// finer-grained fan-out than the monolith's per-attribute split — while
-// the validation strategy stays the paper's: per-query validation pinned
-// to one worker, parallelism across queries (Section 4.2.2). workers ≤ 0
-// is clamped to GOMAXPROCS.
+// AllPairsContext discovers the complete tIND set the way the monolith
+// does: every attribute as a forward query, index.BlockEntries of them at
+// a time, each block one scatter of leg.QueryBatch — so on the router a
+// block is one /shard/batch round trip per shard. workers is each leg's
+// index.BatchOptions.Workers (≤ 0 means GOMAXPROCS; the network transport
+// ignores it and the shard server decides). An entry's per-leg answers are
+// disjoint and ascending, so the pairs come out ascending by LHS then RHS,
+// the monolith's order.
 //
 // Discovery is all-or-nothing — the complete-set semantics of §4.2.2
-// leave no meaningful partial — so the first block error of any kind
-// cancels the rest (reaching into running shard queries at their next
-// context poll) and is the one reported: being first, it is the root
-// cause, never an induced cancellation. The emitted pairs are sorted
-// ascending by LHS then RHS, the monolith's order.
+// leave no meaningful partial — so a block with any failed leg ends the
+// run with that block's root cause: an unavailable leg surfaces as its
+// ErrLegUnavailable, never as index.ErrPartialResult.
 func (c *Coordinator) AllPairsContext(ctx context.Context, p core.Params, workers int) ([]index.Pair, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if err := index.CtxErr(ctx); err != nil {
-		return nil, err
-	}
 	start := time.Now()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	n := len(c.legs)
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		next     int
-		firstErr error
-		pairs    []index.Pair
-	)
-	for w := 0; w < workers && w < n*n; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				b := next
-				next++
-				mu.Unlock()
-				if b >= n*n || ctx.Err() != nil {
-					return
-				}
-				source, target := b/n, b%n
-				block, err := c.legs[target].AllPairsBlock(ctx, source, p)
-				mu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = fmt.Errorf("shard %d: %w", target, err)
-				}
-				pairs = append(pairs, block...)
-				mu.Unlock()
-				if err != nil {
-					cancel()
-					return
+	defer func() { mAllPairsSeconds.ObserveDuration(time.Since(start)) }()
+
+	o := index.BatchOptions{Workers: max(workers, 0)}
+	fwd := index.QueryOptions{Mode: index.ModeForward, Params: p}
+	batch := make([]index.BatchQuery, min(c.attrs, index.BlockEntries))
+	perLeg := make([][]index.Result, len(c.legs))
+	var pairs []index.Pair
+	for lo := 0; lo < c.attrs; lo += len(batch) {
+		// Between blocks no query is running to report an ended context.
+		if err := index.CtxErr(ctx); err != nil {
+			return nil, err
+		}
+		block := batch[:min(len(batch), c.attrs-lo)]
+		for i := range block {
+			block[i] = index.BatchQuery{ByID: true, ID: history.AttrID(lo + i), Options: fwd}
+		}
+		errs, _ := c.scatter(ctx, func(ctx context.Context, s int, leg Leg) (err error) {
+			perLeg[s], err = leg.QueryBatch(ctx, block, o)
+			return err
+		})
+		if err, _ := rootCause(errs); err != nil {
+			return nil, err
+		}
+		for i := range block {
+			at := len(pairs)
+			for s := range perLeg {
+				for _, rhs := range perLeg[s][i].IDs {
+					pairs = append(pairs, index.Pair{LHS: block[i].ID, RHS: rhs})
 				}
 			}
-		}()
-	}
-	wg.Wait()
-	mAllPairsSeconds.ObserveDuration(time.Since(start))
-	if firstErr == nil {
-		// No block failed, so only the caller can have ended ctx — between
-		// blocks, where no query was running to report it.
-		firstErr = index.CtxErr(ctx)
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].LHS != pairs[j].LHS {
-			return pairs[i].LHS < pairs[j].LHS
+			slices.SortFunc(pairs[at:], func(a, b index.Pair) int { return cmp.Compare(a.RHS, b.RHS) })
 		}
-		return pairs[i].RHS < pairs[j].RHS
-	})
+	}
 	return pairs, nil
 }
 

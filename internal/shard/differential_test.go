@@ -231,7 +231,7 @@ func TestShardedMatchesMonolithAndOracle(t *testing.T) {
 				}
 			}
 
-			// All-pairs discovery: shard-pair block fan-out must emit the
+			// All-pairs discovery: blocks through the batch scatter must emit the
 			// monolith's exact pair set in the monolith's order, and the
 			// oracle's.
 			spairs, err := sx.AllPairsContext(ctx, p, 3)

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tind/internal/core"
 	"tind/internal/history"
 	"tind/internal/index"
 )
@@ -76,11 +75,4 @@ func (f *FaultLeg) QueryBatch(ctx context.Context, batch []index.BatchQuery, o i
 		return nil, err
 	}
 	return f.Leg.QueryBatch(ctx, batch, o)
-}
-
-func (f *FaultLeg) AllPairsBlock(ctx context.Context, source int, p core.Params) ([]index.Pair, error) {
-	if err := f.inject(ctx); err != nil {
-		return nil, err
-	}
-	return f.Leg.AllPairsBlock(ctx, source, p)
 }

@@ -5,11 +5,11 @@
 // corpus that speaks global AttrIDs. The Coordinator is the system's one
 // scatter-gather over a set of Legs: queries scatter to every leg and
 // gather — forward/reverse result sets union, top-k rankings k-way merge,
-// all-pairs discovery fans out shard-pair blocks. Because every per-shard
-// answer is exact (the monolith's pruning chain is lossless per shard),
-// the gathered answer is exact too — the differential tests in this
-// package assert ShardedIndex ≡ oracle ≡ single-shard Index for every
-// mode. ShardedIndex is the Coordinator over in-process Singles;
+// all-pairs discovery sends blocks of forward queries through the batch
+// scatter. Because every per-shard answer is exact (the monolith's
+// pruning chain is lossless per shard), the gathered answer is exact too
+// — the differential tests in this package assert ShardedIndex ≡ oracle ≡
+// single-shard Index for every mode. ShardedIndex is the Coordinator over in-process Singles;
 // internal/router's Router is the same Coordinator over HTTP legs.
 //
 // The payoff over one monolith is operational: Refresh becomes
@@ -89,7 +89,7 @@ func Build(ds *history.Dataset, opt Options) (*ShardedIndex, error) {
 		}
 		sx.singles[s], legs[s] = sg, sg
 	}
-	sx.Coordinator = NewCoordinator(legs)
+	sx.Coordinator = NewCoordinator(legs, ds.Len())
 
 	var wg sync.WaitGroup
 	errs := make([]error, opt.Shards)

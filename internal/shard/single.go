@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 
-	"tind/internal/core"
 	"tind/internal/history"
 	"tind/internal/index"
 	"tind/internal/timeline"
@@ -221,34 +220,6 @@ func (sg *Single) QueryBatch(ctx context.Context, batch []index.BatchQuery, o in
 		results[i] = sg.globalize(results[i])
 	}
 	return results, err
-}
-
-// AllPairsBlock runs one (source, target) block of the all-pairs fan-out
-// with this shard as the target: every attribute owned by shard source as
-// a forward query against this shard's partition. Validation is pinned to
-// one worker per the paper's strategy (Section 4.2.2) — block-level
-// parallelism is the Coordinator's N² fan-out. Cancellation reaches into
-// every query at its next context poll.
-func (sg *Single) AllPairsBlock(ctx context.Context, source int, p core.Params) ([]index.Pair, error) {
-	if source < 0 || source >= sg.opt.Shards {
-		return nil, fmt.Errorf("%w: source shard %d out of range [0,%d)", index.ErrInvalidOptions, source, sg.opt.Shards)
-	}
-	// The shallow copy shares the lock, so the per-query RLock still
-	// excludes Refresh.
-	seq := *sg
-	seq.idx = sg.idx.WithValidationWorkers(1)
-	o := index.QueryOptions{Mode: index.ModeForward, Params: p}
-	var pairs []index.Pair
-	for _, lhs := range OwnedGlobals(sg.g.ds.Len(), sg.opt.Seed, sg.opt.Shards, source) {
-		res, err := seq.Query(ctx, sg.g.attr(lhs), o)
-		if err != nil {
-			return nil, err
-		}
-		for _, rhs := range res.IDs {
-			pairs = append(pairs, index.Pair{LHS: lhs, RHS: rhs})
-		}
-	}
-	return pairs, nil
 }
 
 // Refresh incorporates appended history data for the given global

@@ -287,7 +287,8 @@ func NewKMany(ds *Dataset, k int, delta Time, bp BloomParams, seed int64) (*KMan
 type (
 	// ShardedIndex serves the Index query contract over N hash-partitioned
 	// shards: forward/reverse results union, top-k rankings k-way merge,
-	// all-pairs discovery fans out shard-pair blocks. Answers are exact —
+	// all-pairs discovery sends blocks of forward queries through the
+	// batch scatter. Answers are exact —
 	// identical to a single Index over the same corpus — while Refresh
 	// locks only the shards owning changed attributes.
 	ShardedIndex = shard.ShardedIndex
