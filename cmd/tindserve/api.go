@@ -1,10 +1,12 @@
 // Query API surface of tindserve: the wire-form request type shared by
 // every query endpoint, the single decode→compile path that turns it
 // into an index.QueryOptions, and the handlers themselves (the JSON
-// error envelope is internal/router's, shared with the /shard RPC). GET /search, /reverse and /topk are one handler
-// parameterized by mode; POST /query/batch decodes a list of the same
-// wire queries and executes them as one index.QueryBatch call, so the
-// whole request reads one consistent snapshot of the index.
+// error envelope is internal/router's, shared with the /shard RPC). GET
+// /search, /reverse and /topk are one handler parameterized by mode,
+// running the query as a QueryBatch of one entry; POST /query/batch
+// decodes a list of the same wire queries and executes them as one
+// QueryBatch call, so the whole request reads one consistent snapshot of
+// the index. Both render every entry through renderResult.
 package main
 
 import (
@@ -225,7 +227,13 @@ func (s *server) handleQuery(mode string) queryHandler {
 		// event, so slow or errored queries keep their trace without any
 		// threshold having been configured.
 		o.Trace = true
-		res, err := c.idx.Query(r.Context(), q, o)
+		// A lone query is a batch of one on every engine; a run that never
+		// started leaves no result behind, only the error.
+		var res index.Result
+		results, err := c.idx.QueryBatch(r.Context(), []index.BatchQuery{{Query: q, Options: o}}, index.BatchOptions{})
+		if len(results) == 1 {
+			res = results[0]
+		}
 		noteStats(r, &res.Stats)
 		noteQuery(r, obs.EventQuery, mode, 0)
 		if err != nil && !errors.Is(err, index.ErrPartialResult) {
@@ -293,6 +301,9 @@ func (s *server) handleBatch(c *corpus, w http.ResponseWriter, r *http.Request) 
 	if len(req.Queries) > batchMaxQueries {
 		router.HTTPError(w, http.StatusBadRequest, router.CodeInvalidParameter,
 			fmt.Errorf("batch of %d queries exceeds the limit of %d", len(req.Queries), batchMaxQueries))
+		return
+	}
+	if a, ok := w.(*admitted); ok && !a.Admit(len(req.Queries)) {
 		return
 	}
 	batch := make([]index.BatchQuery, len(req.Queries))

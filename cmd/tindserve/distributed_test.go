@@ -91,8 +91,8 @@ const (
 	distShards  = 2
 )
 
-func distConfig() corpusConfig {
-	return corpusConfig{attrs: distAttrs, horizon: distHorizon, seed: distSeed, shards: distShards}
+func distConfig() config {
+	return config{attrs: distAttrs, horizon: distHorizon, seed: distSeed, shards: distShards}
 }
 
 // startShardServers boots distShards shard-server tindserves (full
@@ -109,7 +109,7 @@ func startShardServers(t *testing.T) ([]string, []*httptest.Server) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := newServer(config{shardRPC: true})
+		srv := newServer(config{shardServer: true})
 		srv.install(sv)
 		ts := httptest.NewServer(srv.routes())
 		t.Cleanup(ts.Close)
@@ -135,7 +135,7 @@ func TestDistributedTindserve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := newServer(config{router: true})
+	rs := newServer(rcc)
 	rs.install(rsv)
 	rts := httptest.NewServer(rs.routes())
 	defer rts.Close()

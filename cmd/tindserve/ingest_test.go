@@ -26,10 +26,10 @@ import (
 // newIngestServer assembles a live-ingestion server through the real
 // loadServing path (synthetic corpus, WAL, snapshot container) and wires
 // it into the HTTP surface. mut tweaks the corpus config before loading.
-func newIngestServer(t *testing.T, shards int, cfg config, mut func(cc *corpusConfig)) (*server, *httptest.Server, corpusConfig) {
+func newIngestServer(t *testing.T, shards int, cfg config, mut func(cc *config)) (*server, *httptest.Server, config) {
 	t.Helper()
 	dir := t.TempDir()
-	cc := corpusConfig{
+	cc := config{
 		attrs: 40, horizon: 120, seed: 4, shards: shards,
 		wal:           filepath.Join(dir, "ingest.wal"),
 		snapshot:      filepath.Join(dir, "snap"),
@@ -215,7 +215,7 @@ func TestIngestQueryHammerHTTP(t *testing.T) {
 		{"sharded", 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, ts, _ := newIngestServer(t, tc.shards, config{}, func(cc *corpusConfig) {
+			s, ts, _ := newIngestServer(t, tc.shards, config{}, func(cc *config) {
 				cc.maxDirty = 4
 				cc.maxDirtyAge = 2 * time.Millisecond
 			})
@@ -310,7 +310,7 @@ func TestIngestQueryHammerHTTP(t *testing.T) {
 // every query mode exactly like a from-scratch rebuild of the same
 // deltas, pinned to the exact oracle.
 func TestServeCrashRecoveryParity(t *testing.T) {
-	victim, ts, cc := newIngestServer(t, 3, config{}, func(cc *corpusConfig) {
+	victim, ts, cc := newIngestServer(t, 3, config{}, func(cc *config) {
 		cc.attrs, cc.horizon, cc.seed = 24, 90, 11
 	})
 	c := victim.corpus.Load()
@@ -381,11 +381,19 @@ func TestServeCrashRecoveryParity(t *testing.T) {
 	}
 	p := core.DefaultDays(truth.Horizon())
 	ctx := context.Background()
+	// The serving engine answers a lone query as a batch of one.
+	query := func(q *history.History, o index.QueryOptions) (index.Result, error) {
+		rs, err := sv.idx.QueryBatch(ctx, []index.BatchQuery{{Query: q, Options: o}}, index.BatchOptions{})
+		if err != nil {
+			return index.Result{}, err
+		}
+		return rs[0], nil
+	}
 	for i := 0; i < truth.Len(); i++ {
 		q := sv.ds.Attr(history.AttrID(i))
 		qt := truth.Attr(history.AttrID(i))
 		for _, mode := range []index.Mode{index.ModeForward, index.ModeReverse} {
-			a, err := sv.idx.Query(ctx, q, index.QueryOptions{Mode: mode, Params: p})
+			a, err := query(q, index.QueryOptions{Mode: mode, Params: p})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -406,7 +414,7 @@ func TestServeCrashRecoveryParity(t *testing.T) {
 				t.Fatalf("q=%d %v: recovered %v, oracle %v", i, mode, a.IDs, want)
 			}
 		}
-		a, err := sv.idx.Query(ctx, q, index.QueryOptions{Mode: index.ModeTopK, K: 5, Params: p})
+		a, err := query(q, index.QueryOptions{Mode: index.ModeTopK, K: 5, Params: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -427,7 +435,7 @@ func TestServeCrashRecoveryParity(t *testing.T) {
 // under -reslice-min-coverage, the ingest loop reslices, and /stats
 // grows a "reslice" section describing the pass.
 func TestStatsResliceSection(t *testing.T) {
-	s, ts, _ := newIngestServer(t, 2, config{}, func(cc *corpusConfig) {
+	s, ts, _ := newIngestServer(t, 2, config{}, func(cc *config) {
 		cc.maxDirty = 4
 		cc.maxDirtyAge = 20 * time.Millisecond
 		cc.resliceMinCoverage = 0.999 // any dirty attribute triggers repair

@@ -152,70 +152,50 @@ func mHTTPSeconds(endpoint string) *obs.Histogram {
 // costs about as much as a few plain searches.
 const topKWeight = 2
 
-// batchWeight is the limiter weight of /query/batch requests. A batch
-// runs many sub-queries in one call, but it saves each of them the HTTP
-// round trip that dominates a plain search, so a batch is charged like a
-// few plain searches rather than per sub-query.
+// batchWeight caps the limiter weight of a batch — POST /query/batch or a
+// /shard/batch leg — which is charged one per entry up to it (see
+// admitted.Admit). A batch runs many sub-queries in one call, but it saves
+// each of them the HTTP round trip that dominates a plain search, so a
+// large batch is charged like a few plain searches rather than per
+// sub-query; a one-entry leg is a plain search and is charged like one.
 const batchWeight = 4
 
 func main() {
-	var (
-		addr         = flag.String("addr", ":8080", "listen address")
-		corpusF      = flag.String("corpus", "", "binary dataset to serve (default: synthetic)")
-		attrs        = flag.Int("attrs", 2000, "synthetic corpus size")
-		horizon      = flag.Int("horizon", 1500, "synthetic corpus horizon (days)")
-		seed         = flag.Int64("seed", 1, "random seed")
-		shards       = flag.Int("shards", 1, "serve through a sharded scatter-gather index with this many shards (1 = monolithic)")
-		shardServer  = flag.Bool("shard-server", false, "serve one shard of an N-way partition over the /shard RPC surface (with -shards N and -shard-id)")
-		shardID      = flag.Int("shard-id", 0, "which shard this server owns (with -shard-server)")
-		routerF      = flag.String("router", "", "scatter-gather router over shard servers: shard URL groups separated by ';', replica URLs within a shard by ',' (e.g. \"http://a:8081,http://a2:8081;http://b:8081\")")
-		legTimeout   = flag.Duration("leg-timeout", 5*time.Second, "router: per-shard scatter-leg deadline (0 = none)")
-		legRetries   = flag.Int("leg-retries", 1, "router: replica retries per scatter leg beyond the first attempt")
-		queryTimeout = flag.Duration("query-timeout", 10*time.Second, "per-request query deadline (0 = none)")
-		maxInFlight  = flag.Int64("max-in-flight", 0, "concurrent query weight admitted before shedding with 503 (0 = 4×GOMAXPROCS)")
-		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "grace period for in-flight requests on SIGINT/SIGTERM")
-		pprofF       = flag.Bool("pprof", false, "expose /debug/pprof endpoints (off by default: profiling leaks internals)")
-		walF         = flag.String("wal", "", "write-ahead log path: enables POST /ingest and startup WAL replay")
-		snapshotF    = flag.String("snapshot", "", "snapshot container directory: loaded (over -corpus) at startup, written periodically by the ingest loop")
-		snapEvery    = flag.Int("snapshot-every", 4096, "applied records between snapshots (0 = never snapshot)")
-		maxStale     = flag.Duration("max-staleness", 30*time.Second, "flip /readyz to degraded when the oldest unapplied delta exceeds this (0 = never)")
-		maxDirty     = flag.Int("ingest-max-dirty", 256, "apply pending deltas once this many records queue")
-		maxDirtyAge  = flag.Duration("ingest-max-dirty-age", 2*time.Second, "apply pending deltas once the oldest queues this long")
-		resliceCov   = flag.Float64("reslice-min-coverage", 0.5, "background-reslice the index when slice-pruning coverage drops below this (0 = never)")
-		sloLatency   = flag.Duration("slo-latency-threshold", 500*time.Millisecond, "query_latency SLO: queries slower than this burn error budget")
-		sloInterval  = flag.Duration("slo-interval", 10*time.Second, "SLO burn-rate evaluation interval")
-		sloDegrade   = flag.Float64("slo-burn-degrade", 0, "flip /readyz to degraded when every SLO window burns at least this fast (0 = never)")
-	)
+	var cfg config
+	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
+	flag.StringVar(&cfg.corpus, "corpus", "", "binary dataset to serve (default: synthetic)")
+	flag.IntVar(&cfg.attrs, "attrs", 2000, "synthetic corpus size")
+	flag.IntVar(&cfg.horizon, "horizon", 1500, "synthetic corpus horizon (days)")
+	flag.Int64Var(&cfg.seed, "seed", 1, "random seed")
+	flag.IntVar(&cfg.shards, "shards", 1, "serve through a sharded scatter-gather index with this many shards (1 = monolithic)")
+	flag.BoolVar(&cfg.shardServer, "shard-server", false, "serve one shard of an N-way partition over the /shard RPC surface (with -shards N and -shard-id)")
+	flag.IntVar(&cfg.shardID, "shard-id", 0, "which shard this server owns (with -shard-server)")
+	flag.StringVar(&cfg.router, "router", "", "scatter-gather router over shard servers: shard URL groups separated by ';', replica URLs within a shard by ',' (e.g. \"http://a:8081,http://a2:8081;http://b:8081\")")
+	flag.DurationVar(&cfg.legTimeout, "leg-timeout", 5*time.Second, "router: per-shard scatter-leg deadline (0 = none)")
+	flag.IntVar(&cfg.legRetries, "leg-retries", 1, "router: replica retries per scatter leg beyond the first attempt")
+	flag.DurationVar(&cfg.queryTimeout, "query-timeout", 10*time.Second, "per-request query deadline (0 = none)")
+	flag.Int64Var(&cfg.maxInFlight, "max-in-flight", 0, "concurrent query weight admitted before shedding with 503 (0 = 4×GOMAXPROCS)")
+	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 15*time.Second, "grace period for in-flight requests on SIGINT/SIGTERM")
+	flag.BoolVar(&cfg.pprof, "pprof", false, "expose /debug/pprof endpoints (off by default: profiling leaks internals)")
+	flag.StringVar(&cfg.wal, "wal", "", "write-ahead log path: enables POST /ingest and startup WAL replay")
+	flag.StringVar(&cfg.snapshot, "snapshot", "", "snapshot container directory: loaded (over -corpus) at startup, written periodically by the ingest loop")
+	flag.IntVar(&cfg.snapshotEvery, "snapshot-every", 4096, "applied records between snapshots (0 = never snapshot)")
+	flag.DurationVar(&cfg.maxStaleness, "max-staleness", 30*time.Second, "flip /readyz to degraded when the oldest unapplied delta exceeds this (0 = never)")
+	flag.IntVar(&cfg.maxDirty, "ingest-max-dirty", 256, "apply pending deltas once this many records queue")
+	flag.DurationVar(&cfg.maxDirtyAge, "ingest-max-dirty-age", 2*time.Second, "apply pending deltas once the oldest queues this long")
+	flag.Float64Var(&cfg.resliceMinCoverage, "reslice-min-coverage", 0.5, "background-reslice the index when slice-pruning coverage drops below this (0 = never)")
+	flag.DurationVar(&cfg.sloLatency, "slo-latency-threshold", 500*time.Millisecond, "query_latency SLO: queries slower than this burn error budget")
+	flag.DurationVar(&cfg.sloInterval, "slo-interval", 10*time.Second, "SLO burn-rate evaluation interval")
+	flag.Float64Var(&cfg.sloBurnDegrade, "slo-burn-degrade", 0, "flip /readyz to degraded when every SLO window burns at least this fast (0 = never)")
 	flag.Parse()
-
-	cfg := config{
-		queryTimeout:   *queryTimeout,
-		maxInFlight:    *maxInFlight,
-		drainTimeout:   *drainTimeout,
-		pprof:          *pprofF,
-		maxStaleness:   *maxStale,
-		sloLatency:     *sloLatency,
-		sloInterval:    *sloInterval,
-		sloBurnDegrade: *sloDegrade,
-		shardRPC:       *shardServer,
-		router:         *routerF != "",
-	}
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	slog.SetDefault(logger)
 
-	cc := corpusConfig{
-		corpus: *corpusF, attrs: *attrs, horizon: *horizon, seed: *seed, shards: *shards,
-		shardServer: *shardServer, shardID: *shardID,
-		router: *routerF, legTimeout: *legTimeout, legRetries: *legRetries,
-		wal: *walF, snapshot: *snapshotF, snapshotEvery: *snapEvery,
-		maxDirty: *maxDirty, maxDirtyAge: *maxDirtyAge,
-		resliceMinCoverage: *resliceCov,
-	}
 	// Contradictory modes exit here, before the port is bound: a process
 	// that answers /healthz while its load fails in the background looks
 	// alive to whatever started it.
-	if err := cc.validateModes(); err != nil {
+	if err := cfg.validateModes(); err != nil {
 		logger.Error("flags", "err", err)
 		os.Exit(1)
 	}
@@ -223,14 +203,14 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		logger.Error("listen", "err", err)
 		os.Exit(1)
 	}
 	logger.Info("listening, index building in background", "addr", ln.Addr().String())
 
-	load := func(rp *replayProgress) (*corpus, error) { return loadServing(cc, rp) }
+	load := func(rp *replayProgress) (*corpus, error) { return loadServing(cfg, rp) }
 	if err := run(ctx, cfg, ln, load); err != nil {
 		logger.Error("serve", "err", err)
 		os.Exit(1)
@@ -238,15 +218,46 @@ func main() {
 	logger.Info("drained, bye")
 }
 
-// config holds the robustness and observability knobs of the service.
+// config is the service's command line, one field per flag, bound in
+// place by main: the robustness and observability knobs the server reads,
+// and the corpus source, engine layout and live-ingestion knobs
+// loadServing reads.
 type config struct {
+	addr string
+
+	corpus  string
+	attrs   int
+	horizon int
+	seed    int64
+	shards  int
+	// shardServer serves shard shardID of the shards-way partition over
+	// the /shard RPC surface instead of building a full serving engine.
+	shardServer bool
+	shardID     int
+	// router scatter-gathers over remote shard servers: the -router
+	// topology spec, with the per-leg deadline and replica retry budget.
+	router     string
+	legTimeout time.Duration
+	legRetries int
+
 	queryTimeout time.Duration
 	maxInFlight  int64
 	drainTimeout time.Duration
 	pprof        bool
+
+	wal           string
+	snapshot      string
+	snapshotEvery int
 	// maxStaleness flips /readyz to degraded when the oldest acknowledged
 	// but unapplied delta is older than this; 0 disables the check.
 	maxStaleness time.Duration
+	maxDirty     int
+	maxDirtyAge  time.Duration
+	// resliceMinCoverage arms the ingest loop's background re-slicing:
+	// when slice-pruning coverage falls below it, the engine reslices and
+	// coverage returns to 1 without blocking queries. 0 disables.
+	resliceMinCoverage float64
+
 	// sloLatency is the query_latency objective's threshold: queries
 	// slower than this count against the error budget.
 	sloLatency time.Duration
@@ -255,10 +266,6 @@ type config struct {
 	// sloBurnDegrade flips /readyz to degraded when every burn-rate
 	// window of some objective is at least this high; 0 disables.
 	sloBurnDegrade float64
-	// shardRPC mounts the /shard/* RPC surface (shard-server mode).
-	shardRPC bool
-	// router declares the router_shard_availability SLO (router mode).
-	router bool
 }
 
 // run serves on ln until ctx is done (SIGINT/SIGTERM in production),
@@ -350,13 +357,12 @@ func (s *server) closeServing() error {
 	return err
 }
 
-// queryIndex is the serving contract the handlers need. Every engine
-// satisfies it — the monolithic index.Index, the in-process
+// queryIndex is the serving contract the handlers need: a lone query is
+// a batch of one. Every engine satisfies it — the monolithic index.Index, the in-process
 // shard.ShardedIndex, one shard.Single (shard-server mode) and the
 // router.Router — so the mode flags swap the engine without touching a
 // handler.
 type queryIndex interface {
-	Query(ctx context.Context, q *history.History, o index.QueryOptions) (index.Result, error)
 	QueryBatch(ctx context.Context, batch []index.BatchQuery, o index.BatchOptions) ([]index.Result, error)
 	Stats() index.BuildStats
 }
@@ -374,38 +380,10 @@ type remote interface {
 	Probe(ctx context.Context) []int
 }
 
-// corpusConfig is everything loadServing needs to assemble the serving
-// state: corpus source, engine layout and the live-ingestion knobs.
-type corpusConfig struct {
-	corpus  string
-	attrs   int
-	horizon int
-	seed    int64
-	shards  int
-	// shardServer serves shard shardID of the shards-way partition over
-	// the /shard RPC surface instead of building a full serving engine.
-	shardServer bool
-	shardID     int
-	// router scatter-gathers over remote shard servers: the -router
-	// topology spec, with the per-leg deadline and replica retry budget.
-	router        string
-	legTimeout    time.Duration
-	legRetries    int
-	wal           string
-	snapshot      string
-	snapshotEvery int
-	maxDirty      int
-	maxDirtyAge   time.Duration
-	// resliceMinCoverage arms the ingest loop's background re-slicing:
-	// when slice-pruning coverage falls below it, the engine reslices and
-	// coverage returns to 1 without blocking queries. 0 disables.
-	resliceMinCoverage float64
-}
-
 // validateModes rejects contradictory serving modes. It needs nothing
 // but the flags, so main calls it before binding the port; loadServing
-// calls it again for callers that assemble a corpusConfig themselves.
-func (cc corpusConfig) validateModes() error {
+// calls it again for callers that assemble a config themselves.
+func (cc config) validateModes() error {
 	switch {
 	case cc.shardServer && cc.router != "":
 		return errors.New("-shard-server and -router are mutually exclusive")
@@ -431,7 +409,7 @@ type replayProgress struct {
 // container — written by the ingest loop — wins over -corpus: it is the
 // same corpus, further along the WAL. The returned offset is the WAL
 // position the dataset already covers.
-func loadDataset(cc corpusConfig) (*history.Dataset, int64, error) {
+func loadDataset(cc config) (*history.Dataset, int64, error) {
 	if cc.snapshot != "" {
 		ds, man, err := persist.OpenSnapshot(cc.snapshot)
 		if err == nil {
@@ -475,7 +453,7 @@ func loadDataset(cc corpusConfig) (*history.Dataset, int64, error) {
 // scatter-gathers over remote shard servers. Both are read-only: live
 // ingestion writes through an engine that owns the whole index, which
 // neither mode has.
-func loadServing(cc corpusConfig, rp *replayProgress) (*corpus, error) {
+func loadServing(cc config, rp *replayProgress) (*corpus, error) {
 	if err := cc.validateModes(); err != nil {
 		return nil, err
 	}
@@ -664,10 +642,9 @@ func (c *corpus) view(fn func(ds *history.Dataset)) {
 
 // server bundles the serving state with the robustness machinery.
 type server struct {
-	corpus       atomic.Pointer[corpus]
-	limiter      *sem.Weighted
-	queryTimeout time.Duration
-	pprof        bool
+	cfg     config
+	corpus  atomic.Pointer[corpus]
+	limiter *sem.Weighted
 	// queryID numbers admitted query requests; the ID is returned in the
 	// X-Query-ID response header and attached to the wide event so a
 	// client-reported request can be matched to its trace.
@@ -675,18 +652,13 @@ type server struct {
 	// replay publishes WAL-replay progress for /readyz while the corpus
 	// loads after a restart.
 	replay replayProgress
-	// maxStaleness flips /readyz to degraded when ingestion falls behind.
-	maxStaleness time.Duration
 	// sampler decides after each query completes whether its trace is
 	// retained in the wide event — errored queries and the slowest tail
 	// always keep theirs.
 	sampler *obs.TailSampler
 	// slo evaluates the declared objectives into burn-rate gauges; with
-	// sloBurnDegrade > 0 a sustained burn also degrades /readyz.
-	slo            *obs.SLOEngine
-	sloBurnDegrade float64
-	// shardRPC mounts the /shard/* scatter-leg surface (shard-server mode).
-	shardRPC bool
+	// -slo-burn-degrade a sustained burn also degrades /readyz.
+	slo *obs.SLOEngine
 }
 
 func newServer(cfg config) *server {
@@ -695,14 +667,10 @@ func newServer(cfg config) *server {
 		capacity = int64(4 * runtime.GOMAXPROCS(0))
 	}
 	return &server{
-		limiter:        sem.New(capacity),
-		queryTimeout:   cfg.queryTimeout,
-		pprof:          cfg.pprof,
-		maxStaleness:   cfg.maxStaleness,
-		sampler:        obs.NewTailSampler(tailSamplePercentile, tailSampleWindow),
-		slo:            newSLOEngine(cfg),
-		sloBurnDegrade: cfg.sloBurnDegrade,
-		shardRPC:       cfg.shardRPC,
+		cfg:     cfg,
+		limiter: sem.New(capacity),
+		sampler: obs.NewTailSampler(tailSamplePercentile, tailSampleWindow),
+		slo:     newSLOEngine(cfg),
 	}
 }
 
@@ -737,20 +705,19 @@ func (s *server) routes() http.Handler {
 	mux.Handle("GET /search", s.query(1, viewed(s.handleQuery("forward"))))
 	mux.Handle("GET /reverse", s.query(1, viewed(s.handleQuery("reverse"))))
 	mux.Handle("GET /topk", s.query(topKWeight, viewed(s.handleQuery("topk"))))
-	mux.Handle("POST /query/batch", s.query(batchWeight, viewed(s.handleBatch)))
+	mux.Handle("POST /query/batch", s.query(1, viewed(s.handleBatch)))
 	mux.Handle("GET /explain", s.query(1, viewed(s.handleExplain)))
 	mux.Handle("GET /attr", s.query(1, viewed(s.handleAttr)))
 	// /stats is not viewed: it reads ingester stats, whose lock is taken
 	// before the dataset lock on the submit path — see handleStats.
 	mux.Handle("GET /stats", s.query(1, s.handleStats))
-	if s.shardRPC {
+	if s.cfg.shardServer {
 		// Scatter legs from the router go through the same readiness and
 		// shedding middleware as the human endpoints: a shard that is
 		// still building answers 503 not_ready in the shared envelope,
 		// which the router classifies as a degradable leg (retry the
 		// replica, then a typed partial result) rather than a hard error.
-		mux.Handle("POST /shard/query", s.query(1, s.handleShardRPC))
-		mux.Handle("POST /shard/batch", s.query(batchWeight, s.handleShardRPC))
+		mux.Handle("POST /shard/batch", s.query(1, s.handleShardRPC))
 		mux.Handle("GET /shard/info", s.query(1, s.handleShardRPC))
 		mux.Handle("GET /shard/stats", s.query(1, s.handleShardRPC))
 	}
@@ -762,7 +729,7 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("GET /metrics", handleMetrics)
 	mux.HandleFunc("GET /debug/events", s.handleEvents)
 	mux.HandleFunc("GET /slo", s.handleSLO)
-	if s.pprof {
+	if s.cfg.pprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
@@ -798,16 +765,65 @@ func handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// statusRecorder captures the status code a handler writes so the query
-// middleware can label its metrics and the wide event with it.
-type statusRecorder struct {
+// admitted is the ResponseWriter of a request the limiter let in. It
+// records the status the handler writes, for the request metrics and the
+// wide event, and holds the request's limiter weight. The weight goes back
+// when the handler starts answering — the engine call has returned by
+// then — not after the reply is flushed: a closed-loop client can send its
+// next request the moment it has read this one, and at exact capacity a
+// release that trails the flush sheds it (on a shard server, a spurious
+// "partial" answer).
+type admitted struct {
 	http.ResponseWriter
+	s      *server
 	status int
+	weight int64 // limiter weight held
 }
 
-func (w *statusRecorder) WriteHeader(code int) {
+func (w *admitted) acquire(n int64) bool {
+	if !w.s.limiter.TryAcquire(n) {
+		return false
+	}
+	w.weight += n
+	mHTTPInFlight.Add(float64(n))
+	return true
+}
+
+// release gives the held weight back; the calls after the first (later
+// writes, the middleware's deferred one) find nothing held.
+func (w *admitted) release() {
+	if w.weight == 0 {
+		return
+	}
+	w.s.limiter.Release(w.weight)
+	mHTTPInFlight.Add(-float64(w.weight))
+	w.weight = 0
+}
+
+// Admit charges a batch by what it carries. Its route admitted it at
+// weight 1 before the body was read, so a saturated server sheds without
+// reading; once the handler has decoded the body it reports the entry
+// count, and the request is topped up to min(batchWeight, entries) — or
+// shed as saturated, in which case Admit has answered and reports false.
+// internal/router's /shard/batch handler finds this method on its
+// ResponseWriter.
+func (w *admitted) Admit(entries int) bool {
+	if more := min(batchWeight, int64(entries)) - w.weight; more > 0 && !w.acquire(more) {
+		w.s.shed(w, shedSaturated, "server saturated, retry shortly")
+		return false
+	}
+	return true
+}
+
+func (w *admitted) WriteHeader(code int) {
+	w.release()
 	w.status = code
 	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *admitted) Write(b []byte) (int, error) {
+	w.release()
+	return w.ResponseWriter.Write(b)
 }
 
 // queryNote carries per-query diagnostics from a handler back to the
@@ -843,10 +859,12 @@ func noteQuery(r *http.Request, kind, mode string, batch int) {
 	}
 }
 
-// Shed reasons for retryAfterHint: why a request is being turned away.
+// Shed reasons: why a request is being turned away — the label of
+// tind_http_shed_total, the input of retryAfterHint and, for the two a
+// query endpoint sheds with, the envelope's error code.
 const (
-	shedNotReady  = "not_ready"
-	shedSaturated = "saturated"
+	shedNotReady  = router.CodeNotReady
+	shedSaturated = router.CodeSaturated
 	shedDegraded  = "degraded"
 )
 
@@ -890,6 +908,14 @@ func (s *server) retryAfterHint(reason string) string {
 	return strconv.Itoa(retryHintBuild)
 }
 
+// shed turns a request away with 503, the envelope code of the reason and
+// the Retry-After hint the server's state supports.
+func (s *server) shed(w http.ResponseWriter, reason, msg string) {
+	mHTTPShed(reason).Inc()
+	w.Header().Set("Retry-After", s.retryAfterHint(reason))
+	router.HTTPError(w, http.StatusServiceUnavailable, reason, errors.New(msg))
+}
+
 // query gates an endpoint behind readiness, the concurrency limiter and
 // the per-request deadline. Not-ready and saturated both shed with 503 +
 // Retry-After rather than queueing: the client retrying in a second is
@@ -901,26 +927,20 @@ func (s *server) query(weight int64, h queryHandler) http.Handler {
 		endpoint := r.URL.Path
 		c := s.corpus.Load()
 		if c == nil {
-			mHTTPShed("not_ready").Inc()
 			mHTTPRequests(endpoint, http.StatusServiceUnavailable).Inc()
-			w.Header().Set("Retry-After", s.retryAfterHint(shedNotReady))
-			router.HTTPError(w, http.StatusServiceUnavailable, router.CodeNotReady, errors.New("index still building, retry shortly"))
+			s.shed(w, shedNotReady, "index still building, retry shortly")
 			return
 		}
-		if !s.limiter.TryAcquire(weight) {
-			mHTTPShed("saturated").Inc()
+		sr := &admitted{ResponseWriter: w, s: s, status: http.StatusOK}
+		if !sr.acquire(weight) {
 			mHTTPRequests(endpoint, http.StatusServiceUnavailable).Inc()
-			w.Header().Set("Retry-After", s.retryAfterHint(shedSaturated))
-			router.HTTPError(w, http.StatusServiceUnavailable, router.CodeSaturated, errors.New("server saturated, retry shortly"))
+			s.shed(w, shedSaturated, "server saturated, retry shortly")
 			return
 		}
-		mHTTPInFlight.Add(float64(weight))
-		defer func() {
-			s.limiter.Release(weight)
-			mHTTPInFlight.Add(-float64(weight))
-		}()
-		if s.queryTimeout > 0 {
-			ctx, cancel := context.WithTimeout(r.Context(), s.queryTimeout)
+		// A handler that never answers (a panic) still gives its weight back.
+		defer sr.release()
+		if s.cfg.queryTimeout > 0 {
+			ctx, cancel := context.WithTimeout(r.Context(), s.cfg.queryTimeout)
 			defer cancel()
 			r = r.WithContext(ctx)
 		}
@@ -928,7 +948,6 @@ func (s *server) query(weight int64, h queryHandler) http.Handler {
 		w.Header().Set("X-Query-ID", strconv.FormatUint(qid, 10))
 		note := &queryNote{}
 		r = r.WithContext(context.WithValue(r.Context(), noteKey{}, note))
-		sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
 		h(c, sr, r)
 		elapsed := time.Since(start)
@@ -1026,9 +1045,9 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case st.LastError != "":
 			degraded = "ingest apply failing: " + st.LastError
-		case s.maxStaleness > 0 && st.OldestPendingAge > s.maxStaleness:
+		case s.cfg.maxStaleness > 0 && st.OldestPendingAge > s.cfg.maxStaleness:
 			degraded = fmt.Sprintf("staleness bound exceeded: oldest pending delta %v > %v",
-				st.OldestPendingAge.Round(time.Millisecond), s.maxStaleness)
+				st.OldestPendingAge.Round(time.Millisecond), s.cfg.maxStaleness)
 		}
 		if degraded != "" {
 			w.Header().Set("Retry-After", s.retryAfterHint(shedDegraded))
@@ -1039,7 +1058,7 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 				"error":             degraded,
 				"pending_records":   st.PendingRecords,
 				"oldest_pending_ms": float64(st.OldestPendingAge) / float64(time.Millisecond),
-				"max_staleness_ms":  float64(s.maxStaleness) / float64(time.Millisecond),
+				"max_staleness_ms":  float64(s.cfg.maxStaleness) / float64(time.Millisecond),
 			})
 			return
 		}
@@ -1068,7 +1087,7 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	// the operator opted in with -slo-burn-degrade: the orchestrator can
 	// then pull a tail-latency-sick replica out of rotation before it
 	// exhausts the budget.
-	if s.sloBurnDegrade > 0 {
+	if s.cfg.sloBurnDegrade > 0 {
 		if reason := s.slo.Degraded(); reason != "" {
 			w.Header().Set("Retry-After", s.retryAfterHint(shedDegraded))
 			w.Header().Set("Content-Type", "application/json")

@@ -165,21 +165,21 @@ func TestErrorResponses(t *testing.T) {
 func TestValidateModes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		cc   corpusConfig
+		cc   config
 		want string // substring of the error; "" = accepted
 	}{
-		{"monolith", corpusConfig{shards: 1}, ""},
-		{"monolith with wal", corpusConfig{shards: 1, wal: "w.log"}, ""},
-		{"sharded with wal", corpusConfig{shards: 4, wal: "w.log"}, ""},
-		{"shard-id ignored without shard-server", corpusConfig{shards: 1, shardID: 7}, ""},
-		{"shard server", corpusConfig{shards: 2, shardServer: true, shardID: 1}, ""},
-		{"router", corpusConfig{shards: 1, router: "http://a;http://b"}, ""},
-		{"shard server and router", corpusConfig{shards: 2, shardServer: true, router: "http://a"}, "mutually exclusive"},
-		{"shard server with wal", corpusConfig{shards: 2, shardServer: true, wal: "w.log"}, "read-only"},
-		{"router with wal", corpusConfig{shards: 1, router: "http://a", wal: "w.log"}, "read-only"},
-		{"shard-id negative", corpusConfig{shards: 2, shardServer: true, shardID: -1}, "-shard-id -1 out of range [0,2)"},
-		{"shard-id equals shards", corpusConfig{shards: 2, shardServer: true, shardID: 2}, "-shard-id 2 out of range [0,2)"},
-		{"shard server without shards", corpusConfig{shards: 0, shardServer: true}, "-shard-id 0 out of range [0,0)"},
+		{"monolith", config{shards: 1}, ""},
+		{"monolith with wal", config{shards: 1, wal: "w.log"}, ""},
+		{"sharded with wal", config{shards: 4, wal: "w.log"}, ""},
+		{"shard-id ignored without shard-server", config{shards: 1, shardID: 7}, ""},
+		{"shard server", config{shards: 2, shardServer: true, shardID: 1}, ""},
+		{"router", config{shards: 1, router: "http://a;http://b"}, ""},
+		{"shard server and router", config{shards: 2, shardServer: true, router: "http://a"}, "mutually exclusive"},
+		{"shard server with wal", config{shards: 2, shardServer: true, wal: "w.log"}, "read-only"},
+		{"router with wal", config{shards: 1, router: "http://a", wal: "w.log"}, "read-only"},
+		{"shard-id negative", config{shards: 2, shardServer: true, shardID: -1}, "-shard-id -1 out of range [0,2)"},
+		{"shard-id equals shards", config{shards: 2, shardServer: true, shardID: 2}, "-shard-id 2 out of range [0,2)"},
+		{"shard server without shards", config{shards: 0, shardServer: true}, "-shard-id 0 out of range [0,0)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.cc.validateModes()

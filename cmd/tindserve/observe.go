@@ -86,7 +86,7 @@ func newSLOEngine(cfg config) *obs.SLOEngine {
 			},
 		},
 	}
-	if cfg.router {
+	if cfg.router != "" {
 		objectives = append(objectives, obs.SLO{
 			Name:        "router_shard_availability",
 			Description: "99.9% of scatter legs answer after replica retries",

@@ -139,14 +139,14 @@ type arena struct {
 //
 // On error the slice still carries the partial statistics of every
 // attempted entry; the returned error is the first failing entry's, in
-// batch order, wrapped with its position.
+// batch order, named by its position (EntryErr).
 func (x *Index) QueryBatch(ctx context.Context, batch []BatchQuery, o BatchOptions) ([]Result, error) {
 	if o.Workers < 0 {
 		return nil, fmt.Errorf("%w: negative batch workers %d", ErrInvalidOptions, o.Workers)
 	}
 	for i := range batch {
 		if err := batch[i].Options.validate(); err != nil {
-			return nil, fmt.Errorf("batch entry %d: %w", i, err)
+			return nil, EntryErr(len(batch), i, err)
 		}
 		if !batch[i].ByID && batch[i].Query == nil {
 			return nil, fmt.Errorf("%w: batch entry %d: nil query history", ErrInvalidOptions, i)
@@ -182,10 +182,19 @@ func (x *Index) QueryBatch(ctx context.Context, batch []BatchQuery, o BatchOptio
 	})
 	for i, err := range errs {
 		if err != nil {
-			return results, fmt.Errorf("batch entry %d: %w", i, err)
+			return results, EntryErr(len(batch), i, err)
 		}
 	}
 	return results, nil
+}
+
+// EntryErr names entry i of an n-entry batch as the one that failed. A lone
+// query is a batch of one on every tier: its error stays bare, as Query's is.
+func EntryErr(n, i int, err error) error {
+	if n == 1 {
+		return err
+	}
+	return fmt.Errorf("batch entry %d: %w", i, err)
 }
 
 // runEntries calls entry(i, …) once for every i in [0, n) on up to workers

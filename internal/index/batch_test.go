@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -159,6 +160,17 @@ func TestQueryBatchCanceled(t *testing.T) {
 	}
 	if len(res) != len(batch) {
 		t.Fatalf("canceled batch: %d results, want the full %d (with partial stats)", len(res), len(batch))
+	}
+	// The failing entry is named by its position — except in a batch of
+	// one, which is a lone query and reports exactly what Query reports.
+	if !strings.HasPrefix(err.Error(), "batch entry 0: ") {
+		t.Fatalf("canceled batch: err %q does not name the entry", err)
+	}
+	o := QueryOptions{Mode: ModeForward, Params: p}
+	_, want := x.Query(ctx, ds.Attr(0), o)
+	_, lone := x.QueryBatch(ctx, []BatchQuery{{Query: ds.Attr(0), Options: o}}, BatchOptions{})
+	if lone == nil || lone.Error() != want.Error() {
+		t.Fatalf("batch of one: err %q, want Query's %q", lone, want)
 	}
 }
 

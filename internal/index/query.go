@@ -69,12 +69,12 @@ type QueryOptions struct {
 // pipeline of Algorithm 1. Phases that did not run stay zero; top-k sums
 // each phase over its rounds. Total is always set, even for aborted queries.
 type Timings struct {
-	Total       time.Duration
-	MTPrune     time.Duration // required-values pruning against M_T (or M_R)
-	SlicePrune  time.Duration // time-slice pruning
-	SubsetCheck time.Duration // exact subset pre-check (line 16); forward and top-k only, zero for reverse
-	Validate    time.Duration // Algorithm-2 validation
-	Rank        time.Duration // top-k only: exact violation-weight ranking
+	Total       time.Duration `json:"total_ns"`
+	MTPrune     time.Duration `json:"mt_prune_ns"`     // required-values pruning against M_T (or M_R)
+	SlicePrune  time.Duration `json:"slice_prune_ns"`  // time-slice pruning
+	SubsetCheck time.Duration `json:"subset_check_ns"` // exact subset pre-check (line 16); forward and top-k only, zero for reverse
+	Validate    time.Duration `json:"validate_ns"`     // Algorithm-2 validation
+	Rank        time.Duration `json:"rank_ns"`         // top-k only: exact violation-weight ranking
 }
 
 // TraceSpan is one recorded query phase (offsets relative to query start).
@@ -252,7 +252,7 @@ func (r *queryRun) finish(st *QueryStats, err error) {
 // search with per-phase timing. Parameters have been validated by Query.
 func (r *queryRun) search(ctx context.Context, q *history.History, p core.Params, reverse bool) (Result, error) {
 	var st QueryStats
-	hits, err := r.searchHits(ctx, q, p, reverse, &st)
+	hits, err := r.searchHits(ctx, q, p, reverse, nil, &st)
 	if err != nil || len(hits) == 0 {
 		return Result{Stats: st}, err
 	}
@@ -269,8 +269,10 @@ func (r *queryRun) search(ctx context.Context, q *history.History, p core.Params
 // ids out, topK ranks them in place and copies the best K. A phase runs
 // only where it can remove a candidate for less than validating it costs.
 // st's funnel counters are overwritten; its phase timings and SlicesUsed
-// accumulate, so the rounds of a top-k sum.
-func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Params, reverse bool, st *QueryStats) ([]Ranked, error) {
+// accumulate, so the rounds of a top-k sum. req is R_ε(Q) under p where
+// the caller already holds it (a top-k round is decided on it), else nil.
+func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Params, reverse bool,
+	req values.Set, st *QueryStats) ([]Ranked, error) {
 	x := r.x
 	*st = QueryStats{Timings: st.Timings, SlicesUsed: st.SlicesUsed}
 	if err := CtxErr(ctx); err != nil {
@@ -285,7 +287,6 @@ func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Pa
 	// subsets for reverse search, every attribute where neither can
 	// prune.
 	endPhase := r.phase(phaseMTPrune, &st.Timings.MTPrune)
-	var req values.Set // forward only: required values, reused by the subset check
 	if reverse {
 		if x.mRCovers(p) {
 			r.ar.bits = x.mR.SubsetsInto(r.filterFor(q.AllValues()), nil, cand, r.ar.bits)
@@ -293,7 +294,9 @@ func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Pa
 			cand.Fill()
 		}
 	} else {
-		req = r.requiredValues(q, p.Epsilon, p.Weight)
+		if req == nil { // forward only; reused by the subset check
+			req = r.requiredValues(q, p.Epsilon, p.Weight)
+		}
 		if len(req) == 0 || x.opt.DisableRequiredValues {
 			cand.Fill()
 		} else {
@@ -449,11 +452,15 @@ func (r *queryRun) topK(ctx context.Context, q *history.History, o QueryOptions)
 		// A budget that requires no value admits every attribute; scanning
 		// them all bounded costs what the unbounded, final round costs, so
 		// run that one at once. The ranking is by exact weight either way.
-		if eps >= total || len(r.requiredValues(q, eps, o.Params.Weight)) == 0 {
-			eps = math.Inf(1)
+		var req values.Set
+		if eps < total {
+			req = r.requiredValues(q, eps, o.Params.Weight)
+		}
+		if len(req) == 0 {
+			eps, req = math.Inf(1), values.Set{}
 		}
 		p := core.Params{Epsilon: eps, Delta: o.Params.Delta, Weight: o.Params.Weight}
-		hits, err := r.searchHits(ctx, q, p, false, &st)
+		hits, err := r.searchHits(ctx, q, p, false, req, &st)
 		if err != nil {
 			return Result{Stats: st}, err
 		}

@@ -20,28 +20,30 @@ import (
 const subsetCheckEvery = 512
 
 // QueryStats records how a single query was answered, feeding the
-// runtime-distribution experiments and the /metrics exposition.
+// runtime-distribution experiments and the /metrics exposition. Its JSON
+// form is how a leg's statistics cross the shard RPC (durations as integer
+// nanoseconds); Trace and PerShard stay in the process that recorded them.
 type QueryStats struct {
-	InitialCandidates int           // after M_T/M_R (or every attribute when the matrix cannot prune)
-	AfterSlices       int           // after time-slice pruning
-	AfterSubsetCheck  int           // after the forward subset pre-check (line 16); reverse: AfterSlices
-	Validated         int           // candidates passed to Algorithm 2
-	Results           int           // valid tINDs
-	SlicesUsed        int           // slice indices consulted (top-k: over all rounds)
-	Elapsed           time.Duration // total query time
+	InitialCandidates int           `json:"initial_candidates"` // after M_T/M_R (or every attribute when the matrix cannot prune)
+	AfterSlices       int           `json:"after_slices"`       // after time-slice pruning
+	AfterSubsetCheck  int           `json:"after_subset_check"` // after the forward subset pre-check (line 16); reverse: AfterSlices
+	Validated         int           `json:"validated"`          // candidates passed to Algorithm 2
+	Results           int           `json:"results"`            // valid tINDs
+	SlicesUsed        int           `json:"slices_used"`        // slice indices consulted (top-k: over all rounds)
+	Elapsed           time.Duration `json:"elapsed_ns"`         // total query time
 	// Timings breaks Elapsed down by pruning phase. Total is populated
 	// (non-zero) on every Query return, successful or aborted.
-	Timings Timings
+	Timings Timings `json:"timings"`
 	// Trace holds the per-phase spans when QueryOptions.Trace was set;
 	// nil otherwise. Top-k escalations append one span set per round.
-	Trace []TraceSpan
+	Trace []TraceSpan `json:"-"`
 	// PerShard attributes the query across a sharded execution: one entry
 	// per scatter leg, with that leg's wall time (including shard lock
 	// wait — the straggler signal) and shard-local funnel. Nil on a
 	// monolithic index. For batched sharded execution the legs cover the
 	// whole regrouped batch, so every entry of the batch reports the same
 	// PerShard slice.
-	PerShard []ShardStat
+	PerShard []ShardStat `json:"-"`
 }
 
 // Add folds src into st: funnel counts and phase timings sum, traces
@@ -89,19 +91,19 @@ func (s ShardStat) Failed() bool { return s.Err != "" }
 // aborts on a done context, Result carries the statistics accumulated up
 // to the abort point (with Elapsed set) alongside the typed error.
 type Result struct {
-	IDs   []history.AttrID // attributes satisfying the dependency, ascending
-	Stats QueryStats
+	IDs   []history.AttrID `json:"ids,omitempty"` // attributes satisfying the dependency, ascending
+	Stats QueryStats       `json:"stats"`
 	// Ranked is populated for ModeTopK only: the top K attributes by
 	// ascending exact violation weight (ties by id). IDs stays nil in
 	// that mode.
-	Ranked []Ranked
+	Ranked []Ranked `json:"ranked,omitempty"`
 }
 
 // Ranked is one top-k result: an attribute and the exact violation weight
 // of Q ⊆_{w,·,δ} A.
 type Ranked struct {
-	ID        history.AttrID
-	Violation float64
+	ID        history.AttrID `json:"id"`
+	Violation float64        `json:"violation"`
 }
 
 // Search returns all A ∈ D with Q ⊆_{w,ε,δ} A (Definition 3.7),

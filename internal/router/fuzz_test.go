@@ -7,7 +7,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"testing"
 	"time"
 
@@ -20,18 +19,16 @@ import (
 
 // The surfaces FuzzShardWire drives, selected by kind % fuzzKinds.
 const (
-	fuzzQueryRequest = iota
-	fuzzBatchRequest
-	fuzzQueryResponse
-	fuzzBatchResponse
+	fuzzRequest = iota
+	fuzzResponse
 	fuzzErrorEnvelope
 	fuzzKinds
 )
 
 // FuzzShardWire throws arbitrary bytes at every decoder of the shard RPC
-// — the two request bodies a shard server reads and the three response
-// bodies a router reads — and asserts the distrust contract: never a
-// panic; a request is answered 200 with a body the router-side reader
+// — the one request body a shard server reads, the response body and the
+// error envelope a router reads — and asserts the distrust contract: never
+// a panic; a request is answered 200 with a body the router-side reader
 // accepts, or with a typed envelope; a response decodes to a value that
 // round-trips and carries only ids the answering shard owns, or to a
 // typed error. Seeded with the real exchanges of a healthy two-shard
@@ -46,18 +43,17 @@ func FuzzShardWire(f *testing.F) {
 	}
 	handler := NewShardServer(sg).Handler()
 	want := Info{ShardID: 1, Shards: opt.Shards, Seed: opt.Seed, Attributes: ds.Len(), Horizon: int64(horizon)}
-	const batchLen = 2
 
-	paths := [...]string{"/shard/query", "/shard/batch"}
-	post := func(ctx context.Context, kind int, body []byte) *httptest.ResponseRecorder {
+	post := func(ctx context.Context, body []byte) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
-		req := httptest.NewRequest(http.MethodPost, paths[kind], bytes.NewReader(body)).WithContext(ctx)
+		req := httptest.NewRequest(http.MethodPost, "/shard/batch", bytes.NewReader(body)).WithContext(ctx)
 		handler.ServeHTTP(rec, req)
 		return rec
 	}
 
 	// Seeds: real requests as the router encodes them, and the real
-	// responses the shard server gives.
+	// responses the shard server gives. The response reader needs the
+	// batch length it asked for; the fuzzed byte supplies it.
 	p := core.DefaultDays(horizon)
 	var queries []wireQuery
 	for _, o := range []index.QueryOptions{
@@ -73,31 +69,32 @@ func FuzzShardWire(f *testing.F) {
 			queries = append(queries, wq)
 		}
 	}
-	seed := func(kind int, v interface{}) {
-		req, err := json.Marshal(v)
+	seed := func(entries ...wireQuery) {
+		req, err := json.Marshal(wireBatch{Queries: entries})
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(uint8(kind), req)
-		rec := post(context.Background(), kind, req)
+		f.Add(uint8(fuzzRequest), uint8(0), req)
+		rec := post(context.Background(), req)
 		if rec.Code != http.StatusOK {
-			f.Fatalf("seed %s answered %d: %s", paths[kind], rec.Code, rec.Body)
+			f.Fatalf("seed %s answered %d: %s", req, rec.Code, rec.Body)
 		}
-		f.Add(uint8(kind+fuzzQueryResponse), rec.Body.Bytes())
+		f.Add(uint8(fuzzResponse), uint8(len(entries)), rec.Body.Bytes())
 	}
+	// A lone query is a batch of one: every mode, owned and foreign.
 	for _, wq := range queries {
-		seed(fuzzQueryRequest, wq)
+		seed(wq)
 	}
 	// Two forward entries are what an all-pairs block looks like; the
 	// top-k pair puts ranked answers into a batch response.
-	seed(fuzzBatchRequest, wireBatch{Queries: queries[:batchLen]})
-	seed(fuzzBatchRequest, wireBatch{Queries: queries[len(queries)-batchLen:]})
-	f.Add(uint8(fuzzErrorEnvelope), []byte(`{"error":{"code":"invalid_parameter","message":"bad k"}}`))
-	f.Add(uint8(fuzzErrorEnvelope), []byte(`{"error":{"code":"not_ready","message":"index still building"}}`))
-	f.Add(uint8(fuzzQueryRequest), []byte(`{"mode":"topk","attr":3,"params":{"eps":1e308,"delta":9223372036854775807,"weight":{"n":-1,"c":-1}},"k":-5}`))
+	seed(queries[:2]...)
+	seed(queries[len(queries)-2:]...)
+	f.Add(uint8(fuzzErrorEnvelope), uint8(0), []byte(`{"error":{"code":"invalid_parameter","message":"bad k"}}`))
+	f.Add(uint8(fuzzErrorEnvelope), uint8(0), []byte(`{"error":{"code":"not_ready","message":"index still building"}}`))
+	f.Add(uint8(fuzzRequest), uint8(0), []byte(`{"queries":[{"mode":"topk","attr":3,"params":{"eps":1e308,"delta":9223372036854775807,"weight":{"n":-1,"c":-1}},"k":-5}]}`))
 	// Found by this target: a δ beyond 2^30 walked the validation cursor
 	// below its old start sentinel and panicked.
-	f.Add(uint8(fuzzQueryRequest), []byte(`{"mode":"forward","attr":0,"params":{"delta":1100000000,"weight":{"n":1}}}`))
+	f.Add(uint8(fuzzRequest), uint8(0), []byte(`{"queries":[{"mode":"forward","attr":0,"params":{"delta":1100000000,"weight":{"n":1}}}]}`))
 
 	untrusted := func(t *testing.T, err error) {
 		t.Helper()
@@ -105,84 +102,69 @@ func FuzzShardWire(f *testing.F) {
 			t.Fatalf("response rejected with an untyped error: %v", err)
 		}
 	}
-	ownedBy := func(t *testing.T, who Info, id history.AttrID) {
-		t.Helper()
-		if err := who.checkID(int64(id)); err != nil {
-			t.Fatalf("accepted response carries a bad id: %v", err)
-		}
-	}
 
-	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
-		switch k := int(kind) % fuzzKinds; k {
-		case fuzzQueryRequest, fuzzBatchRequest:
+	f.Fuzz(func(t *testing.T, kind, entries uint8, data []byte) {
+		switch int(kind) % fuzzKinds {
+		case fuzzRequest:
 			// A generous deadline keeps a pathological-but-valid request (a
 			// huge delta, say) from stalling the fuzzer; it answers 504.
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()
-			rec := post(ctx, k, data)
+			rec := post(ctx, data)
 			if rec.Code == http.StatusOK {
 				// Whatever the server answers 200, the router must accept.
-				var err error
-				switch k {
-				case fuzzQueryRequest:
-					_, err = readResult(rec.Body, want)
-				default:
-					var wb wireBatch
-					if err := json.NewDecoder(bytes.NewReader(data)).Decode(&wb); err != nil {
-						t.Fatalf("200 for an undecodable request: %v", err)
-					}
-					_, err = readBatchResult(rec.Body, len(wb.Queries), want)
+				var wb wireBatch
+				if err := json.NewDecoder(bytes.NewReader(data)).Decode(&wb); err != nil {
+					t.Fatalf("200 for an undecodable request: %v", err)
 				}
-				if err != nil {
-					t.Fatalf("%s answered 200 with a body its own router rejects: %v", paths[k], err)
+				if _, err := readBatchResult(rec.Body, len(wb.Queries), want); err != nil {
+					t.Fatalf("/shard/batch answered 200 with a body its own router rejects: %v", err)
 				}
 				return
 			}
 			var we wireError
 			if err := json.NewDecoder(rec.Body).Decode(&we); err != nil {
-				t.Fatalf("%s answered %d without an envelope: %v", paths[k], rec.Code, err)
+				t.Fatalf("/shard/batch answered %d without an envelope: %v", rec.Code, err)
 			}
 			switch {
 			case rec.Code == http.StatusBadRequest && we.Error.Code == CodeInvalidParameter:
 			case rec.Code == http.StatusGatewayTimeout && we.Error.Code == CodeDeadlineExceeded:
 			default:
-				t.Fatalf("%s answered %d %+v, want 200, 400 invalid_parameter or 504 deadline_exceeded",
-					paths[k], rec.Code, we.Error)
+				t.Fatalf("/shard/batch answered %d %+v, want 200, 400 invalid_parameter or 504 deadline_exceeded",
+					rec.Code, we.Error)
 			}
 
-		case fuzzQueryResponse:
-			res, err := readResult(bytes.NewReader(data), want)
+		case fuzzResponse:
+			n := int(entries)
+			results, err := readBatchResult(bytes.NewReader(data), n, want)
 			if err != nil {
 				untrusted(t, err)
 				return
 			}
-			for _, id := range res.IDs {
-				ownedBy(t, want, id)
+			if len(results) != n {
+				t.Fatalf("accepted %d results for a %d-entry batch", len(results), n)
 			}
-			for _, r := range res.Ranked {
-				ownedBy(t, want, r.ID)
+			for _, res := range results {
+				for _, id := range res.IDs {
+					if err := want.checkID(id); err != nil {
+						t.Fatalf("accepted response carries a bad id: %v", err)
+					}
+				}
+				for _, r := range res.Ranked {
+					if err := want.checkID(r.ID); err != nil {
+						t.Fatalf("accepted response carries a bad id: %v", err)
+					}
+				}
 			}
-			buf, _ := json.Marshal(resultToWire(res))
-			if again, err := readResult(bytes.NewReader(buf), want); err != nil || !reflect.DeepEqual(res, again) {
-				t.Fatalf("result does not round-trip: %+v -> %s -> %+v (%v)", res, buf, again, err)
-			}
-
-		case fuzzBatchResponse:
-			results, err := readBatchResult(bytes.NewReader(data), batchLen, want)
+			// What was accepted is what the server-side encoder writes back
+			// out: one encoding, so a second trip changes nothing.
+			buf, _ := json.Marshal(wireBatchResult{Results: results})
+			again, err := readBatchResult(bytes.NewReader(buf), n, want)
 			if err != nil {
-				untrusted(t, err)
-				return
+				t.Fatalf("accepted result does not re-decode: %s (%v)", buf, err)
 			}
-			if len(results) != batchLen {
-				t.Fatalf("accepted %d results for a %d-entry batch", len(results), batchLen)
-			}
-			out := wireBatchResult{Results: make([]wireResult, len(results))}
-			for i, res := range results {
-				out.Results[i] = resultToWire(res)
-			}
-			buf, _ := json.Marshal(out)
-			if again, err := readBatchResult(bytes.NewReader(buf), batchLen, want); err != nil || !reflect.DeepEqual(results, again) {
-				t.Fatalf("batch result does not round-trip: %s (%v)", buf, err)
+			if buf2, _ := json.Marshal(wireBatchResult{Results: again}); !bytes.Equal(buf, buf2) {
+				t.Fatalf("batch result does not round-trip: %s -> %s", buf, buf2)
 			}
 
 		case fuzzErrorEnvelope:

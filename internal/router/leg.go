@@ -236,25 +236,9 @@ func (l *httpLeg) checkAttr(id history.AttrID) error {
 	return nil
 }
 
-// Query implements shard.Leg over POST /shard/query.
-func (l *httpLeg) Query(ctx context.Context, q *history.History, o index.QueryOptions) (res index.Result, err error) {
-	attr, err := l.corpusAttr(q)
-	if err != nil {
-		return res, err
-	}
-	wq, err := queryToWire(attr, o)
-	if err != nil {
-		return res, err
-	}
-	err = l.call(ctx, "/shard/query", wq, func(body io.Reader) (err error) {
-		res, err = readResult(body, l.want)
-		return err
-	})
-	return res, err
-}
-
-// QueryBatch implements shard.Leg over POST /shard/batch: the whole
-// batch crosses the wire once, by attribute id.
+// QueryBatch implements shard.Leg over POST /shard/batch, the one leg
+// RPC: the whole batch — a lone query is a batch of one — crosses the wire
+// once, by attribute id.
 func (l *httpLeg) QueryBatch(ctx context.Context, batch []index.BatchQuery, _ index.BatchOptions) (results []index.Result, err error) {
 	wb := wireBatch{Queries: make([]wireQuery, len(batch))}
 	for i, bq := range batch {
@@ -268,7 +252,7 @@ func (l *httpLeg) QueryBatch(ctx context.Context, batch []index.BatchQuery, _ in
 			wb.Queries[i], err = queryToWire(attr, bq.Options)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("batch entry %d: %w", i, err)
+			return nil, index.EntryErr(len(batch), i, err)
 		}
 	}
 	err = l.call(ctx, "/shard/batch", wb, func(body io.Reader) (err error) {

@@ -31,8 +31,7 @@ func NewShardServer(sg *shard.Single) *ShardServer { return &ShardServer{sg: sg}
 
 // Handler returns the shard RPC surface:
 //
-//	POST /shard/query — one scatter leg (wireQuery → wireResult)
-//	POST /shard/batch — one batched leg (wireBatch → wireBatchResult)
+//	POST /shard/batch — one scatter leg (wireBatch → wireBatchResult)
 //	GET  /shard/info  — partition identity for topology validation
 //	GET  /shard/stats — the shard index's BuildStats
 //
@@ -40,12 +39,18 @@ func NewShardServer(sg *shard.Single) *ShardServer { return &ShardServer{sg: sg}
 // (tindserve adds readiness gating and load shedding).
 func (ss *ShardServer) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/shard/query", ss.handleQuery)
 	mux.HandleFunc("/shard/batch", ss.handleBatch)
 	mux.HandleFunc("/shard/info", ss.handleInfo)
 	mux.HandleFunc("/shard/stats", ss.handleStats)
 	return mux
 }
+
+// admitter is the ResponseWriter of a deployment that charges a leg's
+// admission by what it carries (tindserve's limiter): with one RPC the
+// route no longer says whether a leg is a lone query or a discovery block,
+// so handleBatch reports the entry count once the body is decoded. Admit
+// answers false after shedding the request itself.
+type admitter interface{ Admit(entries int) bool }
 
 // decodePost enforces POST and the body bound, and decodes the JSON body
 // into v.
@@ -61,29 +66,6 @@ func decodePost(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	return true
 }
 
-func (ss *ShardServer) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var wq wireQuery
-	if !decodePost(w, r, &wq) {
-		return
-	}
-	attr, o, err := wireToOptions(wq)
-	if err != nil {
-		QueryError(w, err)
-		return
-	}
-	q, err := ss.sg.Attr(attr)
-	if err != nil {
-		QueryError(w, err)
-		return
-	}
-	res, err := ss.sg.Query(r.Context(), q, o)
-	if err != nil {
-		QueryError(w, err)
-		return
-	}
-	WriteJSON(w, resultToWire(res))
-}
-
 func (ss *ShardServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var wb wireBatch
 	if !decodePost(w, r, &wb) {
@@ -94,11 +76,14 @@ func (ss *ShardServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("batch of %d queries exceeds the limit of %d", len(wb.Queries), shardMaxQueries))
 		return
 	}
+	if a, ok := w.(admitter); ok && !a.Admit(len(wb.Queries)) {
+		return
+	}
 	batch := make([]index.BatchQuery, len(wb.Queries))
 	for i, wq := range wb.Queries {
 		attr, o, err := wireToOptions(wq)
 		if err != nil {
-			QueryError(w, fmt.Errorf("batch entry %d: %w", i, err))
+			QueryError(w, index.EntryErr(len(batch), i, err))
 			return
 		}
 		batch[i] = index.BatchQuery{ByID: true, ID: attr, Options: o}
@@ -108,11 +93,7 @@ func (ss *ShardServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 		QueryError(w, err)
 		return
 	}
-	out := wireBatchResult{Results: make([]wireResult, len(results))}
-	for i, res := range results {
-		out.Results[i] = resultToWire(res)
-	}
-	WriteJSON(w, out)
+	WriteJSON(w, wireBatchResult{Results: results})
 }
 
 func (ss *ShardServer) handleInfo(w http.ResponseWriter, r *http.Request) {

@@ -58,20 +58,24 @@ func TestRouterRejectsIDsAShardCannotOwn(t *testing.T) {
 		honest[s] = httptest.NewServer(handlers[s])
 		t.Cleanup(honest[s].Close)
 	}
-	var foreign int64 // an id shard 1 does not own
-	for history.ShardOf(history.AttrID(foreign), opt.Seed, opt.Shards) == 1 {
+	var foreign history.AttrID // an id shard 1 does not own
+	for history.ShardOf(foreign, opt.Seed, opt.Shards) == 1 {
 		foreign++
 	}
-	outOfRange := int64(ds.Len() + 5)
+	outOfRange := history.AttrID(ds.Len() + 5)
+	// lone is the lie a replica tells a lone query: a one-entry leg reply.
+	lone := func(res index.Result) map[string]interface{} {
+		return map[string]interface{}{"/shard/batch": wireBatchResult{Results: []index.Result{res}}}
+	}
 
 	for _, tc := range []struct {
 		name string
 		lies map[string]interface{}
 		want string
 	}{
-		{"query id outside the corpus", map[string]interface{}{"/shard/query": wireResult{IDs: []int64{outOfRange}}}, "outside the corpus"},
-		{"query id owned by another shard", map[string]interface{}{"/shard/query": wireResult{IDs: []int64{foreign}}}, "belongs to shard 0"},
-		{"ranked id outside the corpus", map[string]interface{}{"/shard/query": wireResult{Ranked: []wireRanked{{ID: -1}}}}, "outside the corpus"},
+		{"query id outside the corpus", lone(index.Result{IDs: []history.AttrID{outOfRange}}), "outside the corpus"},
+		{"query id owned by another shard", lone(index.Result{IDs: []history.AttrID{foreign}}), "belongs to shard 0"},
+		{"ranked id outside the corpus", lone(index.Result{Ranked: []index.Ranked{{ID: -1}}}), "outside the corpus"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			liar := lyingReplica(t, handlers[1], tc.lies)
@@ -108,7 +112,7 @@ func TestRouterRejectsIDsAShardCannotOwn(t *testing.T) {
 
 	t.Run("batch and all-pairs", func(t *testing.T) {
 		liar := lyingReplica(t, handlers[1], map[string]interface{}{
-			"/shard/batch": wireBatchResult{Results: []wireResult{{}}},
+			"/shard/batch": wireBatchResult{Results: []index.Result{{}}},
 		})
 		r, err := New(ctx, Options{Shards: [][]string{{honest[0].URL}, {liar.URL}}, LegTimeout: 30 * time.Second})
 		if err != nil {
@@ -121,8 +125,8 @@ func TestRouterRejectsIDsAShardCannotOwn(t *testing.T) {
 
 		// A discovery block is a /shard/batch leg: a reply of the right length
 		// carrying an id shard 1 does not own fails the whole run.
-		block := wireBatchResult{Results: make([]wireResult, ds.Len())}
-		block.Results[3].IDs = []int64{foreign}
+		block := wireBatchResult{Results: make([]index.Result, ds.Len())}
+		block.Results[3].IDs = []history.AttrID{foreign}
 		liar = lyingReplica(t, handlers[1], map[string]interface{}{"/shard/batch": block})
 		r, err = New(ctx, Options{Shards: [][]string{{honest[0].URL}, {liar.URL}}, LegTimeout: 30 * time.Second})
 		if err != nil {
@@ -180,7 +184,10 @@ func TestShardRPCBoundsItsBodies(t *testing.T) {
 		}
 		return buf
 	}
-	huge := []byte(`{"mode":"forward","attr":0,"pad":"` + strings.Repeat("x", shardMaxBody) + `"}`)
+	// A padded entry pushes a lone query's body, and a batch's, past the cap.
+	padded := `{"mode":"forward","attr":0,"pad":"` + strings.Repeat("x", shardMaxBody) + `"}`
+	hugeQuery := []byte(`{"queries":[` + padded + `]}`)
+	hugeBatch := []byte(`{"queries":[{"mode":"forward","attr":0},` + padded + `]}`)
 
 	for _, tc := range []struct {
 		name, path string
@@ -190,8 +197,9 @@ func TestShardRPCBoundsItsBodies(t *testing.T) {
 	}{
 		{"batch at the entry cap", "/shard/batch", batchOf(shardMaxQueries), http.StatusOK, ""},
 		{"batch over the entry cap", "/shard/batch", batchOf(shardMaxQueries + 1), http.StatusBadRequest, "exceeds the limit"},
-		{"query body over the byte cap", "/shard/query", huge, http.StatusBadRequest, "too large"},
-		{"batch body over the byte cap", "/shard/batch", huge, http.StatusBadRequest, "too large"},
+		{"query body over the byte cap", "/shard/batch", hugeQuery, http.StatusBadRequest, "too large"},
+		{"batch body over the byte cap", "/shard/batch", hugeBatch, http.StatusBadRequest, "too large"},
+		{"the query route is gone", "/shard/query", batchOf(1), http.StatusNotFound, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, err := http.Post(srv.URL+tc.path, "application/json", bytes.NewReader(tc.body))
@@ -202,7 +210,7 @@ func TestShardRPCBoundsItsBodies(t *testing.T) {
 			if resp.StatusCode != tc.status {
 				t.Fatalf("status %d, want %d", resp.StatusCode, tc.status)
 			}
-			if tc.status == http.StatusOK {
+			if tc.status == http.StatusOK || tc.status == http.StatusNotFound {
 				return
 			}
 			var we wireError

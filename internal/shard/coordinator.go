@@ -16,12 +16,11 @@ import (
 )
 
 // Leg is one shard of the partition as the Coordinator sees it: the
-// shard's contribution to a query or a batch, always in global AttrIDs.
-// There are exactly two transports — *Single in process, and
-// internal/router's HTTP client over the network — plus the FaultLeg
-// decorator the drills wrap around either.
+// shard's contribution to a batch — a lone query is a batch of one —
+// always in global AttrIDs. There are exactly two transports — *Single in
+// process, and internal/router's HTTP client over the network — plus the
+// FaultLeg decorator the drills wrap around either.
 type Leg interface {
-	Query(ctx context.Context, q *history.History, o index.QueryOptions) (index.Result, error)
 	QueryBatch(ctx context.Context, batch []index.BatchQuery, o index.BatchOptions) ([]index.Result, error)
 	// Stats is best-effort: a leg that cannot answer reports the zero
 	// value.
@@ -142,30 +141,24 @@ func outcome(errs []error) error {
 	}
 }
 
-// Query serves the index.Index query contract over the partition: scatter
-// the query to every leg, then gather (see gather). On partial
-// degradation the result covers the healthy shards and the error wraps
-// index.ErrPartialResult; on any other failure only the gathered
-// statistics come back, with the failed legs marked in Stats.PerShard.
+// Query serves the index.Index query contract over the partition as a
+// QueryBatch of one entry, so a lone query is one leg call per shard and
+// gathers exactly like a batch entry. On partial degradation the result
+// covers the healthy shards and the error wraps index.ErrPartialResult; on
+// any other failure only the gathered statistics come back, with the
+// failed legs marked in Stats.PerShard.
 func (c *Coordinator) Query(ctx context.Context, q *history.History, o index.QueryOptions) (index.Result, error) {
-	start := time.Now()
-	results := make([]index.Result, len(c.legs))
-	errs, times := c.scatter(ctx, func(ctx context.Context, s int, leg Leg) (err error) {
-		results[s], err = leg.Query(ctx, q, o)
-		return err
-	})
-	elapsed := time.Since(start)
-	err := outcome(errs)
+	results, err := c.QueryBatch(ctx, []index.BatchQuery{{Query: q, Options: o}}, index.BatchOptions{})
 	if err != nil && !errors.Is(err, index.ErrPartialResult) {
-		return index.Result{Stats: gatherStats(results, times, errs, elapsed)}, err
+		return index.Result{Stats: results[0].Stats}, err
 	}
-	return gather(o, results, times, errs, elapsed), err
+	return results[0], err
 }
 
 // QueryBatch serves index.Index.QueryBatch over the partition. Every leg
 // receives the whole batch — each shard resolves ownership per entry and
 // runs its entries as one index.QueryBatch, under one lock acquisition —
-// and each entry gathers exactly like a single Query.
+// and each entry gathers on its own (see gather).
 // Results come back in batch order; every entry's Elapsed/Timings.Total
 // is the batch's scatter-gather wall time, and because a leg covers the
 // whole batch every entry reports the same PerShard leg attribution.

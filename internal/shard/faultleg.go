@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tind/internal/history"
 	"tind/internal/index"
 )
 
@@ -61,13 +60,6 @@ func (f *FaultLeg) inject(ctx context.Context) error {
 		return *p
 	}
 	return nil
-}
-
-func (f *FaultLeg) Query(ctx context.Context, q *history.History, o index.QueryOptions) (index.Result, error) {
-	if err := f.inject(ctx); err != nil {
-		return index.Result{}, err
-	}
-	return f.Leg.Query(ctx, q, o)
 }
 
 func (f *FaultLeg) QueryBatch(ctx context.Context, batch []index.BatchQuery, o index.BatchOptions) ([]index.Result, error) {

@@ -135,7 +135,7 @@ func (sg *Single) Local(g history.AttrID) (history.AttrID, bool) {
 }
 
 // owns reports whether q is one of this shard's own attributes and under
-// which local id. An owned query must run by local id (index.QueryByID)
+// which local id. An owned query must run by local id (a ByID batch entry)
 // so the shard resolves its own — possibly refresh-swapped — clone under
 // its read lock and self-exclusion still fires; every other query runs
 // with q itself, whose global pointer matches nothing in the shard's
@@ -180,23 +180,11 @@ func (sg *Single) Attr(id history.AttrID) (*history.History, error) {
 	return sg.g.attr(id), nil
 }
 
-// Query answers this shard's contribution to one query, in global ids. A
-// failed query still returns the statistics accumulated up to the abort.
-func (sg *Single) Query(ctx context.Context, q *history.History, o index.QueryOptions) (index.Result, error) {
-	var res index.Result
-	var err error
-	if local, ok := sg.owns(q); ok {
-		res, err = sg.idx.QueryByID(ctx, local, o)
-	} else {
-		res, err = sg.idx.Query(ctx, q, o)
-	}
-	return sg.globalize(res), err
-}
-
-// QueryBatch is Query's batched form: the whole batch runs as one
-// index.QueryBatch, so every entry reads the same snapshot of the shard.
-// ByID entries name global attributes; each entry lands on
-// the shard by the same ownership rule as a single Query.
+// QueryBatch answers this shard's contribution to a batch, in global ids:
+// the whole batch runs as one index.QueryBatch, so every entry reads the
+// same snapshot of the shard. ByID entries name global attributes; each
+// entry lands on the shard by the ownership rule (owns). A failed batch
+// still returns the statistics accumulated up to the abort.
 func (sg *Single) QueryBatch(ctx context.Context, batch []index.BatchQuery, o index.BatchOptions) ([]index.Result, error) {
 	local := make([]index.BatchQuery, len(batch))
 	for i, bq := range batch {
@@ -204,7 +192,7 @@ func (sg *Single) QueryBatch(ctx context.Context, batch []index.BatchQuery, o in
 		if bq.ByID {
 			var err error
 			if q, err = sg.Attr(bq.ID); err != nil {
-				return nil, fmt.Errorf("batch entry %d: %w", i, err)
+				return nil, index.EntryErr(len(batch), i, err)
 			}
 		} else if q == nil {
 			return nil, fmt.Errorf("%w: batch entry %d: nil query history", index.ErrInvalidOptions, i)
