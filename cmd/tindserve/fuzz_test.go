@@ -1,0 +1,132 @@
+package main
+
+import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"slices"
+	"strings"
+	"testing"
+
+	"tind/internal/core"
+	"tind/internal/history"
+	"tind/internal/oracle"
+)
+
+// oracleHorizon bounds the horizons FuzzIngestBody judges against the
+// oracle, which walks every timestamp of every pair it checks.
+const oracleHorizon = 4096
+
+// checkAnswer holds a response to the error contract of every endpoint:
+// 200, or a 4xx carrying the shared {"error":{"code","message"}}
+// envelope — never a 5xx.
+func checkAnswer(t *testing.T, what string, resp *http.Response) []byte {
+	t.Helper()
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode == http.StatusOK {
+		return body
+	}
+	var env struct {
+		Error struct{ Code, Message string } `json:"error"`
+	}
+	if resp.StatusCode < 400 || resp.StatusCode >= 500 ||
+		json.Unmarshal(body, &env) != nil || env.Error.Code == "" || env.Error.Message == "" {
+		t.Fatalf("%s: status %d, body %s", what, resp.StatusCode, body)
+	}
+	return nil
+}
+
+// FuzzIngestBody posts arbitrary bytes to POST /ingest on a fresh
+// two-shard -wal server. The body is answered 200 or with a 4xx envelope.
+// After a 200 and a Flush, /search and /reverse for three attributes —
+// the first the body names, padded with 0, 1, 2 — equal the oracle over
+// the server's current dataset: whatever deltas validation admits, the
+// refreshed index answers exactly. The seeds (testdata/fuzz) include a
+// dead attribute resuming after a one-day version and a gap its last
+// version fills.
+func FuzzIngestBody(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s, ts, _ := newIngestServer(t, 2, config{}, func(cc *config) {
+			cc.attrs, cc.horizon, cc.snapshotEvery = 16, 60, 0
+		})
+		resp, err := http.Post(ts.URL+"/ingest", "application/json", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if checkAnswer(t, "POST /ingest", resp) == nil {
+			return
+		}
+		c := s.corpus.Load()
+		if err := c.ing.Flush(); err != nil {
+			t.Fatalf("accepted batch failed to apply: %v", err)
+		}
+
+		var named struct{ Deltas []struct{ Attr int } }
+		_ = json.Unmarshal(body, &named)
+		attrs := []int{}
+		for _, d := range named.Deltas {
+			attrs = append(attrs, d.Attr)
+		}
+		attrs = append(attrs, 0, 1, 2)
+		var check []history.AttrID
+		c.view(func(ds *history.Dataset) {
+			if ds.Horizon() > oracleHorizon {
+				return
+			}
+			for _, a := range attrs {
+				if id := history.AttrID(a); a >= 0 && a < ds.Len() && len(check) < 3 && !slices.Contains(check, id) {
+					check = append(check, id)
+				}
+			}
+		})
+		for _, id := range check {
+			for _, ep := range []string{"search", "reverse"} {
+				resp, err := http.Get(fmt.Sprintf("%s/%s?attr=%d", ts.URL, ep, id))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var out struct{ Results []struct{ ID history.AttrID } }
+				if err := json.Unmarshal(checkAnswer(t, ep, resp), &out); err != nil {
+					t.Fatalf("/%s?attr=%d: %v", ep, id, err)
+				}
+				var got, want []history.AttrID
+				for _, r := range out.Results {
+					got = append(got, r.ID)
+				}
+				c.view(func(ds *history.Dataset) {
+					p := core.DefaultDays(ds.Horizon())
+					if ep == "search" {
+						want = oracle.ForwardSet(ds, ds.Attr(id), p)
+					} else {
+						want = oracle.ReverseSet(ds, ds.Attr(id), p)
+					}
+				})
+				slices.Sort(got)
+				slices.Sort(want)
+				if !slices.Equal(got, want) {
+					t.Fatalf("/%s?attr=%d after %s: got %v, oracle %v", ep, id, body, got, want)
+				}
+			}
+		}
+	})
+}
+
+// FuzzQueryBatchBody posts arbitrary bytes to POST /query/batch: every
+// body is answered 200 or with a 4xx envelope, never a 5xx or a panic.
+// The seeds (testdata/fuzz) cover every mode, the reverse fallback, the
+// k bound and each kind of rejection.
+func FuzzQueryBatchBody(f *testing.F) {
+	_, ts := testServerConfig(f, config{})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		resp, err := http.Post(ts.URL+"/query/batch", "application/json", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAnswer(t, "POST /query/batch", resp)
+	})
+}

@@ -26,7 +26,7 @@ import (
 // newIngestServer assembles a live-ingestion server through the real
 // loadServing path (synthetic corpus, WAL, snapshot container) and wires
 // it into the HTTP surface. mut tweaks the corpus config before loading.
-func newIngestServer(t *testing.T, shards int, cfg config, mut func(cc *config)) (*server, *httptest.Server, config) {
+func newIngestServer(t testing.TB, shards int, cfg config, mut func(cc *config)) (*server, *httptest.Server, config) {
 	t.Helper()
 	dir := t.TempDir()
 	cc := config{
@@ -428,49 +428,4 @@ func TestServeCrashRecoveryParity(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestStatsResliceSection drives the background coverage-repair loop
-// through the HTTP surface: live deltas dirty attributes, coverage dips
-// under -reslice-min-coverage, the ingest loop reslices, and /stats
-// grows a "reslice" section describing the pass.
-func TestStatsResliceSection(t *testing.T) {
-	s, ts, _ := newIngestServer(t, 2, config{}, func(cc *config) {
-		cc.maxDirty = 4
-		cc.maxDirtyAge = 20 * time.Millisecond
-		cc.resliceMinCoverage = 0.999 // any dirty attribute triggers repair
-	})
-	c := s.corpus.Load()
-	feed := newHTTPDeltaFeed(c)
-	for round := 0; round < 3; round++ {
-		postJSON(t, ts.URL+"/ingest", feed.round([]int{0, 1, 2, 3, 4}), http.StatusOK)
-	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	var rs map[string]interface{}
-	for {
-		st := getJSON(t, ts.URL+"/stats", http.StatusOK)
-		if ing, ok := st["ingest"].(map[string]interface{}); ok && ing["pending_records"].(float64) == 0 {
-			if sec, ok := st["reslice"].(map[string]interface{}); ok && sec["reslices"].(float64) > 0 {
-				rs = sec
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no reslice section after drain: %v", st)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if rs["coverage_after"].(float64) != 1 {
-		t.Fatalf("reslice section coverage_after = %v, want 1: %v", rs["coverage_after"], rs)
-	}
-	if _, ok := rs["last_reslice"].(string); !ok {
-		t.Fatalf("reslice section missing last_reslice timestamp: %v", rs)
-	}
-	if _, ok := rs["last_error"]; ok {
-		t.Fatalf("healthy reslice must not report last_error: %v", rs)
-	}
-	// The repaired index still answers.
-	getJSON(t, ts.URL+"/search?attr=0", http.StatusOK)
-	getJSON(t, ts.URL+"/readyz", http.StatusOK)
 }

@@ -183,7 +183,6 @@ func main() {
 	flag.DurationVar(&cfg.maxStaleness, "max-staleness", 30*time.Second, "flip /readyz to degraded when the oldest unapplied delta exceeds this (0 = never)")
 	flag.IntVar(&cfg.maxDirty, "ingest-max-dirty", 256, "apply pending deltas once this many records queue")
 	flag.DurationVar(&cfg.maxDirtyAge, "ingest-max-dirty-age", 2*time.Second, "apply pending deltas once the oldest queues this long")
-	flag.Float64Var(&cfg.resliceMinCoverage, "reslice-min-coverage", 0.5, "background-reslice the index when slice-pruning coverage drops below this (0 = never)")
 	flag.DurationVar(&cfg.sloLatency, "slo-latency-threshold", 500*time.Millisecond, "query_latency SLO: queries slower than this burn error budget")
 	flag.DurationVar(&cfg.sloInterval, "slo-interval", 10*time.Second, "SLO burn-rate evaluation interval")
 	flag.Float64Var(&cfg.sloBurnDegrade, "slo-burn-degrade", 0, "flip /readyz to degraded when every SLO window burns at least this fast (0 = never)")
@@ -253,10 +252,6 @@ type config struct {
 	maxStaleness time.Duration
 	maxDirty     int
 	maxDirtyAge  time.Duration
-	// resliceMinCoverage arms the ingest loop's background re-slicing:
-	// when slice-pruning coverage falls below it, the engine reslices and
-	// coverage returns to 1 without blocking queries. 0 disables.
-	resliceMinCoverage float64
 
 	// sloLatency is the query_latency objective's threshold: queries
 	// slower than this count against the error budget.
@@ -552,7 +547,6 @@ func loadServing(cc config, rp *replayProgress) (*corpus, error) {
 	if log != nil {
 		iopt := ingest.Options{
 			MaxDirty: cc.maxDirty, MaxDirtyAge: cc.maxDirtyAge,
-			ResliceMinCoverage: cc.resliceMinCoverage,
 		}
 		if cc.snapshot != "" && cc.snapshotEvery > 0 {
 			snapShards := cc.shards
@@ -1193,7 +1187,7 @@ func (s *server) handleStats(c *corpus, w http.ResponseWriter, r *http.Request) 
 	// Ingester stats come first, outside the view: the ingester lock is
 	// taken before the dataset lock on the submit path, so taking it the
 	// other way around here could deadlock behind a queued apply.
-	var ingestBody, resliceBody map[string]interface{}
+	var ingestBody map[string]interface{}
 	if c.ing != nil {
 		ist := c.ing.Stats()
 		ingestBody = map[string]interface{}{
@@ -1212,37 +1206,19 @@ func (s *server) handleStats(c *corpus, w http.ResponseWriter, r *http.Request) 
 		if ist.LastError != "" {
 			ingestBody["last_error"] = ist.LastError
 		}
-		// Reslice state, from the same pre-view ingester snapshot (the
-		// trigger policy lives in the ingest loop).
-		resliceBody = map[string]interface{}{
-			"reslices": ist.Reslices,
-		}
-		if !ist.LastReslice.IsZero() {
-			resliceBody["last_reslice"] = ist.LastReslice.UTC().Format(time.RFC3339Nano)
-			resliceBody["coverage_before"] = ist.LastResliceCoverageBefore
-			resliceBody["coverage_after"] = ist.LastResliceCoverageAfter
-		}
-		if ist.LastResliceError != "" {
-			resliceBody["last_error"] = ist.LastResliceError
-		}
 	}
 	var body map[string]interface{}
 	c.view(func(ds *history.Dataset) {
 		st := ds.ComputeStats()
 		ist := c.idx.Stats()
 		body = map[string]interface{}{
-			"attributes":             st.Attributes,
-			"horizon_days":           int(ds.Horizon()),
-			"distinct_values":        st.DistinctValues,
-			"mean_changes":           st.MeanChanges,
-			"mean_cardinality":       st.MeanCardinality,
-			"index_slices":           ist.Slices,
-			"index_bytes":            ist.MemoryBytes,
-			"dirty_attributes":       ist.DirtyAttributes,
-			"slice_pruning_coverage": ist.SlicePruningCoverage,
-		}
-		if resliceBody != nil {
-			body["reslice"] = resliceBody
+			"attributes":       st.Attributes,
+			"horizon_days":     int(ds.Horizon()),
+			"distinct_values":  st.DistinctValues,
+			"mean_changes":     st.MeanChanges,
+			"mean_cardinality": st.MeanCardinality,
+			"index_slices":     ist.Slices,
+			"index_bytes":      ist.MemoryBytes,
 		}
 	})
 	if e, ok := c.idx.(partitioned); ok {

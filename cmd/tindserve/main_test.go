@@ -13,7 +13,7 @@ import (
 	"tind/internal/index"
 )
 
-func testServerConfig(t *testing.T, cfg config) (*server, *httptest.Server) {
+func testServerConfig(t testing.TB, cfg config) (*server, *httptest.Server) {
 	t.Helper()
 	c, err := datagen.Generate(datagen.Config{Seed: 4, Attributes: 80, Horizon: 500, AttrsPerDomain: 20})
 	if err != nil {

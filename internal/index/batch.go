@@ -23,10 +23,10 @@ type BatchQuery struct {
 	// Query is the query attribute's history; ignored when ByID is set.
 	Query *history.History
 	// ID selects one of the dataset's own attributes as the query when
-	// ByID is true, resolved under the index read lock exactly like
-	// QueryByID. The sharded scatter path depends on this: a pointer
-	// resolved outside the lock could be a stale pre-refresh clone,
-	// silently breaking self-exclusion.
+	// ByID is true, resolved under the index read lock. The sharded
+	// scatter path depends on this: a pointer resolved outside the lock
+	// could be a stale pre-refresh clone, silently breaking
+	// self-exclusion.
 	ID   history.AttrID
 	ByID bool
 	// Options parameterizes the sub-query exactly like a Query call.
@@ -134,8 +134,8 @@ type arena struct {
 // snapshot with respect to Refresh, the pooled arenas, and the workers.
 //
 // Results are returned in batch order and are identical to issuing each
-// sub-query through Query/QueryByID, including Stats and the Timings
-// contract.
+// sub-query alone — through Query, or as a one-entry batch for a ByID
+// entry — including Stats and the Timings contract.
 //
 // On error the slice still carries the partial statistics of every
 // attempted entry; the returned error is the first failing entry's, in

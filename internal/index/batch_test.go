@@ -47,7 +47,7 @@ func mixedBatch(ds *history.Dataset, p core.Params) []BatchQuery {
 }
 
 // checkBatchMatchesSequential asserts every batch result is semantically
-// identical to issuing the same sub-query through Query/QueryByID.
+// identical to issuing the same sub-query on its own (runSingles).
 func checkBatchMatchesSequential(t *testing.T, x *Index, batch []BatchQuery, got []Result) {
 	t.Helper()
 	wants, err := runSingles(context.Background(), x, batch)
@@ -175,9 +175,10 @@ func TestQueryBatchCanceled(t *testing.T) {
 }
 
 // TestQueryErrorTimingsPopulated is the regression test for the Timings
-// contract on validation-error paths: Query and QueryByID must stamp
-// Timings.Total (and Stats.Elapsed) even when the options are rejected
-// before the pipeline runs.
+// contract on validation-error paths: Query must stamp Timings.Total (and
+// Stats.Elapsed) even when the options are rejected before the pipeline
+// runs. A lone query by id is a one-entry batch: rejected, it fails typed
+// and returns no result at all, so there is nothing left unstamped.
 func TestQueryErrorTimingsPopulated(t *testing.T) {
 	ds, x := queryTestIndex(t, 25, 10)
 	p := core.DefaultDays(ds.Horizon())
@@ -191,31 +192,31 @@ func TestQueryErrorTimingsPopulated(t *testing.T) {
 		t.Fatalf("Query validation error: Timings not populated: %+v", res.Stats)
 	}
 
-	res, err = x.QueryByID(ctx, history.AttrID(1000), QueryOptions{Mode: ModeForward, Params: p})
-	if err == nil {
-		t.Fatal("out-of-range id accepted")
+	byID := func(id history.AttrID, o QueryOptions) ([]Result, error) {
+		return x.QueryBatch(ctx, []BatchQuery{{ByID: true, ID: id, Options: o}}, BatchOptions{})
 	}
-	if res.Stats.Timings.Total <= 0 || res.Stats.Elapsed != res.Stats.Timings.Total {
-		t.Fatalf("QueryByID range error: Timings not populated: %+v", res.Stats)
+	got, err := byID(1000, QueryOptions{Mode: ModeForward, Params: p})
+	if !errors.Is(err, ErrInvalidOptions) || got != nil {
+		t.Fatalf("out-of-range id: got (%v, %v), want (nil, ErrInvalidOptions)", got, err)
 	}
-
-	res, err = x.QueryByID(ctx, 0, QueryOptions{Mode: ModeTopK, Params: p, K: -1})
-	if err == nil {
-		t.Fatal("bad K accepted")
-	}
-	if res.Stats.Timings.Total <= 0 {
-		t.Fatalf("QueryByID validation error: Timings not populated: %+v", res.Stats)
+	got, err = byID(0, QueryOptions{Mode: ModeTopK, Params: p, K: -1})
+	if !errors.Is(err, ErrInvalidOptions) || got != nil {
+		t.Fatalf("bad K by id: got (%v, %v), want (nil, ErrInvalidOptions)", got, err)
 	}
 }
 
-// runSingles issues every batch entry on its own, through Query or
-// QueryByID — the same pooled path, one arena per call.
+// runSingles issues every batch entry on its own, through Query or — for a
+// ByID entry — as a one-entry batch: the same pooled path, one arena per
+// call.
 func runSingles(ctx context.Context, x *Index, batch []BatchQuery) ([]Result, error) {
 	out := make([]Result, len(batch))
 	for i, bq := range batch {
 		var err error
 		if bq.ByID {
-			out[i], err = x.QueryByID(ctx, bq.ID, bq.Options)
+			var res []Result
+			if res, err = x.QueryBatch(ctx, []BatchQuery{bq}, BatchOptions{}); err == nil {
+				out[i] = res[0]
+			}
 		} else {
 			out[i], err = x.Query(ctx, bq.Query, bq.Options)
 		}
@@ -230,8 +231,8 @@ func runSingles(ctx context.Context, x *Index, batch []BatchQuery) ([]Result, er
 // one returned Result must never alias another result or show up in a
 // later run's answers drawn from the recycled pool, and a later run must
 // never write through an earlier Result. It covers both entry points
-// (QueryBatch, and Query/QueryByID per entry — mixedBatch has top-k and
-// ByID entries) and both validation branches: sequential, whose
+// (QueryBatch, and each entry on its own through runSingles — mixedBatch
+// has top-k and ByID entries) and both validation branches: sequential, whose
 // accumulator is arena memory, and parallel, which only reads the arena.
 // Which branch runs is decided per run, not by an option: a query alone
 // and the entries of a one-worker batch validate on GOMAXPROCS goroutines
@@ -320,7 +321,7 @@ func TestQueryBatchDeepIndependence(t *testing.T) {
 }
 
 // TestQueryBatchConcurrentRefresh is the -race hammer: QueryBatch and
-// per-entry Query/QueryByID (with parallel validation, whose workers
+// per-entry runSingles (with parallel validation, whose workers
 // share the run's arena work list) run with deliberately interleaved
 // Refresh (a pure index-state rewrite) and results must stay exact once
 // the dust settles.

@@ -7,7 +7,7 @@ import (
 )
 
 // Typed query-termination errors. The query entry points (Query,
-// QueryByID, QueryBatch, AllPairsContext) return them — wrapped, so both
+// QueryBatch, AllPairsContext) return them — wrapped, so both
 // errors.Is(err, ErrCanceled) and errors.Is(err, context.Canceled) hold —
 // when the caller's context ends before the query completes. The
 // accompanying Result carries the statistics accumulated up to the abort

@@ -143,10 +143,11 @@ type timeSlice struct {
 // Index is the chained index structure of Section 4.2: M_T followed by the
 // time-slice matrices, optionally extended for reverse search. It is
 // immutable after Build — except through Refresh and Reslice — and safe
-// for concurrent queries; Refresh and the swap step of Reslice block
-// queries for their duration via mu.
+// for concurrent queries; Refresh and Reslice block queries for their
+// duration via mu.
 type Index struct {
-	// mu serializes Refresh (writer) against queries and stats readers.
+	// mu serializes Refresh and Reslice (writers) against queries and
+	// stats readers.
 	mu           sync.RWMutex
 	ds           *history.Dataset
 	opt          Options
@@ -162,38 +163,23 @@ type Index struct {
 	// seed opt.Seed + (h - baseHorizon), so reslicing an unchanged-horizon
 	// index reproduces the build's slice choice exactly.
 	baseHorizon timeline.Time
-	// ss is the slice-pruning state a background Reslice swaps atomically.
+	// ss is the slice-pruning state Reslice replaces.
 	ss sliceState
-	// resliceMu serializes Reslice passes against each other; queries and
-	// Refresh never take it.
-	resliceMu sync.Mutex
 	// pool recycles the scratch every query runs on (candidate vectors,
 	// arenas).
 	pool queryPool
 }
 
-// sliceState bundles the time-slice matrices with the dirty set they are
-// consistent with, plus their per-slice observability. All fields are
-// guarded by Index.mu; Reslice rebuilds them off-lock into a shadow and
-// swaps the fields in under the write lock.
+// sliceState bundles the time-slice matrices with the observation ends
+// their columns were filled to, plus their per-slice observability. All
+// fields are guarded by Index.mu.
 type sliceState struct {
 	slices     []timeSlice
 	fillSlices []float64
 	slicePower []float64
-	// dirty marks attributes whose histories changed after the slices
-	// were built (index.Refresh): their slice-matrix entries are stale,
-	// so slice pruning must never eliminate them. They still pass through
-	// M_T pruning and exact validation, keeping results exact. Reslice
-	// clears the set by rebuilding the slices from current histories.
-	dirty *bitmatrix.Vec
-	// resliceLog, while non-nil, accumulates the attributes refreshed
-	// since an in-flight Reslice snapshotted the histories. Those
-	// attributes changed after the shadow matrices were filled, so the
-	// swap must carry their dirty bits over instead of clearing them.
-	resliceLog *bitmatrix.Vec
-	// Reslice observability, surfaced via Stats.
-	reslices    int64
-	lastReslice time.Time
+	// filled[a] is attribute a's observation end when its slice columns
+	// and minimum violation weights were last filled (DESIGN §12).
+	filled []timeline.Time
 }
 
 // BuildStats reports what Build produced.
@@ -202,8 +188,8 @@ type BuildStats struct {
 	Slices     int
 	SliceSpans []timeline.Interval
 	// MemoryBytes is what the index holds: every matrix with its
-	// per-column bit counts, and the per-slice minimum violation weights
-	// of a reverse-capable index.
+	// per-column bit counts, the per-slice minimum violation weights of a
+	// reverse-capable index, and the per-attribute slice fill ends.
 	MemoryBytes int64
 	Elapsed     time.Duration
 	// Per-matrix fill times: M_T, all slice matrices combined, and M_R.
@@ -217,20 +203,6 @@ type BuildStats struct {
 	// SlicePruningPower is the estimate p(I) = Σ_A |A[I]| / |I| of
 	// Section 4.4.2 for each chosen slice interval.
 	SlicePruningPower []float64
-	// DirtyAttributes counts attributes refreshed since the slices were
-	// last built (Build or Reslice). Their slice-matrix entries are stale,
-	// so they are exempt from slice pruning (still exact via M_T pruning +
-	// validation) until a Reslice or full rebuild re-covers them.
-	DirtyAttributes int
-	// SlicePruningCoverage is the fraction of attributes slice pruning
-	// still applies to: 1 - DirtyAttributes/Attributes. It recovers to 1
-	// when Reslice rebuilds the slice matrices from current histories (or
-	// on a full rebuild).
-	SlicePruningCoverage float64
-	// Reslices counts completed background re-slicing passes; LastReslice
-	// is when the most recent one swapped in (zero if none has run).
-	Reslices    int64
-	LastReslice time.Time
 }
 
 // Build constructs the index over a dataset. Malformed options are
@@ -274,8 +246,8 @@ func Build(ds *history.Dataset, opt Options) (*Index, error) {
 	})
 
 	// Time-slice matrices over A[I^δ], built with the maximum δ queries
-	// may use (Section 4.4). Shared with the shadow build of Reslice.
-	idx.ss.slices, idx.sliceBuild = buildTimeSlices(attrs, ds.Horizon(), opt,
+	// may use (Section 4.4). Reslice re-runs the same selection and fill.
+	idx.ss, idx.sliceBuild = buildTimeSlices(attrs, ds.Horizon(), opt,
 		rand.New(rand.NewSource(opt.Seed)))
 
 	// M_R over required values, for reverse search (Section 4.5). Its ε
@@ -292,15 +264,14 @@ func Build(ds *history.Dataset, opt Options) (*Index, error) {
 	return idx, nil
 }
 
-// buildTimeSlices selects slice intervals over a history snapshot and
-// fills their Bloom matrices — and, for reverse-capable indices, the
-// per-slice minimum violation weights. Only reverse-capable indices need
-// the stronger δ-expanded disjointness of the slice intervals (§4.5).
-// Build calls it with the live dataset's attributes under construction
-// quiescence; Reslice calls it off-lock with history clones taken under
-// the read lock, so concurrent refreshes cannot race the shadow build.
+// buildTimeSlices selects slice intervals over the attributes and fills
+// their Bloom matrices — and, for reverse-capable indices, the per-slice
+// minimum violation weights — recording each attribute's observation end.
+// Only reverse-capable indices need the stronger δ-expanded disjointness
+// of the slice intervals (§4.5). Build and Reslice call it with the
+// index's own attributes while no query can read them.
 func buildTimeSlices(attrs []*history.History, horizon timeline.Time, opt Options,
-	rng *rand.Rand) ([]timeSlice, time.Duration) {
+	rng *rand.Rand) (sliceState, time.Duration) {
 	var elapsed time.Duration
 	disjointDelta := timeline.Time(0)
 	if opt.Reverse {
@@ -308,27 +279,72 @@ func buildTimeSlices(attrs []*history.History, horizon timeline.Time, opt Option
 	}
 	ivs := selectSlices(attrs, horizon, opt.Params.Weight, opt.Params.Epsilon, disjointDelta,
 		opt.Slices, opt.Strategy, rng)
-	var slices []timeSlice
+	var ss sliceState
 	for _, iv := range ivs {
-		expanded := iv.Expand(opt.Params.Delta)
 		t0 := time.Now()
-		m := bitmatrix.NewMatrix(opt.Bloom, len(attrs))
+		ts := timeSlice{iv: iv, matrix: bitmatrix.NewMatrix(opt.Bloom, len(attrs))}
+		if opt.Reverse {
+			ts.minVio = make([]float64, len(attrs))
+		}
+		window := ts.window(opt)
 		filters := parallelFilters(attrs, func(h *history.History) *bloom.Filter {
-			return bloom.FromSet(opt.Bloom, h.Union(expanded))
+			return bloom.FromSet(opt.Bloom, h.Union(window))
 		})
-		for i, f := range filters {
-			m.SetColumn(i, f)
+		for a, f := range filters {
+			ts.setColumn(a, attrs[a], f, opt)
 		}
 		d := time.Since(t0)
 		elapsed += d
 		matrixBuildSeconds("slice").ObserveDuration(d)
-		ts := timeSlice{iv: iv, matrix: m}
-		if opt.Reverse {
-			ts.minVio = minViolationWeights(attrs, expanded, opt.Params.Weight)
-		}
-		slices = append(slices, ts)
+		ss.slices = append(ss.slices, ts)
+		ss.fillSlices = append(ss.fillSlices, ts.matrix.FillRatio())
+		ss.slicePower = append(ss.slicePower, slicePruningPower(attrs, iv))
 	}
-	return slices, elapsed
+	ss.filled = make([]timeline.Time, len(attrs))
+	for a, h := range attrs {
+		ss.filled[a] = h.ObservedUntil()
+	}
+	return ss, elapsed
+}
+
+// window returns I^δ, the interval the slice's columns summarise, with δ
+// the maximum the index serves.
+func (ts timeSlice) window(opt Options) timeline.Interval {
+	return ts.iv.Expand(opt.Params.Delta)
+}
+
+// setColumn writes attribute a's entries of the slice: it ORs f into the
+// matrix column, and — for a reverse-capable slice — sets the minimum
+// violation weight over I^δ. On an empty column f is Bloom(A[I^δ]).
+func (ts timeSlice) setColumn(a int, h *history.History, f *bloom.Filter, opt Options) {
+	ts.matrix.SetColumn(a, f)
+	if ts.minVio != nil {
+		ts.minVio[a] = minViolationWeight(h, ts.window(opt), opt.Params.Weight)
+	}
+}
+
+// refill brings the changed attributes' slice columns up to date with
+// their histories in ds. Histories only change on days at or after the end
+// the columns were filled to, so a slice whose I^δ ends at or before it is
+// skipped, and the others need only the values of I^δ's days from that
+// end on: A[I^δ] is the old set plus those, and a column's Bloom filter is
+// the OR of its parts. The minimum violation weight is recomputed whole,
+// since the version valid at the old end may have grown. Slices are the
+// outer loop so one matrix's rows stay in cache across the attributes.
+func (ss *sliceState) refill(changed []history.AttrID, ds *history.Dataset, opt Options) {
+	for _, ts := range ss.slices {
+		window := ts.window(opt)
+		for _, id := range changed {
+			if end := ss.filled[id]; window.End > end {
+				h := ds.Attr(id)
+				fresh := timeline.NewInterval(max(window.Start, end), window.End)
+				ts.setColumn(int(id), h, bloom.FromSet(opt.Bloom, h.Union(fresh)), opt)
+			}
+		}
+	}
+	for _, id := range changed {
+		ss.filled[id] = ds.Attr(id).ObservedUntil()
+	}
 }
 
 // observeBuild computes the build-quality measurements — Bloom fill
@@ -339,7 +355,6 @@ func buildTimeSlices(attrs []*history.History, horizon timeline.Time, opt Option
 func (x *Index) observeBuild() {
 	x.fillMT = x.mT.FillRatio()
 	fillRatioGauge("m_t").Set(x.fillMT)
-	x.ss.fillSlices, x.ss.slicePower = observeSlices(x.ds.Attrs(), x.ss.slices)
 	publishSliceGauges(x.ss.fillSlices, x.ss.slicePower)
 	if x.mR != nil {
 		x.fillMR = x.mR.FillRatio()
@@ -349,19 +364,6 @@ func (x *Index) observeBuild() {
 	mIndexAttributes.Set(float64(st.Attributes))
 	mIndexBytes.Set(float64(st.MemoryBytes))
 	mIndexSlices.Set(float64(st.Slices))
-	mIndexDirtyAttributes.Set(float64(st.DirtyAttributes))
-	mIndexSliceCoverage.Set(st.SlicePruningCoverage)
-}
-
-// observeSlices computes the Bloom fill ratio and pruning-power estimate
-// p(I) of each slice. Shared by Build (under construction quiescence) and
-// the off-lock shadow build of Reslice.
-func observeSlices(attrs []*history.History, slices []timeSlice) (fill, power []float64) {
-	for _, ts := range slices {
-		fill = append(fill, ts.matrix.FillRatio())
-		power = append(power, slicePruningPower(attrs, ts.iv))
-	}
-	return fill, power
 }
 
 // publishSliceGauges sets the per-slice pruning-power gauges and the mean
@@ -429,31 +431,25 @@ func parallelFilters(attrs []*history.History, filter func(h *history.History) *
 	return out
 }
 
-// minViolationWeights computes, per attribute, the minimum violation
-// weight a reverse query may safely account for a violation detected in
-// the expanded slice interval: the Bloom filter cannot reveal which
-// version of A violated, so only the cheapest version sub-interval within
-// I^δ is guaranteed (Section 4.5).
-func minViolationWeights(attrs []*history.History, expanded timeline.Interval, w timeline.WeightFunc) []float64 {
-	out := make([]float64, len(attrs))
-	for i, h := range attrs {
-		min := -1.0
-		for v := 0; v < h.NumVersions(); v++ {
-			overlap := h.Validity(v).Intersect(expanded)
-			if overlap.IsEmpty() {
-				continue
-			}
-			ws := w.Sum(overlap)
-			if min < 0 || ws < min {
-				min = ws
-			}
+// minViolationWeight computes the minimum violation weight a reverse
+// query may safely account for a violation of h detected in the expanded
+// slice interval: the Bloom filter cannot reveal which version of A
+// violated, so only the cheapest version sub-interval within I^δ is
+// guaranteed (Section 4.5). It is 0 when h is unobservable in I^δ:
+// nothing is provable there. It walks back from the newest version, the
+// end Refresh touches, and stops at the first one that ends before I^δ.
+func minViolationWeight(h *history.History, expanded timeline.Interval, w timeline.WeightFunc) float64 {
+	best := -1.0
+	for v := h.NumVersions() - 1; v >= 0 && h.ValidUntil(v) > expanded.Start; v-- {
+		overlap := h.Validity(v).Intersect(expanded)
+		if overlap.IsEmpty() {
+			continue
 		}
-		if min < 0 {
-			min = 0 // attribute unobservable in the slice: nothing provable
+		if ws := w.Sum(overlap); best < 0 || ws < best {
+			best = ws
 		}
-		out[i] = min
 	}
-	return out
+	return max(best, 0)
 }
 
 // Stats summarizes the built index.
@@ -466,6 +462,7 @@ func (x *Index) Stats() BuildStats {
 		s.SliceSpans = append(s.SliceSpans, ts.iv)
 		s.MemoryBytes += ts.matrix.MemoryBytes() + int64(len(ts.minVio))*8
 	}
+	s.MemoryBytes += int64(len(x.ss.filled)) * 8 // one timeline.Time (an int) each
 	if x.mR != nil {
 		s.MemoryBytes += x.mR.MemoryBytes()
 	}
@@ -474,15 +471,6 @@ func (x *Index) Stats() BuildStats {
 	s.MTFillRatio, s.MRFillRatio = x.fillMT, x.fillMR
 	s.SliceFillRatios = append([]float64(nil), x.ss.fillSlices...)
 	s.SlicePruningPower = append([]float64(nil), x.ss.slicePower...)
-	if x.ss.dirty != nil {
-		s.DirtyAttributes = x.ss.dirty.Count()
-	}
-	s.SlicePruningCoverage = 1
-	if s.Attributes > 0 {
-		s.SlicePruningCoverage = 1 - float64(s.DirtyAttributes)/float64(s.Attributes)
-	}
-	s.Reslices = x.ss.reslices
-	s.LastReslice = x.ss.lastReslice
 	return s
 }
 

@@ -448,11 +448,12 @@ func TestStatsAndMemory(t *testing.T) {
 	if st.Slices != len(st.SliceSpans) {
 		t.Fatal("slice count mismatch")
 	}
-	// (k+1) matrices plus M_R, and the reverse minimum violation weights
-	// of every slice.
+	// (k+1) matrices plus M_R, the reverse minimum violation weights of
+	// every slice, and one slice fill end per attribute.
 	perMatrix := int64(128*8 + 10*4) // 128 rows × 1 word × 8 bytes + 10 column counts
 	perSlice := int64(10 * 8)        // one float64 per attribute
-	if want := perMatrix*int64(st.Slices+2) + perSlice*int64(st.Slices); st.MemoryBytes != want {
+	fillEnds := int64(10 * 8)        // one timeline.Time per attribute
+	if want := perMatrix*int64(st.Slices+2) + perSlice*int64(st.Slices) + fillEnds; st.MemoryBytes != want {
 		t.Fatalf("MemoryBytes = %d, want %d", st.MemoryBytes, want)
 	}
 	if st.Elapsed <= 0 {

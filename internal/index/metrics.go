@@ -50,21 +50,13 @@ var (
 		"Time-slice matrices in the most recently built index.")
 	mAllPairsSeconds = reg.Histogram("tind_allpairs_seconds",
 		"Wall time of complete all-pairs discovery runs.", obs.ExpBuckets(0.001, 4, 14))
-	// Refresh-degradation visibility: Refresh exempts changed attributes
-	// from slice pruning, so pruning quietly degrades toward
-	// exact-validation-only across refreshes. These gauges let operators
-	// see the drift; a background Reslice (or a rebuild) restores coverage.
-	mIndexDirtyAttributes = reg.Gauge("tind_index_dirty_attributes",
-		"Attributes refreshed since the slices were last built and therefore exempt from slice pruning.")
-	mIndexSliceCoverage = reg.Gauge("tind_index_slice_pruning_coverage",
-		"Fraction of attributes still covered by slice pruning (1 - dirty/attributes).")
-	// Re-slicing instruments: the background pass that rebuilds the
-	// time-slice matrices from current histories and clears the dirty set.
+	// Re-slicing instruments: the pass that re-selects the slice
+	// intervals and refills their matrices from current histories.
 	mResliceSeconds = reg.Histogram("tind_index_reslice_seconds",
-		"Wall time of background re-slicing passes (snapshot + shadow build + swap).",
+		"Wall time of re-slicing passes (selection + fill, under the write lock).",
 		obs.ExpBuckets(0.001, 4, 12))
 	mReslices = reg.Counter("tind_index_reslices_total",
-		"Completed background re-slicing passes.")
+		"Completed re-slicing passes.")
 	// Batched-execution instruments.
 	mBatchQueries = reg.Counter("tind_query_batches_total",
 		"QueryBatch calls started.")

@@ -95,9 +95,9 @@ func (x *Index) Query(ctx context.Context, q *history.History, o QueryOptions) (
 	if err := o.validate(); err != nil {
 		return errResult(start), err
 	}
-	// Shared lock for the whole query: Refresh mutates M_T/M_R columns,
-	// the dirty mask and the option weight in place, so it must not
-	// interleave with a running query. Queries among themselves share.
+	// Shared lock for the whole query: Refresh mutates matrix columns,
+	// minimum violation weights and the option weight in place, so it must
+	// not interleave with a running query. Queries among themselves share.
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	return x.runOne(ctx, q, o)
@@ -124,25 +124,6 @@ func errResult(start time.Time) Result {
 	}
 	res.Stats.Timings.Total = res.Stats.Elapsed
 	return res
-}
-
-// QueryByID is Query with one of the dataset's own attributes as the
-// query, resolved under the index's read lock. Callers racing a
-// refresh that swaps dataset entries (the sharded scatter path, where
-// RefreshWith replaces changed clones) must use it instead of resolving
-// the attribute themselves: a pointer fetched outside the lock could be
-// the stale pre-refresh clone, silently breaking self-exclusion.
-func (x *Index) QueryByID(ctx context.Context, id history.AttrID, o QueryOptions) (Result, error) {
-	start := time.Now()
-	if err := o.validate(); err != nil {
-		return errResult(start), err
-	}
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	if id < 0 || int(id) >= x.ds.Len() {
-		return errResult(start), fmt.Errorf("%w: query attribute %d out of range", ErrInvalidOptions, id)
-	}
-	return x.runOne(ctx, x.ds.Attr(id), o)
 }
 
 // validate rejects malformed query options with ErrInvalidOptions.
@@ -406,9 +387,6 @@ func (r *queryRun) reverseSlicePrune(ctx context.Context, q *history.History, p 
 		qWin := q.Union(ts.iv.Expand(2 * x.opt.Params.Delta))
 		violators := r.ar.probe
 		r.ar.bits = ts.matrix.ViolatorsInto(r.filterFor(qWin), cand, violators, r.ar.bits)
-		if x.ss.dirty != nil {
-			violators.AndNot(x.ss.dirty)
-		}
 		violators.ForEach(func(c int) bool {
 			vio[c] += ts.minVio[c]
 			if vio[c] > p.Epsilon {

@@ -19,13 +19,11 @@ import (
 //
 //   - M_T columns gain the bits of each changed attribute's new values;
 //     bits are only ever added, which keeps superset pruning sound.
-//   - The time-slice matrices are stale for changed attributes (an
-//     extension can back-fill days a slice covers, e.g. when a dead
-//     attribute resumes), so refreshed attributes are marked dirty and
-//     exempted from slice pruning until the slices are rebuilt. M_T
-//     pruning and exact validation still apply to them, so results stay
-//     exact; a background Reslice (or a full rebuild) re-derives the
-//     slice matrices from current histories and clears the exemption.
+//   - Each changed attribute's slice columns and minimum violation
+//     weights are refilled from its current history, so they equal a
+//     fresh build's. Appends change a history only at or after its old
+//     observation end, so only slices whose I^δ reaches past the end the
+//     columns were filled to are touched (DESIGN §12).
 //   - The reverse required-values matrix M_R gains the bits of each
 //     changed attribute's refreshed required-value set. Under a constant
 //     index weighting, required values only grow with appended time, so
@@ -93,18 +91,8 @@ func (x *Index) refreshLocked(changed []history.AttrID, newHorizon timeline.Time
 		}
 	}
 	x.opt.Params.Weight = timeline.Constant{N: newHorizon, C: c.C}
-	if x.ss.dirty == nil {
-		x.ss.dirty = bitmatrix.NewVec(x.ds.Len())
-	}
 
 	for _, id := range changed {
-		x.ss.dirty.Set(int(id))
-		if x.ss.resliceLog != nil {
-			// An in-flight Reslice snapshotted the histories before this
-			// refresh; its shadow matrices will not reflect this change, so
-			// the swap must keep this attribute dirty.
-			x.ss.resliceLog.Set(int(id))
-		}
 		h := x.ds.Attr(id)
 		// Adding the full current value set is idempotent: existing bits
 		// stay set, new values contribute their bits.
@@ -114,17 +102,47 @@ func (x *Index) refreshLocked(changed []history.AttrID, newHorizon timeline.Time
 			x.mR.SetColumn(int(id), bloom.FromSet(x.opt.Bloom, req))
 		}
 	}
-	dirty := x.ss.dirty.Count()
-	mIndexDirtyAttributes.Set(float64(dirty))
-	coverage := 1.0
-	if n := x.ds.Len(); n > 0 {
-		coverage = 1 - float64(dirty)/float64(n)
-	}
-	mIndexSliceCoverage.Set(coverage)
+	x.ss.refill(changed, x.ds, x.opt)
 	obs.Events().Record(obs.Event{
 		Kind:     obs.EventRefresh,
 		Records:  len(changed),
 		Duration: time.Since(start),
 	})
+	return nil
+}
+
+// CheckSlices reports the first slice entry that differs from a fresh fill
+// of the same interval over the current histories — a matrix column that
+// is not bit-equal to Bloom(A[I^δ]), or a minimum violation weight that is
+// not value-equal — and nil when every entry matches. That is the
+// invariant Build, Refresh and Reslice keep (DESIGN §12). It reads every
+// history in every slice, so it is a check for tests, not for queries.
+func (x *Index) CheckSlices() error {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	n := x.ds.Len()
+	col, out := bitmatrix.NewVec(n), bitmatrix.NewVec(n)
+	var buf []int
+	for j, ts := range x.ss.slices {
+		window := ts.window(x.opt)
+		for a, h := range x.ds.Attrs() {
+			f := bloom.FromSet(x.opt.Bloom, h.Union(window))
+			col.Reset()
+			col.Set(a)
+			buf = ts.matrix.SupersetsInto(f, col, out, buf)
+			equal := out.Get(a)
+			buf = ts.matrix.SubsetsInto(f, col, out, buf)
+			if !equal || !out.Get(a) {
+				return fmt.Errorf("index: slice %d %v: column %d is not Bloom(A[I^δ])", j, ts.iv, a)
+			}
+			if ts.minVio == nil {
+				continue
+			}
+			if got, want := ts.minVio[a], minViolationWeight(h, window, x.opt.Params.Weight); got != want {
+				return fmt.Errorf("index: slice %d %v: attribute %d has minimum violation weight %g, a fresh fill %g",
+					j, ts.iv, a, got, want)
+			}
+		}
+	}
 	return nil
 }

@@ -13,13 +13,12 @@ import (
 )
 
 // TestRefreshConcurrentWithQueries is the -race regression test for the
-// Refresh guard: Refresh rewrites M_T/M_R columns, the dirty mask and the
-// option weight while forward, reverse and all-pairs queries hammer the
-// same index. Before the RWMutex this was a documented-but-unenforced
+// Refresh guard: Refresh rewrites M_T/M_R columns, the slice fill ends and
+// the option weight while forward, reverse and all-pairs queries hammer
+// the same index. Before the RWMutex this was a documented-but-unenforced
 // "must not run concurrently" contract; now Refresh blocks queries and
 // the detector must stay silent. Results are re-checked against brute
-// force once the dust settles — dirty-marking attributes without actual
-// data changes may cost pruning power but never exactness.
+// force once the dust settles.
 func TestRefreshConcurrentWithQueries(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	horizon := timeline.Time(60)
@@ -71,7 +70,7 @@ func TestRefreshConcurrentWithQueries(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		// No data actually changed, so every Refresh is a pure index-state
-		// rewrite: column re-sets, dirty-mask growth, weight replacement —
+		// rewrite: column re-sets, fill-end writes, weight replacement —
 		// exactly the mutations the lock must fence.
 		for i := 0; i < 20; i++ {
 			if err := idx.Refresh(allIDs, horizon); err != nil {

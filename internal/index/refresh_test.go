@@ -165,10 +165,11 @@ func TestHistoryAppendSemantics(t *testing.T) {
 	}
 }
 
-// TestRefreshResurrectedAttribute covers the staleness hazard the dirty
-// mask exists for: an attribute that died mid-history resumes after an
-// append, back-filling days the slice matrices indexed as empty. Without
-// the slice-pruning exemption the stale slices would wrongly eliminate it.
+// TestRefreshResurrectedAttribute covers the staleness hazard the slice
+// refill exists for: an attribute that died mid-history resumes after an
+// append, back-filling days the slice matrices indexed as empty. Unless
+// Refresh refills those columns, the stale slices would wrongly eliminate
+// it.
 func TestRefreshResurrectedAttribute(t *testing.T) {
 	ds := history.NewDataset(60)
 	mk := func(page string, vals values.Set, end timeline.Time) *history.History {
@@ -222,7 +223,7 @@ func TestRefreshResurrectedAttribute(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := bruteSearch(ds, q, p90); !idsEqual(res.IDs, want) {
-		t.Fatalf("after resurrection: got %v, want %v (stale slices must not prune dirty attributes)", res.IDs, want)
+		t.Fatalf("after resurrection: got %v, want %v (stale slices must not prune the resurrected attribute)", res.IDs, want)
 	}
 	if len(res.IDs) != 1 || res.IDs[0] != a.ID() {
 		t.Fatalf("resurrected attribute must be found: %v", res.IDs)

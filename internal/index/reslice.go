@@ -1,148 +1,53 @@
 package index
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
-	"tind/internal/bitmatrix"
-	"tind/internal/history"
 	"tind/internal/obs"
 	"tind/internal/timeline"
 )
 
-// ResliceStats reports what one background re-slicing pass did.
+// ResliceStats reports what one re-slicing pass did.
 type ResliceStats struct {
 	// Slices is the number of slice matrices after the pass.
 	Slices int
 	// Horizon is the dataset horizon the new slices were selected over.
 	Horizon timeline.Time
-	// Dirty/coverage before the pass and after the swap. DirtyAfter is
-	// normally 0; it stays positive for attributes refreshed while the
-	// shadow matrices were being built (they remain exempt until the next
-	// pass).
-	DirtyBefore, DirtyAfter       int
-	CoverageBefore, CoverageAfter float64
-	// BuildElapsed is the off-lock shadow-build time, SwapElapsed the
-	// write-locked critical section, Elapsed the whole pass including the
-	// snapshot.
-	BuildElapsed, SwapElapsed, Elapsed time.Duration
+	// Elapsed is the whole pass, all of it under the write lock.
+	Elapsed time.Duration
 }
 
-// Reslice repairs slice-pruning coverage without a rebuild: it re-runs
-// slice selection over the current (possibly extended) horizon and the
-// current value histories, fills fresh slice Bloom matrices (and minimum
-// violation weights for reverse-capable indices) into a shadow structure
-// off-lock, then swaps them in and clears the dirty set under a short
-// write-lock critical section — the clone-and-replace discipline
-// RefreshWith uses, applied to the slice state.
-//
-// Concurrency: queries are never blocked longer than the swap (the
-// snapshot takes only the read lock; history clones make the off-lock
-// build race-free against concurrent refreshes). Refreshes that land
-// while the shadow is building are reconciled through sliceState's
-// reslice log: those attributes keep their dirty exemption after the
-// swap, so results stay exact. Concurrent Reslice calls serialize on
-// resliceMu.
+// Reslice re-runs slice selection over the current (possibly extended)
+// horizon and fills fresh slice matrices — and minimum violation weights
+// for reverse-capable indices — from the current histories, under the
+// write lock. Refresh already keeps the slices exact, so a reslice only
+// moves the intervals to where the grown horizon lets them prune.
 //
 // Determinism: the slice-selection seed is Seed + (horizon −
 // baseHorizon), so reslicing at an unchanged horizon reproduces the
 // build's slice choice exactly, and each new horizon draws a fresh but
-// reproducible selection.
+// reproducible selection. The error is always nil.
 func (x *Index) Reslice() (ResliceStats, error) {
-	x.resliceMu.Lock()
-	defer x.resliceMu.Unlock()
 	start := time.Now()
-
-	// Snapshot under the read lock: queries proceed, refreshes are held
-	// off while we clone the histories the shadow build will read.
-	x.mu.RLock()
-	opt := x.opt
-	horizon := x.ds.Horizon()
-	n := x.ds.Len()
-	attrs := make([]*history.History, n)
-	for i, h := range x.ds.Attrs() {
-		attrs[i] = h.Clone()
-	}
-	var st ResliceStats
-	st.Horizon = horizon
-	if x.ss.dirty != nil {
-		st.DirtyBefore = x.ss.dirty.Count()
-	}
-	// From here on refreshLocked records changed attributes into the log;
-	// writing it under the read lock is safe because its only other
-	// accessors (refreshLocked and the swap below) hold the write lock.
-	x.ss.resliceLog = bitmatrix.NewVec(n)
-	x.mu.RUnlock()
-	st.CoverageBefore = 1
-	if n > 0 {
-		st.CoverageBefore = 1 - float64(st.DirtyBefore)/float64(n)
-	}
-
-	abort := func(err error) (ResliceStats, error) {
-		x.mu.Lock()
-		x.ss.resliceLog = nil
-		x.mu.Unlock()
-		return ResliceStats{}, err
-	}
-
-	// Shadow build, completely off-lock.
-	buildStart := time.Now()
-	rng := rand.New(rand.NewSource(opt.Seed + int64(horizon-x.baseHorizon)))
-	slices, _ := buildTimeSlices(attrs, horizon, opt, rng)
-	fill, power := observeSlices(attrs, slices)
-	st.BuildElapsed = time.Since(buildStart)
-	if hook := resliceTestHook; hook != nil {
-		if err := hook(); err != nil {
-			return abort(err)
-		}
-	}
-
-	// Swap. The serving index is untouched until this point, so any
-	// failure above leaves it exactly as it was.
-	swapStart := time.Now()
 	x.mu.Lock()
-	if x.ds.Len() != n {
-		x.mu.Unlock()
-		return abort(fmt.Errorf("index: attribute set changed during reslice (%d to %d attributes)", n, x.ds.Len()))
-	}
-	x.ss.slices = slices
-	x.ss.fillSlices, x.ss.slicePower = fill, power
-	if x.ss.resliceLog.Count() > 0 {
-		x.ss.dirty = x.ss.resliceLog
-	} else {
-		x.ss.dirty = nil
-	}
-	x.ss.resliceLog = nil
-	x.ss.reslices++
-	x.ss.lastReslice = time.Now()
-	st.Slices = len(slices)
-	if x.ss.dirty != nil {
-		st.DirtyAfter = x.ss.dirty.Count()
-	}
+	horizon := x.ds.Horizon()
+	rng := rand.New(rand.NewSource(x.opt.Seed + int64(horizon-x.baseHorizon)))
+	x.ss, _ = buildTimeSlices(x.ds.Attrs(), horizon, x.opt, rng)
+	st := ResliceStats{Slices: len(x.ss.slices), Horizon: horizon}
+	attrs := x.ds.Len()
+	fill, power := x.ss.fillSlices, x.ss.slicePower
 	x.mu.Unlock()
-	st.SwapElapsed = time.Since(swapStart)
-	st.CoverageAfter = 1
-	if n > 0 {
-		st.CoverageAfter = 1 - float64(st.DirtyAfter)/float64(n)
-	}
-
 	st.Elapsed = time.Since(start)
+
 	mIndexSlices.Set(float64(st.Slices))
-	mIndexDirtyAttributes.Set(float64(st.DirtyAfter))
-	mIndexSliceCoverage.Set(st.CoverageAfter)
 	publishSliceGauges(fill, power)
 	mResliceSeconds.ObserveDuration(st.Elapsed)
 	mReslices.Add(1)
 	obs.Events().Record(obs.Event{
 		Kind:     obs.EventReslice,
-		Records:  st.DirtyBefore - st.DirtyAfter,
+		Records:  attrs,
 		Duration: st.Elapsed,
 	})
 	return st, nil
 }
-
-// resliceTestHook, when non-nil, runs after the shadow build and before
-// the swap. Tests use it to simulate a crash mid-reslice and to
-// orchestrate refresh-during-reslice interleavings.
-var resliceTestHook func() error

@@ -182,15 +182,11 @@ func (r *queryRun) pruneSlice(q *history.History, bounds []timeline.Time, p core
 			continue
 		}
 		// PV = C ∧ ¬C_I (line 10): candidates violated in this
-		// sub-interval. Dirty candidates have stale slice entries and are
-		// exempt (validation handles them).
+		// sub-interval.
 		ar.bits = ts.matrix.SupersetsInto(r.filterFor(qv), cand, ar.probe, ar.bits)
 		pv := ar.pv
 		pv.CopyFrom(cand)
 		pv.AndNot(ar.probe)
-		if dirty := r.x.ss.dirty; dirty != nil {
-			pv.AndNot(dirty)
-		}
 		if pv.Count() == 0 {
 			continue
 		}

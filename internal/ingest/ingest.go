@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"tind/internal/history"
-	"tind/internal/index"
 	"tind/internal/obs"
 	"tind/internal/persist"
 	"tind/internal/timeline"
@@ -77,15 +76,6 @@ type Engine interface {
 	RefreshWith(newHorizon timeline.Time, prepare func(ds *history.Dataset) ([]history.AttrID, error)) error
 }
 
-// Reslicer is the optional engine surface behind the background
-// re-slicing trigger policy. Both *index.Index and *shard.ShardedIndex
-// satisfy it; an engine without it never reslices regardless of the
-// options.
-type Reslicer interface {
-	Reslice() (index.ResliceStats, error)
-	Stats() index.BuildStats
-}
-
 // SnapshotConfig enables periodic snapshots from the ingest loop.
 type SnapshotConfig struct {
 	Dir    string // snapshot container directory (persist.WriteSnapshot)
@@ -108,16 +98,6 @@ type Options struct {
 	// Snapshot, if Every > 0, makes the loop write crash-recovery
 	// snapshots so restarts replay only a bounded WAL suffix.
 	Snapshot SnapshotConfig
-	// ResliceMinCoverage, when positive, makes the loop reslice the
-	// engine (Reslicer.Reslice) whenever slice-pruning coverage falls
-	// below it — the repair for refresh-driven coverage decay. 0 disables
-	// the coverage trigger.
-	ResliceMinCoverage float64
-	// ResliceMaxHorizonGrowth, when positive, reslices once the dataset
-	// horizon has grown this much since slices were last selected, so
-	// slice intervals keep covering recent history even when coverage
-	// never dips. 0 disables the growth trigger.
-	ResliceMaxHorizonGrowth timeline.Time
 }
 
 func (o *Options) defaults() {
@@ -152,14 +132,6 @@ type Stats struct {
 	Snapshots        int64
 	SnapshotOffset   int64  // WAL offset covered by the latest snapshot
 	LastError        string // most recent apply/snapshot failure; empty when healthy
-	// Re-slicing state. Reslice failures are reported separately from
-	// LastError: a failed reslice leaves the serving index exact and
-	// intact (only slower), so it must not degrade readiness.
-	Reslices                  int64
-	LastReslice               time.Time // zero if none has run
-	LastResliceCoverageBefore float64
-	LastResliceCoverageAfter  float64
-	LastResliceError          string // most recent reslice failure; empty when healthy
 }
 
 type pendingRec struct {
@@ -198,17 +170,8 @@ type Ingester struct {
 	applies        int64
 	snapshots      int64
 	lastErr        error // most recent apply/snapshot failure, nil after success
-	// Re-slicing bookkeeping. resliceHorizon is the dataset horizon when
-	// slices were last selected (build or reslice), tracked here rather
-	// than derived from engine stats because a sharded engine's untouched
-	// shards deliberately keep stale slice horizons.
-	resliceHorizon  timeline.Time
-	reslices        int64
-	lastReslice     time.Time
-	lastResliceStat index.ResliceStats
-	lastResliceErr  error
-	started         bool
-	closed          bool
+	started        bool
+	closed         bool
 
 	kick chan struct{}
 	stop chan struct{}
@@ -230,7 +193,6 @@ func New(eng Engine, ds *history.Dataset, log *wal.Log, opt Options) *Ingester {
 		pendingHorizon: ds.Horizon(),
 		appliedOffset:  log.Size(),
 		snapOffset:     log.Size(),
-		resliceHorizon: ds.Horizon(),
 		kick:           make(chan struct{}, 1),
 		stop:           make(chan struct{}),
 		done:           make(chan struct{}),
@@ -430,13 +392,6 @@ func (in *Ingester) Stats() Stats {
 	if in.lastErr != nil {
 		st.LastError = in.lastErr.Error()
 	}
-	st.Reslices = in.reslices
-	st.LastReslice = in.lastReslice
-	st.LastResliceCoverageBefore = in.lastResliceStat.CoverageBefore
-	st.LastResliceCoverageAfter = in.lastResliceStat.CoverageAfter
-	if in.lastResliceErr != nil {
-		st.LastResliceError = in.lastResliceErr.Error()
-	}
 	st.WALLagBytes = st.WALSize - st.AppliedOffset
 	if len(in.pending) > 0 {
 		st.OldestPendingAge = time.Since(in.firstPending)
@@ -460,7 +415,6 @@ func (in *Ingester) loop() {
 			return
 		case <-in.kick:
 			in.apply()
-			in.maybeReslice()
 		case <-t.C:
 			in.mu.Lock()
 			n := len(in.pending)
@@ -474,54 +428,8 @@ func (in *Ingester) loop() {
 			if n >= in.opt.MaxDirty || (n > 0 && age >= in.opt.MaxDirtyAge) {
 				in.apply()
 			}
-			in.maybeReslice()
 		}
 	}
-}
-
-// maybeReslice runs the re-slicing trigger policy: when the engine can
-// reslice and either coverage has dropped below ResliceMinCoverage or
-// the horizon has grown by ResliceMaxHorizonGrowth since slices were
-// last selected, it reslices synchronously in the loop goroutine. The
-// engine's own locking keeps queries and concurrent applies safe (the
-// shadow build runs off-lock); applies that land mid-reslice stay
-// exempt from slice pruning until the next pass. A reslice failure is
-// recorded separately from apply errors — the serving index is
-// untouched by a failed pass, so readiness must not degrade.
-func (in *Ingester) maybeReslice() {
-	r, ok := in.eng.(Reslicer)
-	if !ok || (in.opt.ResliceMinCoverage <= 0 && in.opt.ResliceMaxHorizonGrowth <= 0) {
-		return
-	}
-	in.dsMu.RLock()
-	horizon := in.ds.Horizon()
-	in.dsMu.RUnlock()
-	in.mu.Lock()
-	base := in.resliceHorizon
-	in.mu.Unlock()
-
-	est := r.Stats()
-	coverageLow := in.opt.ResliceMinCoverage > 0 &&
-		est.SlicePruningCoverage < in.opt.ResliceMinCoverage
-	horizonGrown := in.opt.ResliceMaxHorizonGrowth > 0 &&
-		horizon-base >= in.opt.ResliceMaxHorizonGrowth
-	if !coverageLow && !horizonGrown {
-		return
-	}
-
-	st, err := r.Reslice()
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	// Advance the selection horizon even on failure so a persistently
-	// failing engine does not busy-loop the trigger every tick.
-	in.resliceHorizon = horizon
-	in.lastResliceErr = err
-	if err != nil {
-		return
-	}
-	in.reslices++
-	in.lastReslice = time.Now()
-	in.lastResliceStat = st
 }
 
 // apply folds the pending batch — whatever it holds — into the engine.

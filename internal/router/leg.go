@@ -94,7 +94,7 @@ func (l *httpLeg) get(ctx context.Context, rep *replica, path string, out interf
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("%s: %s", rep.base, resp.Status)
 	}
@@ -188,11 +188,21 @@ func (l *httpLeg) attempt(ctx context.Context, rep *replica, path string, body [
 		// Unreachable replica or leg deadline.
 		return fmt.Errorf("%w: %v", shard.ErrLegUnavailable, err)
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode == http.StatusOK {
 		return decode(resp.Body)
 	}
 	return legError(resp.Status, resp.Body, ctx.Err() != nil)
+}
+
+// drainClose reads a reply to EOF before closing it, so the client keeps
+// the connection alive: json.Decoder stops at the end of the value, short
+// of a chunked reply's terminator, and a body closed early costs the
+// connection. The drain is bounded by the RPC body cap, so a replica that
+// keeps talking only loses its connection.
+func drainClose(body io.ReadCloser) {
+	_, _ = io.CopyN(io.Discard, body, shardMaxBody)
+	body.Close()
 }
 
 // legError classifies a non-200 leg response by its error envelope.

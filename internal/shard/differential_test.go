@@ -356,8 +356,8 @@ func TestShardedDecayWeight(t *testing.T) {
 // foreign-value injections, pure observation extensions), refresh the
 // partition shard-locally, and demand exact agreement with a freshly
 // built partition AND the refreshed monolith over the evolved dataset —
-// and band agreement with the oracle. Also pins the shard-local contract:
-// only shards owning changed attributes accumulate dirty attributes.
+// and band agreement with the oracle. Also pins that every shard's slice
+// matrices equal a fresh fill over its current histories.
 func TestShardedRefreshMatchesRebuild(t *testing.T) {
 	const (
 		oldHorizon = timeline.Time(80)
@@ -420,19 +420,13 @@ func TestShardedRefreshMatchesRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Shard-local dirty accounting: exactly the shards owning changed
-	// attributes carry dirty attributes, and the aggregate matches.
-	dirtyPerShard := make([]int, nShards)
-	for _, id := range changed {
-		dirtyPerShard[sx.ShardOwner(id)]++
-	}
-	for s, st := range sx.ShardStats() {
-		if st.DirtyAttributes != dirtyPerShard[s] {
-			t.Fatalf("shard %d: DirtyAttributes %d, want %d", s, st.DirtyAttributes, dirtyPerShard[s])
+	for s := 0; s < nShards; s++ {
+		if err := sx.Shard(s).CheckSlices(); err != nil {
+			t.Fatalf("shard %d: %v", s, err)
 		}
 	}
-	if agg := sx.Stats(); agg.DirtyAttributes != len(changed) {
-		t.Fatalf("aggregate DirtyAttributes %d, want %d", agg.DirtyAttributes, len(changed))
+	if err := mono.CheckSlices(); err != nil {
+		t.Fatalf("monolith: %v", err)
 	}
 
 	rebuiltOpt := monoOpt

@@ -19,12 +19,4 @@ var (
 	// network transport can make a call partial.
 	mPartialResults = reg.Counter("tind_router_partial_results_total",
 		"Queries answered from a subset of shards (ErrPartialResult).")
-	// Same idempotent-registration trick for the dirty/coverage gauges:
-	// each shard's Refresh/Reslice publishes shard-local values on these
-	// (last writer wins), so publishCoverage re-publishes the aggregate
-	// over the global corpus after every sharded refresh or reslice.
-	mIndexDirtyAttributes = reg.Gauge("tind_index_dirty_attributes",
-		"Attributes refreshed since the slices were last built and therefore exempt from slice pruning.")
-	mIndexSliceCoverage = reg.Gauge("tind_index_slice_pruning_coverage",
-		"Fraction of attributes still covered by slice pruning (1 - dirty/attributes).")
 )

@@ -14,10 +14,9 @@ import (
 // is the operational point of sharding the refresh path.
 //
 // Each affected shard's refresh is atomic under its own lock
-// (Single.Refresh). The same soundness rules as the monolith apply: the
-// index weighting must be constant, bits only ever grow, and refreshed
-// attributes stay exempt from slice pruning until a Reslice (or rebuild)
-// of their shard re-covers them.
+// (Single.Refresh). The same rules as the monolith apply: the index
+// weighting must be constant, M_T and M_R bits only ever grow, and the
+// refreshed attributes' slice columns are refilled exactly.
 //
 // Untouched shards keep their previous weight horizon. Their answers
 // remain exact for queries under the new horizon: forward search is
@@ -38,9 +37,6 @@ func (sx *ShardedIndex) Refresh(changed []history.AttrID, newHorizon timeline.Ti
 			return fmt.Errorf("shard %d: %w", sg.ShardID, err)
 		}
 	}
-	// Each refreshed shard published shard-local gauge values; restore the
-	// global aggregates.
-	sx.publishCoverage()
 	return nil
 }
 

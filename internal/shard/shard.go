@@ -151,11 +151,10 @@ func (sx *ShardedIndex) Stats() index.BuildStats {
 // AggregateStats folds per-shard build statistics into one monolith-
 // shaped summary: counts, memory and phase times sum; slice spans, fill
 // ratios and pruning powers concatenate in shard order; fill ratios
-// (per-matrix densities, not additive) report the mean; dirty-attribute
-// accounting sums with coverage recomputed over the global corpus.
-// Elapsed is the caller's to set — build wall time is a deployment
-// property (shard-parallel in-process, independent per shard server),
-// not an aggregate.
+// (per-matrix densities, not additive) report the mean. Elapsed is the
+// caller's to set — build wall time is a deployment property
+// (shard-parallel in-process, independent per shard server), not an
+// aggregate.
 func AggregateStats(per []index.BuildStats) index.BuildStats {
 	var agg index.BuildStats
 	for _, st := range per {
@@ -168,11 +167,6 @@ func AggregateStats(per []index.BuildStats) index.BuildStats {
 		agg.MRBuild += st.MRBuild
 		agg.SliceFillRatios = append(agg.SliceFillRatios, st.SliceFillRatios...)
 		agg.SlicePruningPower = append(agg.SlicePruningPower, st.SlicePruningPower...)
-		agg.DirtyAttributes += st.DirtyAttributes
-		agg.Reslices += st.Reslices
-		if st.LastReslice.After(agg.LastReslice) {
-			agg.LastReslice = st.LastReslice
-		}
 		agg.MTFillRatio += st.MTFillRatio
 		agg.MRFillRatio += st.MRFillRatio
 	}
@@ -180,23 +174,7 @@ func AggregateStats(per []index.BuildStats) index.BuildStats {
 		agg.MTFillRatio /= float64(len(per))
 		agg.MRFillRatio /= float64(len(per))
 	}
-	agg.SlicePruningCoverage = 1
-	if agg.Attributes > 0 {
-		agg.SlicePruningCoverage = 1 - float64(agg.DirtyAttributes)/float64(agg.Attributes)
-	}
 	return agg
-}
-
-// publishCoverage republishes the dirty/coverage gauges from the
-// per-shard dirty sets aggregated over the global corpus. Each shard's
-// own Refresh/Reslice sets the process-wide gauges to shard-local values
-// (whichever shard wrote last wins), so without this re-publication a
-// reslice of one shard would leave the gauges reporting another shard's
-// state instead of moving the global coverage.
-func (sx *ShardedIndex) publishCoverage() {
-	agg := AggregateStats(sx.ShardStats())
-	mIndexDirtyAttributes.Set(float64(agg.DirtyAttributes))
-	mIndexSliceCoverage.Set(agg.SlicePruningCoverage)
 }
 
 // ShardStats returns the unaggregated per-shard build statistics.

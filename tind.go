@@ -241,8 +241,8 @@ const (
 	ModeTopK    = index.ModeTopK
 )
 
-// Typed query-abort errors. Context-aware queries (Query, QueryByID,
-// QueryBatch, AllPairsContext on Index) return an error
+// Typed query-abort errors. Context-aware queries (Query, QueryBatch,
+// AllPairsContext on Index) return an error
 // matching ErrQueryCanceled or ErrQueryDeadlineExceeded via errors.Is when
 // the caller's context ends mid-query; the wrapped context.Canceled /
 // context.DeadlineExceeded also still match.
