@@ -83,7 +83,7 @@ func TestShedRetryAfterDerivedFromState(t *testing.T) {
 
 // Distributed-mode corpus: every process regenerates the same synthetic
 // corpus from the same flags, exactly how a real multi-process
-// deployment shares a -corpus container.
+// deployment shares a -corpus file.
 const (
 	distAttrs   = 40
 	distHorizon = 300

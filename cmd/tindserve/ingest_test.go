@@ -24,7 +24,7 @@ import (
 )
 
 // newIngestServer assembles a live-ingestion server through the real
-// loadServing path (synthetic corpus, WAL, snapshot container) and wires
+// loadServing path (synthetic corpus, WAL, snapshot file) and wires
 // it into the HTTP surface. mut tweaks the corpus config before loading.
 func newIngestServer(t testing.TB, shards int, cfg config, mut func(cc *config)) (*server, *httptest.Server, config) {
 	t.Helper()

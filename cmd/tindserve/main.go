@@ -44,7 +44,7 @@
 // via /stats (pending records, oldest pending age, WAL lag) and bounded
 // by -max-staleness: /readyz turns 503 "degraded" when the oldest
 // unapplied delta exceeds it. With -snapshot the ingest loop
-// periodically writes an atomic snapshot container so a restart replays
+// periodically writes an atomic snapshot file so a restart replays
 // only the WAL suffix past the snapshot's offset; during that replay
 // /readyz reports structured progress. On startup the server prefers
 // the snapshot (falling back to -corpus or the synthetic generator) and
@@ -178,7 +178,7 @@ func main() {
 	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 15*time.Second, "grace period for in-flight requests on SIGINT/SIGTERM")
 	flag.BoolVar(&cfg.pprof, "pprof", false, "expose /debug/pprof endpoints (off by default: profiling leaks internals)")
 	flag.StringVar(&cfg.wal, "wal", "", "write-ahead log path: enables POST /ingest and startup WAL replay")
-	flag.StringVar(&cfg.snapshot, "snapshot", "", "snapshot container directory: loaded (over -corpus) at startup, written periodically by the ingest loop")
+	flag.StringVar(&cfg.snapshot, "snapshot", "", "snapshot file: loaded (over -corpus) at startup, written periodically by the ingest loop")
 	flag.IntVar(&cfg.snapshotEvery, "snapshot-every", 4096, "applied records between snapshots (0 = never snapshot)")
 	flag.DurationVar(&cfg.maxStaleness, "max-staleness", 30*time.Second, "flip /readyz to degraded when the oldest unapplied delta exceeds this (0 = never)")
 	flag.IntVar(&cfg.maxDirty, "ingest-max-dirty", 256, "apply pending deltas once this many records queue")
@@ -400,54 +400,47 @@ type replayProgress struct {
 	startNano atomic.Int64
 }
 
-// loadDataset reads or generates the base dataset. The snapshot
-// container — written by the ingest loop — wins over -corpus: it is the
-// same corpus, further along the WAL. The returned offset is the WAL
-// position the dataset already covers.
+// loadDataset reads or generates the base dataset. The snapshot file —
+// written by the ingest loop — wins over -corpus: it is the same corpus,
+// further along the WAL. The returned offset is the WAL position the
+// dataset already covers.
 func loadDataset(cc config) (*history.Dataset, int64, error) {
 	if cc.snapshot != "" {
-		ds, man, err := persist.OpenSnapshot(cc.snapshot)
+		ds, off, err := persist.OpenSnapshot(cc.snapshot)
 		if err == nil {
-			return ds, man.WALOffset, nil
+			return ds, off, nil
 		}
 		if !errors.Is(err, os.ErrNotExist) {
 			return nil, 0, fmt.Errorf("snapshot: %w", err)
 		}
 		// No snapshot yet — first boot; fall through to the corpus.
 	}
-	switch {
-	case cc.corpus != "" && persist.IsSharded(cc.corpus):
-		ds, _, err := persist.ReadSharded(cc.corpus)
-		return ds, 0, err
-	case cc.corpus != "":
+	if cc.corpus != "" {
 		f, err := os.Open(cc.corpus)
 		if err != nil {
 			return nil, 0, err
 		}
+		defer f.Close()
 		ds, err := persist.Read(f)
-		f.Close()
 		return ds, 0, err
-	default:
-		c, err := datagen.Generate(datagen.Config{
-			Seed: cc.seed, Attributes: cc.attrs, Horizon: timeline.Time(cc.horizon),
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		return c.Dataset, 0, nil
 	}
+	c, err := datagen.Generate(datagen.Config{
+		Seed: cc.seed, Attributes: cc.attrs, Horizon: timeline.Time(cc.horizon),
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return c.Dataset, 0, nil
 }
 
 // loadServing assembles the serving state: dataset (snapshot, corpus or
 // synthetic), WAL recovery replay, index build — the monolith by
-// default, an N-shard partition with -shards N > 1 (a -corpus container's
-// partitioning is independent of -shards, which only picks the serving
-// engine) — and, with -wal, the live-ingestion write path. Two special
-// modes replace the local engine: -shard-server builds and serves one
-// shard of the partition, -router builds no index at all and
-// scatter-gathers over remote shard servers. Both are read-only: live
-// ingestion writes through an engine that owns the whole index, which
-// neither mode has.
+// default, an N-shard partition with -shards N > 1 — and, with -wal,
+// the live-ingestion write path. Two special modes replace the local
+// engine: -shard-server builds and serves one shard of the partition,
+// -router builds no index at all and scatter-gathers over remote shard
+// servers. Both are read-only: live ingestion writes through an engine
+// that owns the whole index, which neither mode has.
 func loadServing(cc config, rp *replayProgress) (*corpus, error) {
 	if err := cc.validateModes(); err != nil {
 		return nil, err
@@ -549,13 +542,7 @@ func loadServing(cc config, rp *replayProgress) (*corpus, error) {
 			MaxDirty: cc.maxDirty, MaxDirtyAge: cc.maxDirtyAge,
 		}
 		if cc.snapshot != "" && cc.snapshotEvery > 0 {
-			snapShards := cc.shards
-			if snapShards < 1 {
-				snapShards = 1
-			}
-			iopt.Snapshot = ingest.SnapshotConfig{
-				Dir: cc.snapshot, Shards: snapShards, Seed: cc.seed, Every: cc.snapshotEvery,
-			}
+			iopt.Snapshot = ingest.SnapshotConfig{Path: cc.snapshot, Every: cc.snapshotEvery}
 		}
 		c.ing = ingest.New(eng, ds, log, iopt)
 		c.ing.Start()

@@ -3,8 +3,8 @@ package history
 // ShardOf maps an attribute id to one of shards partitions,
 // deterministically under the given seed. The mapping is the single
 // source of truth for which shard owns an attribute — the sharded index,
-// the sharded persist container and its reader all call it, so a corpus
-// written with one (seed, shards) pair reassembles identically.
+// the shard servers and the router all call it, so every tier built with
+// one (seed, shards) pair partitions identically.
 //
 // The hash is the splitmix64 finalizer over id ⊕ seed: cheap, stateless
 // and well mixed even for the dense sequential ids datasets assign, so

@@ -3,9 +3,9 @@ package history
 import "testing"
 
 // TestShardOfGoldenVectors pins the exact (id, seed, shards) → shard
-// assignment. ShardOf is a persistence and topology contract, not just
-// a load balancer: sharded containers on disk, in-process partitions
-// and deployed shard servers all derive ownership from it, so any
+// assignment. ShardOf is a topology contract, not just
+// a load balancer: in-process partitions, deployed shard servers and
+// the router in front of them all derive ownership from it, so any
 // change to the hash silently reshuffles who owns what and corrupts
 // every existing deployment. If this test fails, you changed the wire
 // format — don't update the goldens, revert the hash (or introduce a

@@ -2,22 +2,22 @@
 // the write path of a tIND server that keeps answering queries while the
 // corpus evolves.
 //
-// Every accepted delta is appended to a write-ahead log (internal/wal)
-// and fsynced per the log's policy *before* Submit returns — durability
-// precedes acknowledgement. Accepted deltas then sit in an in-memory
-// pending queue until a refresh trigger fires (too many pending records,
-// or the oldest one exceeding its age bound), at which point the batch
-// is folded into the serving engine through RefreshWith: the global
-// dataset is mutated clone-and-replace under the engine's resolution
-// lock and the affected shards refresh their matrices. Between
-// acknowledgement and apply the server is *boundedly stale*: queries
-// answer exactly with respect to the corpus as of the last apply, and
-// the staleness is observable (PendingRecords, OldestPendingAge,
-// WALLagBytes in Stats and the tind_ingest_* gauges) so operators can
-// alert on contract violations.
+// Every accepted batch of deltas is one append to a write-ahead log
+// (internal/wal), fsynced per the log's policy *before* Submit returns —
+// durability precedes acknowledgement. Accepted deltas then sit in an
+// in-memory pending queue until a refresh trigger fires (too many
+// pending records, or the oldest one exceeding its age bound), at which
+// point the batch is folded into the serving engine through
+// RefreshWith: the global dataset is mutated clone-and-replace under the
+// engine's resolution lock and the affected shards refresh their
+// matrices. Between acknowledgement and apply the server is *boundedly
+// stale*: queries answer exactly with respect to the corpus as of the
+// last apply, and the staleness is observable (PendingRecords,
+// OldestPendingAge, WALLagBytes in Stats and the tind_ingest_* gauges)
+// so operators can alert on contract violations.
 //
 // Crash recovery composes with internal/persist snapshots: Replay folds
-// the WAL suffix past a snapshot's manifest offset back into the loaded
+// the WAL suffix past a snapshot's offset back into the loaded
 // dataset before the engine is built, so a process killed mid-ingest
 // restarts with exactly the acknowledged deltas — no more, no less.
 package ingest
@@ -78,10 +78,8 @@ type Engine interface {
 
 // SnapshotConfig enables periodic snapshots from the ingest loop.
 type SnapshotConfig struct {
-	Dir    string // snapshot container directory (persist.WriteSnapshot)
-	Shards int    // container partitioning; must match serving layout
-	Seed   int64
-	Every  int // write a snapshot after this many applied records; 0 disables
+	Path  string // snapshot file (persist.WriteSnapshot)
+	Every int    // write a snapshot after this many applied records; 0 disables
 }
 
 // Options tunes the refresh triggers. Zero values take the defaults.
@@ -134,11 +132,6 @@ type Stats struct {
 	LastError        string // most recent apply/snapshot failure; empty when healthy
 }
 
-type pendingRec struct {
-	rec wal.Record
-	end int64 // WAL offset after this record's frame
-}
-
 // Ingester owns the write path: validation, WAL durability, the pending
 // queue, the background apply loop and optional snapshotting. One
 // ingester per serving engine; all methods are safe for concurrent use.
@@ -157,7 +150,8 @@ type Ingester struct {
 	applyMu sync.Mutex
 
 	mu             sync.Mutex // guards everything below
-	pending        []pendingRec
+	pending        []wal.Record
+	pendingOffset  int64                            // WAL offset after the last pending batch
 	pendingEnd     map[history.AttrID]timeline.Time // observation end incl. pending appends
 	pendingHorizon timeline.Time                    // horizon incl. pending extensions
 	firstPending   time.Time                        // arrival of the oldest pending record
@@ -242,9 +236,10 @@ func (in *Ingester) View(fn func(ds *history.Dataset)) {
 
 // Submit validates a batch of deltas, appends it to the WAL (durable per
 // the log's sync policy) and enqueues it for apply. The batch is atomic:
-// a validation failure anywhere rejects the whole batch with ErrRejected
-// and nothing is logged. On success the records are crash-durable; they
-// become query-visible at the next refresh trigger.
+// a validation failure anywhere, or a record the WAL cannot encode,
+// rejects the whole batch with ErrRejected and nothing is logged. On
+// success the records are crash-durable; they become query-visible at
+// the next refresh trigger.
 func (in *Ingester) Submit(recs []wal.Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -270,23 +265,25 @@ func (in *Ingester) Submit(recs []wal.Record) error {
 	}()
 	in.dsMu.RUnlock()
 	if err != nil {
-		in.rejected += int64(len(recs))
-		mRejected.Add(int64(len(recs)))
+		in.reject(len(recs))
 		return err
 	}
 
-	// Durable before acknowledged. Append is atomic per call only at the
-	// frame level; record per-frame end offsets for apply bookkeeping.
-	for i := range recs {
-		end, aerr := in.log.Append(recs[i])
-		if aerr != nil {
-			return fmt.Errorf("ingest: WAL append: %w", aerr)
-		}
-		in.pending = append(in.pending, pendingRec{rec: recs[i], end: end})
+	// Durable before acknowledged: the batch is one WAL append — one
+	// write, one fsync — so it is logged whole or not at all.
+	off, err := in.log.Append(recs...)
+	if errors.Is(err, wal.ErrInvalidRecord) {
+		in.reject(len(recs))
+		return fmt.Errorf("%w: %w", ErrRejected, err)
 	}
-	if len(in.pending) == len(recs) {
+	if err != nil {
+		return fmt.Errorf("ingest: WAL append: %w", err)
+	}
+	if len(in.pending) == 0 {
 		in.firstPending = time.Now()
 	}
+	in.pending = append(in.pending, recs...)
+	in.pendingOffset = off
 	for id, end := range scratchEnd {
 		in.pendingEnd[id] = end
 	}
@@ -303,6 +300,12 @@ func (in *Ingester) Submit(recs []wal.Record) error {
 		}
 	}
 	return nil
+}
+
+// reject counts a rejected batch. Caller holds mu.
+func (in *Ingester) reject(n int) {
+	in.rejected += int64(n)
+	mRejected.Add(int64(n))
 }
 
 // validateLocked checks one record against the dataset plus the pending
@@ -443,20 +446,16 @@ func (in *Ingester) apply() error {
 		in.mu.Unlock()
 		return nil
 	}
-	batch := in.pending
+	batch, endOffset := in.pending, in.pendingOffset
 	in.pending = nil
 	in.pendingEnd = make(map[history.AttrID]timeline.Time)
 	target := in.pendingHorizon
 	in.mu.Unlock()
 
-	recs := make([]wal.Record, len(batch))
-	for i, p := range batch {
-		recs[i] = p.rec
-	}
 	applyStart := time.Now()
 	in.dsMu.Lock()
 	err := in.eng.RefreshWith(target, func(ds *history.Dataset) ([]history.AttrID, error) {
-		return applyRecords(ds, recs, false)
+		return applyRecords(ds, batch, false)
 	})
 	in.dsMu.Unlock()
 	applyDur := time.Since(applyStart)
@@ -482,7 +481,6 @@ func (in *Ingester) apply() error {
 		return err
 	}
 
-	endOffset := batch[len(batch)-1].end
 	in.mu.Lock()
 	in.appliedOffset = endOffset
 	in.applied += int64(len(batch))
@@ -524,7 +522,7 @@ func (in *Ingester) snapshot(offset int64) error {
 	cfg := in.opt.Snapshot
 	snapStart := time.Now()
 	in.dsMu.RLock()
-	err := persist.WriteSnapshot(in.ds, cfg.Dir, cfg.Shards, cfg.Seed, offset)
+	err := persist.WriteSnapshot(in.ds, cfg.Path, offset)
 	in.dsMu.RUnlock()
 	ev := obs.Event{Kind: obs.EventSnapshot, Duration: time.Since(snapStart)}
 	if err != nil {
@@ -612,8 +610,8 @@ func applyRecords(ds *history.Dataset, recs []wal.Record, inPlace bool) ([]histo
 	return changed, nil
 }
 
-// Replay folds the WAL suffix starting at offset from (the snapshot
-// manifest's WALOffset; <= 0 means the whole log) into the dataset in
+// Replay folds the WAL suffix starting at offset from (the offset the
+// loaded snapshot covers; <= 0 means the whole log) into the dataset in
 // place — the startup path, before any engine exists and before
 // concurrent readers. progress, if non-nil, is called after every record
 // with the count replayed so far and the byte offset reached; servers

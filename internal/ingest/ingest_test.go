@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"tind/internal/datagen"
 	"tind/internal/history"
 	"tind/internal/index"
+	"tind/internal/obs"
 	"tind/internal/oracle"
 	"tind/internal/persist"
 	"tind/internal/shard"
@@ -303,6 +305,112 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+func walFsyncs() float64 { return obs.Default().Snapshot().Value("tind_wal_fsync_total") }
+
+// TestSubmitBatchIsOneFsync pins that an acknowledged batch is one WAL
+// append: N records cost one write and one fsync, not N.
+func TestSubmitBatchIsOneFsync(t *testing.T) {
+	ds := genDataset(t)
+	x := buildMono(t, ds, genHorizon)
+	log, err := wal.Open(filepath.Join(t.TempDir(), "ingest.wal"), wal.Options{Sync: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	in := New(x, ds, log, Options{MaxDirty: 1 << 20, MaxDirtyAge: time.Hour})
+	defer in.Close()
+
+	batch := newDeltaGen(ds, 5).round(4)
+	if len(batch) < 4 {
+		t.Fatalf("batch of %d records is too small to tell one fsync from many", len(batch))
+	}
+	before := walFsyncs()
+	if err := in.Submit(batch); err != nil {
+		t.Fatal(err)
+	}
+	if got := walFsyncs() - before; got != 1 {
+		t.Fatalf("a %d-record batch cost %v fsyncs, want 1", len(batch), got)
+	}
+	if log.Records() != len(batch) {
+		t.Fatalf("WAL holds %d records, want %d", log.Records(), len(batch))
+	}
+}
+
+// unencodableFixture is an ingester over a SyncAlways WAL and a function
+// returning a batch of three records that pass validation, the last of
+// which carries the given value. A value over the WAL's 1 MiB string
+// limit makes the batch one the log cannot encode.
+func unencodableFixture(t *testing.T) (*Ingester, *history.Dataset, *index.Index, *wal.Log, func(last string) []wal.Record) {
+	t.Helper()
+	ds := genDataset(t)
+	x := buildMono(t, ds, genHorizon)
+	log, err := wal.Open(filepath.Join(t.TempDir(), "ingest.wal"), wal.Options{Sync: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { log.Close() })
+	in := New(x, ds, log, Options{MaxDirty: 1 << 20, MaxDirtyAge: time.Hour})
+	t.Cleanup(func() { in.Close() })
+	h := genHorizon + 2
+	batch := func(last string) []wal.Record {
+		return []wal.Record{
+			{Type: wal.TypeExtendHorizon, Horizon: h},
+			{Type: wal.TypeAppend, Attr: 0, Start: ds.Attr(0).ObservedUntil(), End: h, Values: []string{"fixed-0"}},
+			{Type: wal.TypeAppend, Attr: 1, Start: ds.Attr(1).ObservedUntil(), End: h, Values: []string{last}},
+		}
+	}
+	return in, ds, x, log, batch
+}
+
+var oversizedValue = strings.Repeat("x", 1<<20+1)
+
+// TestUnencodableBatchLeavesNoTrace: a batch that passes validation but
+// holds a record the WAL cannot encode is rejected before anything is
+// logged — no bytes, no pending records, no fsync.
+func TestUnencodableBatchLeavesNoTrace(t *testing.T) {
+	in, _, _, log, batch := unencodableFixture(t)
+	size, fsyncs := log.Size(), walFsyncs()
+	if err := in.Submit(batch(oversizedValue)); !errors.Is(err, ErrRejected) {
+		t.Fatalf("oversized value: error %v does not match ErrRejected", err)
+	}
+	if st := in.Stats(); log.Size() != size || st.PendingRecords != 0 || walFsyncs() != fsyncs || st.RejectedRecords != 3 {
+		t.Fatalf("rejected batch left a trace: WAL %d→%d bytes, %d pending, %v fsyncs, %d rejected",
+			size, log.Size(), st.PendingRecords, walFsyncs()-fsyncs, st.RejectedRecords)
+	}
+}
+
+// TestCorrectedResendAppliesAndReplays: after an unencodable batch is
+// refused, the client's corrected resend is acknowledged, applies and
+// replays cleanly. Had the refused batch's prefix been logged, the
+// resend would duplicate it: the flush would fail, and so would every
+// later replay of the log.
+func TestCorrectedResendAppliesAndReplays(t *testing.T) {
+	in, ds, x, log, batch := unencodableFixture(t)
+	if err := in.Submit(batch(oversizedValue)); err == nil {
+		t.Fatal("oversized value accepted")
+	}
+	if err := in.Submit(batch("fixed-1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	h := genHorizon + 2
+	replayed := genDataset(t)
+	if _, n, err := Replay(replayed, log, 0, nil); err != nil || n != 3 {
+		t.Fatalf("replay: %d records, error %v; want 3, nil", n, err)
+	}
+	if replayed.Horizon() != h {
+		t.Fatalf("replayed horizon %d, want %d", replayed.Horizon(), h)
+	}
+	for id := history.AttrID(0); id < 2; id++ {
+		if got, want := replayed.Attr(id).ObservedUntil(), ds.Attr(id).ObservedUntil(); got != want || got != h {
+			t.Fatalf("attribute %d: replayed end %d, applied %d, want %d", id, got, want, h)
+		}
+	}
+	assertEngineParity(t, ds, x, h)
+}
+
 // TestKillMidIngestRecoveryParity is the crash-recovery acceptance test:
 // a server ingests durably, snapshots mid-stream, keeps ingesting, and
 // dies without warning (the WAL even gets a torn tail). Recovery =
@@ -312,7 +420,7 @@ func TestSubmitValidation(t *testing.T) {
 func TestKillMidIngestRecoveryParity(t *testing.T) {
 	dir := t.TempDir()
 	walPath := filepath.Join(dir, "ingest.wal")
-	snapDir := filepath.Join(dir, "snapshot")
+	snapPath := filepath.Join(dir, "snapshot")
 	const shards = 3
 
 	// --- Victim process: ingest, snapshot, ingest more, die. ---
@@ -328,7 +436,7 @@ func TestKillMidIngestRecoveryParity(t *testing.T) {
 		// which records are applied vs merely durable is deterministic.
 		in := New(sx, ds, log, Options{
 			MaxDirty: 1 << 20, MaxDirtyAge: time.Hour,
-			Snapshot: SnapshotConfig{Dir: snapDir, Shards: shards, Seed: 9, Every: 1},
+			Snapshot: SnapshotConfig{Path: snapPath, Every: 1},
 		})
 		g := newDeltaGen(ds, 3)
 		for round := 0; round < 3; round++ {
@@ -365,19 +473,19 @@ func TestKillMidIngestRecoveryParity(t *testing.T) {
 	}
 
 	// --- Restart: snapshot + WAL-suffix replay. ---
-	dsRec, man, err := persist.OpenSnapshot(snapDir)
+	dsRec, snapOffset, err := persist.OpenSnapshot(snapPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if man.WALOffset <= int64(wal.HeaderSize) {
-		t.Fatalf("snapshot covers no WAL prefix: offset %d", man.WALOffset)
+	if snapOffset <= int64(wal.HeaderSize) {
+		t.Fatalf("snapshot covers no WAL prefix: offset %d", snapOffset)
 	}
 	logRec, err := wal.Open(walPath, wal.Options{Sync: wal.SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer logRec.Close()
-	want, err := logRec.CountFrom(man.WALOffset)
+	want, err := logRec.CountFrom(snapOffset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +493,7 @@ func TestKillMidIngestRecoveryParity(t *testing.T) {
 		t.Fatal("no WAL suffix to replay — the crash window is empty")
 	}
 	var progress []int
-	end, n, err := Replay(dsRec, logRec, man.WALOffset, func(replayed int, _ int64) {
+	end, n, err := Replay(dsRec, logRec, snapOffset, func(replayed int, _ int64) {
 		progress = append(progress, replayed)
 	})
 	if err != nil {

@@ -8,7 +8,9 @@ import (
 )
 
 // FuzzRead asserts the binary reader never panics or over-allocates on
-// arbitrary input: it either parses a valid dataset or returns an error.
+// arbitrary input: it either parses a valid dataset and a non-negative
+// WAL offset or returns an error. Every corpus and snapshot load goes
+// through this decoder.
 func FuzzRead(f *testing.F) {
 	c, err := datagen.Generate(datagen.Config{Seed: 3, Attributes: 20, Horizon: 120, AttrsPerDomain: 10})
 	if err != nil {
@@ -18,18 +20,16 @@ func FuzzRead(f *testing.F) {
 	if err := Write(c.Dataset, &buf); err != nil {
 		f.Fatal(err)
 	}
-	good := buf.Bytes()
+	good := bytes.Clone(buf.Bytes())
 	f.Add(good)
 	f.Add([]byte{})
 	f.Add([]byte("TIND"))
 	f.Add(append([]byte("TIND"), 1, 0, 0, 0))
 	f.Add(append([]byte("TIND"), 2, 0, 0, 0))
 	f.Add(good[:len(good)/3])
-	// Footer-less and version-patched variants: a legacy v1 body (valid)
-	// and a v2 body missing its checksum footer (must error).
-	legacy := append([]byte(nil), good[:len(good)-footerSize]...)
-	legacy[len(magic)] = 1
-	f.Add(legacy)
+	// Older and footer-less variants: a legacy v1 body (valid) and a
+	// current body missing its checksum footer (must error).
+	f.Add(encodeVersion(f, c.Dataset, 1))
 	f.Add(good[:len(good)-footerSize])
 	f.Add(good[:len(good)-1])
 	// A few targeted mutations as seeds.
@@ -38,10 +38,20 @@ func FuzzRead(f *testing.F) {
 		m[pos] ^= 0xff
 		f.Add(m)
 	}
+	// A snapshot's encoding: a non-zero, multi-byte WAL offset in the
+	// header, whole and truncated; and a v2 body (valid, offset 0).
+	buf.Reset()
+	if err := write(c.Dataset, &buf, 1<<40+12345); err != nil {
+		f.Fatal(err)
+	}
+	snap := buf.Bytes()
+	f.Add(snap)
+	f.Add(snap[:len(snap)/2])
+	f.Add(encodeVersion(f, c.Dataset, 2))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ds, err := Read(bytes.NewReader(data))
-		if err == nil && ds == nil {
-			t.Fatal("nil dataset without error")
+		ds, off, err := read(bytes.NewReader(data))
+		if err == nil && (ds == nil || off < 0) {
+			t.Fatalf("dataset %v, WAL offset %d without error", ds, off)
 		}
 	})
 }

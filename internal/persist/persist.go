@@ -4,7 +4,7 @@
 //
 // Format (all integers unsigned varints unless noted):
 //
-//	magic "TIND" | format version | horizon
+//	magic "TIND" | format version | WAL offset (version ≥ 3) | horizon
 //	dictionary: count, then length-prefixed strings in id order
 //	attributes: count, then per attribute:
 //	    page, table, column (length-prefixed strings)
@@ -18,8 +18,11 @@
 // Delta coding keeps real corpora small: version starts are ascending and
 // value ids within a set are sorted. The checksum footer (format version
 // 2) lets Read reject truncated or bit-rotted corpora with a precise
-// error instead of silently loading garbage that happens to parse;
-// version-1 files (no footer) remain readable.
+// error instead of silently loading garbage that happens to parse. The
+// WAL offset (format version 3) is the write-ahead-log position a
+// snapshot covers (see snapshot.go); a plain corpus carries 0. Version-1
+// (no footer) and version-2 (no offset) files remain readable, with
+// offset 0.
 package persist
 
 import (
@@ -28,6 +31,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"time"
 
 	"tind/internal/history"
@@ -54,7 +58,7 @@ var (
 
 const (
 	magic         = "TIND"
-	formatVersion = 2
+	formatVersion = 3
 	// maxString guards against corrupt length prefixes.
 	maxString = 1 << 20
 	// footerSize is the fixed width of the version-2 checksum footer.
@@ -87,9 +91,11 @@ func (w *writer) WriteString(s string) (int, error) {
 	return w.bw.WriteString(s)
 }
 
-// Write serializes the dataset in the current format version, appending
-// the checksum footer.
-func Write(ds *history.Dataset, w io.Writer) error {
+// Write serializes the dataset in the current format version, with WAL
+// offset 0, appending the checksum footer.
+func Write(ds *history.Dataset, w io.Writer) error { return write(ds, w, 0) }
+
+func write(ds *history.Dataset, w io.Writer, walOffset int64) error {
 	start := time.Now()
 	defer func() { mWriteSeconds.ObserveDuration(time.Since(start)) }()
 	bw := &writer{bw: bufio.NewWriter(w)}
@@ -97,6 +103,7 @@ func Write(ds *history.Dataset, w io.Writer) error {
 		return err
 	}
 	writeUvarint(bw, formatVersion)
+	writeUvarint(bw, uint64(walOffset))
 	writeUvarint(bw, uint64(ds.Horizon()))
 
 	dict := ds.Dict()
@@ -162,10 +169,17 @@ func (r *reader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Read deserializes a dataset written by Write. Version-2 inputs are
-// verified against the checksum footer: a truncated or corrupted file
-// that still parses structurally is rejected with a checksum mismatch.
-func Read(r io.Reader) (ds *history.Dataset, err error) {
+// Read deserializes a dataset written by Write. Inputs of version 2 and
+// later are verified against the checksum footer: a truncated or
+// corrupted file that still parses structurally is rejected with a
+// checksum mismatch.
+func Read(r io.Reader) (*history.Dataset, error) {
+	ds, _, err := read(r)
+	return ds, err
+}
+
+// read is Read that also returns the file's WAL offset.
+func read(r io.Reader) (ds *history.Dataset, walOffset int64, err error) {
 	start := time.Now()
 	br := &reader{br: bufio.NewReader(r)}
 	defer func() {
@@ -177,63 +191,72 @@ func Read(r io.Reader) (ds *history.Dataset, err error) {
 	}()
 	head := make([]byte, len(magic))
 	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("persist: reading magic: %w", err)
+		return nil, 0, fmt.Errorf("persist: reading magic: %w", err)
 	}
 	if string(head) != magic {
-		return nil, fmt.Errorf("persist: not a tind dataset (magic %q)", head)
+		return nil, 0, fmt.Errorf("persist: not a tind dataset (magic %q)", head)
 	}
 	ver, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if ver != 1 && ver != formatVersion {
-		return nil, fmt.Errorf("persist: unsupported format version %d (supported: 1, %d)", ver, formatVersion)
+	if ver < 1 || ver > formatVersion {
+		return nil, 0, fmt.Errorf("persist: unsupported format version %d (supported: 1–%d)", ver, formatVersion)
+	}
+	var off uint64
+	if ver >= 3 {
+		if off, err = binary.ReadUvarint(br); err != nil {
+			return nil, 0, err
+		}
+		if off > math.MaxInt64 {
+			return nil, 0, fmt.Errorf("persist: WAL offset %d out of range", off)
+		}
 	}
 	horizon, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	ds = history.NewDataset(timeline.Time(horizon))
 
 	nDict, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	dict := ds.Dict()
 	for i := uint64(0); i < nDict; i++ {
 		s, err := readString(br)
 		if err != nil {
-			return nil, fmt.Errorf("persist: dictionary entry %d: %w", i, err)
+			return nil, 0, fmt.Errorf("persist: dictionary entry %d: %w", i, err)
 		}
 		if got := dict.Intern(s); got != values.Value(i) {
-			return nil, fmt.Errorf("persist: duplicate dictionary entry %q", s)
+			return nil, 0, fmt.Errorf("persist: duplicate dictionary entry %q", s)
 		}
 	}
 
 	nAttrs, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for a := uint64(0); a < nAttrs; a++ {
 		h, err := readAttribute(br, timeline.Time(horizon), nDict)
 		if err != nil {
-			return nil, fmt.Errorf("persist: attribute %d: %w", a, err)
+			return nil, 0, fmt.Errorf("persist: attribute %d: %w", a, err)
 		}
 		if _, err := ds.Add(h); err != nil {
-			return nil, fmt.Errorf("persist: attribute %d: %w", a, err)
+			return nil, 0, fmt.Errorf("persist: attribute %d: %w", a, err)
 		}
 	}
 	if ver >= 2 {
 		sum := br.crc // checksum of the payload, before the footer bytes
 		var foot [footerSize]byte
 		if _, err := io.ReadFull(br.br, foot[:]); err != nil {
-			return nil, fmt.Errorf("persist: reading checksum footer: %w", err)
+			return nil, 0, fmt.Errorf("persist: reading checksum footer: %w", err)
 		}
 		if want := binary.LittleEndian.Uint32(foot[:]); want != sum {
-			return nil, fmt.Errorf("persist: checksum mismatch: footer %#08x, computed %#08x (file corrupt or truncated)", want, sum)
+			return nil, 0, fmt.Errorf("persist: checksum mismatch: footer %#08x, computed %#08x (file corrupt or truncated)", want, sum)
 		}
 	}
-	return ds, nil
+	return ds, int64(off), nil
 }
 
 func readAttribute(br *reader, horizon timeline.Time, nDict uint64) (*history.History, error) {
@@ -262,7 +285,9 @@ func readAttribute(br *reader, horizon timeline.Time, nDict uint64) (*history.Hi
 	if nVersions > uint64(horizon)+1 {
 		return nil, fmt.Errorf("version count %d exceeds horizon", nVersions)
 	}
-	versions := make([]history.Version, 0, nVersions)
+	// The count is bounded only by the horizon, which the input names too:
+	// grow from a small capacity rather than trust it.
+	versions := make([]history.Version, 0, min(nVersions, 1024))
 	start := timeline.Time(0)
 	for v := uint64(0); v < nVersions; v++ {
 		d, err := binary.ReadUvarint(br)

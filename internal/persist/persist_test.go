@@ -2,6 +2,9 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -169,25 +172,33 @@ func TestReadRejectsTruncatedFooter(t *testing.T) {
 	}
 }
 
+// encodeVersion encodes ds in an older format version: version 2 is
+// the current encoding without the header's WAL offset field (0, one
+// byte) and with its footer recomputed; version 1 also lacks the footer.
+func encodeVersion(t testing.TB, ds *history.Dataset, ver byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Write(ds, &buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	if data[len(magic)] != formatVersion || formatVersion != 3 || data[len(magic)+1] != 0 {
+		t.Fatalf("unexpected header % x", data[:len(magic)+2])
+	}
+	old := append([]byte(magic), ver)
+	old = append(old, data[len(magic)+2:len(data)-footerSize]...)
+	if ver >= 2 {
+		old = binary.LittleEndian.AppendUint32(old, crc32.Checksum(old, castagnoli))
+	}
+	return old
+}
+
 func TestReadAcceptsLegacyV1(t *testing.T) {
-	// A version-1 file is a version-2 file minus the footer, with the
-	// version byte patched down (both 1 and 2 encode as a single varint
-	// byte at offset len(magic)).
 	c, err := datagen.Generate(datagen.Config{Seed: 9, Attributes: 25, Horizon: 150, AttrsPerDomain: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := Write(c.Dataset, &buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	legacy := append([]byte(nil), data[:len(data)-footerSize]...)
-	if legacy[len(magic)] != formatVersion {
-		t.Fatalf("expected version byte %d at offset %d", formatVersion, len(magic))
-	}
-	legacy[len(magic)] = 1
-	got, err := Read(bytes.NewReader(legacy))
+	got, err := Read(bytes.NewReader(encodeVersion(t, c.Dataset, 1)))
 	if err != nil {
 		t.Fatalf("legacy v1 file must stay readable: %v", err)
 	}
@@ -199,6 +210,21 @@ func TestReadRejectsGarbageAfterHeader(t *testing.T) {
 	data := append([]byte(magic), 1 /* version */, 100 /* horizon */, 200, 200, 200, 200, 200, 1)
 	if _, err := Read(bytes.NewReader(data)); err == nil {
 		t.Fatal("garbage sizes must fail")
+	}
+	// A version count is bounded only by the horizon, which the input
+	// names too: 2^26 versions under a 2^40-day horizon in 21 bytes.
+	data = append([]byte(magic), 1)
+	data = binary.AppendUvarint(data, 1<<40)
+	data = append(data, 0, 1, 0, 0, 0, 0) // no dictionary, one attribute, empty names, end 0
+	data = binary.AppendUvarint(data, 1<<26)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Read(bytes.NewReader(data)); err == nil {
+		t.Fatal("truncated version list must fail")
+	}
+	runtime.ReadMemStats(&after)
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 16<<20 {
+		t.Fatalf("a %d-byte input allocated %d MiB", len(data), grown>>20)
 	}
 }
 

@@ -1,20 +1,16 @@
 package persist
 
-// This file implements snapshots: crash-safe sharded containers paired
-// with a write-ahead log. A snapshot is an ordinary tind-shards/1
-// container whose manifest additionally records the WAL byte offset it
-// covers; startup recovery loads the snapshot and replays only the WAL
-// suffix past that offset.
+// This file implements snapshots: crash-safe dataset files paired with a
+// write-ahead log. A snapshot is an ordinary dataset file whose header
+// records the WAL byte offset it covers; startup recovery loads the
+// snapshot and replays only the WAL suffix past that offset.
 //
-// Atomicity is by whole-directory generation swap, not in-place
-// overwrite: the new container is fully written (and fsynced) under
-// <dir>.tmp, the live generation — if any — is parked at <dir>.prev,
-// then <dir>.tmp renames into place and the parked generation is
-// deleted. A crash at any point leaves either the old generation at
-// <dir>, or — in the narrow window between the two renames — at
-// <dir>.prev, which OpenSnapshot rolls back into place. There is no
-// state in which a reader observes a half-written container: manifests
-// are written last within a generation, and renames are atomic.
+// Atomicity is by rename, not in-place overwrite: the new snapshot is
+// fully written and fsynced at <path>.tmp, then renamed over <path>, and
+// the parent directory is fsynced. rename(2) replaces the old file
+// atomically, so a crash at any point leaves a complete snapshot at
+// <path> (or none, before the first), and at worst a torn <path>.tmp
+// that OpenSnapshot discards.
 
 import (
 	"fmt"
@@ -24,80 +20,53 @@ import (
 	"tind/internal/history"
 )
 
-// snapshot generation suffixes. tmp is the in-progress generation (never
-// readable until renamed), prev parks the outgoing generation during the
-// swap window.
-const (
-	snapTmpSuffix  = ".tmp"
-	snapPrevSuffix = ".prev"
-)
+// snapTmpSuffix names the in-progress snapshot, never read until renamed.
+const snapTmpSuffix = ".tmp"
 
-// WriteSnapshot atomically replaces the snapshot container at dir with
-// the dataset's current state, recording walOffset as the WAL position
-// the snapshot covers. Blobs and manifest are fsynced before the swap;
-// the swap itself is rename-based, so a crash leaves a recoverable
-// generation behind (see OpenSnapshot). Callers serialize WriteSnapshot
-// against itself per dir.
-func WriteSnapshot(ds *history.Dataset, dir string, shards int, seed int64, walOffset int64) error {
-	tmp := dir + snapTmpSuffix
-	prev := dir + snapPrevSuffix
-	if err := os.RemoveAll(tmp); err != nil {
-		return fmt.Errorf("persist: clearing stale snapshot generation: %w", err)
+// WriteSnapshot atomically replaces the snapshot file at path with the
+// dataset's current state, recording walOffset as the WAL position the
+// snapshot covers. Callers serialize WriteSnapshot against itself per
+// path.
+func WriteSnapshot(ds *history.Dataset, path string, walOffset int64) error {
+	tmp := path + snapTmpSuffix
+	f, err := os.Create(tmp)
+	if err != nil {
+		return fmt.Errorf("persist: snapshot: %w", err)
 	}
-	if err := writeSharded(ds, tmp, shards, seed, walOffset, true); err != nil {
-		os.RemoveAll(tmp)
-		return err
+	err = write(ds, f, walOffset)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := syncDir(tmp); err != nil {
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	// Swap: park the live generation, promote the new one, drop the park.
-	if err := os.RemoveAll(prev); err != nil {
-		return fmt.Errorf("persist: clearing parked snapshot: %w", err)
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if _, err := os.Stat(dir); err == nil {
-		if err := os.Rename(dir, prev); err != nil {
-			return fmt.Errorf("persist: parking live snapshot: %w", err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
+	if err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("persist: snapshot: %w", err)
 	}
-	if err := os.Rename(tmp, dir); err != nil {
-		// Roll the parked generation back so the snapshot stays readable.
-		if _, serr := os.Stat(prev); serr == nil {
-			os.Rename(prev, dir)
-		}
-		return fmt.Errorf("persist: promoting snapshot: %w", err)
-	}
-	os.RemoveAll(prev)
-	return syncDir(filepath.Dir(dir))
+	return syncDir(filepath.Dir(path))
 }
 
-// OpenSnapshot loads the snapshot at dir, recovering from an
-// interrupted WriteSnapshot if needed: a missing or unreadable <dir>
-// with an intact <dir>.prev means the crash hit the swap window, and the
-// parked generation is rolled back into place. A leftover <dir>.tmp is
-// always discarded — it was never promoted, so it may be torn. Returns
-// os.ErrNotExist (wrapped) when no generation exists at all.
-func OpenSnapshot(dir string) (*history.Dataset, *Manifest, error) {
-	tmp := dir + snapTmpSuffix
-	prev := dir + snapPrevSuffix
-	os.RemoveAll(tmp)
-	if !IsSharded(dir) {
-		if IsSharded(prev) {
-			if err := os.RemoveAll(dir); err != nil {
-				return nil, nil, fmt.Errorf("persist: clearing broken snapshot before rollback: %w", err)
-			}
-			if err := os.Rename(prev, dir); err != nil {
-				return nil, nil, fmt.Errorf("persist: rolling back parked snapshot: %w", err)
-			}
-		} else {
-			return nil, nil, fmt.Errorf("persist: no snapshot at %s: %w", dir, os.ErrNotExist)
-		}
-	} else {
-		os.RemoveAll(prev)
+// OpenSnapshot loads the snapshot at path and returns the WAL offset it
+// covers. A leftover <path>.tmp is discarded first: it was never renamed
+// into place, so it may be torn. The error wraps os.ErrNotExist when no
+// snapshot exists; anything else at path that is not a snapshot file —
+// a directory included — is an error.
+func OpenSnapshot(path string) (*history.Dataset, int64, error) {
+	os.Remove(path + snapTmpSuffix)
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, fmt.Errorf("persist: snapshot: %w", err)
 	}
-	return ReadSharded(dir)
+	defer f.Close()
+	ds, off, err := read(f)
+	if err != nil {
+		return nil, 0, fmt.Errorf("persist: snapshot %s: %w", path, err)
+	}
+	return ds, off, nil
 }
 
 // syncDir fsyncs a directory so the renames and file creations inside it

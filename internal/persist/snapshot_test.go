@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -26,147 +27,125 @@ func snapDataset(t *testing.T, seed int64, attrs int, horizon timeline.Time) *hi
 	return c.Dataset
 }
 
-func assertSameDataset(t *testing.T, want, got *history.Dataset) {
+func openSnapshot(t *testing.T, path string, wantOffset int64) *history.Dataset {
 	t.Helper()
-	if got.Len() != want.Len() || got.Horizon() != want.Horizon() {
-		t.Fatalf("dataset shape %d/%d, want %d/%d", got.Len(), got.Horizon(), want.Len(), want.Horizon())
+	ds, off, err := OpenSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < want.Len(); i++ {
-		a, b := want.Attr(history.AttrID(i)), got.Attr(history.AttrID(i))
-		if a.Meta() != b.Meta() || a.NumVersions() != b.NumVersions() || a.ObservedUntil() != b.ObservedUntil() {
-			t.Fatalf("attribute %d differs: %v/%d/%d vs %v/%d/%d",
-				i, a.Meta(), a.NumVersions(), a.ObservedUntil(), b.Meta(), b.NumVersions(), b.ObservedUntil())
-		}
+	if off != wantOffset {
+		t.Fatalf("WAL offset %d, want %d", off, wantOffset)
 	}
+	return ds
 }
 
 func TestSnapshotRoundTripCarriesWALOffset(t *testing.T) {
 	ds := snapDataset(t, 21, 12, 90)
-	dir := filepath.Join(t.TempDir(), "snap")
-	if err := WriteSnapshot(ds, dir, 3, 7, 4321); err != nil {
+	path := filepath.Join(t.TempDir(), "snap")
+	if err := WriteSnapshot(ds, path, 4321); err != nil {
 		t.Fatal(err)
 	}
-	got, man, err := OpenSnapshot(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man.WALOffset != 4321 {
-		t.Fatalf("manifest WAL offset %d, want 4321", man.WALOffset)
-	}
-	if man.Shards != 3 || man.Seed != 7 {
-		t.Fatalf("manifest partitioning %d/%d, want 3/7", man.Shards, man.Seed)
-	}
-	assertSameDataset(t, ds, got)
+	assertEqualDatasets(t, ds, openSnapshot(t, path, 4321))
 }
 
 func TestSnapshotReplaceIsAtomic(t *testing.T) {
 	ds1 := snapDataset(t, 21, 12, 90)
 	ds2 := snapDataset(t, 22, 15, 120)
-	dir := filepath.Join(t.TempDir(), "snap")
-	if err := WriteSnapshot(ds1, dir, 2, 7, 100); err != nil {
+	path := filepath.Join(t.TempDir(), "snap")
+	if err := WriteSnapshot(ds1, path, 100); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteSnapshot(ds2, dir, 2, 7, 200); err != nil {
+	if err := WriteSnapshot(ds2, path, 200); err != nil {
 		t.Fatal(err)
 	}
-	got, man, err := OpenSnapshot(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man.WALOffset != 200 {
-		t.Fatalf("manifest WAL offset %d, want 200", man.WALOffset)
-	}
-	assertSameDataset(t, ds2, got)
-	// The generation swap must not leave droppings behind.
-	for _, suffix := range []string{snapTmpSuffix, snapPrevSuffix} {
-		if _, err := os.Stat(dir + suffix); !os.IsNotExist(err) {
-			t.Fatalf("leftover generation %s%s after successful snapshot", dir, suffix)
-		}
+	assertEqualDatasets(t, ds2, openSnapshot(t, path, 200))
+	// The rename must not leave the in-progress file behind.
+	if _, err := os.Stat(path + snapTmpSuffix); !os.IsNotExist(err) {
+		t.Fatalf("leftover %s%s after successful snapshot", path, snapTmpSuffix)
 	}
 }
 
-// TestSnapshotCrashWindows simulates every crash point of the
-// generation swap and asserts OpenSnapshot recovers a complete older
-// generation each time.
+// TestSnapshotCrashWindows simulates the crash states a snapshot write
+// can leave and asserts OpenSnapshot recovers the complete older
+// snapshot, or reports that none exists.
 func TestSnapshotCrashWindows(t *testing.T) {
 	ds1 := snapDataset(t, 21, 12, 90)
 
 	t.Run("torn tmp generation", func(t *testing.T) {
-		// Crash mid-write of the new generation: .tmp exists but was
-		// never promoted. The live generation must still load.
-		dir := filepath.Join(t.TempDir(), "snap")
-		if err := WriteSnapshot(ds1, dir, 2, 7, 100); err != nil {
+		// Crash mid-write of the new snapshot: .tmp exists but was never
+		// renamed. The live snapshot must still load.
+		path := filepath.Join(t.TempDir(), "snap")
+		if err := WriteSnapshot(ds1, path, 100); err != nil {
 			t.Fatal(err)
 		}
-		tmp := dir + snapTmpSuffix
-		if err := os.MkdirAll(tmp, 0o755); err != nil {
+		tmp := path + snapTmpSuffix
+		if err := os.WriteFile(tmp, []byte("TIND\x03torn"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(tmp, "shard-0000.tind"), []byte("torn"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		got, man, err := OpenSnapshot(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if man.WALOffset != 100 {
-			t.Fatalf("WAL offset %d, want 100", man.WALOffset)
-		}
-		assertSameDataset(t, ds1, got)
+		assertEqualDatasets(t, ds1, openSnapshot(t, path, 100))
 		if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-			t.Fatal("torn tmp generation must be discarded on open")
+			t.Fatal("torn tmp file must be discarded on open")
 		}
-	})
-
-	t.Run("crash between renames", func(t *testing.T) {
-		// Crash after parking the live generation but before promoting
-		// the new one: dir is gone, .prev holds the old snapshot.
-		dir := filepath.Join(t.TempDir(), "snap")
-		if err := WriteSnapshot(ds1, dir, 2, 7, 100); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Rename(dir, dir+snapPrevSuffix); err != nil {
-			t.Fatal(err)
-		}
-		got, man, err := OpenSnapshot(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if man.WALOffset != 100 {
-			t.Fatalf("WAL offset %d, want 100", man.WALOffset)
-		}
-		assertSameDataset(t, ds1, got)
 	})
 
 	t.Run("no generation at all", func(t *testing.T) {
-		dir := filepath.Join(t.TempDir(), "snap")
-		if _, _, err := OpenSnapshot(dir); !errors.Is(err, os.ErrNotExist) {
+		path := filepath.Join(t.TempDir(), "snap")
+		if _, _, err := OpenSnapshot(path); !errors.Is(err, os.ErrNotExist) {
 			t.Fatalf("error %v does not match os.ErrNotExist", err)
 		}
 	})
 }
 
-// TestSnapshotBackCompatManifest pins that a pre-WAL container (no
-// wal_offset field) opens as offset zero — replay the whole log.
-func TestSnapshotBackCompatManifest(t *testing.T) {
+// TestSnapshotOpensV2File pins that a corpus file written before the
+// format carried a WAL offset opens as a snapshot covering offset 0 —
+// replay the whole log.
+func TestSnapshotOpensV2File(t *testing.T) {
 	ds := snapDataset(t, 21, 12, 90)
-	dir := filepath.Join(t.TempDir(), "snap")
-	if err := WriteSharded(ds, dir, 2, 7); err != nil {
+	path := filepath.Join(t.TempDir(), "snap")
+	if err := os.WriteFile(path, encodeVersion(t, ds, 2), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, man, err := OpenSnapshot(dir)
+	assertEqualDatasets(t, ds, openSnapshot(t, path, 0))
+}
+
+// TestSnapshotDirectoryIsAnError: a directory at the snapshot path (the
+// container layout of older builds) must fail loudly, never read as "no
+// snapshot yet" — that would silently skip the state it holds.
+func TestSnapshotDirectoryIsAnError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snap")
+	if err := os.MkdirAll(filepath.Join(path, "inner"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := OpenSnapshot(path)
+	if err == nil || errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("directory at the snapshot path: error %v, want a failure other than os.ErrNotExist", err)
+	}
+}
+
+// TestSnapshotOffsetUnderChecksum: the WAL offset is signed by the
+// footer like the rest of the payload, so a flipped offset byte cannot
+// make recovery replay from the wrong position.
+func TestSnapshotOffsetUnderChecksum(t *testing.T) {
+	ds := snapDataset(t, 21, 12, 90)
+	path := filepath.Join(t.TempDir(), "snap")
+	if err := WriteSnapshot(ds, path, 4321); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if man.WALOffset != 0 {
-		t.Fatalf("WAL offset %d for legacy container, want 0", man.WALOffset)
+	// The offset is the varint right after the version byte; flipping
+	// its lowest bit keeps the encoding well-formed.
+	pos := len(magic) + 1
+	if !bytes.Equal(data[pos:pos+2], []byte{0xe1, 0x21}) { // uvarint(4321)
+		t.Fatalf("offset field not at %d: % x", pos, data[pos:pos+2])
 	}
-	assertSameDataset(t, ds, got)
-	blob, err := os.ReadFile(filepath.Join(dir, ManifestName))
-	if err != nil {
+	data[pos] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if s := string(blob); strings.Contains(s, "wal_offset") {
-		t.Fatalf("plain WriteSharded manifest must omit wal_offset (omitempty): %s", s)
+	if _, _, err := OpenSnapshot(path); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("flipped offset byte: error %v, want a checksum mismatch", err)
 	}
 }

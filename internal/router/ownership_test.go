@@ -2,106 +2,63 @@ package router
 
 import (
 	"context"
-	"os"
-	"path/filepath"
+	"slices"
 	"testing"
 
 	"tind/internal/core"
 	"tind/internal/history"
 	"tind/internal/index"
-	"tind/internal/persist"
 	"tind/internal/shard"
 	"tind/internal/timeline"
 )
 
-// TestManifestOwnershipRoundTrip pins the ownership agreement between
-// the persisted sharded container and the serving partition: a corpus
-// written with (seed, shards) and reopened from disk must land every
-// attribute on exactly the shard that shard.BuildSingle — and therefore
-// every shard server behind a router — claims to own, with the blob's
-// attribute order matching the shard-local id order (OwnedGlobals). A
-// drift here would make a shard server silently answer for attributes
-// whose index it never built.
-func TestManifestOwnershipRoundTrip(t *testing.T) {
-	const (
-		horizon = timeline.Time(100)
-		shards  = 4
-		seed    = int64(7)
-	)
+// TestShardOwnershipAgreement pins the ownership agreement between the
+// partition function and the serving partition: every attribute lands on
+// exactly the shard that shard.BuildSingle — and therefore every shard
+// server behind a router — claims to own, with shard-local ids in
+// ascending global order (OwnedGlobals). A drift here would make a shard
+// server silently answer for attributes whose index it never built.
+func TestShardOwnershipAgreement(t *testing.T) {
+	const horizon = timeline.Time(100)
 	ds := genDataset(t, 31, 40, horizon)
-	dir := t.TempDir()
-	if err := persist.WriteSharded(ds, dir, shards, seed); err != nil {
-		t.Fatal(err)
-	}
-	if !persist.IsSharded(dir) {
-		t.Fatal("written container not recognized as sharded")
-	}
-	got, man, err := persist.ReadSharded(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man.Shards != shards || man.Seed != seed || man.Attributes != ds.Len() {
-		t.Fatalf("manifest (shards %d, seed %d, attrs %d) does not round-trip (want %d, %d, %d)",
-			man.Shards, man.Seed, man.Attributes, shards, seed, ds.Len())
-	}
-	if got.Len() != ds.Len() {
-		t.Fatalf("reassembled dataset has %d attributes, want %d", got.Len(), ds.Len())
-	}
+	opt := testOptions(horizon, 4)
+	seed, shards := opt.Seed, opt.Shards
 
-	// The manifest's per-file attribute counts must match the ShardOf
-	// partition the router's assignment derives.
-	for s, mf := range man.Files {
-		owned := shard.OwnedGlobals(man.Attributes, man.Seed, man.Shards, s)
-		if mf.Attributes != len(owned) {
-			t.Fatalf("manifest file %d lists %d attributes, OwnedGlobals says %d", s, mf.Attributes, len(owned))
-		}
-	}
-
-	// Each shard blob, read standalone, holds exactly the attributes a
-	// shard server for that slot owns — in shard-local id order.
-	opt := testOptions(horizon, shards)
+	owners := make([]int, ds.Len())
 	for s := 0; s < shards; s++ {
-		sg, err := shard.BuildSingle(got, opt, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := os.Open(filepath.Join(dir, man.Files[s].File))
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob, err := persist.Read(f)
-		f.Close()
+		sg, err := shard.BuildSingle(ds, opt, s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		owned := sg.Globals()
-		if blob.Len() != len(owned) {
-			t.Fatalf("shard %d blob holds %d attributes, server owns %d", s, blob.Len(), len(owned))
+		if want := shard.OwnedGlobals(ds.Len(), seed, shards, s); !slices.Equal(owned, want) {
+			t.Fatalf("shard %d owns %v, OwnedGlobals says %v", s, owned, want)
 		}
 		for local, g := range owned {
-			want := got.Attr(g).Meta()
-			have := blob.Attr(history.AttrID(local)).Meta()
-			if want != have {
-				t.Fatalf("shard %d local %d: blob holds %+v, server owns global %d (%+v)", s, local, have, g, want)
-			}
 			if l, ok := sg.Local(g); !ok || int(l) != local {
 				t.Fatalf("shard %d: Local(%d) = (%d, %v), want (%d, true)", s, g, l, ok, local)
 			}
 			if history.ShardOf(g, seed, shards) != s {
 				t.Fatalf("shard %d claims global %d, ShardOf assigns %d", s, g, history.ShardOf(g, seed, shards))
 			}
+			owners[g]++
+		}
+	}
+	for g, n := range owners {
+		if n != 1 {
+			t.Fatalf("global %d is owned by %d shards, want 1", g, n)
 		}
 	}
 
-	// End to end: a cluster over the reopened corpus answers with the
-	// reopened ids — topology validation alone proves the servers and
-	// the container agree on (seed, shards, corpus size).
-	cl := startCluster(t, got, opt)
-	if info := cl.router.Info(); info.Seed != seed || info.Shards != shards || info.Attributes != got.Len() {
-		t.Fatalf("router topology %+v disagrees with container manifest", info)
+	// End to end: topology validation alone proves the servers agree
+	// with the partition on (seed, shards, corpus size).
+	cl := startCluster(t, ds, opt)
+	if info := cl.router.Info(); info.Seed != seed || info.Shards != shards || info.Attributes != ds.Len() {
+		t.Fatalf("router topology %+v disagrees with the partition (seed %d, %d shards, %d attributes)",
+			info, seed, shards, ds.Len())
 	}
 	o := index.QueryOptions{Mode: index.ModeForward, Params: core.DefaultDays(horizon)}
-	if _, err := cl.router.Query(context.Background(), got.Attr(0), o); err != nil {
+	if _, err := cl.router.Query(context.Background(), ds.Attr(0), o); err != nil {
 		t.Fatal(err)
 	}
 }

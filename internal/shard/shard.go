@@ -116,8 +116,7 @@ func Build(ds *history.Dataset, opt Options) (*ShardedIndex, error) {
 // the ShardOf(·, seed, shards) assignment over a corpus of n attributes,
 // ascending. The position of a global id in the returned slice is its
 // shard-local id — the contract every consumer of the partition (the
-// in-process ShardedIndex, the sharded persist container, the shard
-// servers and the router) shares.
+// in-process ShardedIndex, the shard servers and the router) shares.
 func OwnedGlobals(n int, seed int64, shards, s int) []history.AttrID {
 	var out []history.AttrID
 	for g := 0; g < n; g++ {

@@ -234,11 +234,18 @@ func (l *Log) Size() int64 { return l.size }
 // Records returns the number of valid records in the log.
 func (l *Log) Records() int { return l.records }
 
+// ErrInvalidRecord is wrapped by every Append failure that rejects a
+// record before anything is written: a negative field, an unknown type,
+// or a value or payload over the log's size limits.
+var ErrInvalidRecord = errors.New("wal: invalid record")
+
 // Append frames, writes and (per the sync policy) fsyncs the records as
 // one batch, returning the end offset after them. When it returns nil
-// under SyncAlways, the records are on stable storage. A write error
-// leaves the in-memory offset unchanged; the next Open truncates
-// whatever partial frame reached the disk.
+// under SyncAlways, the records are on stable storage. Every record is
+// encoded before the write, so a record the log cannot hold fails the
+// whole batch with ErrInvalidRecord and nothing reaches the file. A
+// write error leaves the in-memory offset unchanged; the next Open
+// truncates whatever partial frame reached the disk.
 func (l *Log) Append(recs ...Record) (int64, error) {
 	if len(recs) == 0 {
 		return l.size, nil
@@ -247,7 +254,7 @@ func (l *Log) Append(recs ...Record) (int64, error) {
 	for i := range recs {
 		payload, err := encode(&recs[i])
 		if err != nil {
-			return l.size, err
+			return l.size, fmt.Errorf("record %d: %w", i, err)
 		}
 		var hdr [frameHeaderSize]byte
 		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
@@ -386,10 +393,10 @@ func encode(rec *Record) ([]byte, error) {
 	switch rec.Type {
 	case TypeAppend:
 		if rec.Attr < 0 || rec.Start < 0 || rec.End < 0 {
-			return nil, fmt.Errorf("wal: negative field in %v record", rec.Type)
+			return nil, fmt.Errorf("%w: negative field in %v record", ErrInvalidRecord, rec.Type)
 		}
 		if len(rec.Values) > maxValues {
-			return nil, fmt.Errorf("wal: %d values exceed limit %d", len(rec.Values), maxValues)
+			return nil, fmt.Errorf("%w: %d values exceed limit %d", ErrInvalidRecord, len(rec.Values), maxValues)
 		}
 		buf = binary.AppendUvarint(buf, uint64(rec.Attr))
 		buf = binary.AppendUvarint(buf, uint64(rec.Start))
@@ -397,24 +404,28 @@ func encode(rec *Record) ([]byte, error) {
 		buf = binary.AppendUvarint(buf, uint64(len(rec.Values)))
 		for _, v := range rec.Values {
 			if len(v) > maxString {
-				return nil, fmt.Errorf("wal: value length %d exceeds limit %d", len(v), maxString)
+				return nil, fmt.Errorf("%w: value length %d exceeds limit %d", ErrInvalidRecord, len(v), maxString)
 			}
 			buf = binary.AppendUvarint(buf, uint64(len(v)))
 			buf = append(buf, v...)
 		}
 	case TypeExtendObservation:
 		if rec.Attr < 0 || rec.End < 0 {
-			return nil, fmt.Errorf("wal: negative field in %v record", rec.Type)
+			return nil, fmt.Errorf("%w: negative field in %v record", ErrInvalidRecord, rec.Type)
 		}
 		buf = binary.AppendUvarint(buf, uint64(rec.Attr))
 		buf = binary.AppendUvarint(buf, uint64(rec.End))
 	case TypeExtendHorizon:
 		if rec.Horizon < 0 {
-			return nil, fmt.Errorf("wal: negative field in %v record", rec.Type)
+			return nil, fmt.Errorf("%w: negative field in %v record", ErrInvalidRecord, rec.Type)
 		}
 		buf = binary.AppendUvarint(buf, uint64(rec.Horizon))
 	default:
-		return nil, fmt.Errorf("wal: unknown record type %d", rec.Type)
+		return nil, fmt.Errorf("%w: unknown record type %d", ErrInvalidRecord, rec.Type)
+	}
+	// Open treats a longer frame as corruption and would truncate it away.
+	if len(buf) > maxFrame {
+		return nil, fmt.Errorf("%w: payload %d bytes exceeds frame limit %d", ErrInvalidRecord, len(buf), maxFrame)
 	}
 	return buf, nil
 }

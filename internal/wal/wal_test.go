@@ -3,10 +3,12 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -236,20 +238,31 @@ func TestReplayOffsetBeyondEnd(t *testing.T) {
 }
 
 func TestEncodeRejectsInvalid(t *testing.T) {
-	l, _ := openTemp(t, Options{})
-	cases := []Record{
-		{Type: Type(99)},
-		{Type: TypeAppend, Attr: -1, Start: 0, End: 1},
-		{Type: TypeExtendHorizon, Horizon: -5},
-		{Type: TypeExtendObservation, Attr: 1, End: -1},
+	l, path := openTemp(t, Options{})
+	mib := strings.Repeat("x", maxString)
+	// 17 values of 1 MiB: each within the string limit, the frame over
+	// the 16 MiB that Open would read back as corruption.
+	frame := make([]string, maxFrame/maxString+1)
+	for i := range frame {
+		frame[i] = mib
 	}
-	for _, rec := range cases {
+	cases := [][]Record{
+		{{Type: Type(99)}},
+		{{Type: TypeAppend, Attr: -1, Start: 0, End: 1}},
+		{{Type: TypeExtendHorizon, Horizon: -5}},
+		{{Type: TypeExtendObservation, Attr: 1, End: -1}},
+		{{Type: TypeAppend, Attr: 1, Start: 0, End: 1, Values: []string{mib + "x"}}},
+		{{Type: TypeAppend, Attr: 1, Start: 0, End: 1, Values: frame}},
+		// A batch fails whole: its valid prefix is not written either.
+		append(testRecords(), Record{Type: TypeExtendHorizon, Horizon: -5}),
+	}
+	for i, batch := range cases {
 		before := l.Size()
-		if _, err := l.Append(rec); err == nil {
-			t.Fatalf("Append accepted invalid record %+v", rec)
+		if _, err := l.Append(batch...); !errors.Is(err, ErrInvalidRecord) {
+			t.Fatalf("case %d: error %v does not match ErrInvalidRecord", i, err)
 		}
-		if l.Size() != before {
-			t.Fatalf("failed append moved the offset")
+		if st, err := os.Stat(path); err != nil || l.Size() != before || st.Size() != before {
+			t.Fatalf("case %d: failed append moved the offset or wrote to the file (err %v)", i, err)
 		}
 	}
 }

@@ -295,8 +295,6 @@ type (
 	// ShardOptions configures a sharded build (shard count, partitioning
 	// seed, per-shard IndexOptions).
 	ShardOptions = shard.Options
-	// ShardManifest describes a sharded dataset container on disk.
-	ShardManifest = persist.Manifest
 )
 
 // BuildShardedIndex partitions ds into opt.Shards independent indexes
@@ -312,23 +310,6 @@ func BuildShardedIndex(ds *Dataset, opt ShardOptions) (*ShardedIndex, error) {
 func PartitionShardOptions(mono IndexOptions, shards int) IndexOptions {
 	return shard.PartitionOptions(mono, shards)
 }
-
-// WriteShardedDataset stores a dataset as a sharded container: one CRC'd
-// blob per shard plus a manifest, partitioned exactly as a
-// BuildShardedIndex with the same (shards, seed) pair would.
-func WriteShardedDataset(ds *Dataset, dir string, shards int, seed int64) error {
-	return persist.WriteSharded(ds, dir, shards, seed)
-}
-
-// ReadShardedDataset loads a container written by WriteShardedDataset,
-// reassembling the global dataset and returning the manifest.
-func ReadShardedDataset(dir string) (*Dataset, *ShardManifest, error) {
-	return persist.ReadSharded(dir)
-}
-
-// IsShardedDataset reports whether path is a sharded dataset container
-// (a directory holding a manifest), as opposed to a single-file blob.
-func IsShardedDataset(path string) bool { return persist.IsSharded(path) }
 
 // Durable live ingestion (packages wal and ingest, DESIGN.md §10).
 type (
@@ -392,7 +373,7 @@ func NewIngester(eng IngestEngine, ds *Dataset, log *WAL, opt IngestOptions) *In
 }
 
 // ReplayWAL folds the log's records from byte offset from (0 = the whole
-// log; a snapshot manifest's WALOffset to replay only the suffix) into
+// log; the offset a snapshot covers to replay only the suffix) into
 // ds, invoking progress (if non-nil) after each record. It returns the
 // offset replayed to and the record count.
 func ReplayWAL(ds *Dataset, log *WAL, from int64, progress func(replayed int, offset int64)) (int64, int, error) {

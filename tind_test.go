@@ -286,25 +286,6 @@ func TestPublicAPISharded(t *testing.T) {
 			}
 		}
 	}
-
-	dir := t.TempDir()
-	if err := tind.WriteShardedDataset(ds, dir, 4, 7); err != nil {
-		t.Fatal(err)
-	}
-	if !tind.IsShardedDataset(dir) {
-		t.Fatal("IsShardedDataset must recognize the container it just wrote")
-	}
-	got, man, err := tind.ReadShardedDataset(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man.Shards != 4 || man.Seed != 7 {
-		t.Fatalf("manifest round-trip: %+v", man)
-	}
-	if got.Len() != ds.Len() || got.Horizon() != ds.Horizon() {
-		t.Fatalf("sharded round-trip shape: %d/%d attrs, %d/%d horizon",
-			got.Len(), ds.Len(), got.Horizon(), ds.Horizon())
-	}
 }
 
 func TestPublicAPIIngest(t *testing.T) {
