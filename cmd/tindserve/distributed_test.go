@@ -1,9 +1,13 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -118,16 +122,10 @@ func startShardServers(t *testing.T) ([]string, []*httptest.Server) {
 	return urls, servers
 }
 
-// TestDistributedTindserve runs the full three-process topology in one
-// test: two shard-server tindserves, a router tindserve over them, and
-// a monolithic tindserve as the reference — the same /search, /topk
-// and /query/batch requests must answer identically through the router
-// and the local engine, and killing a shard must degrade the router to
-// explicit 200+partial answers and a degraded /readyz, never a 500 or
-// a silently-shrunken result.
-func TestDistributedTindserve(t *testing.T) {
-	urls, shardServers := startShardServers(t)
-
+// startRouter boots a router tindserve over the shard servers at urls
+// and returns it with its base URL.
+func startRouter(t *testing.T, urls []string) (*server, string) {
+	t.Helper()
 	rcc := distConfig()
 	rcc.router = strings.Join(urls, ";")
 	rcc.legTimeout = 5 * time.Second
@@ -138,7 +136,127 @@ func TestDistributedTindserve(t *testing.T) {
 	rs := newServer(rcc)
 	rs.install(rsv)
 	rts := httptest.NewServer(rs.routes())
-	defer rts.Close()
+	t.Cleanup(rts.Close)
+	return rs, rts.URL
+}
+
+// TestShardServerServesOnlyTheShardRPC pins the shard server's route
+// table. One shard answers for its own attributes only, so the public
+// query endpoints are not mounted there and answer 404 like any unknown
+// route, while the shard RPC and the operational endpoints answer.
+func TestShardServerServesOnlyTheShardRPC(t *testing.T) {
+	urls, _ := startShardServers(t)
+	leg := fmt.Sprintf(`{"queries":[{"mode":"forward","attr":0,"params":{"eps":3,"delta":7,"weight":{"n":%d,"c":1}}}]}`, distHorizon)
+	for _, tc := range []struct {
+		method, path, body string
+		want               int
+	}{
+		{"GET", "/search?attr=0", "", http.StatusNotFound},
+		{"GET", "/reverse?attr=0", "", http.StatusNotFound},
+		{"GET", "/topk?attr=0", "", http.StatusNotFound},
+		{"POST", "/query/batch", `{"queries":[{"attr":"0"}]}`, http.StatusNotFound},
+		{"GET", "/shard/info", "", http.StatusOK},
+		{"POST", "/shard/batch", leg, http.StatusOK},
+		{"GET", "/stats", "", http.StatusOK},
+		{"GET", "/readyz", "", http.StatusOK},
+	} {
+		req, err := http.NewRequest(tc.method, urls[0]+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s %s on a shard server: status %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
+		}
+	}
+}
+
+// TestReadyzDegradedReplies pins the degraded /readyz reply of each
+// cause: 503 with Retry-After 2, status "degraded", the reason in
+// "error", and exactly the body keys that explain that cause.
+func TestReadyzDegradedReplies(t *testing.T) {
+	ingestKeys := []string{"error", "max_staleness_ms", "oldest_pending_ms", "pending_records", "status"}
+	for _, tc := range []struct {
+		name   string
+		setup  func(t *testing.T) string // degrades a server, returns its URL
+		reason string
+		keys   []string
+	}{
+		{"ingest apply failing", func(t *testing.T) string {
+			s, ts, _ := newIngestServer(t, 1, config{}, func(cc *config) {
+				cc.snapshot = filepath.Join(t.TempDir(), "missing", "snap")
+			})
+			c := s.corpus.Load()
+			postJSON(t, ts.URL+"/ingest", newHTTPDeltaFeed(c).round([]int{0}), http.StatusOK)
+			if err := c.ing.Flush(); err == nil {
+				t.Fatal("a snapshot into a missing directory succeeded")
+			}
+			return ts.URL
+		}, "ingest apply failing", ingestKeys},
+		{"staleness bound exceeded", func(t *testing.T) string {
+			s, ts, _ := newIngestServer(t, 1, config{maxStaleness: time.Millisecond}, nil)
+			postJSON(t, ts.URL+"/ingest", newHTTPDeltaFeed(s.corpus.Load()).round([]int{0}), http.StatusOK)
+			time.Sleep(5 * time.Millisecond)
+			return ts.URL
+		}, "staleness bound exceeded", ingestKeys},
+		{"shards down", func(t *testing.T) string {
+			urls, shardServers := startShardServers(t)
+			_, base := startRouter(t, urls)
+			shardServers[1].Close()
+			return base
+		}, "1 of 2 shards unreachable", []string{"error", "shards_down", "status"}},
+		{"slo burn", func(t *testing.T) string {
+			s, ts := testServerConfig(t, config{sloLatency: time.Nanosecond, sloBurnDegrade: 1})
+			s.slo.Tick()
+			for i := 0; i < 12; i++ {
+				getJSON(t, ts.URL+"/search?attr=0", http.StatusOK)
+			}
+			s.slo.Tick()
+			return ts.URL
+		}, "slo query_latency", []string{"error", "slo", "status"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Get(tc.setup(t) + "/readyz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var body map[string]interface{}
+			if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "2" {
+				t.Fatalf("status %d, Retry-After %q; want 503 and 2", resp.StatusCode, resp.Header.Get("Retry-After"))
+			}
+			if msg, _ := body["error"].(string); body["status"] != "degraded" || !strings.Contains(msg, tc.reason) {
+				t.Fatalf("body %v: want status degraded and an error naming %q", body, tc.reason)
+			}
+			var keys []string
+			for k := range body {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			if !reflect.DeepEqual(keys, tc.keys) {
+				t.Fatalf("body keys %v, want %v", keys, tc.keys)
+			}
+		})
+	}
+}
+
+// TestDistributedTindserve runs the full three-process topology in one
+// test: two shard-server tindserves, a router tindserve over them, and
+// a monolithic tindserve as the reference — the same /search, /topk
+// and /query/batch requests must answer identically through the router
+// and the local engine, and killing a shard must degrade the router to
+// explicit 200+partial answers and a degraded /readyz, never a 500 or
+// a silently-shrunken result.
+func TestDistributedTindserve(t *testing.T) {
+	urls, shardServers := startShardServers(t)
+	_, routerURL := startRouter(t, urls)
 
 	msv, err := loadServing(distConfig(), nil)
 	if err != nil {
@@ -158,7 +276,7 @@ func TestDistributedTindserve(t *testing.T) {
 	}
 	for _, path := range paths {
 		want := getJSON(t, mts.URL+path, http.StatusOK)
-		got := getJSON(t, rts.URL+path, http.StatusOK)
+		got := getJSON(t, routerURL+path, http.StatusOK)
 		if fmt.Sprint(got["results"]) != fmt.Sprint(want["results"]) {
 			t.Fatalf("%s through the router:\n %v\nwant (local engine)\n %v", path, got["results"], want["results"])
 		}
@@ -168,7 +286,7 @@ func TestDistributedTindserve(t *testing.T) {
 	}
 	batchBody := `{"queries":[{"attr":"0"},{"attr":"3","mode":"reverse"},{"attr":"5","mode":"topk","k":3}]}`
 	wantB := postJSON(t, mts.URL+"/query/batch", batchBody, http.StatusOK)
-	gotB := postJSON(t, rts.URL+"/query/batch", batchBody, http.StatusOK)
+	gotB := postJSON(t, routerURL+"/query/batch", batchBody, http.StatusOK)
 	wantEntries := wantB["results"].([]interface{})
 	gotEntries := gotB["results"].([]interface{})
 	if len(gotEntries) != len(wantEntries) {
@@ -186,8 +304,8 @@ func TestDistributedTindserve(t *testing.T) {
 	}
 
 	// Healthy cluster: /readyz ready, /stats names the topology.
-	getJSON(t, rts.URL+"/readyz", http.StatusOK)
-	st := getJSON(t, rts.URL+"/stats", http.StatusOK)
+	getJSON(t, routerURL+"/readyz", http.StatusOK)
+	st := getJSON(t, routerURL+"/stats", http.StatusOK)
 	if st["shards"].(float64) != distShards || st["router"] == nil {
 		t.Fatalf("router /stats missing topology: %v", st)
 	}
@@ -199,21 +317,21 @@ func TestDistributedTindserve(t *testing.T) {
 	// Kill shard 1: queries answer 200 with the healthy shards' results
 	// and an explicit partial marker naming the dead shard.
 	shardServers[1].Close()
-	out := getJSON(t, rts.URL+"/search?attr=0", http.StatusOK)
+	out := getJSON(t, routerURL+"/search?attr=0", http.StatusOK)
 	if out["partial"] != true {
 		t.Fatalf("query over a dead shard must be marked partial: %v", out)
 	}
 	if fmt.Sprint(out["shards_failed"]) != "[1]" {
 		t.Fatalf("shards_failed = %v, want [1]", out["shards_failed"])
 	}
-	bout := postJSON(t, rts.URL+"/query/batch", batchBody, http.StatusOK)
+	bout := postJSON(t, routerURL+"/query/batch", batchBody, http.StatusOK)
 	if bout["partial"] != true || fmt.Sprint(bout["shards_failed"]) != "[1]" {
 		t.Fatalf("batch over a dead shard: partial=%v shards_failed=%v", bout["partial"], bout["shards_failed"])
 	}
 
 	// /readyz degrades with the dead shard named, and carries the
 	// degradation retry hint.
-	resp, err := http.Get(rts.URL + "/readyz")
+	resp, err := http.Get(routerURL + "/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,8 +53,8 @@
 //
 // Distributed serving: -shard-server -shard-id I -shards N turns the
 // process into one shard of an N-way partition, serving scatter legs on
-// POST /shard/* (mounted behind the same readiness and shedding
-// middleware as the human endpoints); -router "urls;urls" turns it into
+// /shard/* (behind the same readiness and shedding middleware) instead
+// of the public query endpoints; -router "urls;urls" turns it into
 // a scatter-gather router over those servers — the same query
 // endpoints, answered by fanning out to the shards and merging exactly
 // like the in-process sharded engine, with per-leg deadlines
@@ -353,10 +353,12 @@ func (s *server) closeServing() error {
 }
 
 // queryIndex is the serving contract the handlers need: a lone query is
-// a batch of one. Every engine satisfies it — the monolithic index.Index, the in-process
-// shard.ShardedIndex, one shard.Single (shard-server mode) and the
-// router.Router — so the mode flags swap the engine without touching a
-// handler.
+// a batch of one. The monolithic index.Index, the in-process
+// shard.ShardedIndex and the router.Router satisfy it and serve the
+// public query endpoints, so the mode flags swap the engine without
+// touching a handler. A shard.Single (shard-server mode) satisfies it
+// too, but answers for its own attributes only: that mode mounts /stats
+// over it and the /shard RPC, not the query endpoints (see routes).
 type queryIndex interface {
 	QueryBatch(ctx context.Context, batch []index.BatchQuery, o index.BatchOptions) ([]index.Result, error)
 	Stats() index.BuildStats
@@ -640,6 +642,9 @@ type server struct {
 	// slo evaluates the declared objectives into burn-rate gauges; with
 	// -slo-burn-degrade a sustained burn also degrades /readyz.
 	slo *obs.SLOEngine
+	// requests and requests5xx count this server's query requests, all
+	// and those answered 5xx, for the http_error_ratio objective.
+	requests, requests5xx obs.Counter
 }
 
 func newServer(cfg config) *server {
@@ -647,12 +652,13 @@ func newServer(cfg config) *server {
 	if capacity <= 0 {
 		capacity = int64(4 * runtime.GOMAXPROCS(0))
 	}
-	return &server{
+	s := &server{
 		cfg:     cfg,
 		limiter: sem.New(capacity),
 		sampler: obs.NewTailSampler(tailSamplePercentile, tailSampleWindow),
-		slo:     newSLOEngine(cfg),
 	}
+	s.slo = s.newSLOEngine()
+	return s
 }
 
 // install publishes the serving state, flipping /readyz to 200 and
@@ -683,26 +689,30 @@ func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.Handle("GET /search", s.query(1, viewed(s.handleQuery("forward"))))
-	mux.Handle("GET /reverse", s.query(1, viewed(s.handleQuery("reverse"))))
-	mux.Handle("GET /topk", s.query(topKWeight, viewed(s.handleQuery("topk"))))
-	mux.Handle("POST /query/batch", s.query(1, viewed(s.handleBatch)))
-	mux.Handle("GET /explain", s.query(1, viewed(s.handleExplain)))
-	mux.Handle("GET /attr", s.query(1, viewed(s.handleAttr)))
 	// /stats is not viewed: it reads ingester stats, whose lock is taken
 	// before the dataset lock on the submit path — see handleStats.
 	mux.Handle("GET /stats", s.query(1, s.handleStats))
 	if s.cfg.shardServer {
-		// Scatter legs from the router go through the same readiness and
-		// shedding middleware as the human endpoints: a shard that is
-		// still building answers 503 not_ready in the shared envelope,
-		// which the router classifies as a degradable leg (retry the
-		// replica, then a typed partial result) rather than a hard error.
+		// A shard answers for its own attributes only, so a shard server
+		// serves the shard RPC instead of the public query surface: an
+		// answer from one shard is a router's partial answer without the
+		// marker. Scatter legs go through the same readiness and shedding
+		// middleware as the public endpoints: a shard that is still
+		// building answers 503 not_ready in the shared envelope, which the
+		// router classifies as a degradable leg (retry the replica, then a
+		// typed partial result) rather than a hard error.
 		mux.Handle("POST /shard/batch", s.query(1, s.handleShardRPC))
 		mux.Handle("GET /shard/info", s.query(1, s.handleShardRPC))
 		mux.Handle("GET /shard/stats", s.query(1, s.handleShardRPC))
+	} else {
+		mux.Handle("GET /search", s.query(1, viewed(s.handleQuery("forward"))))
+		mux.Handle("GET /reverse", s.query(1, viewed(s.handleQuery("reverse"))))
+		mux.Handle("GET /topk", s.query(topKWeight, viewed(s.handleQuery("topk"))))
+		mux.Handle("POST /query/batch", s.query(1, viewed(s.handleBatch)))
+		mux.Handle("GET /explain", s.query(1, viewed(s.handleExplain)))
+		mux.Handle("GET /attr", s.query(1, viewed(s.handleAttr)))
+		mux.Handle("POST /ingest", s.query(1, s.handleIngest))
 	}
-	mux.Handle("POST /ingest", s.query(1, s.handleIngest))
 	// /metrics, /debug/events and /slo are deliberately outside the query
 	// middleware: scrapes and debugging must work while the index is still
 	// building and must never be shed — a degraded server is exactly when
@@ -908,13 +918,13 @@ func (s *server) query(weight int64, h queryHandler) http.Handler {
 		endpoint := r.URL.Path
 		c := s.corpus.Load()
 		if c == nil {
-			mHTTPRequests(endpoint, http.StatusServiceUnavailable).Inc()
+			s.countRequest(endpoint, http.StatusServiceUnavailable)
 			s.shed(w, shedNotReady, "index still building, retry shortly")
 			return
 		}
 		sr := &admitted{ResponseWriter: w, s: s, status: http.StatusOK}
 		if !sr.acquire(weight) {
-			mHTTPRequests(endpoint, http.StatusServiceUnavailable).Inc()
+			s.countRequest(endpoint, http.StatusServiceUnavailable)
 			s.shed(w, shedSaturated, "server saturated, retry shortly")
 			return
 		}
@@ -932,7 +942,7 @@ func (s *server) query(weight int64, h queryHandler) http.Handler {
 		start := time.Now()
 		h(c, sr, r)
 		elapsed := time.Since(start)
-		mHTTPRequests(endpoint, sr.status).Inc()
+		s.countRequest(endpoint, sr.status)
 		mHTTPSeconds(endpoint).ObserveDuration(elapsed)
 		// The query-latency observation carries the query ID as an
 		// exemplar, so a p99 spike on the histogram links straight to the
@@ -942,6 +952,16 @@ func (s *server) query(weight int64, h queryHandler) http.Handler {
 			s.recordQueryEvent(note, qid, endpoint, sr.status, elapsed)
 		}
 	})
+}
+
+// countRequest counts one query request by endpoint and status code, on
+// tind_http_requests_total and on the server's own error-ratio counters.
+func (s *server) countRequest(endpoint string, code int) {
+	mHTTPRequests(endpoint, code).Inc()
+	s.requests.Inc()
+	if code >= 500 {
+		s.requests5xx.Inc()
+	}
 }
 
 // recoverJSON turns a handler panic into a structured JSON 500 and a
@@ -991,16 +1011,11 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleReadyz reports serving readiness. Three states: not ready while
 // the corpus loads (with structured WAL-replay progress when a recovery
-// replay is running), degraded when live ingestion has fallen behind the
-// -max-staleness bound, its last apply failed, or (with -slo-burn-degrade)
-// every burn-rate window of some SLO is exhausting the error budget, and
+// replay is running), degraded for one of the causes degraded names, and
 // ready otherwise.
 func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	c := s.corpus.Load()
 	if c == nil {
-		w.Header().Set("Retry-After", s.retryAfterHint(shedNotReady))
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
 		body := map[string]interface{}{"status": "starting", "error": "index still building"}
 		if s.replay.active.Load() {
 			total, done := s.replay.total.Load(), s.replay.done.Load()
@@ -1017,71 +1032,70 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			body["status"] = "replaying_wal"
 			body["wal_replay"] = replay
 		}
-		json.NewEncoder(w).Encode(body)
+		s.unready(w, shedNotReady, body)
 		return
 	}
+	if reason, body := s.degraded(r.Context(), c); reason != "" {
+		body["status"] = "degraded"
+		body["error"] = reason
+		s.unready(w, shedDegraded, body)
+		return
+	}
+	router.WriteJSON(w, map[string]interface{}{"status": "ready"})
+}
+
+// degraded reports why an installed server should be out of rotation,
+// with the body fields that explain it, or "" when nothing is wrong:
+//
+//   - live ingestion's last apply failed, or it has fallen behind the
+//     -max-staleness bound;
+//   - a router's active probe finds shards unreachable, so /readyz shows
+//     the cluster's state, not just the router process's;
+//   - with -slo-burn-degrade, every burn-rate window of some SLO is
+//     exhausting the error budget, so an orchestrator can pull a
+//     tail-latency-sick replica out before the budget is gone.
+func (s *server) degraded(ctx context.Context, c *corpus) (string, map[string]interface{}) {
 	if c.ing != nil {
 		st := c.ing.Stats()
-		degraded := ""
+		reason := ""
 		switch {
 		case st.LastError != "":
-			degraded = "ingest apply failing: " + st.LastError
+			reason = "ingest apply failing: " + st.LastError
 		case s.cfg.maxStaleness > 0 && st.OldestPendingAge > s.cfg.maxStaleness:
-			degraded = fmt.Sprintf("staleness bound exceeded: oldest pending delta %v > %v",
+			reason = fmt.Sprintf("staleness bound exceeded: oldest pending delta %v > %v",
 				st.OldestPendingAge.Round(time.Millisecond), s.cfg.maxStaleness)
 		}
-		if degraded != "" {
-			w.Header().Set("Retry-After", s.retryAfterHint(shedDegraded))
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			json.NewEncoder(w).Encode(map[string]interface{}{
-				"status":            "degraded",
-				"error":             degraded,
+		if reason != "" {
+			return reason, map[string]interface{}{
 				"pending_records":   st.PendingRecords,
 				"oldest_pending_ms": float64(st.OldestPendingAge) / float64(time.Millisecond),
 				"max_staleness_ms":  float64(s.cfg.maxStaleness) / float64(time.Millisecond),
-			})
-			return
+			}
 		}
 	}
-	// A router is only as ready as the shards behind it: an active probe
-	// of the topology turns unreachable shards into a degraded /readyz,
-	// so an orchestrator health-checking the router sees the cluster's
-	// state, not just the router process's.
 	if rem, ok := c.idx.(remote); ok {
-		pctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
+		pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 		down := rem.Probe(pctx)
 		cancel()
 		if len(down) > 0 {
-			w.Header().Set("Retry-After", s.retryAfterHint(shedDegraded))
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			json.NewEncoder(w).Encode(map[string]interface{}{
-				"status":      "degraded",
-				"error":       fmt.Sprintf("%d of %d shards unreachable; queries answer partial results", len(down), rem.NumShards()),
-				"shards_down": down,
-			})
-			return
+			return fmt.Sprintf("%d of %d shards unreachable; queries answer partial results", len(down), rem.NumShards()),
+				map[string]interface{}{"shards_down": down}
 		}
 	}
-	// A sustained multi-window budget burn also degrades readiness when
-	// the operator opted in with -slo-burn-degrade: the orchestrator can
-	// then pull a tail-latency-sick replica out of rotation before it
-	// exhausts the budget.
 	if s.cfg.sloBurnDegrade > 0 {
 		if reason := s.slo.Degraded(); reason != "" {
-			w.Header().Set("Retry-After", s.retryAfterHint(shedDegraded))
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			json.NewEncoder(w).Encode(map[string]interface{}{
-				"status": "degraded",
-				"error":  reason,
-				"slo":    s.slo.Status(),
-			})
-			return
+			return reason, map[string]interface{}{"slo": s.slo.Status()}
 		}
 	}
-	router.WriteJSON(w, map[string]interface{}{"status": "ready"})
+	return "", nil
+}
+
+// unready answers a probe 503 with the Retry-After hint of reason.
+func (s *server) unready(w http.ResponseWriter, reason string, body map[string]interface{}) {
+	w.Header().Set("Retry-After", s.retryAfterHint(reason))
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusServiceUnavailable)
+	json.NewEncoder(w).Encode(body)
 }
 
 // ingestDelta is one history delta in a POST /ingest request body.

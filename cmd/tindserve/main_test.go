@@ -13,7 +13,8 @@ import (
 	"tind/internal/index"
 )
 
-func testServerConfig(t testing.TB, cfg config) (*server, *httptest.Server) {
+// testCorpus builds the monolithic serving state the test servers share.
+func testCorpus(t testing.TB) *corpus {
 	t.Helper()
 	c, err := datagen.Generate(datagen.Config{Seed: 4, Attributes: 80, Horizon: 500, AttrsPerDomain: 20})
 	if err != nil {
@@ -25,8 +26,13 @@ func testServerConfig(t testing.TB, cfg config) (*server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return newCorpus(c.Dataset, idx)
+}
+
+func testServerConfig(t testing.TB, cfg config) (*server, *httptest.Server) {
+	t.Helper()
 	s := newServer(cfg)
-	s.install(newCorpus(c.Dataset, idx))
+	s.install(testCorpus(t))
 	ts := httptest.NewServer(s.routes())
 	t.Cleanup(ts.Close)
 	return s, ts

@@ -2,8 +2,9 @@
 // middleware records one structured event per query/batch into the
 // process-wide obs ring (served at GET /debug/events), the tail sampler
 // decides post-completion which events keep their trace, and the SLO
-// engine turns the HTTP histograms and ingest staleness gauge into
-// multi-window burn-rate gauges (GET /slo, optionally feeding /readyz).
+// engine turns the query latency histogram, the request counters, the
+// ingester's staleness and the router's leg outcomes into multi-window
+// burn-rate gauges (GET /slo, optionally feeding /readyz).
 package main
 
 import (
@@ -26,17 +27,18 @@ const (
 	tailSampleWindow     = 1024
 )
 
-// newSLOEngine declares the service objectives over the process
-// registry:
+// newSLOEngine declares the service objectives over the instruments
+// that count their events:
 //
 //   - query_latency: at least 99% of admitted queries complete within
 //     cfg.sloLatency, measured on tind_http_query_seconds (the HTTP
 //     wall-time histogram, so shard stragglers and gather overhead
 //     count).
-//   - http_error_ratio: at most 0.1% of query requests answer 5xx.
-//   - ingest_staleness: the oldest acknowledged-but-unapplied delta
-//     stays inside cfg.maxStaleness (always healthy when ingestion is
-//     disabled or unbounded — the gauge reads 0).
+//   - http_error_ratio: at most 0.1% of query requests answer 5xx,
+//     counted where tind_http_requests_total is (countRequest).
+//   - ingest_staleness: the installed ingester's oldest acknowledged-but-
+//     unapplied delta stays inside cfg.maxStaleness (always healthy when
+//     ingestion is disabled or unbounded).
 //   - router_shard_availability (router mode only): at most 0.1% of
 //     scatter legs fail after replica retries, measured on
 //     tind_router_legs_total — partial results burn this budget even
@@ -46,43 +48,34 @@ const (
 // Burn rates are published as tind_slo_burn_rate{slo,window} and served
 // on GET /slo; with cfg.sloBurnDegrade > 0 a sustained multi-window burn
 // flips /readyz to degraded.
-func newSLOEngine(cfg config) *obs.SLOEngine {
+func (s *server) newSLOEngine() *obs.SLOEngine {
+	cfg := s.cfg
 	latencyThreshold := cfg.sloLatency.Seconds()
-	maxStale := cfg.maxStaleness.Seconds()
 	objectives := []obs.SLO{
 		{
 			Name:        "query_latency",
 			Description: fmt.Sprintf("99%% of queries complete within %v", cfg.sloLatency),
 			Target:      0.99,
-			Bad: func(s *obs.Snapshot) float64 {
-				m, _ := s.Get("tind_http_query_seconds")
-				return m.CountAbove(latencyThreshold)
-			},
-			Total: func(s *obs.Snapshot) float64 {
-				m, _ := s.Get("tind_http_query_seconds")
-				return float64(m.Count)
-			},
+			Bad:         func() float64 { return mQuerySeconds.CountAbove(latencyThreshold) },
+			Total:       func() float64 { return float64(mQuerySeconds.Count()) },
 		},
 		{
 			Name:        "http_error_ratio",
 			Description: "99.9% of query requests answer without a 5xx",
 			Target:      0.999,
-			Bad: func(s *obs.Snapshot) float64 {
-				return sumRequests(s, func(code int) bool { return code >= 500 })
-			},
-			Total: func(s *obs.Snapshot) float64 {
-				return sumRequests(s, func(int) bool { return true })
-			},
+			Bad:         func() float64 { return float64(s.requests5xx.Value()) },
+			Total:       func() float64 { return float64(s.requests.Value()) },
 		},
 		{
 			Name:        "ingest_staleness",
 			Description: fmt.Sprintf("99%% of checks find ingestion within the %v staleness bound", cfg.maxStaleness),
 			Target:      0.99,
-			Probe: func(s *obs.Snapshot) bool {
-				if maxStale <= 0 {
+			Probe: func() bool {
+				c := s.corpus.Load()
+				if cfg.maxStaleness <= 0 || c == nil || c.ing == nil {
 					return true
 				}
-				return s.Value("tind_ingest_oldest_pending_seconds") <= maxStale
+				return c.ing.Stats().OldestPendingAge <= cfg.maxStaleness
 			},
 		},
 	}
@@ -91,12 +84,13 @@ func newSLOEngine(cfg config) *obs.SLOEngine {
 			Name:        "router_shard_availability",
 			Description: "99.9% of scatter legs answer after replica retries",
 			Target:      0.999,
-			Bad: func(s *obs.Snapshot) float64 {
-				return s.Value("tind_router_legs_total", obs.L("status", "error"))
+			Bad: func() float64 {
+				_, failed := router.LegOutcomes()
+				return float64(failed)
 			},
-			Total: func(s *obs.Snapshot) float64 {
-				return s.Value("tind_router_legs_total", obs.L("status", "ok")) +
-					s.Value("tind_router_legs_total", obs.L("status", "error"))
+			Total: func() float64 {
+				ok, failed := router.LegOutcomes()
+				return float64(ok + failed)
 			},
 		})
 	}
@@ -104,25 +98,6 @@ func newSLOEngine(cfg config) *obs.SLOEngine {
 		Interval:    cfg.sloInterval,
 		DegradeBurn: cfg.sloBurnDegrade,
 	}, objectives...)
-}
-
-// sumRequests folds tind_http_requests_total over every (endpoint, code)
-// label set whose status code the predicate accepts.
-func sumRequests(s *obs.Snapshot, accept func(code int) bool) float64 {
-	var sum float64
-	for _, m := range s.Metrics {
-		if m.Name != "tind_http_requests_total" {
-			continue
-		}
-		code, err := strconv.Atoi(m.Label("code"))
-		if err != nil {
-			continue
-		}
-		if accept(code) {
-			sum += m.Value
-		}
-	}
-	return sum
 }
 
 // errorClass buckets an HTTP status for the wide event's error_class

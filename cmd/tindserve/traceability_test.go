@@ -14,6 +14,7 @@ import (
 	"tind/internal/datagen"
 	"tind/internal/index"
 	"tind/internal/obs"
+	"tind/internal/router"
 	"tind/internal/shard"
 )
 
@@ -247,6 +248,77 @@ func TestSLOEndpoint(t *testing.T) {
 			t.Errorf("/slo missing objective %q (got %v)", want, names)
 		}
 	}
+}
+
+// TestSLOObjectivesCountWhatTheyJudge ticks the engine around a known
+// traffic mix and checks the bad and total events each objective counted
+// in between.
+func TestSLOObjectivesCountWhatTheyJudge(t *testing.T) {
+	window := func(t *testing.T, s *server, name string) obs.SLOWindow {
+		t.Helper()
+		for _, st := range s.slo.Status() {
+			if st.Name == name {
+				return st.Windows[0]
+			}
+		}
+		t.Fatalf("no objective %q", name)
+		return obs.SLOWindow{}
+	}
+
+	t.Run("http_error_ratio", func(t *testing.T) {
+		const shed, served = 3, 5
+		s := newServer(config{})
+		ts := httptest.NewServer(s.routes())
+		defer ts.Close()
+		s.slo.Tick()
+		for i := 0; i < shed; i++ {
+			getJSON(t, ts.URL+"/search?attr=0", http.StatusServiceUnavailable)
+		}
+		s.install(testCorpus(t))
+		for i := 0; i < served; i++ {
+			getJSON(t, ts.URL+"/search?attr=0", http.StatusOK)
+		}
+		s.slo.Tick()
+		if w := window(t, s, "http_error_ratio"); w.BadDelta != shed || w.TotalDelta != shed+served {
+			t.Errorf("http_error_ratio counted %g bad of %g, want %d of %d", w.BadDelta, w.TotalDelta, shed, shed+served)
+		}
+		// Shed requests never reach the latency histogram; with a zero
+		// threshold every admitted query is slow.
+		if w := window(t, s, "query_latency"); w.BadDelta != served || w.TotalDelta != served {
+			t.Errorf("query_latency counted %g bad of %g, want %d of %d", w.BadDelta, w.TotalDelta, served, served)
+		}
+	})
+
+	t.Run("ingest_staleness", func(t *testing.T) {
+		s, ts, _ := newIngestServer(t, 1, config{maxStaleness: time.Millisecond}, nil)
+		s.slo.Tick() // nothing pending: a good tick
+		postJSON(t, ts.URL+"/ingest", newHTTPDeltaFeed(s.corpus.Load()).round([]int{0}), http.StatusOK)
+		time.Sleep(5 * time.Millisecond)
+		s.slo.Tick()
+		if w := window(t, s, "ingest_staleness"); w.BadDelta != 1 || w.TotalDelta != 1 {
+			t.Errorf("ingest_staleness counted %g bad of %g, want 1 of 1", w.BadDelta, w.TotalDelta)
+		}
+	})
+
+	t.Run("router_shard_availability", func(t *testing.T) {
+		urls, shardServers := startShardServers(t)
+		rs, base := startRouter(t, urls)
+		shardServers[1].Close()
+		ok0, failed0 := router.LegOutcomes()
+		rs.slo.Tick()
+		if out := getJSON(t, base+"/search?attr=0", http.StatusOK); out["partial"] != true {
+			t.Fatalf("query over a closed shard not partial: %v", out)
+		}
+		rs.slo.Tick()
+		ok1, failed1 := router.LegOutcomes()
+		w := window(t, rs, "router_shard_availability")
+		if w.BadDelta != float64(failed1-failed0) || w.BadDelta < 1 {
+			t.Errorf("router_shard_availability counted %g bad, want the %d failed legs (at least 1)", w.BadDelta, failed1-failed0)
+		}
+		if legs := (ok1 + failed1) - (ok0 + failed0); w.TotalDelta != float64(legs) {
+			t.Errorf("router_shard_availability counted %g legs, want %d", w.TotalDelta, legs)
+		}
+	})
 }
 
 // TestOpenMetricsNegotiation checks the Accept-driven switch between the

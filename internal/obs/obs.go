@@ -132,16 +132,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	bounds := h.bounds
 	cum := h.BucketCounts()
 	count := cum[len(cum)-1]
-	return quantileFromBuckets(bounds, cum[:len(bounds)], count, q)
-}
-
-// quantileFromBuckets is the shared estimation core: bounds are the
-// finite upper edges, cum the cumulative counts at those edges, count
-// the total including the implicit +Inf bucket. Interpolation starts at
-// the first nonempty bucket: a rank that lands at or before it (q=0
-// with empty leading buckets) resolves within that bucket instead of
-// reporting a bound below the observed minimum.
-func quantileFromBuckets(bounds []float64, cum []int64, count int64, q float64) float64 {
+	cum = cum[:len(bounds)]
 	if count == 0 || q < 0 || q > 1 || math.IsNaN(q) {
 		return math.NaN()
 	}
@@ -187,6 +178,30 @@ func quantileFromBuckets(bounds []float64, cum []int64, count int64, q float64) 
 	// Rank falls into the +Inf bucket: the honest answer is "beyond the
 	// highest bound"; clamp to it like Prometheus does.
 	return bounds[len(bounds)-1]
+}
+
+// CountAbove estimates how many observations exceeded threshold,
+// interpolating linearly within the bucket the threshold falls into (the
+// inverse of Quantile's estimate). Thresholds at or beyond the highest
+// finite bound count only the +Inf mass. The count is cumulative, so a
+// caller that differences two readings counts only the observations in
+// between — what the SLO engine's windows do.
+func (h *Histogram) CountAbove(threshold float64) float64 {
+	cum := h.BucketCounts()
+	total := float64(cum[len(cum)-1])
+	var below int64
+	lower := 0.0
+	for i, le := range h.bounds {
+		if threshold <= le {
+			above := float64(cum[i] - below)
+			if threshold > lower {
+				above = above * (le - threshold) / (le - lower)
+			}
+			return above + (total - float64(cum[i]))
+		}
+		below, lower = cum[i], le
+	}
+	return total - float64(below) // threshold beyond the last bound: +Inf mass
 }
 
 // LatencyBuckets spans 100µs to 10s in a 1-2.5-5 progression — the

@@ -178,33 +178,24 @@ func TestCountAbove(t *testing.T) {
 	for _, v := range []float64{0.05, 0.05, 0.3, 0.7, 2} {
 		h.Observe(v)
 	}
-	snap := r.Snapshot()
-	m, ok := snap.Get("tind_test_h3")
-	if !ok {
-		t.Fatal("metric not captured")
-	}
 	// Exactly at a bound: everything in higher buckets.
-	if got := m.CountAbove(0.5); got != 2 {
+	if got := h.CountAbove(0.5); got != 2 {
 		t.Errorf("CountAbove(0.5) = %g, want 2", got)
 	}
 	// Beyond the last bound: only the +Inf mass.
-	if got := m.CountAbove(1); got != 1 {
+	if got := h.CountAbove(1); got != 1 {
 		t.Errorf("CountAbove(1) = %g, want 1", got)
 	}
-	if got := m.CountAbove(5); got != 1 {
+	if got := h.CountAbove(5); got != 1 {
 		t.Errorf("CountAbove(5) = %g, want 1 (+Inf mass)", got)
 	}
 	// Mid-bucket interpolates: threshold 0.3 splits the (0.1, 0.5] bucket
 	// (1 obs) at halfway -> 0.5 of it, plus 2 above.
-	if got := m.CountAbove(0.3); got != 2.5 {
+	if got := h.CountAbove(0.3); got != 2.5 {
 		t.Errorf("CountAbove(0.3) = %g, want 2.5", got)
 	}
 	// Below everything: all observations.
-	if got := m.CountAbove(0); got != 5 {
+	if got := h.CountAbove(0); got != 5 {
 		t.Errorf("CountAbove(0) = %g, want 5", got)
-	}
-	// Non-histogram.
-	if got := (Metric{Kind: "counter", Value: 9}).CountAbove(1); got != 0 {
-		t.Errorf("CountAbove on counter = %g, want 0", got)
 	}
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // TestQuantileBucketEdges is the regression suite for the
-// quantileFromBuckets interpolation bugs: before the fix, a rank that
+// Histogram.Quantile interpolation bugs: before the fix, a rank that
 // landed in an empty leading bucket (q=0 with no samples below the
 // first bound) resolved to that bucket's upper edge — a value below
 // anything ever observed — via the 0/0-guard branch, and /healthz p50

@@ -6,13 +6,15 @@ import (
 	"time"
 )
 
-// SLO declares one service-level objective over metrics in a registry.
-// An objective is "at least Target of events are good". Event counts
-// come from one of two sources:
+// SLO declares one service-level objective over the instruments that
+// count its events. An objective is "at least Target of events are good".
+// Event counts come from one of two sources:
 //
-//   - Bad/Total: cumulative event counts read from a snapshot (e.g.
+//   - Bad/Total: cumulative event counts read from live instruments (e.g.
 //     requests slower than a threshold over all requests). The engine
 //     differences them across each window, so they must be monotone.
+//     Bad is read before Total, so a reading never has more bad events
+//     than events.
 //   - Probe: a per-tick boolean for conditions that are levels rather
 //     than event streams (e.g. "ingest staleness within bound right
 //     now"); each tick contributes one event, bad when Probe reports
@@ -23,12 +25,12 @@ type SLO struct {
 	// Target is the good-event objective in (0, 1), e.g. 0.99. The error
 	// budget is 1 - Target.
 	Target float64
-	// Bad and Total read cumulative counts from a snapshot.
-	Bad   func(s *Snapshot) float64
-	Total func(s *Snapshot) float64
+	// Bad and Total read cumulative event counts.
+	Bad   func() float64
+	Total func() float64
 	// Probe, when non-nil, replaces Bad/Total: it reports whether the
 	// objective holds at this tick.
-	Probe func(s *Snapshot) bool
+	Probe func() bool
 }
 
 // SLOOptions configures the engine.
@@ -87,19 +89,18 @@ type sloState struct {
 
 // SLOEngine evaluates declared objectives on a fixed tick, maintaining
 // multi-window burn-rate gauges (tind_slo_burn_rate{slo,window}) and a
-// status view for the /slo endpoint. Ticks snapshot the registry once
-// and difference cumulative counts across each window, so burn rates
-// reflect exactly what the exported histograms saw.
+// status view for the /slo endpoint. Each tick reads every objective's
+// instruments and differences the cumulative counts across each window,
+// so burn rates reflect exactly what the exported instruments saw.
 type SLOEngine struct {
-	reg  *Registry
 	opt  SLOOptions
 	mu   sync.Mutex
 	objs []*sloState
 }
 
-// NewSLOEngine declares objectives over the registry's metrics. The
-// engine does not tick until Start (or explicit Tick calls, which tests
-// use for determinism).
+// NewSLOEngine declares objectives and registers their burn-rate gauges
+// in reg. The engine does not tick until Start (or explicit Tick calls,
+// which tests use for determinism).
 func NewSLOEngine(reg *Registry, opt SLOOptions, objectives ...SLO) *SLOEngine {
 	if opt.Interval <= 0 {
 		opt.Interval = 10 * time.Second
@@ -117,7 +118,7 @@ func NewSLOEngine(reg *Registry, opt SLOOptions, objectives ...SLO) *SLOEngine {
 		}
 	}
 	ringLen := int(maxWindow/opt.Interval) + 2
-	e := &SLOEngine{reg: reg, opt: opt}
+	e := &SLOEngine{opt: opt}
 	for _, s := range objectives {
 		if s.Target <= 0 || s.Target >= 1 {
 			panic(fmt.Sprintf("obs: SLO %q target %g outside (0, 1)", s.Name, s.Target))
@@ -170,33 +171,36 @@ func (e *SLOEngine) Start() (stop func()) {
 	return func() { once.Do(func() { close(done) }) }
 }
 
-// Tick evaluates every objective once: snapshot the registry, push a
-// cumulative sample per objective, recompute each window's burn rate and
-// publish the gauges. Exported so tests can drive evaluation without a
-// clock.
+// Tick evaluates every objective once: read its instruments, push a
+// cumulative sample, recompute each window's burn rate and publish the
+// gauges. Exported so tests can drive evaluation without a clock.
 func (e *SLOEngine) Tick() {
-	snap := e.reg.Snapshot()
 	now := time.Now()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, st := range e.objs {
-		var cur sloSample
-		cur.t = now
+	// The readers run before the engine lock is taken: they are the
+	// caller's code and may take locks of their own. A probe reading is
+	// this tick's one event: bad 0 or 1 of total 1.
+	reads := make([]sloSample, len(e.objs))
+	for i, st := range e.objs {
 		if st.slo.Probe != nil {
-			// A probe contributes one synthetic event per tick.
-			prevBad, prevTotal := 0.0, 0.0
-			if st.n > 0 {
-				last := st.ring[(st.next-1+len(st.ring))%len(st.ring)]
-				prevBad, prevTotal = last.bad, last.total
-			}
-			cur.total = prevTotal + 1
-			cur.bad = prevBad
-			if !st.slo.Probe(snap) {
-				cur.bad++
+			reads[i].total = 1
+			if !st.slo.Probe() {
+				reads[i].bad = 1
 			}
 		} else {
-			cur.bad = st.slo.Bad(snap)
-			cur.total = st.slo.Total(snap)
+			reads[i].bad = st.slo.Bad()
+			reads[i].total = st.slo.Total()
+		}
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for i, st := range e.objs {
+		cur := reads[i]
+		cur.t = now
+		if st.slo.Probe != nil && st.n > 0 {
+			// Probe events accumulate onto the previous sample.
+			last := st.ring[(st.next-1+len(st.ring))%len(st.ring)]
+			cur.bad += last.bad
+			cur.total += last.total
 		}
 		st.ring[st.next] = cur
 		st.next = (st.next + 1) % len(st.ring)

@@ -8,17 +8,11 @@ import (
 
 // testLatencySLO declares a p-latency objective over a test histogram:
 // bad = observations above 0.5s, total = all observations.
-func testLatencySLO(name string, target float64, hist string) SLO {
+func testLatencySLO(name string, target float64, h *Histogram) SLO {
 	return SLO{
 		Name: name, Target: target,
-		Bad: func(s *Snapshot) float64 {
-			m, _ := s.Get(hist)
-			return m.CountAbove(0.5)
-		},
-		Total: func(s *Snapshot) float64 {
-			m, _ := s.Get(hist)
-			return float64(m.Count)
-		},
+		Bad:   func() float64 { return h.CountAbove(0.5) },
+		Total: func() float64 { return float64(h.Count()) },
 	}
 }
 
@@ -26,7 +20,7 @@ func TestSLOEngineBurnRate(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("tind_test_slo_latency", "latency", []float64{0.1, 0.5, 1})
 	e := NewSLOEngine(r, SLOOptions{Interval: time.Second, Windows: []time.Duration{5 * time.Minute, time.Hour}},
-		testLatencySLO("latency", 0.99, "tind_test_slo_latency"))
+		testLatencySLO("latency", 0.99, h))
 
 	e.Tick() // baseline at zero traffic
 	for i := 0; i < 90; i++ {
@@ -63,9 +57,9 @@ func TestSLOEngineBurnRate(t *testing.T) {
 
 func TestSLOEngineZeroTraffic(t *testing.T) {
 	r := NewRegistry()
-	r.Histogram("tind_test_slo_idle", "latency", []float64{0.5})
+	h := r.Histogram("tind_test_slo_idle", "latency", []float64{0.5})
 	e := NewSLOEngine(r, SLOOptions{Interval: time.Second},
-		testLatencySLO("idle", 0.99, "tind_test_slo_idle"))
+		testLatencySLO("idle", 0.99, h))
 	e.Tick()
 	e.Tick()
 	for _, w := range e.Status()[0].Windows {
@@ -82,7 +76,7 @@ func TestSLOEngineProbe(t *testing.T) {
 	r := NewRegistry()
 	stale := false
 	e := NewSLOEngine(r, SLOOptions{Interval: time.Second, Windows: []time.Duration{time.Minute}},
-		SLO{Name: "staleness", Target: 0.5, Probe: func(*Snapshot) bool { return !stale }})
+		SLO{Name: "staleness", Target: 0.5, Probe: func() bool { return !stale }})
 	for i := 0; i < 5; i++ {
 		e.Tick() // healthy ticks; the first is the differencing baseline
 	}
@@ -104,7 +98,7 @@ func TestSLOEngineDegraded(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("tind_test_slo_deg", "latency", []float64{0.1, 0.5, 1})
 	e := NewSLOEngine(r, SLOOptions{Interval: time.Second, DegradeBurn: 2, MinEvents: 10},
-		testLatencySLO("latency", 0.99, "tind_test_slo_deg"))
+		testLatencySLO("latency", 0.99, h))
 	e.Tick()
 	if got := e.Degraded(); got != "" {
 		t.Fatalf("Degraded before traffic = %q, want empty", got)
@@ -120,7 +114,7 @@ func TestSLOEngineDegraded(t *testing.T) {
 
 	// With DegradeBurn unset the same state never degrades.
 	e2 := NewSLOEngine(r, SLOOptions{Interval: time.Second},
-		testLatencySLO("latency2", 0.99, "tind_test_slo_deg"))
+		testLatencySLO("latency2", 0.99, h))
 	e2.Tick()
 	for i := 0; i < 50; i++ {
 		h.Observe(2)
@@ -135,7 +129,7 @@ func TestSLOEngineMinEventsGuards(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("tind_test_slo_min", "latency", []float64{0.5})
 	e := NewSLOEngine(r, SLOOptions{Interval: time.Second, DegradeBurn: 2, MinEvents: 100},
-		testLatencySLO("latency", 0.99, "tind_test_slo_min"))
+		testLatencySLO("latency", 0.99, h))
 	e.Tick()
 	for i := 0; i < 5; i++ {
 		h.Observe(2)
@@ -149,7 +143,7 @@ func TestSLOEngineMinEventsGuards(t *testing.T) {
 func TestSLOEngineStartStops(t *testing.T) {
 	r := NewRegistry()
 	e := NewSLOEngine(r, SLOOptions{Interval: 10 * time.Millisecond, Windows: []time.Duration{time.Minute}},
-		SLO{Name: "probe", Target: 0.9, Probe: func(*Snapshot) bool { return true }})
+		SLO{Name: "probe", Target: 0.9, Probe: func() bool { return true }})
 	stop := e.Start()
 	time.Sleep(35 * time.Millisecond)
 	stop()

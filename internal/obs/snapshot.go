@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"math"
-	"strconv"
-	"strings"
-)
+import "strings"
 
 // Metric is the captured state of one registered instrument at snapshot
 // time. Counters store their count in Value; gauges store their level;
@@ -29,29 +25,12 @@ type Bucket struct {
 	Count int64   `json:"count"`
 }
 
-// Quantile estimates the q-quantile of a histogram metric from its
-// captured buckets, with the same interpolation as Histogram.Quantile.
-// It returns NaN for non-histograms, empty histograms and q outside
-// [0, 1]. Applied to a Diff result, it estimates the quantile of only
-// the observations made between the two snapshots.
-func (m Metric) Quantile(q float64) float64 {
-	if m.Kind != string(kindHistogram) {
-		return math.NaN()
-	}
-	bounds := make([]float64, len(m.Buckets))
-	cum := make([]int64, len(m.Buckets))
-	for i, b := range m.Buckets {
-		bounds[i] = b.LE
-		cum[i] = b.Count
-	}
-	return quantileFromBuckets(bounds, cum, m.Count, q)
-}
-
 // Snapshot is a point-in-time capture of every metric in a Registry.
 // Snapshots are plain data: they marshal to JSON (tindbench embeds one
 // per benchmark scenario) and two of them subtract into a delta view via
 // Diff, which is what tests and benchmarks use to assert or report what
-// a specific stretch of work did to the metrics.
+// a specific stretch of work did to the metrics. Estimates (Quantile,
+// CountAbove) are asked of the live Histogram, not of a capture.
 type Snapshot struct {
 	Metrics []Metric `json:"metrics"`
 }
@@ -107,9 +86,13 @@ func (r *Registry) Snapshot() *Snapshot {
 
 // Get returns the captured metric with the given name and label set.
 func (s *Snapshot) Get(name string, labels ...Label) (Metric, bool) {
-	key := renderLabels(labels)
+	return s.lookup(name, renderLabels(labels))
+}
+
+// lookup finds a metric by name and rendered label key.
+func (s *Snapshot) lookup(name, labels string) (Metric, bool) {
 	for _, m := range s.Metrics {
-		if m.Name == name && m.Labels == key {
+		if m.Name == name && m.Labels == labels {
 			return m, true
 		}
 	}
@@ -136,28 +119,19 @@ func (s *Snapshot) Count(name string, labels ...Label) int64 {
 	return m.Count
 }
 
-// Filter returns a snapshot holding only the metrics keep accepts.
-func (s *Snapshot) Filter(keep func(Metric) bool) *Snapshot {
-	out := &Snapshot{}
-	for _, m := range s.Metrics {
-		if keep(m) {
-			out.Metrics = append(out.Metrics, m)
-		}
-	}
-	return out
-}
-
 // FilterPrefix returns a snapshot holding only metrics whose name starts
 // with one of the given prefixes.
 func (s *Snapshot) FilterPrefix(prefixes ...string) *Snapshot {
-	return s.Filter(func(m Metric) bool {
+	out := &Snapshot{}
+	for _, m := range s.Metrics {
 		for _, p := range prefixes {
 			if strings.HasPrefix(m.Name, p) {
-				return true
+				out.Metrics = append(out.Metrics, m)
+				break
 			}
 		}
-		return false
-	})
+	}
+	return out
 }
 
 // Diff returns the change from prev to s, metric by metric:
@@ -177,7 +151,7 @@ func (s *Snapshot) Diff(prev *Snapshot) *Snapshot {
 	for _, cur := range s.Metrics {
 		var old Metric
 		if prev != nil {
-			old, _ = prevLookup(prev, cur.Name, cur.Labels)
+			old, _ = prev.lookup(cur.Name, cur.Labels)
 		}
 		switch cur.Kind {
 		case string(kindCounter):
@@ -208,137 +182,4 @@ func (s *Snapshot) Diff(prev *Snapshot) *Snapshot {
 		}
 	}
 	return out
-}
-
-// CountAbove estimates how many of a histogram metric's observations
-// exceeded threshold, interpolating linearly within the bucket the
-// threshold falls into (the inverse of Quantile's estimate). Thresholds
-// at or beyond the highest finite bound return only the +Inf mass.
-// Returns 0 for non-histograms and empty histograms. Applied to a Diff
-// result it counts only the observations between the two snapshots,
-// which is what the SLO engine's windowed bad-event counters use.
-func (m Metric) CountAbove(threshold float64) float64 {
-	if m.Kind != string(kindHistogram) || m.Count == 0 {
-		return 0
-	}
-	total := float64(m.Count)
-	if len(m.Buckets) == 0 {
-		return total
-	}
-	var below int64
-	lower := 0.0
-	for _, b := range m.Buckets {
-		if threshold <= b.LE {
-			in := float64(b.Count - below)
-			width := b.LE - lower
-			var aboveIn float64
-			if in > 0 && width > 0 && threshold > lower {
-				aboveIn = in * (b.LE - threshold) / width
-			} else if threshold <= lower {
-				aboveIn = in
-			}
-			return aboveIn + (total - float64(b.Count))
-		}
-		below = b.Count
-		lower = b.LE
-	}
-	return total - float64(below) // threshold beyond the last bound: +Inf mass
-}
-
-// Label returns the value of one key in the metric's rendered label set,
-// or "" when absent or unparseable.
-func (m Metric) Label(key string) string {
-	labels, err := ParseLabels(m.Labels)
-	if err != nil {
-		return ""
-	}
-	for _, l := range labels {
-		if l.Key == key {
-			return l.Value
-		}
-	}
-	return ""
-}
-
-// ParseLabels parses a rendered `k1="v1",k2="v2"` label set back into
-// labels, undoing the exposition-format escaping (\\, \", \n). It is
-// the inverse of renderLabels and is what tests use to round-trip label
-// values through the exposition.
-func ParseLabels(s string) ([]Label, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []Label
-	i := 0
-	for i < len(s) {
-		eq := strings.IndexByte(s[i:], '=')
-		if eq < 0 {
-			return nil, errMalformedLabels(s, i)
-		}
-		key := s[i : i+eq]
-		i += eq + 1
-		if i >= len(s) || s[i] != '"' {
-			return nil, errMalformedLabels(s, i)
-		}
-		i++
-		var b strings.Builder
-		closed := false
-		for i < len(s) {
-			c := s[i]
-			if c == '\\' && i+1 < len(s) {
-				switch s[i+1] {
-				case '\\':
-					b.WriteByte('\\')
-				case '"':
-					b.WriteByte('"')
-				case 'n':
-					b.WriteByte('\n')
-				default:
-					b.WriteByte(c)
-					b.WriteByte(s[i+1])
-				}
-				i += 2
-				continue
-			}
-			if c == '"' {
-				closed = true
-				i++
-				break
-			}
-			b.WriteByte(c)
-			i++
-		}
-		if !closed {
-			return nil, errMalformedLabels(s, i)
-		}
-		out = append(out, Label{Key: key, Value: b.String()})
-		if i < len(s) {
-			if s[i] != ',' {
-				return nil, errMalformedLabels(s, i)
-			}
-			i++
-		}
-	}
-	return out, nil
-}
-
-type labelParseError struct {
-	input string
-	pos   int
-}
-
-func (e *labelParseError) Error() string {
-	return "obs: malformed label set " + strconv.Quote(e.input) + " at offset " + strconv.Itoa(e.pos)
-}
-
-func errMalformedLabels(s string, pos int) error { return &labelParseError{input: s, pos: pos} }
-
-// prevLookup finds a metric by name and pre-rendered label key.
-func prevLookup(s *Snapshot, name, labels string) (Metric, bool) {
-	for _, m := range s.Metrics {
-		if m.Name == name && m.Labels == labels {
-			return m, true
-		}
-	}
-	return Metric{}, false
 }

@@ -92,6 +92,18 @@ for a in $(seq 0 $((ATTRS - 1))); do
   done
 done
 
+# A shard answers for its own attributes only, so a shard server serves
+# the shard RPC instead of the public query surface.
+log "asserting shard servers serve only the shard RPC"
+for check in "GET /search?attr=0 404" "POST /query/batch 404" "GET /shard/info 200"; do
+  read -r method path want <<<"$check"
+  got=$(curl -s -o /dev/null -w '%{http_code}' -X "$method" "http://127.0.0.1:$PORT_S0$path")
+  if [ "$got" != "$want" ]; then
+    log "FAIL: $method $path on a shard server answered $got, want $want"
+    exit 1
+  fi
+done
+
 log "SIGKILL shard 1 mid-traffic"
 curl -fsS "http://127.0.0.1:$PORT_R/search?attr=0" >/dev/null &
 INFLIGHT=$!
