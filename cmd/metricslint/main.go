@@ -1,9 +1,8 @@
 // Command metricslint validates the observability surface of a running
 // tindserve: the Prometheus text exposition on /metrics (every sample
 // line must parse, every metric family must carry non-empty HELP and a
-// known TYPE, every histogram must close with a +Inf bucket), the
-// OpenMetrics rendering (terminated by # EOF, exemplars syntactically
-// valid), and the JSON debugging endpoints /debug/events and /slo.
+// known TYPE, every histogram must close with a +Inf bucket) and the
+// JSON debugging endpoints /debug/events and /slo.
 //
 // CI boots a tiny-corpus server and points this tool at it (see
 // scripts/metricslint.sh); a non-zero exit means a metric was added or
@@ -29,8 +28,7 @@ import (
 )
 
 // sampleRe matches one text-format sample line: a metric name, optional
-// {labels}, a value, and an optional timestamp. Exemplars (OpenMetrics
-// " # {...} value [ts]" suffixes) are stripped before matching.
+// {labels}, a value, and an optional timestamp.
 var sampleRe = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (\S+)( [0-9.e+-]+)?$`)
 
 // knownTypes are the exposition TYPE values this codebase emits.
@@ -51,8 +49,8 @@ func (l *linter) errorf(context, format string, args ...interface{}) {
 	l.errs = append(l.errs, lintError{context, fmt.Sprintf(format, args...)})
 }
 
-// family strips the sample-name suffixes that samples of one metric
-// family share: histogram series and the counter _total convention.
+// family strips the histogram series suffixes that samples of one metric
+// family share.
 func family(name string) string {
 	for _, suffix := range []string{"_bucket", "_sum", "_count"} {
 		if strings.HasSuffix(name, suffix) {
@@ -62,16 +60,12 @@ func family(name string) string {
 	return name
 }
 
-// lintExposition checks one text exposition (Prometheus 0.0.4 or
-// OpenMetrics). openMetrics toggles the format-specific rules: the
-// # EOF terminator requirement, exemplar validation, and the
-// counter-metadata-without-_total naming convention.
-func (l *linter) lintExposition(context, text string, openMetrics bool) {
+// lintExposition checks one Prometheus 0.0.4 text exposition.
+func (l *linter) lintExposition(context, text string) {
 	help := map[string]string{} // family -> help text
 	typ := map[string]string{}  // family -> type
 	families := map[string]bool{}
 	infBucket := map[string]bool{} // histogram family -> saw le="+Inf"
-	sawEOF := false
 
 	sc := bufio.NewScanner(strings.NewReader(text))
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -82,9 +76,6 @@ func (l *linter) lintExposition(context, text string, openMetrics bool) {
 		ctx := fmt.Sprintf("%s:%d", context, lineNo)
 		switch {
 		case line == "":
-			continue
-		case line == "# EOF":
-			sawEOF = true
 			continue
 		case strings.HasPrefix(line, "# HELP "):
 			rest := strings.TrimPrefix(line, "# HELP ")
@@ -105,14 +96,7 @@ func (l *linter) lintExposition(context, text string, openMetrics bool) {
 		case strings.HasPrefix(line, "#"):
 			// Other comments are legal and ignored.
 		default:
-			sample := line
-			if openMetrics {
-				if base, ex, ok := strings.Cut(line, " # "); ok {
-					sample = strings.TrimRight(base, " ")
-					l.lintExemplar(ctx, ex)
-				}
-			}
-			m := sampleRe.FindStringSubmatch(sample)
+			m := sampleRe.FindStringSubmatch(line)
 			if m == nil {
 				l.errorf(ctx, "unparseable sample line: %q", line)
 				continue
@@ -123,14 +107,10 @@ func (l *linter) lintExposition(context, text string, openMetrics bool) {
 			}
 			// Resolve the sample to its family: an exact metadata match
 			// wins (a gauge may legitimately end in _count), otherwise
-			// strip the histogram series suffixes — and under OpenMetrics
-			// the _total that counter metadata drops.
+			// strip the histogram series suffixes.
 			fam := name
 			if _, ok := typ[fam]; !ok {
 				fam = family(name)
-				if openMetrics {
-					fam = strings.TrimSuffix(fam, "_total")
-				}
 			}
 			families[fam] = true
 			if strings.HasSuffix(name, "_bucket") && strings.Contains(labels, `le="+Inf"`) {
@@ -156,45 +136,11 @@ func (l *linter) lintExposition(context, text string, openMetrics bool) {
 			l.errorf(context, "histogram %s has no le=\"+Inf\" bucket", fam)
 		}
 	}
-	if openMetrics && !sawEOF {
-		l.errorf(context, "OpenMetrics exposition not terminated by # EOF")
-	}
 }
 
-// lintExemplar validates the OpenMetrics exemplar suffix of a bucket
-// line: {labels} value [timestamp].
-func (l *linter) lintExemplar(ctx, ex string) {
-	if !strings.HasPrefix(ex, "{") {
-		l.errorf(ctx, "exemplar without label set: %q", ex)
-		return
-	}
-	end := strings.Index(ex, "}")
-	if end < 0 {
-		l.errorf(ctx, "exemplar labels not closed: %q", ex)
-		return
-	}
-	fields := strings.Fields(ex[end+1:])
-	if len(fields) < 1 || len(fields) > 2 {
-		l.errorf(ctx, "exemplar needs a value and optional timestamp: %q", ex)
-		return
-	}
-	for _, f := range fields {
-		if _, err := strconv.ParseFloat(f, 64); err != nil {
-			l.errorf(ctx, "exemplar field %q is not a number", f)
-		}
-	}
-}
-
-// fetch GETs a URL with an optional Accept header and returns the body.
-func fetch(client *http.Client, url, accept string) (string, string, error) {
-	req, err := http.NewRequest("GET", url, nil)
-	if err != nil {
-		return "", "", err
-	}
-	if accept != "" {
-		req.Header.Set("Accept", accept)
-	}
-	resp, err := client.Do(req)
+// fetch GETs a URL and returns the body and its content type.
+func fetch(client *http.Client, url string) (string, string, error) {
+	resp, err := client.Get(url)
 	if err != nil {
 		return "", "", err
 	}
@@ -212,7 +158,7 @@ func fetch(client *http.Client, url, accept string) (string, string, error) {
 // lintJSON asserts a URL answers a JSON object containing the required
 // top-level keys.
 func (l *linter) lintJSON(client *http.Client, url string, requiredKeys ...string) {
-	body, _, err := fetch(client, url, "")
+	body, _, err := fetch(client, url)
 	if err != nil {
 		l.errorf(url, "%v", err)
 		return
@@ -237,8 +183,7 @@ func main() {
 	client := &http.Client{Timeout: *timeout}
 	l := &linter{}
 
-	// Prometheus 0.0.4 rendering.
-	text, ct, err := fetch(client, *url+"/metrics", "")
+	text, ct, err := fetch(client, *url+"/metrics")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "metricslint: %v\n", err)
 		os.Exit(1)
@@ -246,18 +191,7 @@ func main() {
 	if !strings.HasPrefix(ct, "text/plain") {
 		l.errorf("/metrics", "content type %q, want text/plain", ct)
 	}
-	l.lintExposition("/metrics", text, false)
-
-	// OpenMetrics rendering with exemplars.
-	om, ct, err := fetch(client, *url+"/metrics", "application/openmetrics-text")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "metricslint: %v\n", err)
-		os.Exit(1)
-	}
-	if !strings.HasPrefix(ct, "application/openmetrics-text") {
-		l.errorf("/metrics(openmetrics)", "content type %q, want application/openmetrics-text", ct)
-	}
-	l.lintExposition("/metrics(openmetrics)", om, true)
+	l.lintExposition("/metrics", text)
 
 	// JSON debugging endpoints.
 	l.lintJSON(client, *url+"/debug/events", "count", "events")

@@ -222,11 +222,6 @@ func (s *server) handleQuery(mode string) queryHandler {
 			router.HTTPError(w, http.StatusBadRequest, router.CodeInvalidParameter, err)
 			return
 		}
-		// Tracing is always on; the tail sampler in the middleware decides
-		// after completion whether the spans are retained in the wide
-		// event, so slow or errored queries keep their trace without any
-		// threshold having been configured.
-		o.Trace = true
 		// A lone query is a batch of one on every engine; a run that never
 		// started leaves no result behind, only the error.
 		var res index.Result
@@ -314,9 +309,6 @@ func (s *server) handleBatch(c *corpus, w http.ResponseWriter, r *http.Request) 
 			router.HTTPError(w, http.StatusBadRequest, router.CodeInvalidParameter, fmt.Errorf("query %d: %w", i, err))
 			return
 		}
-		// Same middleware contract as handleQuery: every entry traces, the
-		// tail sampler decides retention after the batch completes.
-		o.Trace = true
 		batch[i] = index.BatchQuery{Query: q, Options: o}
 		queries[i] = q
 	}
@@ -357,10 +349,10 @@ func (s *server) handleBatch(c *corpus, w http.ResponseWriter, r *http.Request) 
 
 // aggregateBatchStats folds per-entry batch results into one batch-level
 // QueryStats for the wide event: funnel counts and phase timings sum
-// across entries and traces concatenate in entry order (QueryStats.Add),
-// and the per-shard attribution is taken from the first entry — sharded
-// batch legs cover the whole regrouped batch, so every entry reports the
-// same PerShard slice.
+// across entries (QueryStats.Add), and so does each shard's row of the
+// per-shard attribution (addLeg) — one leg carried every entry, so the
+// rows agree on the leg's wall time and error, but each entry reports
+// its own share of the leg's work.
 func aggregateBatchStats(results []index.Result, elapsed time.Duration) index.QueryStats {
 	agg := index.QueryStats{Elapsed: elapsed}
 	agg.Timings.Total = elapsed
@@ -368,10 +360,29 @@ func aggregateBatchStats(results []index.Result, elapsed time.Duration) index.Qu
 		st := &results[i].Stats
 		agg.Add(st)
 		if agg.PerShard == nil && len(st.PerShard) > 0 {
-			agg.PerShard = st.PerShard
+			agg.PerShard = make([]index.ShardStat, len(st.PerShard))
+			for s, leg := range st.PerShard {
+				agg.PerShard[s] = index.ShardStat{Shard: leg.Shard, Elapsed: leg.Elapsed, Err: leg.Err}
+			}
+		}
+		for s := range st.PerShard {
+			addLeg(&agg.PerShard[s], &st.PerShard[s])
 		}
 	}
 	return agg
+}
+
+// addLeg folds one entry's share of a scatter leg into the batch's row:
+// phase timings and funnel counts add.
+func addLeg(dst, src *index.ShardStat) {
+	dst.Timings.MTPrune += src.Timings.MTPrune
+	dst.Timings.SlicePrune += src.Timings.SlicePrune
+	dst.Timings.SubsetCheck += src.Timings.SubsetCheck
+	dst.Timings.Validate += src.Timings.Validate
+	dst.Timings.Rank += src.Timings.Rank
+	dst.InitialCandidates += src.InitialCandidates
+	dst.Validated += src.Validated
+	dst.Results += src.Results
 }
 
 func (s *server) handleExplain(c *corpus, w http.ResponseWriter, r *http.Request) {

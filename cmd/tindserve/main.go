@@ -20,7 +20,7 @@
 //	GET /attr?attr=...                                   attribute details
 //	GET /stats                                           corpus, index and ingestion stats
 //	POST /ingest                                         live history deltas (with -wal)
-//	GET /metrics                                         Prometheus text (OpenMetrics + exemplars via Accept)
+//	GET /metrics                                         Prometheus text format 0.0.4
 //	GET /debug/events                                    wide-event ring: one structured event per query
 //	GET /slo                                             burn-rate status of the declared objectives
 //	GET /debug/pprof/*                                   profiling (only with -pprof)
@@ -66,22 +66,19 @@
 //
 // Observability: /metrics serves the process-wide obs registry (query
 // phase latencies, candidate funnels, Bloom fill ratios, HTTP counters,
-// runtime gauges) in the Prometheus text format — or, when the scraper
-// accepts application/openmetrics-text, in OpenMetrics with per-bucket
-// exemplars carrying query IDs; /healthz reports p50/p95/p99 query
-// latency since start. Every query and batch records one wide event
-// (phase timings, per-shard attribution, candidate funnel, error class)
-// into a ring served at /debug/events; tracing is always on and a tail
-// sampler retains the spans of errored queries and the slowest ~5%, so
-// the trace of a tail-latency incident exists without any threshold
-// having been configured. Declarative SLOs (query latency vs
+// runtime gauges) in the Prometheus text format; /healthz reports
+// p50/p95/p99 query latency since start. Every query and batch records
+// one wide event (phase timings, per-shard attribution, candidate
+// funnel, error class) into a ring served at /debug/events, filterable
+// by min_duration — so a latency spike's histogram bucket leads
+// straight to the events that filled it. Declarative SLOs (query latency vs
 // -slo-latency-threshold, 5xx ratio, ingest staleness vs -max-staleness)
 // are evaluated into multi-window burn-rate gauges
 // (tind_slo_burn_rate{slo,window}) served at /slo; with
 // -slo-burn-degrade a sustained burn flips /readyz to degraded. Logs are
 // structured (log/slog); every admitted query gets an ID, echoed in the
-// X-Query-ID response header and carried by its wide event and latency
-// exemplar. -pprof opt-in exposes the standard /debug/pprof endpoints.
+// X-Query-ID response header and carried by its wide event. -pprof
+// opt-in exposes the standard /debug/pprof endpoints.
 package main
 
 import (
@@ -630,15 +627,11 @@ type server struct {
 	limiter *sem.Weighted
 	// queryID numbers admitted query requests; the ID is returned in the
 	// X-Query-ID response header and attached to the wide event so a
-	// client-reported request can be matched to its trace.
+	// client-reported request can be matched to its event.
 	queryID atomic.Uint64
 	// replay publishes WAL-replay progress for /readyz while the corpus
 	// loads after a restart.
 	replay replayProgress
-	// sampler decides after each query completes whether its trace is
-	// retained in the wide event — errored queries and the slowest tail
-	// always keep theirs.
-	sampler *obs.TailSampler
 	// slo evaluates the declared objectives into burn-rate gauges; with
 	// -slo-burn-degrade a sustained burn also degrades /readyz.
 	slo *obs.SLOEngine
@@ -652,11 +645,7 @@ func newServer(cfg config) *server {
 	if capacity <= 0 {
 		capacity = int64(4 * runtime.GOMAXPROCS(0))
 	}
-	s := &server{
-		cfg:     cfg,
-		limiter: sem.New(capacity),
-		sampler: obs.NewTailSampler(tailSamplePercentile, tailSampleWindow),
-	}
+	s := &server{cfg: cfg, limiter: sem.New(capacity)}
 	s.slo = s.newSLOEngine()
 	return s
 }
@@ -738,18 +727,10 @@ func (s *server) handleShardRPC(c *corpus, w http.ResponseWriter, r *http.Reques
 	c.shardH.ServeHTTP(w, r)
 }
 
-// handleMetrics serves the process-wide registry. Scrapers that accept
-// OpenMetrics get that rendering — it carries the per-bucket exemplars
-// linking latency spikes to query IDs in /debug/events — everyone else
-// gets the Prometheus 0.0.4 text format.
+// handleMetrics serves the process-wide registry in the Prometheus 0.0.4
+// text format, whatever the scraper's Accept header prefers: every
+// scraper accepts it.
 func handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if wantsOpenMetrics(r) {
-		w.Header().Set("Content-Type", openMetricsContentType)
-		if err := obs.Default().WriteOpenMetrics(w); err != nil {
-			slog.Error("writing metrics", "err", err)
-		}
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := obs.Default().WritePrometheus(w); err != nil {
 		slog.Error("writing metrics", "err", err)
@@ -944,12 +925,9 @@ func (s *server) query(weight int64, h queryHandler) http.Handler {
 		elapsed := time.Since(start)
 		s.countRequest(endpoint, sr.status)
 		mHTTPSeconds(endpoint).ObserveDuration(elapsed)
-		// The query-latency observation carries the query ID as an
-		// exemplar, so a p99 spike on the histogram links straight to the
-		// offending wide event in /debug/events.
-		mQuerySeconds.ObserveExemplar(elapsed.Seconds(), obs.L("query_id", strconv.FormatUint(qid, 10)))
+		mQuerySeconds.ObserveDuration(elapsed)
 		if note.stats != nil {
-			s.recordQueryEvent(note, qid, endpoint, sr.status, elapsed)
+			recordQueryEvent(note, qid, endpoint, sr.status, elapsed)
 		}
 	})
 }

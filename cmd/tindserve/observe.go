@@ -1,30 +1,20 @@
-// Wide-event, tail-sampling and SLO wiring of tindserve: the query
-// middleware records one structured event per query/batch into the
-// process-wide obs ring (served at GET /debug/events), the tail sampler
-// decides post-completion which events keep their trace, and the SLO
-// engine turns the query latency histogram, the request counters, the
-// ingester's staleness and the router's leg outcomes into multi-window
-// burn-rate gauges (GET /slo, optionally feeding /readyz).
+// Wide-event and SLO wiring of tindserve: the query middleware records
+// one structured event per query/batch into the process-wide obs ring
+// (served at GET /debug/events), and the SLO engine turns the query
+// latency histogram, the request counters, the ingester's staleness and
+// the router's leg outcomes into multi-window burn-rate gauges (GET
+// /slo, optionally feeding /readyz).
 package main
 
 import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"tind/internal/index"
 	"tind/internal/obs"
 	"tind/internal/router"
-)
-
-// Tail-sampling defaults: always-on span capture with retention for the
-// slowest 5% of recent queries (plus every errored one), estimated over
-// a ring of the last 1024 requests.
-const (
-	tailSamplePercentile = 0.95
-	tailSampleWindow     = 1024
 )
 
 // newSLOEngine declares the service objectives over the instruments
@@ -148,13 +138,12 @@ func eventShards(ps []index.ShardStat) []obs.EventShard {
 }
 
 // recordQueryEvent builds and records the wide event of one completed
-// query-shaped request, deciding trace retention through the tail
-// sampler. Called by the query middleware for every request whose
-// handler noted stats.
-func (s *server) recordQueryEvent(note *queryNote, qid uint64, endpoint string, status int, elapsed time.Duration) {
+// query-shaped request: the one per-request record of where its time
+// went. Called by the query middleware for every request whose handler
+// noted stats.
+func recordQueryEvent(note *queryNote, qid uint64, endpoint string, status int, elapsed time.Duration) {
 	st := note.stats
-	errClass := errorClass(status)
-	ev := obs.Event{
+	obs.Events().Record(obs.Event{
 		Kind:       note.kind,
 		QueryID:    qid,
 		Mode:       note.mode,
@@ -162,17 +151,13 @@ func (s *server) recordQueryEvent(note *queryNote, qid uint64, endpoint string, 
 		Status:     status,
 		BatchSize:  note.batch,
 		Duration:   elapsed,
-		ErrorClass: errClass,
+		ErrorClass: errorClass(status),
 		Candidates: st.InitialCandidates,
 		Validated:  st.Validated,
 		Results:    st.Results,
 		Phases:     eventPhases(st.Timings),
 		Shards:     eventShards(st.PerShard),
-	}
-	if s.sampler.Admit(elapsed, errClass != "") {
-		ev.Trace = st.Trace
-	}
-	obs.Events().Record(ev)
+	})
 }
 
 // eventsMaxLimit caps one /debug/events response.
@@ -238,15 +223,4 @@ func (s *server) handleSLO(w http.ResponseWriter, r *http.Request) {
 		"healthy":    healthy,
 		"objectives": statuses,
 	})
-}
-
-// openMetricsContentType is the negotiated content type of the
-// OpenMetrics rendering (which carries exemplars; the 0.0.4 text format
-// cannot).
-const openMetricsContentType = "application/openmetrics-text; version=1.0.0; charset=utf-8"
-
-// wantsOpenMetrics reports whether the scraper negotiated the
-// OpenMetrics exposition via Accept.
-func wantsOpenMetrics(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), "application/openmetrics-text")
 }

@@ -2,8 +2,8 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -30,16 +30,17 @@ type eventJSON struct {
 	DurationMs float64            `json:"duration_ms"`
 	ErrorClass string             `json:"error_class"`
 	Candidates int                `json:"candidates"`
+	Validated  int                `json:"validated"`
 	Results    int                `json:"results"`
 	Phases     map[string]float64 `json:"phases_ms"`
 	Shards     []struct {
-		Shard      int     `json:"shard"`
-		ElapsedMs  float64 `json:"elapsed_ms"`
-		Candidates int     `json:"candidates"`
+		Shard      int                `json:"shard"`
+		ElapsedMs  float64            `json:"elapsed_ms"`
+		Phases     map[string]float64 `json:"phases_ms"`
+		Candidates int                `json:"candidates"`
+		Validated  int                `json:"validated"`
+		Results    int                `json:"results"`
 	} `json:"shards"`
-	Trace []struct {
-		Name string `json:"name"`
-	} `json:"trace"`
 }
 
 // getEvents fetches /debug/events with the given query string and
@@ -67,44 +68,62 @@ func getEvents(t *testing.T, base, query string) []eventJSON {
 	return out.Events
 }
 
+// runForEvent sends one query request — a GET, or a POST of body when it
+// is non-empty — asserts its status and returns the wide event carrying
+// its X-Query-ID. The middleware records the event before it returns, and the
+// response only ends once it has, so a read body means a recorded event.
+func runForEvent(t *testing.T, base, target, body string, wantStatus int) eventJSON {
+	t.Helper()
+	var resp *http.Response
+	var err error
+	if body == "" {
+		resp, err = http.Get(base + target)
+	} else {
+		resp, err = http.Post(base+target, "application/json", strings.NewReader(body))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != wantStatus {
+		t.Fatalf("%s: status %d, want %d", target, resp.StatusCode, wantStatus)
+	}
+	qid, err := strconv.ParseUint(resp.Header.Get("X-Query-ID"), 10, 64)
+	if err != nil {
+		t.Fatalf("%s: bad X-Query-ID %q: %v", target, resp.Header.Get("X-Query-ID"), err)
+	}
+	endpoint, _, _ := strings.Cut(target, "?")
+	// Newest first: query IDs restart per server, so the first match is
+	// this server's.
+	for _, e := range getEvents(t, base, "?limit=1000") {
+		if e.QueryID == qid && e.Endpoint == endpoint {
+			return e
+		}
+	}
+	t.Fatalf("%s: no event with query_id %d", target, qid)
+	return eventJSON{}
+}
+
 // TestBatchWideEvent guards the regression where POST /query/batch
 // bypassed the query middleware contract: handleBatch never noted its
-// stats, so a batch left no phase breakdown or trace behind. The batch
-// must record one wide event carrying the aggregate stats and the
-// per-entry traces — also when it fails.
+// stats, so a batch left no phase breakdown behind. The batch must
+// record one wide event carrying the aggregate stats — also when it
+// fails.
 func TestBatchWideEvent(t *testing.T) {
 	body := `{"queries": [
 		{"attr": "0", "eps": 3, "delta": 7},
 		{"attr": "1", "mode": "reverse", "eps": 3}
 	]}`
-	// post runs the batch and returns its wide event (the ring is
-	// process-wide and newest first; query IDs restart per server).
+	// post runs the batch and returns its wide event.
 	post := func(cfg config, wantStatus int) eventJSON {
 		t.Helper()
 		_, ts := testServerConfig(t, cfg)
-		resp, err := http.Post(ts.URL+"/query/batch", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+		e := runForEvent(t, ts.URL, "/query/batch", body, wantStatus)
+		if e.Kind != "batch" || e.Status != wantStatus || e.BatchSize != 2 {
+			t.Errorf("event kind=%q status=%d batch_size=%d, want batch, %d and 2", e.Kind, e.Status, e.BatchSize, wantStatus)
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != wantStatus {
-			t.Fatalf("status %d, want %d", resp.StatusCode, wantStatus)
-		}
-		qid, err := strconv.ParseUint(resp.Header.Get("X-Query-ID"), 10, 64)
-		if err != nil {
-			t.Fatalf("bad X-Query-ID %q: %v", resp.Header.Get("X-Query-ID"), err)
-		}
-		for _, e := range getEvents(t, ts.URL, "?kind=batch") {
-			if e.QueryID == qid && e.Endpoint == "/query/batch" {
-				if e.Status != wantStatus || e.BatchSize != 2 {
-					t.Errorf("event status=%d batch_size=%d, want %d and 2", e.Status, e.BatchSize, wantStatus)
-				}
-				return e
-			}
-		}
-		t.Fatalf("no batch event with query_id %d", qid)
-		return eventJSON{}
+		return e
 	}
 
 	ev := post(config{}, http.StatusOK)
@@ -112,17 +131,6 @@ func TestBatchWideEvent(t *testing.T) {
 		if _, ok := ev.Phases[phase]; !ok {
 			t.Errorf("batch event phases %v missing %q", ev.Phases, phase)
 		}
-	}
-	// Fresh server: the tail sampler is in warmup and keeps every trace;
-	// both entries contribute their spans.
-	var probes int
-	for _, sp := range ev.Trace {
-		if sp.Name == "mt_prune" {
-			probes++
-		}
-	}
-	if probes != 2 {
-		t.Errorf("batch event trace has %d mt_prune spans, want one per entry: %+v", probes, ev.Trace)
 	}
 
 	// The error path: a batch that times out still reaches the ring.
@@ -137,26 +145,9 @@ func TestBatchWideEvent(t *testing.T) {
 // X-Query-ID.
 func TestQueryWideEvent(t *testing.T) {
 	_, ts := testServer(t)
-	resp, err := http.Get(ts.URL + "/search?attr=0&eps=3&delta=7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	qid, err := strconv.ParseUint(resp.Header.Get("X-Query-ID"), 10, 64)
-	if err != nil {
-		t.Fatalf("bad X-Query-ID %q: %v", resp.Header.Get("X-Query-ID"), err)
-	}
-
-	var ev *eventJSON
-	for _, e := range getEvents(t, ts.URL, "?kind=query&mode=forward") {
-		if e.QueryID == qid && e.Endpoint == "/search" {
-			ev = &e
-			break
-		}
-	}
-	if ev == nil {
-		t.Fatalf("no query event with query_id %d", qid)
+	ev := runForEvent(t, ts.URL, "/search?attr=0&eps=3&delta=7", "", http.StatusOK)
+	if ev.Kind != "query" || ev.Mode != "forward" {
+		t.Errorf("event kind=%q mode=%q, want query and forward", ev.Kind, ev.Mode)
 	}
 	if ev.Status != http.StatusOK || ev.ErrorClass != "" {
 		t.Errorf("event status=%d error_class=%q, want 200 and empty", ev.Status, ev.ErrorClass)
@@ -166,10 +157,6 @@ func TestQueryWideEvent(t *testing.T) {
 	}
 	if len(ev.Phases) == 0 {
 		t.Error("event carries no phase breakdown")
-	}
-	// Fresh server: the tail sampler is in warmup and keeps every trace.
-	if len(ev.Trace) == 0 {
-		t.Error("event trace dropped during sampler warmup")
 	}
 }
 
@@ -321,37 +308,84 @@ func TestSLOObjectivesCountWhatTheyJudge(t *testing.T) {
 	})
 }
 
-// TestOpenMetricsNegotiation checks the Accept-driven switch between the
-// Prometheus 0.0.4 text format and OpenMetrics on /metrics.
-func TestOpenMetricsNegotiation(t *testing.T) {
-	_, ts := testServer(t)
-	getJSON(t, ts.URL+"/search?attr=0", http.StatusOK)
-
-	req, _ := http.NewRequest("GET", ts.URL+"/metrics", nil)
-	req.Header.Set("Accept", "application/openmetrics-text")
+// scrapeMetrics GETs /metrics with the given Accept header (none when
+// empty), asserts the 200 and the Prometheus 0.0.4 content type, and
+// returns the exposition.
+func scrapeMetrics(t *testing.T, base, accept string) string {
+	t.Helper()
+	req, _ := http.NewRequest("GET", base+"/metrics", nil)
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/openmetrics-text") {
-		t.Fatalf("content type %q, want openmetrics", ct)
-	}
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := string(body)
-	if !strings.HasSuffix(strings.TrimRight(text, "\n"), "# EOF") {
-		t.Error("OpenMetrics exposition does not end with # EOF")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics (Accept %q): status %d", accept, resp.StatusCode)
 	}
-	// The query above left an exemplar on the aggregate latency histogram.
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+		t.Fatalf("GET /metrics (Accept %q): content type %q, want the 0.0.4 text format", accept, ct)
+	}
+	return string(body)
+}
+
+// TestOpenMetricsNegotiation: /metrics speaks one dialect. A scraper that
+// prefers OpenMetrics (Prometheus's default Accept header) still gets a
+// 200 in the 0.0.4 text format it also accepts — no OpenMetrics
+// terminator, no exemplar clauses.
+func TestOpenMetricsNegotiation(t *testing.T) {
+	_, ts := testServer(t)
+	getJSON(t, ts.URL+"/search?attr=0", http.StatusOK)
+
+	text := scrapeMetrics(t, ts.URL, "application/openmetrics-text;version=1.0.0,text/plain;version=0.0.4;q=0.5")
 	if !strings.Contains(text, `tind_http_query_seconds_bucket`) {
 		t.Fatal("missing tind_http_query_seconds buckets")
 	}
-	if !strings.Contains(text, `query_id="`) {
-		t.Error("OpenMetrics exposition carries no query_id exemplar")
+	// No "# EOF" terminator, and every sample is `name{labels} value` with
+	// no exemplar clause after the value.
+	for _, line := range strings.Split(text, "\n") {
+		if line == "# EOF" {
+			t.Fatal("exposition ends with the OpenMetrics terminator")
+		}
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		m := sampleLine.FindStringSubmatch(line)
+		if m == nil {
+			t.Fatalf("unparseable sample line: %q", line)
+		}
+		if _, err := strconv.ParseFloat(m[2], 64); err != nil {
+			t.Fatalf("sample %q: value is not a lone float: %v", line, err)
+		}
 	}
+}
+
+// queryBuckets scrapes /metrics and returns the upper bounds and
+// cumulative counts of tind_http_query_seconds, in exposition order.
+func queryBuckets(t *testing.T, base string) (les []string, counts []float64) {
+	t.Helper()
+	for _, line := range strings.Split(scrapeMetrics(t, base, ""), "\n") {
+		rest, ok := strings.CutPrefix(line, `tind_http_query_seconds_bucket{le="`)
+		if !ok {
+			continue
+		}
+		le, v, _ := strings.Cut(rest, `"} `)
+		n, err := strconv.ParseFloat(v, 64)
+		if err != nil {
+			t.Fatalf("bucket line %q: %v", line, err)
+		}
+		les, counts = append(les, le), append(counts, n)
+	}
+	if len(les) == 0 {
+		t.Fatal("no tind_http_query_seconds buckets on /metrics")
+	}
+	return les, counts
 }
 
 // testShardedServer builds a server over a scatter-gather index with the
@@ -382,9 +416,10 @@ func testShardedServer(t *testing.T, cfg config, shards int) (*server, string, [
 // TestEndToEndTraceability is the acceptance walk of the observability
 // stack: under an injected 30ms delay on one shard, a batched query must
 // (1) appear in /debug/events as a batch event whose per-shard
-// attribution names the straggler, (2) leave an exemplar with its query
-// ID on the latency histogram in the OpenMetrics exposition, and
-// (3) move the query_latency burn-rate gauge on the next SLO tick.
+// attribution names the straggler, (2) be found from the latency
+// histogram bucket it landed in, through /debug/events filtered at that
+// bucket's lower bound, and (3) move the query_latency burn-rate gauge on
+// the next SLO tick.
 func TestEndToEndTraceability(t *testing.T) {
 	const straggler = 2
 	delay := 30 * time.Millisecond
@@ -392,6 +427,7 @@ func TestEndToEndTraceability(t *testing.T) {
 	s.slo.Tick() // burn-rate baseline: deltas start at this sample
 
 	faults[straggler].SetDelay(delay)
+	_, before := queryBuckets(t, base)
 
 	body := `{"queries": [
 		{"attr": "0", "eps": 3, "delta": 7},
@@ -442,29 +478,36 @@ func TestEndToEndTraceability(t *testing.T) {
 		t.Errorf("straggler leg %.2fms, want >= %.0fms", slowest.ElapsedMs, min)
 	}
 
-	// (2) The exemplar: the OpenMetrics exposition links some latency
-	// bucket to exactly this query ID.
-	req, _ := http.NewRequest("GET", base+"/metrics", nil)
-	req.Header.Set("Accept", "application/openmetrics-text")
-	mresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mbody, err := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	marker := fmt.Sprintf(`# {query_id="%d"}`, qid)
-	found := false
-	for _, line := range strings.Split(string(mbody), "\n") {
-		if strings.HasPrefix(line, "tind_http_query_seconds_bucket") && strings.Contains(line, marker) {
-			found = true
-			break
+	// (2) The spike, two hops: the latency bucket the batch landed in on
+	// /metrics, then /debug/events above that bucket's lower bound holds
+	// this very query ID. The batch is the only query between the scrapes.
+	les, after := queryBuckets(t, base)
+	bucket := -1
+	for i := range after {
+		grew := after[i] - before[i]
+		if i > 0 {
+			grew -= after[i-1] - before[i-1] // cumulative → this bucket alone
+		}
+		if grew > 0 {
+			if bucket >= 0 {
+				t.Fatalf("more than one latency bucket grew across the batch: %v -> %v", before, after)
+			}
+			bucket = i
 		}
 	}
+	if bucket < 0 {
+		t.Fatalf("no tind_http_query_seconds bucket grew across the batch: %v -> %v", before, after)
+	}
+	lower := "0"
+	if bucket > 0 {
+		lower = les[bucket-1]
+	}
+	found := false
+	for _, e := range getEvents(t, base, "?kind=batch&min_duration="+lower+"s") {
+		found = found || e.QueryID == qid
+	}
 	if !found {
-		t.Errorf("no tind_http_query_seconds bucket carries exemplar %s", marker)
+		t.Errorf("bucket le=%q: /debug/events?min_duration=%ss holds no event with query_id %d", les[bucket], lower, qid)
 	}
 
 	// (3) The burn rate: one query above the 1ms objective threshold
@@ -477,6 +520,95 @@ func TestEndToEndTraceability(t *testing.T) {
 			t.Errorf("tind_slo_burn_rate{slo=query_latency,window=%s} = %g, want > 0", window, v)
 		}
 	}
+}
+
+// mixedBatch is a forward, a reverse and a top-k entry in one batch.
+const mixedBatch = `{"queries": [
+	{"attr": "0", "eps": 3, "delta": 7},
+	{"attr": "1", "mode": "reverse", "eps": 3},
+	{"attr": "2", "mode": "topk", "k": 5}
+]}`
+
+// TestBatchEventShardsSumToTotals: a sharded batch's per-shard rows
+// attribute the whole batch — each shard's row folds that leg's work over
+// every entry — so they add up to the event's funnel.
+func TestBatchEventShardsSumToTotals(t *testing.T) {
+	_, base, _ := testShardedServer(t, config{}, 4)
+	ev := runForEvent(t, base, "/query/batch", mixedBatch, http.StatusOK)
+	if len(ev.Shards) != 4 {
+		t.Fatalf("event shard attribution has %d legs, want 4", len(ev.Shards))
+	}
+	var cand, validated, results int
+	for _, sh := range ev.Shards {
+		cand += sh.Candidates
+		validated += sh.Validated
+		results += sh.Results
+	}
+	if cand != ev.Candidates || validated != ev.Validated || results != ev.Results {
+		t.Errorf("shards[] sum to %d candidates, %d validated, %d results; the event has %d, %d, %d",
+			cand, validated, results, ev.Candidates, ev.Validated, ev.Results)
+	}
+}
+
+// TestEventPhasesAddUp pins what an event's phases_ms add up to. A phase
+// is busy time: a lone monolith query runs its phases one after another,
+// so they fit inside its duration; on shards the top level sums every
+// leg's phases (and every batch entry's), which run in parallel, so it
+// equals the sum of shards[].phases_ms and only each leg's own phases fit
+// inside that leg's elapsed time.
+func TestEventPhasesAddUp(t *testing.T) {
+	sum := func(phases map[string]float64) float64 {
+		var s float64
+		for _, v := range phases {
+			s += v
+		}
+		return s
+	}
+	queries := []string{"/search?attr=0&eps=3&delta=7", "/reverse?attr=1&eps=3", "/topk?attr=2&k=5"}
+
+	t.Run("monolith", func(t *testing.T) {
+		_, ts := testServer(t)
+		for _, q := range queries {
+			ev := runForEvent(t, ts.URL, q, "", http.StatusOK)
+			if len(ev.Phases) == 0 {
+				t.Errorf("%s: event carries no phase breakdown", q)
+			}
+			if s := sum(ev.Phases); s > ev.DurationMs {
+				t.Errorf("%s: phases_ms sum to %.6fms, above duration_ms %.6fms", q, s, ev.DurationMs)
+			}
+		}
+	})
+
+	t.Run("shards", func(t *testing.T) {
+		_, base, _ := testShardedServer(t, config{}, 4)
+		for _, q := range append(queries, "/query/batch") {
+			body := ""
+			if q == "/query/batch" {
+				body = mixedBatch
+			}
+			ev := runForEvent(t, base, q, body, http.StatusOK)
+			if len(ev.Shards) != 4 {
+				t.Fatalf("%s: event shard attribution has %d legs, want 4", q, len(ev.Shards))
+			}
+			for _, phase := range []string{"mt_prune", "slice_prune", "subset_check", "validate", "rank"} {
+				var legs float64
+				for _, sh := range ev.Shards {
+					legs += sh.Phases[phase]
+				}
+				if math.Abs(legs-ev.Phases[phase]) > 1e-6 {
+					t.Errorf("%s: %s is %.6fms at the top level, %.6fms summed over shards[]", q, phase, ev.Phases[phase], legs)
+				}
+			}
+			if body != "" {
+				continue
+			}
+			for _, sh := range ev.Shards {
+				if s := sum(sh.Phases); s > sh.ElapsedMs {
+					t.Errorf("%s: shard %d phases_ms sum to %.6fms, above its elapsed_ms %.6fms", q, sh.Shard, s, sh.ElapsedMs)
+				}
+			}
+		}
+	})
 }
 
 // TestReadyzSLOBurnDegrade checks the opt-in coupling of the SLO engine

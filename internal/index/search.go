@@ -40,9 +40,9 @@ type QueryStats struct {
 	// PerShard attributes the query across a sharded execution: one entry
 	// per scatter leg, with that leg's wall time (including shard lock
 	// wait — the straggler signal) and shard-local funnel. Nil on a
-	// monolithic index. For batched sharded execution the legs cover the
-	// whole regrouped batch, so every entry of the batch reports the same
-	// PerShard slice.
+	// monolithic index. For batched sharded execution a leg covers the
+	// whole batch, so every entry names the same legs with the same wall
+	// times, each with that entry's own shard-local timings and funnel.
 	PerShard []ShardStat `json:"-"`
 }
 

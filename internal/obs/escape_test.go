@@ -49,3 +49,20 @@ func TestLabelEscapingRoundTrip(t *testing.T) {
 		})
 	}
 }
+
+// TestRelookupAllocs bounds what re-resolving a registered labelled
+// counter costs — what tindserve pays per admitted query for
+// tind_http_requests_total{endpoint,code}. Rendering the label key must
+// not rebuild the escaper on every call.
+func TestRelookupAllocs(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("tind_test_requests_total", "Requests.", L("endpoint", "/search"), L("code", "200"))
+	allocs := testing.AllocsPerRun(200, func() {
+		if r.Counter("tind_test_requests_total", "Requests.", L("endpoint", "/search"), L("code", "200")) != c {
+			t.Fatal("re-registration returned a different counter")
+		}
+	})
+	if allocs > 4 {
+		t.Errorf("re-resolving a two-label counter allocates %v times, want <= 4", allocs)
+	}
+}

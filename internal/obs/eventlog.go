@@ -50,7 +50,7 @@ type EventShard struct {
 // Event is one wide, structured record of a unit of server work. Fields
 // not meaningful for a kind stay zero and are omitted from the JSON
 // rendering. Events are value types: once handed to EventLog.Record the
-// caller must not mutate the slices it passed (Shards, Trace).
+// caller must not mutate the Shards slice it passed.
 type Event struct {
 	Seq  uint64    // assigned by Record
 	Time time.Time // assigned by Record when zero
@@ -67,9 +67,6 @@ type Event struct {
 	Results    int
 	Phases     EventPhases
 	Shards     []EventShard // sharded execution only
-	// Trace holds the retained spans when the tail sampler kept this
-	// event's trace; nil when it was dropped (phase timings remain).
-	Trace []Span
 
 	// Ingest-shaped fields.
 	Records  int           // records applied / refreshed
@@ -83,11 +80,6 @@ type Event struct {
 // floats for every duration — the shape operators and dashboards read —
 // omitting fields that are zero for this event's kind.
 func (e Event) MarshalJSON() ([]byte, error) {
-	type spanJSON struct {
-		Name    string  `json:"name"`
-		StartMs float64 `json:"start_ms"`
-		DurMs   float64 `json:"duration_ms"`
-	}
 	type shardJSON struct {
 		Shard      int                `json:"shard"`
 		ElapsedMs  float64            `json:"elapsed_ms"`
@@ -112,7 +104,6 @@ func (e Event) MarshalJSON() ([]byte, error) {
 		Results    int                `json:"results,omitempty"`
 		Phases     map[string]float64 `json:"phases_ms,omitempty"`
 		Shards     []shardJSON        `json:"shards,omitempty"`
-		Trace      []spanJSON         `json:"trace,omitempty"`
 		Records    int                `json:"records,omitempty"`
 		WALFsyncMs float64            `json:"wal_fsync_ms,omitempty"`
 	}{
@@ -129,9 +120,6 @@ func (e Event) MarshalJSON() ([]byte, error) {
 			Shard: s.Shard, ElapsedMs: ms(s.Elapsed), Phases: phaseMap(s.Phases),
 			Candidates: s.Candidates, Validated: s.Validated, Results: s.Results,
 		})
-	}
-	for _, s := range e.Trace {
-		out.Trace = append(out.Trace, spanJSON{Name: s.Name, StartMs: ms(s.Start), DurMs: ms(s.Duration())})
 	}
 	return json.Marshal(out)
 }

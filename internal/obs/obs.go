@@ -75,9 +75,6 @@ type Histogram struct {
 	bounds  []float64
 	counts  []atomic.Int64 // len(bounds)+1, non-cumulative per bucket
 	sumBits atomic.Uint64
-	// ex holds the latest exemplar per bucket (len(bounds)+1); nil until
-	// the first ObserveExemplar. See exemplar.go.
-	ex []atomic.Pointer[Exemplar]
 }
 
 // Observe records one value.
@@ -281,21 +278,19 @@ func renderLabels(labels []Label) string {
 		}
 		b.WriteString(l.Key)
 		b.WriteString(`="`)
-		b.WriteString(escapeLabel(l.Value))
+		b.WriteString(labelEscaper.Replace(l.Value))
 		b.WriteByte('"')
 	}
 	return b.String()
 }
 
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
-
-func escapeHelp(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	return r.Replace(v)
-}
+// The exposition's escapes: label values escape backslash, quote and
+// newline; HELP text escapes backslash and newline. Built once — every
+// registration lookup renders its labels through labelEscaper.
+var (
+	labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+)
 
 // lookup returns (creating on first use) the metric of the given family
 // and label set, verifying kind consistency.
@@ -344,20 +339,13 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	return r.lookup(name, help, kindHistogram, labels, func() interface{} {
 		h := &Histogram{bounds: append([]float64(nil), bounds...)}
 		h.counts = make([]atomic.Int64, len(bounds)+1)
-		h.ex = make([]atomic.Pointer[Exemplar], len(bounds)+1)
 		return h
 	}).(*Histogram)
 }
 
 // WritePrometheus renders every registered metric in the Prometheus text
 // exposition format, families in registration order.
-func (r *Registry) WritePrometheus(w io.Writer) error { return r.render(w, false) }
-
-// render writes every registered metric in one of the two text dialects.
-// OpenMetrics differs from Prometheus 0.0.4 in three places: TYPE comes
-// before HELP, counter metadata drops the `_total` suffix the samples
-// keep, and bucket lines carry their exemplar before a closing `# EOF`.
-func (r *Registry) render(w io.Writer, openMetrics bool) error {
+func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	// Snapshot the family list; metric values are read atomically below.
 	names := append([]string(nil), r.names...)
@@ -369,20 +357,10 @@ func (r *Registry) render(w io.Writer, openMetrics bool) error {
 
 	bw := bufio.NewWriter(w)
 	for _, f := range fams {
-		metaName, sampleName := f.name, f.name
-		if openMetrics && f.kind == kindCounter {
-			metaName = strings.TrimSuffix(f.name, "_total")
-			sampleName = metaName + "_total"
-		}
-		if openMetrics {
-			fmt.Fprintf(bw, "# TYPE %s %s\n", metaName, f.kind)
-		}
 		if f.help != "" {
-			fmt.Fprintf(bw, "# HELP %s %s\n", metaName, escapeHelp(f.help))
+			fmt.Fprintf(bw, "# HELP %s %s\n", f.name, helpEscaper.Replace(f.help))
 		}
-		if !openMetrics {
-			fmt.Fprintf(bw, "# TYPE %s %s\n", metaName, f.kind)
-		}
+		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
 		r.mu.Lock()
 		keys := append([]string(nil), f.order...)
 		metrics := make([]interface{}, len(keys))
@@ -393,32 +371,25 @@ func (r *Registry) render(w io.Writer, openMetrics bool) error {
 		for i, key := range keys {
 			switch m := metrics[i].(type) {
 			case *Counter:
-				writeSample(bw, sampleName, key, float64(m.Value()))
+				writeSample(bw, f.name, key, float64(m.Value()))
 			case *Gauge:
-				writeSample(bw, sampleName, key, m.Value())
+				writeSample(bw, f.name, key, m.Value())
 			case *Histogram:
 				// One read feeds every bucket line and _count: a separate
 				// Count() under concurrent observation could see more than
-				// the +Inf line did — invalid in both dialects.
+				// the +Inf line did, which the format forbids.
 				cum := m.BucketCounts()
-				var ex []*Exemplar
-				if openMetrics {
-					ex = m.Exemplars()
-				}
 				for bi, c := range cum {
 					le := "+Inf"
 					if bi < len(m.bounds) {
 						le = formatFloat(m.bounds[bi])
 					}
-					writeBucketSample(bw, f.name, joinLabels(key, `le="`+le+`"`), float64(c), bucketExemplar(ex, bi))
+					writeSample(bw, f.name+"_bucket", joinLabels(key, `le="`+le+`"`), float64(c))
 				}
 				writeSample(bw, f.name+"_sum", key, m.Sum())
 				writeSample(bw, f.name+"_count", key, float64(cum[len(cum)-1]))
 			}
 		}
-	}
-	if openMetrics {
-		bw.WriteString("# EOF\n")
 	}
 	return bw.Flush()
 }

@@ -124,6 +124,67 @@ func TestWritePrometheus(t *testing.T) {
 	checkExposition(t, out)
 }
 
+// TestRenderConsistentUnderObserve scrapes while goroutines observe:
+// within every scrape the bucket counts must not decrease along le, and
+// the +Inf bucket must equal _count.
+func TestRenderConsistentUnderObserve(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("tind_test_latency_seconds", "Latency.", []float64{1, 2, 3})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				h.Observe(float64(i % 5)) // 4 lands in +Inf
+			}
+		}(g)
+	}
+	for scrape := 0; scrape < 300; scrape++ {
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		var buckets []float64 // formatFloat renders counts >= 1e6 in exponent form
+		count := -1.0
+		for _, line := range strings.Split(b.String(), "\n") {
+			f := strings.Fields(line)
+			if len(f) < 2 {
+				continue
+			}
+			v, err := strconv.ParseFloat(f[1], 64)
+			switch {
+			case strings.HasPrefix(f[0], "tind_test_latency_seconds_bucket{"):
+				if err != nil {
+					t.Fatalf("bucket line %q: %v", line, err)
+				}
+				buckets = append(buckets, v)
+			case f[0] == "tind_test_latency_seconds_count":
+				count = v
+			}
+		}
+		if len(buckets) != 4 {
+			t.Fatalf("want 4 bucket lines, got %d:\n%s", len(buckets), b.String())
+		}
+		for i := 1; i < len(buckets); i++ {
+			if buckets[i] < buckets[i-1] {
+				t.Fatalf("scrape %d: bucket counts decrease along le: %v", scrape, buckets)
+			}
+		}
+		if buckets[3] != count {
+			t.Fatalf("scrape %d: +Inf bucket %v != _count %v", scrape, buckets[3], count)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
 // checkExposition validates that every non-comment line of a text
 // exposition is `name{labels} value` with a parseable value.
 func checkExposition(t *testing.T, out string) {

@@ -171,11 +171,7 @@ func TestSnapshotConsistentUnderObserve(t *testing.T) {
 					return
 				default:
 				}
-				if v := float64(i % 4); g%2 == 0 {
-					h.Observe(v)
-				} else {
-					h.ObserveExemplar(v, L("query_id", "q"))
-				}
+				h.Observe(float64(i % 4))
 			}
 		}(g)
 	}

@@ -101,9 +101,9 @@ func TestWireCarriesEveryResultField(t *testing.T) {
 	}
 }
 
-// TestLegRequestAsksForNoTrace: tindserve traces every query it serves,
-// but a shard's spans never leave its process, so the leg request must not
-// make every shard server record spans per leg only to drop them.
+// TestLegRequestAsksForNoTrace: an in-process caller may set Trace, but a
+// shard's spans never leave its process, so the leg request must not make
+// every shard server record spans per leg only to drop them.
 func TestLegRequestAsksForNoTrace(t *testing.T) {
 	wq, err := queryToWire(3, index.QueryOptions{Mode: index.ModeForward, Params: core.DefaultDays(60), Trace: true})
 	if err != nil {

@@ -37,31 +37,38 @@ func buildAttributionIndex(t *testing.T, shards int) (*ShardedIndex, *history.Da
 
 // TestQueryPerShardAttribution asserts that a sharded query reports one
 // PerShard entry per scatter leg, with leg times and a funnel that sums
-// to the merged totals.
+// to the merged totals — for top-k too, where a shard's results are the
+// entries it contributed to the merged ranking.
 func TestQueryPerShardAttribution(t *testing.T) {
 	sx, ds, p := buildAttributionIndex(t, 4)
-	res, err := sx.Query(context.Background(), ds.Attr(0), index.QueryOptions{Mode: index.ModeForward, Params: p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := res.Stats.PerShard
-	if len(ps) != 4 {
-		t.Fatalf("PerShard = %d entries, want 4", len(ps))
-	}
-	var cand, validated int
-	for s, st := range ps {
-		if st.Shard != s {
-			t.Errorf("PerShard[%d].Shard = %d", s, st.Shard)
+	for _, o := range []index.QueryOptions{
+		{Mode: index.ModeForward, Params: p},
+		{Mode: index.ModeTopK, Params: core.Params{Delta: p.Delta, Weight: p.Weight}, K: 3},
+	} {
+		res, err := sx.Query(context.Background(), ds.Attr(0), o)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if st.Elapsed <= 0 {
-			t.Errorf("PerShard[%d].Elapsed = %v, want > 0", s, st.Elapsed)
+		ps := res.Stats.PerShard
+		if len(ps) != 4 {
+			t.Fatalf("%v: PerShard = %d entries, want 4", o.Mode, len(ps))
 		}
-		cand += st.InitialCandidates
-		validated += st.Validated
-	}
-	if cand != res.Stats.InitialCandidates || validated != res.Stats.Validated {
-		t.Errorf("PerShard funnel sums (%d cand, %d validated) != totals (%d, %d)",
-			cand, validated, res.Stats.InitialCandidates, res.Stats.Validated)
+		var cand, validated, results int
+		for s, st := range ps {
+			if st.Shard != s {
+				t.Errorf("%v: PerShard[%d].Shard = %d", o.Mode, s, st.Shard)
+			}
+			if st.Elapsed <= 0 {
+				t.Errorf("%v: PerShard[%d].Elapsed = %v, want > 0", o.Mode, s, st.Elapsed)
+			}
+			cand += st.InitialCandidates
+			validated += st.Validated
+			results += st.Results
+		}
+		if cand != res.Stats.InitialCandidates || validated != res.Stats.Validated || results != res.Stats.Results {
+			t.Errorf("%v: PerShard funnel sums (%d cand, %d validated, %d results) != totals (%d, %d, %d)",
+				o.Mode, cand, validated, results, res.Stats.InitialCandidates, res.Stats.Validated, res.Stats.Results)
+		}
 	}
 }
 

@@ -160,8 +160,9 @@ func (c *Coordinator) Query(ctx context.Context, q *history.History, o index.Que
 // runs its entries as one index.QueryBatch, under one lock acquisition —
 // and each entry gathers on its own (see gather).
 // Results come back in batch order; every entry's Elapsed/Timings.Total
-// is the batch's scatter-gather wall time, and because a leg covers the
-// whole batch every entry reports the same PerShard leg attribution.
+// is the batch's scatter-gather wall time. A leg covers the whole batch,
+// so every entry's PerShard names the same legs with the same wall times
+// and errors, but the shard-local timings and funnel of that entry alone.
 func (c *Coordinator) QueryBatch(ctx context.Context, batch []index.BatchQuery, o index.BatchOptions) ([]index.Result, error) {
 	start := time.Now()
 	if o.Workers < 0 {
@@ -298,7 +299,9 @@ func gatherStats(perLeg []index.Result, times []time.Duration, errs []error, ela
 //     escalation-budget semantics as the monolith; any global top-K
 //     attribute is necessarily inside its shard's top K, so the K-way
 //     merge by (violation, global id) of the per-shard rankings,
-//     truncated to K, is the exact global ranking.
+//     truncated to K, is the exact global ranking. A shard's Results in
+//     PerShard counts the entries it contributed to that ranking, so the
+//     legs' results add up to the answer in every mode.
 //
 // Failed legs carry no results and are marked in Stats.PerShard.
 func gather(o index.QueryOptions, perLeg []index.Result, times []time.Duration, errs []error, elapsed time.Duration) index.Result {
@@ -308,14 +311,24 @@ func gather(o index.QueryOptions, perLeg []index.Result, times []time.Duration, 
 		for s := range perLeg {
 			ranked = append(ranked, perLeg[s].Ranked...)
 		}
-		sort.Slice(ranked, func(i, j int) bool {
-			if ranked[i].Violation != ranked[j].Violation {
-				return ranked[i].Violation < ranked[j].Violation
+		before := func(a, b index.Ranked) bool {
+			if a.Violation != b.Violation {
+				return a.Violation < b.Violation
 			}
-			return ranked[i].ID < ranked[j].ID
-		})
+			return a.ID < b.ID
+		}
+		sort.Slice(ranked, func(i, j int) bool { return before(ranked[i], ranked[j]) })
 		if len(ranked) > o.K {
 			ranked = ranked[:o.K]
+		}
+		for s := range perLeg {
+			kept := 0
+			for _, r := range perLeg[s].Ranked { // non-empty only if ranked is
+				if !before(ranked[len(ranked)-1], r) {
+					kept++
+				}
+			}
+			res.Stats.PerShard[s].Results = kept
 		}
 		res.Ranked = ranked
 		res.Stats.Results = len(ranked)

@@ -3,8 +3,9 @@
 # a few queries so the histograms and the event ring have samples, then
 # run cmd/metricslint against it — failing CI on an unparseable
 # exposition, a metric family without help text, a histogram without a
-# +Inf bucket, a broken exemplar, or a /debug/events//slo endpoint that
-# stops answering valid JSON.
+# +Inf bucket, or a /debug/events//slo endpoint that stops answering
+# valid JSON. /metrics serves one dialect, the Prometheus 0.0.4 text
+# format: a scraper that prefers OpenMetrics must still get a 200 in it.
 set -euo pipefail
 
 ATTRS=60
@@ -49,5 +50,14 @@ curl -fsS -X POST -d '{"queries":[{"attr":"0","eps":3},{"attr":"1","mode":"rever
 
 log "linting the exposition and debug endpoints"
 "$TMP/metricslint" -url "http://127.0.0.1:$PORT"
+
+log "checking that an OpenMetrics-preferring scraper gets the text format"
+read -r code ctype < <(curl -sS -o /dev/null -w '%{http_code} %{content_type}\n' \
+  -H 'Accept: application/openmetrics-text;version=1.0.0,text/plain;version=0.0.4;q=0.5' \
+  "http://127.0.0.1:$PORT/metrics")
+if [[ "$code" != 200 || "$ctype" != text/plain* ]]; then
+  log "Accept: application/openmetrics-text got $code ($ctype), want 200 text/plain"
+  exit 1
+fi
 
 log "PASS"
