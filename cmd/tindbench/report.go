@@ -113,10 +113,13 @@ const counterTolerance = 0.05
 // gatedCounters are obs counters whose per-scenario delta is gated
 // machine-independently, summed over label sets. Exact checks growing
 // means the pruning stages lost power; emitted results changing means
-// the answer itself changed.
+// the answer itself changed; prefix entries read growing means the
+// reverse candidate generation outside M_R's regime reads longer
+// postings.
 var gatedCounters = []string{
 	"tind_query_exact_checks_total",
 	"tind_query_results_total",
+	"tind_query_prefix_entries_read_total",
 }
 
 // parseGate builds the gate from the -tolerance / -tolerance-override /

@@ -170,8 +170,8 @@ func (b *bench) runSize(n int) ([]Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The fallback regime: a reverse query above the index's ε and δ, which
-	// neither M_R nor the slices may serve, so every attribute is validated.
+	// A reverse query above the index's ε and δ, which neither M_R nor the
+	// slices may serve: the weighted prefix index generates its candidates.
 	relaxed := core.Params{Epsilon: relaxedEps, Delta: relaxedDelta, Weight: p.Weight}
 	err = add(b.scenario(fmt.Sprintf("query/relaxed/%d", n), int64(nq),
 		runQueries(index.ModeReverse, qids[:nq], index.QueryOptions{Params: relaxed})))

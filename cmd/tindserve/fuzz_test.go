@@ -12,6 +12,7 @@ import (
 	"tind/internal/core"
 	"tind/internal/history"
 	"tind/internal/oracle"
+	"tind/internal/timeline"
 )
 
 // oracleHorizon bounds the horizons FuzzIngestBody judges against the
@@ -43,12 +44,15 @@ func checkAnswer(t *testing.T, what string, resp *http.Response) []byte {
 
 // FuzzIngestBody posts arbitrary bytes to POST /ingest on a fresh
 // two-shard -wal server. The body is answered 200 or with a 4xx envelope.
-// After a 200 and a Flush, /search and /reverse for three attributes —
-// the first the body names, padded with 0, 1, 2 — equal the oracle over
-// the server's current dataset: whatever deltas validation admits, the
-// refreshed index answers exactly. The seeds (testdata/fuzz) include a
-// dead attribute resuming after a one-day version and a gap its last
-// version fills. One seed is built here rather than committed, since it
+// After a 200 and a Flush, /search, /reverse and the relaxed
+// /reverse?eps=15&delta=30 — which M_R cannot serve, so the weighted
+// prefix index generates its candidates — for three attributes (the first
+// the body names, padded with 0, 1, 2) equal the oracle over the server's
+// current dataset: whatever deltas validation admits, the refreshed index
+// answers exactly. The seeds (testdata/fuzz) include a dead attribute
+// resuming after a one-day version and a gap its last version fills, and
+// a new version made of a value never seen before, which the prefix index
+// files under a frequency of 0. One seed is built here rather than committed, since it
 // holds a value one byte over the WAL's 1 MiB string limit: the batch
 // passes validation, but the log cannot encode it, so it is refused
 // whole with a 400 — never logged in part behind a 500.
@@ -91,14 +95,21 @@ func FuzzIngestBody(f *testing.F) {
 			}
 		})
 		for _, id := range check {
-			for _, ep := range []string{"search", "reverse"} {
-				resp, err := http.Get(fmt.Sprintf("%s/%s?attr=%d", ts.URL, ep, id))
+			for _, q := range []struct {
+				ep         string
+				eps, delta int // 0: the default relaxation
+			}{{"search", 0, 0}, {"reverse", 0, 0}, {"reverse", 15, 30}} {
+				url := fmt.Sprintf("%s/%s?attr=%d", ts.URL, q.ep, id)
+				if q.eps > 0 {
+					url += fmt.Sprintf("&eps=%d&delta=%d", q.eps, q.delta)
+				}
+				resp, err := http.Get(url)
 				if err != nil {
 					t.Fatal(err)
 				}
 				var out struct{ Results []struct{ ID history.AttrID } }
-				if err := json.Unmarshal(checkAnswer(t, ep, resp), &out); err != nil {
-					t.Fatalf("/%s?attr=%d: %v", ep, id, err)
+				if err := json.Unmarshal(checkAnswer(t, q.ep, resp), &out); err != nil {
+					t.Fatalf("%s: %v", url, err)
 				}
 				var got, want []history.AttrID
 				for _, r := range out.Results {
@@ -106,7 +117,10 @@ func FuzzIngestBody(f *testing.F) {
 				}
 				c.view(func(ds *history.Dataset) {
 					p := core.DefaultDays(ds.Horizon())
-					if ep == "search" {
+					if q.eps > 0 {
+						p.Epsilon, p.Delta = float64(q.eps), timeline.Time(q.delta)
+					}
+					if q.ep == "search" {
 						want = oracle.ForwardSet(ds, ds.Attr(id), p)
 					} else {
 						want = oracle.ReverseSet(ds, ds.Attr(id), p)
@@ -115,7 +129,7 @@ func FuzzIngestBody(f *testing.F) {
 				slices.Sort(got)
 				slices.Sort(want)
 				if !slices.Equal(got, want) {
-					t.Fatalf("/%s?attr=%d after %s: got %v, oracle %v", ep, id, body, got, want)
+					t.Fatalf("%s after %s: got %v, oracle %v", url, body, got, want)
 				}
 			}
 		}

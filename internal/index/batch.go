@@ -118,6 +118,10 @@ type arena struct {
 	// never be retained into a Result or across queries.
 	occ  map[values.Value]float64
 	vbuf []values.Value
+	// covered and maxVio serve the prefix phase of reverse search: the
+	// weight of each attribute's versions the query may cover (all zero
+	// between queries), and MaxViolation under a non-index weight.
+	covered, maxVio []float64
 	// run is the reusable queryRun of this arena's goroutine: one query
 	// executes at a time per arena, and nothing in a Result references
 	// the run, so each query may overwrite it in place.

@@ -165,6 +165,9 @@ type Index struct {
 	baseHorizon timeline.Time
 	// ss is the slice-pruning state Reslice replaces.
 	ss sliceState
+	// px is the weighted prefix index reverse queries outside M_R's regime
+	// generate their candidates from; built for every index.
+	px prefixIndex
 	// pool recycles the scratch every query runs on (candidate vectors,
 	// arenas).
 	pool queryPool
@@ -189,7 +192,8 @@ type BuildStats struct {
 	SliceSpans []timeline.Interval
 	// MemoryBytes is what the index holds: every matrix with its
 	// per-column bit counts, the per-slice minimum violation weights of a
-	// reverse-capable index, and the per-attribute slice fill ends.
+	// reverse-capable index, the per-attribute slice fill ends, and the
+	// weighted prefix index.
 	MemoryBytes int64
 	Elapsed     time.Duration
 	// Per-matrix fill times: M_T, all slice matrices combined, and M_R.
@@ -258,6 +262,7 @@ func Build(ds *history.Dataset, opt Options) (*Index, error) {
 			return bloom.FromSet(opt.Bloom, req)
 		})
 	}
+	idx.px = buildPrefix(attrs, opt.Params.Weight)
 	idx.observeBuild()
 	idx.buildElapsed = time.Since(start)
 	mBuildSeconds.ObserveDuration(idx.buildElapsed)
@@ -400,35 +405,34 @@ func slicePruningPower(attrs []*history.History, iv timeline.Interval) float64 {
 
 // parallelFilters computes one Bloom filter per attribute concurrently.
 func parallelFilters(attrs []*history.History, filter func(h *history.History) *bloom.Filter) []*bloom.Filter {
-	n := len(attrs)
-	out := make([]*bloom.Filter, n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
+	out := make([]*bloom.Filter, len(attrs))
+	parallelFor(len(attrs), func(i int) { out[i] = filter(attrs[i]) })
+	return out
+}
+
+// parallelFor calls f(i) once for every i in [0, n) on up to GOMAXPROCS
+// goroutines, which claim indices with one atomic add, and returns when
+// all calls have.
+func parallelFor(n int, f func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
-		for i, h := range attrs {
-			out[i] = filter(h)
+		for i := range n {
+			f(i)
 		}
-		return out
+		return
 	}
-	var next int64 = -1
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	wg.Add(workers)
+	for range workers {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				out[i] = filter(attrs[i])
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				f(i)
 			}
 		}()
 	}
 	wg.Wait()
-	return out
 }
 
 // minViolationWeight computes the minimum violation weight a reverse
@@ -466,6 +470,7 @@ func (x *Index) Stats() BuildStats {
 	if x.mR != nil {
 		s.MemoryBytes += x.mR.MemoryBytes()
 	}
+	s.MemoryBytes += x.px.memoryBytes()
 	s.Elapsed = x.buildElapsed
 	s.MTBuild, s.SliceBuild, s.MRBuild = x.mtBuild, x.sliceBuild, x.mrBuild
 	s.MTFillRatio, s.MRFillRatio = x.fillMT, x.fillMR

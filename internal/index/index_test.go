@@ -259,7 +259,7 @@ func TestReverseLargerEpsilonFallsBack(t *testing.T) {
 
 func TestReverseWithoutReverseIndex(t *testing.T) {
 	// An index built without Reverse must still answer reverse queries
-	// exactly (exhaustive fallback).
+	// exactly (candidates from the weighted prefix index).
 	r := rand.New(rand.NewSource(13))
 	horizon := timeline.Time(40)
 	ds := randDataset(r, 10, horizon)
@@ -449,11 +449,25 @@ func TestStatsAndMemory(t *testing.T) {
 		t.Fatal("slice count mismatch")
 	}
 	// (k+1) matrices plus M_R, the reverse minimum violation weights of
-	// every slice, and one slice fill end per attribute.
+	// every slice, one slice fill end per attribute, and the prefix index:
+	// one 8-byte entry per non-empty version, an offset and a frequency per
+	// value id (plus the closing offset), an indexed count and a maximum
+	// violation per attribute.
 	perMatrix := int64(128*8 + 10*4) // 128 rows × 1 word × 8 bytes + 10 column counts
 	perSlice := int64(10 * 8)        // one float64 per attribute
 	fillEnds := int64(10 * 8)        // one timeline.Time per attribute
-	if want := perMatrix*int64(st.Slices+2) + perSlice*int64(st.Slices) + fillEnds; st.MemoryBytes != want {
+	var entries, valueIDs int64
+	for _, h := range ds.Attrs() {
+		for i := range h.NumVersions() {
+			if !h.Version(i).Values.IsEmpty() {
+				entries++
+			}
+		}
+		all := h.AllValues()
+		valueIDs = max(valueIDs, int64(all[len(all)-1])+1)
+	}
+	prefix := entries*8 + valueIDs*(4+2) + 4 + 10*(4+8)
+	if want := perMatrix*int64(st.Slices+2) + perSlice*int64(st.Slices) + fillEnds + prefix; st.MemoryBytes != want {
 		t.Fatalf("MemoryBytes = %d, want %d", st.MemoryBytes, want)
 	}
 	if st.Elapsed <= 0 {

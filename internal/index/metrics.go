@@ -33,6 +33,7 @@ type modeMetrics struct {
 	candSubset     *obs.Histogram
 	exactChecks    *obs.Counter
 	resultsEmitted *obs.Counter
+	prefixEntries  *obs.Counter
 }
 
 // qm holds the per-mode metrics, indexed by Mode.
@@ -86,6 +87,8 @@ func init() {
 				obs.CountBuckets, mode, obs.L("stage", "after_subset_check")),
 			exactChecks:    reg.Counter("tind_query_exact_checks_total", "Candidates passed to exact Algorithm-2 validation, by mode.", mode),
 			resultsEmitted: reg.Counter("tind_query_results_total", "Dependencies reported to callers, by mode.", mode),
+			prefixEntries: reg.Counter("tind_query_prefix_entries_read_total",
+				"Weighted prefix index entries read to generate reverse candidates where M_R cannot serve the query, by mode.", mode),
 		}
 	}
 }

@@ -24,8 +24,9 @@ const (
 	// ModeForward finds all A with Q ⊆_{w,ε,δ} A (Definition 3.7,
 	// Algorithm 1).
 	ModeForward Mode = iota
-	// ModeReverse finds all A with A ⊆_{w,ε,δ} Q (Definition 3.8); the
-	// index must have been built with Options.Reverse.
+	// ModeReverse finds all A with A ⊆_{w,ε,δ} Q (Definition 3.8); an
+	// index built without Options.Reverse answers it from the weighted
+	// prefix index alone.
 	ModeReverse
 	// ModeTopK ranks the K attributes with the smallest exact violation
 	// weight of Q ⊆_{w,·,δ} A, escalating the search budget until K
@@ -70,7 +71,7 @@ type QueryOptions struct {
 // each phase over its rounds. Total is always set, even for aborted queries.
 type Timings struct {
 	Total       time.Duration `json:"total_ns"`
-	MTPrune     time.Duration `json:"mt_prune_ns"`     // required-values pruning against M_T (or M_R)
+	MTPrune     time.Duration `json:"mt_prune_ns"`     // candidate generation: M_T, M_R or the prefix index
 	SlicePrune  time.Duration `json:"slice_prune_ns"`  // time-slice pruning
 	SubsetCheck time.Duration `json:"subset_check_ns"` // exact subset pre-check (line 16); forward and top-k only, zero for reverse
 	Validate    time.Duration `json:"validate_ns"`     // Algorithm-2 validation
@@ -263,16 +264,16 @@ func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Pa
 	cand := r.newCand()
 	defer x.pool.putVec(cand)
 
-	// Phase 1: candidate generation via the required-values matrix —
-	// M_T supersets for forward search (line 2 of Algorithm 1), M_R
-	// subsets for reverse search, every attribute where neither can
-	// prune.
+	// Phase 1: candidate generation — M_T supersets for forward search
+	// (line 2 of Algorithm 1), every attribute when R_ε(Q) is empty; M_R
+	// subsets for reverse search, the weighted prefix index where M_R
+	// does not cover the query.
 	endPhase := r.phase(phaseMTPrune, &st.Timings.MTPrune)
 	if reverse {
 		if x.mRCovers(p) {
 			r.ar.bits = x.mR.SubsetsInto(r.filterFor(q.AllValues()), nil, cand, r.ar.bits)
 		} else {
-			cand.Fill()
+			r.prefixCandidates(q, p, cand)
 		}
 	} else {
 		if req == nil { // forward only; reused by the subset check

@@ -29,6 +29,9 @@ import (
 //     index weighting, required values only grow with appended time, so
 //     the stale bits remain a subset of the fresh set and reverse pruning
 //     stays sound.
+//   - The weighted prefix index gains an entry for each changed
+//     attribute's versions at or after the count it had indexed, and its
+//     maximum violation is recomputed under the advanced weight.
 //
 // The constant-weighting argument above is why Refresh requires the index
 // to have been built with a timeline.Constant weight function; rebuild
@@ -101,6 +104,7 @@ func (x *Index) refreshLocked(changed []history.AttrID, newHorizon timeline.Time
 			req := core.RequiredValues(h, x.opt.Params.Epsilon, x.opt.Params.Weight)
 			x.mR.SetColumn(int(id), bloom.FromSet(x.opt.Bloom, req))
 		}
+		x.px.refresh(id, h, x.opt.Params.Weight)
 	}
 	x.ss.refill(changed, x.ds, x.opt)
 	obs.Events().Record(obs.Event{

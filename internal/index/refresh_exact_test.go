@@ -89,7 +89,10 @@ func evolve(r *rand.Rand, ds *history.Dataset) ([]history.AttrID, timeline.Time,
 // every refresh, each slice matrix of the monolith and of every shard is
 // bit-equal to a fresh fill of the same intervals over the current
 // histories, and each minimum violation weight is value-equal — also
-// after a Reslice has re-selected the intervals.
+// after a Reslice has re-selected the intervals. The prefix index keeps
+// the same promise: every non-empty version indexed exactly once under
+// one of its values, and each maximum violation value-equal to a fresh
+// one (CheckPrefix).
 func TestRefreshKeepsSlicesExact(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
@@ -116,12 +119,16 @@ func TestRefreshKeepsSlicesExact(t *testing.T) {
 			}
 			check := func(when string) {
 				t.Helper()
-				if err := mono.CheckSlices(); err != nil {
-					t.Fatalf("%s: monolith: %v", when, err)
-				}
-				for s := 0; s < shards; s++ {
-					if err := sx.Shard(s).CheckSlices(); err != nil {
-						t.Fatalf("%s: shard %d: %v", when, s, err)
+				for s := -1; s < shards; s++ {
+					x, who := mono, "monolith"
+					if s >= 0 {
+						x, who = sx.Shard(s), fmt.Sprint("shard ", s)
+					}
+					if err := x.CheckSlices(); err != nil {
+						t.Fatalf("%s: %s: %v", when, who, err)
+					}
+					if err := x.CheckPrefix(); err != nil {
+						t.Fatalf("%s: %s: %v", when, who, err)
 					}
 				}
 			}

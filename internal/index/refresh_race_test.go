@@ -13,9 +13,10 @@ import (
 )
 
 // TestRefreshConcurrentWithQueries is the -race regression test for the
-// Refresh guard: Refresh rewrites M_T/M_R columns, the slice fill ends and
-// the option weight while forward, reverse and all-pairs queries hammer
-// the same index. Before the RWMutex this was a documented-but-unenforced
+// Refresh guard: Refresh rewrites M_T/M_R columns, the slice fill ends,
+// the prefix index's maximum violations and the option weight while
+// forward, reverse (native and relaxed, the latter read the prefix index)
+// and all-pairs queries hammer the same index. Before the RWMutex this was a documented-but-unenforced
 // "must not run concurrently" contract; now Refresh blocks queries and
 // the detector must stay silent. Results are re-checked against brute
 // force once the dust settles.
@@ -24,6 +25,7 @@ func TestRefreshConcurrentWithQueries(t *testing.T) {
 	horizon := timeline.Time(60)
 	ds := randDataset(r, 12, horizon)
 	p := core.Params{Epsilon: 2, Delta: 2, Weight: timeline.Uniform(horizon)}
+	relaxed := core.Params{Epsilon: 10, Delta: 5, Weight: p.Weight}
 	idx := buildTestIndex(t, ds, Options{
 		Bloom:   bloom.Params{M: 256, K: 2},
 		Slices:  4,
@@ -47,11 +49,14 @@ func TestRefreshConcurrentWithQueries(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < queriesEach; i++ {
 				q := ds.Attr(history.AttrID((g + i) % ds.Len()))
-				mode := ModeForward
-				if i%2 == 1 {
-					mode = ModeReverse
+				o := QueryOptions{Mode: ModeForward, Params: p}
+				switch i % 3 {
+				case 1:
+					o.Mode = ModeReverse
+				case 2:
+					o = QueryOptions{Mode: ModeReverse, Params: relaxed}
 				}
-				if _, err := idx.Query(context.Background(), q, QueryOptions{Mode: mode, Params: p}); err != nil {
+				if _, err := idx.Query(context.Background(), q, o); err != nil {
 					errs <- err
 					return
 				}
@@ -100,6 +105,12 @@ func TestRefreshConcurrentWithQueries(t *testing.T) {
 		}
 		if want := bruteReverse(ds, q, p); !idsEqual(rres.IDs, want) {
 			t.Fatalf("after concurrent refreshes (reverse): got %v, want %v", rres.IDs, want)
+		}
+		if rres, err = idx.Reverse(q, relaxed); err != nil {
+			t.Fatal(err)
+		}
+		if want := bruteReverse(ds, q, relaxed); !idsEqual(rres.IDs, want) {
+			t.Fatalf("after concurrent refreshes (relaxed reverse): got %v, want %v", rres.IDs, want)
 		}
 	}
 }

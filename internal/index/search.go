@@ -24,7 +24,7 @@ const subsetCheckEvery = 512
 // form is how a leg's statistics cross the shard RPC (durations as integer
 // nanoseconds); Trace and PerShard stay in the process that recorded them.
 type QueryStats struct {
-	InitialCandidates int           `json:"initial_candidates"` // after M_T/M_R (or every attribute when the matrix cannot prune)
+	InitialCandidates int           `json:"initial_candidates"` // after M_T, M_R or the prefix index (forward: every attribute when R_ε(Q) is empty)
 	AfterSlices       int           `json:"after_slices"`       // after time-slice pruning
 	AfterSubsetCheck  int           `json:"after_subset_check"` // after the forward subset pre-check (line 16); reverse: AfterSlices
 	Validated         int           `json:"validated"`          // candidates passed to Algorithm 2
@@ -116,12 +116,13 @@ func (x *Index) Search(q *history.History, p core.Params) (Result, error) {
 	return x.Query(context.Background(), q, QueryOptions{Mode: ModeForward, Params: p})
 }
 
-// Reverse returns all A ∈ D with A ⊆_{w,ε,δ} Q (Definition 3.8). The index
-// must have been built with Reverse enabled. Results are exact for any ε,
-// δ and w; M_R prunes only for ε ≤ index ε, the slices only for δ ≤ index
-// δ, both only under the index weight function. Outside those conditions
-// every attribute is validated — a closed-form refutation for an unrelated
-// pair. It is Query with ModeReverse under context.Background().
+// Reverse returns all A ∈ D with A ⊆_{w,ε,δ} Q (Definition 3.8). Results
+// are exact for any ε, δ and w. M_R (built with Options.Reverse) generates
+// the candidates for ε ≤ index ε under the index weight function; for any
+// other query — or an index without M_R — the weighted prefix index keeps
+// only the attributes whose versions outside All(Q) weigh at most ε. The
+// slices prune only for δ ≤ index δ under the index weight function. It is
+// Query with ModeReverse under context.Background().
 func (x *Index) Reverse(q *history.History, p core.Params) (Result, error) {
 	return x.Query(context.Background(), q, QueryOptions{Mode: ModeReverse, Params: p})
 }

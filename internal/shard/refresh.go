@@ -21,8 +21,9 @@ import (
 // Untouched shards keep their previous weight horizon. Their answers
 // remain exact for queries under the new horizon: forward search is
 // exact for any query weight, and reverse search detects the weight
-// mismatch and disengages its (stale) slice pruning, falling back to
-// exact validation.
+// mismatch and disengages M_R and its (stale) slice pruning, generating
+// candidates from the weighted prefix index with maximum violations
+// computed under the query's weight.
 //
 // As with the monolith, the caller must have already applied the history
 // appends to the *global* dataset's attributes and extended its horizon;
