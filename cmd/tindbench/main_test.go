@@ -65,8 +65,15 @@ func TestScenarioNamesMatchRun(t *testing.T) {
 			t.Errorf("%s: missing exact-check counter in obs diff", name)
 		}
 	}
+	// A top-k query's scan walks the windows of the few attributes that
+	// can cover one of Q's versions, never more than it checks.
+	sc := findScenario(t, rep, "query/topk/60")
+	checks, _ := obsSum(sc, "tind_query_exact_checks_total")
+	if v, ok := obsSum(sc, "tind_query_window_sweeps_total"); !ok || v <= 0 || v > checks {
+		t.Errorf("query/topk/60: window sweeps = (%g, %v), want in (0, %g]", v, ok, checks)
+	}
 	// The persist scenario must see the persist byte counters.
-	sc := findScenario(t, rep, "persist/roundtrip/60")
+	sc = findScenario(t, rep, "persist/roundtrip/60")
 	if v, ok := obsSum(sc, "tind_persist_write_bytes_total"); !ok || v <= 0 {
 		t.Errorf("persist scenario obs = (%g, %v), want positive write bytes", v, ok)
 	}

@@ -115,11 +115,13 @@ const counterTolerance = 0.05
 // means the pruning stages lost power; emitted results changing means
 // the answer itself changed; prefix entries read growing means the
 // reverse candidate generation outside M_R's regime reads longer
-// postings.
+// postings; window sweeps growing means more exact checks walk the
+// right-hand side's versions instead of being decided by Q's vocabulary.
 var gatedCounters = []string{
 	"tind_query_exact_checks_total",
 	"tind_query_results_total",
 	"tind_query_prefix_entries_read_total",
+	"tind_query_window_sweeps_total",
 }
 
 // parseGate builds the gate from the -tolerance / -tolerance-override /

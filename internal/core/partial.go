@@ -55,7 +55,7 @@ func ViolationWeightPartial(q, a *history.History, p Params, sigma float64, earl
 	if !(sigma > 0 && sigma <= 1) {
 		return 0, fmt.Errorf("core: sigma must be in (0,1], got %g", sigma)
 	}
-	return new(Scratch).violationWeight(nil, q, a, p, sigma, earlyExit)
+	return new(Scratch).violationWeight(nil, q, nil, a, p, sigma, earlyExit)
 }
 
 // HoldsPartialNaive checks the definition timestamp by timestamp; the

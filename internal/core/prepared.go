@@ -1,0 +1,118 @@
+package core
+
+import (
+	"context"
+	"math/bits"
+	"slices"
+
+	"tind/internal/history"
+	"tind/internal/timeline"
+	"tind/internal/values"
+)
+
+// Prepared is Q's side of the σ = 1 sweep, computed once for a scan that
+// checks one Q against many right-hand sides. It lets each pair decide
+// "is version i of Q coverable by A?" with a few word operations instead
+// of projecting the version onto All(Q) ∩ All(A):
+//
+//   - mark maps a value id to its position in All(Q) plus one (0: not in
+//     All(Q)), so All(Q) ∩ All(A) is one pass over All(A) into a bitset
+//     over All(Q)'s positions;
+//   - row i holds the positions of version i's values, so version i is
+//     coverable iff row i &^ shared is zero;
+//   - sum i is the weight of version i's clamped validity, the term the
+//     sweep adds for it when it is not coverable.
+//
+// A Prepared holds no reference into the scan's results; its zero value is
+// ready for Prepare, and a warm one prepares without allocating. The
+// scan's workers share it read-only.
+type Prepared struct {
+	q     *history.History
+	all   values.Set // All(Q) at Prepare time
+	mark  []int32    // value id → position in all + 1; zero beyond all
+	words int        // ⌈|all| / 64⌉
+	rows  []uint64   // per version of Q, words bits each
+	sums  []float64  // per version of Q, w.Sum of its clamped validity
+}
+
+// Prepare fills p for query q under the weight w: every CheckPrepared
+// against p must pass Params with that same weight. The marks of the
+// previous query are cleared by walking its All(Q), never the whole array.
+func (p *Prepared) Prepare(q *history.History, w timeline.WeightFunc) {
+	for _, v := range p.all {
+		p.mark[v] = 0
+	}
+	p.q, p.all = q, q.AllValues()
+	if n := len(p.all); n > 0 {
+		if top := int(p.all[n-1]) + 1; top > len(p.mark) {
+			p.mark = slices.Grow(p.mark, top-len(p.mark))[:top]
+		}
+	}
+	for at, v := range p.all {
+		p.mark[v] = int32(at) + 1
+	}
+	p.words = (len(p.all) + 63) / 64
+	nv := q.NumVersions()
+	p.rows = slices.Grow(p.rows[:0], nv*p.words)[:nv*p.words]
+	clear(p.rows)
+	p.sums = slices.Grow(p.sums[:0], nv)[:nv]
+	n := w.Horizon()
+	for i := range nv {
+		row := p.rows[i*p.words : (i+1)*p.words]
+		for _, v := range q.Version(i).Values {
+			at := p.mark[v] - 1
+			row[at>>6] |= 1 << (at & 63)
+		}
+		p.sums[i] = 0
+		if iv := q.Validity(i).Clamp(n); !iv.IsEmpty() {
+			p.sums[i] = w.Sum(iv)
+		}
+	}
+}
+
+// sharedWith sets dst to the positions in All(Q) of the values A also
+// holds, in one pass over All(A) that stops past Q's largest id.
+func (p *Prepared) sharedWith(dst []uint64, a values.Set) []uint64 {
+	dst = slices.Grow(dst[:0], p.words)[:p.words]
+	clear(dst)
+	for _, v := range a {
+		if int(v) >= len(p.mark) {
+			break
+		}
+		if at := p.mark[v] - 1; at >= 0 {
+			dst[at>>6] |= 1 << (at & 63)
+		}
+	}
+	return dst
+}
+
+// outside reports the first value, in id order, of version i of Q that
+// shared lacks: the version is uncoverable iff there is one.
+func (p *Prepared) outside(i int, shared []uint64) (values.Value, bool) {
+	for k, r := range p.rows[i*p.words : (i+1)*p.words] {
+		if m := r &^ shared[k]; m != 0 {
+			return p.all[k<<6|bits.TrailingZeros64(m)], true
+		}
+	}
+	return 0, false
+}
+
+// appendShared appends, ascending, the values whose positions shared
+// holds: All(Q) ∩ All(A), as AppendIntersect would produce it.
+func (p *Prepared) appendShared(dst []values.Value, shared []uint64) []values.Value {
+	for k, m := range shared {
+		for ; m != 0; m &= m - 1 {
+			dst = append(dst, p.all[k<<6|bits.TrailingZeros64(m)])
+		}
+	}
+	return dst
+}
+
+// CheckPrepared is Check for the q that p was prepared for: the same
+// sweep, the same terms in the same order, so weight and verdict are
+// bit-equal to Check(ctx, q, a, params). params.Weight must be the weight p
+// was prepared under.
+func (s *Scratch) CheckPrepared(ctx context.Context, p *Prepared, a *history.History, params Params) (weight float64, ok bool, err error) {
+	weight, err = s.violationWeight(ctx, p.q, p, a, params, 1, true)
+	return weight, err == nil && weight <= params.Epsilon, err
+}

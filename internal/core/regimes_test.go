@@ -202,10 +202,107 @@ func TestMaxViolationIsTheAllViolatedWeight(t *testing.T) {
 	}
 }
 
+// TestPreparedCheckMatchesCheck holds the prepared sweep — Q's side built
+// once, a bit test per version — to the per-pair one bit for bit: the same
+// weight and verdict in every regime under every weight family, with ε at
+// the regime test's budget, unbounded, at the pair's exact weight and just
+// below it (where the early exit stops at a partial sum), and against a
+// right-hand side that also holds ids above Q's largest. One Prepared
+// serves every query in turn, as a query arena's does, and a fresh one is
+// prepared for each; a uniform weight over half the horizon clamps Q's
+// later versions away.
+func TestPreparedCheckMatchesCheck(t *testing.T) {
+	const horizon, perRegime = timeline.Time(160), 6
+	c, err := datagen.Generate(datagen.Config{Seed: 11, Attributes: 300, Horizon: horizon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := c.Dataset
+	pairs := map[string][][2]*history.History{}
+	for i := 0; i < ds.Len(); i++ {
+		for j := 0; j < ds.Len(); j++ {
+			q, a := ds.Attr(history.AttrID(i)), ds.Attr(history.AttrID(j))
+			if r := regimeOf(q, a); i != j && len(pairs[r]) < perRegime {
+				pairs[r] = append(pairs[r], [2]*history.History{q, a})
+			}
+		}
+	}
+	// above returns a with every version also holding two ids past both
+	// sides' largest, so the prepared pass over All(A) must stop at the
+	// mark array's end and the regime must not change.
+	above := func(t *testing.T, q, a *history.History) *history.History {
+		top := max(q.AllValues()[q.AllValues().Len()-1], a.AllValues()[a.AllValues().Len()-1])
+		vs := make([]history.Version, a.NumVersions())
+		for i := range vs {
+			vs[i] = a.Version(i)
+			vs[i].Values = vs[i].Values.Union(values.NewSet(top+1, top+5000))
+		}
+		h, err := history.New(a.Meta(), vs, a.ObservedUntil())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	var s, sp core.Scratch
+	var reused, fresh core.Prepared
+	compare := func(t *testing.T, q, a *history.History, p core.Params) {
+		t.Helper()
+		want, wantOK, err := s.Check(nil, q, a, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pq := range []*core.Prepared{&reused, &fresh} {
+			got, gotOK, err := sp.CheckPrepared(nil, pq, a, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) || gotOK != wantOK {
+				t.Errorf("%s ⊆ %s (ε %v): prepared (%v, %v), per pair (%v, %v)",
+					q.Meta(), a.Meta(), p.Epsilon, got, gotOK, want, wantOK)
+			}
+		}
+	}
+	weights := regimeWeights(t, horizon)
+	weights["uniform-short"] = timeline.Uniform(horizon / 2) // clamps Q's later versions away
+	for _, regime := range []string{regimeDisjoint, regimeUncoverable, regimePartly, regimeSubset} {
+		if len(pairs[regime]) == 0 {
+			t.Fatalf("the corpus has no %s pair", regime)
+		}
+		for wname, w := range weights {
+			total := w.Sum(timeline.NewInterval(0, w.Horizon()))
+			for _, delta := range []timeline.Time{0, 7, 30} {
+				t.Run(fmt.Sprintf("%s/%s/delta=%d", regime, wname, delta), func(t *testing.T) {
+					for _, pair := range pairs[regime] {
+						q := pair[0]
+						reused.Prepare(q, w)
+						fresh = core.Prepared{}
+						fresh.Prepare(q, w)
+						for _, a := range []*history.History{pair[1], above(t, q, pair[1])} {
+							if r := regimeOf(q, a); r != regime {
+								t.Fatalf("%s ⊆ %s is %s, want %s", q.Meta(), a.Meta(), r, regime)
+							}
+							p := core.Params{Delta: delta, Weight: w}
+							exact := core.ViolationWeight(q, a, p)
+							for _, eps := range []float64{0.04 * total, math.Inf(1), exact, math.Nextafter(exact, -1)} {
+								if eps < 0 {
+									continue
+								}
+								p.Epsilon = eps
+								compare(t, q, a, p)
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestHoldsAllocsPinned holds the sweep to its scratch: once a Scratch has
 // grown to a pair's size, validating allocates nothing — no boundary list,
-// no window map, no closure — in any of the four regimes. A query's arena
-// relies on this.
+// no window map, no closure — in any of the four regimes, and neither do
+// preparing a query and checking it once a Prepared has grown to its size.
+// A query's arena relies on this.
 func TestHoldsAllocsPinned(t *testing.T) {
 	c, err := datagen.Generate(datagen.Config{Seed: 11, Attributes: 300, Horizon: 160})
 	if err != nil {
@@ -215,6 +312,7 @@ func TestHoldsAllocsPinned(t *testing.T) {
 	p := core.DefaultDays(ds.Horizon())
 	ctx := context.Background()
 	var s core.Scratch
+	var pq core.Prepared
 	seen := map[string]bool{}
 	for i := 0; i < ds.Len() && len(seen) < 4; i++ {
 		for j := 0; j < ds.Len(); j++ {
@@ -223,6 +321,12 @@ func TestHoldsAllocsPinned(t *testing.T) {
 				seen[r] = true
 				if allocs := testing.AllocsPerRun(50, func() { s.Check(ctx, q, a, p) }); allocs != 0 {
 					t.Errorf("%s pair: %.1f allocs per Check with a warm Scratch, want 0", r, allocs)
+				}
+				if allocs := testing.AllocsPerRun(50, func() {
+					pq.Prepare(q, p.Weight)
+					s.CheckPrepared(ctx, &pq, a, p)
+				}); allocs != 0 {
+					t.Errorf("%s pair: %.1f allocs per Prepare and CheckPrepared with a warm Prepared and Scratch, want 0", r, allocs)
 				}
 			}
 		}

@@ -45,7 +45,7 @@ func Holds(q, a *history.History, p Params) bool {
 // Q[t] is not δ-contained in A. The tIND holds iff the result is ≤ ε; the
 // exact weight feeds diagnostics and the evaluation harness.
 func ViolationWeight(q, a *history.History, p Params) float64 {
-	w, _ := new(Scratch).violationWeight(nil, q, a, p, 1, false)
+	w, _ := new(Scratch).violationWeight(nil, q, nil, a, p, 1, false)
 	return w
 }
 
@@ -71,6 +71,17 @@ type Scratch struct {
 	counts []int32        // per common value: versions of A in the δ-window holding it
 	qpos   []int32        // the current Q version's values, as positions in common
 	apos   []int32        // an entering or leaving A version's values, likewise
+	shared []uint64       // prepared Q: All(Q) ∩ All(A) as positions in All(Q)
+	walks  int            // pairs whose sweep reached the window walk
+}
+
+// TakeWindowSweeps returns how many pairs checked on s since the last call
+// reached the window walk — had a version of Q that A could cover — and
+// restarts the count.
+func (s *Scratch) TakeWindowSweeps() int {
+	n := s.walks
+	s.walks = 0
+	return n
 }
 
 // Check runs Algorithm 2 with the early exit: it stops as soon as the
@@ -79,17 +90,17 @@ type Scratch struct {
 // call both certifies Q ⊆_{w,ε,δ} A and ranks it. A non-nil ctx is polled
 // every cancelCheckEvery steps and aborts the pair with its error.
 func (s *Scratch) Check(ctx context.Context, q, a *history.History, p Params) (weight float64, ok bool, err error) {
-	weight, err = s.violationWeight(ctx, q, a, p, 1, true)
+	weight, err = s.violationWeight(ctx, q, nil, a, p, 1, true)
 	return weight, err == nil && weight <= p.Epsilon, err
 }
 
 // violationWeight sums the violated runs of the sweep in time order, one
 // Weight.Sum per run — the one summation order every consumer of a
 // violation weight shares.
-func (s *Scratch) violationWeight(ctx context.Context, q, a *history.History, p Params,
-	sigma float64, earlyExit bool) (weight float64, err error) {
-	err = s.sweep(ctx, q, a, p, sigma, func(run timeline.Interval, _ values.Value) bool {
-		weight += p.Weight.Sum(run)
+func (s *Scratch) violationWeight(ctx context.Context, q *history.History, pq *Prepared, a *history.History,
+	p Params, sigma float64, earlyExit bool) (weight float64, err error) {
+	err = s.sweep(ctx, q, pq, a, p, sigma, func(_ timeline.Interval, w float64, _ values.Value) bool {
+		weight += w
 		return !(earlyExit && weight > p.Epsilon)
 	})
 	return weight, err
@@ -99,8 +110,9 @@ func (s *Scratch) violationWeight(ctx context.Context, q, a *history.History, p 
 // A's versions — run on the vocabulary the pair shares. It calls yield, in
 // time order, with every maximal run of timestamps inside one version of Q
 // at which less than sigma of Q[t] is δ-contained in A (sigma = 1 is plain
-// δ-containment), together with one value of Q[t] the window lacks when
-// the run begins; yield returning false ends the sweep.
+// δ-containment), together with the run's weight and one value of Q[t]
+// the window lacks when the run begins; yield returning false ends the
+// sweep.
 //
 // A value outside common = All(Q) ∩ All(A) is in no window of A. A version
 // of Q holding more such values than sigma tolerates is therefore violated
@@ -114,13 +126,21 @@ func (s *Scratch) violationWeight(ctx context.Context, q, a *history.History, p 
 // counting what entered and left meanwhile. The partition is never
 // materialized: inside one version of Q the next boundary is simply the
 // earlier of the next entry and the next departure.
-func (s *Scratch) sweep(ctx context.Context, q, a *history.History, p Params, sigma float64,
-	yield func(run timeline.Interval, missing values.Value) bool) error {
+//
+// With pq, Q's side is prepared (sigma must be 1): the coverable test is
+// pq's bit rows against the pair's shared bitset, an uncoverable version
+// adds pq's precomputed sum, and common and the window counts are built
+// only once a coverable version exists.
+func (s *Scratch) sweep(ctx context.Context, q *history.History, pq *Prepared, a *history.History, p Params,
+	sigma float64, yield func(run timeline.Interval, w float64, missing values.Value) bool) error {
 	n, d, na := p.Weight.Horizon(), p.Delta, a.NumVersions()
-	s.common = values.AppendIntersect(s.common[:0], q.AllValues(), a.AllValues())
-	s.counts = slices.Grow(s.counts[:0], len(s.common))[:len(s.common)]
-	clear(s.counts)
-	lo, hi := 0, 0 // versions [lo, hi) of A are counted in the window
+	if pq == nil {
+		s.common = values.AppendIntersect(s.common[:0], q.AllValues(), a.AllValues())
+	} else {
+		s.shared = pq.sharedWith(s.shared, a.AllValues())
+	}
+	walking := false // common and the window counts are ready
+	lo, hi := 0, 0   // versions [lo, hi) of A are counted in the window
 	poll := poller{ctx: ctx}
 	for i := 0; i < q.NumVersions(); i++ {
 		if err := poll.err(); err != nil {
@@ -130,13 +150,33 @@ func (s *Scratch) sweep(ctx context.Context, q, a *history.History, p Params, si
 		if qv.IsEmpty() || iv.IsEmpty() {
 			continue // unobservable or empty Q is trivially contained
 		}
-		s.qpos = appendPositions(s.qpos[:0], s.common, qv)
-		slack := allowedMisses(len(qv), sigma) - (len(qv) - len(s.qpos))
-		if slack < 0 {
-			if !yield(iv, firstOutside(qv, s.common, s.qpos)) {
-				return nil
+		slack := 0
+		if pq != nil {
+			if v, out := pq.outside(i, s.shared); out {
+				if !yield(iv, pq.sums[i], v) {
+					return nil
+				}
+				continue
 			}
-			continue
+			if !walking {
+				s.common = pq.appendShared(s.common[:0], s.shared)
+			}
+			s.qpos = appendPositions(s.qpos[:0], s.common, qv)
+		} else {
+			s.qpos = appendPositions(s.qpos[:0], s.common, qv)
+			slack = allowedMisses(len(qv), sigma) - (len(qv) - len(s.qpos))
+			if slack < 0 {
+				if !yield(iv, p.Weight.Sum(iv), firstOutside(qv, s.common, s.qpos)) {
+					return nil
+				}
+				continue
+			}
+		}
+		if !walking {
+			walking = true
+			s.walks++
+			s.counts = slices.Grow(s.counts[:0], len(s.common))[:len(s.common)]
+			clear(s.counts)
 		}
 		var run timeline.Interval // the violated run still open at t, if any
 		var missing values.Value
@@ -162,7 +202,7 @@ func (s *Scratch) sweep(ctx context.Context, q, a *history.History, p Params, si
 				next = min(next, a.ValidUntil(lo)+d)
 			}
 			if at, violated := s.firstMiss(slack); !violated {
-				if !run.IsEmpty() && !yield(run, missing) {
+				if !run.IsEmpty() && !yield(run, p.Weight.Sum(run), missing) {
 					return nil
 				}
 				run = timeline.Interval{}
@@ -173,7 +213,7 @@ func (s *Scratch) sweep(ctx context.Context, q, a *history.History, p Params, si
 			}
 			t = next
 		}
-		if !run.IsEmpty() && !yield(run, missing) {
+		if !run.IsEmpty() && !yield(run, p.Weight.Sum(run), missing) {
 			return nil
 		}
 	}
@@ -291,8 +331,7 @@ func Explain(q, a *history.History, p Params) []Violation {
 	var out []Violation
 	// The sweep reports runs per version of Q; a violation that outlives
 	// a change of Q is one interval to the reader.
-	_ = new(Scratch).sweep(nil, q, a, p, 1, func(run timeline.Interval, missing values.Value) bool {
-		w := p.Weight.Sum(run)
+	_ = new(Scratch).sweep(nil, q, nil, a, p, 1, func(run timeline.Interval, w float64, missing values.Value) bool {
 		if len(out) > 0 && out[len(out)-1].Interval.End == run.Start {
 			out[len(out)-1].Interval.End = run.End
 			out[len(out)-1].Weight += w

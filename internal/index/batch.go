@@ -112,6 +112,9 @@ type arena struct {
 	verdicts []float64
 	hits     []Ranked
 	scratch  []*core.Scratch
+	// prep is Q's side of the sweep, prepared once for a scan of every
+	// attribute and shared read-only by the validation workers.
+	prep core.Prepared
 	// occ and vbuf are the RequiredValuesScratch accumulator and output
 	// buffer; the set returned from that scratch aliases vbuf, so within
 	// one query it stays valid (nothing else touches vbuf), but it must

@@ -3,6 +3,9 @@ package index
 import (
 	"context"
 	"errors"
+	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -127,6 +130,61 @@ func TestSearchContextMidFlightCancellation(t *testing.T) {
 	// The corpus is tiny, so all queries may finish before the timer
 	// fires; that is not a failure of the cancellation machinery.
 	t.Log("cancellation did not land mid-flight (corpus too fast); typed-error path covered by other tests")
+}
+
+// expiringCtx is a context whose deadline passes at its expireAt-th Err
+// call: a deadline that lands at a chosen poll, whatever the machine's
+// speed. Validation workers poll it concurrently.
+type expiringCtx struct {
+	context.Context
+	expireAt int64
+	calls    atomic.Int64
+}
+
+func (c *expiringCtx) Err() error {
+	if c.calls.Add(1) >= c.expireAt {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestTopKMidFlightCancellation lets the deadline of a top-k query pass
+// inside its scan round — the unbounded round that checks every other
+// attribute against Q's prepared side — and holds the scan to the poll
+// every pair's sweep starts with: the query returns ErrDeadlineExceeded
+// with the scan's funnel, after at most one more poll per validation
+// worker, instead of finishing the round.
+func TestTopKMidFlightCancellation(t *testing.T) {
+	idx, ds := cancelTestIndex(t)
+	o := QueryOptions{Mode: ModeTopK, Params: core.Params{Delta: 7, Weight: timeline.Uniform(ds.Horizon())}, K: 5}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, workers := range []int{1, 2} {
+		runtime.GOMAXPROCS(workers)
+		// The whole query polls this often when nothing expires.
+		full := &expiringCtx{Context: context.Background(), expireAt: math.MaxInt64}
+		res, err := idx.Query(full, ds.Attr(0), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		polls, scan := full.calls.Load(), int64(ds.Len()-1)
+		if res.Stats.InitialCandidates != ds.Len()-1 || polls < scan {
+			t.Fatalf("query 0 scanned %d candidates with %d polls; the test needs a scan of all %d",
+				res.Stats.InitialCandidates, polls, scan)
+		}
+		// Expire halfway through the scan's per-pair polls.
+		ctx := &expiringCtx{Context: context.Background(), expireAt: polls - scan/2}
+		res, err = idx.Query(ctx, ds.Attr(0), o)
+		if !errors.Is(err, ErrDeadlineExceeded) || !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("workers=%d: want ErrDeadlineExceeded, got %v", workers, err)
+		}
+		if res.Ranked != nil || res.Stats.InitialCandidates != ds.Len()-1 {
+			t.Fatalf("workers=%d: aborted scan returned %d ranked, funnel %d; want none from a scan of %d",
+				workers, len(res.Ranked), res.Stats.InitialCandidates, ds.Len()-1)
+		}
+		if late := ctx.calls.Load() - ctx.expireAt; late > int64(workers) {
+			t.Fatalf("workers=%d: %d polls after the deadline passed; each worker must stop at its next pair", workers, late)
+		}
+	}
 }
 
 func TestSearchContextBackgroundMatchesSearch(t *testing.T) {

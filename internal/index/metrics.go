@@ -34,6 +34,7 @@ type modeMetrics struct {
 	exactChecks    *obs.Counter
 	resultsEmitted *obs.Counter
 	prefixEntries  *obs.Counter
+	windowSweeps   *obs.Counter
 }
 
 // qm holds the per-mode metrics, indexed by Mode.
@@ -89,6 +90,8 @@ func init() {
 			resultsEmitted: reg.Counter("tind_query_results_total", "Dependencies reported to callers, by mode.", mode),
 			prefixEntries: reg.Counter("tind_query_prefix_entries_read_total",
 				"Weighted prefix index entries read to generate reverse candidates where M_R cannot serve the query, by mode.", mode),
+			windowSweeps: reg.Counter("tind_query_window_sweeps_total",
+				"Exact checks whose sweep reached the window walk over the right-hand side's versions, by mode.", mode),
 		}
 	}
 }

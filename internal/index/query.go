@@ -269,6 +269,7 @@ func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Pa
 	// subsets for reverse search, the weighted prefix index where M_R
 	// does not cover the query.
 	endPhase := r.phase(phaseMTPrune, &st.Timings.MTPrune)
+	filled := false // every attribute is a candidate
 	if reverse {
 		if x.mRCovers(p) {
 			r.ar.bits = x.mR.SubsetsInto(r.filterFor(q.AllValues()), nil, cand, r.ar.bits)
@@ -279,7 +280,7 @@ func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Pa
 		if req == nil { // forward only; reused by the subset check
 			req = r.requiredValues(q, p.Epsilon, p.Weight)
 		}
-		if len(req) == 0 || x.opt.DisableRequiredValues {
+		if filled = len(req) == 0 || x.opt.DisableRequiredValues; filled {
 			cand.Fill()
 		} else {
 			r.ar.bits = x.mT.SupersetsInto(r.filterFor(req), nil, cand, r.ar.bits)
@@ -320,11 +321,21 @@ func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Pa
 		return nil, err
 	}
 
-	// Phase 4: exact validation (Algorithm 2), in parallel.
+	// Phase 4: exact validation (Algorithm 2), in parallel. A scan of
+	// every attribute prepares Q's side of the sweep once for all its
+	// checks; a pruned candidate set is too small to repay that.
 	endPhase = r.phase(phaseValidate, &st.Timings.Validate)
+	var pq *core.Prepared
+	if filled {
+		pq = &r.ar.prep
+		pq.Prepare(q, p.Weight)
+	}
 	check := func(s *core.Scratch, c history.AttrID) (float64, bool, error) {
-		if reverse {
+		switch {
+		case reverse:
 			return s.Check(ctx, x.ds.Attr(c), q, p)
+		case pq != nil:
+			return s.CheckPrepared(ctx, pq, x.ds.Attr(c), p)
 		}
 		return s.Check(ctx, q, x.ds.Attr(c), p)
 	}
@@ -450,16 +461,57 @@ func (r *queryRun) topK(ctx context.Context, q *history.History, o QueryOptions)
 		// Either k results fit the budget, or the budget admits everything
 		// and fewer than k attributes exist.
 		endRank := r.phase(phaseRank, &st.Timings.Rank)
-		slices.SortFunc(hits, func(a, b Ranked) int {
-			if c := cmp.Compare(a.Violation, b.Violation); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.ID, b.ID)
-		})
-		hits = hits[:min(k, len(hits))]
-		ranked := append(make([]Ranked, 0, len(hits)), hits...)
+		ranked := append(make([]Ranked, 0, min(k, len(hits))), bestK(hits, k)...)
 		endRank.end()
 		st.Results = len(ranked)
 		return Result{Ranked: ranked, Stats: st}, nil
+	}
+}
+
+// rankOrder is top-k's order: ascending violation, ties by id.
+func rankOrder(a, b Ranked) int {
+	if c := cmp.Compare(a.Violation, b.Violation); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
+}
+
+// bestK moves the k first hits in rankOrder to the front of hits, sorted,
+// and returns them: a max-heap of the best k seen so far, where a full
+// sort would order every hit of an unbounded round to keep ten.
+func bestK(hits []Ranked, k int) []Ranked {
+	if k >= len(hits) {
+		slices.SortFunc(hits, rankOrder)
+		return hits
+	}
+	top := hits[:k]
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDown(top, i)
+	}
+	for _, h := range hits[k:] {
+		if rankOrder(h, top[0]) < 0 {
+			top[0] = h
+			siftDown(top, 0)
+		}
+	}
+	slices.SortFunc(top, rankOrder)
+	return top
+}
+
+// siftDown restores the max-heap property of h in rankOrder below i.
+func siftDown(h []Ranked, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && rankOrder(h[c+1], h[c]) > 0 {
+			c++
+		}
+		if rankOrder(h[c], h[i]) <= 0 {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
 }

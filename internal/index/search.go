@@ -300,6 +300,11 @@ func (r *queryRun) validate(ctx context.Context, cand *bitmatrix.Vec, st *QueryS
 			}
 		}
 	}
+	sweeps := 0
+	for _, s := range ar.scratch[:workers] {
+		sweeps += s.TakeWindowSweeps()
+	}
+	qm[r.mode].windowSweeps.Add(int64(sweeps))
 	if err != nil {
 		return nil, typedErr(ctx, err)
 	}

@@ -103,7 +103,7 @@ func fuzzHistory(r *rand.Rand, n timeline.Time) *history.History {
 
 // FuzzHoldsDifferential fuzzes core's Algorithm-2 validation (and its
 // naive variant, and Explain) against the per-timestamp oracle on a pair
-// of random histories.
+// of random histories, and the prepared check against the per-pair one.
 func FuzzHoldsDifferential(f *testing.F) {
 	f.Add(int64(1), int64(60), int64(2), float64(0.05), int64(0))
 	f.Add(int64(7), int64(31), int64(0), float64(0), int64(2))
@@ -136,6 +136,15 @@ func FuzzHoldsDifferential(f *testing.F) {
 			if got, wantH := core.Holds(q, a, p), Holds(q, a, p); got != wantH {
 				t.Errorf("core Holds = %v, oracle = %v (vw %g, ε %g)", got, wantH, want, p.Epsilon)
 			}
+		}
+		// The prepared sweep is the per-pair one with Q's side built once:
+		// bit-equal weight and verdict, early exit included.
+		var s core.Scratch
+		var pq core.Prepared
+		pq.Prepare(q, w)
+		wantW, wantOK, _ := s.Check(nil, q, a, p)
+		if gotW, gotOK, _ := s.CheckPrepared(nil, &pq, a, p); math.Float64bits(gotW) != math.Float64bits(wantW) || gotOK != wantOK {
+			t.Errorf("core CheckPrepared = (%v, %v), Check = (%v, %v)", gotW, gotOK, wantW, wantOK)
 		}
 		runs := Violations(q, a, p)
 		got := core.Explain(q, a, p)
