@@ -69,8 +69,14 @@ func TestScenarioNamesMatchRun(t *testing.T) {
 	// can cover one of Q's versions, never more than it checks.
 	sc := findScenario(t, rep, "query/topk/60")
 	checks, _ := obsSum(sc, "tind_query_exact_checks_total")
-	if v, ok := obsSum(sc, "tind_query_window_sweeps_total"); !ok || v <= 0 || v > checks {
-		t.Errorf("query/topk/60: window sweeps = (%g, %v), want in (0, %g]", v, ok, checks)
+	sweeps, ok := obsSum(sc, "tind_query_window_sweeps_total")
+	if !ok || sweeps <= 0 || sweeps > checks {
+		t.Errorf("query/topk/60: window sweeps = (%g, %v), want in (0, %g]", sweeps, ok, checks)
+	}
+	// The key probe decides, in closed form, some of the checks that never
+	// reach the window walk, and none of those that do.
+	if v, ok := obsSum(sc, "tind_query_closed_form_total"); !ok || v <= 0 || v > checks-sweeps {
+		t.Errorf("query/topk/60: closed-form checks = (%g, %v), want in (0, %g]", v, ok, checks-sweeps)
 	}
 	// The persist scenario must see the persist byte counters.
 	sc = findScenario(t, rep, "persist/roundtrip/60")

@@ -116,12 +116,15 @@ const counterTolerance = 0.05
 // the answer itself changed; prefix entries read growing means the
 // reverse candidate generation outside M_R's regime reads longer
 // postings; window sweeps growing means more exact checks walk the
-// right-hand side's versions instead of being decided by Q's vocabulary.
+// right-hand side's versions instead of being decided by Q's vocabulary;
+// closed-form checks falling means the key probe of a full scan rules
+// out fewer right-hand sides, so more of them pay for a sweep.
 var gatedCounters = []string{
 	"tind_query_exact_checks_total",
 	"tind_query_results_total",
 	"tind_query_prefix_entries_read_total",
 	"tind_query_window_sweeps_total",
+	"tind_query_closed_form_total",
 }
 
 // parseGate builds the gate from the -tolerance / -tolerance-override /

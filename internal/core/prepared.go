@@ -17,7 +17,8 @@ import (
 //
 //   - mark maps a value id to its position in All(Q) plus one (0: not in
 //     All(Q)), so All(Q) ∩ All(A) is one pass over All(A) into a bitset
-//     over All(Q)'s positions;
+//     over All(Q)'s positions, and a pair that walks A's versions keeps
+//     its window counts by those positions too;
 //   - row i holds the positions of version i's values, so version i is
 //     coverable iff row i &^ shared is zero;
 //   - sum i is the weight of version i's clamped validity, the term the
@@ -97,12 +98,15 @@ func (p *Prepared) outside(i int, shared []uint64) (values.Value, bool) {
 	return 0, false
 }
 
-// appendShared appends, ascending, the values whose positions shared
-// holds: All(Q) ∩ All(A), as AppendIntersect would produce it.
-func (p *Prepared) appendShared(dst []values.Value, shared []uint64) []values.Value {
-	for k, m := range shared {
-		for ; m != 0; m &= m - 1 {
-			dst = append(dst, p.all[k<<6|bits.TrailingZeros64(m)])
+// positions appends, ascending, the positions in All(Q) of the values of
+// vs that Q holds, in one pass over vs that stops past Q's largest id.
+func (p *Prepared) positions(dst []int32, vs values.Set) []int32 {
+	for _, v := range vs {
+		if int(v) >= len(p.mark) {
+			break
+		}
+		if at := p.mark[v] - 1; at >= 0 {
+			dst = append(dst, at)
 		}
 	}
 	return dst

@@ -67,9 +67,9 @@ func MaxViolation(q *history.History, w timeline.WeightFunc) float64 {
 // validates many pairs keeps one and passes it to every call, which then
 // allocates nothing; the zero value is ready to use.
 type Scratch struct {
-	common []values.Value // All(Q) ∩ All(A), ascending
-	counts []int32        // per common value: versions of A in the δ-window holding it
-	qpos   []int32        // the current Q version's values, as positions in common
+	common []values.Value // unprepared Q: All(Q) ∩ All(A), ascending
+	counts []int32        // per vocabulary value: versions of A in the δ-window holding it
+	qpos   []int32        // the current Q version's values, as positions in the vocabulary
 	apos   []int32        // an entering or leaving A version's values, likewise
 	shared []uint64       // prepared Q: All(Q) ∩ All(A) as positions in All(Q)
 	walks  int            // pairs whose sweep reached the window walk
@@ -129,17 +129,22 @@ func (s *Scratch) violationWeight(ctx context.Context, q *history.History, pq *P
 //
 // With pq, Q's side is prepared (sigma must be 1): the coverable test is
 // pq's bit rows against the pair's shared bitset, an uncoverable version
-// adds pq's precomputed sum, and common and the window counts are built
-// only once a coverable version exists.
+// adds pq's precomputed sum, and the window counts, built only once a
+// coverable version exists, are kept by position in All(Q) — pq's marks
+// place a version of A's values with one lookup each, so common is never
+// built.
 func (s *Scratch) sweep(ctx context.Context, q *history.History, pq *Prepared, a *history.History, p Params,
 	sigma float64, yield func(run timeline.Interval, w float64, missing values.Value) bool) error {
 	n, d, na := p.Weight.Horizon(), p.Delta, a.NumVersions()
+	var vocab []values.Value // what the window counts are kept for, ascending
 	if pq == nil {
 		s.common = values.AppendIntersect(s.common[:0], q.AllValues(), a.AllValues())
+		vocab = s.common
 	} else {
 		s.shared = pq.sharedWith(s.shared, a.AllValues())
+		vocab = pq.all
 	}
-	walking := false // common and the window counts are ready
+	walking := false // the window counts are ready
 	lo, hi := 0, 0   // versions [lo, hi) of A are counted in the window
 	poll := poller{ctx: ctx}
 	for i := 0; i < q.NumVersions(); i++ {
@@ -158,10 +163,7 @@ func (s *Scratch) sweep(ctx context.Context, q *history.History, pq *Prepared, a
 				}
 				continue
 			}
-			if !walking {
-				s.common = pq.appendShared(s.common[:0], s.shared)
-			}
-			s.qpos = appendPositions(s.qpos[:0], s.common, qv)
+			s.qpos = pq.positions(s.qpos[:0], qv)
 		} else {
 			s.qpos = appendPositions(s.qpos[:0], s.common, qv)
 			slack = allowedMisses(len(qv), sigma) - (len(qv) - len(s.qpos))
@@ -175,7 +177,7 @@ func (s *Scratch) sweep(ctx context.Context, q *history.History, pq *Prepared, a
 		if !walking {
 			walking = true
 			s.walks++
-			s.counts = slices.Grow(s.counts[:0], len(s.common))[:len(s.common)]
+			s.counts = slices.Grow(s.counts[:0], len(vocab))[:len(vocab)]
 			clear(s.counts)
 		}
 		var run timeline.Interval // the violated run still open at t, if any
@@ -187,12 +189,12 @@ func (s *Scratch) sweep(ctx context.Context, q *history.History, pq *Prepared, a
 			// Bring the window to t, then find how long it stays as it is.
 			for ; lo < na && a.ValidUntil(lo)+d <= t; lo++ {
 				if lo < hi {
-					s.count(a.Version(lo).Values, -1)
+					s.count(pq, a.Version(lo).Values, -1)
 				}
 			}
 			hi = max(hi, lo)
 			for ; hi < na && a.Version(hi).Start-d <= t; hi++ {
-				s.count(a.Version(hi).Values, 1)
+				s.count(pq, a.Version(hi).Values, 1)
 			}
 			next := iv.End
 			if hi < na {
@@ -207,7 +209,7 @@ func (s *Scratch) sweep(ctx context.Context, q *history.History, pq *Prepared, a
 				}
 				run = timeline.Interval{}
 			} else if run.IsEmpty() {
-				run, missing = timeline.NewInterval(t, next), s.common[at]
+				run, missing = timeline.NewInterval(t, next), vocab[at]
 			} else {
 				run.End = next
 			}
@@ -234,17 +236,23 @@ func (p *poller) err() error {
 	return p.ctx.Err()
 }
 
-// count adds d to the window count of every common value the version holds.
-func (s *Scratch) count(vs values.Set, d int32) {
-	s.apos = appendPositions(s.apos[:0], s.common, vs)
+// count adds d to the window count of every vocabulary value the version
+// holds: through pq's marks when Q is prepared, else by galloping the
+// version through common.
+func (s *Scratch) count(pq *Prepared, vs values.Set, d int32) {
+	if pq != nil {
+		s.apos = pq.positions(s.apos[:0], vs)
+	} else {
+		s.apos = appendPositions(s.apos[:0], s.common, vs)
+	}
 	for _, at := range s.apos {
 		s.counts[at] += d
 	}
 }
 
-// firstMiss scans the current Q version's common values in id order and
-// reports the position (in common) of the one absent from the window that
-// exhausts slack, the number of absences still tolerated.
+// firstMiss scans the current Q version's vocabulary values in id order
+// and reports the position (in the vocabulary) of the one absent from the
+// window that exhausts slack, the number of absences still tolerated.
 func (s *Scratch) firstMiss(slack int) (at int32, violated bool) {
 	for _, at := range s.qpos {
 		if s.counts[at] == 0 {

@@ -113,8 +113,10 @@ type arena struct {
 	hits     []Ranked
 	scratch  []*core.Scratch
 	// prep is Q's side of the sweep, prepared once for a scan of every
-	// attribute and shared read-only by the validation workers.
+	// attribute and shared read-only by the validation workers; keys are
+	// the values that scan probes M_T with, one per version of Q.
 	prep core.Prepared
+	keys []values.Value
 	// occ and vbuf are the RequiredValuesScratch accumulator and output
 	// buffer; the set returned from that scratch aliases vbuf, so within
 	// one query it stays valid (nothing else touches vbuf), but it must

@@ -35,6 +35,7 @@ type modeMetrics struct {
 	resultsEmitted *obs.Counter
 	prefixEntries  *obs.Counter
 	windowSweeps   *obs.Counter
+	closedForm     *obs.Counter
 }
 
 // qm holds the per-mode metrics, indexed by Mode.
@@ -86,12 +87,15 @@ func init() {
 				obs.CountBuckets, mode, obs.L("stage", "after_slices")),
 			candSubset: reg.Histogram("tind_query_candidates", "Candidates surviving each pruning stage.",
 				obs.CountBuckets, mode, obs.L("stage", "after_subset_check")),
-			exactChecks:    reg.Counter("tind_query_exact_checks_total", "Candidates passed to exact Algorithm-2 validation, by mode.", mode),
+			exactChecks: reg.Counter("tind_query_exact_checks_total",
+				"Candidates given an exact verdict, by Algorithm 2 or by its closed form, by mode.", mode),
 			resultsEmitted: reg.Counter("tind_query_results_total", "Dependencies reported to callers, by mode.", mode),
 			prefixEntries: reg.Counter("tind_query_prefix_entries_read_total",
 				"Weighted prefix index entries read to generate reverse candidates where M_R cannot serve the query, by mode.", mode),
 			windowSweeps: reg.Counter("tind_query_window_sweeps_total",
 				"Exact checks whose sweep reached the window walk over the right-hand side's versions, by mode.", mode),
+			closedForm: reg.Counter("tind_query_closed_form_total",
+				"Exact checks decided in closed form, MaxViolation(Q), because the key probe showed the right-hand side covers no version of Q, by mode.", mode),
 		}
 	}
 }

@@ -323,17 +323,33 @@ func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Pa
 
 	// Phase 4: exact validation (Algorithm 2), in parallel. A scan of
 	// every attribute prepares Q's side of the sweep once for all its
-	// checks; a pruned candidate set is too small to repay that.
+	// checks; a pruned candidate set is too small to repay that. Where
+	// M_T may prune, the scan also probes it with Q's version keys: a
+	// candidate outside their reach covers no version of Q, so its weight
+	// is MaxViolation(Q) without a sweep.
 	endPhase = r.phase(phaseValidate, &st.Timings.Validate)
 	var pq *core.Prepared
+	var reach *bitmatrix.Vec
+	var maxVio float64
 	if filled {
 		pq = &r.ar.prep
 		pq.Prepare(q, p.Weight)
+		if !x.opt.DisableRequiredValues {
+			reach = r.keyReach(q, p.Weight.Horizon(), cand)
+			maxVio = core.MaxViolation(q, p.Weight)
+			qm[r.mode].closedForm.Add(int64(st.AfterSubsetCheck - reach.Count()))
+		}
 	}
 	check := func(s *core.Scratch, c history.AttrID) (float64, bool, error) {
 		switch {
 		case reverse:
 			return s.Check(ctx, x.ds.Attr(c), q, p)
+		case reach != nil && !reach.Get(int(c)):
+			// One poll, as a sweep's first step takes.
+			if err := ctx.Err(); err != nil {
+				return 0, false, err
+			}
+			return maxVio, maxVio <= p.Epsilon, nil
 		case pq != nil:
 			return s.CheckPrepared(ctx, pq, x.ds.Attr(c), p)
 		}
@@ -346,6 +362,36 @@ func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Pa
 	}
 	st.Results = len(hits)
 	return hits, nil
+}
+
+// keyReach returns the candidates M_T admits for the key of some
+// non-empty version of Q observed before horizon n: the version's value of
+// smallest build-time document frequency, px.prefix's choice, so the
+// probes read the sparsest rows. A candidate outside the returned vector
+// lacks a value of every such version, hence covers none of them, and its
+// violation weight is exactly MaxViolation(Q) (DESIGN §5.1). A Bloom false
+// positive only keeps a candidate in, and Refresh only adds bits to M_T's
+// columns, so the reach stays a superset of what can cover. The vector is
+// the arena's probe, valid until the next probe into it.
+func (r *queryRun) keyReach(q *history.History, n timeline.Time, cand *bitmatrix.Vec) *bitmatrix.Vec {
+	ar := r.ar
+	keys := ar.keys[:0]
+	for i := range q.NumVersions() {
+		if qv := q.Version(i).Values; !qv.IsEmpty() && !q.Validity(i).Clamp(n).IsEmpty() {
+			keys = append(keys, r.x.px.prefix(qv))
+		}
+	}
+	slices.Sort(keys)
+	ar.keys = slices.Compact(keys)
+	reach := ar.probe
+	reach.Reset()
+	for _, k := range ar.keys {
+		ar.filter.Reset()
+		ar.filter.Add(k)
+		ar.bits = r.x.mT.SupersetsInto(ar.filter, cand, ar.pv, ar.bits)
+		reach.Or(ar.pv)
+	}
+	return reach
 }
 
 // mRCovers reports whether M_R, which holds R_{ε,w}(A) under the index's ε

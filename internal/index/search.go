@@ -27,7 +27,7 @@ type QueryStats struct {
 	InitialCandidates int           `json:"initial_candidates"` // after M_T, M_R or the prefix index (forward: every attribute when R_ε(Q) is empty)
 	AfterSlices       int           `json:"after_slices"`       // after time-slice pruning
 	AfterSubsetCheck  int           `json:"after_subset_check"` // after the forward subset pre-check (line 16); reverse: AfterSlices
-	Validated         int           `json:"validated"`          // candidates passed to Algorithm 2
+	Validated         int           `json:"validated"`          // candidates given an exact verdict, by Algorithm 2 or by its closed form
 	Results           int           `json:"results"`            // valid tINDs
 	SlicesUsed        int           `json:"slices_used"`        // slice indices consulted (top-k: over all rounds)
 	Elapsed           time.Duration `json:"elapsed_ns"`         // total query time
