@@ -128,8 +128,8 @@ func (c *corpus) compile(raw rawQuery) (*history.History, index.QueryOptions, er
 			}
 			o.K = *raw.K
 		}
-		// Top-k ranks by violation weight with an escalating epsilon
-		// budget of its own; a client-supplied eps does not apply.
+		// Top-k is one exact scan ranked by violation weight; it has no
+		// budget, so a client-supplied eps does not apply.
 		o.Params = core.Params{Delta: p.Delta, Weight: p.Weight}
 	default:
 		return nil, o, fmt.Errorf("bad mode %q: want forward, reverse or topk", raw.Mode)

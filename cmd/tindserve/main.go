@@ -144,9 +144,11 @@ func mHTTPSeconds(endpoint string) *obs.Histogram {
 		obs.L("endpoint", endpoint))
 }
 
-// topKWeight is the limiter weight of /topk requests: the escalating
-// search may re-run the underlying query several times, so one /topk
-// costs about as much as a few plain searches.
+// topKWeight is the limiter weight of /topk requests. One /topk is one
+// exact scan of every attribute. Over 8 000 attributes its median is ≈ 5
+// plain searches end to end (1.2 against 0.24 ms), but a plain search's
+// time is mostly HTTP, and the scan itself, ≈ 0.6 ms in process, is
+// about two plain searches served end to end: it is charged like two.
 const topKWeight = 2
 
 // batchWeight caps the limiter weight of a batch — POST /query/batch or a

@@ -12,7 +12,7 @@ import (
 )
 
 // Relaxation monotonicity: loosening ε or δ can only add results — the
-// invariant behind Figure 8 and the TopK escalation.
+// invariant behind Figure 8.
 func TestSearchMonotoneInRelaxationProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

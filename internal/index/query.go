@@ -29,8 +29,7 @@ const (
 	// prefix index alone.
 	ModeReverse
 	// ModeTopK ranks the K attributes with the smallest exact violation
-	// weight of Q ⊆_{w,·,δ} A, escalating the search budget until K
-	// results fit.
+	// weight of Q ⊆_{w,·,δ} A: one exact scan of every other attribute.
 	ModeTopK
 
 	numModes
@@ -54,9 +53,8 @@ func (m Mode) String() string {
 type QueryOptions struct {
 	// Mode is the query direction; the zero value is ModeForward.
 	Mode Mode
-	// Params is the tIND relaxation (ε, δ, w). For ModeTopK, Epsilon is
-	// the initial escalation budget (0 means the index ε) and the exact
-	// ranking ignores it otherwise.
+	// Params is the tIND relaxation (ε, δ, w). ModeTopK ranks by exact
+	// weight and ignores Epsilon.
 	Params core.Params
 	// K is the result count for ModeTopK; other modes ignore it.
 	K int
@@ -67,8 +65,8 @@ type QueryOptions struct {
 }
 
 // Timings is the per-phase breakdown of a query, mirroring the pruning
-// pipeline of Algorithm 1. Phases that did not run stay zero; top-k sums
-// each phase over its rounds. Total is always set, even for aborted queries.
+// pipeline of Algorithm 1. Phases that did not run stay zero. Total is
+// always set, even for aborted queries.
 type Timings struct {
 	Total       time.Duration `json:"total_ns"`
 	MTPrune     time.Duration `json:"mt_prune_ns"`     // candidate generation: M_T, M_R or the prefix index
@@ -189,10 +187,9 @@ func (r *queryRun) requiredValues(q *history.History, epsilon float64, w timelin
 }
 
 // phase times one pipeline phase: end() records the elapsed time into
-// *dst (accumulating, so top-k escalations sum), the mode's phase
-// histogram and the trace. phaseTimer is a value, not a closure, so the
-// hot batched path times its four phases without heap allocation (the
-// nil-trace Span is a static func).
+// *dst, the mode's phase histogram and the trace. phaseTimer is a value,
+// not a closure, so the hot batched path times its four phases without
+// heap allocation (the nil-trace Span is a static func).
 func (r *queryRun) phase(name string, dst *time.Duration) phaseTimer {
 	return phaseTimer{r: r, name: name, dst: dst, start: time.Now(), endSpan: r.tr.Span(name)}
 }
@@ -208,7 +205,7 @@ type phaseTimer struct {
 func (p phaseTimer) end() {
 	p.endSpan()
 	d := time.Since(p.start)
-	*p.dst += d
+	*p.dst = d
 	qm[p.r.mode].phases[p.name].ObserveDuration(d)
 }
 
@@ -234,7 +231,7 @@ func (r *queryRun) finish(st *QueryStats, err error) {
 // search with per-phase timing. Parameters have been validated by Query.
 func (r *queryRun) search(ctx context.Context, q *history.History, p core.Params, reverse bool) (Result, error) {
 	var st QueryStats
-	hits, err := r.searchHits(ctx, q, p, reverse, nil, &st)
+	hits, err := r.searchHits(ctx, q, p, reverse, &st)
 	if err != nil || len(hits) == 0 {
 		return Result{Stats: st}, err
 	}
@@ -250,13 +247,9 @@ func (r *queryRun) search(ctx context.Context, q *history.History, p core.Params
 // violation weight. The hits live in the run's arena: search copies the
 // ids out, topK ranks them in place and copies the best K. A phase runs
 // only where it can remove a candidate for less than validating it costs.
-// st's funnel counters are overwritten; its phase timings and SlicesUsed
-// accumulate, so the rounds of a top-k sum. req is R_ε(Q) under p where
-// the caller already holds it (a top-k round is decided on it), else nil.
 func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Params, reverse bool,
-	req values.Set, st *QueryStats) ([]Ranked, error) {
+	st *QueryStats) ([]Ranked, error) {
 	x := r.x
-	*st = QueryStats{Timings: st.Timings, SlicesUsed: st.SlicesUsed}
 	if err := CtxErr(ctx); err != nil {
 		return nil, err
 	}
@@ -265,11 +258,12 @@ func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Pa
 	defer x.pool.putVec(cand)
 
 	// Phase 1: candidate generation — M_T supersets for forward search
-	// (line 2 of Algorithm 1), every attribute when R_ε(Q) is empty; M_R
-	// subsets for reverse search, the weighted prefix index where M_R
-	// does not cover the query.
+	// (line 2 of Algorithm 1), every attribute when R_ε(Q) is empty — as
+	// R_∞(Q) is, so an unbounded scan builds none; M_R subsets for reverse
+	// search, the weighted prefix index where M_R does not cover the query.
 	endPhase := r.phase(phaseMTPrune, &st.Timings.MTPrune)
-	filled := false // every attribute is a candidate
+	filled := false    // every attribute is a candidate
+	var req values.Set // forward only; reused by the subset check
 	if reverse {
 		if x.mRCovers(p) {
 			r.ar.bits = x.mR.SubsetsInto(r.filterFor(q.AllValues()), nil, cand, r.ar.bits)
@@ -277,7 +271,7 @@ func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Pa
 			r.prefixCandidates(q, p, cand)
 		}
 	} else {
-		if req == nil { // forward only; reused by the subset check
+		if !math.IsInf(p.Epsilon, 1) {
 			req = r.requiredValues(q, p.Epsilon, p.Weight)
 		}
 		if filled = len(req) == 0 || x.opt.DisableRequiredValues; filled {
@@ -459,75 +453,39 @@ func (r *queryRun) reverseSlicePrune(ctx context.Context, q *history.History, p 
 	return nil
 }
 
-// topK implements ModeTopK: escalate the violation budget until at least
-// K results fit, then rank them by exact violation weight. Everything
-// the index pruned at budget ε is proven to violate more than ε, so once
-// K results lie at or below ε they are exactly the global top K. The
-// check that certifies a candidate ≤ ε returns its exact weight, so
-// ranking a round is a sort of what validation returned. Phase timings
-// and SlicesUsed sum over the rounds; the funnel is the last round's, so
-// an abort mid-escalation still reports how far it got.
+// topK implements ModeTopK: one exact scan of every other attribute at
+// ε = +∞, which nothing prunes, so every candidate gets its exact weight
+// and the ranking is the best K of them. The key probe decides most of
+// those weights in closed form (DESIGN §5.1).
 func (r *queryRun) topK(ctx context.Context, q *history.History, o QueryOptions) (Result, error) {
-	x, k := r.x, o.K
-	eps := o.Params.Epsilon
-	if eps <= 0 {
-		eps = x.opt.Params.Epsilon
-	}
-	if eps <= 0 {
-		eps = 1
-	}
-	// No right-hand side violates more than MaxViolation, which is summed
-	// the way the validator sums, so a budget that has reached it excludes
-	// nothing: that round runs unbounded and is the complete ranking.
-	total := core.MaxViolation(q, o.Params.Weight)
 	var st QueryStats
-	for {
-		if err := CtxErr(ctx); err != nil {
-			return Result{Stats: st}, err
-		}
-		// A budget that requires no value admits every attribute; scanning
-		// them all bounded costs what the unbounded, final round costs, so
-		// run that one at once. The ranking is by exact weight either way.
-		var req values.Set
-		if eps < total {
-			req = r.requiredValues(q, eps, o.Params.Weight)
-		}
-		if len(req) == 0 {
-			eps, req = math.Inf(1), values.Set{}
-		}
-		p := core.Params{Epsilon: eps, Delta: o.Params.Delta, Weight: o.Params.Weight}
-		hits, err := r.searchHits(ctx, q, p, false, req, &st)
-		if err != nil {
-			return Result{Stats: st}, err
-		}
-		if len(hits) < k && !math.IsInf(eps, 1) {
-			eps *= 4
-			continue
-		}
-		// Either k results fit the budget, or the budget admits everything
-		// and fewer than k attributes exist.
-		endRank := r.phase(phaseRank, &st.Timings.Rank)
-		ranked := append(make([]Ranked, 0, min(k, len(hits))), bestK(hits, k)...)
-		endRank.end()
-		st.Results = len(ranked)
-		return Result{Ranked: ranked, Stats: st}, nil
+	p := core.Params{Epsilon: math.Inf(1), Delta: o.Params.Delta, Weight: o.Params.Weight}
+	hits, err := r.searchHits(ctx, q, p, false, &st)
+	if err != nil {
+		return Result{Stats: st}, err
 	}
+	endRank := r.phase(phaseRank, &st.Timings.Rank)
+	ranked := append(make([]Ranked, 0, min(o.K, len(hits))), bestK(hits, o.K)...)
+	endRank.end()
+	st.Results = len(ranked)
+	return Result{Ranked: ranked, Stats: st}, nil
 }
 
-// rankOrder is top-k's order: ascending violation, ties by id.
-func rankOrder(a, b Ranked) int {
+// RankOrder is top-k's order on every tier: ascending violation, ties by
+// id. A sharded gather merges its legs' rankings under it.
+func RankOrder(a, b Ranked) int {
 	if c := cmp.Compare(a.Violation, b.Violation); c != 0 {
 		return c
 	}
 	return cmp.Compare(a.ID, b.ID)
 }
 
-// bestK moves the k first hits in rankOrder to the front of hits, sorted,
+// bestK moves the k first hits in RankOrder to the front of hits, sorted,
 // and returns them: a max-heap of the best k seen so far, where a full
-// sort would order every hit of an unbounded round to keep ten.
+// sort would order every hit of the scan to keep ten.
 func bestK(hits []Ranked, k int) []Ranked {
 	if k >= len(hits) {
-		slices.SortFunc(hits, rankOrder)
+		slices.SortFunc(hits, RankOrder)
 		return hits
 	}
 	top := hits[:k]
@@ -535,26 +493,26 @@ func bestK(hits []Ranked, k int) []Ranked {
 		siftDown(top, i)
 	}
 	for _, h := range hits[k:] {
-		if rankOrder(h, top[0]) < 0 {
+		if RankOrder(h, top[0]) < 0 {
 			top[0] = h
 			siftDown(top, 0)
 		}
 	}
-	slices.SortFunc(top, rankOrder)
+	slices.SortFunc(top, RankOrder)
 	return top
 }
 
-// siftDown restores the max-heap property of h in rankOrder below i.
+// siftDown restores the max-heap property of h in RankOrder below i.
 func siftDown(h []Ranked, i int) {
 	for {
 		c := 2*i + 1
 		if c >= len(h) {
 			return
 		}
-		if c+1 < len(h) && rankOrder(h[c+1], h[c]) > 0 {
+		if c+1 < len(h) && RankOrder(h[c+1], h[c]) > 0 {
 			c++
 		}
-		if rankOrder(h[c], h[i]) <= 0 {
+		if RankOrder(h[c], h[i]) <= 0 {
 			return
 		}
 		h[i], h[c] = h[c], h[i]

@@ -29,13 +29,13 @@ type QueryStats struct {
 	AfterSubsetCheck  int           `json:"after_subset_check"` // after the forward subset pre-check (line 16); reverse: AfterSlices
 	Validated         int           `json:"validated"`          // candidates given an exact verdict, by Algorithm 2 or by its closed form
 	Results           int           `json:"results"`            // valid tINDs
-	SlicesUsed        int           `json:"slices_used"`        // slice indices consulted (top-k: over all rounds)
+	SlicesUsed        int           `json:"slices_used"`        // slice indices consulted (top-k: none, its ε is +∞)
 	Elapsed           time.Duration `json:"elapsed_ns"`         // total query time
 	// Timings breaks Elapsed down by pruning phase. Total is populated
 	// (non-zero) on every Query return, successful or aborted.
 	Timings Timings `json:"timings"`
 	// Trace holds the per-phase spans when QueryOptions.Trace was set;
-	// nil otherwise. Top-k escalations append one span set per round.
+	// nil otherwise: one span per phase that ran, top-k's rank included.
 	Trace []TraceSpan `json:"-"`
 	// PerShard attributes the query across a sharded execution: one entry
 	// per scatter leg, with that leg's wall time (including shard lock

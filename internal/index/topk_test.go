@@ -139,8 +139,8 @@ func weightFamilies(t *testing.T, n timeline.Time) map[string]timeline.WeightFun
 
 // A ranking asked for more entries than exist must come back complete —
 // |D|−1 entries, every one with its exact weight — under every weight
-// family. The last escalation round has no float headroom to lean on: it
-// is complete because its budget excludes nothing.
+// family. The scan has no float headroom to lean on: it is complete
+// because its budget, ε = +∞, excludes nothing.
 func TestTopKCompleteRankingEveryWeight(t *testing.T) {
 	c, err := datagen.Generate(datagen.Config{Seed: 42, Attributes: 300, Horizon: 800})
 	if err != nil {
@@ -172,15 +172,9 @@ func TestTopKCompleteRankingEveryWeight(t *testing.T) {
 	}
 }
 
-// The funnel of a top-k query and its ranked body are pinned to what the
-// two-pass implementation (validate, then weigh every survivor again)
-// produced on this corpus: the kernel got cheaper, the work it is asked to
-// do did not move. Each row is a query attribute, the last round's funnel
-// and an FNV-64a of the ranked "id:weight-bits;" list. No value moved when
-// a round without required values began to run unbounded at once: for the
-// 13 such queries the deciding round used to be a bounded scan of every
-// attribute, pruned by nothing, whose funnel is the unbounded round's, and
-// Results is the K ranked either way.
+// The funnel of a top-k query and its ranked body are pinned on this
+// corpus. Each row is a query attribute, the funnel of its one scan and an
+// FNV-64a of the ranked "id:weight-bits;" list.
 func TestTopKFunnelAndRankingPinned(t *testing.T) {
 	c, err := datagen.Generate(datagen.Config{Seed: 42, Attributes: 300, Horizon: 800})
 	if err != nil {
@@ -202,7 +196,7 @@ func TestTopKFunnelAndRankingPinned(t *testing.T) {
 			{23, 299, 299, 299, 299, 10, 0xce3ea517b9ff3058},
 			{46, 299, 299, 299, 299, 10, 0xb542c014477ccaaa},
 			{69, 299, 299, 299, 299, 10, 0x35b29fca9ecbaa4c},
-			{92, 41, 41, 41, 41, 10, 0xf1cb39f01456330b},
+			{92, 299, 299, 299, 299, 10, 0xf1cb39f01456330b},
 			{115, 299, 299, 299, 299, 10, 0xab5f0f2214b38102},
 			{138, 299, 299, 299, 299, 10, 0x9d861e81e74db488},
 			{161, 299, 299, 299, 299, 10, 0x8d1798875e3b3a8d},
@@ -299,15 +293,12 @@ func TestValidateParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// A top-k query pays for a round only where the round can prune: every
-// round but the last has required values and fewer candidates than |D|−1
-// out of M_T, a round without any is the unbounded one and the last, and
-// that one consults no slice. The rounds a query ran are read off its
-// trace — one span set per round — and their work is re-derived from
-// forward queries on the escalation ladder. Phase timings sum over the
-// rounds: no phase is shorter than its spans together, and all phases fit
-// in Total.
-func TestTopKRoundsSumAndPayOnce(t *testing.T) {
+// A top-k query is one exact scan: one span per phase plus the rank, every
+// other attribute a candidate through every phase, no slice consulted, and
+// each phase's Timings at least its span while all of them fit in Total.
+// Params.Epsilon is ignored — below the index ε, at it and far above the
+// largest weight, the ranking and the funnel are the same.
+func TestTopKIsOneScan(t *testing.T) {
 	c, err := datagen.Generate(datagen.Config{Seed: 42, Attributes: 300, Horizon: 800})
 	if err != nil {
 		t.Fatal(err)
@@ -317,66 +308,60 @@ func TestTopKRoundsSumAndPayOnce(t *testing.T) {
 	x := buildTestIndex(t, ds, opt)
 	w, delta := opt.Params.Weight, opt.Params.Delta
 	ctx := context.Background()
-	multi := 0
 	for qi := 0; qi < ds.Len(); qi += 7 {
 		q := ds.Attr(history.AttrID(qi))
 		for _, k := range []int{10, 120} {
-			res, err := x.Query(ctx, q, QueryOptions{Mode: ModeTopK, Params: core.Params{Delta: delta, Weight: w}, K: k, Trace: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			st := res.Stats
-			spans := map[string]int{}
-			spent := map[string]time.Duration{}
-			for _, sp := range st.Trace {
-				spans[sp.Name]++
-				spent[sp.Name] += sp.Duration()
-			}
-			rounds := spans[phaseValidate]
-			if rounds == 0 || spans[phaseMTPrune] != rounds || spans[phaseSlicePrune] != rounds ||
-				spans[phaseSubsetCheck] != rounds || spans[phaseRank] != 1 {
-				t.Fatalf("query %d k=%d: trace is not one span set per round plus one rank: %v", qi, k, spans)
-			}
-			tm := st.Timings
-			for name, d := range map[string]time.Duration{phaseMTPrune: tm.MTPrune, phaseSlicePrune: tm.SlicePrune,
-				phaseSubsetCheck: tm.SubsetCheck, phaseValidate: tm.Validate, phaseRank: tm.Rank} {
-				if d < spent[name] {
-					t.Fatalf("query %d k=%d: Timings has %v of %s, its %d spans %v", qi, k, d, name, spans[name], spent[name])
-				}
-			}
-			if sum := tm.MTPrune + tm.SlicePrune + tm.SubsetCheck + tm.Validate + tm.Rank; sum > tm.Total {
-				t.Fatalf("query %d k=%d: phases sum to %v, Total %v", qi, k, sum, tm.Total)
-			}
-
-			eps, slicesUsed := opt.Params.Epsilon, 0
-			for i := 0; i < rounds; i++ {
-				if eps >= core.MaxViolation(q, w) || len(core.RequiredValues(q, eps, w)) == 0 {
-					if i != rounds-1 || st.InitialCandidates != ds.Len()-1 {
-						t.Fatalf("query %d k=%d: round %d of %d requires no value at ε=%g and was not the one full scan",
-							qi, k, i+1, rounds, eps)
-					}
-					break
-				}
-				fwd, err := x.Query(ctx, q, QueryOptions{Params: core.Params{Epsilon: eps, Delta: delta, Weight: w}})
+			var first Result
+			for i, eps := range []float64{0, opt.Params.Epsilon, 10 * core.MaxViolation(q, w)} {
+				res, err := x.Query(ctx, q, QueryOptions{Mode: ModeTopK,
+					Params: core.Params{Epsilon: eps, Delta: delta, Weight: w}, K: k, Trace: true})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if fwd.Stats.InitialCandidates == ds.Len()-1 {
-					t.Fatalf("query %d k=%d: bounded round %d at ε=%g scanned every attribute", qi, k, i+1, eps)
+				st := res.Stats
+				spans := map[string]int{}
+				spent := map[string]time.Duration{}
+				for _, sp := range st.Trace {
+					spans[sp.Name]++
+					spent[sp.Name] += sp.Duration()
 				}
-				slicesUsed += fwd.Stats.SlicesUsed
-				eps *= 4
-			}
-			if st.SlicesUsed != slicesUsed {
-				t.Fatalf("query %d k=%d: %d slices consulted over %d rounds, the bounded rounds account for %d",
-					qi, k, st.SlicesUsed, rounds, slicesUsed)
-			}
-			if rounds > 1 {
-				multi++
+				tm := st.Timings
+				phases := map[string]time.Duration{phaseMTPrune: tm.MTPrune, phaseSlicePrune: tm.SlicePrune,
+					phaseSubsetCheck: tm.SubsetCheck, phaseValidate: tm.Validate, phaseRank: tm.Rank}
+				if len(st.Trace) != len(phases) {
+					t.Fatalf("query %d k=%d ε=%g: trace is not one span per phase: %v", qi, k, eps, spans)
+				}
+				var sum time.Duration
+				for name, d := range phases {
+					sum += d
+					if spans[name] != 1 {
+						t.Fatalf("query %d k=%d ε=%g: trace is not one span per phase: %v", qi, k, eps, spans)
+					}
+					if d < spent[name] {
+						t.Fatalf("query %d k=%d ε=%g: Timings has %v of %s, its span %v", qi, k, eps, d, name, spent[name])
+					}
+				}
+				if sum > tm.Total {
+					t.Fatalf("query %d k=%d ε=%g: phases sum to %v, Total %v", qi, k, eps, sum, tm.Total)
+				}
+				if st.InitialCandidates != ds.Len()-1 || st.AfterSubsetCheck != ds.Len()-1 || st.SlicesUsed != 0 {
+					t.Fatalf("query %d k=%d ε=%g: funnel %d → %d with %d slices, want the scan of all %d other attributes and none",
+						qi, k, eps, st.InitialCandidates, st.AfterSubsetCheck, st.SlicesUsed, ds.Len()-1)
+				}
+				if i == 0 {
+					first = res
+					continue
+				}
+				if !slices.Equal(res.Ranked, first.Ranked) || funnel(st) != funnel(first.Stats) {
+					t.Fatalf("query %d k=%d: ε=%g ranks or funnels differently from ε=0: %v %+v, want %v %+v",
+						qi, k, eps, res.Ranked, funnel(st), first.Ranked, funnel(first.Stats))
+				}
 			}
 		}
 	}
-	if multi == 0 {
-		t.Fatal("no query escalated: the sums were never exercised")
-	}
+}
+
+// funnel is the candidate funnel of a query's statistics.
+func funnel(st QueryStats) [5]int {
+	return [5]int{st.InitialCandidates, st.AfterSlices, st.AfterSubsetCheck, st.Validated, st.Results}
 }

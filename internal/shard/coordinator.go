@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -295,13 +294,13 @@ func gatherStats(perLeg []index.Result, times []time.Duration, errs []error, ela
 //   - ModeForward/ModeReverse: the per-shard result sets are disjoint by
 //     construction (each shard only answers for its own attributes), so
 //     the gathered answer is their union, sorted ascending.
-//   - ModeTopK: each shard ranks its own top K under the same
-//     escalation-budget semantics as the monolith; any global top-K
-//     attribute is necessarily inside its shard's top K, so the K-way
-//     merge by (violation, global id) of the per-shard rankings,
-//     truncated to K, is the exact global ranking. A shard's Results in
-//     PerShard counts the entries it contributed to that ranking, so the
-//     legs' results add up to the answer in every mode.
+//   - ModeTopK: each shard ranks its own top K by the monolith's one
+//     exact scan; any global top-K attribute is necessarily inside its
+//     shard's top K, so the merge of the per-shard rankings in
+//     index.RankOrder, truncated to K, is the exact global ranking. A
+//     shard's Results in PerShard counts the entries it contributed to
+//     that ranking, so the legs' results add up to the answer in every
+//     mode.
 //
 // Failed legs carry no results and are marked in Stats.PerShard.
 func gather(o index.QueryOptions, perLeg []index.Result, times []time.Duration, errs []error, elapsed time.Duration) index.Result {
@@ -311,20 +310,14 @@ func gather(o index.QueryOptions, perLeg []index.Result, times []time.Duration, 
 		for s := range perLeg {
 			ranked = append(ranked, perLeg[s].Ranked...)
 		}
-		before := func(a, b index.Ranked) bool {
-			if a.Violation != b.Violation {
-				return a.Violation < b.Violation
-			}
-			return a.ID < b.ID
-		}
-		sort.Slice(ranked, func(i, j int) bool { return before(ranked[i], ranked[j]) })
+		slices.SortFunc(ranked, index.RankOrder)
 		if len(ranked) > o.K {
 			ranked = ranked[:o.K]
 		}
 		for s := range perLeg {
 			kept := 0
 			for _, r := range perLeg[s].Ranked { // non-empty only if ranked is
-				if !before(ranked[len(ranked)-1], r) {
+				if index.RankOrder(r, ranked[len(ranked)-1]) <= 0 {
 					kept++
 				}
 			}
@@ -338,7 +331,7 @@ func gather(o index.QueryOptions, perLeg []index.Result, times []time.Duration, 
 	for s := range perLeg {
 		ids = append(ids, perLeg[s].IDs...)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	res.IDs = ids
 	res.Stats.Results = len(ids)
 	return res
