@@ -349,40 +349,17 @@ func (s *server) handleBatch(c *corpus, w http.ResponseWriter, r *http.Request) 
 
 // aggregateBatchStats folds per-entry batch results into one batch-level
 // QueryStats for the wide event: funnel counts and phase timings sum
-// across entries (QueryStats.Add), and so does each shard's row of the
-// per-shard attribution (addLeg) — one leg carried every entry, so the
-// rows agree on the leg's wall time and error, but each entry reports
-// its own share of the leg's work.
+// across entries, and so does each shard's row of the per-shard
+// attribution — one leg carried every entry, so the rows agree on the
+// leg's wall time and error, but each entry reports its own share of the
+// leg's work (QueryStats.Add).
 func aggregateBatchStats(results []index.Result, elapsed time.Duration) index.QueryStats {
-	agg := index.QueryStats{Elapsed: elapsed}
-	agg.Timings.Total = elapsed
+	var agg index.QueryStats
 	for i := range results {
-		st := &results[i].Stats
-		agg.Add(st)
-		if agg.PerShard == nil && len(st.PerShard) > 0 {
-			agg.PerShard = make([]index.ShardStat, len(st.PerShard))
-			for s, leg := range st.PerShard {
-				agg.PerShard[s] = index.ShardStat{Shard: leg.Shard, Elapsed: leg.Elapsed, Err: leg.Err}
-			}
-		}
-		for s := range st.PerShard {
-			addLeg(&agg.PerShard[s], &st.PerShard[s])
-		}
+		agg.Add(&results[i].Stats)
 	}
+	agg.Elapsed, agg.Timings.Total = elapsed, elapsed
 	return agg
-}
-
-// addLeg folds one entry's share of a scatter leg into the batch's row:
-// phase timings and funnel counts add.
-func addLeg(dst, src *index.ShardStat) {
-	dst.Timings.MTPrune += src.Timings.MTPrune
-	dst.Timings.SlicePrune += src.Timings.SlicePrune
-	dst.Timings.SubsetCheck += src.Timings.SubsetCheck
-	dst.Timings.Validate += src.Timings.Validate
-	dst.Timings.Rank += src.Timings.Rank
-	dst.InitialCandidates += src.InitialCandidates
-	dst.Validated += src.Validated
-	dst.Results += src.Results
 }
 
 func (s *server) handleExplain(c *corpus, w http.ResponseWriter, r *http.Request) {

@@ -12,7 +12,6 @@ import (
 	"strconv"
 	"time"
 
-	"tind/internal/index"
 	"tind/internal/obs"
 	"tind/internal/router"
 )
@@ -107,36 +106,6 @@ func errorClass(status int) string {
 	}
 }
 
-// eventPhases converts the index phase timings to the obs event shape.
-func eventPhases(t index.Timings) obs.EventPhases {
-	return obs.EventPhases{
-		MTPrune:     t.MTPrune,
-		SlicePrune:  t.SlicePrune,
-		SubsetCheck: t.SubsetCheck,
-		Validate:    t.Validate,
-		Rank:        t.Rank,
-	}
-}
-
-// eventShards converts per-shard attribution to the obs event shape.
-func eventShards(ps []index.ShardStat) []obs.EventShard {
-	if len(ps) == 0 {
-		return nil
-	}
-	out := make([]obs.EventShard, len(ps))
-	for i, s := range ps {
-		out[i] = obs.EventShard{
-			Shard:      s.Shard,
-			Elapsed:    s.Elapsed,
-			Phases:     eventPhases(s.Timings),
-			Candidates: s.InitialCandidates,
-			Validated:  s.Validated,
-			Results:    s.Results,
-		}
-	}
-	return out
-}
-
 // recordQueryEvent builds and records the wide event of one completed
 // query-shaped request: the one per-request record of where its time
 // went. Called by the query middleware for every request whose handler
@@ -155,8 +124,8 @@ func recordQueryEvent(note *queryNote, qid uint64, endpoint string, status int, 
 		Candidates: st.InitialCandidates,
 		Validated:  st.Validated,
 		Results:    st.Results,
-		Phases:     eventPhases(st.Timings),
-		Shards:     eventShards(st.PerShard),
+		Phases:     st.Timings,
+		Shards:     st.PerShard,
 	})
 }
 

@@ -2,10 +2,12 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -40,6 +42,7 @@ type eventJSON struct {
 		Candidates int                `json:"candidates"`
 		Validated  int                `json:"validated"`
 		Results    int                `json:"results"`
+		Error      *string            `json:"error"` // nil when absent
 	} `json:"shards"`
 }
 
@@ -89,6 +92,13 @@ func runForEvent(t *testing.T, base, target, body string, wantStatus int) eventJ
 	if resp.StatusCode != wantStatus {
 		t.Fatalf("%s: status %d, want %d", target, resp.StatusCode, wantStatus)
 	}
+	return eventOf(t, base, target, resp)
+}
+
+// eventOf returns the wide event of the answered request to target: the
+// one carrying the response's X-Query-ID.
+func eventOf(t *testing.T, base, target string, resp *http.Response) eventJSON {
+	t.Helper()
 	qid, err := strconv.ParseUint(resp.Header.Get("X-Query-ID"), 10, 64)
 	if err != nil {
 		t.Fatalf("%s: bad X-Query-ID %q: %v", target, resp.Header.Get("X-Query-ID"), err)
@@ -547,6 +557,54 @@ func TestBatchEventShardsSumToTotals(t *testing.T) {
 	if cand != ev.Candidates || validated != ev.Validated || results != ev.Results {
 		t.Errorf("shards[] sum to %d candidates, %d validated, %d results; the event has %d, %d, %d",
 			cand, validated, results, ev.Candidates, ev.Validated, ev.Results)
+	}
+}
+
+// TestPartialEventNamesFailedLeg: a partial answer's wide event names the
+// leg that failed. With leg 1 down, a search, a top-k and a batch each
+// answer 200 with the partial marker, and their events' shards[1] carries
+// the leg's error while no other row has one — without it the dead leg's
+// row reads like a fast leg that found nothing.
+func TestPartialEventNamesFailedLeg(t *testing.T) {
+	_, base, faults := testShardedServer(t, config{}, 4)
+	faults[1].SetError(fmt.Errorf("shard 1: %w: connection refused", shard.ErrLegUnavailable))
+	for _, req := range []struct{ target, body string }{
+		{"/search?attr=0", ""},
+		{"/topk?attr=2&k=5", ""},
+		{"/query/batch", `{"queries": [{"attr": "0", "eps": 3}, {"attr": "2", "mode": "topk", "k": 5}]}`},
+	} {
+		var resp *http.Response
+		var err error
+		if req.body == "" {
+			resp, err = http.Get(base + req.target)
+		} else {
+			resp, err = http.Post(base+req.target, "application/json", strings.NewReader(req.body))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out struct {
+			Partial      bool  `json:"partial"`
+			ShardsFailed []int `json:"shards_failed"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || !out.Partial || !slices.Equal(out.ShardsFailed, []int{1}) {
+			t.Fatalf("%s: status %d, partial %v, shards_failed %v (%v); want 200 partial on shard 1",
+				req.target, resp.StatusCode, out.Partial, out.ShardsFailed, err)
+		}
+		ev := eventOf(t, base, req.target, resp)
+		if len(ev.Shards) != 4 {
+			t.Fatalf("%s: event shard attribution has %d legs, want 4", req.target, len(ev.Shards))
+		}
+		for _, sh := range ev.Shards {
+			switch failed := sh.Shard == 1; {
+			case failed && (sh.Error == nil || *sh.Error == ""):
+				t.Errorf("%s: the failed leg's row carries no error: %+v", req.target, sh)
+			case !failed && sh.Error != nil:
+				t.Errorf("%s: healthy shard %d's row carries error %q", req.target, sh.Shard, *sh.Error)
+			}
+		}
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"tind/internal/bloom"
 	"tind/internal/core"
 	"tind/internal/history"
-	"tind/internal/obs"
 	"tind/internal/timeline"
 	"tind/internal/values"
 )
@@ -256,10 +255,7 @@ func (x *Index) runEntry(ctx context.Context, q *history.History, o QueryOptions
 	valWorkers int) (Result, error) {
 	qm[o.Mode].queries.Inc()
 	r := &ar.run
-	*r = queryRun{x: x, mode: o.Mode, start: time.Now(), ar: ar, valWorkers: valWorkers}
-	if o.Trace {
-		r.tr = obs.NewTrace()
-	}
+	*r = queryRun{x: x, mode: o.Mode, start: time.Now(), trace: o.Trace, ar: ar, valWorkers: valWorkers}
 	var (
 		res Result
 		err error

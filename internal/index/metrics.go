@@ -11,16 +11,6 @@ import (
 // is documented in DESIGN.md §7.
 var reg = obs.Default()
 
-// Query-phase names, shared between the Timings breakdown, the trace
-// spans and the {phase=...} label of the latency histograms.
-const (
-	phaseMTPrune     = "mt_prune"
-	phaseSlicePrune  = "slice_prune"
-	phaseSubsetCheck = "subset_check"
-	phaseValidate    = "validate"
-	phaseRank        = "rank" // top-k only: exact violation-weight ranking
-)
-
 // modeMetrics bundles the per-query-mode instruments.
 type modeMetrics struct {
 	queries *obs.Counter
@@ -71,8 +61,8 @@ func init() {
 	latHelp := "Query-phase latency by mode and phase."
 	for m := Mode(0); m < numModes; m++ {
 		mode := obs.L("mode", m.String())
-		phases := make(map[string]*obs.Histogram, 5)
-		for _, ph := range []string{phaseMTPrune, phaseSlicePrune, phaseSubsetCheck, phaseValidate, phaseRank} {
+		phases := make(map[string]*obs.Histogram, len(obs.Phases))
+		for _, ph := range obs.Phases {
 			phases[ph] = reg.Histogram("tind_query_phase_seconds", latHelp,
 				obs.LatencyBuckets, mode, obs.L("phase", ph))
 		}

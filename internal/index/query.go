@@ -59,22 +59,14 @@ type QueryOptions struct {
 	// K is the result count for ModeTopK; other modes ignore it.
 	K int
 	// Trace additionally records per-phase spans into Stats.Trace. The
-	// Timings breakdown is always populated; the trace costs a few
-	// appends more and is off by default.
+	// Timings breakdown is always populated; the spans are read off the
+	// same clock reads, so each span's Duration is its Timings field, and
+	// cost one slice per query more. Off by default.
 	Trace bool
 }
 
-// Timings is the per-phase breakdown of a query, mirroring the pruning
-// pipeline of Algorithm 1. Phases that did not run stay zero. Total is
-// always set, even for aborted queries.
-type Timings struct {
-	Total       time.Duration `json:"total_ns"`
-	MTPrune     time.Duration `json:"mt_prune_ns"`     // candidate generation: M_T, M_R or the prefix index
-	SlicePrune  time.Duration `json:"slice_prune_ns"`  // time-slice pruning
-	SubsetCheck time.Duration `json:"subset_check_ns"` // exact subset pre-check (line 16); forward and top-k only, zero for reverse
-	Validate    time.Duration `json:"validate_ns"`     // Algorithm-2 validation
-	Rank        time.Duration `json:"rank_ns"`         // top-k only: exact violation-weight ranking
-}
+// Timings is the per-phase breakdown of a query (obs.Timings).
+type Timings = obs.Timings
 
 // TraceSpan is one recorded query phase (offsets relative to query start).
 type TraceSpan = obs.Span
@@ -140,13 +132,14 @@ func (o QueryOptions) validate() error {
 }
 
 // queryRun carries the cross-phase state of one query — a Query call or
-// one QueryBatch entry: the clock, the optional trace, the mode's metrics
-// and the scratch arena of the goroutine executing it.
+// one QueryBatch entry: the clock, the spans when traced, the mode's
+// metrics and the scratch arena of the goroutine executing it.
 type queryRun struct {
 	x     *Index
 	mode  Mode
 	start time.Time
-	tr    *obs.Trace
+	trace bool
+	spans []obs.Span // handed to Stats.Trace, so allocated per run, never from the arena
 
 	// ar is the run's scratch arena, owned by the executing goroutine for
 	// the duration of the run; nothing in it may be reachable from the
@@ -186,27 +179,28 @@ func (r *queryRun) requiredValues(q *history.History, epsilon float64, w timelin
 	return s
 }
 
-// phase times one pipeline phase: end() records the elapsed time into
-// *dst, the mode's phase histogram and the trace. phaseTimer is a value,
-// not a closure, so the hot batched path times its four phases without
-// heap allocation (the nil-trace Span is a static func).
+// phase times one pipeline phase: end() reads the clock once and records
+// the elapsed time into *dst, the mode's phase histogram and, when traced,
+// a span. phaseTimer is a value, not a closure, so the hot batched path
+// times its four phases without heap allocation.
 func (r *queryRun) phase(name string, dst *time.Duration) phaseTimer {
-	return phaseTimer{r: r, name: name, dst: dst, start: time.Now(), endSpan: r.tr.Span(name)}
+	return phaseTimer{r: r, name: name, dst: dst, start: time.Now()}
 }
 
 type phaseTimer struct {
-	r       *queryRun
-	name    string
-	dst     *time.Duration
-	start   time.Time
-	endSpan func()
+	r     *queryRun
+	name  string
+	dst   *time.Duration
+	start time.Time
 }
 
 func (p phaseTimer) end() {
-	p.endSpan()
-	d := time.Since(p.start)
-	*p.dst = d
-	qm[p.r.mode].phases[p.name].ObserveDuration(d)
+	now := time.Now()
+	*p.dst = now.Sub(p.start)
+	qm[p.r.mode].phases[p.name].ObserveDuration(*p.dst)
+	if r := p.r; r.trace {
+		r.spans = append(r.spans, obs.Span{Name: p.name, Start: p.start.Sub(r.start), End: now.Sub(r.start)})
+	}
 }
 
 // finish seals the statistics of the run: total time, trace, and the
@@ -214,7 +208,7 @@ func (p phaseTimer) end() {
 func (r *queryRun) finish(st *QueryStats, err error) {
 	st.Elapsed = time.Since(r.start)
 	st.Timings.Total = st.Elapsed
-	st.Trace = r.tr.Spans()
+	st.Trace = r.spans
 	m := &qm[r.mode]
 	m.total.ObserveDuration(st.Elapsed)
 	m.candInitial.Observe(float64(st.InitialCandidates))
@@ -261,7 +255,7 @@ func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Pa
 	// (line 2 of Algorithm 1), every attribute when R_ε(Q) is empty — as
 	// R_∞(Q) is, so an unbounded scan builds none; M_R subsets for reverse
 	// search, the weighted prefix index where M_R does not cover the query.
-	endPhase := r.phase(phaseMTPrune, &st.Timings.MTPrune)
+	endPhase := r.phase(obs.PhaseMTPrune, &st.Timings.MTPrune)
 	filled := false    // every attribute is a candidate
 	var req values.Set // forward only; reused by the subset check
 	if reverse {
@@ -287,7 +281,7 @@ func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Pa
 	// Phase 2: time-slice pruning with violation tracking. Only sound
 	// when the query δ does not exceed the index δ (and, for reverse
 	// search, under the index weighting), and idle under an infinite ε.
-	endPhase = r.phase(phaseSlicePrune, &st.Timings.SlicePrune)
+	endPhase = r.phase(obs.PhaseSlicePrune, &st.Timings.SlicePrune)
 	var err error
 	if p.Delta <= x.opt.Params.Delta && !math.IsInf(p.Epsilon, 1) && st.InitialCandidates > 0 {
 		if !reverse {
@@ -306,7 +300,7 @@ func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Pa
 	// Bloom false positives against the actual value sets. Reverse, it would
 	// rebuild R_ε(A) per candidate, several times the validation it guards.
 	if !reverse {
-		endPhase = r.phase(phaseSubsetCheck, &st.Timings.SubsetCheck)
+		endPhase = r.phase(obs.PhaseSubsetCheck, &st.Timings.SubsetCheck)
 		err = x.subsetCheck(ctx, cand, req)
 		endPhase.end()
 	}
@@ -321,7 +315,7 @@ func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Pa
 	// M_T may prune, the scan also probes it with Q's version keys: a
 	// candidate outside their reach covers no version of Q, so its weight
 	// is MaxViolation(Q) without a sweep.
-	endPhase = r.phase(phaseValidate, &st.Timings.Validate)
+	endPhase = r.phase(obs.PhaseValidate, &st.Timings.Validate)
 	var pq *core.Prepared
 	var reach *bitmatrix.Vec
 	var maxVio float64
@@ -464,7 +458,7 @@ func (r *queryRun) topK(ctx context.Context, q *history.History, o QueryOptions)
 	if err != nil {
 		return Result{Stats: st}, err
 	}
-	endRank := r.phase(phaseRank, &st.Timings.Rank)
+	endRank := r.phase(obs.PhaseRank, &st.Timings.Rank)
 	ranked := append(make([]Ranked, 0, min(o.K, len(hits))), bestK(hits, o.K)...)
 	endRank.end()
 	st.Results = len(ranked)

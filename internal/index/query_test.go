@@ -5,9 +5,20 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"tind/internal/core"
 	"tind/internal/history"
+	"tind/internal/obs"
+)
+
+// The phase names obs declares, as this package's tests spell them.
+const (
+	phaseMTPrune     = obs.PhaseMTPrune
+	phaseSlicePrune  = obs.PhaseSlicePrune
+	phaseSubsetCheck = obs.PhaseSubsetCheck
+	phaseValidate    = obs.PhaseValidate
+	phaseRank        = obs.PhaseRank
 )
 
 // queryTestIndex builds a reverse-capable index over a random dataset.
@@ -103,18 +114,30 @@ func TestQueryTimingsAlwaysPopulated(t *testing.T) {
 }
 
 // A trace holds one span per phase that ran, in pipeline order: reverse
-// search has no subset pre-check.
+// search has no subset pre-check, and top-k ends with its rank. A span is
+// read off the clock reads of its Timings field, so its Duration is that
+// field exactly.
 func TestQueryTraceSpans(t *testing.T) {
 	ds, x := queryTestIndex(t, 14, 30)
 	p := core.DefaultDays(ds.Horizon())
-	for mode, want := range map[Mode][]string{
-		ModeForward: {phaseMTPrune, phaseSlicePrune, phaseSubsetCheck, phaseValidate},
-		ModeReverse: {phaseMTPrune, phaseSlicePrune, phaseValidate},
+	for _, c := range []struct {
+		o    QueryOptions
+		want []string
+	}{
+		{QueryOptions{Mode: ModeForward, Params: p}, []string{phaseMTPrune, phaseSlicePrune, phaseSubsetCheck, phaseValidate}},
+		{QueryOptions{Mode: ModeReverse, Params: p}, []string{phaseMTPrune, phaseSlicePrune, phaseValidate}},
+		{QueryOptions{Mode: ModeTopK, Params: core.Params{Delta: p.Delta, Weight: p.Weight}, K: 3},
+			[]string{phaseMTPrune, phaseSlicePrune, phaseSubsetCheck, phaseValidate, phaseRank}},
 	} {
-		res, err := x.Query(context.Background(), ds.Attr(0), QueryOptions{Mode: mode, Params: p, Trace: true})
+		mode, want := c.o.Mode, c.want
+		c.o.Trace = true
+		res, err := x.Query(context.Background(), ds.Attr(0), c.o)
 		if err != nil {
 			t.Fatal(err)
 		}
+		tm := res.Stats.Timings
+		fields := map[string]time.Duration{phaseMTPrune: tm.MTPrune, phaseSlicePrune: tm.SlicePrune,
+			phaseSubsetCheck: tm.SubsetCheck, phaseValidate: tm.Validate, phaseRank: tm.Rank}
 		if len(res.Stats.Trace) != len(want) {
 			t.Fatalf("%v: trace spans: %v", mode, res.Stats.Trace)
 		}
@@ -127,6 +150,9 @@ func TestQueryTraceSpans(t *testing.T) {
 			}
 			if i > 0 && sp.Start < res.Stats.Trace[i-1].End {
 				t.Fatalf("%v: span %q overlaps predecessor", mode, sp.Name)
+			}
+			if sp.Duration() != fields[sp.Name] {
+				t.Fatalf("%v: span %q lasts %v, its Timings field %v", mode, sp.Name, sp.Duration(), fields[sp.Name])
 			}
 		}
 	}

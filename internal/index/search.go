@@ -11,6 +11,7 @@ import (
 	"tind/internal/bitmatrix"
 	"tind/internal/core"
 	"tind/internal/history"
+	"tind/internal/obs"
 	"tind/internal/timeline"
 	"tind/internal/values"
 )
@@ -35,7 +36,9 @@ type QueryStats struct {
 	// (non-zero) on every Query return, successful or aborted.
 	Timings Timings `json:"timings"`
 	// Trace holds the per-phase spans when QueryOptions.Trace was set;
-	// nil otherwise: one span per phase that ran, top-k's rank included.
+	// nil otherwise: one span per phase that ran, top-k's rank included,
+	// each read off the same clock reads as its Timings field. A gather
+	// or a batch aggregate concatenates its parts' spans.
 	Trace []TraceSpan `json:"-"`
 	// PerShard attributes the query across a sharded execution: one entry
 	// per scatter leg, with that leg's wall time (including shard lock
@@ -47,10 +50,11 @@ type QueryStats struct {
 }
 
 // Add folds src into st: funnel counts and phase timings sum, traces
-// concatenate. Elapsed, Timings.Total and PerShard are the caller's to
-// set — a gather stamps its own wall clock and leg attribution. It is the
-// one fold behind both the per-shard gather of a scattered query and the
-// per-entry aggregate of a batch.
+// concatenate, and src's per-shard rows fold into st's row by row
+// (ShardStat.Add). Elapsed and Timings.Total are the caller's to set — a
+// gather or a batch stamps its own wall clock. It is the one fold behind
+// both the per-shard gather of a scattered query and the per-entry
+// aggregate of a batch.
 func (st *QueryStats) Add(src *QueryStats) {
 	st.InitialCandidates += src.InitialCandidates
 	st.AfterSlices += src.AfterSlices
@@ -58,34 +62,18 @@ func (st *QueryStats) Add(src *QueryStats) {
 	st.Validated += src.Validated
 	st.Results += src.Results
 	st.SlicesUsed += src.SlicesUsed
-	st.Timings.MTPrune += src.Timings.MTPrune
-	st.Timings.SlicePrune += src.Timings.SlicePrune
-	st.Timings.SubsetCheck += src.Timings.SubsetCheck
-	st.Timings.Validate += src.Timings.Validate
-	st.Timings.Rank += src.Timings.Rank
+	st.Timings.Add(src.Timings)
 	st.Trace = append(st.Trace, src.Trace...)
+	if st.PerShard == nil && len(src.PerShard) > 0 {
+		st.PerShard = make([]ShardStat, len(src.PerShard))
+	}
+	for s := range src.PerShard {
+		st.PerShard[s].Add(&src.PerShard[s])
+	}
 }
 
-// ShardStat is one shard's contribution to a sharded query: the scatter
-// leg's wall-clock time plus the shard-local phase timings and funnel
-// counts, so a straggling shard is attributable from a single event.
-type ShardStat struct {
-	Shard             int
-	Elapsed           time.Duration // leg wall time, gate to gather
-	Timings           Timings       // shard-local phase breakdown
-	InitialCandidates int
-	Validated         int
-	Results           int
-	// Err marks a failed scatter leg with the leg's error text; empty on
-	// success. A failed leg's funnel counts are whatever the shard had
-	// accumulated when it aborted — without the marker a dead shard is
-	// indistinguishable from a legitimately fast "0 candidates" leg, so
-	// attribution, wide events and partial results all read it.
-	Err string
-}
-
-// Failed reports whether this scatter leg errored.
-func (s ShardStat) Failed() bool { return s.Err != "" }
+// ShardStat is one shard's contribution to a sharded query (obs.ShardStat).
+type ShardStat = obs.ShardStat
 
 // Result is the answer to a tIND (or reverse tIND) search. When a query
 // aborts on a done context, Result carries the statistics accumulated up

@@ -22,35 +22,12 @@ const (
 	EventReslice     = "reslice"
 )
 
-// EventPhases is the per-phase breakdown of a query-shaped event,
-// mirroring index.Timings without importing it (obs sits below index in
-// the dependency order).
-type EventPhases struct {
-	MTPrune     time.Duration
-	SlicePrune  time.Duration
-	SubsetCheck time.Duration
-	Validate    time.Duration
-	Rank        time.Duration
-}
-
-func (p EventPhases) zero() bool { return p == EventPhases{} }
-
-// EventShard attributes one scatter-gather leg of a sharded query: the
-// leg's wall time (including shard lock wait and any injected fault
-// latency — the straggler signal) and the shard-local funnel.
-type EventShard struct {
-	Shard      int
-	Elapsed    time.Duration
-	Phases     EventPhases
-	Candidates int
-	Validated  int
-	Results    int
-}
-
 // Event is one wide, structured record of a unit of server work. Fields
 // not meaningful for a kind stay zero and are omitted from the JSON
-// rendering. Events are value types: once handed to EventLog.Record the
-// caller must not mutate the Shards slice it passed.
+// rendering. A query-shaped event holds the engine's own record of the
+// query — its Timings and its ShardStat rows, failed legs' errors
+// included — not a copy of it. Events are value types: once handed to
+// EventLog.Record the caller must not mutate the Shards slice it passed.
 type Event struct {
 	Seq  uint64    // assigned by Record
 	Time time.Time // assigned by Record when zero
@@ -65,8 +42,8 @@ type Event struct {
 	Candidates int
 	Validated  int
 	Results    int
-	Phases     EventPhases
-	Shards     []EventShard // sharded execution only
+	Phases     Timings     // rendered as phases_ms, without Total
+	Shards     []ShardStat // sharded execution only
 
 	// Ingest-shaped fields.
 	Records  int           // records applied / refreshed
@@ -87,6 +64,7 @@ func (e Event) MarshalJSON() ([]byte, error) {
 		Candidates int                `json:"candidates"`
 		Validated  int                `json:"validated"`
 		Results    int                `json:"results"`
+		Error      string             `json:"error,omitempty"`
 	}
 	out := struct {
 		Seq        uint64             `json:"seq"`
@@ -117,8 +95,9 @@ func (e Event) MarshalJSON() ([]byte, error) {
 	}
 	for _, s := range e.Shards {
 		out.Shards = append(out.Shards, shardJSON{
-			Shard: s.Shard, ElapsedMs: ms(s.Elapsed), Phases: phaseMap(s.Phases),
-			Candidates: s.Candidates, Validated: s.Validated, Results: s.Results,
+			Shard: s.Shard, ElapsedMs: ms(s.Elapsed), Phases: phaseMap(s.Timings),
+			Candidates: s.InitialCandidates, Validated: s.Validated, Results: s.Results,
+			Error: s.Err,
 		})
 	}
 	return json.Marshal(out)
@@ -126,18 +105,17 @@ func (e Event) MarshalJSON() ([]byte, error) {
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-func phaseMap(p EventPhases) map[string]float64 {
-	if p.zero() {
+// phaseMap renders t's phases as phases_ms: nil when none ran, and rank
+// only where it did.
+func phaseMap(t Timings) map[string]float64 {
+	if t == (Timings{Total: t.Total}) {
 		return nil
 	}
-	m := map[string]float64{
-		"mt_prune":     ms(p.MTPrune),
-		"slice_prune":  ms(p.SlicePrune),
-		"subset_check": ms(p.SubsetCheck),
-		"validate":     ms(p.Validate),
-	}
-	if p.Rank > 0 {
-		m["rank"] = ms(p.Rank)
+	m := make(map[string]float64, len(Phases))
+	for i, d := range t.phases() {
+		if Phases[i] != PhaseRank || *d > 0 {
+			m[Phases[i]] = ms(*d)
+		}
 	}
 	return m
 }

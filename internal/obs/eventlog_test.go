@@ -85,10 +85,10 @@ func TestEventJSONShape(t *testing.T) {
 		Kind: EventBatch, QueryID: 42, Mode: "batch", Endpoint: "/query/batch",
 		Status: 200, BatchSize: 8, Candidates: 120, Validated: 30, Results: 10,
 		Duration: 12500 * time.Microsecond,
-		Phases:   EventPhases{MTPrune: time.Millisecond, Validate: 2 * time.Millisecond},
-		Shards: []EventShard{
-			{Shard: 0, Elapsed: 3 * time.Millisecond, Candidates: 60},
-			{Shard: 1, Elapsed: 12 * time.Millisecond, Candidates: 60, Phases: EventPhases{Validate: 11 * time.Millisecond}},
+		Phases:   Timings{Total: 12 * time.Millisecond, MTPrune: time.Millisecond, Validate: 2 * time.Millisecond},
+		Shards: []ShardStat{
+			{Shard: 0, Elapsed: 3 * time.Millisecond, InitialCandidates: 60, Err: "shard: leg unavailable"},
+			{Shard: 1, Elapsed: 12 * time.Millisecond, InitialCandidates: 60, Timings: Timings{Validate: 11 * time.Millisecond}},
 		},
 	}
 	l := NewEventLog(16)
@@ -117,18 +117,35 @@ func TestEventJSONShape(t *testing.T) {
 	if _, ok := s1["phases_ms"].(map[string]interface{})["validate"]; !ok {
 		t.Errorf("shard 1 missing phases_ms.validate: %v", s1)
 	}
+	if s1["candidates"].(float64) != 60 {
+		t.Errorf("shard 1 candidates = %v, want 60", s1["candidates"])
+	}
+	// A failed leg is named by its row's error; a healthy row has none.
+	if s0 := shards[0].(map[string]interface{}); s0["error"] != "shard: leg unavailable" {
+		t.Errorf("failed shard 0 row: %v, want its error", s0)
+	}
+	if _, ok := s1["error"]; ok {
+		t.Errorf("healthy shard 1 row carries an error: %v", s1)
+	}
+	// The phases render without Total, and without rank where it did not run.
+	phases := m["phases_ms"].(map[string]interface{})
+	if len(phases) != 4 || phases["mt_prune"].(float64) != 1 || phases["validate"].(float64) != 2 {
+		t.Errorf("phases_ms = %v, want the four search phases", phases)
+	}
 	// The phases and per-shard legs are the per-request record; no span
 	// list rides along.
 	if _, ok := m["trace"]; ok {
 		t.Errorf("query event JSON carries a trace key: %s", b)
 	}
 
-	// Ingest-shaped events omit query-shaped fields.
+	// Ingest-shaped events omit query-shaped fields; a Timings holding
+	// only Total renders no phases_ms.
 	l2 := NewEventLog(16)
-	l2.Record(Event{Kind: EventIngestApply, Records: 7, WALFsync: time.Millisecond, Duration: 5 * time.Millisecond})
+	l2.Record(Event{Kind: EventIngestApply, Records: 7, WALFsync: time.Millisecond, Duration: 5 * time.Millisecond,
+		Phases: Timings{Total: 5 * time.Millisecond}})
 	b, _ = json.Marshal(l2.Select(EventFilter{})[0])
 	s := string(b)
-	for _, absent := range []string{"shards", "trace", "query_id", "batch_size"} {
+	for _, absent := range []string{"shards", "trace", "query_id", "batch_size", "phases_ms"} {
 		if strings.Contains(s, fmt.Sprintf("%q", absent)) {
 			t.Errorf("ingest event JSON contains %q: %s", absent, s)
 		}

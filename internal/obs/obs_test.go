@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounter(t *testing.T) {
@@ -220,22 +219,26 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 	r.Gauge("m", "")
 }
 
-func TestTrace(t *testing.T) {
-	tr := NewTrace()
-	end := tr.Span("phase1")
-	time.Sleep(time.Millisecond)
-	end()
-	spans := tr.Spans()
-	if len(spans) != 1 || spans[0].Name != "phase1" {
-		t.Fatalf("spans = %v", spans)
+// TestGaugeAddContention: the CAS loop in Gauge.Add must not lose
+// updates under contention (race-detector exercised).
+func TestGaugeAddContention(t *testing.T) {
+	r := NewRegistry()
+	g := r.Gauge("g", "contended")
+	const workers, perWorker = 8, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				g.Add(1)
+				g.Add(-1)
+				g.Add(2)
+			}
+		}()
 	}
-	if spans[0].Duration() <= 0 {
-		t.Fatal("span duration must be positive")
-	}
-
-	var nilTrace *Trace
-	nilTrace.Span("x")() // must not panic
-	if nilTrace.Spans() != nil {
-		t.Fatal("nil trace must have no spans")
+	wg.Wait()
+	if got, want := g.Value(), float64(workers*perWorker*2); got != want {
+		t.Fatalf("gauge = %g, want %g", got, want)
 	}
 }
