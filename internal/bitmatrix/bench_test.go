@@ -15,7 +15,10 @@ import (
 // per-column filters too; a column's own filter is the reverse query that
 // has genuine subsets.
 func benchMatrix(nAttrs int) (*Matrix, []*bloom.Filter) {
-	p := bloom.Params{M: 4096, K: 2}
+	return benchMatrixM(bloom.Params{M: 4096, K: 2}, nAttrs)
+}
+
+func benchMatrixM(p bloom.Params, nAttrs int) (*Matrix, []*bloom.Filter) {
 	r := rand.New(rand.NewSource(1))
 	zipf := rand.NewZipf(r, 1.2, 40, 100000)
 	m := NewMatrix(p, nAttrs)
@@ -49,22 +52,24 @@ func benchBase(n, k int) *Vec {
 
 // BenchmarkProbe times the three kernels on 8 000 columns (125 words per
 // row) from the bases the index hands them: every column (phase 1), and the
-// 2 or 200 candidates that reach a slice. It is the measurement behind
-// Matrix.dense, which ends the row operations once no more columns survive
-// than a row has words. On the 2-core reference box, with the switch at
-// that multiple of the words per row (µs per probe):
+// 2 or 200 candidates that reach a slice. The superset probe is the
+// measurement behind Matrix.dense, which ends its row operations once no
+// more columns survive than a row has words. On the 2-core reference box,
+// with the switch at that multiple of the words per row (µs per probe):
 //
 //	switch at            ½×    1×    2×    4×    8×   16×   never sparse
-//	subsets/base=0       40    39    38    64    87   185    660
 //	supersets/base=0    1.5   1.5   1.5   1.9   2.0   1.7     33
 //	supersets/base=200  0.9   0.9   1.5   1.6   1.4   1.7    1.4
 //
-// Flat from ½× to 2×, so the plain rule — 1× — stands; C8k's reverse
-// queries agree (M_R probe 60 µs at 1×, 70 µs at 2×, 98 at 4×, 168 at 8×).
-// At 1× a sparse base costs 0.7 µs (supersets), 1.0 µs (subsets) and 1.1 µs
-// (violators) for 2 columns, ≈ 20 µs for 200 columns against ≈ 100 set
-// rows; the row-only kernels these replace took 81 µs (supersets) and
-// 560 µs (subsets) whatever the base.
+// Flat from ½× to 2×, so the plain rule — 1× — stands. The subset probe
+// starts from its keys instead of removing zero rows from every column:
+// subsets/base=0 took 40–76 µs with the zero-row sweep and takes
+// 3.6–4.4 µs (3 alternated runs of each build on a shared 2-vCPU VM);
+// from the 200-column base subsets 22–32 → 1.8–2.9 µs and violators
+// 25–32 → 1.9–3.6 µs. A 2-column base costs ≈ 1 µs (supersets) and
+// 1.4–2.4 µs (subsets, violators); the row-only kernels the dense/sparse
+// rule replaced took 81 µs (supersets) and 560 µs (subsets) whatever the
+// base.
 func BenchmarkProbe(b *testing.B) {
 	const n = 8000
 	m, cols := benchMatrix(n)
@@ -90,6 +95,38 @@ func BenchmarkProbe(b *testing.B) {
 				buf = m.ViolatorsInto(cols[i%n], base, out, buf)
 			}
 		})
+	}
+}
+
+// BenchmarkSubsetsByFill times the subset probe from every column against
+// queries that are the union of 1 to 41 columns, at the forward (m = 4096)
+// and the reverse-tuned (m = 512) filter size: the fuller the query, the
+// more columns its set rows key and the fewer zero rows it has, so this
+// is where the probe's cost rule (testWords) chooses between its keys,
+// its zero-row passes and its per-column finish.
+func BenchmarkSubsetsByFill(b *testing.B) {
+	const n = 8000
+	for _, bits := range []int{512, 4096} {
+		m, cols := benchMatrixM(bloom.Params{M: bits, K: 2}, n)
+		out := NewVec(n)
+		var buf []int
+		r := rand.New(rand.NewSource(5))
+		for _, union := range []int{0, 1, 3, 10, 40} {
+			qs := make([]*bloom.Filter, 64)
+			fill := 0
+			for i := range qs {
+				qs[i] = cols[r.Intn(n)].Clone()
+				for j := 0; j < union; j++ {
+					qs[i].UnionWith(cols[r.Intn(n)])
+				}
+				fill += qs[i].PopCount()
+			}
+			b.Run(fmt.Sprintf("m=%d/fill=%d", bits, fill/len(qs)), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					buf = m.SubsetsInto(qs[i%len(qs)], nil, out, buf)
+				}
+			})
+		}
 	}
 }
 

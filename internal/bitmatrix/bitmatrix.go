@@ -2,10 +2,14 @@
 // (Section 4.1): rows are Bloom-filter bit positions, columns are
 // attributes. Candidate search for supersets of a query ANDs the rows at
 // which the query filter has a set bit; candidate search for subsets
-// (reverse direction) removes the rows at which the query filter has a
-// zero bit. Both run full-width row operations only while more columns
-// survive than a row has words, and finish with one test per surviving
-// column (Matrix.dense).
+// (reverse direction) keeps the columns that have no bit at the query's
+// zero rows. Full-width row operations run only while they cost less than
+// testing the surviving columns one by one (Matrix.dense), and one test
+// per surviving column finishes. The subset probe starts from postings
+// instead of every column: a column contained in the query has its
+// rarest set row among the query's set rows, so only the columns keyed
+// on those rows are candidates (subsetKeys, derived by the first probe
+// that needs them).
 package bitmatrix
 
 import (
@@ -13,6 +17,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"tind/internal/bloom"
 )
@@ -164,6 +169,10 @@ type Matrix struct {
 	// of the subset probe, ≈ |set rows| bit tests where the row form
 	// removes every zero row.
 	counts []uint32
+	// keys indexes the columns for the subset probe; it is derived once,
+	// on the first subset probe with a dense base.
+	keys     subsetKeys
+	keysOnce sync.Once
 }
 
 // NewMatrix returns an all-zero matrix for n attributes. Like invalid
@@ -213,7 +222,9 @@ func (m *Matrix) SetColumn(col int, f *bloom.Filter) {
 }
 
 // MemoryBytes returns the matrix size in bytes: the |D|·m/8 of the paper's
-// index-memory formula plus the per-column bit counts.
+// index-memory formula plus the per-column bit counts. The subset keys,
+// 4 bytes per row and two per column once a probe derived them, are left
+// out, so the figure does not depend on which queries ran.
 func (m *Matrix) MemoryBytes() int64 {
 	return int64(len(m.words))*8 + int64(len(m.counts))*4
 }
@@ -246,7 +257,8 @@ func (m *Matrix) Supersets(q *bloom.Filter, base *Vec) *Vec {
 // Subsets narrows the candidate vector to columns whose filter is
 // contained in the query filter (reverse search, Section 4.1): a candidate
 // must have a zero in every row where the query has a zero, so the result
-// is base ∧ ¬(∨ rows with query bit clear).
+// is base ∧ ¬(∨ rows with query bit clear). base is not modified; a nil
+// base means all columns.
 func (m *Matrix) Subsets(q *bloom.Filter, base *Vec) *Vec {
 	out := NewVec(m.n)
 	m.SubsetsInto(q, base, out, nil)
@@ -273,35 +285,51 @@ func (m *Matrix) start(q *bloom.Filter, base, out *Vec) int {
 	return out.Count()
 }
 
-// dense reports whether a probe should go on with full-width row
-// operations: a row operation scans every word of a row whatever survives,
-// a per-column test touches one word per row it consults, so rows pay
-// while more columns are live than a row has words. BenchmarkProbe
-// (bench_test.go) is the measurement: flat from half to twice that many
+// dense reports whether more columns are live than a row has words: the
+// superset probe goes on with row operations while they are, and a subset
+// probe from such a base starts from its keys. A row operation scans every
+// word of a row whatever survives, a per-column test touches one word per
+// row it consults. BenchmarkProbe (bench_test.go) is the measurement:
+// supersets are flat with the switch from half to twice that many
 // columns, slower beyond.
 func (m *Matrix) dense(live int) bool { return live > m.stride }
 
-// sweep is the dense phase of a probe: while more than a sparse set of
-// columns is live it folds the next rows into out, four per pass so that
-// out is read, written and counted once for them — intersected as they
-// are (flip 0, supersets) or complemented (flip ^0, subsets: the rows are
-// removed). It returns the rows left for the per-column finish.
-func (m *Matrix) sweep(out *Vec, rows []int, live int, flip uint64) []int {
-	o := out.words
-	for len(rows) > 0 && m.dense(live) {
-		// A short last group repeats its final row, which changes nothing.
-		k := min(4, len(rows))
-		a, b := m.row(rows[0])[:len(o)], m.row(rows[min(1, k-1)])[:len(o)]
-		c, d := m.row(rows[min(2, k-1)])[:len(o)], m.row(rows[k-1])[:len(o)]
-		live = 0
-		for i := range o {
-			x := o[i] & (a[i] ^ flip) & (b[i] ^ flip) & (c[i] ^ flip) & (d[i] ^ flip)
-			o[i] = x
-			live += bits.OnesCount64(x)
-		}
-		rows = rows[k:]
+// testWords is the cost of one per-column step of the subset probe — a
+// bit test of the finish or a posting of the keys — in words of a row
+// pass: a row pass streams four rows per output word, a per-column step is
+// a scattered read with its bookkeeping. Of 1, 2, 4, 8, 16 and 32, 8 was
+// fastest on BenchmarkSubsetsByFill and on reverse queries at m = 512.
+const testWords = 8
+
+// zeroRowsPay reports whether removing the rows zero rows left of a subset
+// probe pays. While they outnumber q's nset set rows the finish would
+// count every live column's hits in all set rows; once they do not, it
+// tests the zero rows with early exit, like the superset finish.
+func (m *Matrix) zeroRowsPay(live, rows, nset int) bool {
+	if rows <= nset {
+		return m.dense(live)
 	}
-	return rows
+	return testWords*live*nset > rows*m.stride
+}
+
+// pass is one step of a probe's dense phase: it folds the next four rows
+// (fewer at the end) into out, which is read, written and counted once for
+// them — intersected as they are (flip 0, supersets) or complemented
+// (flip ^0, subsets: the rows are removed). It returns the live columns
+// and the rows left.
+func (m *Matrix) pass(out *Vec, rows []int, flip uint64) (int, []int) {
+	o := out.words
+	// A short last group repeats its final row, which changes nothing.
+	k := min(4, len(rows))
+	a, b := m.row(rows[0])[:len(o)], m.row(rows[min(1, k-1)])[:len(o)]
+	c, d := m.row(rows[min(2, k-1)])[:len(o)], m.row(rows[k-1])[:len(o)]
+	live := 0
+	for i := range o {
+		x := o[i] & (a[i] ^ flip) & (b[i] ^ flip) & (c[i] ^ flip) & (d[i] ^ flip)
+		o[i] = x
+		live += bits.OnesCount64(x)
+	}
+	return live, rows[k:]
 }
 
 // keep is the sparse phase of a probe: it clears every column of out whose
@@ -330,37 +358,140 @@ func (m *Matrix) keep(out *Vec, rows []int, want bool) {
 func (m *Matrix) SupersetsInto(q *bloom.Filter, base, out *Vec, buf []int) []int {
 	live := m.start(q, base, out)
 	buf = q.SetBits(buf[:0])
-	m.keep(out, m.sweep(out, buf, live, 0), true)
+	rows := buf
+	for len(rows) > 0 && m.dense(live) {
+		live, rows = m.pass(out, rows, 0)
+	}
+	m.keep(out, rows, true)
 	return buf
+}
+
+// noKey marks a column with fewer set bits than the key slot asks for.
+const noKey = math.MaxUint32
+
+// subsetKeys keys every column on its rarest set row — rows ranked by
+// their number of set bits, ties by row — and keeps its second-rarest set
+// row as a check: a column contained in q has both keys among q's set
+// rows. The key invariant: a key is a set bit of its column, and columns
+// only gain bits (SetColumn), so the keys stay necessary conditions
+// without upkeep; a column without bits at derivation stays on empty,
+// whose columns are candidates of every probe.
+type subsetKeys struct {
+	start  []uint32 // row b's columns are cols[start[b]:start[b+1]]
+	cols   []uint32 // columns grouped by the row they are keyed on
+	second []uint32 // per column: its second-rarest set row, or noKey
+	empty  []uint32 // columns that had no bit
+}
+
+// subsetKeys returns the keys, deriving them on first use. Concurrent
+// first probes wait for one derivation.
+func (m *Matrix) subsetKeys() *subsetKeys {
+	m.keysOnce.Do(m.deriveKeys)
+	return &m.keys
+}
+
+// deriveKeys walks the rows from the sparsest up: a column's first set
+// bit met is its key, the second its check. It stops once every column
+// has min(2, count) keys, so the densest rows are rarely read.
+func (m *Matrix) deriveKeys() {
+	pop := make([]int, m.params.M)
+	order := make([]int, m.params.M)
+	for b := range order {
+		order[b] = b
+		for _, w := range m.row(b) {
+			pop[b] += bits.OnesCount64(w)
+		}
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return pop[a] - pop[b] })
+	first, second := make([]uint32, m.n), make([]uint32, m.n)
+	need := 0
+	for c := range first {
+		first[c], second[c] = noKey, noKey
+		need += int(min(m.counts[c], 2))
+	}
+	for _, b := range order {
+		if need == 0 {
+			break
+		}
+		for wi, w := range m.row(b) {
+			for ; w != 0; w &= w - 1 {
+				c := wi<<6 + bits.TrailingZeros64(w)
+				switch {
+				case first[c] == noKey:
+					first[c] = uint32(b)
+				case second[c] == noKey:
+					second[c] = uint32(b)
+				default:
+					continue
+				}
+				need--
+			}
+		}
+	}
+	k := &m.keys
+	k.start = make([]uint32, m.params.M+1)
+	for c, b := range first {
+		if b == noKey {
+			k.empty = append(k.empty, uint32(c))
+		} else {
+			k.start[b+1]++
+		}
+	}
+	for b := range m.params.M {
+		k.start[b+1] += k.start[b]
+	}
+	k.cols = make([]uint32, m.n-len(k.empty))
+	at := slices.Clone(k.start[:m.params.M])
+	for c, b := range first {
+		if b != noKey {
+			k.cols[at[b]] = uint32(c)
+			at[b]++
+		}
+	}
+	k.second = second
 }
 
 // SubsetsInto is Subsets writing into a caller-owned vector: out is
 // overwritten with the columns of base (all columns when nil) that have no
-// bit outside q. It removes zero-bit rows while more than a sparse set
-// survives; a survivor is then a subset iff its hits in q's set rows equal
-// its bit count, or — fewer tests when q is more than half full — none of
-// the remaining zero rows holds it. The zero rows are listed only where
-// one of the two needs them. buf is the reusable bit-list scratch, returned
-// possibly grown.
+// bit outside q. From a dense base the candidates are the columns keyed on
+// q's set rows whose check row q holds too, and the columns that had no
+// bit (subsetKeys) — unless reading those postings costs more than
+// removing q's zero rows, as when q is nearly full. Zero rows are removed
+// while that pays (zeroRowsPay); a survivor is then a subset iff its hits
+// in q's set rows equal its bit count, or — fewer tests when q is more
+// than half full — none of the remaining zero rows holds it. The zero rows
+// are listed only where one of the two needs them. buf is the reusable
+// bit-list scratch, returned possibly grown.
 func (m *Matrix) SubsetsInto(q *bloom.Filter, base, out *Vec, buf []int) []int {
 	live := m.start(q, base, out)
 	buf = q.SetBits(buf[:0])
 	nset := len(buf)
 	nzero := m.params.M - nset
-	if m.dense(live) || nzero <= nset {
-		buf = q.ZeroBits(buf)
+	if m.dense(live) {
+		if k := m.subsetKeys(); k.within(buf, nzero*m.stride/testWords) {
+			live = k.candidates(q, buf, base, out)
+		}
 	}
-	set, zero := buf[:nset], buf[nset:]
-	if len(zero) > 0 {
-		zero = m.sweep(out, zero, live, ^uint64(0))
+	var zero []int
+	if nzero <= nset || m.zeroRowsPay(live, nzero, nset) {
+		buf = q.ZeroBits(buf)
+		zero = buf[nset:]
+		for len(zero) > 0 && m.zeroRowsPay(live, len(zero), nset) {
+			was := live
+			live, zero = m.pass(out, zero, ^uint64(0))
+			if testWords*(was-live)*min(len(zero), nset) < 4*m.stride {
+				break // the pass removed fewer columns than it cost: the rest are sparse
+			}
+		}
 		nzero = len(zero)
 	}
+	set := buf[:nset]
 	switch {
 	case nzero == 0:
 	case nzero <= nset:
 		m.keep(out, zero, false)
 	default:
-		// Row-major over the survivors, so each set row is read once.
+		// Row-major over the candidates, so each set row is read once.
 		at := len(buf)
 		buf = out.AppendOnes(buf)
 		cols := buf[at:]
@@ -382,16 +513,55 @@ func (m *Matrix) SubsetsInto(q *bloom.Filter, base, out *Vec, buf []int) []int {
 	return buf
 }
 
-// ViolatorsInto overwrites out with the columns of base whose filter is
-// NOT contained in q — base ∧ ¬Subsets(q, base); the time-slice pruning of
-// reverse tIND search uses it to find attributes that must be violated in
-// a slice. out must not alias base. buf is the reusable bit-list scratch,
-// returned possibly grown.
+// within reports whether candidates reads at most limit columns for the
+// set rows.
+func (k *subsetKeys) within(set []int, limit int) bool {
+	n := len(k.empty)
+	for _, b := range set {
+		if n += int(k.start[b+1] - k.start[b]); n > limit {
+			return false
+		}
+	}
+	return n <= limit
+}
+
+// candidates overwrites out with the subset candidates of q among base
+// (all columns when nil) and returns their number: the columns keyed on
+// q's set rows whose check row is set in q, and the columns that had no
+// bit when the keys were derived.
+func (k *subsetKeys) candidates(q *bloom.Filter, set []int, base, out *Vec) int {
+	out.Reset()
+	for _, b := range set {
+		for _, c := range k.cols[k.start[b]:k.start[b+1]] {
+			if s := k.second[c]; s == noKey || q.Bit(int(s)) {
+				out.Set(int(c))
+			}
+		}
+	}
+	for _, c := range k.empty {
+		out.Set(int(c))
+	}
+	if base != nil {
+		out.And(base)
+	}
+	return out.Count()
+}
+
+// ViolatorsInto overwrites out with the columns of base (all columns when
+// nil) whose filter is NOT contained in q — base ∧ ¬Subsets(q, base); the
+// time-slice pruning of reverse tIND search uses it to find attributes
+// that must be violated in a slice. out must not alias base. buf is the
+// reusable bit-list scratch, returned possibly grown.
 func (m *Matrix) ViolatorsInto(q *bloom.Filter, base, out *Vec, buf []int) []int {
 	buf = m.SubsetsInto(q, base, out, buf)
-	for i, w := range base.words {
+	for i := range out.words {
+		w := ^uint64(0)
+		if base != nil {
+			w = base.words[i]
+		}
 		out.words[i] = w &^ out.words[i]
 	}
+	out.clearTail()
 	return buf
 }
 

@@ -3,6 +3,7 @@ package bitmatrix
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"tind/internal/bloom"
@@ -253,4 +254,143 @@ func TestVecScratchHelpers(t *testing.T) {
 		}
 	}()
 	v.CopyFrom(NewVec(64))
+}
+
+// checkViolators compares ViolatorsInto with the per-column reference for
+// one query and base; a nil base means every column.
+func checkViolators(t *testing.T, m *Matrix, cols []*bloom.Filter, q *bloom.Filter, base, out *Vec, buf []int) []int {
+	t.Helper()
+	buf = m.ViolatorsInto(q, base, out, buf)
+	want := 0
+	for c := range cols {
+		w := (base == nil || base.Get(c)) && !cols[c].SubsetOf(q)
+		if out.Get(c) != w {
+			t.Fatalf("ViolatorsInto: column %d of %d (bits %d, query bits %d, base %s) = %v, want %v",
+				c, len(cols), cols[c].PopCount(), q.PopCount(), describe(base), out.Get(c), w)
+		}
+		if w {
+			want++
+		}
+	}
+	if got := out.Count(); got != want {
+		t.Fatalf("ViolatorsInto: %d columns set, %d of them beyond %d", got, got-want, len(cols))
+	}
+	return buf
+}
+
+// TestViolatorsNilBaseIsEveryColumn holds ViolatorsInto to what the other
+// two kernels read a nil base as: every column, and no bit beyond them.
+func TestViolatorsNilBaseIsEveryColumn(t *testing.T) {
+	p := bloom.Params{M: 256, K: 2}
+	for _, n := range []int{40, 1000, 20000} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		m, cols := randomMatrix(rng, p, n)
+		out := NewVecFull(n)
+		var buf []int
+		for _, q := range randomQueries(rng, p, cols) {
+			buf = checkViolators(t, m, cols, q, nil, out, buf)
+		}
+	}
+}
+
+// rarer orders rows as the subset keys rank them: by their number of set
+// bits, ties by row.
+func rarer(pop []int, a, b int) bool { return pop[a] < pop[b] || pop[a] == pop[b] && a < b }
+
+// TestSubsetKeysSurviveColumnGrowth grows columns after the subset keys
+// were derived — an empty column gains bits, and another gains a bit in a
+// row sparser than the one it is keyed on — and holds every kernel on
+// every base shape to the per-column reference of the grown filters.
+func TestSubsetKeysSurviveColumnGrowth(t *testing.T) {
+	p := bloom.Params{M: 1024, K: 2}
+	const n = 1000
+	rng := rand.New(rand.NewSource(11))
+	m, cols := randomMatrix(rng, p, n)
+	out := NewVecFull(n)
+	buf := m.SubsetsInto(cols[0], nil, out, nil)
+	if m.keys.start == nil {
+		t.Fatal("a nil-base subset probe did not derive the keys")
+	}
+	pop := make([]int, p.M)
+	for _, f := range cols {
+		for _, b := range f.SetBits(nil) {
+			pop[b]++
+		}
+	}
+
+	const empty = 3 // randomMatrix leaves every seventh column from 3 on empty
+	if cols[empty].PopCount() != 0 {
+		t.Fatalf("column %d has %d bits, want none", empty, cols[empty].PopCount())
+	}
+	f := randomFilter(rng, p, 5)
+	m.SetColumn(empty, f)
+	cols[empty].UnionWith(f)
+
+	grown := 1
+	key := -1
+	for _, b := range cols[grown].SetBits(nil) {
+		if key < 0 || rarer(pop, b, key) {
+			key = b
+		}
+	}
+	if key < 0 {
+		t.Fatalf("column %d has no bits", grown)
+	}
+	g := bloom.New(p)
+	for v := universe; g.PopCount() == 0; v++ {
+		h := bloom.New(p)
+		h.Add(values.Value(v))
+		for _, b := range h.SetBits(nil) {
+			if rarer(pop, b, key) && !cols[grown].Bit(b) {
+				g = h
+			}
+		}
+	}
+	m.SetColumn(grown, g)
+	cols[grown].UnionWith(g)
+
+	both := cols[empty].Clone()
+	both.UnionWith(cols[grown])
+	qs := append(randomQueries(rng, p, cols), cols[empty].Clone(), cols[grown].Clone(), both)
+	for _, q := range qs {
+		for _, base := range randomBases(rng, m) {
+			buf = checkProbes(t, m, cols, q, base, out, buf)
+			buf = checkViolators(t, m, cols, q, base, out, buf)
+		}
+	}
+}
+
+// TestConcurrentFirstSubsetProbes issues the first dense subset probes of
+// a fresh matrix from many goroutines at once: they derive the keys once
+// between them (run it under -race), and every answer is the per-column
+// reference.
+func TestConcurrentFirstSubsetProbes(t *testing.T) {
+	p := bloom.Params{M: 1024, K: 2}
+	const n, workers = 3000, 16
+	rng := rand.New(rand.NewSource(13))
+	m, cols := randomMatrix(rng, p, n)
+	qs := randomQueries(rng, p, cols)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out := NewVec(n)
+			var buf []int
+			<-start
+			for i := range qs {
+				q := qs[(w+i)%len(qs)]
+				buf = m.SubsetsInto(q, nil, out, buf)
+				for c, f := range cols {
+					if want := f.SubsetOf(q); out.Get(c) != want {
+						t.Errorf("worker %d, query %d: column %d = %v, want %v", w, (w+i)%len(qs), c, out.Get(c), want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
 }
