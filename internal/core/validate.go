@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"slices"
+	"sync"
 
 	"tind/internal/history"
 	"tind/internal/timeline"
@@ -372,16 +373,9 @@ func ViolationWeightNaive(q, a *history.History, p Params) float64 {
 
 // OccurrenceWeights returns w_v(Q) for every value v of Q: the summed
 // weight of the timestamps at which v occurs in Q (Section 4.2.1,
-// Equation 6).
+// Equation 6). It is the reference RequiredScratch is tested against.
 func OccurrenceWeights(q *history.History, w timeline.WeightFunc) map[values.Value]float64 {
 	acc := make(map[values.Value]float64, q.AllValues().Len())
-	occurrenceWeightsInto(q, w, acc)
-	return acc
-}
-
-// occurrenceWeightsInto accumulates w_v(Q) into acc, clearing it first.
-func occurrenceWeightsInto(q *history.History, w timeline.WeightFunc, acc map[values.Value]float64) {
-	clear(acc)
 	for i := 0; i < q.NumVersions(); i++ {
 		ws := w.Sum(q.Validity(i))
 		if ws == 0 {
@@ -391,38 +385,69 @@ func occurrenceWeightsInto(q *history.History, w timeline.WeightFunc, acc map[va
 			acc[v] += ws
 		}
 	}
+	return acc
 }
+
+// requiredPool lends RequiredValues a warm scratch, so the build and
+// Refresh, which call it once per attribute, grow no mark array per call.
+var requiredPool = sync.Pool{New: func() any { return new(RequiredScratch) }}
 
 // RequiredValues returns R_{ε,w}(Q) = {v | w_v(Q) > ε} (Equation 7): the
 // values whose occurrence weight alone exceeds the violation budget, so
 // any valid right-hand side must contain them at some point in time.
 func RequiredValues(q *history.History, epsilon float64, w timeline.WeightFunc) values.Set {
-	acc := OccurrenceWeights(q, w)
-	ids := make([]values.Value, 0, len(acc))
-	for v, ow := range acc {
-		if ow > epsilon {
-			ids = append(ids, v)
-		}
+	s := requiredPool.Get().(*RequiredScratch)
+	defer requiredPool.Put(s)
+	if req := RequiredValuesScratch(q, epsilon, w, s); len(req) > 0 {
+		return slices.Clone(req)
 	}
-	return values.NewSet(ids...)
+	return nil
 }
 
-// RequiredValuesScratch computes R_{ε,w}(Q) like RequiredValues but with
-// caller-owned scratch, for batched query execution: acc is cleared and
-// reused as the occurrence-weight accumulator, buf receives the result.
-// The returned set ALIASES the returned buffer — it is valid only until
-// the scratch is next reused, and a caller that retains it longer must
-// copy it first. (The set invariant holds without values.NewSet: map keys
-// are distinct and buf is sorted here.)
+// RequiredScratch is the reusable state of RequiredValuesScratch. It sums
+// w_v(Q) by v's position in All(Q), found through mark (value id →
+// position), like Prepared's marks. An earlier query's marks are never
+// cleared: the kernel only looks up Q's own values, each marked afresh.
+// Its zero value is ready for use; one scratch serves one goroutine.
+type RequiredScratch struct {
+	mark []int32
+	acc  []float64 // w_v(Q) by position in All(Q)
+	buf  []values.Value
+}
+
+// RequiredValuesScratch computes R_{ε,w}(Q) like RequiredValues on
+// caller-owned scratch, for query execution. Each w_v(Q) receives the same
+// additions in the same order as OccurrenceWeights', so the sets are
+// identical; walking All(Q) in order emits the set sorted. The returned
+// set ALIASES s — it is valid only until s is next used, and a caller that
+// retains it longer must copy it first.
 func RequiredValuesScratch(q *history.History, epsilon float64, w timeline.WeightFunc,
-	acc map[values.Value]float64, buf []values.Value) (values.Set, []values.Value) {
-	occurrenceWeightsInto(q, w, acc)
-	buf = buf[:0]
-	for v, ow := range acc {
-		if ow > epsilon {
-			buf = append(buf, v)
+	s *RequiredScratch) values.Set {
+	all := q.AllValues()
+	if n := len(all); n > 0 {
+		if top := int(all[n-1]) + 1; top > len(s.mark) {
+			s.mark = slices.Grow(s.mark, top-len(s.mark))[:top]
 		}
 	}
-	slices.Sort(buf)
-	return values.Set(buf), buf
+	for at, v := range all {
+		s.mark[v] = int32(at)
+	}
+	s.acc = slices.Grow(s.acc[:0], len(all))[:len(all)]
+	clear(s.acc)
+	for i := 0; i < q.NumVersions(); i++ {
+		ws := w.Sum(q.Validity(i))
+		if ws == 0 {
+			continue
+		}
+		for _, v := range q.Version(i).Values {
+			s.acc[s.mark[v]] += ws
+		}
+	}
+	s.buf = s.buf[:0]
+	for at, ow := range s.acc {
+		if ow > epsilon {
+			s.buf = append(s.buf, all[at])
+		}
+	}
+	return values.Set(s.buf)
 }

@@ -83,7 +83,6 @@ func (p *queryPool) getArena(n int, bp bloom.Params) *arena {
 		pv:     bitmatrix.NewVec(n),
 		filter: bloom.New(bp),
 		vio:    make(map[int]float64),
-		occ:    make(map[values.Value]float64),
 	}
 }
 
@@ -116,12 +115,10 @@ type arena struct {
 	// the values that scan probes M_T with, one per version of Q.
 	prep core.Prepared
 	keys []values.Value
-	// occ and vbuf are the RequiredValuesScratch accumulator and output
-	// buffer; the set returned from that scratch aliases vbuf, so within
-	// one query it stays valid (nothing else touches vbuf), but it must
+	// req is the RequiredValuesScratch; the set it returns aliases it, so
+	// within one query it stays valid (nothing else uses req), but it must
 	// never be retained into a Result or across queries.
-	occ  map[values.Value]float64
-	vbuf []values.Value
+	req core.RequiredScratch
 	// covered and maxVio serve the prefix phase of reverse search: the
 	// weight of each attribute's versions the query may cover (all zero
 	// between queries), and MaxViolation under a non-index weight.

@@ -149,14 +149,17 @@ func (c *expiringCtx) Err() error {
 }
 
 // TestTopKMidFlightCancellation lets the deadline of a top-k query pass
-// inside its scan round — the unbounded round that checks every other
-// attribute against Q's prepared side — and holds the scan to the poll
-// every pair's sweep starts with: the query returns ErrDeadlineExceeded
-// with the scan's funnel, after at most one more poll per validation
-// worker, instead of finishing the round.
+// inside its scan — the unbounded round that checks every other attribute
+// against Q's prepared side — and holds the scan to the poll every reached
+// pair's sweep starts with: the query returns ErrDeadlineExceeded with the
+// scan's funnel, after at most one more poll per validation worker,
+// instead of finishing the round. The pairs outside the key reach are
+// decided together after a single poll, so only the reached ones count
+// towards the scan's polls.
 func TestTopKMidFlightCancellation(t *testing.T) {
 	idx, ds := cancelTestIndex(t)
 	o := QueryOptions{Mode: ModeTopK, Params: core.Params{Delta: 7, Weight: timeline.Uniform(ds.Horizon())}, K: 5}
+	reached := int64(keyReachOf(idx, ds.Attr(0)).Count())
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, workers := range []int{1, 2} {
 		runtime.GOMAXPROCS(workers)
@@ -166,13 +169,14 @@ func TestTopKMidFlightCancellation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		polls, scan := full.calls.Load(), int64(ds.Len()-1)
-		if res.Stats.InitialCandidates != ds.Len()-1 || polls < scan {
-			t.Fatalf("query 0 scanned %d candidates with %d polls; the test needs a scan of all %d",
-				res.Stats.InitialCandidates, polls, scan)
+		polls := full.calls.Load()
+		if res.Stats.InitialCandidates != ds.Len()-1 || reached < 8 || polls < reached {
+			t.Fatalf("query 0 scanned %d of %d candidates, %d inside the key reach, with %d polls; the test needs a full scan that sweeps ≥ 8 pairs",
+				res.Stats.InitialCandidates, ds.Len()-1, reached, polls)
 		}
-		// Expire halfway through the scan's per-pair polls.
-		ctx := &expiringCtx{Context: context.Background(), expireAt: polls - scan/2}
+		// Expire halfway through the full run's polls, most of which the
+		// reached pairs take.
+		ctx := &expiringCtx{Context: context.Background(), expireAt: polls / 2}
 		res, err = idx.Query(ctx, ds.Attr(0), o)
 		if !errors.Is(err, ErrDeadlineExceeded) || !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("workers=%d: want ErrDeadlineExceeded, got %v", workers, err)

@@ -174,9 +174,7 @@ func (r *queryRun) vioMap() map[int]float64 {
 // requiredValues call on the same run — callers keep it strictly within
 // the current query and never hand it to a Result.
 func (r *queryRun) requiredValues(q *history.History, epsilon float64, w timeline.WeightFunc) values.Set {
-	var s values.Set
-	s, r.ar.vbuf = core.RequiredValuesScratch(q, epsilon, w, r.ar.occ, r.ar.vbuf)
-	return s
+	return core.RequiredValuesScratch(q, epsilon, w, &r.ar.req)
 }
 
 // phase times one pipeline phase: end() reads the clock once and records
@@ -225,7 +223,7 @@ func (r *queryRun) finish(st *QueryStats, err error) {
 // search with per-phase timing. Parameters have been validated by Query.
 func (r *queryRun) search(ctx context.Context, q *history.History, p core.Params, reverse bool) (Result, error) {
 	var st QueryStats
-	hits, err := r.searchHits(ctx, q, p, reverse, &st)
+	hits, err := r.searchHits(ctx, q, p, reverse, r.x.ds.Len(), &st)
 	if err != nil || len(hits) == 0 {
 		return Result{Stats: st}, err
 	}
@@ -238,11 +236,13 @@ func (r *queryRun) search(ctx context.Context, q *history.History, p core.Params
 
 // searchHits runs the pruning pipeline and the exact validation, and
 // returns the attributes that pass, ascending by id, each with its exact
-// violation weight. The hits live in the run's arena: search copies the
-// ids out, topK ranks them in place and copies the best K. A phase runs
-// only where it can remove a candidate for less than validating it costs.
+// violation weight — of those the key probe decides in closed form, only
+// the keep smallest ids (validateReach). The hits live in the run's arena:
+// search copies the ids out, topK ranks them in place and copies the best
+// K. A phase runs only where it can remove a candidate for less than
+// validating it costs.
 func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Params, reverse bool,
-	st *QueryStats) ([]Ranked, error) {
+	keep int, st *QueryStats) ([]Ranked, error) {
 	x := r.x
 	if err := CtxErr(ctx); err != nil {
 		return nil, err
@@ -312,43 +312,87 @@ func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Pa
 	// Phase 4: exact validation (Algorithm 2), in parallel. A scan of
 	// every attribute prepares Q's side of the sweep once for all its
 	// checks; a pruned candidate set is too small to repay that. Where
-	// M_T may prune, the scan also probes it with Q's version keys: a
-	// candidate outside their reach covers no version of Q, so its weight
-	// is MaxViolation(Q) without a sweep.
+	// M_T may prune, the scan also probes it with Q's version keys: the
+	// candidates outside their reach cover no version of Q, so each
+	// weighs MaxViolation(Q), and one vector operation decides them all.
 	endPhase = r.phase(obs.PhaseValidate, &st.Timings.Validate)
 	var pq *core.Prepared
 	var reach *bitmatrix.Vec
-	var maxVio float64
 	if filled {
 		pq = &r.ar.prep
 		pq.Prepare(q, p.Weight)
 		if !x.opt.DisableRequiredValues {
 			reach = r.keyReach(q, p.Weight.Horizon(), cand)
-			maxVio = core.MaxViolation(q, p.Weight)
-			qm[r.mode].closedForm.Add(int64(st.AfterSubsetCheck - reach.Count()))
 		}
 	}
 	check := func(s *core.Scratch, c history.AttrID) (float64, bool, error) {
 		switch {
 		case reverse:
 			return s.Check(ctx, x.ds.Attr(c), q, p)
-		case reach != nil && !reach.Get(int(c)):
-			// One poll, as a sweep's first step takes.
-			if err := ctx.Err(); err != nil {
-				return 0, false, err
-			}
-			return maxVio, maxVio <= p.Epsilon, nil
 		case pq != nil:
 			return s.CheckPrepared(ctx, pq, x.ds.Attr(c), p)
 		}
 		return s.Check(ctx, q, x.ds.Attr(c), p)
 	}
-	hits, err := r.validate(ctx, cand, st, check)
+	var hits []Ranked
+	if reach == nil {
+		hits, err = r.validate(ctx, cand, st, check)
+	} else {
+		hits, err = r.validateReach(ctx, q, p, cand, reach, keep, st, check)
+	}
 	endPhase.end()
 	if err != nil {
 		return nil, err
 	}
 	st.Results = len(hits)
+	return hits, nil
+}
+
+// validateReach validates the candidates inside the key reach pair by pair
+// and decides the rest, U = cand ∧ ¬reach, in closed form: one poll, one
+// AND-NOT, and every member of U weighs MaxViolation(Q). When that weight
+// is within ε, the keep (≥ 1) smallest ids of U join the hits in id order —
+// all of U for a search, K for top-k, where U's members tie at the largest
+// weight any candidate can have and so rank by id alone. Every candidate
+// still gets an exact verdict, so st.Validated stays |cand|. cand is left
+// holding U.
+func (r *queryRun) validateReach(ctx context.Context, q *history.History, p core.Params,
+	cand, reach *bitmatrix.Vec, keep int, st *QueryStats,
+	check func(*core.Scratch, history.AttrID) (float64, bool, error)) ([]Ranked, error) {
+	if err := CtxErr(ctx); err != nil {
+		return nil, err
+	}
+	cand.AndNot(reach)
+	unreached := cand.Count()
+	qm[r.mode].closedForm.Add(int64(unreached))
+	hits, err := r.validate(ctx, reach, st, check)
+	st.Validated += unreached
+	if err != nil {
+		return nil, err
+	}
+	maxVio := core.MaxViolation(q, p.Weight)
+	if unreached == 0 || maxVio > p.Epsilon {
+		return hits, nil
+	}
+	ids := r.ar.todo[:0]
+	cand.ForEach(func(c int) bool {
+		ids = append(ids, c)
+		return len(ids) < keep
+	})
+	r.ar.todo = ids
+	// Merge from the back, so no hit is overwritten before it moves.
+	n := len(hits)
+	hits = slices.Grow(hits, len(ids))[:n+len(ids)]
+	for i, j, k := n-1, len(ids)-1, len(hits)-1; j >= 0; k-- {
+		if i >= 0 && int(hits[i].ID) > ids[j] {
+			hits[k] = hits[i]
+			i--
+		} else {
+			hits[k] = Ranked{ID: history.AttrID(ids[j]), Violation: maxVio}
+			j--
+		}
+	}
+	r.ar.hits = hits
 	return hits, nil
 }
 
@@ -450,11 +494,12 @@ func (r *queryRun) reverseSlicePrune(ctx context.Context, q *history.History, p 
 // topK implements ModeTopK: one exact scan of every other attribute at
 // ε = +∞, which nothing prunes, so every candidate gets its exact weight
 // and the ranking is the best K of them. The key probe decides most of
-// those weights in closed form (DESIGN §5.1).
+// those weights in closed form, and only the K smallest ids among them
+// can rank (DESIGN §5.1).
 func (r *queryRun) topK(ctx context.Context, q *history.History, o QueryOptions) (Result, error) {
 	var st QueryStats
 	p := core.Params{Epsilon: math.Inf(1), Delta: o.Params.Delta, Weight: o.Params.Weight}
-	hits, err := r.searchHits(ctx, q, p, false, &st)
+	hits, err := r.searchHits(ctx, q, p, false, o.K, &st)
 	if err != nil {
 		return Result{Stats: st}, err
 	}
