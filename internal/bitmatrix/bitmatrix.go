@@ -16,10 +16,13 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"tind/internal/bloom"
+	"tind/internal/values"
 )
 
 // Vec is a bit vector over attribute columns. Experiments and the index
@@ -164,10 +167,10 @@ type Matrix struct {
 	stride int      // words per row
 	words  []uint64 // row-major: row b is words[b*stride : (b+1)*stride]
 	// counts[c] is the number of set bits of column c, maintained by
-	// SetColumn. A column's filter is contained in a query filter iff its
-	// hits in the query's set rows equal its count — the per-column form
-	// of the subset probe, ≈ |set rows| bit tests where the row form
-	// removes every zero row.
+	// SetColumn and FillColumns. A column's filter is contained in a query
+	// filter iff its hits in the query's set rows equal its count — the
+	// per-column form of the subset probe, ≈ |set rows| bit tests where
+	// the row form removes every zero row.
 	counts []uint32
 	// keys indexes the columns for the subset probe; it is derived once,
 	// on the first subset probe with a dense base.
@@ -219,6 +222,61 @@ func (m *Matrix) SetColumn(col int, f *bloom.Filter) {
 			}
 		}
 	}
+}
+
+// FillColumns ORs every column's value set into the matrix, hashed with
+// the matrix's Bloom parameters, counting only newly set bits like
+// SetColumn: on an empty matrix, column c ends as Bloom(set(c)). set
+// builds column col's values in buf, growing it as needed, and returns
+// them; the returned slice comes back as buf for the worker's next column,
+// so set must not return storage it shares with anything else. Columns
+// are processed in blocks of 64 — one word of every row — which up to
+// GOMAXPROCS goroutines claim with one atomic add each, so no two write
+// the same word. set is called once per column, from several goroutines
+// at once. FillColumns must not run concurrently with queries.
+func (m *Matrix) FillColumns(set func(col int, buf values.Set) values.Set) {
+	words, stride := m.words, m.stride
+	workers := min(runtime.GOMAXPROCS(0), stride)
+	var next atomic.Int64
+	fill := func() {
+		var buf values.Set
+		var hashes []int
+		for blk := int(next.Add(1)) - 1; blk < stride; blk = int(next.Add(1)) - 1 {
+			for col := blk << 6; col < min(blk<<6+64, m.n); col++ {
+				buf = set(col, buf[:0])
+				mask, added := uint64(1)<<(uint(col)&63), uint32(0)
+				for _, v := range buf {
+					hashes = m.params.Bits(v, hashes[:0])
+					for _, b := range hashes {
+						if p := &words[b*stride+blk]; *p&mask == 0 {
+							*p |= mask
+							added++
+						}
+					}
+				}
+				m.counts[col] += added
+			}
+		}
+	}
+	if workers <= 1 {
+		fill()
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			fill()
+		}()
+	}
+	wg.Wait()
+}
+
+// Equal reports whether o has m's shape, bits and per-column counts.
+func (m *Matrix) Equal(o *Matrix) bool {
+	return m.params == o.params && m.n == o.n &&
+		slices.Equal(m.words, o.words) && slices.Equal(m.counts, o.counts)
 }
 
 // MemoryBytes returns the matrix size in bytes: the |D|·m/8 of the paper's
@@ -373,9 +431,9 @@ const noKey = math.MaxUint32
 // their number of set bits, ties by row — and keeps its second-rarest set
 // row as a check: a column contained in q has both keys among q's set
 // rows. The key invariant: a key is a set bit of its column, and columns
-// only gain bits (SetColumn), so the keys stay necessary conditions
-// without upkeep; a column without bits at derivation stays on empty,
-// whose columns are candidates of every probe.
+// only gain bits (SetColumn, FillColumns), so the keys stay necessary
+// conditions without upkeep; a column without bits at derivation stays on
+// empty, whose columns are candidates of every probe.
 type subsetKeys struct {
 	start  []uint32 // row b's columns are cols[start[b]:start[b+1]]
 	cols   []uint32 // columns grouped by the row they are keyed on

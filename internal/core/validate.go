@@ -396,12 +396,16 @@ var requiredPool = sync.Pool{New: func() any { return new(RequiredScratch) }}
 // values whose occurrence weight alone exceeds the violation budget, so
 // any valid right-hand side must contain them at some point in time.
 func RequiredValues(q *history.History, epsilon float64, w timeline.WeightFunc) values.Set {
+	return AppendRequiredValues(nil, q, epsilon, w)
+}
+
+// AppendRequiredValues appends R_{ε,w}(Q) to dst and returns the extended
+// slice — RequiredValues on caller-owned storage, for the index build,
+// which hashes one per attribute and keeps none.
+func AppendRequiredValues(dst values.Set, q *history.History, epsilon float64, w timeline.WeightFunc) values.Set {
 	s := requiredPool.Get().(*RequiredScratch)
 	defer requiredPool.Put(s)
-	if req := RequiredValuesScratch(q, epsilon, w, s); len(req) > 0 {
-		return slices.Clone(req)
-	}
-	return nil
+	return append(dst, RequiredValuesScratch(q, epsilon, w, s)...)
 }
 
 // RequiredScratch is the reusable state of RequiredValuesScratch. It sums

@@ -11,6 +11,7 @@ package history
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"tind/internal/timeline"
 	"tind/internal/values"
@@ -67,11 +68,7 @@ func New(meta Meta, versions []Version, end timeline.Time) (*History, error) {
 			meta, end, versions[len(versions)-1].Start)
 	}
 	h := &History{id: -1, meta: meta, versions: versions, end: end}
-	var all values.Set
-	for _, v := range versions {
-		all = all.Union(v.Values)
-	}
-	h.all = all
+	h.all = h.appendUnion(nil, 0, len(versions))
 	return h, nil
 }
 
@@ -180,13 +177,41 @@ func (h *History) versionRange(i timeline.Interval) (lo, hi int) {
 
 // Union returns A[I]: the union of all value sets of versions whose
 // validity overlaps the interval (clamped to the observation window).
-func (h *History) Union(i timeline.Interval) values.Set {
+func (h *History) Union(i timeline.Interval) values.Set { return h.AppendUnion(nil, i) }
+
+// AppendUnion appends A[I] to dst and returns the extended slice — Union
+// on caller-owned storage, for the index build, which hashes one union per
+// attribute and slice and keeps none of them.
+func (h *History) AppendUnion(dst values.Set, i timeline.Interval) values.Set {
 	lo, hi := h.versionRange(i)
-	var out values.Set
-	for k := lo; k < hi; k++ {
-		out = out.Union(h.versions[k].Values)
+	return h.appendUnion(dst, lo, hi)
+}
+
+// mergeBufs is the pair of buffers a union of many versions alternates
+// between: each version is merged from one into the other, so a union
+// costs no allocation per version.
+type mergeBufs struct{ a, b values.Set }
+
+var mergePool = sync.Pool{New: func() any { return new(mergeBufs) }}
+
+// appendUnion appends the union of versions [lo, hi) to dst.
+func (h *History) appendUnion(dst values.Set, lo, hi int) values.Set {
+	switch hi - lo {
+	case 0:
+		return dst
+	case 1:
+		return append(dst, h.versions[lo].Values...)
 	}
-	return out
+	m := mergePool.Get().(*mergeBufs)
+	acc, next := append(m.a[:0], h.versions[lo].Values...), m.b
+	for k := lo + 1; k < hi; k++ {
+		next = values.AppendUnion(next[:0], acc, h.versions[k].Values)
+		acc, next = next, acc
+	}
+	dst = append(dst, acc...)
+	m.a, m.b = acc, next
+	mergePool.Put(m)
+	return dst
 }
 
 // DistinctValuesIn returns |A[I]| without materializing the union when the

@@ -128,7 +128,8 @@ func TestMedianCardinality(t *testing.T) {
 
 // Property: the hand-rolled binary searches behind At and Union agree with
 // a linear scan over the versions, at every timestamp and for every window
-// around the observation period.
+// around the observation period, and AllValues and AppendUnion with the
+// union folded version by version.
 func TestVersionLookupProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -167,9 +168,18 @@ func TestVersionLookupProperty(t *testing.T) {
 				if !h.Union(w).Equal(want) {
 					return false
 				}
+				// AppendUnion keeps what dst holds and appends A[w].
+				dst := append(make(values.Set, 0, 32), 99)
+				if got := h.AppendUnion(dst, w); got[0] != 99 || !got[1:].Equal(want) {
+					return false
+				}
 			}
 		}
-		return true
+		var all values.Set
+		for k := 0; k < h.NumVersions(); k++ {
+			all = all.Union(h.Version(k).Values)
+		}
+		return h.AllValues().Equal(all)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

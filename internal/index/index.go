@@ -13,6 +13,7 @@ import (
 	"tind/internal/core"
 	"tind/internal/history"
 	"tind/internal/timeline"
+	"tind/internal/values"
 )
 
 // Options configures index construction.
@@ -226,17 +227,13 @@ func Build(ds *history.Dataset, opt Options) (*Index, error) {
 	n := ds.Len()
 	attrs := ds.Attrs()
 
-	// Filter construction (value-set unions + hashing) dominates build
-	// time and is embarrassingly parallel per attribute; writing the
-	// columns into the shared row vectors happens serially afterwards
-	// (adjacent columns share words, so concurrent SetColumn would race).
-	fillMatrix := func(kind string, dst *time.Duration, filter func(h *history.History) *bloom.Filter) *bitmatrix.Matrix {
+	// Each matrix is filled in place, its 64-column blocks in parallel
+	// (bitmatrix.FillColumns); set builds attribute h's column values in
+	// the worker's buf.
+	fillMatrix := func(kind string, dst *time.Duration, set func(h *history.History, buf values.Set) values.Set) *bitmatrix.Matrix {
 		t0 := time.Now()
 		m := bitmatrix.NewMatrix(opt.Bloom, n)
-		filters := parallelFilters(attrs, filter)
-		for i, f := range filters {
-			m.SetColumn(i, f)
-		}
+		m.FillColumns(func(a int, buf values.Set) values.Set { return set(attrs[a], buf) })
 		d := time.Since(t0)
 		*dst += d
 		matrixBuildSeconds(kind).ObserveDuration(d)
@@ -245,8 +242,8 @@ func Build(ds *history.Dataset, opt Options) (*Index, error) {
 
 	// M_T over the full value sets. Constructible without knowing any of
 	// the three query parameters (Section 4.2.1).
-	idx.mT = fillMatrix("m_t", &idx.mtBuild, func(h *history.History) *bloom.Filter {
-		return bloom.FromSet(opt.Bloom, h.AllValues())
+	idx.mT = fillMatrix("m_t", &idx.mtBuild, func(h *history.History, buf values.Set) values.Set {
+		return append(buf, h.AllValues()...)
 	})
 
 	// Time-slice matrices over A[I^δ], built with the maximum δ queries
@@ -257,9 +254,8 @@ func Build(ds *history.Dataset, opt Options) (*Index, error) {
 	// M_R over required values, for reverse search (Section 4.5). Its ε
 	// and w must be the maximum/assumed query parameters.
 	if opt.Reverse {
-		idx.mR = fillMatrix("m_r", &idx.mrBuild, func(h *history.History) *bloom.Filter {
-			req := core.RequiredValues(h, opt.Params.Epsilon, opt.Params.Weight)
-			return bloom.FromSet(opt.Bloom, req)
+		idx.mR = fillMatrix("m_r", &idx.mrBuild, func(h *history.History, buf values.Set) values.Set {
+			return core.AppendRequiredValues(buf, h, opt.Params.Epsilon, opt.Params.Weight)
 		})
 	}
 	idx.px = buildPrefix(attrs, opt.Params.Weight)
@@ -292,12 +288,12 @@ func buildTimeSlices(attrs []*history.History, horizon timeline.Time, opt Option
 			ts.minVio = make([]float64, len(attrs))
 		}
 		window := ts.window(opt)
-		filters := parallelFilters(attrs, func(h *history.History) *bloom.Filter {
-			return bloom.FromSet(opt.Bloom, h.Union(window))
+		ts.matrix.FillColumns(func(a int, buf values.Set) values.Set {
+			if ts.minVio != nil {
+				ts.minVio[a] = minViolationWeight(attrs[a], window, opt.Params.Weight)
+			}
+			return attrs[a].AppendUnion(buf, window)
 		})
-		for a, f := range filters {
-			ts.setColumn(a, attrs[a], f, opt)
-		}
 		d := time.Since(t0)
 		elapsed += d
 		matrixBuildSeconds("slice").ObserveDuration(d)
@@ -318,16 +314,6 @@ func (ts timeSlice) window(opt Options) timeline.Interval {
 	return ts.iv.Expand(opt.Params.Delta)
 }
 
-// setColumn writes attribute a's entries of the slice: it ORs f into the
-// matrix column, and — for a reverse-capable slice — sets the minimum
-// violation weight over I^δ. On an empty column f is Bloom(A[I^δ]).
-func (ts timeSlice) setColumn(a int, h *history.History, f *bloom.Filter, opt Options) {
-	ts.matrix.SetColumn(a, f)
-	if ts.minVio != nil {
-		ts.minVio[a] = minViolationWeight(h, ts.window(opt), opt.Params.Weight)
-	}
-}
-
 // refill brings the changed attributes' slice columns up to date with
 // their histories in ds. Histories only change on days at or after the end
 // the columns were filled to, so a slice whose I^δ ends at or before it is
@@ -343,7 +329,10 @@ func (ss *sliceState) refill(changed []history.AttrID, ds *history.Dataset, opt 
 			if end := ss.filled[id]; window.End > end {
 				h := ds.Attr(id)
 				fresh := timeline.NewInterval(max(window.Start, end), window.End)
-				ts.setColumn(int(id), h, bloom.FromSet(opt.Bloom, h.Union(fresh)), opt)
+				ts.matrix.SetColumn(int(id), bloom.FromSet(opt.Bloom, h.Union(fresh)))
+				if ts.minVio != nil {
+					ts.minVio[id] = minViolationWeight(h, window, opt.Params.Weight)
+				}
 			}
 		}
 	}
@@ -401,13 +390,6 @@ func slicePruningPower(attrs []*history.History, iv timeline.Interval) float64 {
 		distinct += attrs[a].DistinctValuesIn(iv)
 	}
 	return float64(distinct) * float64(stride) / float64(iv.Len())
-}
-
-// parallelFilters computes one Bloom filter per attribute concurrently.
-func parallelFilters(attrs []*history.History, filter func(h *history.History) *bloom.Filter) []*bloom.Filter {
-	out := make([]*bloom.Filter, len(attrs))
-	parallelFor(len(attrs), func(i int) { out[i] = filter(attrs[i]) })
-	return out
 }
 
 // parallelFor calls f(i) once for every i in [0, n) on up to GOMAXPROCS

@@ -24,6 +24,7 @@ import (
 	"tind/internal/history"
 	"tind/internal/obs"
 	"tind/internal/timeline"
+	"tind/internal/values"
 )
 
 // Baseline cost accounting, mirroring the index's query metrics so the
@@ -57,9 +58,8 @@ func NewStatic(ds *history.Dataset, t timeline.Time, bp bloom.Params) (*Static, 
 		return nil, fmt.Errorf("many: snapshot %d outside horizon [0,%d)", t, ds.Horizon())
 	}
 	s := &Static{ds: ds, t: t, bp: bp, m: bitmatrix.NewMatrix(bp, ds.Len())}
-	for i, h := range ds.Attrs() {
-		s.m.SetColumn(i, bloom.FromSet(bp, h.At(t)))
-	}
+	attrs := ds.Attrs()
+	s.m.FillColumns(func(i int, buf values.Set) values.Set { return append(buf, attrs[i].At(t)...) })
 	return s, nil
 }
 
@@ -152,12 +152,11 @@ func NewKMany(ds *history.Dataset, k int, delta timeline.Time, bp bloom.Params, 
 		km.snapshots = append(km.snapshots, t)
 	}
 	sort.Slice(km.snapshots, func(i, j int) bool { return km.snapshots[i] < km.snapshots[j] })
+	attrs := ds.Attrs()
 	for _, t := range km.snapshots {
 		m := bitmatrix.NewMatrix(bp, ds.Len())
 		win := timeline.Window(t, delta)
-		for i, h := range ds.Attrs() {
-			m.SetColumn(i, bloom.FromSet(bp, h.Union(win)))
-		}
+		m.FillColumns(func(i int, buf values.Set) values.Set { return attrs[i].AppendUnion(buf, win) })
 		km.matrices = append(km.matrices, m)
 	}
 	return km, nil

@@ -9,8 +9,9 @@ import (
 
 // FuzzRead asserts the binary reader never panics or over-allocates on
 // arbitrary input: it either parses a valid dataset and a non-negative
-// WAL offset or returns an error. Every corpus and snapshot load goes
-// through this decoder.
+// WAL offset or returns an error, and in both cases agrees with the
+// byte-at-a-time reference decoder (reference_test.go). Every corpus and
+// snapshot load goes through this decoder.
 func FuzzRead(f *testing.F) {
 	c, err := datagen.Generate(datagen.Config{Seed: 3, Attributes: 20, Horizon: 120, AttrsPerDomain: 10})
 	if err != nil {
@@ -52,6 +53,18 @@ func FuzzRead(f *testing.F) {
 		ds, off, err := read(bytes.NewReader(data))
 		if err == nil && (ds == nil || off < 0) {
 			t.Fatalf("dataset %v, WAL offset %d without error", ds, off)
+		}
+		// The byte-at-a-time reference decoder must agree: the same
+		// error, or an equal dataset at the same WAL offset.
+		ref, refOff, refErr := readReference(bytes.NewReader(data))
+		if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
+			t.Fatalf("read error %v, reference error %v", err, refErr)
+		}
+		if err == nil {
+			if off != refOff {
+				t.Fatalf("WAL offset %d, reference %d", off, refOff)
+			}
+			assertEqualDatasets(t, ref, ds)
 		}
 	})
 }

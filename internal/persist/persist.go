@@ -26,7 +26,6 @@
 package persist
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -69,26 +68,44 @@ const (
 // support on amd64/arm64, so checksumming adds little to read time.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// writer bundles the buffered output with a reusable varint buffer so the
-// hot encoding path allocates nothing per value, and maintains the
-// running checksum over every payload byte for the footer.
+// chunkSize is the window the writer flushes and the reader refills:
+// the checksum is updated once per chunk, not once per field.
+const chunkSize = 64 << 10
+
+// writer buffers the encoded output and maintains the running checksum
+// over every payload byte for the footer, summing each chunk once as it
+// is flushed. The first failed write is kept and reported at the end.
 type writer struct {
-	bw      *bufio.Writer
-	crc     uint32
-	bytes   int64
-	scratch [binary.MaxVarintLen64]byte
+	w     io.Writer
+	buf   []byte
+	crc   uint32
+	bytes int64
+	err   error
 }
 
-func (w *writer) Write(p []byte) (int, error) {
-	w.crc = crc32.Update(w.crc, castagnoli, p)
-	w.bytes += int64(len(p))
-	return w.bw.Write(p)
+func (w *writer) uvarint(v uint64) {
+	w.buf = binary.AppendUvarint(w.buf, v)
+	if len(w.buf) >= chunkSize {
+		w.flush()
+	}
 }
 
-func (w *writer) WriteString(s string) (int, error) {
-	w.crc = crc32.Update(w.crc, castagnoli, []byte(s))
-	w.bytes += int64(len(s))
-	return w.bw.WriteString(s)
+func (w *writer) str(s string) {
+	w.uvarint(uint64(len(s)))
+	w.buf = append(w.buf, s...)
+	if len(w.buf) >= chunkSize {
+		w.flush()
+	}
+}
+
+// flush sums and writes the pending bytes.
+func (w *writer) flush() {
+	if w.err == nil {
+		w.crc = crc32.Update(w.crc, castagnoli, w.buf)
+		w.bytes += int64(len(w.buf))
+		_, w.err = w.w.Write(w.buf)
+	}
+	w.buf = w.buf[:0]
 }
 
 // Write serializes the dataset in the current format version, with WAL
@@ -98,76 +115,143 @@ func Write(ds *history.Dataset, w io.Writer) error { return write(ds, w, 0) }
 func write(ds *history.Dataset, w io.Writer, walOffset int64) error {
 	start := time.Now()
 	defer func() { mWriteSeconds.ObserveDuration(time.Since(start)) }()
-	bw := &writer{bw: bufio.NewWriter(w)}
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
-	writeUvarint(bw, formatVersion)
-	writeUvarint(bw, uint64(walOffset))
-	writeUvarint(bw, uint64(ds.Horizon()))
+	bw := &writer{w: w, buf: make([]byte, 0, chunkSize+binary.MaxVarintLen64)}
+	bw.buf = append(bw.buf, magic...)
+	bw.uvarint(formatVersion)
+	bw.uvarint(uint64(walOffset))
+	bw.uvarint(uint64(ds.Horizon()))
 
 	dict := ds.Dict()
-	writeUvarint(bw, uint64(dict.Len()))
+	bw.uvarint(uint64(dict.Len()))
 	for id := 0; id < dict.Len(); id++ {
-		writeString(bw, dict.String(values.Value(id)))
+		bw.str(dict.String(values.Value(id)))
 	}
 
-	writeUvarint(bw, uint64(ds.Len()))
+	bw.uvarint(uint64(ds.Len()))
 	for _, h := range ds.Attrs() {
 		meta := h.Meta()
-		writeString(bw, meta.Page)
-		writeString(bw, meta.Table)
-		writeString(bw, meta.Column)
-		writeUvarint(bw, uint64(h.ObservedUntil()))
-		writeUvarint(bw, uint64(h.NumVersions()))
+		bw.str(meta.Page)
+		bw.str(meta.Table)
+		bw.str(meta.Column)
+		bw.uvarint(uint64(h.ObservedUntil()))
+		bw.uvarint(uint64(h.NumVersions()))
 		prevStart := timeline.Time(0)
 		for i := 0; i < h.NumVersions(); i++ {
 			v := h.Version(i)
-			writeUvarint(bw, uint64(v.Start-prevStart))
+			bw.uvarint(uint64(v.Start - prevStart))
 			prevStart = v.Start
-			writeUvarint(bw, uint64(v.Values.Len()))
+			bw.uvarint(uint64(v.Values.Len()))
 			prev := values.Value(0)
 			for _, id := range v.Values {
-				writeUvarint(bw, uint64(id-prev))
+				bw.uvarint(uint64(id - prev))
 				prev = id
 			}
 		}
 	}
 	// Footer: checksum of everything written so far, excluded from the
-	// checksum itself. Written to the underlying buffer directly.
+	// checksum itself.
+	bw.flush()
+	if bw.err != nil {
+		return bw.err
+	}
 	var foot [footerSize]byte
 	binary.LittleEndian.PutUint32(foot[:], bw.crc)
-	if _, err := bw.bw.Write(foot[:]); err != nil {
+	if _, err := w.Write(foot[:]); err != nil {
 		return err
 	}
 	mWriteBytes.Add(bw.bytes + footerSize)
-	return bw.bw.Flush()
+	return nil
 }
 
-// reader wraps the buffered input and maintains the running checksum
-// over every byte handed to the parser, so that after the last attribute
-// the sum covers exactly the payload the footer signs.
+// reader decodes from a fixed window over the input: buf[pos:end] is
+// read but not yet consumed. Bytes are consumed straight from the window;
+// only a refill calls the input, and it first adds the consumed bytes
+// buf[:pos] to the running checksum, so that after the last attribute
+// crc plus the window's consumed bytes cover exactly the payload the
+// footer signs. The input's first error is kept and returned once the
+// window runs dry.
 type reader struct {
-	br    *bufio.Reader
-	crc   uint32
-	bytes int64
+	src      io.Reader
+	buf      []byte
+	pos, end int
+	crc      uint32 // checksum of the bytes consumed before buf
+	bytes    int64  // bytes consumed before buf
+	err      error
+}
+
+// fill reads input until the window holds at least want ≤ len(buf)
+// unread bytes, sliding them to its front when it is full; it reports
+// false when the input ends or fails first.
+func (r *reader) fill(want int) bool {
+	for empty := 0; r.end-r.pos < want; {
+		if r.err != nil {
+			return false
+		}
+		if r.end == len(r.buf) {
+			r.crc = crc32.Update(r.crc, castagnoli, r.buf[:r.pos])
+			r.bytes += int64(r.pos)
+			r.end = copy(r.buf, r.buf[r.pos:r.end])
+			r.pos = 0
+		}
+		n, err := r.src.Read(r.buf[r.end:])
+		r.end += n
+		r.err = err
+		if n == 0 && err == nil {
+			if empty++; empty == 100 {
+				r.err = io.ErrNoProgress // as bufio gives up on a stalled input
+			}
+		}
+	}
+	return true
 }
 
 func (r *reader) ReadByte() (byte, error) {
-	b, err := r.br.ReadByte()
-	if err == nil {
-		r.crc = crc32.Update(r.crc, castagnoli, []byte{b})
-		r.bytes++
+	if r.pos == r.end && !r.fill(1) {
+		return 0, r.err
 	}
-	return b, err
+	b := r.buf[r.pos]
+	r.pos++
+	return b, nil
 }
 
+// Read lets io.ReadFull take strings longer than the window.
 func (r *reader) Read(p []byte) (int, error) {
-	n, err := r.br.Read(p)
-	r.crc = crc32.Update(r.crc, castagnoli, p[:n])
-	r.bytes += int64(n)
-	return n, err
+	if r.pos == r.end && !r.fill(1) {
+		return 0, r.err
+	}
+	n := copy(p, r.buf[r.pos:r.end])
+	r.pos += n
+	return n, nil
 }
+
+// next consumes the next n ≤ len(buf) bytes and returns them as a view of
+// the window, valid until the next read, with io.ReadFull's errors.
+func (r *reader) next(n int) ([]byte, error) {
+	if !r.fill(n) {
+		if r.err == io.EOF && r.end > r.pos {
+			return nil, io.ErrUnexpectedEOF
+		}
+		return nil, r.err
+	}
+	r.pos += n
+	return r.buf[r.pos-n : r.pos], nil
+}
+
+// uvarint decodes the next unsigned varint like binary.ReadUvarint, from
+// the window in place when it holds the whole varint.
+func (r *reader) uvarint() (uint64, error) {
+	if v, n := binary.Uvarint(r.buf[r.pos:r.end]); n > 0 {
+		r.pos += n
+		return v, nil
+	}
+	return binary.ReadUvarint(r)
+}
+
+// checksum returns the CRC-32C of every byte consumed so far.
+func (r *reader) checksum() uint32 { return crc32.Update(r.crc, castagnoli, r.buf[:r.pos]) }
+
+// consumed returns the number of bytes consumed so far.
+func (r *reader) consumed() int64 { return r.bytes + int64(r.pos) }
 
 // Read deserializes a dataset written by Write. Inputs of version 2 and
 // later are verified against the checksum footer: a truncated or
@@ -181,22 +265,22 @@ func Read(r io.Reader) (*history.Dataset, error) {
 // read is Read that also returns the file's WAL offset.
 func read(r io.Reader) (ds *history.Dataset, walOffset int64, err error) {
 	start := time.Now()
-	br := &reader{br: bufio.NewReader(r)}
+	br := &reader{src: r, buf: make([]byte, chunkSize)}
 	defer func() {
 		mReadSeconds.ObserveDuration(time.Since(start))
-		mReadBytes.Add(br.bytes)
+		mReadBytes.Add(br.consumed())
 		if err != nil {
 			mReadErrors.Inc()
 		}
 	}()
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, head); err != nil {
+	head, err := br.next(len(magic))
+	if err != nil {
 		return nil, 0, fmt.Errorf("persist: reading magic: %w", err)
 	}
 	if string(head) != magic {
 		return nil, 0, fmt.Errorf("persist: not a tind dataset (magic %q)", head)
 	}
-	ver, err := binary.ReadUvarint(br)
+	ver, err := br.uvarint()
 	if err != nil {
 		return nil, 0, err
 	}
@@ -205,20 +289,20 @@ func read(r io.Reader) (ds *history.Dataset, walOffset int64, err error) {
 	}
 	var off uint64
 	if ver >= 3 {
-		if off, err = binary.ReadUvarint(br); err != nil {
+		if off, err = br.uvarint(); err != nil {
 			return nil, 0, err
 		}
 		if off > math.MaxInt64 {
 			return nil, 0, fmt.Errorf("persist: WAL offset %d out of range", off)
 		}
 	}
-	horizon, err := binary.ReadUvarint(br)
+	horizon, err := br.uvarint()
 	if err != nil {
 		return nil, 0, err
 	}
 	ds = history.NewDataset(timeline.Time(horizon))
 
-	nDict, err := binary.ReadUvarint(br)
+	nDict, err := br.uvarint()
 	if err != nil {
 		return nil, 0, err
 	}
@@ -233,7 +317,7 @@ func read(r io.Reader) (ds *history.Dataset, walOffset int64, err error) {
 		}
 	}
 
-	nAttrs, err := binary.ReadUvarint(br)
+	nAttrs, err := br.uvarint()
 	if err != nil {
 		return nil, 0, err
 	}
@@ -247,12 +331,12 @@ func read(r io.Reader) (ds *history.Dataset, walOffset int64, err error) {
 		}
 	}
 	if ver >= 2 {
-		sum := br.crc // checksum of the payload, before the footer bytes
-		var foot [footerSize]byte
-		if _, err := io.ReadFull(br.br, foot[:]); err != nil {
+		sum := br.checksum() // checksum of the payload, before the footer bytes
+		foot, err := br.next(footerSize)
+		if err != nil {
 			return nil, 0, fmt.Errorf("persist: reading checksum footer: %w", err)
 		}
-		if want := binary.LittleEndian.Uint32(foot[:]); want != sum {
+		if want := binary.LittleEndian.Uint32(foot); want != sum {
 			return nil, 0, fmt.Errorf("persist: checksum mismatch: footer %#08x, computed %#08x (file corrupt or truncated)", want, sum)
 		}
 	}
@@ -271,11 +355,11 @@ func readAttribute(br *reader, horizon timeline.Time, nDict uint64) (*history.Hi
 	if meta.Column, err = readString(br); err != nil {
 		return nil, err
 	}
-	end, err := binary.ReadUvarint(br)
+	end, err := br.uvarint()
 	if err != nil {
 		return nil, err
 	}
-	nVersions, err := binary.ReadUvarint(br)
+	nVersions, err := br.uvarint()
 	if err != nil {
 		return nil, err
 	}
@@ -290,12 +374,12 @@ func readAttribute(br *reader, horizon timeline.Time, nDict uint64) (*history.Hi
 	versions := make([]history.Version, 0, min(nVersions, 1024))
 	start := timeline.Time(0)
 	for v := uint64(0); v < nVersions; v++ {
-		d, err := binary.ReadUvarint(br)
+		d, err := br.uvarint()
 		if err != nil {
 			return nil, err
 		}
 		start += timeline.Time(d)
-		nVals, err := binary.ReadUvarint(br)
+		nVals, err := br.uvarint()
 		if err != nil {
 			return nil, err
 		}
@@ -305,7 +389,7 @@ func readAttribute(br *reader, horizon timeline.Time, nDict uint64) (*history.Hi
 		ids := make(values.Set, 0, nVals)
 		id := values.Value(0)
 		for k := uint64(0); k < nVals; k++ {
-			d, err := binary.ReadUvarint(br)
+			d, err := br.uvarint()
 			if err != nil {
 				return nil, err
 			}
@@ -323,23 +407,19 @@ func readAttribute(br *reader, horizon timeline.Time, nDict uint64) (*history.Hi
 	return history.New(meta, versions, timeline.Time(end))
 }
 
-func writeUvarint(w *writer, v uint64) {
-	n := binary.PutUvarint(w.scratch[:], v)
-	w.Write(w.scratch[:n])
-}
-
-func writeString(w *writer, s string) {
-	writeUvarint(w, uint64(len(s)))
-	w.WriteString(s)
-}
-
+// readString decodes a length-prefixed string: from a view of the window
+// when it fits, else through io.ReadFull.
 func readString(br *reader) (string, error) {
-	n, err := binary.ReadUvarint(br)
+	n, err := br.uvarint()
 	if err != nil {
 		return "", err
 	}
 	if n > maxString {
 		return "", fmt.Errorf("string length %d exceeds limit", n)
+	}
+	if n <= uint64(len(br.buf)) {
+		b, err := br.next(int(n))
+		return string(b), err
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(br, buf); err != nil {

@@ -3,7 +3,9 @@ package persist
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -247,5 +249,18 @@ func TestCompactness(t *testing.T) {
 	}
 	if perOcc := float64(buf.Len()) / float64(occurrences); perOcc > 8 {
 		t.Fatalf("format too fat: %.1f bytes per value occurrence", perOcc)
+	}
+}
+
+// stalledReader returns no data and no error, forever.
+type stalledReader struct{}
+
+func (stalledReader) Read([]byte) (int, error) { return 0, nil }
+
+// TestReadStalledInputFails: an input that stops making progress is an
+// error, not a hang.
+func TestReadStalledInputFails(t *testing.T) {
+	if _, err := Read(stalledReader{}); !errors.Is(err, io.ErrNoProgress) {
+		t.Fatalf("got %v, want io.ErrNoProgress", err)
 	}
 }

@@ -166,25 +166,29 @@ func (s Set) Union(t Set) Set {
 	if len(t) == 0 {
 		return append(Set(nil), s...)
 	}
-	out := make(Set, 0, len(s)+len(t))
+	return AppendUnion(make(Set, 0, len(s)+len(t)), s, t)
+}
+
+// AppendUnion appends s ∪ t to dst in ascending order, by linear merge,
+// and returns the extended slice. dst must not overlap s or t.
+func AppendUnion(dst []Value, s, t Set) []Value {
 	i, j := 0, 0
 	for i < len(s) && j < len(t) {
 		switch {
 		case s[i] < t[j]:
-			out = append(out, s[i])
+			dst = append(dst, s[i])
 			i++
 		case s[i] > t[j]:
-			out = append(out, t[j])
+			dst = append(dst, t[j])
 			j++
 		default:
-			out = append(out, s[i])
+			dst = append(dst, s[i])
 			i++
 			j++
 		}
 	}
-	out = append(out, s[i:]...)
-	out = append(out, t[j:]...)
-	return out
+	dst = append(dst, s[i:]...)
+	return append(dst, t[j:]...)
 }
 
 // Intersect returns the intersection of the two sets as a new Set.
