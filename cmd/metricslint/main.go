@@ -2,7 +2,7 @@
 // tindserve: the Prometheus text exposition on /metrics (every sample
 // line must parse, every metric family must carry non-empty HELP and a
 // known TYPE, every histogram must close with a +Inf bucket) and the
-// JSON debugging endpoints /debug/events and /slo.
+// JSON debugging endpoint /debug/events.
 //
 // CI boots a tiny-corpus server and points this tool at it (see
 // scripts/metricslint.sh); a non-zero exit means a metric was added or
@@ -193,9 +193,8 @@ func main() {
 	}
 	l.lintExposition("/metrics", text)
 
-	// JSON debugging endpoints.
+	// JSON debugging endpoint.
 	l.lintJSON(client, *url+"/debug/events", "count", "events")
-	l.lintJSON(client, *url+"/slo", "healthy", "objectives")
 
 	if len(l.errs) > 0 {
 		for _, e := range l.errs {

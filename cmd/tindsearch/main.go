@@ -213,8 +213,8 @@ func repl(ds *history.Dataset, idx *index.Index, p core.Params) {
 				break
 			}
 			res, err := idx.Query(context.Background(), h, index.QueryOptions{
-				Mode: index.ModeTopK,
-				K:    k,
+				Mode:   index.ModeTopK,
+				K:      k,
 				Params: core.Params{Delta: p.Delta, Weight: p.Weight},
 			})
 			if err != nil {

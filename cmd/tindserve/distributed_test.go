@@ -209,15 +209,6 @@ func TestReadyzDegradedReplies(t *testing.T) {
 			shardServers[1].Close()
 			return base
 		}, "1 of 2 shards unreachable", []string{"error", "shards_down", "status"}},
-		{"slo burn", func(t *testing.T) string {
-			s, ts := testServerConfig(t, config{sloLatency: time.Nanosecond, sloBurnDegrade: 1})
-			s.slo.Tick()
-			for i := 0; i < 12; i++ {
-				getJSON(t, ts.URL+"/search?attr=0", http.StatusOK)
-			}
-			s.slo.Tick()
-			return ts.URL
-		}, "slo query_latency", []string{"error", "slo", "status"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, err := http.Get(tc.setup(t) + "/readyz")

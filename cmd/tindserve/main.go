@@ -22,7 +22,6 @@
 //	POST /ingest                                         live history deltas (with -wal)
 //	GET /metrics                                         Prometheus text format 0.0.4
 //	GET /debug/events                                    wide-event ring: one structured event per query
-//	GET /slo                                             burn-rate status of the declared objectives
 //	GET /debug/pprof/*                                   profiling (only with -pprof)
 //	GET /healthz                                         process liveness
 //	GET /readyz                                          200 once the index is built
@@ -71,14 +70,12 @@
 // one wide event (phase timings, per-shard attribution, candidate
 // funnel, error class) into a ring served at /debug/events, filterable
 // by min_duration — so a latency spike's histogram bucket leads
-// straight to the events that filled it. Declarative SLOs (query latency vs
-// -slo-latency-threshold, 5xx ratio, ingest staleness vs -max-staleness)
-// are evaluated into multi-window burn-rate gauges
-// (tind_slo_burn_rate{slo,window}) served at /slo; with
-// -slo-burn-degrade a sustained burn flips /readyz to degraded. Logs are
-// structured (log/slog); every admitted query gets an ID, echoed in the
-// X-Query-ID response header and carried by its wide event. -pprof
-// opt-in exposes the standard /debug/pprof endpoints.
+// straight to the events that filled it. Error and latency ratios are
+// the scraper's to compute, from tind_http_requests_total{code} and
+// tind_http_query_seconds_bucket. Logs are structured (log/slog); every
+// admitted query gets an ID, echoed in the X-Query-ID response header
+// and carried by its wide event. -pprof opt-in exposes the standard
+// /debug/pprof endpoints.
 package main
 
 import (
@@ -182,9 +179,6 @@ func main() {
 	flag.DurationVar(&cfg.maxStaleness, "max-staleness", 30*time.Second, "flip /readyz to degraded when the oldest unapplied delta exceeds this (0 = never)")
 	flag.IntVar(&cfg.maxDirty, "ingest-max-dirty", 256, "apply pending deltas once this many records queue")
 	flag.DurationVar(&cfg.maxDirtyAge, "ingest-max-dirty-age", 2*time.Second, "apply pending deltas once the oldest queues this long")
-	flag.DurationVar(&cfg.sloLatency, "slo-latency-threshold", 500*time.Millisecond, "query_latency SLO: queries slower than this burn error budget")
-	flag.DurationVar(&cfg.sloInterval, "slo-interval", 10*time.Second, "SLO burn-rate evaluation interval")
-	flag.Float64Var(&cfg.sloBurnDegrade, "slo-burn-degrade", 0, "flip /readyz to degraded when every SLO window burns at least this fast (0 = never)")
 	flag.Parse()
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -251,15 +245,6 @@ type config struct {
 	maxStaleness time.Duration
 	maxDirty     int
 	maxDirtyAge  time.Duration
-
-	// sloLatency is the query_latency objective's threshold: queries
-	// slower than this count against the error budget.
-	sloLatency time.Duration
-	// sloInterval is how often the SLO engine re-evaluates burn rates.
-	sloInterval time.Duration
-	// sloBurnDegrade flips /readyz to degraded when every burn-rate
-	// window of some objective is at least this high; 0 disables.
-	sloBurnDegrade float64
 }
 
 // run serves on ln until ctx is done (SIGINT/SIGTERM in production),
@@ -275,11 +260,6 @@ func run(ctx context.Context, cfg config, ln net.Listener, load func(rp *replayP
 	// GC pauses on /metrics for the whole life of the process.
 	stopSampler := obs.NewRuntimeSampler(obs.Default()).Start(10 * time.Second)
 	defer stopSampler()
-
-	// The SLO engine ticks for the whole life of the process so the burn
-	// windows accumulate history even while the index is still building.
-	stopSLO := s.slo.Start()
-	defer stopSLO()
 
 	writeTimeout := time.Minute
 	if cfg.queryTimeout > 0 {
@@ -634,12 +614,6 @@ type server struct {
 	// replay publishes WAL-replay progress for /readyz while the corpus
 	// loads after a restart.
 	replay replayProgress
-	// slo evaluates the declared objectives into burn-rate gauges; with
-	// -slo-burn-degrade a sustained burn also degrades /readyz.
-	slo *obs.SLOEngine
-	// requests and requests5xx count this server's query requests, all
-	// and those answered 5xx, for the http_error_ratio objective.
-	requests, requests5xx obs.Counter
 }
 
 func newServer(cfg config) *server {
@@ -647,9 +621,7 @@ func newServer(cfg config) *server {
 	if capacity <= 0 {
 		capacity = int64(4 * runtime.GOMAXPROCS(0))
 	}
-	s := &server{cfg: cfg, limiter: sem.New(capacity)}
-	s.slo = s.newSLOEngine()
-	return s
+	return &server{cfg: cfg, limiter: sem.New(capacity)}
 }
 
 // install publishes the serving state, flipping /readyz to 200 and
@@ -704,13 +676,12 @@ func (s *server) routes() http.Handler {
 		mux.Handle("GET /attr", s.query(1, viewed(s.handleAttr)))
 		mux.Handle("POST /ingest", s.query(1, s.handleIngest))
 	}
-	// /metrics, /debug/events and /slo are deliberately outside the query
+	// /metrics and /debug/events are deliberately outside the query
 	// middleware: scrapes and debugging must work while the index is still
 	// building and must never be shed — a degraded server is exactly when
 	// they matter.
 	mux.HandleFunc("GET /metrics", handleMetrics)
 	mux.HandleFunc("GET /debug/events", s.handleEvents)
-	mux.HandleFunc("GET /slo", s.handleSLO)
 	if s.cfg.pprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -901,13 +872,13 @@ func (s *server) query(weight int64, h queryHandler) http.Handler {
 		endpoint := r.URL.Path
 		c := s.corpus.Load()
 		if c == nil {
-			s.countRequest(endpoint, http.StatusServiceUnavailable)
+			mHTTPRequests(endpoint, http.StatusServiceUnavailable).Inc()
 			s.shed(w, shedNotReady, "index still building, retry shortly")
 			return
 		}
 		sr := &admitted{ResponseWriter: w, s: s, status: http.StatusOK}
 		if !sr.acquire(weight) {
-			s.countRequest(endpoint, http.StatusServiceUnavailable)
+			mHTTPRequests(endpoint, http.StatusServiceUnavailable).Inc()
 			s.shed(w, shedSaturated, "server saturated, retry shortly")
 			return
 		}
@@ -925,23 +896,13 @@ func (s *server) query(weight int64, h queryHandler) http.Handler {
 		start := time.Now()
 		h(c, sr, r)
 		elapsed := time.Since(start)
-		s.countRequest(endpoint, sr.status)
+		mHTTPRequests(endpoint, sr.status).Inc()
 		mHTTPSeconds(endpoint).ObserveDuration(elapsed)
 		mQuerySeconds.ObserveDuration(elapsed)
 		if note.stats != nil {
 			recordQueryEvent(note, qid, endpoint, sr.status, elapsed)
 		}
 	})
-}
-
-// countRequest counts one query request by endpoint and status code, on
-// tind_http_requests_total and on the server's own error-ratio counters.
-func (s *server) countRequest(endpoint string, code int) {
-	mHTTPRequests(endpoint, code).Inc()
-	s.requests.Inc()
-	if code >= 500 {
-		s.requests5xx.Inc()
-	}
 }
 
 // recoverJSON turns a handler panic into a structured JSON 500 and a
@@ -1030,10 +991,7 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 //   - live ingestion's last apply failed, or it has fallen behind the
 //     -max-staleness bound;
 //   - a router's active probe finds shards unreachable, so /readyz shows
-//     the cluster's state, not just the router process's;
-//   - with -slo-burn-degrade, every burn-rate window of some SLO is
-//     exhausting the error budget, so an orchestrator can pull a
-//     tail-latency-sick replica out before the budget is gone.
+//     the cluster's state, not just the router process's.
 func (s *server) degraded(ctx context.Context, c *corpus) (string, map[string]interface{}) {
 	if c.ing != nil {
 		st := c.ing.Stats()
@@ -1060,11 +1018,6 @@ func (s *server) degraded(ctx context.Context, c *corpus) (string, map[string]in
 		if len(down) > 0 {
 			return fmt.Sprintf("%d of %d shards unreachable; queries answer partial results", len(down), rem.NumShards()),
 				map[string]interface{}{"shards_down": down}
-		}
-	}
-	if s.cfg.sloBurnDegrade > 0 {
-		if reason := s.slo.Degraded(); reason != "" {
-			return reason, map[string]interface{}{"slo": s.slo.Status()}
 		}
 	}
 	return "", nil

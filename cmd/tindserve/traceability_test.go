@@ -16,7 +16,6 @@ import (
 	"tind/internal/datagen"
 	"tind/internal/index"
 	"tind/internal/obs"
-	"tind/internal/router"
 	"tind/internal/shard"
 )
 
@@ -200,74 +199,20 @@ func TestDebugEventsParams(t *testing.T) {
 	}
 }
 
-// TestSLOEndpoint checks that /slo serves every declared objective as
-// valid JSON with its burn-rate windows.
-func TestSLOEndpoint(t *testing.T) {
-	s, ts := testServerConfig(t, config{sloLatency: 500 * time.Millisecond})
-	s.slo.Tick() // baseline
-	getJSON(t, ts.URL+"/search?attr=0", http.StatusOK)
-	s.slo.Tick()
-
-	resp, err := http.Get(ts.URL + "/slo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /slo: status %d", resp.StatusCode)
-	}
-	var out struct {
-		Healthy    bool `json:"healthy"`
-		Objectives []struct {
-			Name    string  `json:"name"`
-			Target  float64 `json:"target"`
-			Windows []struct {
-				Window   string  `json:"window"`
-				BurnRate float64 `json:"burn_rate"`
-			} `json:"windows"`
-		} `json:"objectives"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatalf("decoding /slo: %v", err)
-	}
-	names := map[string]bool{}
-	for _, o := range out.Objectives {
-		names[o.Name] = true
-		if len(o.Windows) != 2 {
-			t.Errorf("objective %s: %d windows, want 2", o.Name, len(o.Windows))
-		}
-		if o.Target <= 0 || o.Target >= 1 {
-			t.Errorf("objective %s: target %g out of (0,1)", o.Name, o.Target)
-		}
-	}
-	for _, want := range []string{"query_latency", "http_error_ratio", "ingest_staleness"} {
-		if !names[want] {
-			t.Errorf("/slo missing objective %q (got %v)", want, names)
-		}
-	}
-}
-
-// TestSLOObjectivesCountWhatTheyJudge ticks the engine around a known
-// traffic mix and checks the bad and total events each objective counted
-// in between.
+// TestSLOObjectivesCountWhatTheyJudge checks the instruments an operator
+// computes service-level ratios from on /metrics, as registry diffs
+// around a known traffic mix: the 5xx ratio from
+// tind_http_requests_total{code}, the latency ratio from
+// tind_http_query_seconds, ingest staleness from
+// tind_ingest_oldest_pending_seconds, and shard availability from
+// tind_router_legs_total{status}.
 func TestSLOObjectivesCountWhatTheyJudge(t *testing.T) {
-	window := func(t *testing.T, s *server, name string) obs.SLOWindow {
-		t.Helper()
-		for _, st := range s.slo.Status() {
-			if st.Name == name {
-				return st.Windows[0]
-			}
-		}
-		t.Fatalf("no objective %q", name)
-		return obs.SLOWindow{}
-	}
-
 	t.Run("http_error_ratio", func(t *testing.T) {
 		const shed, served = 3, 5
 		s := newServer(config{})
 		ts := httptest.NewServer(s.routes())
 		defer ts.Close()
-		s.slo.Tick()
+		before := obs.Default().Snapshot()
 		for i := 0; i < shed; i++ {
 			getJSON(t, ts.URL+"/search?attr=0", http.StatusServiceUnavailable)
 		}
@@ -275,45 +220,40 @@ func TestSLOObjectivesCountWhatTheyJudge(t *testing.T) {
 		for i := 0; i < served; i++ {
 			getJSON(t, ts.URL+"/search?attr=0", http.StatusOK)
 		}
-		s.slo.Tick()
-		if w := window(t, s, "http_error_ratio"); w.BadDelta != shed || w.TotalDelta != shed+served {
-			t.Errorf("http_error_ratio counted %g bad of %g, want %d of %d", w.BadDelta, w.TotalDelta, shed, shed+served)
+		d := obs.Default().Snapshot().Diff(before)
+		for code, want := range map[string]float64{"503": shed, "200": served} {
+			if v := d.Value("tind_http_requests_total", obs.L("endpoint", "/search"), obs.L("code", code)); v != want {
+				t.Errorf("tind_http_requests_total{endpoint=/search,code=%s} grew by %g, want %g", code, v, want)
+			}
 		}
-		// Shed requests never reach the latency histogram; with a zero
-		// threshold every admitted query is slow.
-		if w := window(t, s, "query_latency"); w.BadDelta != served || w.TotalDelta != served {
-			t.Errorf("query_latency counted %g bad of %g, want %d of %d", w.BadDelta, w.TotalDelta, served, served)
+		// Shed requests never reach the latency histogram.
+		if c := d.Count("tind_http_query_seconds"); c != served {
+			t.Errorf("tind_http_query_seconds count grew by %d, want %d", c, served)
 		}
 	})
 
 	t.Run("ingest_staleness", func(t *testing.T) {
-		s, ts, _ := newIngestServer(t, 1, config{maxStaleness: time.Millisecond}, nil)
-		s.slo.Tick() // nothing pending: a good tick
+		const bound = time.Millisecond
+		s, ts, _ := newIngestServer(t, 1, config{maxStaleness: bound}, nil)
 		postJSON(t, ts.URL+"/ingest", newHTTPDeltaFeed(s.corpus.Load()).round([]int{0}), http.StatusOK)
-		time.Sleep(5 * time.Millisecond)
-		s.slo.Tick()
-		if w := window(t, s, "ingest_staleness"); w.BadDelta != 1 || w.TotalDelta != 1 {
-			t.Errorf("ingest_staleness counted %g bad of %g, want 1 of 1", w.BadDelta, w.TotalDelta)
+		time.Sleep(5 * bound)
+		getJSON(t, ts.URL+"/readyz", http.StatusServiceUnavailable)
+		if v := obs.Default().Snapshot().Value("tind_ingest_oldest_pending_seconds"); v <= bound.Seconds() {
+			t.Errorf("tind_ingest_oldest_pending_seconds = %g with an unapplied delta past the %v bound", v, bound)
 		}
 	})
 
 	t.Run("router_shard_availability", func(t *testing.T) {
 		urls, shardServers := startShardServers(t)
-		rs, base := startRouter(t, urls)
+		_, base := startRouter(t, urls)
 		shardServers[1].Close()
-		ok0, failed0 := router.LegOutcomes()
-		rs.slo.Tick()
+		before := obs.Default().Snapshot()
 		if out := getJSON(t, base+"/search?attr=0", http.StatusOK); out["partial"] != true {
 			t.Fatalf("query over a closed shard not partial: %v", out)
 		}
-		rs.slo.Tick()
-		ok1, failed1 := router.LegOutcomes()
-		w := window(t, rs, "router_shard_availability")
-		if w.BadDelta != float64(failed1-failed0) || w.BadDelta < 1 {
-			t.Errorf("router_shard_availability counted %g bad, want the %d failed legs (at least 1)", w.BadDelta, failed1-failed0)
-		}
-		if legs := (ok1 + failed1) - (ok0 + failed0); w.TotalDelta != float64(legs) {
-			t.Errorf("router_shard_availability counted %g legs, want %d", w.TotalDelta, legs)
+		d := obs.Default().Snapshot().Diff(before)
+		if v := d.Value("tind_router_legs_total", obs.L("status", "error")); v < 1 {
+			t.Errorf("tind_router_legs_total{status=error} grew by %g over a partial answer, want >= 1", v)
 		}
 	})
 }
@@ -428,13 +368,11 @@ func testShardedServer(t *testing.T, cfg config, shards int) (*server, string, [
 // (1) appear in /debug/events as a batch event whose per-shard
 // attribution names the straggler, (2) be found from the latency
 // histogram bucket it landed in, through /debug/events filtered at that
-// bucket's lower bound, and (3) move the query_latency burn-rate gauge on
-// the next SLO tick.
+// bucket's lower bound.
 func TestEndToEndTraceability(t *testing.T) {
 	const straggler = 2
 	delay := 30 * time.Millisecond
-	s, base, faults := testShardedServer(t, config{sloLatency: time.Millisecond}, 4)
-	s.slo.Tick() // burn-rate baseline: deltas start at this sample
+	_, base, faults := testShardedServer(t, config{}, 4)
 
 	faults[straggler].SetDelay(delay)
 	_, before := queryBuckets(t, base)
@@ -520,16 +458,6 @@ func TestEndToEndTraceability(t *testing.T) {
 		t.Errorf("bucket le=%q: /debug/events?min_duration=%ss holds no event with query_id %d", les[bucket], lower, qid)
 	}
 
-	// (3) The burn rate: one query above the 1ms objective threshold
-	// burns budget in every window on the next tick.
-	s.slo.Tick()
-	snap := obs.Default().Snapshot()
-	for _, window := range []string{"5m", "1h"} {
-		v := snap.Value("tind_slo_burn_rate", obs.L("slo", "query_latency"), obs.L("window", window))
-		if v <= 0 {
-			t.Errorf("tind_slo_burn_rate{slo=query_latency,window=%s} = %g, want > 0", window, v)
-		}
-	}
 }
 
 // mixedBatch is a forward, a reverse and a top-k entry in one batch.
@@ -667,28 +595,4 @@ func TestEventPhasesAddUp(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestReadyzSLOBurnDegrade checks the opt-in coupling of the SLO engine
-// to readiness: with -slo-burn-degrade set, a sustained budget burn in
-// every window flips /readyz to 503 degraded.
-func TestReadyzSLOBurnDegrade(t *testing.T) {
-	s, ts := testServerConfig(t, config{sloLatency: time.Nanosecond, sloBurnDegrade: 1})
-	getJSON(t, ts.URL+"/readyz", http.StatusOK) // healthy before any burn history
-
-	s.slo.Tick() // baseline
-	for i := 0; i < 12; i++ {
-		getJSON(t, ts.URL+"/search?attr=0", http.StatusOK)
-	}
-	s.slo.Tick()
-	if reason := s.slo.Degraded(); reason == "" {
-		t.Fatal("SLO engine not degraded after 12 budget-burning queries")
-	}
-	out := getJSON(t, ts.URL+"/readyz", http.StatusServiceUnavailable)
-	if out["status"] != "degraded" {
-		t.Fatalf("readyz body: %v", out)
-	}
-	if msg, _ := out["error"].(string); !strings.Contains(msg, "query_latency") {
-		t.Errorf("degraded reason %q does not name the burning objective", msg)
-	}
 }

@@ -176,4 +176,3 @@ func header(w io.Writer, id, title string) {
 func boxCells(b stats.Box) []interface{} {
 	return []interface{}{b.Min, b.P25, b.Median, b.P75, b.Max, b.Mean}
 }
-

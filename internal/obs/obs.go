@@ -177,30 +177,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return bounds[len(bounds)-1]
 }
 
-// CountAbove estimates how many observations exceeded threshold,
-// interpolating linearly within the bucket the threshold falls into (the
-// inverse of Quantile's estimate). Thresholds at or beyond the highest
-// finite bound count only the +Inf mass. The count is cumulative, so a
-// caller that differences two readings counts only the observations in
-// between — what the SLO engine's windows do.
-func (h *Histogram) CountAbove(threshold float64) float64 {
-	cum := h.BucketCounts()
-	total := float64(cum[len(cum)-1])
-	var below int64
-	lower := 0.0
-	for i, le := range h.bounds {
-		if threshold <= le {
-			above := float64(cum[i] - below)
-			if threshold > lower {
-				above = above * (le - threshold) / (le - lower)
-			}
-			return above + (total - float64(cum[i]))
-		}
-		below, lower = cum[i], le
-	}
-	return total - float64(below) // threshold beyond the last bound: +Inf mass
-}
-
 // LatencyBuckets spans 100µs to 10s in a 1-2.5-5 progression — the
 // default for query-phase and request latencies.
 var LatencyBuckets = []float64{

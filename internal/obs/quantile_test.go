@@ -67,34 +67,6 @@ func TestQuantileBucketEdges(t *testing.T) {
 	}
 }
 
-func TestCountAbove(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("tind_test_h3", "h", []float64{0.1, 0.5, 1})
-	for _, v := range []float64{0.05, 0.05, 0.3, 0.7, 2} {
-		h.Observe(v)
-	}
-	// Exactly at a bound: everything in higher buckets.
-	if got := h.CountAbove(0.5); got != 2 {
-		t.Errorf("CountAbove(0.5) = %g, want 2", got)
-	}
-	// Beyond the last bound: only the +Inf mass.
-	if got := h.CountAbove(1); got != 1 {
-		t.Errorf("CountAbove(1) = %g, want 1", got)
-	}
-	if got := h.CountAbove(5); got != 1 {
-		t.Errorf("CountAbove(5) = %g, want 1 (+Inf mass)", got)
-	}
-	// Mid-bucket interpolates: threshold 0.3 splits the (0.1, 0.5] bucket
-	// (1 obs) at halfway -> 0.5 of it, plus 2 above.
-	if got := h.CountAbove(0.3); got != 2.5 {
-		t.Errorf("CountAbove(0.3) = %g, want 2.5", got)
-	}
-	// Below everything: all observations.
-	if got := h.CountAbove(0); got != 5 {
-		t.Errorf("CountAbove(0) = %g, want 5", got)
-	}
-}
-
 // TestQuantileInvalid pins the NaN contract: empty histograms and
 // out-of-range or NaN q values have no estimate.
 func TestQuantileInvalid(t *testing.T) {

@@ -29,8 +29,8 @@ type Bucket struct {
 // Snapshots are plain data: they marshal to JSON (tindbench embeds one
 // per benchmark scenario) and two of them subtract into a delta view via
 // Diff, which is what tests and benchmarks use to assert or report what
-// a specific stretch of work did to the metrics. Estimates (Quantile,
-// CountAbove) are asked of the live Histogram, not of a capture.
+// a specific stretch of work did to the metrics. Quantile estimates are
+// asked of the live Histogram, not of a capture.
 type Snapshot struct {
 	Metrics []Metric `json:"metrics"`
 }

@@ -16,9 +16,3 @@ var (
 	mShardsDown = reg.Gauge("tind_router_shards_down",
 		"Shards whose last contact (scatter leg or probe) failed.")
 )
-
-// LegOutcomes returns the process's scatter legs so far by final outcome
-// after replica retries — the two series of tind_router_legs_total.
-func LegOutcomes() (ok, failed int64) {
-	return mLegsOK.Value(), mLegsError.Value()
-}

@@ -8,6 +8,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 git ls-files --cached --others --exclude-standard '*.go' | grep -v '_test\.go$' | while read -r f; do
+	[ -f "$f" ] || continue # deleted but not yet staged
 	printf '%s\t%s\n' "$(wc -l <"$f")" "$(dirname "$f")"
 done | awk -F'\t' '
 	{ pkg[$2] += $1; if ($2 !~ /^benchmark(\/|$)/) total += $1 }

@@ -3,8 +3,8 @@
 # a few queries so the histograms and the event ring have samples, then
 # run cmd/metricslint against it — failing CI on an unparseable
 # exposition, a metric family without help text, a histogram without a
-# +Inf bucket, or a /debug/events//slo endpoint that stops answering
-# valid JSON. /metrics serves one dialect, the Prometheus 0.0.4 text
+# +Inf bucket, or a /debug/events endpoint that stops answering valid
+# JSON. /metrics serves one dialect, the Prometheus 0.0.4 text
 # format: a scraper that prefers OpenMetrics must still get a 200 in it.
 set -euo pipefail
 
