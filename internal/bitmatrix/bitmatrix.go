@@ -152,6 +152,20 @@ func (v *Vec) ForEach(fn func(i int) bool) {
 	}
 }
 
+// ForEachAndNot calls fn, in ascending order, for every bit set in v and
+// clear in o: ForEach over v ∧ ¬o without materializing it. Returning
+// false from fn stops the iteration.
+func (v *Vec) ForEachAndNot(o *Vec, fn func(i int) bool) {
+	for wi, w := range v.words {
+		base := wi << 6
+		for w &^= o.words[wi]; w != 0; w &= w - 1 {
+			if !fn(base + bits.TrailingZeros64(w)) {
+				return
+			}
+		}
+	}
+}
+
 // Ones returns the indices of all set bits.
 func (v *Vec) Ones() []int {
 	out := make([]int, 0, v.Count())

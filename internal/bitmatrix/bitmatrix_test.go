@@ -59,6 +59,11 @@ func TestVecOps(t *testing.T) {
 	if got := andnot.Ones(); len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Fatalf("AndNot = %v", got)
 	}
+	var diff []int
+	a.ForEachAndNot(b, func(i int) bool { diff = append(diff, i); return true })
+	if got := andnot.Ones(); len(diff) != len(got) || diff[0] != got[0] || diff[1] != got[1] {
+		t.Fatalf("ForEachAndNot = %v, AndNot = %v", diff, got)
+	}
 
 	or := a.Clone()
 	or.Or(b)

@@ -71,6 +71,10 @@ func (p *Prepared) Prepare(q *history.History, w timeline.WeightFunc) {
 	}
 }
 
+// Sum returns the weight of version i's validity clamped to the horizon:
+// the term the sweep adds for version i when A lacks one of its values.
+func (p *Prepared) Sum(i int) float64 { return p.sums[i] }
+
 // sharedWith sets dst to the positions in All(Q) of the values A also
 // holds, in one pass over All(A) that stops past Q's largest id.
 func (p *Prepared) sharedWith(dst []uint64, a values.Set) []uint64 {

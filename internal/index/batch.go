@@ -106,10 +106,15 @@ type arena struct {
 	todo   []int
 	// verdicts, hits and scratch serve exact validation: one verdict slot
 	// per candidate, the passing candidates with their weights, and one
-	// sweep scratch per validation worker. A top-k run sorts hits in place.
+	// sweep scratch per validation worker. A top-k run keeps its best-K
+	// heap in hits, its reached candidates with their lower bounds in
+	// queue, and the bounds as they accumulate in lb, indexed by attribute
+	// and all zero between queries.
 	verdicts []float64
 	hits     []Ranked
 	scratch  []*core.Scratch
+	queue    []Ranked
+	lb       []float64
 	// prep is Q's side of the sweep, prepared once for a scan of every
 	// attribute and shared read-only by the validation workers; keys are
 	// the values that scan probes M_T with, one per version of Q.
@@ -127,6 +132,15 @@ type arena struct {
 	// executes at a time per arena, and nothing in a Result references
 	// the run, so each query may overwrite it in place.
 	run queryRun
+}
+
+// bounds returns top-k's lower-bound accumulator, one slot per attribute,
+// allocated on first use.
+func (a *arena) bounds() []float64 {
+	if len(a.lb) != a.n {
+		a.lb = make([]float64, a.n)
+	}
+	return a.lb
 }
 
 // QueryBatch executes many queries in one call. Every entry runs exactly

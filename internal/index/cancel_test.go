@@ -149,44 +149,52 @@ func (c *expiringCtx) Err() error {
 }
 
 // TestTopKMidFlightCancellation lets the deadline of a top-k query pass
-// inside its scan — the unbounded round that checks every other attribute
-// against Q's prepared side — and holds the scan to the poll every reached
-// pair's sweep starts with: the query returns ErrDeadlineExceeded with the
-// scan's funnel, after at most one more poll per validation worker,
-// instead of finishing the round. The pairs outside the key reach are
-// decided together after a single poll, so only the reached ones count
-// towards the scan's polls.
+// inside its scan, which polls once per probe of M_T for a version of Q
+// and at the start of every pair it sweeps: the query returns
+// ErrDeadlineExceeded with the scan's funnel, after at most one more poll
+// per validation worker, instead of finishing the round. The deadline
+// passes half-way through the full run's polls, and at its last one, which
+// a swept pair takes. The pairs outside the key reach are decided together
+// after a single poll, and the reached pairs that cannot rank are never
+// swept.
 func TestTopKMidFlightCancellation(t *testing.T) {
 	idx, ds := cancelTestIndex(t)
 	o := QueryOptions{Mode: ModeTopK, Params: core.Params{Delta: 7, Weight: timeline.Uniform(ds.Horizon())}, K: 5}
-	reached := int64(keyReachOf(idx, ds.Attr(0)).Count())
+	q := ds.Attr(0)
+	probes := int64(0)
+	for i := range q.NumVersions() {
+		if !q.Version(i).Values.IsEmpty() && !q.Validity(i).Clamp(ds.Horizon()).IsEmpty() {
+			probes++
+		}
+	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, workers := range []int{1, 2} {
 		runtime.GOMAXPROCS(workers)
 		// The whole query polls this often when nothing expires.
 		full := &expiringCtx{Context: context.Background(), expireAt: math.MaxInt64}
-		res, err := idx.Query(full, ds.Attr(0), o)
+		before := qm[ModeTopK].windowSweeps.Value()
+		res, err := idx.Query(full, q, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		polls := full.calls.Load()
-		if res.Stats.InitialCandidates != ds.Len()-1 || reached < 8 || polls < reached {
-			t.Fatalf("query 0 scanned %d of %d candidates, %d inside the key reach, with %d polls; the test needs a full scan that sweeps ≥ 8 pairs",
-				res.Stats.InitialCandidates, ds.Len()-1, reached, polls)
+		polls, sweeps := full.calls.Load(), qm[ModeTopK].windowSweeps.Value()-before
+		if res.Stats.InitialCandidates != ds.Len()-1 || probes < 8 || sweeps < 1 || polls < sweeps+probes {
+			t.Fatalf("query 0 scanned %d of %d candidates with %d probes, %d window sweeps and %d polls; the test needs a full scan that probes ≥ 8 versions and sweeps a pair",
+				res.Stats.InitialCandidates, ds.Len()-1, probes, sweeps, polls)
 		}
-		// Expire halfway through the full run's polls, most of which the
-		// reached pairs take.
-		ctx := &expiringCtx{Context: context.Background(), expireAt: polls / 2}
-		res, err = idx.Query(ctx, ds.Attr(0), o)
-		if !errors.Is(err, ErrDeadlineExceeded) || !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("workers=%d: want ErrDeadlineExceeded, got %v", workers, err)
-		}
-		if res.Ranked != nil || res.Stats.InitialCandidates != ds.Len()-1 {
-			t.Fatalf("workers=%d: aborted scan returned %d ranked, funnel %d; want none from a scan of %d",
-				workers, len(res.Ranked), res.Stats.InitialCandidates, ds.Len()-1)
-		}
-		if late := ctx.calls.Load() - ctx.expireAt; late > int64(workers) {
-			t.Fatalf("workers=%d: %d polls after the deadline passed; each worker must stop at its next pair", workers, late)
+		for _, expireAt := range []int64{polls / 2, polls} {
+			ctx := &expiringCtx{Context: context.Background(), expireAt: expireAt}
+			res, err = idx.Query(ctx, q, o)
+			if !errors.Is(err, ErrDeadlineExceeded) || !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("workers=%d, expiry at poll %d of %d: want ErrDeadlineExceeded, got %v", workers, expireAt, polls, err)
+			}
+			if res.Ranked != nil || res.Stats.InitialCandidates != ds.Len()-1 {
+				t.Fatalf("workers=%d, expiry at poll %d of %d: aborted scan returned %d ranked, funnel %d; want none from a scan of %d",
+					workers, expireAt, polls, len(res.Ranked), res.Stats.InitialCandidates, ds.Len()-1)
+			}
+			if late := ctx.calls.Load() - ctx.expireAt; late > int64(workers) {
+				t.Fatalf("workers=%d: %d polls after the deadline passed; each worker must stop at its next pair", workers, late)
+			}
 		}
 	}
 }

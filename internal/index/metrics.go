@@ -78,7 +78,7 @@ func init() {
 			candSubset: reg.Histogram("tind_query_candidates", "Candidates surviving each pruning stage.",
 				obs.CountBuckets, mode, obs.L("stage", "after_subset_check")),
 			exactChecks: reg.Counter("tind_query_exact_checks_total",
-				"Candidates given an exact verdict, by Algorithm 2 or by its closed form, by mode.", mode),
+				"Candidates given an exact verdict or place, by Algorithm 2, by its closed form or by top-k's lower bound, by mode.", mode),
 			resultsEmitted: reg.Counter("tind_query_results_total", "Dependencies reported to callers, by mode.", mode),
 			prefixEntries: reg.Counter("tind_query_prefix_entries_read_total",
 				"Weighted prefix index entries read to generate reverse candidates where M_R cannot serve the query, by mode.", mode),

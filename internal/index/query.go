@@ -29,7 +29,8 @@ const (
 	// prefix index alone.
 	ModeReverse
 	// ModeTopK ranks the K attributes with the smallest exact violation
-	// weight of Q ⊆_{w,·,δ} A: one exact scan of every other attribute.
+	// weight of Q ⊆_{w,·,δ} A: every other attribute is a candidate, and
+	// only those a lower bound cannot rule out are swept.
 	ModeTopK
 
 	numModes
@@ -223,7 +224,7 @@ func (r *queryRun) finish(st *QueryStats, err error) {
 // search with per-phase timing. Parameters have been validated by Query.
 func (r *queryRun) search(ctx context.Context, q *history.History, p core.Params, reverse bool) (Result, error) {
 	var st QueryStats
-	hits, err := r.searchHits(ctx, q, p, reverse, r.x.ds.Len(), &st)
+	hits, err := r.searchHits(ctx, q, p, reverse, &st)
 	if err != nil || len(hits) == 0 {
 		return Result{Stats: st}, err
 	}
@@ -234,29 +235,21 @@ func (r *queryRun) search(ctx context.Context, q *history.History, p core.Params
 	return Result{IDs: ids, Stats: st}, nil
 }
 
-// searchHits runs the pruning pipeline and the exact validation, and
-// returns the attributes that pass, ascending by id, each with its exact
-// violation weight — of those the key probe decides in closed form, only
-// the keep smallest ids (validateReach). The hits live in the run's arena:
-// search copies the ids out, topK ranks them in place and copies the best
-// K. A phase runs only where it can remove a candidate for less than
-// validating it costs.
-func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Params, reverse bool,
-	keep int, st *QueryStats) ([]Ranked, error) {
+// prune runs phases 1–3 of the pipeline, leaving in cand the candidates
+// exact validation must decide, and reports whether it holds every other
+// attribute (filled). A phase runs only where it can remove a candidate
+// for less than validating it costs.
+func (r *queryRun) prune(ctx context.Context, q *history.History, p core.Params, reverse bool,
+	cand *bitmatrix.Vec, st *QueryStats) (filled bool, err error) {
 	x := r.x
 	if err := CtxErr(ctx); err != nil {
-		return nil, err
+		return false, err
 	}
-	// The candidate vector goes back to the pool on every exit path.
-	cand := r.newCand()
-	defer x.pool.putVec(cand)
-
 	// Phase 1: candidate generation — M_T supersets for forward search
 	// (line 2 of Algorithm 1), every attribute when R_ε(Q) is empty — as
 	// R_∞(Q) is, so an unbounded scan builds none; M_R subsets for reverse
 	// search, the weighted prefix index where M_R does not cover the query.
 	endPhase := r.phase(obs.PhaseMTPrune, &st.Timings.MTPrune)
-	filled := false    // every attribute is a candidate
 	var req values.Set // forward only; reused by the subset check
 	if reverse {
 		if x.mRCovers(p) {
@@ -282,7 +275,6 @@ func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Pa
 	// when the query δ does not exceed the index δ (and, for reverse
 	// search, under the index weighting), and idle under an infinite ε.
 	endPhase = r.phase(obs.PhaseSlicePrune, &st.Timings.SlicePrune)
-	var err error
 	if p.Delta <= x.opt.Params.Delta && !math.IsInf(p.Epsilon, 1) && st.InitialCandidates > 0 {
 		if !reverse {
 			err = r.forwardSlicePrune(ctx, q, p, cand, st)
@@ -293,7 +285,7 @@ func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Pa
 	st.AfterSlices = cand.Count()
 	endPhase.end()
 	if err != nil {
-		return nil, err
+		return false, err
 	}
 
 	// Phase 3, forward only: exact subset pre-check (line 16) discarding
@@ -305,6 +297,20 @@ func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Pa
 		endPhase.end()
 	}
 	st.AfterSubsetCheck = cand.Count()
+	return filled, err
+}
+
+// searchHits runs the pruning pipeline and the exact validation, and
+// returns the attributes that pass, ascending by id, each with its exact
+// violation weight. The hits live in the run's arena: search copies the
+// ids out.
+func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Params, reverse bool,
+	st *QueryStats) ([]Ranked, error) {
+	x := r.x
+	// The candidate vector goes back to the pool on every exit path.
+	cand := r.newCand()
+	defer x.pool.putVec(cand)
+	filled, err := r.prune(ctx, q, p, reverse, cand, st)
 	if err != nil {
 		return nil, err
 	}
@@ -315,7 +321,7 @@ func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Pa
 	// M_T may prune, the scan also probes it with Q's version keys: the
 	// candidates outside their reach cover no version of Q, so each
 	// weighs MaxViolation(Q), and one vector operation decides them all.
-	endPhase = r.phase(obs.PhaseValidate, &st.Timings.Validate)
+	endPhase := r.phase(obs.PhaseValidate, &st.Timings.Validate)
 	var pq *core.Prepared
 	var reach *bitmatrix.Vec
 	if filled {
@@ -338,7 +344,7 @@ func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Pa
 	if reach == nil {
 		hits, err = r.validate(ctx, cand, st, check)
 	} else {
-		hits, err = r.validateReach(ctx, q, p, cand, reach, keep, st, check)
+		hits, err = r.validateReach(ctx, q, p, cand, reach, st, check)
 	}
 	endPhase.end()
 	if err != nil {
@@ -351,13 +357,11 @@ func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Pa
 // validateReach validates the candidates inside the key reach pair by pair
 // and decides the rest, U = cand ∧ ¬reach, in closed form: one poll, one
 // AND-NOT, and every member of U weighs MaxViolation(Q). When that weight
-// is within ε, the keep (≥ 1) smallest ids of U join the hits in id order —
-// all of U for a search, K for top-k, where U's members tie at the largest
-// weight any candidate can have and so rank by id alone. Every candidate
-// still gets an exact verdict, so st.Validated stays |cand|. cand is left
+// is within ε, all of U joins the hits in id order. Every candidate still
+// gets an exact verdict, so st.Validated stays |cand|. cand is left
 // holding U.
 func (r *queryRun) validateReach(ctx context.Context, q *history.History, p core.Params,
-	cand, reach *bitmatrix.Vec, keep int, st *QueryStats,
+	cand, reach *bitmatrix.Vec, st *QueryStats,
 	check func(*core.Scratch, history.AttrID) (float64, bool, error)) ([]Ranked, error) {
 	if err := CtxErr(ctx); err != nil {
 		return nil, err
@@ -374,11 +378,7 @@ func (r *queryRun) validateReach(ctx context.Context, q *history.History, p core
 	if unreached == 0 || maxVio > p.Epsilon {
 		return hits, nil
 	}
-	ids := r.ar.todo[:0]
-	cand.ForEach(func(c int) bool {
-		ids = append(ids, c)
-		return len(ids) < keep
-	})
+	ids := cand.AppendOnes(r.ar.todo[:0])
 	r.ar.todo = ids
 	// Merge from the back, so no hit is overwritten before it moves.
 	n := len(hits)
@@ -491,23 +491,160 @@ func (r *queryRun) reverseSlicePrune(ctx context.Context, q *history.History, p 
 	return nil
 }
 
-// topK implements ModeTopK: one exact scan of every other attribute at
-// ε = +∞, which nothing prunes, so every candidate gets its exact weight
-// and the ranking is the best K of them. The key probe decides most of
-// those weights in closed form, and only the K smallest ids among them
-// can rank (DESIGN §5.1).
+// topK implements ModeTopK: the ranking by exact weight at ε = +∞, which
+// nothing prunes, so every other attribute is a candidate. rankReach
+// decides each candidate's place and sweeps only the few that can rank
+// (DESIGN §5.1); the rank phase sorts the best K it returns.
 func (r *queryRun) topK(ctx context.Context, q *history.History, o QueryOptions) (Result, error) {
 	var st QueryStats
 	p := core.Params{Epsilon: math.Inf(1), Delta: o.Params.Delta, Weight: o.Params.Weight}
-	hits, err := r.searchHits(ctx, q, p, false, o.K, &st)
+	cand := r.newCand()
+	defer r.x.pool.putVec(cand)
+	if _, err := r.prune(ctx, q, p, false, cand, &st); err != nil {
+		return Result{Stats: st}, err
+	}
+	endPhase := r.phase(obs.PhaseValidate, &st.Timings.Validate)
+	best, err := r.rankReach(ctx, q, p, cand, o.K, &st)
+	endPhase.end()
 	if err != nil {
 		return Result{Stats: st}, err
 	}
 	endRank := r.phase(obs.PhaseRank, &st.Timings.Rank)
-	ranked := append(make([]Ranked, 0, min(o.K, len(hits))), bestK(hits, o.K)...)
+	slices.SortFunc(best, RankOrder)
+	ranked := append(make([]Ranked, 0, len(best)), best...)
 	endRank.end()
 	st.Results = len(ranked)
 	return Result{Ranked: ranked, Stats: st}, nil
+}
+
+// rankReach returns, unsorted, the k candidates first in RankOrder by
+// exact weight, a threshold stop in the manner of Fagin, Lotem & Naor's
+// threshold algorithm:
+//
+//   - The candidates outside the key reach, U, each weigh MaxViolation(Q),
+//     the most any can, so they rank by id alone: the k smallest ids of U
+//     seed the best-k max-heap, exact.
+//   - Each reached candidate c gets a lower bound lb[c]: one probe of M_T
+//     per version of Q that is non-empty and observed before the horizon,
+//     with the version's full filter, and every reached candidate outside
+//     the probe lacks a value of the version, so its sweep adds the
+//     version's clamped weight, which lb[c] adds too.
+//   - The reached candidates are swept in ascending (lb, id) until the
+//     heap holds k and the next (lb, id) ranks after the heap's worst:
+//     every candidate left weighs at least its lb, so none can rank.
+//
+// lb[c] never exceeds c's exact weight, bit for bit: a Bloom false
+// positive only drops a term, lb's terms are a subset of the sweep's added
+// in the same relative order, and adding a weight ≥ 0 is monotone under
+// float rounding. Without M_T (Options.DisableRequiredValues) every
+// candidate is reached and bounded by 0, and the sweep is a full scan.
+// Every candidate's place is decided, so st.Validated is |cand|. The
+// sweep is sequential on one scratch; the returned heap lives in the
+// run's arena.
+func (r *queryRun) rankReach(ctx context.Context, q *history.History, p core.Params,
+	cand *bitmatrix.Vec, k int, st *QueryStats) ([]Ranked, error) {
+	x, ar := r.x, r.ar
+	if err := CtxErr(ctx); err != nil {
+		return nil, err
+	}
+	st.Validated = cand.Count()
+	pq := &ar.prep
+	pq.Prepare(q, p.Weight)
+	best := ar.hits[:0]
+	add := func(h Ranked) {
+		switch {
+		case len(best) < k:
+			if best = append(best, h); len(best) == k {
+				heapify(best, maxHeap)
+			}
+		case RankOrder(h, best[0]) < 0:
+			best[0] = h
+			siftDown(best, 0, maxHeap)
+		}
+	}
+	reach := cand
+	if !x.opt.DisableRequiredValues {
+		reach = r.keyReach(q, p.Weight.Horizon(), cand)
+		cand.AndNot(reach)
+		qm[r.mode].closedForm.Add(int64(cand.Count()))
+		maxVio := core.MaxViolation(q, p.Weight)
+		cand.ForEach(func(c int) bool {
+			add(Ranked{ID: history.AttrID(c), Violation: maxVio})
+			return len(best) < k
+		})
+		if err := r.lowerBounds(ctx, q, pq, p.Weight.Horizon(), reach); err != nil {
+			return nil, err
+		}
+	}
+	queue := r.boundQueue(reach)
+
+	if len(ar.scratch) == 0 {
+		ar.scratch = append(ar.scratch, new(core.Scratch))
+	}
+	s := ar.scratch[0]
+	var err error
+	for len(queue) > 0 && (len(best) < k || RankOrder(queue[0], best[0]) <= 0) {
+		c := queue[0].ID
+		last := len(queue) - 1
+		queue[0] = queue[last]
+		queue = queue[:last]
+		siftDown(queue, 0, minHeap)
+		var w float64
+		if w, _, err = s.CheckPrepared(ctx, pq, x.ds.Attr(c), p); err != nil {
+			break
+		}
+		add(Ranked{ID: c, Violation: w})
+	}
+	qm[r.mode].windowSweeps.Add(int64(s.TakeWindowSweeps()))
+	if err != nil {
+		return nil, typedErr(ctx, err)
+	}
+	ar.hits = best
+	return best, nil
+}
+
+// lowerBounds adds to the arena's lb[c], for every candidate c in reach,
+// the clamped weight of each version of Q, in version order, that c lacks
+// a value of by the M_T probe with the version's full filter; versions
+// that are empty or unobserved before horizon n add nothing, as in the
+// sweep. It polls ctx once per probe and, when ctx is done, returns its
+// error with lb reset to zero.
+func (r *queryRun) lowerBounds(ctx context.Context, q *history.History, pq *core.Prepared,
+	n timeline.Time, reach *bitmatrix.Vec) error {
+	x, ar := r.x, r.ar
+	lb := ar.bounds()
+	for i := range q.NumVersions() {
+		qv := q.Version(i).Values
+		if qv.IsEmpty() || q.Validity(i).Clamp(n).IsEmpty() {
+			continue
+		}
+		if err := CtxErr(ctx); err != nil {
+			reach.ForEach(func(c int) bool { lb[c] = 0; return true })
+			return err
+		}
+		ar.bits = x.mT.SupersetsInto(r.filterFor(qv), reach, ar.pv, ar.bits)
+		w := pq.Sum(i)
+		reach.ForEachAndNot(ar.pv, func(c int) bool { lb[c] += w; return true })
+	}
+	return nil
+}
+
+// boundQueue returns the candidates of reach, each with its lower bound
+// as Violation, as a min-heap in RankOrder: ascending (lb, id). Collecting
+// the bounds resets them, so lb is all zero between queries. The queue
+// lives in the run's arena.
+func (r *queryRun) boundQueue(reach *bitmatrix.Vec) []Ranked {
+	ar := r.ar
+	lb := ar.bounds()
+	queue := ar.queue[:0]
+	reach.ForEach(func(c int) bool {
+		queue = append(queue, Ranked{ID: history.AttrID(c), Violation: lb[c]})
+		lb[c] = 0
+		return true
+	})
+	ar.queue = queue
+	heapify(queue, minHeap)
+	return queue
 }
 
 // RankOrder is top-k's order on every tier: ascending violation, ties by
@@ -519,39 +656,33 @@ func RankOrder(a, b Ranked) int {
 	return cmp.Compare(a.ID, b.ID)
 }
 
-// bestK moves the k first hits in RankOrder to the front of hits, sorted,
-// and returns them: a max-heap of the best k seen so far, where a full
-// sort would order every hit of the scan to keep ten.
-func bestK(hits []Ranked, k int) []Ranked {
-	if k >= len(hits) {
-		slices.SortFunc(hits, RankOrder)
-		return hits
+// The two heaps of rankReach: the best k so far are a maxHeap, the bound
+// queue a minHeap.
+const (
+	maxHeap = 1
+	minHeap = -1
+)
+
+// heapify orders h into a heap in O(len(h)).
+func heapify(h []Ranked, dir int) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i, dir)
 	}
-	top := hits[:k]
-	for i := k/2 - 1; i >= 0; i-- {
-		siftDown(top, i)
-	}
-	for _, h := range hits[k:] {
-		if RankOrder(h, top[0]) < 0 {
-			top[0] = h
-			siftDown(top, 0)
-		}
-	}
-	slices.SortFunc(top, RankOrder)
-	return top
 }
 
-// siftDown restores the max-heap property of h in RankOrder below i.
-func siftDown(h []Ranked, i int) {
+// siftDown restores the heap property of h below i: no child comes after
+// its parent under dir × RankOrder, so a maxHeap keeps the last in
+// RankOrder at the root and a minHeap the first.
+func siftDown(h []Ranked, i, dir int) {
 	for {
 		c := 2*i + 1
 		if c >= len(h) {
 			return
 		}
-		if c+1 < len(h) && RankOrder(h[c+1], h[c]) > 0 {
+		if c+1 < len(h) && dir*RankOrder(h[c+1], h[c]) > 0 {
 			c++
 		}
-		if RankOrder(h[c], h[i]) <= 0 {
+		if dir*RankOrder(h[c], h[i]) <= 0 {
 			return
 		}
 		h[i], h[c] = h[c], h[i]

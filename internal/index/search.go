@@ -28,7 +28,7 @@ type QueryStats struct {
 	InitialCandidates int           `json:"initial_candidates"` // after M_T, M_R or the prefix index (forward: every attribute when R_ε(Q) is empty)
 	AfterSlices       int           `json:"after_slices"`       // after time-slice pruning
 	AfterSubsetCheck  int           `json:"after_subset_check"` // after the forward subset pre-check (line 16); reverse: AfterSlices
-	Validated         int           `json:"validated"`          // candidates given an exact verdict, by Algorithm 2 or by its closed form
+	Validated         int           `json:"validated"`          // candidates given an exact verdict or place: by Algorithm 2, its closed form, or (top-k) a lower bound ≤ the exact weight that ranks them after the K-th
 	Results           int           `json:"results"`            // valid tINDs
 	SlicesUsed        int           `json:"slices_used"`        // slice indices consulted (top-k: none, its ε is +∞)
 	Elapsed           time.Duration `json:"elapsed_ns"`         // total query time
