@@ -296,7 +296,7 @@ func (b *bench) runSize(n int) ([]Scenario, error) {
 	}
 
 	// refresh_ingest: live delta batches through the WAL-backed ingester
-	// into shard-local refresh — the serving-side maintenance path
+	// into the sharded refresh — the serving-side maintenance path
 	// (validate → WAL append → apply). Runs last within a size: it evolves
 	// the dataset, which must not leak into the scenarios above. The WAL
 	// runs unsynced so the numbers measure the pipeline, not the disk.

@@ -55,9 +55,9 @@ func (d *Dataset) Add(h *History) (AttrID, error) {
 
 // Replace swaps the history registered under id for h, assigning h the
 // id in place. The replacement must satisfy the same invariants Add
-// enforces. Sharded refresh uses it to swap an updated clone of a
-// changed attribute into a shard's dataset; callers must hold whatever
-// lock protects readers of the dataset (index.RefreshWith does).
+// enforces. Live ingestion uses it to swap an updated clone of a changed
+// attribute into the dataset; callers must hold whatever lock protects
+// readers of the dataset (index.RefreshWith does).
 func (d *Dataset) Replace(id AttrID, h *History) error {
 	if id < 0 || int(id) >= len(d.attrs) {
 		return fmt.Errorf("history: Replace id %d out of range [0, %d)", id, len(d.attrs))
@@ -71,14 +71,6 @@ func (d *Dataset) Replace(id AttrID, h *History) error {
 	h.id = id
 	d.attrs[id] = h
 	return nil
-}
-
-// Derive returns an empty dataset sharing the receiver's value
-// dictionary, with the given horizon. Shard partitioning and the sharded
-// persist format build per-shard datasets this way so value ids stay
-// compatible across shards (one global intern table).
-func (d *Dataset) Derive(horizon timeline.Time) *Dataset {
-	return &Dataset{dict: d.dict, horizon: horizon}
 }
 
 // Subset returns a new dataset view containing only the first n attributes,

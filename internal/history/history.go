@@ -78,12 +78,12 @@ func (h *History) ID() AttrID { return h.id }
 
 // Clone returns an unregistered shallow copy of the history: same meta,
 // versions and value sets (shared, per their immutability contract), but
-// id -1 so the clone can be registered with a different dataset. Sharded
-// serving clones histories into per-shard datasets because Dataset.Add
-// assigns ids in place — one History pointer cannot carry a global and a
-// shard-local id at once. Appends to the original do not affect a clone:
-// Append replaces the version-slice header and the value-set union
-// rather than mutating the elements a clone's headers reach.
+// id -1 until Dataset.Replace registers it. Live ingestion appends to a
+// clone and swaps it in, so readers holding the published history never
+// see it change. Appends to the original do not affect a clone: Append
+// replaces the version-slice header and the value-set union rather than
+// mutating the elements a clone's headers reach. An index's copy of each
+// column it holds relies on the same property (index.BuildOver).
 func (h *History) Clone() *History {
 	c := *h
 	c.id = -1

@@ -21,11 +21,11 @@ import (
 type BatchQuery struct {
 	// Query is the query attribute's history; ignored when ByID is set.
 	Query *history.History
-	// ID selects one of the dataset's own attributes as the query when
-	// ByID is true, resolved under the index read lock. The sharded
-	// scatter path depends on this: a pointer resolved outside the lock
-	// could be a stale pre-refresh clone, silently breaking
-	// self-exclusion.
+	// ID selects one of the indexed attributes, by dataset id, as the
+	// query when ByID is true, resolved under the index read lock to the
+	// history the index holds. The sharded scatter path depends on this:
+	// a pointer resolved outside the lock could be a stale pre-refresh
+	// clone, silently breaking self-exclusion.
 	ID   history.AttrID
 	ByID bool
 	// Options parameterizes the sub-query exactly like a Query call.
@@ -180,15 +180,15 @@ func (x *Index) QueryBatch(ctx context.Context, batch []BatchQuery, o BatchOptio
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 
-	n := x.ds.Len()
 	qs := make([]*history.History, len(batch))
 	for i := range batch {
 		if batch[i].ByID {
-			if batch[i].ID < 0 || int(batch[i].ID) >= n {
-				return nil, fmt.Errorf("%w: batch entry %d: query attribute %d out of range",
+			c, ok := x.column(batch[i].ID)
+			if !ok {
+				return nil, fmt.Errorf("%w: batch entry %d: query attribute %d is not indexed",
 					ErrInvalidOptions, i, batch[i].ID)
 			}
-			qs[i] = x.ds.Attr(batch[i].ID)
+			qs[i] = x.cols[c]
 		} else {
 			qs[i] = batch[i].Query
 		}
@@ -239,7 +239,7 @@ func (x *Index) runEntries(n, workers int, entry func(i int, ar *arena, valWorke
 	}
 	run := func() {
 		defer st.wg.Done()
-		ar := x.pool.getArena(x.ds.Len(), x.opt.Bloom)
+		ar := x.pool.getArena(len(x.cols), x.opt.Bloom)
 		defer x.pool.putArena(ar)
 		for {
 			i := int(st.next.Add(1)) - 1

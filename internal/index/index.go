@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -149,8 +150,20 @@ type timeSlice struct {
 type Index struct {
 	// mu serializes Refresh and Reslice (writers) against queries and
 	// stats readers.
-	mu           sync.RWMutex
+	mu sync.RWMutex
+	// ds is the caller's dataset. Column c of every matrix, and slot c of
+	// every per-attribute table, is its attribute ids[c] (ascending).
+	// src[c] is that attribute's history in ds as Build or the column's
+	// last Refresh read it, and cols[c] the index's own copy of it.
+	// Queries read cols, never ds or src: Append replaces a history's
+	// fields without writing what a copy reaches (History.Clone), so an
+	// in-place append to a dataset history runs beside queries that do
+	// not name it, and the index sees it only when Refresh re-reads the
+	// column.
 	ds           *history.Dataset
+	ids          []history.AttrID
+	src          []*history.History
+	cols         []*history.History
 	opt          Options
 	mT           *bitmatrix.Matrix // columns: Bloom(A[T])
 	mR           *bitmatrix.Matrix // columns: Bloom(R_{ε,w}(A)); reverse only
@@ -210,9 +223,24 @@ type BuildStats struct {
 	SlicePruningPower []float64
 }
 
-// Build constructs the index over a dataset. Malformed options are
-// rejected with a typed error wrapping ErrInvalidOptions.
+// Build constructs the index over every attribute of a dataset: BuildOver
+// with every id.
 func Build(ds *history.Dataset, opt Options) (*Index, error) {
+	ids := make([]history.AttrID, ds.Len())
+	for i := range ids {
+		ids[i] = history.AttrID(i)
+	}
+	return BuildOver(ds, ids, opt)
+}
+
+// BuildOver constructs the index over the attributes of ds that ids names,
+// ascending; a shard indexes the ones it owns. Every answer names
+// attributes by their dataset ids. The index reads each attribute from its
+// own copy of the history, taken here and at the column's Refresh, so an
+// append in place reaches queries only through Refresh. The index keeps
+// ids; the caller must not modify it. Malformed options or ids are rejected with a typed error
+// wrapping ErrInvalidOptions.
+func BuildOver(ds *history.Dataset, ids []history.AttrID, opt Options) (*Index, error) {
 	start := time.Now()
 	opt = opt.withDefaults(ds.Horizon())
 	if err := opt.Validate(); err != nil {
@@ -222,10 +250,21 @@ func Build(ds *history.Dataset, opt Options) (*Index, error) {
 		return nil, fmt.Errorf("%w: weight horizon %d does not match dataset horizon %d",
 			ErrInvalidOptions, opt.Params.Weight.Horizon(), ds.Horizon())
 	}
+	src := make([]*history.History, len(ids))
+	attrs := make([]*history.History, len(ids))
+	copies := make([]history.History, len(ids))
+	for c, id := range ids {
+		if id < 0 || int(id) >= ds.Len() || c > 0 && id <= ids[c-1] {
+			return nil, fmt.Errorf("%w: attribute ids must ascend within [0,%d), got %d at %d",
+				ErrInvalidOptions, ds.Len(), id, c)
+		}
+		src[c] = ds.Attr(id)
+		copies[c] = *src[c]
+		attrs[c] = &copies[c]
+	}
 
-	idx := &Index{ds: ds, opt: opt, baseHorizon: ds.Horizon()}
-	n := ds.Len()
-	attrs := ds.Attrs()
+	idx := &Index{ds: ds, ids: ids, src: src, cols: attrs, opt: opt, baseHorizon: ds.Horizon()}
+	n := len(attrs)
 
 	// Each matrix is filled in place, its 64-column blocks in parallel
 	// (bitmatrix.FillColumns); set builds attribute h's column values in
@@ -314,30 +353,30 @@ func (ts timeSlice) window(opt Options) timeline.Interval {
 	return ts.iv.Expand(opt.Params.Delta)
 }
 
-// refill brings the changed attributes' slice columns up to date with
-// their histories in ds. Histories only change on days at or after the end
+// refill brings the changed columns of the slices up to date with their
+// histories in cols. Histories only change on days at or after the end
 // the columns were filled to, so a slice whose I^δ ends at or before it is
 // skipped, and the others need only the values of I^δ's days from that
 // end on: A[I^δ] is the old set plus those, and a column's Bloom filter is
 // the OR of its parts. The minimum violation weight is recomputed whole,
 // since the version valid at the old end may have grown. Slices are the
 // outer loop so one matrix's rows stay in cache across the attributes.
-func (ss *sliceState) refill(changed []history.AttrID, ds *history.Dataset, opt Options) {
+func (ss *sliceState) refill(changed []int, cols []*history.History, opt Options) {
 	for _, ts := range ss.slices {
 		window := ts.window(opt)
-		for _, id := range changed {
-			if end := ss.filled[id]; window.End > end {
-				h := ds.Attr(id)
+		for _, c := range changed {
+			if end := ss.filled[c]; window.End > end {
+				h := cols[c]
 				fresh := timeline.NewInterval(max(window.Start, end), window.End)
-				ts.matrix.SetColumn(int(id), bloom.FromSet(opt.Bloom, h.Union(fresh)))
+				ts.matrix.SetColumn(c, bloom.FromSet(opt.Bloom, h.Union(fresh)))
 				if ts.minVio != nil {
-					ts.minVio[id] = minViolationWeight(h, window, opt.Params.Weight)
+					ts.minVio[c] = minViolationWeight(h, window, opt.Params.Weight)
 				}
 			}
 		}
 	}
-	for _, id := range changed {
-		ss.filled[id] = ds.Attr(id).ObservedUntil()
+	for _, c := range changed {
+		ss.filled[c] = cols[c].ObservedUntil()
 	}
 }
 
@@ -442,7 +481,7 @@ func minViolationWeight(h *history.History, expanded timeline.Interval, w timeli
 func (x *Index) Stats() BuildStats {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	s := BuildStats{Attributes: x.ds.Len(), Slices: len(x.ss.slices)}
+	s := BuildStats{Attributes: len(x.cols), Slices: len(x.ss.slices)}
 	s.MemoryBytes = x.mT.MemoryBytes()
 	for _, ts := range x.ss.slices {
 		s.SliceSpans = append(s.SliceSpans, ts.iv)
@@ -461,8 +500,14 @@ func (x *Index) Stats() BuildStats {
 	return s
 }
 
-// Dataset returns the indexed dataset.
+// Dataset returns the dataset the indexed attributes belong to.
 func (x *Index) Dataset() *history.Dataset { return x.ds }
+
+// column returns the column of dataset attribute id, reporting whether the
+// index holds it.
+func (x *Index) column(id history.AttrID) (int, bool) {
+	return slices.BinarySearch(x.ids, id)
+}
 
 // Options returns the options the index was built with (including the
 // current weight horizon, which Refresh advances).

@@ -22,8 +22,8 @@ const prefixSlack = 1e-9
 // it holds no value, so no query can cover or violate it.
 const noPrefix = values.Value(math.MaxUint32)
 
-// prefixEntry names one indexed version: version `version` of attribute
-// `attr`.
+// prefixEntry names one indexed version: version `version` of the
+// attribute in column `attr`.
 type prefixEntry struct {
 	attr, version int32
 }
@@ -145,11 +145,11 @@ func (px *prefixIndex) prefix(s values.Set) values.Value {
 	return best
 }
 
-// refresh indexes attribute a's versions from the count it had indexed on
-// and recomputes its maximum violation under w. Appends only add versions
-// at a history's end, and a grown last version's weight is read live by
-// every query, so nothing already indexed moves.
-func (px *prefixIndex) refresh(a history.AttrID, h *history.History, w timeline.WeightFunc) {
+// refresh indexes the versions of column a, now history h, from the count
+// it had indexed on and recomputes its maximum violation under w. Appends
+// only add versions at a history's end, and a grown last version's weight
+// is read live by every query, so nothing already indexed moves.
+func (px *prefixIndex) refresh(a int, h *history.History, w timeline.WeightFunc) {
 	for i := int(px.indexed[a]); i < h.NumVersions(); i++ {
 		v := px.prefix(h.Version(i).Values)
 		if v == noPrefix {
@@ -187,7 +187,7 @@ func (px *prefixIndex) memoryBytes() int64 {
 func (r *queryRun) prefixCandidates(q *history.History, p core.Params, cand *bitmatrix.Vec) {
 	x, ar := r.x, r.ar
 	px := &x.px
-	n := x.ds.Len()
+	n := len(x.cols)
 	if len(ar.covered) != n {
 		ar.covered = make([]float64, n)
 	}
@@ -198,7 +198,7 @@ func (r *queryRun) prefixCandidates(q *history.History, p core.Params, cand *bit
 		for _, list := range [2][]prefixEntry{built, added} {
 			read += len(list)
 			for _, e := range list {
-				h := x.ds.Attr(history.AttrID(e.attr))
+				h := x.cols[e.attr]
 				covered[e.attr] += w.Sum(h.Validity(int(e.version)).Clamp(w.Horizon()))
 			}
 		}
@@ -211,7 +211,7 @@ func (r *queryRun) prefixCandidates(q *history.History, p core.Params, cand *bit
 			ar.maxVio = make([]float64, n)
 		}
 		maxVio = ar.maxVio
-		for a, h := range x.ds.Attrs() {
+		for a, h := range x.cols {
 			maxVio[a] = core.MaxViolation(h, w)
 		}
 	}
@@ -237,15 +237,15 @@ func (x *Index) CheckPrefix() error {
 	seen := make(map[prefixEntry]bool)
 	check := func(v values.Value, list []prefixEntry) error {
 		for _, e := range list {
-			if int(e.attr) >= x.ds.Len() || int(e.version) >= x.ds.Attr(history.AttrID(e.attr)).NumVersions() {
+			if int(e.attr) >= len(x.cols) || int(e.version) >= x.cols[e.attr].NumVersions() {
 				return fmt.Errorf("index: prefix entry %v under value %d names no version", e, v)
 			}
-			if !x.ds.Attr(history.AttrID(e.attr)).Version(int(e.version)).Values.Contains(v) {
-				return fmt.Errorf("index: attribute %d version %d is indexed under value %d it does not hold",
+			if !x.cols[e.attr].Version(int(e.version)).Values.Contains(v) {
+				return fmt.Errorf("index: column %d version %d is indexed under value %d it does not hold",
 					e.attr, e.version, v)
 			}
 			if seen[e] {
-				return fmt.Errorf("index: attribute %d version %d is indexed twice", e.attr, e.version)
+				return fmt.Errorf("index: column %d version %d is indexed twice", e.attr, e.version)
 			}
 			seen[e] = true
 		}
@@ -262,14 +262,14 @@ func (x *Index) CheckPrefix() error {
 			return err
 		}
 	}
-	for a, h := range x.ds.Attrs() {
+	for a, h := range x.cols {
 		for i := range h.NumVersions() {
 			if !h.Version(i).Values.IsEmpty() && !seen[prefixEntry{int32(a), int32(i)}] {
-				return fmt.Errorf("index: attribute %d version %d is not indexed", a, i)
+				return fmt.Errorf("index: column %d version %d is not indexed", a, i)
 			}
 		}
 		if got, want := x.px.maxVio[a], core.MaxViolation(h, x.opt.Params.Weight); got != want {
-			return fmt.Errorf("index: attribute %d has maximum violation %g, a fresh build %g", a, got, want)
+			return fmt.Errorf("index: column %d has maximum violation %g, a fresh build %g", a, got, want)
 		}
 	}
 	return nil

@@ -98,7 +98,7 @@ func (x *Index) Query(ctx context.Context, q *history.History, o QueryOptions) (
 // runOne executes a validated query on an arena of its own; the caller
 // holds the read lock.
 func (x *Index) runOne(ctx context.Context, q *history.History, o QueryOptions) (Result, error) {
-	ar := x.pool.getArena(x.ds.Len(), x.opt.Bloom)
+	ar := x.pool.getArena(len(x.cols), x.opt.Bloom)
 	defer x.pool.putArena(ar)
 	return x.runEntry(ctx, q, o, ar, 0)
 }
@@ -154,7 +154,7 @@ type queryRun struct {
 
 // newCand returns a pooled dataset-width candidate vector with
 // unspecified contents.
-func (r *queryRun) newCand() *bitmatrix.Vec { return r.x.pool.getVec(r.x.ds.Len()) }
+func (r *queryRun) newCand() *bitmatrix.Vec { return r.x.pool.getVec(len(r.x.cols)) }
 
 // filterFor rebuilds the arena's Bloom filter over the set. The returned
 // filter is only valid until the next filterFor call on the same run.
@@ -331,14 +331,14 @@ func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Pa
 			reach = r.keyReach(q, p.Weight.Horizon(), cand)
 		}
 	}
-	check := func(s *core.Scratch, c history.AttrID) (float64, bool, error) {
+	check := func(s *core.Scratch, c int) (float64, bool, error) {
 		switch {
 		case reverse:
-			return s.Check(ctx, x.ds.Attr(c), q, p)
+			return s.Check(ctx, x.cols[c], q, p)
 		case pq != nil:
-			return s.CheckPrepared(ctx, pq, x.ds.Attr(c), p)
+			return s.CheckPrepared(ctx, pq, x.cols[c], p)
 		}
-		return s.Check(ctx, q, x.ds.Attr(c), p)
+		return s.Check(ctx, q, x.cols[c], p)
 	}
 	var hits []Ranked
 	if reach == nil {
@@ -362,7 +362,7 @@ func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Pa
 // holding U.
 func (r *queryRun) validateReach(ctx context.Context, q *history.History, p core.Params,
 	cand, reach *bitmatrix.Vec, st *QueryStats,
-	check func(*core.Scratch, history.AttrID) (float64, bool, error)) ([]Ranked, error) {
+	check func(s *core.Scratch, col int) (float64, bool, error)) ([]Ranked, error) {
 	if err := CtxErr(ctx); err != nil {
 		return nil, err
 	}
@@ -378,17 +378,17 @@ func (r *queryRun) validateReach(ctx context.Context, q *history.History, p core
 	if unreached == 0 || maxVio > p.Epsilon {
 		return hits, nil
 	}
-	ids := cand.AppendOnes(r.ar.todo[:0])
-	r.ar.todo = ids
+	cols := cand.AppendOnes(r.ar.todo[:0])
+	r.ar.todo = cols
 	// Merge from the back, so no hit is overwritten before it moves.
 	n := len(hits)
-	hits = slices.Grow(hits, len(ids))[:n+len(ids)]
-	for i, j, k := n-1, len(ids)-1, len(hits)-1; j >= 0; k-- {
-		if i >= 0 && int(hits[i].ID) > ids[j] {
+	hits = slices.Grow(hits, len(cols))[:n+len(cols)]
+	for i, j, k := n-1, len(cols)-1, len(hits)-1; j >= 0; k-- {
+		if id := r.x.ids[cols[j]]; i >= 0 && hits[i].ID > id {
 			hits[k] = hits[i]
 			i--
 		} else {
-			hits[k] = Ranked{ID: history.AttrID(ids[j]), Violation: maxVio}
+			hits[k] = Ranked{ID: id, Violation: maxVio}
 			j--
 		}
 	}
@@ -569,7 +569,7 @@ func (r *queryRun) rankReach(ctx context.Context, q *history.History, p core.Par
 		qm[r.mode].closedForm.Add(int64(cand.Count()))
 		maxVio := core.MaxViolation(q, p.Weight)
 		cand.ForEach(func(c int) bool {
-			add(Ranked{ID: history.AttrID(c), Violation: maxVio})
+			add(Ranked{ID: x.ids[c], Violation: maxVio})
 			return len(best) < k
 		})
 		if err := r.lowerBounds(ctx, q, pq, p.Weight.Horizon(), reach); err != nil {
@@ -584,16 +584,17 @@ func (r *queryRun) rankReach(ctx context.Context, q *history.History, p core.Par
 	s := ar.scratch[0]
 	var err error
 	for len(queue) > 0 && (len(best) < k || RankOrder(queue[0], best[0]) <= 0) {
-		c := queue[0].ID
+		id := queue[0].ID
+		c, _ := x.column(id)
 		last := len(queue) - 1
 		queue[0] = queue[last]
 		queue = queue[:last]
 		siftDown(queue, 0, minHeap)
 		var w float64
-		if w, _, err = s.CheckPrepared(ctx, pq, x.ds.Attr(c), p); err != nil {
+		if w, _, err = s.CheckPrepared(ctx, pq, x.cols[c], p); err != nil {
 			break
 		}
-		add(Ranked{ID: c, Violation: w})
+		add(Ranked{ID: id, Violation: w})
 	}
 	qm[r.mode].windowSweeps.Add(int64(s.TakeWindowSweeps()))
 	if err != nil {
@@ -638,7 +639,7 @@ func (r *queryRun) boundQueue(reach *bitmatrix.Vec) []Ranked {
 	lb := ar.bounds()
 	queue := ar.queue[:0]
 	reach.ForEach(func(c int) bool {
-		queue = append(queue, Ranked{ID: history.AttrID(c), Violation: lb[c]})
+		queue = append(queue, Ranked{ID: r.x.ids[c], Violation: lb[c]})
 		lb[c] = 0
 		return true
 	})

@@ -37,14 +37,17 @@ import (
 // to have been built with a timeline.Constant weight function; rebuild
 // for decaying weights (whose per-day weights shift with the horizon).
 //
-// newHorizon must match the dataset's (already extended) horizon.
+// newHorizon must match the dataset's (already extended) horizon. Every id
+// in changed must be indexed; its column is re-read from the dataset, so a
+// history swapped in with Dataset.Replace, or appended to in place, is
+// picked up. The weight horizon advances even when changed is empty.
 //
 // Refresh is safe to call concurrently with queries: it takes the index's
 // write lock, blocking until in-flight queries drain and holding new ones
 // back until the matrices are consistent again. The underlying history
-// appends remain the caller's to serialize — Append/ExtendObservation
-// mutate version slices that running queries read, so apply them before
-// queries can observe the new horizon (or while no queries are in flight).
+// appends remain the caller's to serialize against queries of the appended
+// attributes themselves, which read the caller's history; every other
+// query reads only the index's copy of each column.
 func (x *Index) Refresh(changed []history.AttrID, newHorizon timeline.Time) error {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -54,7 +57,7 @@ func (x *Index) Refresh(changed []history.AttrID, newHorizon timeline.Time) erro
 // RefreshWith runs prepare under the index's write lock — with queries
 // drained and held back — and then refreshes the attribute IDs prepare
 // returns. It exists for callers that must mutate the indexed dataset
-// itself (e.g. a shard swapping in updated history clones) atomically
+// itself (e.g. the ingester swapping in updated history clones) atomically
 // with the matrix refresh: between prepare and the refresh no query can
 // observe the half-applied state. prepare runs exactly once; an error
 // from it aborts the refresh with the matrices untouched.
@@ -88,30 +91,38 @@ func (x *Index) refreshLocked(changed []history.AttrID, newHorizon timeline.Time
 	// Validate every ID before touching any state: a bad ID mid-batch must
 	// not leave the index half-refreshed (weight advanced, some columns
 	// rewritten) — refresh is all-or-nothing.
-	for _, id := range changed {
-		if id < 0 || int(id) >= x.ds.Len() {
-			return fmt.Errorf("index: changed attribute %d out of range", id)
+	cols := make([]int, len(changed))
+	for i, id := range changed {
+		var ok bool
+		if cols[i], ok = x.column(id); !ok {
+			return fmt.Errorf("index: changed attribute %d is not indexed", id)
 		}
 	}
 	x.opt.Params.Weight = timeline.Constant{N: newHorizon, C: c.C}
 
-	for _, id := range changed {
-		h := x.ds.Attr(id)
+	for i, col := range cols {
+		x.src[col] = x.ds.Attr(changed[i])
+		*x.cols[col] = *x.src[col]
+		h := x.cols[col]
 		// Adding the full current value set is idempotent: existing bits
 		// stay set, new values contribute their bits.
-		x.mT.SetColumn(int(id), bloom.FromSet(x.opt.Bloom, h.AllValues()))
+		x.mT.SetColumn(col, bloom.FromSet(x.opt.Bloom, h.AllValues()))
 		if x.mR != nil {
 			req := core.RequiredValues(h, x.opt.Params.Epsilon, x.opt.Params.Weight)
-			x.mR.SetColumn(int(id), bloom.FromSet(x.opt.Bloom, req))
+			x.mR.SetColumn(col, bloom.FromSet(x.opt.Bloom, req))
 		}
-		x.px.refresh(id, h, x.opt.Params.Weight)
+		x.px.refresh(col, h, x.opt.Params.Weight)
 	}
-	x.ss.refill(changed, x.ds, x.opt)
-	obs.Events().Record(obs.Event{
-		Kind:     obs.EventRefresh,
-		Records:  len(changed),
-		Duration: time.Since(start),
-	})
+	x.ss.refill(cols, x.cols, x.opt)
+	if len(changed) > 0 {
+		// A refresh that only advances the horizon, as on every shard that
+		// owns none of the changed attributes, leaves no event.
+		obs.Events().Record(obs.Event{
+			Kind:     obs.EventRefresh,
+			Records:  len(changed),
+			Duration: time.Since(start),
+		})
+	}
 	return nil
 }
 
@@ -124,12 +135,12 @@ func (x *Index) refreshLocked(changed []history.AttrID, newHorizon timeline.Time
 func (x *Index) CheckSlices() error {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	n := x.ds.Len()
+	n := len(x.cols)
 	col, out := bitmatrix.NewVec(n), bitmatrix.NewVec(n)
 	var buf []int
 	for j, ts := range x.ss.slices {
 		window := ts.window(x.opt)
-		for a, h := range x.ds.Attrs() {
+		for a, h := range x.cols {
 			f := bloom.FromSet(x.opt.Bloom, h.Union(window))
 			col.Reset()
 			col.Set(a)

@@ -33,9 +33,9 @@ func (x *Index) Reslice() (ResliceStats, error) {
 	x.mu.Lock()
 	horizon := x.ds.Horizon()
 	rng := rand.New(rand.NewSource(x.opt.Seed + int64(horizon-x.baseHorizon)))
-	x.ss, _ = buildTimeSlices(x.ds.Attrs(), horizon, x.opt, rng)
+	x.ss, _ = buildTimeSlices(x.cols, horizon, x.opt, rng)
 	st := ResliceStats{Slices: len(x.ss.slices), Horizon: horizon}
-	attrs := x.ds.Len()
+	attrs := len(x.cols)
 	fill, power := x.ss.fillSlices, x.ss.slicePower
 	x.mu.Unlock()
 	st.Elapsed = time.Since(start)

@@ -130,7 +130,7 @@ func (x *Index) subsetCheck(ctx context.Context, cand *bitmatrix.Vec, req values
 			}
 		}
 		n++
-		if !req.SubsetOf(x.ds.Attr(history.AttrID(c)).AllValues()) {
+		if !req.SubsetOf(x.cols[c].AllValues()) {
 			cand.Clear(c)
 		}
 		return true
@@ -207,26 +207,29 @@ func sameWeight(a, b timeline.WeightFunc) (eq bool) {
 
 // excludeSelf removes the query's own column from the candidate set: every
 // tIND variant is reflexive (Section 3.4), so Q ⊆ Q carries no information.
+// Q is the column's attribute only if it is the very history indexed
+// there: the index's copy (a ByID query) or the dataset history it was
+// copied from.
 func (x *Index) excludeSelf(q *history.History, cand *bitmatrix.Vec) {
-	id := int(q.ID())
-	if id >= 0 && id < x.ds.Len() && x.ds.Attr(q.ID()) == q {
-		cand.Clear(id)
+	if c, ok := x.column(q.ID()); ok && (x.cols[c] == q || x.src[c] == q) {
+		cand.Clear(c)
 	}
 }
 
-// validate runs the exact check over all remaining candidates, in parallel
-// when the index allows it, and returns those that pass in ascending id
-// order, each with the exact violation weight its check certified. The
-// check itself may abort (a done context surfacing through the sweep's
-// poll); the first such error stops all workers at the next candidate
-// boundary and is returned, mapped to the typed query errors.
+// validate runs the exact check on the column of every remaining
+// candidate, in parallel when the index allows it, and returns those that
+// pass in ascending id order, each named by its dataset id with the exact
+// violation weight its check certified. The check itself may abort (a
+// done context surfacing through the sweep's poll); the first such error
+// stops all workers at the next candidate boundary and is returned,
+// mapped to the typed query errors.
 //
 // Workers claim candidates in chunks with one atomic add and write each
 // verdict into the candidate's own slot, so a sub-microsecond check pays
 // for no lock; the slots, the work list, the returned hits and the
 // per-worker sweep scratch all belong to the run's arena.
 func (r *queryRun) validate(ctx context.Context, cand *bitmatrix.Vec, st *QueryStats,
-	check func(*core.Scratch, history.AttrID) (float64, bool, error)) ([]Ranked, error) {
+	check func(s *core.Scratch, col int) (float64, bool, error)) ([]Ranked, error) {
 	ar := r.ar
 	ar.todo = cand.AppendOnes(ar.todo[:0])
 	todo := ar.todo
@@ -253,7 +256,7 @@ func (r *queryRun) validate(ctx context.Context, cand *bitmatrix.Vec, st *QueryS
 				if failed.Load() {
 					return nil
 				}
-				w, ok, err := check(s, history.AttrID(todo[i]))
+				w, ok, err := check(s, todo[i])
 				if err != nil {
 					failed.Store(true)
 					return err
@@ -299,7 +302,7 @@ func (r *queryRun) validate(ctx context.Context, cand *bitmatrix.Vec, st *QueryS
 	hits := ar.hits[:0]
 	for i, w := range verdicts {
 		if w >= 0 {
-			hits = append(hits, Ranked{ID: history.AttrID(todo[i]), Violation: w})
+			hits = append(hits, Ranked{ID: r.x.ids[todo[i]], Violation: w})
 		}
 	}
 	ar.hits = hits
@@ -333,14 +336,14 @@ func (x *Index) AllPairsContext(ctx context.Context, p core.Params, workers int)
 	defer func() { mAllPairsSeconds.ObserveDuration(time.Since(start)) }()
 
 	o := QueryOptions{Mode: ModeForward, Params: p}
-	n := x.ds.Len()
+	n := len(x.cols)
 	ids := make([][]history.AttrID, n)
 	errs := make([]error, min(n, BlockEntries))
 	// entry reads lo, which moves only between blocks, when no worker runs.
 	lo, found := 0, 0
 	entry := func(i int, ar *arena, valWorkers int) {
 		var res Result
-		res, errs[i] = x.runEntry(ctx, x.ds.Attr(history.AttrID(lo+i)), o, ar, valWorkers)
+		res, errs[i] = x.runEntry(ctx, x.cols[lo+i], o, ar, valWorkers)
 		ids[lo+i] = res.IDs
 	}
 	for ; lo < n; lo += BlockEntries {
@@ -356,9 +359,9 @@ func (x *Index) AllPairsContext(ctx context.Context, p core.Params, workers int)
 		}
 	}
 	pairs := slices.Grow([]Pair(nil), found)
-	for lhs, rhss := range ids {
+	for c, rhss := range ids {
 		for _, rhs := range rhss {
-			pairs = append(pairs, Pair{LHS: history.AttrID(lhs), RHS: rhs})
+			pairs = append(pairs, Pair{LHS: x.ids[c], RHS: rhs})
 		}
 	}
 	return pairs, nil

@@ -252,10 +252,10 @@ func TestValidateParallelMatchesSequential(t *testing.T) {
 	ctx := context.Background()
 	p := core.Params{Epsilon: 40, Delta: 7, Weight: timeline.Uniform(ds.Horizon())}
 	q := ds.Attr(3)
-	check := func(s *core.Scratch, c history.AttrID) (float64, bool, error) {
-		return s.Check(ctx, q, ds.Attr(c), p)
+	check := func(s *core.Scratch, c int) (float64, bool, error) {
+		return s.Check(ctx, q, ds.Attr(history.AttrID(c)), p)
 	}
-	run := func(workers int, check func(*core.Scratch, history.AttrID) (float64, bool, error)) ([]Ranked, int, error) {
+	run := func(workers int, check func(*core.Scratch, int) (float64, bool, error)) ([]Ranked, int, error) {
 		ar := x.pool.getArena(ds.Len(), x.opt.Bloom)
 		defer x.pool.putArena(ar)
 		r := &queryRun{x: x, ar: ar, valWorkers: workers}
@@ -276,7 +276,7 @@ func TestValidateParallelMatchesSequential(t *testing.T) {
 		}
 	}
 	var calls atomic.Int64
-	failing := func(s *core.Scratch, c history.AttrID) (float64, bool, error) {
+	failing := func(s *core.Scratch, c int) (float64, bool, error) {
 		if calls.Add(1) == 5 {
 			return 0, false, context.Canceled
 		}

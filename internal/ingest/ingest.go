@@ -152,7 +152,7 @@ type Ingester struct {
 	mu             sync.Mutex // guards everything below
 	pending        []wal.Record
 	pendingOffset  int64                            // WAL offset after the last pending batch
-	pendingEnd     map[history.AttrID]timeline.Time // observation end incl. pending appends
+	pendingEnd     map[history.AttrID]timeline.Time // observation end incl. every logged append
 	pendingHorizon timeline.Time                    // horizon incl. pending extensions
 	firstPending   time.Time                        // arrival of the oldest pending record
 	appliedOffset  int64
@@ -446,9 +446,11 @@ func (in *Ingester) apply() error {
 		in.mu.Unlock()
 		return nil
 	}
+	// pendingEnd stays: observation ends only grow, so each entry bounds
+	// the next record on its attribute whether this batch applies or not,
+	// and a Submit between here and the apply validates against it.
 	batch, endOffset := in.pending, in.pendingOffset
 	in.pending = nil
-	in.pendingEnd = make(map[history.AttrID]timeline.Time)
 	target := in.pendingHorizon
 	in.mu.Unlock()
 

@@ -153,10 +153,10 @@ func TestShardedQueryBatchValidation(t *testing.T) {
 }
 
 // TestShardedQueryBatchRacesIngest hammers QueryBatch against live
-// shard-local refresh: one goroutine evolves the attributes of a single
-// shard and refreshes, while batch queriers keep issuing full-corpus
-// batches (which necessarily scatter to the mutating shard too — ByID
-// entries there must resolve the freshest clone under the shard lock).
+// refresh: one goroutine evolves the attributes of a single shard and
+// refreshes, while batch queriers keep issuing full-corpus batches (which
+// necessarily scatter to the mutating shard too — its index reads only
+// its own copies of the appended histories, under the shard lock).
 // Afterwards the partition must answer exactly like a fresh build.
 func TestShardedQueryBatchRacesIngest(t *testing.T) {
 	const (

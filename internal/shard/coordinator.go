@@ -73,8 +73,8 @@ func (c *Coordinator) NumShards() int { return len(c.legs) }
 // scatter runs fn for every leg concurrently under a child of ctx that
 // the first non-degradable failure cancels, and returns the per-leg
 // errors (prefixed with the shard) and wall times. Each Single holds its
-// own RWMutex, so a Refresh touching one shard only blocks the leg
-// running against that shard.
+// own RWMutex, and Refresh locks one shard at a time, so it only blocks
+// the leg running against that shard.
 func (c *Coordinator) scatter(ctx context.Context, fn func(ctx context.Context, s int, leg Leg) error) ([]error, []time.Duration) {
 	errs := make([]error, len(c.legs))
 	times := make([]time.Duration, len(c.legs))

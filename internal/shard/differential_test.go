@@ -354,7 +354,7 @@ func TestShardedDecayWeight(t *testing.T) {
 
 // TestShardedRefreshMatchesRebuild: evolve the corpus (value drops,
 // foreign-value injections, pure observation extensions), refresh the
-// partition shard-locally, and demand exact agreement with a freshly
+// partition, and demand exact agreement with a freshly
 // built partition AND the refreshed monolith over the evolved dataset —
 // and band agreement with the oracle. Also pins that every shard's slice
 // matrices equal a fresh fill over its current histories.

@@ -15,7 +15,7 @@ import (
 )
 
 // TestShardLocalRefreshRacesCrossShardQueries hammers the operational
-// claim of shard-local refresh: while one goroutine repeatedly appends
+// claim of per-shard refresh: while one goroutine repeatedly appends
 // to the attributes of a single shard and refreshes the partition,
 // query goroutines keep issuing forward/reverse/top-k queries for
 // attributes owned by the *other* shards. Under -race this pins the
@@ -60,7 +60,7 @@ func TestShardLocalRefreshRacesCrossShardQueries(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
-	// Refresher: evolve only mutShard's attributes, refresh shard-locally.
+	// Refresher: evolve only mutShard's attributes, refresh the partition.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

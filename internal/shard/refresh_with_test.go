@@ -105,7 +105,7 @@ func TestShardedRefreshWithParity(t *testing.T) {
 		}
 	}
 
-	// Stale pre-swap pointers still route by local id: the answer matches
+	// Stale pre-swap pointers still run by id: the answer matches
 	// a fresh-pointer query, and self-exclusion holds.
 	for i, g := range changed {
 		a, err := sx.Query(ctx, stale[i], index.QueryOptions{Mode: index.ModeForward, Params: p1})

@@ -1,8 +1,8 @@
 // Package shard scales the monolithic index.Index out to N independent
 // shards behind the same query contract. Attributes are hash-partitioned
 // by AttrID (history.ShardOf, deterministic under a fixed seed) and each
-// shard is a Single: a complete index.Index over its own slice of the
-// corpus that speaks global AttrIDs. The Coordinator is the system's one
+// shard is a Single: an index.Index over the global attributes it owns,
+// in the one id space of the corpus. The Coordinator is the system's one
 // scatter-gather over a set of Legs: queries scatter to every leg and
 // gather — forward/reverse result sets union, top-k rankings k-way merge,
 // all-pairs discovery sends blocks of forward queries through the batch
@@ -12,11 +12,11 @@
 // single-shard Index for every mode. ShardedIndex is the Coordinator over in-process Singles;
 // internal/router's Router is the same Coordinator over HTTP legs.
 //
-// The payoff over one monolith is operational: Refresh becomes
-// shard-local (only the shards owning changed attributes take their
-// write lock, so queries against untouched shards never block), builds
-// proceed shard-parallel, and the per-shard slice budget shrinks by the
-// shard count (see PartitionOptions) without losing exactness.
+// The payoff over one monolith is operational: Refresh locks one shard at
+// a time (the shards owning changed attributes refill their columns, the
+// rest only advance their weight horizon), builds proceed shard-parallel,
+// and the per-shard slice budget shrinks by the shard count (see
+// PartitionOptions) without losing exactness.
 package shard
 
 import (
@@ -62,8 +62,8 @@ func PartitionOptions(mono index.Options, shards int) index.Options {
 
 // ShardedIndex serves the index.Index query contract over N hash
 // partitions of one dataset: the Coordinator over N in-process *Single
-// legs. Immutable after Build except through Refresh, which locks only
-// the shards owning changed attributes.
+// legs. Immutable after Build except through Refresh, which locks one
+// shard at a time.
 type ShardedIndex struct {
 	*Coordinator
 	opt     Options
@@ -83,10 +83,7 @@ func Build(ds *history.Dataset, opt Options) (*ShardedIndex, error) {
 	sx := &ShardedIndex{opt: opt, g: &global{ds: ds}, singles: make([]*Single, opt.Shards)}
 	legs := make([]Leg, opt.Shards)
 	for s := range sx.singles {
-		sg, err := carve(sx.g, opt, s, OwnedGlobals(ds.Len(), opt.Seed, opt.Shards, s))
-		if err != nil {
-			return nil, err
-		}
+		sg := &Single{ShardID: s, opt: opt, g: sx.g, globals: OwnedGlobals(ds.Len(), opt.Seed, opt.Shards, s)}
 		sx.singles[s], legs[s] = sg, sg
 	}
 	sx.Coordinator = NewCoordinator(legs, ds.Len())
@@ -114,9 +111,8 @@ func Build(ds *history.Dataset, opt Options) (*ShardedIndex, error) {
 
 // OwnedGlobals returns the global attribute ids that shard s owns under
 // the ShardOf(·, seed, shards) assignment over a corpus of n attributes,
-// ascending. The position of a global id in the returned slice is its
-// shard-local id — the contract every consumer of the partition (the
-// in-process ShardedIndex, the shard servers and the router) shares.
+// ascending — the attributes shard s indexes, in the in-process
+// ShardedIndex and on a shard server alike.
 func OwnedGlobals(n int, seed int64, shards, s int) []history.AttrID {
 	var out []history.AttrID
 	for g := 0; g < n; g++ {
@@ -174,13 +170,4 @@ func AggregateStats(per []index.BuildStats) index.BuildStats {
 		agg.MRFillRatio /= float64(len(per))
 	}
 	return agg
-}
-
-// ShardStats returns the unaggregated per-shard build statistics.
-func (sx *ShardedIndex) ShardStats() []index.BuildStats {
-	out := make([]index.BuildStats, len(sx.singles))
-	for s, sg := range sx.singles {
-		out[s] = sg.Stats()
-	}
-	return out
 }
