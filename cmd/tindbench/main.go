@@ -13,14 +13,15 @@
 //	tindbench -sizes 500,2000 -baseline BENCH_seed.json -tolerance 10%
 //	tindbench -list
 //
-// With -baseline, the run is compared scenario by scenario against a
-// previous report: wall-time regressions beyond the tolerance (default
-// -tolerance, overridable per scenario pattern with
-// -tolerance-override) and drifts in the machine-independent work
-// counters (exact validations, emitted results) exit nonzero, so CI can
-// gate on a committed baseline. Scenario sets are deterministic in
-// (-sizes, -seed): two runs with the same flags always produce the same
-// scenario names, and the same counter values.
+// Every size runs one fixed workload (the constants in scenarios.go), so
+// -sizes and -seed name a run: two runs with the same flags produce the
+// same scenario names and the same counter values. With -baseline, the
+// run is compared scenario by scenario against a previous report of the
+// same seed: wall-time regressions beyond the tolerance (default
+// -tolerance, overridable per scenario pattern with -tolerance-override)
+// and drifts in the machine-independent work counters (exact
+// validations, emitted results) exit nonzero, so CI can gate on a
+// committed baseline.
 package main
 
 import (
@@ -28,33 +29,23 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 )
 
 func main() {
 	var (
-		sizes       = flag.String("sizes", "500,2000", "comma-separated corpus sizes (attributes)")
-		seed        = flag.Int64("seed", 1, "random seed for corpora, index and query sampling")
-		horizon     = flag.Int("horizon", 1500, "corpus horizon (days)")
-		label       = flag.String("label", "local", "report label; default output is BENCH_<label>.json")
-		out         = flag.String("out", "", `output path ("-" = stdout; default BENCH_<label>.json)`)
-		queries     = flag.Int("queries", 40, "forward/reverse queries per corpus size")
-		topkQueries = flag.Int("topk-queries", 8, "top-k queries per corpus size")
-		k           = flag.Int("k", 10, "K for the top-k scenario")
-		eps         = flag.Float64("eps", 3, "ε in days")
-		delta       = flag.Int("delta", 7, "δ in days")
-		repeat      = flag.Int("repeat", 1, "runs per scenario; timing reports the fastest, memory the worst")
-		shards      = flag.Int("shards", 4, "shard count for the shard_build/shard_query scenarios")
-		allpairsMax = flag.Int("allpairs-max", 2000, "run the all-pairs scenario only up to this corpus size (0 = never)")
-		list        = flag.Bool("list", false, "print the scenario names this flag set would run, then exit")
-		baseline    = flag.String("baseline", "", "compare against a previous report and gate on regressions")
-		tolerance   = flag.String("tolerance", "10%", "allowed ns/op regression vs the baseline (e.g. 10% or 0.1)")
-		overrides   = flag.String("tolerance-override", "", `per-scenario tolerances, e.g. "allpairs/*=25%,query/*=20%"`)
-		minWall     = flag.Duration("min-wall", 2*time.Millisecond, "scenarios faster than this in either run are not wall-gated (noise floor)")
+		sizes     = flag.String("sizes", "500,2000", "comma-separated corpus sizes (attributes)")
+		seed      = flag.Int64("seed", 1, "random seed for corpora, index and query sampling")
+		repeat    = flag.Int("repeat", 1, "runs per scenario; timing reports the fastest, memory the worst")
+		label     = flag.String("label", "local", "report label; default output is BENCH_<label>.json")
+		out       = flag.String("out", "", `output path ("-" = stdout; default BENCH_<label>.json)`)
+		list      = flag.Bool("list", false, "print the scenario names this flag set would run, then exit")
+		baseline  = flag.String("baseline", "", "compare against a previous report and gate on regressions")
+		tolerance = flag.String("tolerance", "10%", "allowed ns/op regression vs the baseline (e.g. 10% or 0.1)")
+		overrides = flag.String("tolerance-override", "", `per-scenario tolerances, e.g. "allpairs/*=25%,query/*=20%"`)
 	)
 	flag.Parse()
 
-	cfg, err := parseConfig(*sizes, *seed, *horizon, *queries, *topkQueries, *k, *eps, *delta, *repeat, *allpairsMax, *shards)
+	cfg, err := parseConfig(*sizes, *seed, *repeat)
 	if err != nil {
 		fatal(err)
 	}
@@ -66,9 +57,18 @@ func main() {
 		return
 	}
 
-	gate, err := parseGate(*tolerance, *overrides, int64(*minWall))
+	gate, err := parseGate(*tolerance, *overrides)
 	if err != nil {
 		fatal(err)
+	}
+	var base *Report
+	if *baseline != "" {
+		if base, err = readReport(*baseline); err == nil {
+			err = sameWorkload(base, cfg.Seed)
+		}
+		if err != nil {
+			fatal(fmt.Errorf("baseline: %w", err))
+		}
 	}
 
 	rep, err := runBench(cfg, *label, os.Stderr)
@@ -87,11 +87,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tindbench: wrote %s (%d scenarios)\n", path, len(rep.Scenarios))
 	}
 
-	if *baseline != "" {
-		base, err := readReport(*baseline)
-		if err != nil {
-			fatal(fmt.Errorf("baseline: %w", err))
-		}
+	if base != nil {
 		regressions, notes := compare(rep, base, gate)
 		for _, n := range notes {
 			fmt.Fprintln(os.Stderr, "tindbench: note:", n)
@@ -109,13 +105,8 @@ func main() {
 }
 
 // parseConfig validates the benchmark matrix flags.
-func parseConfig(sizesCSV string, seed int64, horizon, queries, topkQueries, k int,
-	eps float64, delta, repeat, allpairsMax, shards int) (benchConfig, error) {
-	cfg := benchConfig{
-		Seed: seed, Horizon: horizon, Queries: queries, TopKQueries: topkQueries,
-		K: k, Eps: eps, Delta: delta, Repeat: repeat, AllPairsMax: allpairsMax,
-		Shards: shards,
-	}
+func parseConfig(sizesCSV string, seed int64, repeat int) (benchConfig, error) {
+	cfg := benchConfig{Seed: seed, Repeat: repeat}
 	for _, f := range strings.Split(sizesCSV, ",") {
 		f = strings.TrimSpace(f)
 		if f == "" {
@@ -130,8 +121,8 @@ func parseConfig(sizesCSV string, seed int64, horizon, queries, topkQueries, k i
 	if len(cfg.Sizes) == 0 {
 		return cfg, fmt.Errorf("-sizes is empty")
 	}
-	if horizon <= 0 || queries <= 0 || topkQueries < 0 || k <= 0 || repeat <= 0 || shards <= 0 {
-		return cfg, fmt.Errorf("non-positive matrix flag")
+	if repeat <= 0 {
+		return cfg, fmt.Errorf("-repeat must be positive")
 	}
 	return cfg, nil
 }

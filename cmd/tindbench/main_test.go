@@ -1,9 +1,11 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -11,12 +13,9 @@ import (
 	"tind/internal/obs"
 )
 
+// tinyConfig runs the production workload over one small corpus.
 func tinyConfig() benchConfig {
-	return benchConfig{
-		Sizes: []int{60}, Seed: 7, Horizon: 300,
-		Queries: 5, TopKQueries: 2, K: 3,
-		Eps: 3, Delta: 7, Repeat: 1, AllPairsMax: 100, Shards: 4,
-	}
+	return benchConfig{Sizes: []int{60}, Seed: 7, Repeat: 1}
 }
 
 // TestScenarioNamesMatchRun pins the contract that scenarioNames (used
@@ -96,24 +95,84 @@ func findScenario(t *testing.T, rep *Report, name string) Scenario {
 	return Scenario{}
 }
 
-// TestScenarioNamesDeterministic: the -allpairs-max and -topk-queries
-// gates change the set predictably, nothing else does.
+// TestScenarioNamesDeterministic: the scenario set depends on the sizes
+// alone, and all-pairs runs up to allPairsMax attributes only.
 func TestScenarioNamesDeterministic(t *testing.T) {
-	cfg := tinyConfig()
+	cfg := benchConfig{Sizes: []int{allPairsMax, allPairsMax + 1}, Seed: 7, Repeat: 1}
 	a, b := scenarioNames(cfg), scenarioNames(cfg)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("scenarioNames not deterministic")
 	}
-	cfg.AllPairsMax = 0
-	for _, n := range scenarioNames(cfg) {
-		if n == "allpairs/60" {
-			t.Fatal("allpairs scenario present despite -allpairs-max 0")
-		}
+	has := map[string]bool{}
+	for _, n := range a {
+		has[n] = true
 	}
-	cfg.TopKQueries = 0
-	for _, n := range scenarioNames(cfg) {
-		if n == "query/topk/60" {
-			t.Fatal("topk scenario present despite -topk-queries 0")
+	if want := fmt.Sprintf("allpairs/%d", allPairsMax); !has[want] {
+		t.Errorf("%s missing from %v", want, a)
+	}
+	if extra := fmt.Sprintf("allpairs/%d", allPairsMax+1); has[extra] {
+		t.Errorf("%s listed above the all-pairs limit", extra)
+	}
+}
+
+// TestListGeneratesNothing: listing the scenarios of a million-attribute
+// corpus builds the table without generating the corpus or drawing its
+// query sample.
+func TestListGeneratesNothing(t *testing.T) {
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	names := scenarioNames(benchConfig{Sizes: []int{1_000_000}, Seed: 1, Repeat: 1})
+	runtime.ReadMemStats(&ms1)
+	if len(names) == 0 || names[0] != "datagen/1000000" {
+		t.Fatalf("names = %v", names)
+	}
+	if alloc := ms1.TotalAlloc - ms0.TotalAlloc; alloc > 1<<20 {
+		t.Fatalf("listing allocated %d bytes; the table must not touch a corpus", alloc)
+	}
+}
+
+// TestSeedBaselineMatchesTable: the committed baseline holds exactly the
+// table's scenarios for its sizes, in order. compare only notes a
+// scenario the run lacks, so a renamed or dropped scenario would
+// otherwise stop being gated without a failure.
+func TestSeedBaselineMatchesTable(t *testing.T) {
+	base, err := readReport(filepath.Join("..", "..", "BENCH_seed.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameWorkload(base, base.Seed); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, sc := range base.Scenarios {
+		got = append(got, sc.Name)
+	}
+	want := scenarioNames(benchConfig{Sizes: base.Sizes, Seed: base.Seed, Repeat: 1})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("BENCH_seed.json scenarios\n%v\ntable\n%v", got, want)
+	}
+}
+
+// TestSameWorkload: a baseline of another seed, horizon or shard count
+// measured other work and is refused before any gating; other sizes are
+// allowed.
+func TestSameWorkload(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*Report)
+		ok   bool
+	}{
+		{"same", func(*Report) {}, true},
+		{"other sizes", func(r *Report) { r.Sizes = []int{300} }, true},
+		{"other seed", func(r *Report) { r.Seed = 2 }, false},
+		{"other horizon", func(r *Report) { r.Horizon = 300 }, false},
+		{"other shards", func(r *Report) { r.Shards = 2 }, false},
+		{"shards unrecorded", func(r *Report) { r.Shards = 0 }, false},
+	} {
+		base := &Report{Format: reportFormat, Seed: 1, Horizon: horizonDays, Sizes: []int{500}, Shards: shardCount}
+		tc.edit(base)
+		if err := sameWorkload(base, 1); (err == nil) != tc.ok {
+			t.Errorf("%s: sameWorkload = %v, want ok=%v", tc.name, err, tc.ok)
 		}
 	}
 }
@@ -139,7 +198,7 @@ func TestParseTolerance(t *testing.T) {
 }
 
 func TestGateOverrides(t *testing.T) {
-	g, err := parseGate("10%", "allpairs/*=25%,query/*=0.5", 0)
+	g, err := parseGate("10%", "allpairs/*=25%,query/*=0.5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +211,7 @@ func TestGateOverrides(t *testing.T) {
 	if tol := g.toleranceFor("index_build/500"); tol != 0.10 {
 		t.Fatalf("default tolerance = %g, want 0.10", tol)
 	}
-	if _, err := parseGate("10%", "missing-equals", 0); err == nil {
+	if _, err := parseGate("10%", "missing-equals"); err == nil {
 		t.Fatal("malformed override must be rejected")
 	}
 }
@@ -254,7 +313,7 @@ func TestCompareMemoryGate(t *testing.T) {
 		t.Fatalf("sub-floor baseline used as gating denominator: %v", regs)
 	}
 	// Per-scenario tolerance overrides cover the memory gate too.
-	gWide, err := parseGate("10%", "query/*=200%", 0)
+	gWide, err := parseGate("10%", "query/*=200%")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,20 +350,20 @@ func TestReportRoundTrip(t *testing.T) {
 }
 
 func TestParseConfig(t *testing.T) {
-	cfg, err := parseConfig("500, 2000", 1, 1500, 40, 8, 10, 3, 7, 1, 2000, 4)
+	cfg, err := parseConfig("500, 2000", 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(cfg.Sizes, []int{500, 2000}) {
-		t.Fatalf("sizes = %v", cfg.Sizes)
+	if want := (benchConfig{Sizes: []int{500, 2000}, Seed: 1, Repeat: 3}); !reflect.DeepEqual(cfg, want) {
+		t.Fatalf("cfg = %+v, want %+v", cfg, want)
 	}
 	for _, bad := range []string{"", "abc", "0", "-5"} {
-		if _, err := parseConfig(bad, 1, 1500, 40, 8, 10, 3, 7, 1, 2000, 4); err == nil {
+		if _, err := parseConfig(bad, 1, 1); err == nil {
 			t.Errorf("parseConfig(%q) accepted", bad)
 		}
 	}
-	if _, err := parseConfig("500", 1, 1500, 40, 8, 10, 3, 7, 1, 2000, 0); err == nil {
-		t.Error("parseConfig accepted a zero shard count")
+	if _, err := parseConfig("500", 1, 0); err == nil {
+		t.Error("parseConfig accepted a zero repeat count")
 	}
 }
 

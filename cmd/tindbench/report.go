@@ -83,6 +83,17 @@ func readReport(path string) (*Report, error) {
 	return &rep, nil
 }
 
+// sameWorkload refuses a baseline whose seed, horizon or shard count
+// differs from this run's: it measured other work, so every gated
+// counter would read as drift. Sizes may differ (compare notes them).
+func sameWorkload(base *Report, seed int64) error {
+	if base.Seed != seed || base.Horizon != horizonDays || base.Shards != shardCount {
+		return fmt.Errorf("seed %d, horizon %d, %d shards; this run has seed %d, horizon %d, %d shards",
+			base.Seed, base.Horizon, base.Shards, seed, horizonDays, shardCount)
+	}
+	return nil
+}
+
 // gateConfig is the regression policy of a -baseline comparison.
 type gateConfig struct {
 	tolerance float64    // default allowed fractional ns/op growth
@@ -127,10 +138,10 @@ var gatedCounters = []string{
 	"tind_query_closed_form_total",
 }
 
-// parseGate builds the gate from the -tolerance / -tolerance-override /
-// -min-wall flags.
-func parseGate(tolerance, overrides string, minWallNs int64) (gateConfig, error) {
-	g := gateConfig{minWallNs: minWallNs}
+// parseGate builds the gate from the -tolerance / -tolerance-override
+// flags; the wall-time noise floor is minWall.
+func parseGate(tolerance, overrides string) (gateConfig, error) {
+	g := gateConfig{minWallNs: minWall.Nanoseconds()}
 	tol, err := parseTolerance(tolerance)
 	if err != nil {
 		return g, err

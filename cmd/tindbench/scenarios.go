@@ -23,21 +23,32 @@ import (
 	"tind/internal/wal"
 )
 
-// benchConfig is the benchmark matrix: which corpus sizes to run and how
-// much work each scenario does. Everything that influences the measured
-// work is seeded, so a (config, seed) pair names a reproducible run.
+// The fixed workload. A run chooses only its corpus sizes, its seed and
+// its repetitions; everything else that shapes the measured work is a
+// constant here, so a report's (sizes, seed) names its work exactly.
+const (
+	horizonDays    = 1500                 // corpus horizon
+	sampleQueries  = 40                   // forward/reverse/relaxed queries per size
+	topKQueries    = 8                    // top-k queries per size
+	topK           = 10                   // K of the top-k queries
+	epsDays        = 3                    // ε of the index and the point queries
+	deltaDays      = 7                    // δ of the index and the point queries
+	relaxedEps     = 15                   // ε of the */relaxed queries, above the index's
+	relaxedDelta   = 30                   // δ of the */relaxed queries, above the index's
+	shardCount     = 4                    // partitions of the shard_* scenarios
+	allPairsMax    = 2000                 // all-pairs runs only up to this corpus size
+	ingestRounds   = 6                    // delta batches per refresh_ingest repetition
+	ingestPerRound = 32                   // attributes each delta batch appends to, at most
+	minWall        = 2 * time.Millisecond // noise floor: faster runs are not wall-gated
+)
+
+// benchConfig is what varies between runs: the corpus sizes, the seed
+// that feeds the corpora, the index and the query sample, and the
+// repetitions per scenario.
 type benchConfig struct {
-	Sizes       []int
-	Seed        int64
-	Horizon     int
-	Queries     int
-	TopKQueries int
-	K           int
-	Eps         float64
-	Delta       int
-	Repeat      int
-	AllPairsMax int
-	Shards      int
+	Sizes  []int
+	Seed   int64
+	Repeat int
 }
 
 // obsKeepPrefixes limits the per-scenario registry diff to the metric
@@ -64,9 +75,9 @@ func runBench(cfg benchConfig, label string, log io.Writer) (*Report, error) {
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Seed:       cfg.Seed,
-		Horizon:    cfg.Horizon,
+		Horizon:    horizonDays,
 		Sizes:      cfg.Sizes,
-		Shards:     cfg.Shards,
+		Shards:     shardCount,
 	}
 	b := &bench{cfg: cfg, sampler: obs.NewRuntimeSampler(obs.Default()), log: log}
 	// The sampler's background ticks are what turns "peak heap" from a
@@ -83,196 +94,126 @@ func runBench(cfg benchConfig, label string, log io.Writer) (*Report, error) {
 	return rep, nil
 }
 
-// runSize runs every scenario of one corpus size. Kept in sync with
-// scenarioNames — TestScenarioNamesMatchRun pins the correspondence.
+// runSize runs the scenario table of one corpus size, in order.
 func (b *bench) runSize(n int) ([]Scenario, error) {
-	cfg := b.cfg
 	var out []Scenario
-	add := func(sc Scenario, err error) error {
+	for _, st := range (&sizeRun{seed: b.cfg.Seed, n: n}).steps() {
+		if st.setup != nil {
+			st.setup()
+		}
+		sc, err := b.scenario(st.name, st.ops, st.run)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		out = append(out, sc)
 		fmt.Fprintf(b.log, "tindbench: %-24s %14.1f ns/op  (%d ops, peak heap %.1f MB)\n",
 			sc.Name, sc.NsPerOp, sc.Ops, float64(sc.PeakHeapBytes)/(1<<20))
-		return nil
 	}
+	return out, nil
+}
 
-	var corpus *datagen.Corpus
-	err := add(b.scenario(fmt.Sprintf("datagen/%d", n), 1, func() error {
-		c, err := datagen.Generate(datagen.Config{
-			Seed: cfg.Seed, Attributes: n, Horizon: timeline.Time(cfg.Horizon),
-		})
-		corpus = c
-		return err
-	}))
-	if err != nil {
-		return nil, err
-	}
-	ds := corpus.Dataset
-	p := core.Params{Epsilon: cfg.Eps, Delta: timeline.Time(cfg.Delta), Weight: timeline.Uniform(ds.Horizon())}
-
-	opt := index.DefaultOptions(ds.Horizon())
-	opt.Params = p
-	opt.Reverse = true
-	opt.Seed = cfg.Seed
-
-	var idx *index.Index
-	err = add(b.scenario(fmt.Sprintf("index_build/%d", n), 1, func() error {
-		var err error
-		idx, err = index.Build(ds, opt)
-		return err
-	}))
-	if err != nil {
-		return nil, err
-	}
-
-	// The sharded build runs the same corpus through shard.Build with the
-	// per-shard slice budget PartitionOptions derives from the monolith's
-	// — the apples-to-apples scale-out comparison against index_build.
-	var sx *shard.ShardedIndex
-	err = add(b.scenario(fmt.Sprintf("shard_build/%d", n), 1, func() error {
-		var err error
-		sx, err = shard.Build(ds, shard.Options{
-			Shards: cfg.Shards, Seed: cfg.Seed, Index: shard.PartitionOptions(opt, cfg.Shards),
-		})
-		return err
-	}))
-	if err != nil {
-		return nil, err
-	}
-
-	// The query sample is drawn from a seed derived from (seed, size), so
-	// it is stable across runs and independent of the other sizes.
-	rng := rand.New(rand.NewSource(cfg.Seed<<16 + int64(n)))
-	qids := rng.Perm(ds.Len())
-	nq := min(cfg.Queries, len(qids))
-	ctx := context.Background()
-
-	runQueries := func(mode index.Mode, ids []int, o index.QueryOptions) func() error {
-		return func() error {
-			for _, id := range ids {
-				o.Mode = mode
-				if _, err := idx.Query(ctx, ds.Attr(history.AttrID(id)), o); err != nil {
-					return err
-				}
-			}
-			return nil
+// scenarioNames returns the scenario set a config produces, in run
+// order, without running anything — the contract behind "two runs with
+// the same flags produce identical scenario sets".
+func scenarioNames(cfg benchConfig) []string {
+	var names []string
+	for _, n := range cfg.Sizes {
+		for _, st := range (&sizeRun{seed: cfg.Seed, n: n}).steps() {
+			names = append(names, st.name)
 		}
 	}
-	err = add(b.scenario(fmt.Sprintf("query/forward/%d", n), int64(nq),
-		runQueries(index.ModeForward, qids[:nq], index.QueryOptions{Params: p})))
-	if err != nil {
-		return nil, err
-	}
-	err = add(b.scenario(fmt.Sprintf("query/reverse/%d", n), int64(nq),
-		runQueries(index.ModeReverse, qids[:nq], index.QueryOptions{Params: p})))
-	if err != nil {
-		return nil, err
-	}
+	return names
+}
+
+// step is one scenario: its name, its op count, an optional untimed
+// setup that runs once before the repetitions, and the timed work.
+type step struct {
+	name  string
+	ops   int64
+	setup func()
+	run   func() error
+}
+
+// sizeRun is the state the steps of one corpus size share. A step reads
+// what the steps before it filled in, so the table runs in order.
+type sizeRun struct {
+	seed int64
+	n    int
+	ds   *history.Dataset
+	idx  *index.Index
+	sx   *shard.ShardedIndex
+	qids []int // the seeded query sample
+}
+
+// engine is the query surface the monolith and the sharded index share.
+type engine interface {
+	Query(context.Context, *history.History, index.QueryOptions) (index.Result, error)
+	QueryBatch(context.Context, []index.BatchQuery, index.BatchOptions) ([]index.Result, error)
+}
+
+func (s *sizeRun) mono() engine    { return s.idx }
+func (s *sizeRun) sharded() engine { return s.sx }
+
+// steps is the scenario table of one corpus size. Building it runs
+// nothing and allocates nothing in proportion to the size.
+func (s *sizeRun) steps() []step {
+	p := core.Params{Epsilon: epsDays, Delta: deltaDays, Weight: timeline.Uniform(horizonDays)}
+	opt := index.DefaultOptions(horizonDays)
+	opt.Params, opt.Reverse, opt.Seed = p, true, s.seed
+	fwd := index.QueryOptions{Mode: index.ModeForward, Params: p}
+	rev := index.QueryOptions{Mode: index.ModeReverse, Params: p}
 	// A reverse query above the index's ε and δ, which neither M_R nor the
 	// slices may serve: the weighted prefix index generates its candidates.
-	relaxed := core.Params{Epsilon: relaxedEps, Delta: relaxedDelta, Weight: p.Weight}
-	err = add(b.scenario(fmt.Sprintf("query/relaxed/%d", n), int64(nq),
-		runQueries(index.ModeReverse, qids[:nq], index.QueryOptions{Params: relaxed})))
-	if err != nil {
-		return nil, err
+	relaxed := index.QueryOptions{Mode: index.ModeReverse,
+		Params: core.Params{Epsilon: relaxedEps, Delta: relaxedDelta, Weight: p.Weight}}
+	topkOpt := index.QueryOptions{Mode: index.ModeTopK, K: topK,
+		Params: core.Params{Delta: p.Delta, Weight: p.Weight}}
+	nq, nt := min(sampleQueries, s.n), min(topKQueries, s.n)
+	// The query sample is drawn from a seed derived from (seed, size), so
+	// it is stable across runs and independent of the other sizes.
+	forward := s.queries("query/forward", s.mono, fwd, nq)
+	forward.setup = func() {
+		s.qids = rand.New(rand.NewSource(s.seed<<16 + int64(s.n))).Perm(s.ds.Len())
 	}
 
-	// Batched execution of the same seeded workload: one QueryBatch call
-	// services the whole query set, so ns/op and — above all — allocs/op
-	// are directly comparable to the per-query scenarios; the gap is what
-	// the batch API shares (one lock acquisition, the workers).
-	batchFor := func(mode index.Mode, ids []int, o index.QueryOptions) []index.BatchQuery {
-		batch := make([]index.BatchQuery, len(ids))
-		for i, id := range ids {
-			bo := o
-			bo.Mode = mode
-			batch[i] = index.BatchQuery{ByID: true, ID: history.AttrID(id), Options: bo}
-		}
-		return batch
-	}
-	runBatch := func(eng interface {
-		QueryBatch(context.Context, []index.BatchQuery, index.BatchOptions) ([]index.Result, error)
-	}, mode index.Mode, ids []int, o index.QueryOptions) func() error {
-		return func() error {
-			_, err := eng.QueryBatch(ctx, batchFor(mode, ids, o), index.BatchOptions{})
-			return err
-		}
-	}
-	err = add(b.scenario(fmt.Sprintf("query_batch/forward/%d", n), int64(nq),
-		runBatch(idx, index.ModeForward, qids[:nq], index.QueryOptions{Params: p})))
-	if err != nil {
-		return nil, err
-	}
-	err = add(b.scenario(fmt.Sprintf("query_batch/reverse/%d", n), int64(nq),
-		runBatch(idx, index.ModeReverse, qids[:nq], index.QueryOptions{Params: p})))
-	if err != nil {
-		return nil, err
-	}
-	if cfg.TopKQueries > 0 {
-		nt := min(cfg.TopKQueries, len(qids))
-		err = add(b.scenario(fmt.Sprintf("query/topk/%d", n), int64(nt),
-			runQueries(index.ModeTopK, qids[:nt], index.QueryOptions{
-				Params: core.Params{Delta: p.Delta, Weight: p.Weight}, K: cfg.K,
-			})))
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	runShardQueries := func(mode index.Mode, ids []int, o index.QueryOptions) func() error {
-		return func() error {
-			for _, id := range ids {
-				o.Mode = mode
-				if _, err := sx.Query(ctx, ds.Attr(history.AttrID(id)), o); err != nil {
-					return err
-				}
+	steps := []step{
+		{name: "datagen", ops: 1, run: func() error {
+			c, err := datagen.Generate(datagen.Config{Seed: s.seed, Attributes: s.n, Horizon: horizonDays})
+			if err == nil {
+				s.ds = c.Dataset
 			}
-			return nil
-		}
-	}
-	err = add(b.scenario(fmt.Sprintf("shard_query/forward/%d", n), int64(nq),
-		runShardQueries(index.ModeForward, qids[:nq], index.QueryOptions{Params: p})))
-	if err != nil {
-		return nil, err
-	}
-	err = add(b.scenario(fmt.Sprintf("shard_query/reverse/%d", n), int64(nq),
-		runShardQueries(index.ModeReverse, qids[:nq], index.QueryOptions{Params: p})))
-	if err != nil {
-		return nil, err
-	}
-	err = add(b.scenario(fmt.Sprintf("shard_query/relaxed/%d", n), int64(nq),
-		runShardQueries(index.ModeReverse, qids[:nq], index.QueryOptions{Params: relaxed})))
-	if err != nil {
-		return nil, err
-	}
-	err = add(b.scenario(fmt.Sprintf("shard_query_batch/forward/%d", n), int64(nq),
-		runBatch(sx, index.ModeForward, qids[:nq], index.QueryOptions{Params: p})))
-	if err != nil {
-		return nil, err
-	}
-
-	if cfg.AllPairsMax > 0 && n <= cfg.AllPairsMax {
-		err = add(b.scenario(fmt.Sprintf("allpairs/%d", n), 1, func() error {
-			_, err := idx.AllPairsContext(ctx, p, 0)
 			return err
-		}))
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	err = add(b.scenario(fmt.Sprintf("persist/roundtrip/%d", n), 1, func() error {
-		var buf bytes.Buffer
-		if err := persist.Write(ds, &buf); err != nil {
+		}},
+		{name: "index_build", ops: 1, run: func() (err error) {
+			s.idx, err = index.Build(s.ds, opt)
 			return err
-		}
-		_, err := persist.Read(bytes.NewReader(buf.Bytes()))
-		return err
-	}))
-	if err != nil {
-		return nil, err
+		}},
+		// The sharded build runs the same corpus through shard.Build with
+		// the per-shard slice budget PartitionOptions derives from the
+		// monolith's — the apples-to-apples scale-out comparison against
+		// index_build.
+		{name: "shard_build", ops: 1, run: func() (err error) {
+			s.sx, err = shard.Build(s.ds, shard.Options{
+				Shards: shardCount, Seed: s.seed, Index: shard.PartitionOptions(opt, shardCount),
+			})
+			return err
+		}},
+		forward,
+		s.queries("query/reverse", s.mono, rev, nq),
+		s.queries("query/relaxed", s.mono, relaxed, nq),
+		s.batch("query_batch/forward", s.mono, fwd, nq),
+		s.batch("query_batch/reverse", s.mono, rev, nq),
+		s.queries("query/topk", s.mono, topkOpt, nt),
+		s.queries("shard_query/forward", s.sharded, fwd, nq),
+		s.queries("shard_query/reverse", s.sharded, rev, nq),
+		s.queries("shard_query/relaxed", s.sharded, relaxed, nq),
+		s.batch("shard_query_batch/forward", s.sharded, fwd, nq),
+	}
+	if s.n <= allPairsMax {
+		steps = append(steps, step{name: "allpairs", ops: 1, run: func() error {
+			_, err := s.idx.AllPairsContext(context.Background(), p, 0)
+			return err
+		}})
 	}
 
 	// reslice: an idempotent refresh of half the attributes (same horizon,
@@ -280,69 +221,102 @@ func (b *bench) runSize(n int) ([]Scenario, error) {
 	// Reslice pass that re-selects slices and refills them. The unchanged
 	// horizon pins the pass to the build's slice selection, leaving the
 	// index in its original state for whatever runs next.
-	half := make([]history.AttrID, ds.Len()/2)
-	for i := range half {
-		half[i] = history.AttrID(i * 2)
-	}
-	err = add(b.scenario(fmt.Sprintf("reslice/%d", n), 1, func() error {
-		if err := idx.Refresh(half, ds.Horizon()); err != nil {
-			return err
-		}
-		_, err := idx.Reslice()
-		return err
-	}))
-	if err != nil {
-		return nil, err
-	}
-
+	var half []history.AttrID
 	// refresh_ingest: live delta batches through the WAL-backed ingester
 	// into the sharded refresh — the serving-side maintenance path
 	// (validate → WAL append → apply). Runs last within a size: it evolves
 	// the dataset, which must not leak into the scenarios above. The WAL
 	// runs unsynced so the numbers measure the pipeline, not the disk.
-	feed := newIngestFeed(ds)
-	perRound := min(32, ds.Len())
-	err = add(b.scenario(fmt.Sprintf("refresh_ingest/%d", n), int64(ingestRounds*(1+perRound)), func() error {
-		dir, err := os.MkdirTemp("", "tindbench-wal")
-		if err != nil {
+	var feed *ingestFeed
+	perRound := min(ingestPerRound, s.n)
+	steps = append(steps,
+		step{name: "persist/roundtrip", ops: 1, run: func() error {
+			var buf bytes.Buffer
+			if err := persist.Write(s.ds, &buf); err != nil {
+				return err
+			}
+			_, err := persist.Read(bytes.NewReader(buf.Bytes()))
 			return err
-		}
-		defer os.RemoveAll(dir)
-		log, err := wal.Open(filepath.Join(dir, "ingest.wal"), wal.Options{Sync: wal.SyncNever})
-		if err != nil {
-			return err
-		}
-		in := ingest.New(sx, ds, log, ingest.Options{MaxDirty: 1 << 30, MaxDirtyAge: time.Hour})
-		for r := 0; r < ingestRounds; r++ {
-			if err := in.Submit(feed.round(r, perRound)); err != nil {
+		}},
+		step{name: "reslice", ops: 1,
+			setup: func() {
+				half = make([]history.AttrID, s.ds.Len()/2)
+				for i := range half {
+					half[i] = history.AttrID(i * 2)
+				}
+			},
+			run: func() error {
+				if err := s.idx.Refresh(half, s.ds.Horizon()); err != nil {
+					return err
+				}
+				_, err := s.idx.Reslice()
+				return err
+			}},
+		step{name: "refresh_ingest", ops: int64(ingestRounds * (1 + perRound)),
+			setup: func() { feed = newIngestFeed(s.ds) },
+			run:   func() error { return ingestRun(s.sx, s.ds, feed, perRound) }},
+	)
+	for i := range steps {
+		steps[i].name = fmt.Sprintf("%s/%d", steps[i].name, s.n)
+	}
+	return steps
+}
+
+// queries is a step that runs the first n sampled attributes through
+// eng one query at a time.
+func (s *sizeRun) queries(name string, eng func() engine, o index.QueryOptions, n int) step {
+	return step{name: name, ops: int64(n), run: func() error {
+		e := eng()
+		for _, id := range s.qids[:n] {
+			if _, err := e.Query(context.Background(), s.ds.Attr(history.AttrID(id)), o); err != nil {
 				return err
 			}
 		}
-		if err := in.Flush(); err != nil {
-			return err
-		}
-		if err := in.Close(); err != nil {
-			return err
-		}
-		return log.Close()
-	}))
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+		return nil
+	}}
 }
 
-// relaxedEps and relaxedDelta (days) parameterize the */relaxed scenarios:
-// the relaxed reverse query of the serving benchmark, above the default
-// index parameters in both dimensions.
-const (
-	relaxedEps   = 15
-	relaxedDelta = 30
-)
+// batch is a step that runs the same sample as one QueryBatch call: ops
+// equals the sample size, so ns/op and — above all — allocs/op compare
+// directly with the per-query scenarios; the gap is what the batch API
+// shares (one lock acquisition, the workers).
+func (s *sizeRun) batch(name string, eng func() engine, o index.QueryOptions, n int) step {
+	return step{name: name, ops: int64(n), run: func() error {
+		batch := make([]index.BatchQuery, n)
+		for i, id := range s.qids[:n] {
+			batch[i] = index.BatchQuery{ByID: true, ID: history.AttrID(id), Options: o}
+		}
+		_, err := eng().QueryBatch(context.Background(), batch, index.BatchOptions{})
+		return err
+	}}
+}
 
-// ingestRounds is the number of delta batches the refresh_ingest
-// scenario submits per repetition.
-const ingestRounds = 6
+// ingestRun submits ingestRounds batches from feed through a fresh
+// unsynced WAL into sx, then flushes them.
+func ingestRun(sx *shard.ShardedIndex, ds *history.Dataset, feed *ingestFeed, perRound int) error {
+	dir, err := os.MkdirTemp("", "tindbench-wal")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
+	log, err := wal.Open(filepath.Join(dir, "ingest.wal"), wal.Options{Sync: wal.SyncNever})
+	if err != nil {
+		return err
+	}
+	in := ingest.New(sx, ds, log, ingest.Options{MaxDirty: 1 << 30, MaxDirtyAge: time.Hour})
+	for r := 0; r < ingestRounds; r++ {
+		if err := in.Submit(feed.round(r, perRound)); err != nil {
+			return err
+		}
+	}
+	if err := in.Flush(); err != nil {
+		return err
+	}
+	if err := in.Close(); err != nil {
+		return err
+	}
+	return log.Close()
+}
 
 // ingestFeed produces valid delta batches against a client-side shadow
 // of the evolving dataset state, like an external ingest client. State
@@ -376,43 +350,6 @@ func (f *ingestFeed) round(r, perRound int) []wal.Record {
 		f.ends[a] = f.horizon
 	}
 	return recs
-}
-
-// scenarioNames returns the scenario set a config produces, in run
-// order, without running anything — the contract behind "two runs with
-// the same flags produce identical scenario sets".
-func scenarioNames(cfg benchConfig) []string {
-	var names []string
-	for _, n := range cfg.Sizes {
-		names = append(names,
-			fmt.Sprintf("datagen/%d", n),
-			fmt.Sprintf("index_build/%d", n),
-			fmt.Sprintf("shard_build/%d", n),
-			fmt.Sprintf("query/forward/%d", n),
-			fmt.Sprintf("query/reverse/%d", n),
-			fmt.Sprintf("query/relaxed/%d", n),
-			fmt.Sprintf("query_batch/forward/%d", n),
-			fmt.Sprintf("query_batch/reverse/%d", n),
-		)
-		if cfg.TopKQueries > 0 {
-			names = append(names, fmt.Sprintf("query/topk/%d", n))
-		}
-		names = append(names,
-			fmt.Sprintf("shard_query/forward/%d", n),
-			fmt.Sprintf("shard_query/reverse/%d", n),
-			fmt.Sprintf("shard_query/relaxed/%d", n),
-			fmt.Sprintf("shard_query_batch/forward/%d", n),
-		)
-		if cfg.AllPairsMax > 0 && n <= cfg.AllPairsMax {
-			names = append(names, fmt.Sprintf("allpairs/%d", n))
-		}
-		names = append(names,
-			fmt.Sprintf("persist/roundtrip/%d", n),
-			fmt.Sprintf("reslice/%d", n),
-			fmt.Sprintf("refresh_ingest/%d", n),
-		)
-	}
-	return names
 }
 
 // scenario measures fn: wall time, allocation deltas, peak heap and the

@@ -25,6 +25,7 @@ package ingest
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -166,6 +167,13 @@ type Ingester struct {
 	lastErr        error // most recent apply/snapshot failure, nil after success
 	started        bool
 	closed         bool
+
+	// folded leading pending records (guarded by mu) are already in the
+	// dataset: a failed apply ran their prepare, then the engine's refresh
+	// failed. foldedIDs are the ids they changed, so the retry refreshes
+	// them without folding the records in a second time.
+	folded    int
+	foldedIDs []history.AttrID
 
 	kick chan struct{}
 	stop chan struct{}
@@ -450,14 +458,22 @@ func (in *Ingester) apply() error {
 	// the next record on its attribute whether this batch applies or not,
 	// and a Submit between here and the apply validates against it.
 	batch, endOffset := in.pending, in.pendingOffset
+	first, folded, foldedIDs := in.firstPending, in.folded, in.foldedIDs
 	in.pending = nil
 	target := in.pendingHorizon
 	in.mu.Unlock()
 
+	var changed []history.AttrID
+	prepared := false
 	applyStart := time.Now()
 	in.dsMu.Lock()
 	err := in.eng.RefreshWith(target, func(ds *history.Dataset) ([]history.AttrID, error) {
-		return applyRecords(ds, batch, false)
+		ids, err := applyRecords(ds, batch[folded:], false)
+		if err != nil {
+			return nil, err
+		}
+		changed, prepared = mergeIDs(foldedIDs, ids), true
+		return changed, nil
 	})
 	in.dsMu.Unlock()
 	applyDur := time.Since(applyStart)
@@ -474,16 +490,25 @@ func (in *Ingester) apply() error {
 	obs.Events().Record(ev)
 	if err != nil {
 		// Validation admitted the batch, so an apply failure is a bug or
-		// an I/O-level problem; the records stay in the WAL for replay,
-		// but the in-memory queue cannot make progress. Surface loudly.
+		// an I/O-level problem. The batch goes back to the front of the
+		// queue with its age, ahead of anything submitted since, and the
+		// next apply retries it; the applied offset stays put.
 		err = fmt.Errorf("ingest: apply: %w", err)
 		in.mu.Lock()
+		in.pending = append(batch[:len(batch):len(batch)], in.pending...)
+		in.firstPending = first
+		if prepared {
+			in.folded, in.foldedIDs = len(batch), changed
+		}
 		in.lastErr = err
+		nowPending := len(in.pending)
 		in.mu.Unlock()
+		gPending.Set(float64(nowPending))
 		return err
 	}
 
 	in.mu.Lock()
+	in.folded, in.foldedIDs = 0, nil
 	in.appliedOffset = endOffset
 	in.applied += int64(len(batch))
 	in.applies++
@@ -610,6 +635,16 @@ func applyRecords(ds *history.Dataset, recs []wal.Record, inPlace bool) ([]histo
 	}
 	sort.Slice(changed, func(i, j int) bool { return changed[i] < changed[j] })
 	return changed, nil
+}
+
+// mergeIDs returns the ascending union of two ascending id lists.
+func mergeIDs(a, b []history.AttrID) []history.AttrID {
+	if len(a) == 0 {
+		return b
+	}
+	out := append(append([]history.AttrID(nil), a...), b...)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Replay folds the WAL suffix starting at offset from (the offset the
