@@ -28,8 +28,8 @@ import (
 // constant here, so a report's (sizes, seed) names its work exactly.
 const (
 	horizonDays    = 1500                 // corpus horizon
-	sampleQueries  = 40                   // forward/reverse/relaxed queries per size
-	topKQueries    = 8                    // top-k queries per size
+	sampleQueries  = 160                  // forward/reverse/relaxed queries per size
+	topKQueries    = 32                   // top-k queries per size
 	topK           = 10                   // K of the top-k queries
 	epsDays        = 3                    // ε of the index and the point queries
 	deltaDays      = 7                    // δ of the index and the point queries

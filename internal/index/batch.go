@@ -124,10 +124,12 @@ type arena struct {
 	// within one query it stays valid (nothing else uses req), but it must
 	// never be retained into a Result or across queries.
 	req core.RequiredScratch
-	// covered and maxVio serve the prefix phase of reverse search: the
-	// weight of each attribute's versions the query may cover (all zero
-	// between queries), and MaxViolation under a non-index weight.
+	// covered, touched and maxVio serve the prefix phase of reverse
+	// search: the weight of each attribute's versions the query may cover
+	// (all zero between queries), the columns a posting covered, and
+	// MaxViolation under a non-index weight.
 	covered, maxVio []float64
+	touched         []int32
 	// run is the reusable queryRun of this arena's goroutine: one query
 	// executes at a time per arena, and nothing in a Result references
 	// the run, so each query may overwrite it in place.

@@ -242,6 +242,9 @@ func Build(ds *history.Dataset, opt Options) (*Index, error) {
 // wrapping ErrInvalidOptions.
 func BuildOver(ds *history.Dataset, ids []history.AttrID, opt Options) (*Index, error) {
 	start := time.Now()
+	if ds.Horizon() > timeline.MaxHorizon {
+		return nil, fmt.Errorf("index: dataset horizon %d exceeds the maximum %d", ds.Horizon(), timeline.MaxHorizon)
+	}
 	opt = opt.withDefaults(ds.Horizon())
 	if err := opt.Validate(); err != nil {
 		return nil, err

@@ -424,6 +424,9 @@ func TestBuildValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("mismatched weight horizon must fail")
 	}
+	if _, err := Build(history.NewDataset(timeline.MaxHorizon+1), Options{}); err == nil {
+		t.Error("horizon beyond timeline.MaxHorizon must fail")
+	}
 	// Nil weight defaults to the paper's settings.
 	idx, err := Build(ds, Options{Bloom: bloom.Params{M: 64, K: 1}})
 	if err != nil {
@@ -450,9 +453,10 @@ func TestStatsAndMemory(t *testing.T) {
 	}
 	// (k+1) matrices plus M_R, the reverse minimum violation weights of
 	// every slice, one slice fill end per attribute, and the prefix index:
-	// one 8-byte entry per non-empty version, an offset and a frequency per
-	// value id (plus the closing offset), an indexed count and a maximum
-	// violation per attribute.
+	// one 16-byte entry (column, version, validity) per non-empty version,
+	// an offset and a frequency per value id (plus the closing offset), an
+	// indexed count, an observation end, a maximum violation and an order
+	// position per attribute.
 	perMatrix := int64(128*8 + 10*4) // 128 rows × 1 word × 8 bytes + 10 column counts
 	perSlice := int64(10 * 8)        // one float64 per attribute
 	fillEnds := int64(10 * 8)        // one timeline.Time per attribute
@@ -466,7 +470,7 @@ func TestStatsAndMemory(t *testing.T) {
 		all := h.AllValues()
 		valueIDs = max(valueIDs, int64(all[len(all)-1])+1)
 	}
-	prefix := entries*8 + valueIDs*(4+2) + 4 + 10*(4+8)
+	prefix := entries*16 + valueIDs*(4+2) + 4 + 10*(4+4+8+4)
 	if want := perMatrix*int64(st.Slices+2) + perSlice*int64(st.Slices) + fillEnds + prefix; st.MemoryBytes != want {
 		t.Fatalf("MemoryBytes = %d, want %d", st.MemoryBytes, want)
 	}

@@ -85,6 +85,9 @@ func (x *Index) refreshLocked(changed []history.AttrID, newHorizon timeline.Time
 	if newHorizon < c.N {
 		return fmt.Errorf("index: horizon cannot shrink (%d to %d)", c.N, newHorizon)
 	}
+	if newHorizon > timeline.MaxHorizon {
+		return fmt.Errorf("index: horizon %d exceeds the maximum %d", newHorizon, timeline.MaxHorizon)
+	}
 	if got := x.ds.Horizon(); got != newHorizon {
 		return fmt.Errorf("index: dataset horizon %d does not match newHorizon %d", got, newHorizon)
 	}
@@ -113,6 +116,7 @@ func (x *Index) refreshLocked(changed []history.AttrID, newHorizon timeline.Time
 		}
 		x.px.refresh(col, h, x.opt.Params.Weight)
 	}
+	x.px.reorder(cols)
 	x.ss.refill(cols, x.cols, x.opt)
 	if len(changed) > 0 {
 		// A refresh that only advances the horizon, as on every shard that

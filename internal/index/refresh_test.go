@@ -12,55 +12,63 @@ import (
 	"tind/internal/values"
 )
 
+// refreshedIndex builds a reverse-capable index at ε 2, δ 3 over a random
+// dataset, then appends 10–25 new days to a random subset of attributes:
+// a real change with new values, an unchanged extension, or nothing (the
+// attribute dies at its old end). It returns the dataset, the index
+// refreshed over the changed attributes, and the new horizon.
+func refreshedIndex(r *rand.Rand, seed int64) (*history.Dataset, *Index, timeline.Time, error) {
+	horizon := timeline.Time(40 + r.Intn(30))
+	ds := randDataset(r, 6+r.Intn(12), horizon)
+	idxParams := core.Params{Epsilon: 2, Delta: 3, Weight: timeline.Uniform(horizon)}
+	idx, err := Build(ds, Options{
+		Bloom:   bloom.Params{M: 128, K: 2},
+		Slices:  3,
+		Params:  idxParams,
+		Reverse: true,
+		Seed:    seed,
+	})
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	newHorizon := horizon + timeline.Time(10+r.Intn(15))
+	if err := ds.ExtendHorizon(newHorizon); err != nil {
+		return nil, nil, 0, err
+	}
+	var changed []history.AttrID
+	for _, h := range ds.Attrs() {
+		switch r.Intn(3) {
+		case 0: // a real change with new values
+			ids := make([]values.Value, 1+r.Intn(4))
+			for i := range ids {
+				ids[i] = values.Value(r.Intn(25))
+			}
+			at := h.ObservedUntil() + timeline.Time(r.Intn(3))
+			if err := h.Append(at, values.NewSet(ids...), newHorizon); err != nil {
+				return nil, nil, 0, err
+			}
+			changed = append(changed, h.ID())
+		case 1: // persists unchanged
+			if err := h.ExtendObservation(newHorizon); err != nil {
+				return nil, nil, 0, err
+			}
+			changed = append(changed, h.ID())
+		default: // dies at its old end
+		}
+	}
+	return ds, idx, newHorizon, idx.Refresh(changed, newHorizon)
+}
+
 // TestRefreshMatchesRebuild: after random appends, a refreshed index must
 // answer every query exactly like brute force (and thus like a rebuilt
 // index).
 func TestRefreshMatchesRebuild(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		horizon := timeline.Time(40 + r.Intn(30))
-		ds := randDataset(r, 6+r.Intn(12), horizon)
-		idxParams := core.Params{Epsilon: 2, Delta: 3, Weight: timeline.Uniform(horizon)}
-		idx, err := Build(ds, Options{
-			Bloom:   bloom.Params{M: 128, K: 2},
-			Slices:  3,
-			Params:  idxParams,
-			Reverse: true,
-			Seed:    seed,
-		})
+		ds, idx, newHorizon, err := refreshedIndex(r, seed)
 		if err != nil {
 			return false
 		}
-		// Append 10–25 new days of data to a random subset of attributes.
-		newHorizon := horizon + timeline.Time(10+r.Intn(15))
-		if err := ds.ExtendHorizon(newHorizon); err != nil {
-			return false
-		}
-		var changed []history.AttrID
-		for _, h := range ds.Attrs() {
-			switch r.Intn(3) {
-			case 0: // a real change with new values
-				ids := make([]values.Value, 1+r.Intn(4))
-				for i := range ids {
-					ids[i] = values.Value(r.Intn(25))
-				}
-				at := h.ObservedUntil() + timeline.Time(r.Intn(3))
-				if err := h.Append(at, values.NewSet(ids...), newHorizon); err != nil {
-					return false
-				}
-				changed = append(changed, h.ID())
-			case 1: // persists unchanged
-				if err := h.ExtendObservation(newHorizon); err != nil {
-					return false
-				}
-				changed = append(changed, h.ID())
-			default: // dies at its old end
-			}
-		}
-		if err := idx.Refresh(changed, newHorizon); err != nil {
-			return false
-		}
-
 		qp := core.Params{Epsilon: 2, Delta: 2, Weight: timeline.Uniform(newHorizon)}
 		for trial := 0; trial < 4; trial++ {
 			q := ds.Attr(history.AttrID(r.Intn(ds.Len())))
@@ -83,6 +91,45 @@ func TestRefreshMatchesRebuild(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRefreshRelaxedReverseMatchesOracle: after random appends, reverse
+// search above the index ε runs on the weighted prefix index, whose
+// entries carry their versions' validities and whose untouched candidates
+// come from its maximum-violation order. Every attribute, queried at
+// ε 4, 8 and 15 under the advanced index weight, must get brute force's
+// answer; at ε 30 and 60 many attributes weigh less than ε in all, and
+// the walk down the order must keep each. An observation end or an order
+// position Refresh left stale shows here as a missing attribute. (A stale
+// closed validity only over-counts the cover and adds candidates; CheckPrefix
+// catches that.)
+func TestRefreshRelaxedReverseMatchesOracle(t *testing.T) {
+	mismatches := 0
+	for seed := int64(1); seed <= 300; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		ds, idx, newHorizon, err := refreshedIndex(r, seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, eps := range []float64{4, 8, 15, 30, 60} {
+			p := core.Params{Epsilon: eps, Delta: 5, Weight: timeline.Uniform(newHorizon)}
+			for _, q := range ds.Attrs() {
+				res, err := idx.Reverse(q, p)
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				if want := bruteReverse(ds, q, p); !idsEqual(res.IDs, want) {
+					if mismatches++; mismatches <= 5 {
+						t.Errorf("seed %d, ε %v, query %d: reverse = %v, brute force %v",
+							seed, eps, q.ID(), res.IDs, want)
+					}
+				}
+			}
+		}
+	}
+	if mismatches > 0 {
+		t.Fatalf("%d relaxed reverse answers differ from brute force after a refresh", mismatches)
 	}
 }
 
@@ -119,6 +166,16 @@ func TestRefreshValidation(t *testing.T) {
 	}
 	if err := idx.Refresh(nil, 50); err != nil {
 		t.Errorf("no-op refresh must succeed: %v", err)
+	}
+	// The prefix index stores timestamps as int32.
+	if err := ds.ExtendHorizon(timeline.MaxHorizon + 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.Refresh(nil, timeline.MaxHorizon+1); err == nil {
+		t.Error("horizon beyond timeline.MaxHorizon must be rejected")
+	}
+	if got := idx.Options().Params.Weight.Horizon(); got != 50 {
+		t.Errorf("weight horizon %d after a rejected refresh, want 50", got)
 	}
 }
 

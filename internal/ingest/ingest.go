@@ -340,6 +340,9 @@ func (in *Ingester) validateLocked(rec *wal.Record, scratchEnd map[history.AttrI
 		if rec.Horizon < *scratchHorizon {
 			return fmt.Errorf("%w: horizon %d shrinks current %d", ErrRejected, rec.Horizon, *scratchHorizon)
 		}
+		if rec.Horizon > timeline.MaxHorizon {
+			return fmt.Errorf("%w: horizon %d exceeds the maximum %d", ErrRejected, rec.Horizon, timeline.MaxHorizon)
+		}
 		*scratchHorizon = rec.Horizon
 	case wal.TypeAppend:
 		if err := checkAttr(rec.Attr); err != nil {

@@ -275,6 +275,7 @@ func TestSubmitValidation(t *testing.T) {
 		{{Type: wal.TypeAppend, Attr: history.AttrID(ds.Len()), Start: genHorizon, End: genHorizon + 1, Values: []string{"x"}}},
 		{{Type: wal.TypeAppend, Attr: -1, Start: genHorizon, End: genHorizon + 1}},
 		{{Type: wal.TypeExtendHorizon, Horizon: genHorizon - 1}},
+		{{Type: wal.TypeExtendHorizon, Horizon: timeline.MaxHorizon + 1}},
 		{{Type: wal.TypeAppend, Attr: 0, Start: end0 - 2, End: genHorizon, Values: []string{"x"}}},
 		{{Type: wal.TypeAppend, Attr: 0, Start: end0, End: genHorizon + 50, Values: []string{"x"}}}, // beyond horizon
 		{{Type: wal.TypeExtendObservation, Attr: 0, End: end0 - 1}},

@@ -11,6 +11,7 @@ package timeline
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -18,6 +19,10 @@ import (
 // observable timestamp is 0; values outside [0, n) address time before or
 // after the observation period and are valid inputs to interval clamping.
 type Time int
+
+// MaxHorizon is the longest observation period the program accepts,
+// 2^31 − 1 timestamps: the reverse index stores timestamps as int32.
+const MaxHorizon Time = math.MaxInt32
 
 // Day is the wall-clock duration represented by one Time step.
 const Day = 24 * time.Hour
