@@ -89,6 +89,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	index.PublishStats(idx.Stats())
 	engine := "index"
 	if *shards > 1 {
 		engine = fmt.Sprintf("%d-shard index", *shards)
@@ -133,8 +134,10 @@ func main() {
 }
 
 // dumpMetrics writes the final state of every instrument — index build
-// times, Bloom fill ratios, query-phase histograms of the discovery run —
-// so a batch job leaves the same numbers a scraped server would.
+// times, the state gauges of the index discovery ran on (Bloom fill
+// ratios, bytes; published after the build), query-phase histograms of
+// the discovery run — so a batch job leaves the same numbers a scraped
+// server would.
 func dumpMetrics() {
 	fmt.Fprintln(os.Stderr, "--- metrics ---")
 	if err := obs.Default().WritePrometheus(os.Stderr); err != nil {

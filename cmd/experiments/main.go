@@ -34,8 +34,10 @@ func main() {
 	)
 	flag.Parse()
 	if *metrics {
-		// Final stats dump: the per-phase histograms and fill-ratio gauges
-		// accumulated across every experiment run in this process.
+		// Final stats dump: the build and per-phase histograms accumulated
+		// across every experiment run in this process. The experiments
+		// build many indexes and serve none, so the index state gauges
+		// (tind_index_bytes, fill ratios) are not published.
 		defer func() {
 			fmt.Fprintln(os.Stderr, "--- metrics ---")
 			if err := obs.Default().WritePrometheus(os.Stderr); err != nil {

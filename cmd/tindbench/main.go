@@ -4,8 +4,8 @@
 // discovery and a persist round-trip — over a matrix of corpus sizes,
 // and writes a structured BENCH_<label>.json with per-scenario wall
 // time, ns/op, allocation counts, peak heap and a scenario-scoped
-// obs-registry diff (candidate funnels, Bloom fill ratios, pruning
-// power).
+// obs-registry diff (candidate funnels, work counters, build and
+// persist costs), and each build's index bytes per attribute.
 //
 // Usage:
 //

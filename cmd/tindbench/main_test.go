@@ -322,6 +322,31 @@ func TestCompareMemoryGate(t *testing.T) {
 	}
 }
 
+// TestCompareIndexBytesGate: a build row's index bytes per attribute
+// regresses on growth beyond the tolerance, whatever its size, and is
+// not gated against a baseline that does not record it.
+func TestCompareIndexBytesGate(t *testing.T) {
+	g := gateConfig{tolerance: 0.10}
+	withIndex := func(perAttr int64) *Report {
+		rep := mkMemReport(0, 0)
+		rep.Scenarios[0].IndexBytesPerAttr = perAttr
+		return rep
+	}
+	if regs, _ := compare(withIndex(2100), withIndex(2000), g); len(regs) != 0 {
+		t.Fatalf("5%% growth flagged at 10%% tolerance: %v", regs)
+	}
+	regs, _ := compare(withIndex(9800), withIndex(2000), g)
+	if len(regs) != 1 || !strings.Contains(regs[0], "index B/attribute") {
+		t.Fatalf("growth to 9 800 B/attribute not flagged: %v", regs)
+	}
+	if regs, notes := compare(withIndex(2000), withIndex(9800), g); len(regs) != 0 || len(notes) != 1 {
+		t.Fatalf("shrink: regs=%v notes=%v, want one note", regs, notes)
+	}
+	if regs, _ := compare(withIndex(9800), withIndex(0), g); len(regs) != 0 {
+		t.Fatalf("gated against a baseline without the figure: %v", regs)
+	}
+}
+
 func TestReportRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "BENCH_test.json")

@@ -45,9 +45,13 @@ type Scenario struct {
 	BytesPerOp    int64   `json:"bytes_per_op"`
 	AllocsPerOp   int64   `json:"allocs_per_op"`
 	PeakHeapBytes uint64  `json:"peak_heap_bytes"`
+	// IndexBytesPerAttr is, on the index_build and shard_build rows, the
+	// built index's Stats().MemoryBytes per attribute: deterministic for a
+	// seeded corpus, and gated with the allocation figures.
+	IndexBytesPerAttr int64 `json:"index_bytes_per_attr,omitempty"`
 	// Obs is the scenario-scoped diff of the process metric registry:
-	// what this scenario alone did to the candidate funnels, fill
-	// ratios, persist volume and GC activity.
+	// what this scenario alone did to the candidate funnels, work
+	// counters, persist volume and GC activity.
 	Obs *obs.Snapshot `json:"obs,omitempty"`
 }
 
@@ -270,7 +274,9 @@ func compare(cur, base *Report, g gateConfig) (regressions, notes []string) {
 		// baseline under the floor never gates a run above it against a
 		// noise-dominated denominator. Improvements become notes: an
 		// allocation drop is exactly what the batch API is for, and the
-		// note is the prompt to re-baseline and lock it in.
+		// note is the prompt to re-baseline and lock it in. The index's
+		// bytes per attribute has no noise to disarm for: it is gated
+		// wherever both reports record it.
 		memGates := []struct {
 			what  string
 			cur   int64
@@ -279,6 +285,7 @@ func compare(cur, base *Report, g gateConfig) (regressions, notes []string) {
 		}{
 			{"B/op", sc.BytesPerOp, bs.BytesPerOp, memBytesFloor},
 			{"allocs/op", sc.AllocsPerOp, bs.AllocsPerOp, memAllocsFloor},
+			{"index B/attribute", sc.IndexBytesPerAttr, bs.IndexBytesPerAttr, 1},
 		}
 		for _, m := range memGates {
 			if m.cur < m.floor || m.base < m.floor {

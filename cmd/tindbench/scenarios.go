@@ -52,8 +52,10 @@ type benchConfig struct {
 }
 
 // obsKeepPrefixes limits the per-scenario registry diff to the metric
-// families that describe pipeline work — funnels, fill ratios, pruning
-// power, persist volume and GC activity — keeping the report readable.
+// families that describe pipeline work — funnels, work counters, build
+// times, persist volume and GC activity — keeping the report readable.
+// The index state gauges (fill ratios, p(I)) are published by a server
+// for the index it serves, never by a build, so no scenario moves them.
 var obsKeepPrefixes = []string{
 	"tind_query_", "tind_index_", "tind_persist_", "tind_allpairs_", "tind_shard_", "tind_ingest_", "tind_runtime_gc",
 }
@@ -105,6 +107,10 @@ func (b *bench) runSize(n int) ([]Scenario, error) {
 		if err != nil {
 			return nil, err
 		}
+		if st.built != nil {
+			bs := st.built()
+			sc.IndexBytesPerAttr = bs.MemoryBytes / int64(max(1, bs.Attributes))
+		}
 		out = append(out, sc)
 		fmt.Fprintf(b.log, "tindbench: %-24s %14.1f ns/op  (%d ops, peak heap %.1f MB)\n",
 			sc.Name, sc.NsPerOp, sc.Ops, float64(sc.PeakHeapBytes)/(1<<20))
@@ -126,12 +132,15 @@ func scenarioNames(cfg benchConfig) []string {
 }
 
 // step is one scenario: its name, its op count, an optional untimed
-// setup that runs once before the repetitions, and the timed work.
+// setup that runs once before the repetitions, and the timed work. A
+// build step names the statistics of what it built, whose bytes per
+// attribute its row records.
 type step struct {
 	name  string
 	ops   int64
 	setup func()
 	run   func() error
+	built func() index.BuildStats
 }
 
 // sizeRun is the state the steps of one corpus size share. A step reads
@@ -187,7 +196,7 @@ func (s *sizeRun) steps() []step {
 		{name: "index_build", ops: 1, run: func() (err error) {
 			s.idx, err = index.Build(s.ds, opt)
 			return err
-		}},
+		}, built: func() index.BuildStats { return s.idx.Stats() }},
 		// The sharded build runs the same corpus through shard.Build with
 		// the per-shard slice budget PartitionOptions derives from the
 		// monolith's — the apples-to-apples scale-out comparison against
@@ -197,7 +206,7 @@ func (s *sizeRun) steps() []step {
 				Shards: shardCount, Seed: s.seed, Index: shard.PartitionOptions(opt, shardCount),
 			})
 			return err
-		}},
+		}, built: func() index.BuildStats { return s.sx.Stats() }},
 		forward,
 		s.queries("query/reverse", s.mono, rev, nq),
 		s.queries("query/relaxed", s.mono, relaxed, nq),

@@ -73,9 +73,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	st := idx.Stats()
+	index.PublishStats(st)
 	fmt.Fprintf(os.Stderr, "index built in %v (%.1f MB, %d slices)\n",
 		time.Since(start).Round(time.Millisecond),
-		float64(idx.Stats().MemoryBytes)/(1<<20), idx.Stats().Slices)
+		float64(st.MemoryBytes)/(1<<20), st.Slices)
 
 	repl(ds, idx, opt.Params)
 }
@@ -275,7 +277,8 @@ func resolve(ds *history.Dataset, arg string) *history.History {
 }
 
 // dumpMetrics writes the final state of every instrument — index build
-// times, Bloom fill ratios, the phase histograms of the session's queries
+// times, the state gauges of the session's index (Bloom fill ratios,
+// bytes; published after the build), the phase histograms of its queries
 // — so an exploration session leaves the same numbers a scraped server
 // would. Mirrors the -metrics flag of cmd/allpairs and cmd/experiments.
 func dumpMetrics() {

@@ -172,6 +172,32 @@ func TestIngestEndpointDurableAck(t *testing.T) {
 	getJSON(t, ts.URL+"/search?attr=0", http.StatusOK)
 }
 
+// TestIngestRepublishesIndexGauges: live ingestion republishes the index
+// state gauges after each refresh, so a scrape reports the served
+// engine's state as of the last apply without reading the index.
+func TestIngestRepublishesIndexGauges(t *testing.T) {
+	const mtFill = `tind_index_bloom_fill_ratio{matrix="m_t"}`
+	for _, shards := range []int{1, 4} {
+		s, ts, _ := newIngestServer(t, shards, config{}, nil)
+		c := s.corpus.Load()
+		before := scrapeGauges(t, http.DefaultClient, ts.URL)(mtFill)
+		feed := newHTTPDeltaFeed(c)
+		postJSON(t, ts.URL+"/ingest", feed.round([]int{0, 1, 2, 3, 4, 5, 6, 7}), http.StatusOK)
+		if err := c.ing.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		want := c.idx.Stats()
+		gauge := scrapeGauges(t, http.DefaultClient, ts.URL)
+		if got := gauge(mtFill); got != want.MTFillRatio || got <= before {
+			t.Errorf("-shards %d: m_t fill gauge %g after the apply (%g before), engine reads %g",
+				shards, got, before, want.MTFillRatio)
+		}
+		if got := gauge("tind_index_bytes"); got != float64(want.MemoryBytes) {
+			t.Errorf("-shards %d: tind_index_bytes = %g, engine reads %d", shards, got, want.MemoryBytes)
+		}
+	}
+}
+
 func TestIngestDisabledWithoutWAL(t *testing.T) {
 	_, ts := testServer(t)
 	out := postJSON(t, ts.URL+"/ingest", `{"deltas":[{"op":"extend_horizon","horizon":600}]}`, http.StatusNotImplemented)

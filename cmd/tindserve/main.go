@@ -499,7 +499,7 @@ func loadServing(cc config, rp *replayProgress) (*corpus, error) {
 		c.idx = rt
 		return c, nil
 	}
-	var eng ingest.Engine
+	var eng liveEngine
 	if cc.shards > 1 {
 		sx, err := shard.Build(ds, shard.Options{
 			Shards: cc.shards, Seed: cc.seed, Index: shard.PartitionOptions(opt, cc.shards),
@@ -525,10 +525,28 @@ func loadServing(cc config, rp *replayProgress) (*corpus, error) {
 		if cc.snapshot != "" && cc.snapshotEvery > 0 {
 			iopt.Snapshot = ingest.SnapshotConfig{Path: cc.snapshot, Every: cc.snapshotEvery}
 		}
-		c.ing = ingest.New(eng, ds, log, iopt)
+		c.ing = ingest.New(gaugedEngine{eng}, ds, log, iopt)
 		c.ing.Start()
 	}
 	return c, nil
+}
+
+// liveEngine is a local engine live ingestion refreshes: the monolith or
+// the in-process shard partition.
+type liveEngine interface {
+	ingest.Engine
+	Stats() index.BuildStats
+}
+
+// gaugedEngine republishes the index state gauges after every refresh
+// the ingester applies, keeping them current without a scrape reading
+// the index.
+type gaugedEngine struct{ liveEngine }
+
+func (e gaugedEngine) RefreshWith(newHorizon timeline.Time, prepare func(ds *history.Dataset) ([]history.AttrID, error)) error {
+	err := e.liveEngine.RefreshWith(newHorizon, prepare)
+	index.PublishStats(e.Stats())
+	return err
 }
 
 func closeLog(log *wal.Log) {
@@ -625,8 +643,13 @@ func newServer(cfg config) *server {
 }
 
 // install publishes the serving state, flipping /readyz to 200 and
-// letting query endpoints through.
+// letting query endpoints through. It first sets the index state gauges
+// from the engine's Stats() — a sharded or routed engine's aggregate;
+// on a router this is the one time they cross the wire, since shard
+// servers are read-only. Live ingestion republishes after every refresh
+// (gaugedEngine), so /metrics never reads the index.
 func (s *server) install(c *corpus) {
+	index.PublishStats(c.idx.Stats())
 	s.corpus.Store(c)
 }
 
@@ -1153,6 +1176,11 @@ func (s *server) handleStats(c *corpus, w http.ResponseWriter, r *http.Request) 
 			"mean_cardinality": st.MeanCardinality,
 			"index_slices":     ist.Slices,
 			"index_bytes":      ist.MemoryBytes,
+			"index_bits": map[string]interface{}{
+				"m_t":    ist.MTBits,
+				"slices": ist.SliceBits,
+				"m_r":    ist.MRBits,
+			},
 		}
 	})
 	if e, ok := c.idx.(partitioned); ok {

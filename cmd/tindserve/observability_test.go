@@ -9,10 +9,12 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"tind/internal/history"
 	"tind/internal/index"
 	"tind/internal/obs"
+	"tind/internal/shard"
 	"tind/internal/timeline"
 	"tind/internal/values"
 )
@@ -99,6 +101,106 @@ func TestMetricsEndpoint(t *testing.T) {
 	snap := obs.Default().Snapshot()
 	if v := snap.Value("tind_index_bloom_fill_ratio", obs.L("matrix", "m_t")); v <= 0 || v > 1 {
 		t.Fatalf("m_t fill ratio %g out of (0,1]", v)
+	}
+}
+
+// TestIndexGaugesDescribeServedEngine boots a monolith and a -shards 4
+// server and scrapes each: tind_index_attributes is |D| and
+// tind_index_bytes the served engine's MemoryBytes — on the sharded
+// server the sum over its shards, not the last shard build's figure —
+// and /stats reports the same bytes next to each matrix's width.
+func TestIndexGaugesDescribeServedEngine(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		cc := config{attrs: 300, horizon: 400, seed: 5, shards: shards}
+		c, err := loadServing(cc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBytes := c.idx.Stats().MemoryBytes
+		if sx, ok := c.idx.(*shard.ShardedIndex); ok {
+			var sum int64
+			for i := range sx.NumShards() {
+				sum += sx.Shard(i).Stats().MemoryBytes
+			}
+			if sum != wantBytes || sx.NumShards() != shards {
+				t.Fatalf("%d shards: aggregate %d bytes, shards sum to %d", sx.NumShards(), wantBytes, sum)
+			}
+		} else if shards > 1 {
+			t.Fatalf("-shards %d served a %T", shards, c.idx)
+		}
+		s := newServer(cc)
+		s.install(c)
+		ts := httptest.NewServer(s.routes())
+		gauge := scrapeGauges(t, http.DefaultClient, ts.URL)
+		if got := gauge("tind_index_attributes"); got != float64(c.ds.Len()) {
+			t.Errorf("-shards %d: tind_index_attributes = %g, want |D| = %d", shards, got, c.ds.Len())
+		}
+		if got := gauge("tind_index_bytes"); got != float64(wantBytes) {
+			t.Errorf("-shards %d: tind_index_bytes = %g, want %d", shards, got, wantBytes)
+		}
+		st := getJSON(t, ts.URL+"/stats", http.StatusOK)
+		bits, _ := st["index_bits"].(map[string]interface{})
+		widths, _ := bits["slices"].([]interface{})
+		if st["index_bytes"].(float64) != float64(wantBytes) || bits["m_t"] != float64(4096) ||
+			len(widths) != int(st["index_slices"].(float64)) {
+			t.Errorf("-shards %d: /stats index_bytes %v, index_bits %v, index_slices %v",
+				shards, st["index_bytes"], bits, st["index_slices"])
+		}
+		ts.Close()
+	}
+}
+
+// scrapeGauges reads url's /metrics through client and returns a lookup
+// of unlabelled samples by name.
+func scrapeGauges(t *testing.T, client *http.Client, url string) func(name string) float64 {
+	t.Helper()
+	resp, err := client.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(name string) float64 {
+		t.Helper()
+		for _, line := range strings.Split(string(body), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("no %s sample on %s/metrics", name, url)
+		return 0
+	}
+}
+
+// TestRouterMetricsWithShardDown: a router publishes the cluster's index
+// state once, at install, so a scrape touches no shard. With one shard
+// server gone, /metrics still answers at once and reports the whole
+// cluster's attributes and bytes, not the reachable shards' share.
+func TestRouterMetricsWithShardDown(t *testing.T) {
+	urls, servers := startShardServers(t)
+	rs, rurl := startRouter(t, urls)
+	want := rs.corpus.Load().idx.Stats()
+	if want.Attributes != distAttrs || want.MemoryBytes <= 0 {
+		t.Fatalf("router aggregate before the fault: %d attributes, %d bytes", want.Attributes, want.MemoryBytes)
+	}
+	servers[1].Close()
+	start := time.Now()
+	gauge := scrapeGauges(t, &http.Client{Timeout: 2 * time.Second}, rurl)
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("scrape with a shard down took %v", d)
+	}
+	if got := gauge("tind_index_attributes"); got != distAttrs {
+		t.Errorf("tind_index_attributes = %g, want %d", got, distAttrs)
+	}
+	if got := gauge("tind_index_bytes"); got != float64(want.MemoryBytes) {
+		t.Errorf("tind_index_bytes = %g, want %d", got, want.MemoryBytes)
 	}
 }
 

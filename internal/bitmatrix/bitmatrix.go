@@ -287,6 +287,46 @@ func (m *Matrix) FillColumns(set func(col int, buf values.Set) values.Set) {
 	wg.Wait()
 }
 
+// CanFold reports whether half of m's filter width is a valid width
+// (bloom.Params.Validate), so Fold may run.
+func (m *Matrix) CanFold() bool { return m.params.M%128 == 0 }
+
+// Fold returns m at half its filter width: row r of the result is row r
+// OR row r+M/2 of m. Params.Bits hashes a value to (h1+i·h2) mod M, and
+// for an even M that position mod M/2 is the value's position at width
+// M/2, so the result is the matrix a fill of the same column sets at M/2
+// gives, bits and per-column counts alike. m is left as it was. Fold
+// panics where CanFold is false.
+func (m *Matrix) Fold() *Matrix {
+	p := m.params
+	p.M /= 2
+	f := NewMatrix(p, m.n)
+	half := len(f.words)
+	for i := range f.words {
+		f.words[i] = m.words[i] | m.words[half+i]
+	}
+	for i, w := range f.words {
+		base := (i % f.stride) << 6
+		for ; w != 0; w &= w - 1 {
+			f.counts[base+bits.TrailingZeros64(w)]++
+		}
+	}
+	return f
+}
+
+// FoldedFillRatio returns the FillRatio m.Fold() would have, without
+// building it.
+func (m *Matrix) FoldedFillRatio() float64 {
+	if m.n == 0 {
+		return 0
+	}
+	half, ones := len(m.words)/2, 0
+	for i, w := range m.words[:half] {
+		ones += bits.OnesCount64(w | m.words[half+i])
+	}
+	return float64(ones) / (float64(m.params.M/2) * float64(m.n))
+}
+
 // Equal reports whether o has m's shape, bits and per-column counts.
 func (m *Matrix) Equal(o *Matrix) bool {
 	return m.params == o.params && m.n == o.n &&

@@ -68,3 +68,47 @@ func randomSet(rng *rand.Rand, k int) values.Set {
 	}
 	return values.NewSet(ids...)
 }
+
+// TestFoldMatchesDirectFill holds Fold to a fill at the half width, word
+// for word and count for count, down from M = 4096 to 512: across column
+// counts around the 64-column block, with every fifth column empty.
+// FoldedFillRatio must predict each fold's FillRatio.
+func TestFoldMatchesDirectFill(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 200} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(n)))
+			sets := make([]values.Set, n)
+			for c := range sets {
+				if c%5 != 2 {
+					sets[c] = randomSet(rng, 1+rng.Intn(40))
+				}
+			}
+			fill := func(p bloom.Params) *Matrix {
+				m := NewMatrix(p, n)
+				m.FillColumns(func(col int, buf values.Set) values.Set { return append(buf, sets[col]...) })
+				return m
+			}
+			got := fill(bloom.Params{M: 4096, K: 2})
+			for got.Params().M > 512 {
+				if !got.CanFold() {
+					t.Fatalf("M = %d cannot fold", got.Params().M)
+				}
+				predicted := got.FoldedFillRatio()
+				got = got.Fold()
+				want := fill(got.Params())
+				if !slices.Equal(got.words, want.words) {
+					t.Fatalf("M = %d: folded words differ from a direct fill", got.Params().M)
+				}
+				if !slices.Equal(got.counts, want.counts) {
+					t.Fatalf("M = %d: folded counts %v, direct fill %v", got.Params().M, got.counts, want.counts)
+				}
+				if predicted != got.FillRatio() {
+					t.Fatalf("M = %d: FoldedFillRatio %v, FillRatio after the fold %v", got.Params().M, predicted, got.FillRatio())
+				}
+			}
+		})
+	}
+	if (&Matrix{params: bloom.Params{M: 192, K: 2}}).CanFold() {
+		t.Fatal("M = 192 folds to 96, not a multiple of 64")
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"strconv"
 
 	"tind/internal/bloom"
 	"tind/internal/core"
@@ -215,10 +217,14 @@ func Fig11(cfg Config, w io.Writer) error {
 }
 
 // Fig12 reproduces Figure 12: the effect of the Bloom filter size m on
-// search (larger is better) and reverse search (larger is worse).
+// search (larger is better) and reverse search (larger is worse). m is
+// the width of M_T and M_R and the widest a slice matrix may keep: each
+// slice folds down to its fill (DESIGN §5), so the "slice m" column
+// prints the widths actually built, and above them m moves M_T and M_R
+// alone.
 func Fig12(cfg Config, w io.Writer) error {
 	cfg.fillDefaults()
-	header(w, "fig12", "Bloom filter size m vs runtime (ms)")
+	header(w, "fig12", "Bloom filter size m (M_T, M_R; the slices' upper bound) vs runtime (ms)")
 	c, err := corpus(cfg)
 	if err != nil {
 		return err
@@ -226,7 +232,7 @@ func Fig12(cfg Config, w io.Writer) error {
 	ds := c.Dataset
 	queries := sampleQueries(ds, cfg.Queries, cfg.Seed)
 	p := core.DefaultDays(ds.Horizon())
-	tbl := newTable(w, "m", "direction", "min", "median", "max", "mean", "<1s")
+	tbl := newTable(w, "m", "slice m", "direction", "min", "median", "max", "mean", "<1s")
 	for _, m := range []int{512, 1024, 2048, 4096, 8192} {
 		opt := searchOptions(ds.Horizon(), cfg.Seed)
 		opt.Bloom = bloom.Params{M: m, K: 2}
@@ -243,12 +249,18 @@ func Fig12(cfg Config, w io.Writer) error {
 		if err != nil {
 			return err
 		}
+		sliceBits := idx.Stats().SliceBits
+		lo, hi := slices.Min(sliceBits), slices.Max(sliceBits)
+		sliceM := strconv.Itoa(lo)
+		if hi != lo {
+			sliceM += "-" + strconv.Itoa(hi)
+		}
 		for _, e := range []struct {
 			dir string
 			s   *stats.Sample
 		}{{"search", s}, {"reverse", rs}} {
 			b := e.s.Box()
-			tbl.row(m, e.dir, b.Min, b.Median, b.Max, b.Mean,
+			tbl.row(m, sliceM, e.dir, b.Min, b.Median, b.Max, b.Mean,
 				fmt.Sprintf("%.1f%%", 100*e.s.ShareBelow(1000)))
 		}
 	}

@@ -72,18 +72,11 @@ func (p *queryPool) putVec(v *bitmatrix.Vec) {
 	}
 }
 
-func (p *queryPool) getArena(n int, bp bloom.Params) *arena {
-	if a, _ := p.arenas.Get().(*arena); a != nil && a.n == n && a.bp == bp {
+func (p *queryPool) getArena(n int) *arena {
+	if a, _ := p.arenas.Get().(*arena); a != nil && a.n == n {
 		return a
 	}
-	return &arena{
-		n:      n,
-		bp:     bp,
-		probe:  bitmatrix.NewVec(n),
-		pv:     bitmatrix.NewVec(n),
-		filter: bloom.New(bp),
-		vio:    make(map[int]float64),
-	}
+	return &arena{n: n, probe: bitmatrix.NewVec(n), pv: bitmatrix.NewVec(n)}
 }
 
 func (p *queryPool) putArena(a *arena) { p.arenas.Put(a) }
@@ -95,15 +88,14 @@ func (p *queryPool) putArena(a *arena) { p.arenas.Put(a) }
 // deeply independent of each other and of later pool reuse. The
 // pooling-safety tests pin this.
 type arena struct {
-	n      int          // dataset width the vectors were sized for
-	bp     bloom.Params // filter shape
-	probe  *bitmatrix.Vec
-	pv     *bitmatrix.Vec
-	filter *bloom.Filter
-	bits   []int
-	vio    map[int]float64
-	cuts   []timeline.Time
-	todo   []int
+	n     int // dataset width the vectors were sized for
+	probe *bitmatrix.Vec
+	pv    *bitmatrix.Vec
+	// filters holds one query filter per matrix width (filterOf).
+	filters []*bloom.Filter
+	bits    []int
+	cuts    []timeline.Time
+	todo    []int
 	// verdicts, hits and scratch serve exact validation: one verdict slot
 	// per candidate, the passing candidates with their weights, and one
 	// sweep scratch per validation worker. A top-k run keeps its best-K
@@ -127,13 +119,55 @@ type arena struct {
 	// covered, touched and maxVio serve the prefix phase of reverse
 	// search: the weight of each attribute's versions the query may cover
 	// (all zero between queries), the columns a posting covered, and
-	// MaxViolation under a non-index weight.
-	covered, maxVio []float64
-	touched         []int32
+	// MaxViolation under a non-index weight. vio and charged serve the
+	// slice phase the same way: each column's violation weight so far (all
+	// zero between queries) and the columns charged (charge,
+	// resetViolations).
+	covered, maxVio, vio []float64
+	touched, charged     []int32
 	// run is the reusable queryRun of this arena's goroutine: one query
 	// executes at a time per arena, and nothing in a Result references
 	// the run, so each query may overwrite it in place.
 	run queryRun
+}
+
+// filterOf returns the arena's query filter of shape p, allocated on first
+// use: the matrices differ in width (fitWidth), and each probe takes a
+// filter of its matrix's width.
+func (a *arena) filterOf(p bloom.Params) *bloom.Filter {
+	for _, f := range a.filters {
+		if f.Params() == p {
+			return f
+		}
+	}
+	f := bloom.New(p)
+	a.filters = append(a.filters, f)
+	return f
+}
+
+// charge adds w to column c's violation weight, listing c in charged when
+// it was zero, and returns the new weight. The slice passes accumulate a
+// query's partial violations through it.
+func (a *arena) charge(c int, w float64) float64 {
+	if len(a.vio) != a.n {
+		a.vio = make([]float64, a.n)
+	}
+	v := a.vio[c]
+	if v == 0 {
+		a.charged = append(a.charged, int32(c))
+	}
+	v += w
+	a.vio[c] = v
+	return v
+}
+
+// resetViolations zeroes every column charge listed, so vio is all zero
+// again, and empties the list.
+func (a *arena) resetViolations() {
+	for _, c := range a.charged {
+		a.vio[c] = 0
+	}
+	a.charged = a.charged[:0]
 }
 
 // bounds returns top-k's lower-bound accumulator, one slot per attribute,
@@ -241,7 +275,7 @@ func (x *Index) runEntries(n, workers int, entry func(i int, ar *arena, valWorke
 	}
 	run := func() {
 		defer st.wg.Done()
-		ar := x.pool.getArena(len(x.cols), x.opt.Bloom)
+		ar := x.pool.getArena(len(x.cols))
 		defer x.pool.putArena(ar)
 		for {
 			i := int(st.next.Add(1)) - 1

@@ -120,7 +120,7 @@ func TestClosedFormEnBlocEdges(t *testing.T) {
 // keyReachOf is q's key reach over every other attribute, as top-k's scan
 // probes it.
 func keyReachOf(x *Index, q *history.History) *bitmatrix.Vec {
-	ar := x.pool.getArena(x.ds.Len(), x.opt.Bloom)
+	ar := x.pool.getArena(x.ds.Len())
 	defer x.pool.putArena(ar)
 	cand := bitmatrix.NewVecFull(x.ds.Len())
 	x.excludeSelf(q, cand)

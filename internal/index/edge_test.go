@@ -116,7 +116,7 @@ func TestQueryInvalidParams(t *testing.T) {
 
 func TestDefaultOptionProfiles(t *testing.T) {
 	o := DefaultOptions(100)
-	if o.Bloom.M != 4096 || o.Slices != 16 || o.Strategy != Random || o.Reverse {
+	if o.Bloom.M != 4096 || o.Slices != 4 || o.Strategy != Random || o.Reverse {
 		t.Fatalf("DefaultOptions = %+v", o)
 	}
 	r := DefaultReverseOptions(100)

@@ -17,9 +17,9 @@ import (
 // of Build and Reslice to a column-at-a-time reference: M_T, every slice
 // matrix with its minimum violation weights (bit for bit) and M_R must
 // equal matrices filled with SetColumn(bloom.FromSet(...)) from value sets
-// folded version by version, and the serial minViolationWeight. The
-// attribute count is not a multiple of 64, so the last 64-column block is
-// partial.
+// folded version by version, at each matrix's own width, and the serial
+// minViolationWeight. The attribute count is not a multiple of 64, so the
+// last 64-column block is partial.
 func TestBuildMatricesMatchColumnReference(t *testing.T) {
 	c, err := datagen.Generate(datagen.Config{Seed: 8, Attributes: 300, Horizon: 600})
 	if err != nil {
@@ -62,15 +62,15 @@ func checkColumnReference(t *testing.T, stage string, x *Index) {
 		}
 		return all
 	}
-	reference := func(set func(h *history.History) values.Set) *bitmatrix.Matrix {
-		m := bitmatrix.NewMatrix(opt.Bloom, len(attrs))
+	reference := func(p bloom.Params, set func(h *history.History) values.Set) *bitmatrix.Matrix {
+		m := bitmatrix.NewMatrix(p, len(attrs))
 		for a, h := range attrs {
-			m.SetColumn(a, bloom.FromSet(opt.Bloom, set(h)))
+			m.SetColumn(a, bloom.FromSet(p, set(h)))
 		}
 		return m
 	}
 	whole := timeline.NewInterval(0, x.ds.Horizon())
-	if !x.mT.Equal(reference(func(h *history.History) values.Set { return union(h, whole) })) {
+	if !x.mT.Equal(reference(x.mT.Params(), func(h *history.History) values.Set { return union(h, whole) })) {
 		t.Fatalf("%s: M_T differs from the column reference", stage)
 	}
 	if len(x.ss.slices) == 0 {
@@ -78,7 +78,7 @@ func checkColumnReference(t *testing.T, stage string, x *Index) {
 	}
 	for j, ts := range x.ss.slices {
 		window := ts.window(opt)
-		if !ts.matrix.Equal(reference(func(h *history.History) values.Set { return union(h, window) })) {
+		if !ts.matrix.Equal(reference(ts.matrix.Params(), func(h *history.History) values.Set { return union(h, window) })) {
 			t.Fatalf("%s: slice %d %v differs from the column reference", stage, j, ts.iv)
 		}
 		for a, h := range attrs {
@@ -88,7 +88,7 @@ func checkColumnReference(t *testing.T, stage string, x *Index) {
 			}
 		}
 	}
-	if x.mR == nil || !x.mR.Equal(reference(func(h *history.History) values.Set {
+	if x.mR == nil || !x.mR.Equal(reference(x.mR.Params(), func(h *history.History) values.Set {
 		return core.RequiredValues(h, opt.Params.Epsilon, opt.Params.Weight)
 	})) {
 		t.Fatalf("%s: M_R differs from the column reference", stage)

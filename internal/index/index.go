@@ -19,16 +19,22 @@ import (
 
 // Options configures index construction.
 type Options struct {
-	// Bloom is the shape of all Bloom filters/matrices. The paper's best
+	// Bloom is the shape of M_T and the widest the other matrices get.
+	// M_T and M_R keep it: top-k's per-version lower bound probes M_T with
+	// each version's full filter and slows × 1.3 at m = 1024 (DESIGN §5),
+	// and M_R, which only Build sizes, fills 3.4 % on C8k already. Each
+	// slice matrix is filled at Bloom.M and folded in half while the
+	// halved matrix fills at most targetFill, so on the C8k corpus the
+	// slices take 1 024 bits. The paper's best
 	// settings are m=4096 for search and m=512 for reverse search
-	// (Section 5.4), because its reverse probe visits every zero-bit row.
-	// Here a probe finishes per column once few candidates survive, and
-	// reverse search costs 0.02 ms (median, 4 000 attributes) at m=512,
-	// 0.03 ms at m=4096 and 0.05 ms at m=8192 (EXPERIMENTS.md, Fig. 12),
-	// so one index at m=4096 serves both directions.
+	// (Section 5.4), because its reverse probe visits every zero-bit row;
+	// here a probe finishes per column once few candidates survive, so one
+	// index serves both directions.
 	Bloom bloom.Params
-	// Slices is k, the number of time-slice indices. Best settings per
-	// the paper: 16 for search, 2 for reverse.
+	// Slices is k, the number of time-slice indices. The default is 4:
+	// within noise of 16 on C8k and ahead of it on the dense profile
+	// (EXPERIMENTS.md), at a quarter of the slice memory. The paper's
+	// best settings are 16 for search and 2 for reverse.
 	Slices int
 	// Strategy selects slice intervals (Random or WeightedRandom).
 	Strategy SliceStrategy
@@ -57,12 +63,13 @@ type Options struct {
 	DisableRequiredValues bool
 }
 
-// DefaultOptions returns the paper's best configuration for forward tIND
-// search on a dataset with the given horizon.
+// DefaultOptions returns the configuration for forward tIND search on a
+// dataset with the given horizon: the paper's best for search (m=4096,
+// two hash functions, random slices), at 4 slices rather than its 16.
 func DefaultOptions(n timeline.Time) Options {
 	return Options{
 		Bloom:    bloom.Params{M: 4096, K: 2},
-		Slices:   16,
+		Slices:   4,
 		Strategy: Random,
 		Params:   core.DefaultDays(n),
 	}
@@ -168,10 +175,8 @@ type Index struct {
 	mT           *bitmatrix.Matrix // columns: Bloom(A[T])
 	mR           *bitmatrix.Matrix // columns: Bloom(R_{ε,w}(A)); reverse only
 	buildElapsed time.Duration
-	// Build-time observability, surfaced via Stats and the obs gauges:
-	// per-matrix fill times and Bloom fill ratios of M_T and M_R.
+	// Per-matrix fill times of the build, surfaced via Stats.
 	mtBuild, sliceBuild, mrBuild time.Duration
-	fillMT, fillMR               float64
 	// baseHorizon is the dataset horizon the index was built over. With
 	// opt.Seed it pins slice selection: a reslice at horizon h draws from
 	// seed opt.Seed + (h - baseHorizon), so reslicing an unchanged-horizon
@@ -188,11 +193,10 @@ type Index struct {
 }
 
 // sliceState bundles the time-slice matrices with the observation ends
-// their columns were filled to, plus their per-slice observability. All
+// their columns were filled to, plus their pruning-power estimates. All
 // fields are guarded by Index.mu.
 type sliceState struct {
 	slices     []timeSlice
-	fillSlices []float64
 	slicePower []float64
 	// filled[a] is attribute a's observation end when its slice columns
 	// and minimum violation weights were last filled (DESIGN §12).
@@ -218,6 +222,12 @@ type BuildStats struct {
 	MTFillRatio     float64
 	MRFillRatio     float64
 	SliceFillRatios []float64
+	// Bloom widths m per matrix: M_T's and M_R's are Options.Bloom.M, and
+	// each slice matrix has the width its fill folded it to (targetFill).
+	// MRBits is zero for forward-only indices.
+	MTBits    int
+	MRBits    int
+	SliceBits []int
 	// SlicePruningPower is the estimate p(I) = Σ_A |A[I]| / |I| of
 	// Section 4.4.2 for each chosen slice interval.
 	SlicePruningPower []float64
@@ -283,7 +293,8 @@ func BuildOver(ds *history.Dataset, ids []history.AttrID, opt Options) (*Index, 
 	}
 
 	// M_T over the full value sets. Constructible without knowing any of
-	// the three query parameters (Section 4.2.1).
+	// the three query parameters (Section 4.2.1). It keeps opt.Bloom's
+	// width, which top-k's per-version bound needs.
 	idx.mT = fillMatrix("m_t", &idx.mtBuild, func(h *history.History, buf values.Set) values.Set {
 		return append(buf, h.AllValues()...)
 	})
@@ -294,22 +305,41 @@ func BuildOver(ds *history.Dataset, ids []history.AttrID, opt Options) (*Index, 
 		rand.New(rand.NewSource(opt.Seed)))
 
 	// M_R over required values, for reverse search (Section 4.5). Its ε
-	// and w must be the maximum/assumed query parameters.
+	// and w must be the maximum/assumed query parameters. It keeps
+	// opt.Bloom's width: Refresh only adds required values to it and no
+	// pass sizes it again, so a fold at Build would be kept for good.
 	if opt.Reverse {
 		idx.mR = fillMatrix("m_r", &idx.mrBuild, func(h *history.History, buf values.Set) values.Set {
 			return core.AppendRequiredValues(buf, h, opt.Params.Epsilon, opt.Params.Weight)
 		})
 	}
 	idx.px = buildPrefix(attrs, opt.Params.Weight)
-	idx.observeBuild()
 	idx.buildElapsed = time.Since(start)
 	mBuildSeconds.ObserveDuration(idx.buildElapsed)
 	return idx, nil
 }
 
+// targetFill is the fill ratio a slice matrix is folded down to: filled
+// at Options.Bloom.M, it halves while the half-width matrix has at most
+// this share of its bits set (fitWidth). On the C8k corpus the slices
+// fill 0.63–0.71 % at 4 096 bits and land at 1 024 (2.5–2.7 %); any value
+// in 2.8–5 % picks that width (DESIGN §5).
+const targetFill = 0.04
+
+// fitWidth folds m in half while the folded matrix fills at most
+// targetFill. A fold equals a fill at the half width (Matrix.Fold), so the
+// result is the matrix a direct fill at its width would give.
+func fitWidth(m *bitmatrix.Matrix) *bitmatrix.Matrix {
+	for m.CanFold() && m.FoldedFillRatio() <= targetFill {
+		m = m.Fold()
+	}
+	return m
+}
+
 // buildTimeSlices selects slice intervals over the attributes and fills
-// their Bloom matrices — and, for reverse-capable indices, the per-slice
-// minimum violation weights — recording each attribute's observation end.
+// their Bloom matrices, each folded to its own width (fitWidth) — and,
+// for reverse-capable indices, the per-slice minimum violation weights —
+// recording each attribute's observation end.
 // Only reverse-capable indices need the stronger δ-expanded disjointness
 // of the slice intervals (§4.5). Build and Reslice call it with the
 // index's own attributes while no query can read them.
@@ -336,11 +366,11 @@ func buildTimeSlices(attrs []*history.History, horizon timeline.Time, opt Option
 			}
 			return attrs[a].AppendUnion(buf, window)
 		})
+		ts.matrix = fitWidth(ts.matrix)
 		d := time.Since(t0)
 		elapsed += d
 		matrixBuildSeconds("slice").ObserveDuration(d)
 		ss.slices = append(ss.slices, ts)
-		ss.fillSlices = append(ss.fillSlices, ts.matrix.FillRatio())
 		ss.slicePower = append(ss.slicePower, slicePruningPower(attrs, iv))
 	}
 	ss.filled = make([]timeline.Time, len(attrs))
@@ -371,7 +401,7 @@ func (ss *sliceState) refill(changed []int, cols []*history.History, opt Options
 			if end := ss.filled[c]; window.End > end {
 				h := cols[c]
 				fresh := timeline.NewInterval(max(window.Start, end), window.End)
-				ts.matrix.SetColumn(c, bloom.FromSet(opt.Bloom, h.Union(fresh)))
+				ts.matrix.SetColumn(c, bloom.FromSet(ts.matrix.Params(), h.Union(fresh)))
 				if ts.minVio != nil {
 					ts.minVio[c] = minViolationWeight(h, window, opt.Params.Weight)
 				}
@@ -380,38 +410,6 @@ func (ss *sliceState) refill(changed []int, cols []*history.History, opt Options
 	}
 	for _, c := range changed {
 		ss.filled[c] = cols[c].ObservedUntil()
-	}
-}
-
-// observeBuild computes the build-quality measurements — Bloom fill
-// ratios per matrix and the pruning-power estimate p(I) per slice — and
-// publishes them on the obs gauges. The fill ratio is the knob the
-// paper's m sizing (§5.4) trades against pruning power: a filter near
-// saturation prunes nothing.
-func (x *Index) observeBuild() {
-	x.fillMT = x.mT.FillRatio()
-	fillRatioGauge("m_t").Set(x.fillMT)
-	publishSliceGauges(x.ss.fillSlices, x.ss.slicePower)
-	if x.mR != nil {
-		x.fillMR = x.mR.FillRatio()
-		fillRatioGauge("m_r").Set(x.fillMR)
-	}
-	st := x.Stats()
-	mIndexAttributes.Set(float64(st.Attributes))
-	mIndexBytes.Set(float64(st.MemoryBytes))
-	mIndexSlices.Set(float64(st.Slices))
-}
-
-// publishSliceGauges sets the per-slice pruning-power gauges and the mean
-// slice fill ratio.
-func publishSliceGauges(fill, power []float64) {
-	var sliceSum float64
-	for i, p := range power {
-		sliceSum += fill[i]
-		slicePruningPowerGauge(i).Set(p)
-	}
-	if len(fill) > 0 {
-		fillRatioGauge("slices").Set(sliceSum / float64(len(fill)))
 	}
 }
 
@@ -486,19 +484,21 @@ func (x *Index) Stats() BuildStats {
 	defer x.mu.RUnlock()
 	s := BuildStats{Attributes: len(x.cols), Slices: len(x.ss.slices)}
 	s.MemoryBytes = x.mT.MemoryBytes()
+	s.MTFillRatio, s.MTBits = x.mT.FillRatio(), x.mT.Params().M
 	for _, ts := range x.ss.slices {
 		s.SliceSpans = append(s.SliceSpans, ts.iv)
 		s.MemoryBytes += ts.matrix.MemoryBytes() + int64(len(ts.minVio))*8
+		s.SliceFillRatios = append(s.SliceFillRatios, ts.matrix.FillRatio())
+		s.SliceBits = append(s.SliceBits, ts.matrix.Params().M)
 	}
 	s.MemoryBytes += int64(len(x.ss.filled)) * 8 // one timeline.Time (an int) each
 	if x.mR != nil {
 		s.MemoryBytes += x.mR.MemoryBytes()
+		s.MRFillRatio, s.MRBits = x.mR.FillRatio(), x.mR.Params().M
 	}
 	s.MemoryBytes += x.px.memoryBytes()
 	s.Elapsed = x.buildElapsed
 	s.MTBuild, s.SliceBuild, s.MRBuild = x.mtBuild, x.sliceBuild, x.mrBuild
-	s.MTFillRatio, s.MRFillRatio = x.fillMT, x.fillMR
-	s.SliceFillRatios = append([]float64(nil), x.ss.fillSlices...)
 	s.SlicePruningPower = append([]float64(nil), x.ss.slicePower...)
 	return s
 }

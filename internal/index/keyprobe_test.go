@@ -38,7 +38,7 @@ func keyProbeWeights(t *testing.T, n timeline.Time) map[string]timeline.WeightFu
 func checkKeyReach(t *testing.T, x *Index) int {
 	t.Helper()
 	ds := x.ds
-	ar := x.pool.getArena(ds.Len(), x.opt.Bloom)
+	ar := x.pool.getArena(ds.Len())
 	defer x.pool.putArena(ar)
 	r := &queryRun{x: x, ar: ar}
 	all := bitmatrix.NewVecFull(ds.Len())

@@ -35,12 +35,6 @@ var qm [numModes]modeMetrics
 var (
 	mBuildSeconds = reg.Histogram("tind_index_build_seconds",
 		"Wall time of full index builds.", obs.ExpBuckets(0.001, 4, 12))
-	mIndexAttributes = reg.Gauge("tind_index_attributes",
-		"Attributes covered by the most recently built index.")
-	mIndexBytes = reg.Gauge("tind_index_bytes",
-		"Memory footprint of the most recently built index.")
-	mIndexSlices = reg.Gauge("tind_index_slices",
-		"Time-slice matrices in the most recently built index.")
 	mAllPairsSeconds = reg.Histogram("tind_allpairs_seconds",
 		"Wall time of complete all-pairs discovery runs.", obs.ExpBuckets(0.001, 4, 14))
 	// Re-slicing instruments: the pass that re-selects the slice
@@ -101,15 +95,46 @@ func matrixBuildSeconds(matrix string) *obs.Histogram {
 // fillRatioGauge returns the Bloom fill-ratio gauge of one matrix kind.
 func fillRatioGauge(matrix string) *obs.Gauge {
 	return reg.Gauge("tind_index_bloom_fill_ratio",
-		"Fraction of set bits in the Bloom matrices of the most recent build.",
+		"Fraction of set bits in the Bloom matrices of the served index.",
 		obs.L("matrix", matrix))
 }
 
 // slicePruningPowerGauge returns the p(I) gauge of slice i: the paper's
 // pruning-power estimate sum_A |A[I]| / |I| (Section 4.4.2) computed for
-// the chosen interval at build time.
+// the chosen interval when it was selected.
 func slicePruningPowerGauge(i int) *obs.Gauge {
 	return reg.Gauge("tind_index_slice_pruning_power",
 		"Pruning-power estimate p(I) per chosen time slice.",
 		obs.L("slice", strconv.Itoa(i)))
+}
+
+// PublishStats sets the index state gauges — attributes, bytes, slices,
+// the fill ratio per matrix kind (the slices' mean) and p(I) per slice —
+// from st, the statistics of the engine a process serves or ran on. A
+// build sets none of them, so a sharded engine reports its aggregate, not
+// whichever shard build finished last; the caller publishes whenever what
+// it serves changes, so a scrape reads the gauges without touching the
+// index. The gauges are registered here, so a process that publishes
+// nothing exposes none of them rather than zeros.
+func PublishStats(st BuildStats) {
+	reg.Gauge("tind_index_attributes", "Attributes covered by the served index.").
+		Set(float64(st.Attributes))
+	reg.Gauge("tind_index_bytes", "Memory footprint of the served index.").
+		Set(float64(st.MemoryBytes))
+	reg.Gauge("tind_index_slices", "Time-slice matrices in the served index.").
+		Set(float64(st.Slices))
+	fillRatioGauge("m_t").Set(st.MTFillRatio)
+	if st.MRBits > 0 {
+		fillRatioGauge("m_r").Set(st.MRFillRatio)
+	}
+	if len(st.SliceFillRatios) > 0 {
+		var sum float64
+		for _, f := range st.SliceFillRatios {
+			sum += f
+		}
+		fillRatioGauge("slices").Set(sum / float64(len(st.SliceFillRatios)))
+	}
+	for i, p := range st.SlicePruningPower {
+		slicePruningPowerGauge(i).Set(p)
+	}
 }

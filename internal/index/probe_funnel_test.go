@@ -45,7 +45,11 @@ func (w pinnedFunnel) check(t *testing.T, what string, res Result) {
 // start sparse. The same queries through QueryBatch must agree entry for
 // entry, each having probed for itself, and after a Refresh that grows
 // columns in place — bit counts maintained, refreshed slice columns equal
-// to a fresh fill — the answers must equal the naive semantics.
+// to a fresh fill — the answers must equal the naive semantics. The
+// after-slice counts of five rows (forward 161, reverse 7, 14, 126 and
+// 154) were re-pinned when the default went from 16 slices at 4 096 bits
+// to 4 slices folded to their fill (targetFill); every result count and
+// id hash is still the row-by-row index's.
 func TestProbeFunnelPinned(t *testing.T) {
 	c, err := datagen.Generate(datagen.Config{Seed: 42, Attributes: 2000, Horizon: 800})
 	if err != nil {
@@ -71,7 +75,7 @@ func TestProbeFunnelPinned(t *testing.T) {
 			{112, 4, 1, 1, 1, 1, 0xd85e4f0f89150fc},
 			{126, 5, 1, 1, 1, 1, 0x1fc036f1032618c2},
 			{133, 3, 1, 1, 1, 1, 0x1fc036f1032618c2},
-			{161, 38, 3, 3, 3, 3, 0x52157d0da987dc02},
+			{161, 38, 7, 7, 7, 3, 0x52157d0da987dc02},
 			{189, 22, 2, 2, 2, 2, 0xf16eba1fa0b4977c},
 			{196, 2, 2, 2, 2, 2, 0x2921aab6646c4a4a},
 			{203, 3, 2, 2, 2, 2, 0xbc42e17a5b10e258},
@@ -84,8 +88,8 @@ func TestProbeFunnelPinned(t *testing.T) {
 		},
 		ModeReverse: {
 			{0, 13, 13, 13, 13, 13, 0x5253456ae2378ee4},
-			{7, 2, 0, 0, 0, 0, 0xcbf29ce484222325},
-			{14, 14, 0, 0, 0, 0, 0xcbf29ce484222325},
+			{7, 2, 1, 1, 1, 0, 0xcbf29ce484222325},
+			{14, 14, 1, 1, 1, 0, 0xcbf29ce484222325},
 			{21, 0, 0, 0, 0, 0, 0xcbf29ce484222325},
 			{28, 0, 0, 0, 0, 0, 0xcbf29ce484222325},
 			{35, 2, 0, 0, 0, 0, 0xcbf29ce484222325},
@@ -94,8 +98,8 @@ func TestProbeFunnelPinned(t *testing.T) {
 			{98, 3, 0, 0, 0, 0, 0xcbf29ce484222325},
 			{112, 2, 0, 0, 0, 0, 0xcbf29ce484222325},
 			{119, 7, 0, 0, 0, 0, 0xcbf29ce484222325},
-			{126, 3, 3, 3, 3, 1, 0x68f7e334bb8fdd9e},
-			{154, 5, 0, 0, 0, 0, 0xcbf29ce484222325},
+			{126, 3, 2, 2, 2, 1, 0x68f7e334bb8fdd9e},
+			{154, 5, 1, 1, 1, 0, 0xcbf29ce484222325},
 			{175, 9, 9, 9, 9, 8, 0x8a2ac9badfb78453},
 			{182, 3, 0, 0, 0, 0, 0xcbf29ce484222325},
 			{217, 2, 0, 0, 0, 0, 0xcbf29ce484222325},

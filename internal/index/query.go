@@ -98,7 +98,7 @@ func (x *Index) Query(ctx context.Context, q *history.History, o QueryOptions) (
 // runOne executes a validated query on an arena of its own; the caller
 // holds the read lock.
 func (x *Index) runOne(ctx context.Context, q *history.History, o QueryOptions) (Result, error) {
-	ar := x.pool.getArena(len(x.cols), x.opt.Bloom)
+	ar := x.pool.getArena(len(x.cols))
 	defer x.pool.putArena(ar)
 	return x.runEntry(ctx, q, o, ar, 0)
 }
@@ -156,18 +156,14 @@ type queryRun struct {
 // unspecified contents.
 func (r *queryRun) newCand() *bitmatrix.Vec { return r.x.pool.getVec(len(r.x.cols)) }
 
-// filterFor rebuilds the arena's Bloom filter over the set. The returned
-// filter is only valid until the next filterFor call on the same run.
-func (r *queryRun) filterFor(s values.Set) *bloom.Filter {
-	r.ar.filter.Reset()
-	r.ar.filter.AddSet(s)
-	return r.ar.filter
-}
-
-// vioMap returns the arena's violation accumulator, emptied.
-func (r *queryRun) vioMap() map[int]float64 {
-	clear(r.ar.vio)
-	return r.ar.vio
+// filterFor rebuilds the arena's Bloom filter of m's width over the set:
+// the filter m's probes take. The returned filter is only valid until the
+// next filterFor call at the same width on the same run.
+func (r *queryRun) filterFor(m *bitmatrix.Matrix, s values.Set) *bloom.Filter {
+	f := r.ar.filterOf(m.Params())
+	f.Reset()
+	f.AddSet(s)
+	return f
 }
 
 // requiredValues computes R_{ε,w}(q) into the arena's scratch. The
@@ -253,7 +249,7 @@ func (r *queryRun) prune(ctx context.Context, q *history.History, p core.Params,
 	var req values.Set // forward only; reused by the subset check
 	if reverse {
 		if x.mRCovers(p) {
-			r.ar.bits = x.mR.SubsetsInto(r.filterFor(q.AllValues()), nil, cand, r.ar.bits)
+			r.ar.bits = x.mR.SubsetsInto(r.filterFor(x.mR, q.AllValues()), nil, cand, r.ar.bits)
 		} else {
 			r.prefixCandidates(q, p, cand)
 		}
@@ -264,7 +260,7 @@ func (r *queryRun) prune(ctx context.Context, q *history.History, p core.Params,
 		if filled = len(req) == 0 || x.opt.DisableRequiredValues; filled {
 			cand.Fill()
 		} else {
-			r.ar.bits = x.mT.SupersetsInto(r.filterFor(req), nil, cand, r.ar.bits)
+			r.ar.bits = x.mT.SupersetsInto(r.filterFor(x.mT, req), nil, cand, r.ar.bits)
 		}
 	}
 	x.excludeSelf(q, cand)
@@ -417,10 +413,11 @@ func (r *queryRun) keyReach(q *history.History, n timeline.Time, cand *bitmatrix
 	ar.keys = slices.Compact(keys)
 	reach := ar.probe
 	reach.Reset()
+	f := ar.filterOf(r.x.mT.Params())
 	for _, k := range ar.keys {
-		ar.filter.Reset()
-		ar.filter.Add(k)
-		ar.bits = r.x.mT.SupersetsInto(ar.filter, cand, ar.pv, ar.bits)
+		f.Reset()
+		f.Add(k)
+		ar.bits = r.x.mT.SupersetsInto(f, cand, ar.pv, ar.bits)
 		reach.Or(ar.pv)
 	}
 	return reach
@@ -435,7 +432,7 @@ func (x *Index) mRCovers(p core.Params) bool {
 // forwardSlicePrune runs lines 4-15 of Algorithm 1 over all slices.
 func (r *queryRun) forwardSlicePrune(ctx context.Context, q *history.History, p core.Params,
 	cand *bitmatrix.Vec, st *QueryStats) error {
-	vio := r.vioMap()
+	defer r.ar.resetViolations()
 	// The query's version boundaries are the same in every slice; compute
 	// them once rather than per slice.
 	bounds := q.ChangeTimes()
@@ -444,7 +441,7 @@ func (r *queryRun) forwardSlicePrune(ctx context.Context, q *history.History, p 
 			return err
 		}
 		st.SlicesUsed++
-		r.pruneSlice(q, bounds, p, ts, cand, vio)
+		r.pruneSlice(q, bounds, p, ts, cand)
 		if cand.Count() == 0 {
 			break
 		}
@@ -459,8 +456,8 @@ func (r *queryRun) forwardSlicePrune(ctx context.Context, q *history.History, p 
 // Figure 14).
 func (r *queryRun) reverseSlicePrune(ctx context.Context, q *history.History, p core.Params,
 	cand *bitmatrix.Vec, st *QueryStats) error {
-	x := r.x
-	vio := r.vioMap()
+	x, ar := r.x, r.ar
+	defer ar.resetViolations()
 	used := 0
 	for _, ts := range x.ss.slices {
 		if err := CtxErr(ctx); err != nil {
@@ -475,11 +472,10 @@ func (r *queryRun) reverseSlicePrune(ctx context.Context, q *history.History, p 
 		used++
 		st.SlicesUsed++
 		qWin := q.Union(ts.iv.Expand(2 * x.opt.Params.Delta))
-		violators := r.ar.probe
-		r.ar.bits = ts.matrix.ViolatorsInto(r.filterFor(qWin), cand, violators, r.ar.bits)
+		violators := ar.probe
+		ar.bits = ts.matrix.ViolatorsInto(r.filterFor(ts.matrix, qWin), cand, violators, ar.bits)
 		violators.ForEach(func(c int) bool {
-			vio[c] += ts.minVio[c]
-			if vio[c] > p.Epsilon {
+			if ar.charge(c, ts.minVio[c]) > p.Epsilon {
 				cand.Clear(c)
 			}
 			return true
@@ -623,7 +619,7 @@ func (r *queryRun) lowerBounds(ctx context.Context, q *history.History, pq *core
 			reach.ForEach(func(c int) bool { lb[c] = 0; return true })
 			return err
 		}
-		ar.bits = x.mT.SupersetsInto(r.filterFor(qv), reach, ar.pv, ar.bits)
+		ar.bits = x.mT.SupersetsInto(r.filterFor(x.mT, qv), reach, ar.pv, ar.bits)
 		w := pq.Sum(i)
 		reach.ForEachAndNot(ar.pv, func(c int) bool { lb[c] += w; return true })
 	}

@@ -108,11 +108,12 @@ func (x *Index) refreshLocked(changed []history.AttrID, newHorizon timeline.Time
 		*x.cols[col] = *x.src[col]
 		h := x.cols[col]
 		// Adding the full current value set is idempotent: existing bits
-		// stay set, new values contribute their bits.
-		x.mT.SetColumn(col, bloom.FromSet(x.opt.Bloom, h.AllValues()))
+		// stay set, new values contribute their bits. Each column is hashed
+		// at its matrix's own width.
+		x.mT.SetColumn(col, bloom.FromSet(x.mT.Params(), h.AllValues()))
 		if x.mR != nil {
 			req := core.RequiredValues(h, x.opt.Params.Epsilon, x.opt.Params.Weight)
-			x.mR.SetColumn(col, bloom.FromSet(x.opt.Bloom, req))
+			x.mR.SetColumn(col, bloom.FromSet(x.mR.Params(), req))
 		}
 		x.px.refresh(col, h, x.opt.Params.Weight)
 	}
@@ -145,7 +146,7 @@ func (x *Index) CheckSlices() error {
 	for j, ts := range x.ss.slices {
 		window := ts.window(x.opt)
 		for a, h := range x.cols {
-			f := bloom.FromSet(x.opt.Bloom, h.Union(window))
+			f := bloom.FromSet(ts.matrix.Params(), h.Union(window))
 			col.Reset()
 			col.Set(a)
 			buf = ts.matrix.SupersetsInto(f, col, out, buf)

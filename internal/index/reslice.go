@@ -19,9 +19,10 @@ type ResliceStats struct {
 }
 
 // Reslice re-runs slice selection over the current (possibly extended)
-// horizon and fills fresh slice matrices — and minimum violation weights
-// for reverse-capable indices — from the current histories, under the
-// write lock. Refresh already keeps the slices exact, so a reslice only
+// horizon and fills fresh slice matrices — each folded to the width its
+// fill asks for, as Build's are — and minimum violation weights for
+// reverse-capable indices, from the current histories, under the write
+// lock. Refresh already keeps the slices exact, so a reslice only
 // moves the intervals to where the grown horizon lets them prune.
 //
 // Determinism: the slice-selection seed is Seed + (horizon −
@@ -36,12 +37,9 @@ func (x *Index) Reslice() (ResliceStats, error) {
 	x.ss, _ = buildTimeSlices(x.cols, horizon, x.opt, rng)
 	st := ResliceStats{Slices: len(x.ss.slices), Horizon: horizon}
 	attrs := len(x.cols)
-	fill, power := x.ss.fillSlices, x.ss.slicePower
 	x.mu.Unlock()
 	st.Elapsed = time.Since(start)
 
-	mIndexSlices.Set(float64(st.Slices))
-	publishSliceGauges(fill, power)
 	mResliceSeconds.ObserveDuration(st.Elapsed)
 	mReslices.Add(1)
 	obs.Events().Record(obs.Event{

@@ -144,10 +144,10 @@ func (x *Index) subsetCheck(ctx context.Context, cand *bitmatrix.Vec, req values
 // a partial violation and are pruned once the budget is exceeded. bounds
 // are the query's version boundaries (q.ChangeTimes()), hoisted out by
 // the caller because they are slice-independent. The per-sub-interval
-// probe result, violated set, filter and cut buffer all come from the
-// run's arena.
+// probe result, violated set, filter, cut buffer and the violation sums
+// (arena.charge) all come from the run's arena.
 func (r *queryRun) pruneSlice(q *history.History, bounds []timeline.Time, p core.Params,
-	ts timeSlice, cand *bitmatrix.Vec, vio map[int]float64) {
+	ts timeSlice, cand *bitmatrix.Vec) {
 	ar := r.ar
 	// Distinct versions of Q within the interval: version boundaries
 	// intersected with I, plus I's own boundaries (line 6).
@@ -172,7 +172,7 @@ func (r *queryRun) pruneSlice(q *history.History, bounds []timeline.Time, p core
 		}
 		// PV = C ∧ ¬C_I (line 10): candidates violated in this
 		// sub-interval.
-		ar.bits = ts.matrix.SupersetsInto(r.filterFor(qv), cand, ar.probe, ar.bits)
+		ar.bits = ts.matrix.SupersetsInto(r.filterFor(ts.matrix, qv), cand, ar.probe, ar.bits)
 		pv := ar.pv
 		pv.CopyFrom(cand)
 		pv.AndNot(ar.probe)
@@ -181,8 +181,7 @@ func (r *queryRun) pruneSlice(q *history.History, bounds []timeline.Time, p core
 		}
 		wSub := p.Weight.Sum(sub)
 		pv.ForEach(func(c int) bool {
-			vio[c] += wSub
-			if vio[c] > p.Epsilon {
+			if ar.charge(c, wSub) > p.Epsilon {
 				cand.Clear(c)
 			}
 			return true

@@ -25,7 +25,7 @@ import (
 func topKReference(x *Index, q *history.History, o QueryOptions) ([]Ranked, error) {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	ar := x.pool.getArena(x.ds.Len(), x.opt.Bloom)
+	ar := x.pool.getArena(x.ds.Len())
 	defer x.pool.putArena(ar)
 	r := &ar.run
 	*r = queryRun{x: x, mode: ModeForward, start: time.Now(), ar: ar}
@@ -49,7 +49,7 @@ func topKReference(x *Index, q *history.History, o QueryOptions) ([]Ranked, erro
 func checkBounds(t *testing.T, x *Index, stride int) (pairs, dropped int) {
 	t.Helper()
 	ds := x.ds
-	ar := x.pool.getArena(ds.Len(), x.opt.Bloom)
+	ar := x.pool.getArena(ds.Len())
 	defer x.pool.putArena(ar)
 	r := &queryRun{x: x, ar: ar}
 	n := ds.Horizon()

@@ -256,7 +256,7 @@ func TestValidateParallelMatchesSequential(t *testing.T) {
 		return s.Check(ctx, q, ds.Attr(history.AttrID(c)), p)
 	}
 	run := func(workers int, check func(*core.Scratch, int) (float64, bool, error)) ([]Ranked, int, error) {
-		ar := x.pool.getArena(ds.Len(), x.opt.Bloom)
+		ar := x.pool.getArena(ds.Len())
 		defer x.pool.putArena(ar)
 		r := &queryRun{x: x, ar: ar, valWorkers: workers}
 		cand := bitmatrix.NewVec(ds.Len())

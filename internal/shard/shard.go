@@ -145,8 +145,9 @@ func (sx *ShardedIndex) Stats() index.BuildStats {
 
 // AggregateStats folds per-shard build statistics into one monolith-
 // shaped summary: counts, memory and phase times sum; slice spans, fill
-// ratios and pruning powers concatenate in shard order; fill ratios
-// (per-matrix densities, not additive) report the mean. Elapsed is the
+// ratios, widths and pruning powers concatenate in shard order; fill
+// ratios (per-matrix densities, not additive) report the mean, and the
+// M_T and M_R widths the widest. Elapsed is the
 // caller's to set — build wall time is a deployment property
 // (shard-parallel in-process, independent per shard server), not an
 // aggregate.
@@ -161,6 +162,8 @@ func AggregateStats(per []index.BuildStats) index.BuildStats {
 		agg.SliceBuild += st.SliceBuild
 		agg.MRBuild += st.MRBuild
 		agg.SliceFillRatios = append(agg.SliceFillRatios, st.SliceFillRatios...)
+		agg.SliceBits = append(agg.SliceBits, st.SliceBits...)
+		agg.MTBits, agg.MRBits = max(agg.MTBits, st.MTBits), max(agg.MRBits, st.MRBits)
 		agg.SlicePruningPower = append(agg.SlicePruningPower, st.SlicePruningPower...)
 		agg.MTFillRatio += st.MTFillRatio
 		agg.MRFillRatio += st.MRFillRatio

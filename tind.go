@@ -257,16 +257,19 @@ var (
 var ErrInvalidIndexOptions = index.ErrInvalidOptions
 
 // WriteMetrics writes every metric collected by this process — index
-// build and query-phase histograms, Bloom fill ratios, parse and persist
-// throughput — in the Prometheus text exposition format. tindserve's
-// /metrics endpoint serves exactly this.
+// build and query-phase histograms, parse and persist throughput — in the
+// Prometheus text exposition format. tindserve's /metrics endpoint serves
+// exactly this, together with the state gauges of the index it serves
+// (tind_index_bytes, Bloom fill ratios), which a build does not set: a
+// process that serves no index exposes none of them.
 func WriteMetrics(w io.Writer) error { return obs.Default().WritePrometheus(w) }
 
 // BuildIndex constructs the tIND index over a dataset (Section 4.2).
 func BuildIndex(ds *Dataset, opt IndexOptions) (*Index, error) { return index.Build(ds, opt) }
 
-// DefaultOptions is the paper's best search configuration (m=4096, k=16,
-// random slices).
+// DefaultOptions is the search configuration: the paper's m=4096 and
+// random slices, at k=4 slices; the slice matrices and M_R are folded to
+// the width their fill asks for (index.Options.Bloom).
 func DefaultOptions(n Time) IndexOptions { return index.DefaultOptions(n) }
 
 // DefaultReverseOptions is the paper's best reverse-search configuration
