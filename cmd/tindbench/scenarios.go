@@ -39,6 +39,7 @@ const (
 	allPairsMax    = 2000                 // all-pairs runs only up to this corpus size
 	ingestRounds   = 6                    // delta batches per refresh_ingest repetition
 	ingestPerRound = 32                   // attributes each delta batch appends to, at most
+	reslicePasses  = 4                    // Refresh+Reslice passes per reslice repetition
 	minWall        = 2 * time.Millisecond // noise floor: faster runs are not wall-gated
 )
 
@@ -226,10 +227,11 @@ func (s *sizeRun) steps() []step {
 	}
 
 	// reslice: an idempotent refresh of half the attributes (same horizon,
-	// no data change — so every repetition does identical work), then one
-	// Reslice pass that re-selects slices and refills them. The unchanged
-	// horizon pins the pass to the build's slice selection, leaving the
-	// index in its original state for whatever runs next.
+	// no data change — so every pass does identical work), then one
+	// Reslice pass that re-selects slices and refills them, reslicePasses
+	// times per repetition, so ns/op averages over more than one pass. The
+	// unchanged horizon pins each pass to the build's slice selection,
+	// leaving the index in its original state for whatever runs next.
 	var half []history.AttrID
 	// refresh_ingest: live delta batches through the WAL-backed ingester
 	// into the sharded refresh — the serving-side maintenance path
@@ -247,7 +249,7 @@ func (s *sizeRun) steps() []step {
 			_, err := persist.Read(bytes.NewReader(buf.Bytes()))
 			return err
 		}},
-		step{name: "reslice", ops: 1,
+		step{name: "reslice", ops: reslicePasses,
 			setup: func() {
 				half = make([]history.AttrID, s.ds.Len()/2)
 				for i := range half {
@@ -255,11 +257,15 @@ func (s *sizeRun) steps() []step {
 				}
 			},
 			run: func() error {
-				if err := s.idx.Refresh(half, s.ds.Horizon()); err != nil {
-					return err
+				for range reslicePasses {
+					if err := s.idx.Refresh(half, s.ds.Horizon()); err != nil {
+						return err
+					}
+					if _, err := s.idx.Reslice(); err != nil {
+						return err
+					}
 				}
-				_, err := s.idx.Reslice()
-				return err
+				return nil
 			}},
 		step{name: "refresh_ingest", ops: int64(ingestRounds * (1 + perRound)),
 			setup: func() { feed = newIngestFeed(s.ds) },

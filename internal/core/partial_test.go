@@ -78,29 +78,6 @@ func TestHoldsPartialSigmaOneEqualsHolds(t *testing.T) {
 	}
 }
 
-func TestHoldsPartialMatchesNaiveProperty(t *testing.T) {
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := timeline.Time(15 + r.Intn(30))
-		q := randHistory(r, n)
-		a := randHistory(r, n)
-		p := Params{
-			Epsilon: r.Float64() * 5,
-			Delta:   timeline.Time(r.Intn(4)),
-			Weight:  timeline.Uniform(n),
-		}
-		sigma := 0.3 + r.Float64()*0.7
-		ok, err := HoldsPartial(q, a, p, sigma)
-		if err != nil {
-			return false
-		}
-		return ok == HoldsPartialNaive(q, a, p, sigma)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestHoldsPartialMonotoneInSigma(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	n := timeline.Time(40)

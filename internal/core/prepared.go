@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math/bits"
 	"slices"
 
@@ -10,10 +9,11 @@ import (
 	"tind/internal/values"
 )
 
-// Prepared is Q's side of the σ = 1 sweep, computed once for a scan that
-// checks one Q against many right-hand sides. It lets each pair decide
-// "is version i of Q coverable by A?" with a few word operations instead
-// of projecting the version onto All(Q) ∩ All(A):
+// Prepared is Q's side of the sweep. Check prepares the Q of each pair it
+// is given; a scan that checks one Q against many right-hand sides
+// prepares it once and calls CheckPrepared. It lets each pair decide "is
+// version i of Q coverable by A?" with a few word operations instead of
+// projecting the version onto All(Q) ∩ All(A):
 //
 //   - mark maps a value id to its position in All(Q) plus one (0: not in
 //     All(Q)), so All(Q) ∩ All(A) is one pass over All(A) into a bitset
@@ -30,7 +30,7 @@ import (
 type Prepared struct {
 	q     *history.History
 	all   values.Set // All(Q) at Prepare time
-	mark  []int32    // value id → position in all + 1; zero beyond all
+	mark  []int32    // value id → position in all + 1, up to all's largest id
 	words int        // ⌈|all| / 64⌉
 	rows  []uint64   // per version of Q, words bits each
 	sums  []float64  // per version of Q, w.Sum of its clamped validity
@@ -38,17 +38,18 @@ type Prepared struct {
 
 // Prepare fills p for query q under the weight w: every CheckPrepared
 // against p must pass Params with that same weight. The marks of the
-// previous query are cleared by walking its All(Q), never the whole array.
+// previous query are cleared by walking its All(Q), never the whole array,
+// so every entry past mark's length, up to its capacity, stays zero.
 func (p *Prepared) Prepare(q *history.History, w timeline.WeightFunc) {
 	for _, v := range p.all {
 		p.mark[v] = 0
 	}
 	p.q, p.all = q, q.AllValues()
+	top := 0
 	if n := len(p.all); n > 0 {
-		if top := int(p.all[n-1]) + 1; top > len(p.mark) {
-			p.mark = slices.Grow(p.mark, top-len(p.mark))[:top]
-		}
+		top = int(p.all[n-1]) + 1
 	}
+	p.mark = slices.Grow(p.mark[:0], top)[:top]
 	for at, v := range p.all {
 		p.mark[v] = int32(at) + 1
 	}
@@ -114,13 +115,4 @@ func (p *Prepared) positions(dst []int32, vs values.Set) []int32 {
 		}
 	}
 	return dst
-}
-
-// CheckPrepared is Check for the q that p was prepared for: the same
-// sweep, the same terms in the same order, so weight and verdict are
-// bit-equal to Check(ctx, q, a, params). params.Weight must be the weight p
-// was prepared under.
-func (s *Scratch) CheckPrepared(ctx context.Context, p *Prepared, a *history.History, params Params) (weight float64, ok bool, err error) {
-	weight, err = s.violationWeight(ctx, p.q, p, a, params, 1, true)
-	return weight, err == nil && weight <= params.Epsilon, err
 }

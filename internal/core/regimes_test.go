@@ -154,8 +154,8 @@ func checkPair(t *testing.T, s *core.Scratch, q, a *history.History, p core.Para
 			t.Errorf("%s: σ=%g partial weight %g (err %v), oracle %g", name, sigma, gotP, err, wantP)
 		}
 		if math.Abs(wantP-p.Epsilon) > tol {
-			if h, _ := core.HoldsPartial(q, a, p, sigma); h != core.HoldsPartialNaive(q, a, p, sigma) {
-				t.Errorf("%s: σ=%g HoldsPartial = %v, naive disagrees", name, sigma, h)
+			if h, _ := core.HoldsPartial(q, a, p, sigma); h != oracle.HoldsPartial(q, a, p, sigma) {
+				t.Errorf("%s: σ=%g HoldsPartial = %v, oracle disagrees", name, sigma, h)
 			}
 		}
 	}

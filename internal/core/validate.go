@@ -35,10 +35,16 @@ func DeltaContained(q, a *history.History, t timeline.Time, delta timeline.Time)
 	return qv.SubsetOf(a.Union(timeline.Window(t, delta)))
 }
 
+// scratchPool lends Holds, ViolationWeight and Explain a warm Scratch, so
+// a one-shot check grows no mark array, row bitsets or window counts.
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
 // Holds reports whether Q ⊆_{w,ε,δ} A (Definition 3.6), using Algorithm 2
 // restricted to the vocabulary Q and A share (see Scratch.sweep).
 func Holds(q, a *history.History, p Params) bool {
-	_, ok, _ := new(Scratch).Check(nil, q, a, p)
+	s := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(s)
+	_, ok, _ := s.Check(nil, q, a, p)
 	return ok
 }
 
@@ -46,7 +52,10 @@ func Holds(q, a *history.History, p Params) bool {
 // Q[t] is not δ-contained in A. The tIND holds iff the result is ≤ ε; the
 // exact weight feeds diagnostics and the evaluation harness.
 func ViolationWeight(q, a *history.History, p Params) float64 {
-	w, _ := new(Scratch).violationWeight(nil, q, nil, a, p, 1, false)
+	s := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(s)
+	s.prep.Prepare(q, p.Weight)
+	w, _ := s.violationWeight(nil, &s.prep, a, p, false)
 	return w
 }
 
@@ -68,12 +77,11 @@ func MaxViolation(q *history.History, w timeline.WeightFunc) float64 {
 // validates many pairs keeps one and passes it to every call, which then
 // allocates nothing; the zero value is ready to use.
 type Scratch struct {
-	common []values.Value // unprepared Q: All(Q) ∩ All(A), ascending
-	counts []int32        // per vocabulary value: versions of A in the δ-window holding it
-	qpos   []int32        // the current Q version's values, as positions in the vocabulary
-	apos   []int32        // an entering or leaving A version's values, likewise
-	shared []uint64       // prepared Q: All(Q) ∩ All(A) as positions in All(Q)
-	walks  int            // pairs whose sweep reached the window walk
+	prep   Prepared // Q's side for Check, prepared afresh for each pair
+	counts []int32  // per position in All(Q): versions of A in the δ-window holding it
+	qpos   []int32  // the current Q version's values, as positions in All(Q)
+	shared []uint64 // All(Q) ∩ All(A) as positions in All(Q)
+	walks  int      // pairs whose sweep reached the window walk
 }
 
 // TakeWindowSweeps returns how many pairs checked on s since the last call
@@ -89,18 +97,27 @@ func (s *Scratch) TakeWindowSweeps() int {
 // accumulated violation exceeds ε and reports ok=false with the weight
 // reached so far. When ok is true the weight is the exact total, so one
 // call both certifies Q ⊆_{w,ε,δ} A and ranks it. A non-nil ctx is polled
-// every cancelCheckEvery steps and aborts the pair with its error.
+// every cancelCheckEvery steps and aborts the pair with its error. Check
+// prepares q for this pair alone; a caller that checks one q against many
+// right-hand sides prepares it once and calls CheckPrepared.
 func (s *Scratch) Check(ctx context.Context, q, a *history.History, p Params) (weight float64, ok bool, err error) {
-	weight, err = s.violationWeight(ctx, q, nil, a, p, 1, true)
-	return weight, err == nil && weight <= p.Epsilon, err
+	s.prep.Prepare(q, p.Weight)
+	return s.CheckPrepared(ctx, &s.prep, a, p)
+}
+
+// CheckPrepared is Check for the q that pq was prepared for. params.Weight
+// must be the weight pq was prepared under.
+func (s *Scratch) CheckPrepared(ctx context.Context, pq *Prepared, a *history.History, params Params) (weight float64, ok bool, err error) {
+	weight, err = s.violationWeight(ctx, pq, a, params, true)
+	return weight, err == nil && weight <= params.Epsilon, err
 }
 
 // violationWeight sums the violated runs of the sweep in time order, one
 // Weight.Sum per run — the one summation order every consumer of a
 // violation weight shares.
-func (s *Scratch) violationWeight(ctx context.Context, q *history.History, pq *Prepared, a *history.History,
-	p Params, sigma float64, earlyExit bool) (weight float64, err error) {
-	err = s.sweep(ctx, q, pq, a, p, sigma, func(_ timeline.Interval, w float64, _ values.Value) bool {
+func (s *Scratch) violationWeight(ctx context.Context, pq *Prepared, a *history.History,
+	p Params, earlyExit bool) (weight float64, err error) {
+	err = s.sweep(ctx, pq, a, p, func(_ timeline.Interval, w float64, _ values.Value) bool {
 		weight += w
 		return !(earlyExit && weight > p.Epsilon)
 	})
@@ -108,43 +125,30 @@ func (s *Scratch) violationWeight(ctx context.Context, q *history.History, pq *P
 }
 
 // sweep is Algorithm 2 — interval partitioning plus a sliding window over
-// A's versions — run on the vocabulary the pair shares. It calls yield, in
-// time order, with every maximal run of timestamps inside one version of Q
-// at which less than sigma of Q[t] is δ-contained in A (sigma = 1 is plain
-// δ-containment), together with the run's weight and one value of Q[t]
-// the window lacks when the run begins; yield returning false ends the
-// sweep.
+// A's versions — run for the Q that pq was prepared for, on the vocabulary
+// the pair shares. It calls yield, in time order, with every maximal run
+// of timestamps inside one version of Q at which Q[t] is not δ-contained
+// in A, together with the run's weight and one value of Q[t] the window
+// lacks when the run begins; yield returning false ends the sweep.
 //
-// A value outside common = All(Q) ∩ All(A) is in no window of A. A version
-// of Q holding more such values than sigma tolerates is therefore violated
-// for its whole validity, and is reported without looking at A at all:
-// against an unrelated attribute the sweep is a loop over Q's versions.
-// Only the other, coverable versions consult the window, and for them the
-// values outside common are decided already, so the window keeps counts
-// for common alone: versions of A are projected onto it as they enter
-// (at Start−δ) and leave (at ValidUntil+δ), both version indices only move
-// forward, and a stretch of uncoverable versions is skipped without ever
-// counting what entered and left meanwhile. The partition is never
-// materialized: inside one version of Q the next boundary is simply the
-// earlier of the next entry and the next departure.
-//
-// With pq, Q's side is prepared (sigma must be 1): the coverable test is
-// pq's bit rows against the pair's shared bitset, an uncoverable version
-// adds pq's precomputed sum, and the window counts, built only once a
-// coverable version exists, are kept by position in All(Q) — pq's marks
-// place a version of A's values with one lookup each, so common is never
-// built.
-func (s *Scratch) sweep(ctx context.Context, q *history.History, pq *Prepared, a *history.History, p Params,
-	sigma float64, yield func(run timeline.Interval, w float64, missing values.Value) bool) error {
-	n, d, na := p.Weight.Horizon(), p.Delta, a.NumVersions()
-	var vocab []values.Value // what the window counts are kept for, ascending
-	if pq == nil {
-		s.common = values.AppendIntersect(s.common[:0], q.AllValues(), a.AllValues())
-		vocab = s.common
-	} else {
-		s.shared = pq.sharedWith(s.shared, a.AllValues())
-		vocab = pq.all
-	}
+// A value outside All(Q) ∩ All(A) is in no window of A, so a version of Q
+// holding one is violated for its whole validity. pq's bit rows against
+// the pair's shared bitset find such versions, and each adds pq's
+// precomputed sum without looking at A at all: against an unrelated
+// attribute the sweep is a loop over Q's versions. Only the other,
+// coverable versions consult the window, and for them every value is
+// shared, so the window keeps counts by position in All(Q), built once the
+// first coverable version is met: pq's marks place a version of A's values
+// with one lookup each as it enters (at Start−δ) and leaves (at
+// ValidUntil+δ). Both version indices only move forward, and a stretch of
+// uncoverable versions is skipped without ever counting what entered and
+// left meanwhile. The partition is never materialized: inside one version
+// of Q the next boundary is simply the earlier of the next entry and the
+// next departure.
+func (s *Scratch) sweep(ctx context.Context, pq *Prepared, a *history.History, p Params,
+	yield func(run timeline.Interval, w float64, missing values.Value) bool) error {
+	q, n, d, na := pq.q, p.Weight.Horizon(), p.Delta, a.NumVersions()
+	s.shared = pq.sharedWith(s.shared, a.AllValues())
 	walking := false // the window counts are ready
 	lo, hi := 0, 0   // versions [lo, hi) of A are counted in the window
 	poll := poller{ctx: ctx}
@@ -156,29 +160,17 @@ func (s *Scratch) sweep(ctx context.Context, q *history.History, pq *Prepared, a
 		if qv.IsEmpty() || iv.IsEmpty() {
 			continue // unobservable or empty Q is trivially contained
 		}
-		slack := 0
-		if pq != nil {
-			if v, out := pq.outside(i, s.shared); out {
-				if !yield(iv, pq.sums[i], v) {
-					return nil
-				}
-				continue
+		if v, out := pq.outside(i, s.shared); out {
+			if !yield(iv, pq.sums[i], v) {
+				return nil
 			}
-			s.qpos = pq.positions(s.qpos[:0], qv)
-		} else {
-			s.qpos = appendPositions(s.qpos[:0], s.common, qv)
-			slack = allowedMisses(len(qv), sigma) - (len(qv) - len(s.qpos))
-			if slack < 0 {
-				if !yield(iv, p.Weight.Sum(iv), firstOutside(qv, s.common, s.qpos)) {
-					return nil
-				}
-				continue
-			}
+			continue
 		}
+		s.qpos = pq.positions(s.qpos[:0], qv)
 		if !walking {
 			walking = true
 			s.walks++
-			s.counts = slices.Grow(s.counts[:0], len(vocab))[:len(vocab)]
+			s.counts = slices.Grow(s.counts[:0], len(pq.all))[:len(pq.all)]
 			clear(s.counts)
 		}
 		var run timeline.Interval // the violated run still open at t, if any
@@ -204,13 +196,13 @@ func (s *Scratch) sweep(ctx context.Context, q *history.History, pq *Prepared, a
 			if lo < na {
 				next = min(next, a.ValidUntil(lo)+d)
 			}
-			if at, violated := s.firstMiss(slack); !violated {
+			if at, violated := s.firstMiss(); !violated {
 				if !run.IsEmpty() && !yield(run, p.Weight.Sum(run), missing) {
 					return nil
 				}
 				run = timeline.Interval{}
 			} else if run.IsEmpty() {
-				run, missing = timeline.NewInterval(t, next), vocab[at]
+				run, missing = timeline.NewInterval(t, next), pq.all[at]
 			} else {
 				run.End = next
 			}
@@ -237,88 +229,28 @@ func (p *poller) err() error {
 	return p.ctx.Err()
 }
 
-// count adds d to the window count of every vocabulary value the version
-// holds: through pq's marks when Q is prepared, else by galloping the
-// version through common.
+// count adds d to the window count of every value of All(Q) the version
+// holds, found through pq's marks.
 func (s *Scratch) count(pq *Prepared, vs values.Set, d int32) {
-	if pq != nil {
-		s.apos = pq.positions(s.apos[:0], vs)
-	} else {
-		s.apos = appendPositions(s.apos[:0], s.common, vs)
-	}
-	for _, at := range s.apos {
-		s.counts[at] += d
+	for _, v := range vs {
+		if int(v) >= len(pq.mark) {
+			return
+		}
+		if at := pq.mark[v] - 1; at >= 0 {
+			s.counts[at] += d
+		}
 	}
 }
 
-// firstMiss scans the current Q version's vocabulary values in id order
-// and reports the position (in the vocabulary) of the one absent from the
-// window that exhausts slack, the number of absences still tolerated.
-func (s *Scratch) firstMiss(slack int) (at int32, violated bool) {
+// firstMiss scans the current Q version's values in id order and reports
+// the position (in All(Q)) of the first one absent from the window.
+func (s *Scratch) firstMiss() (at int32, violated bool) {
 	for _, at := range s.qpos {
 		if s.counts[at] == 0 {
-			if slack == 0 {
-				return at, true
-			}
-			slack--
+			return at, true
 		}
 	}
 	return 0, false
-}
-
-// appendPositions appends, ascending, the positions in common of the values
-// common shares with vs, walking the shorter of the two and galloping
-// through the longer.
-func appendPositions(dst []int32, common []values.Value, vs values.Set) []int32 {
-	if len(common) <= len(vs) {
-		for at, v := range common {
-			i := values.Gallop(vs, v)
-			if i == len(vs) {
-				break
-			}
-			if vs[i] == v {
-				dst = append(dst, int32(at))
-				i++
-			}
-			vs = vs[i:]
-		}
-		return dst
-	}
-	at := 0
-	for _, v := range vs {
-		at += values.Gallop(common[at:], v)
-		if at == len(common) {
-			break
-		}
-		if common[at] == v {
-			dst = append(dst, int32(at))
-			at++
-		}
-	}
-	return dst
-}
-
-// allowedMisses returns how many of a version's n values may be absent
-// from the window before less than sigma of them is contained — the
-// per-timestamp test of SigmaContained, solved for the count. It is 0 for
-// sigma = 1.
-func allowedMisses(n int, sigma float64) int {
-	m := 0
-	for m < n && float64(n-m-1)/float64(n) >= sigma {
-		m++
-	}
-	return m
-}
-
-// firstOutside returns the first value of qv, in id order, that is not in
-// common; pos are qv's positions in common.
-func firstOutside(qv values.Set, common []values.Value, pos []int32) values.Value {
-	for i, at := range pos {
-		if common[at] != qv[i] {
-			return qv[i]
-		}
-	}
-	return qv[len(pos)]
 }
 
 // Violation is one maximal interval during which Q is not δ-contained in
@@ -337,10 +269,13 @@ type Violation struct {
 // interactive exploration: the dependency holds under ε iff the weights
 // sum to at most ε.
 func Explain(q, a *history.History, p Params) []Violation {
+	s := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(s)
+	s.prep.Prepare(q, p.Weight)
 	var out []Violation
 	// The sweep reports runs per version of Q; a violation that outlives
 	// a change of Q is one interval to the reader.
-	_ = new(Scratch).sweep(nil, q, nil, a, p, 1, func(run timeline.Interval, w float64, missing values.Value) bool {
+	_ = s.sweep(nil, &s.prep, a, p, func(run timeline.Interval, w float64, missing values.Value) bool {
 		if len(out) > 0 && out[len(out)-1].Interval.End == run.Start {
 			out[len(out)-1].Interval.End = run.End
 			out[len(out)-1].Weight += w

@@ -107,9 +107,10 @@ type arena struct {
 	scratch  []*core.Scratch
 	queue    []Ranked
 	lb       []float64
-	// prep is Q's side of the sweep, prepared once for a scan of every
-	// attribute and shared read-only by the validation workers; keys are
-	// the values that scan probes M_T with, one per version of Q.
+	// prep is Q's side of the sweep, prepared once per forward or top-k
+	// query and shared read-only by the validation workers; keys are the
+	// values a scan of every attribute probes M_T with, one per version
+	// of Q.
 	prep core.Prepared
 	keys []values.Value
 	// req is the RequiredValuesScratch; the set it returns aliases it, so

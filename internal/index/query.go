@@ -311,30 +311,28 @@ func (r *queryRun) searchHits(ctx context.Context, q *history.History, p core.Pa
 		return nil, err
 	}
 
-	// Phase 4: exact validation (Algorithm 2), in parallel. A scan of
-	// every attribute prepares Q's side of the sweep once for all its
-	// checks; a pruned candidate set is too small to repay that. Where
-	// M_T may prune, the scan also probes it with Q's version keys: the
-	// candidates outside their reach cover no version of Q, so each
-	// weighs MaxViolation(Q), and one vector operation decides them all.
+	// Phase 4: exact validation (Algorithm 2), in parallel. Forward, Q is
+	// the left-hand side of every check, so its side of the sweep is
+	// prepared once for all of them; reverse, each candidate is the
+	// left-hand side and is prepared by its own check. Where M_T may
+	// prune, a forward scan of every attribute also probes it with Q's
+	// version keys: the candidates outside their reach cover no version of
+	// Q, so each weighs MaxViolation(Q), and one vector operation decides
+	// them all.
 	endPhase := r.phase(obs.PhaseValidate, &st.Timings.Validate)
-	var pq *core.Prepared
-	var reach *bitmatrix.Vec
-	if filled {
-		pq = &r.ar.prep
+	pq := &r.ar.prep
+	if !reverse {
 		pq.Prepare(q, p.Weight)
-		if !x.opt.DisableRequiredValues {
-			reach = r.keyReach(q, p.Weight.Horizon(), cand)
-		}
+	}
+	var reach *bitmatrix.Vec
+	if filled && !x.opt.DisableRequiredValues {
+		reach = r.keyReach(q, p.Weight.Horizon(), cand)
 	}
 	check := func(s *core.Scratch, c int) (float64, bool, error) {
-		switch {
-		case reverse:
+		if reverse {
 			return s.Check(ctx, x.cols[c], q, p)
-		case pq != nil:
-			return s.CheckPrepared(ctx, pq, x.cols[c], p)
 		}
-		return s.Check(ctx, q, x.cols[c], p)
+		return s.CheckPrepared(ctx, pq, x.cols[c], p)
 	}
 	var hits []Ranked
 	if reach == nil {

@@ -228,10 +228,15 @@ func (k *KMany) Search(q *history.History, p core.Params) (Result, error) {
 			})
 		}
 	}
+	// Q is the same for every candidate, so its side of the sweep is
+	// prepared once, as the tIND index's forward scan does.
 	var ids []history.AttrID
 	res := Result{Candidates: cand.Count()}
+	var s core.Scratch
+	var pq core.Prepared
+	pq.Prepare(q, p.Weight)
 	cand.ForEach(func(c int) bool {
-		if core.Holds(q, k.ds.Attr(history.AttrID(c)), p) {
+		if _, ok, _ := s.CheckPrepared(nil, &pq, k.ds.Attr(history.AttrID(c)), p); ok {
 			ids = append(ids, history.AttrID(c))
 		}
 		return true

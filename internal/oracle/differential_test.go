@@ -167,8 +167,8 @@ func TestExplainMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestPartialMatchesOracle covers the σ-partial containment path, which
-// has its own sliding-window machinery in core (partial.go).
+// TestPartialMatchesOracle covers the σ-partial containment diagnostic.
+// core checks it per day (partial.go), so this compares two naive paths.
 func TestPartialMatchesOracle(t *testing.T) {
 	const horizon = timeline.Time(100)
 	ds := genDataset(t, 23, 12, horizon)

@@ -173,8 +173,9 @@ func DeltaContained(q, a *History, t, delta Time) bool {
 // HoldsPartial reports whether Q is σ-partially contained in A under the
 // relaxation p: at every timestamp (up to violation weight ε) at least
 // sigma of Q's values must be δ-contained in A. This implements the
-// partial-containment extension the paper defers to future work (§6);
-// sigma = 1 coincides with Holds.
+// partial-containment extension the paper defers to future work (§6)
+// as a diagnostic: it checks the definition timestamp by timestamp, and
+// no index query serves it. sigma = 1 coincides with Holds.
 func HoldsPartial(q, a *History, p Params, sigma float64) (bool, error) {
 	return core.HoldsPartial(q, a, p, sigma)
 }
